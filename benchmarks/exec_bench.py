@@ -2,22 +2,28 @@
 """Execution-engine benchmark: native (row-at-a-time) vs columnar.
 
 Times the same optimized logical plans on both engines over synthetic
-tables of 10^3..10^5 rows, asserting differential equivalence (identical
+tables of 250..10^5 rows, asserting differential equivalence (identical
 rows, lineage, confidences) before trusting any timing, and records one
-``exec <workload>`` series row per (size, engine) pair.
+``exec <workload>`` series row per (size, engine) pair.  The 250-row tier
+and the aggregate/sort series are what justified deleting engine
+selection: columnar must not lose where the old 512-row threshold and
+the native-only operators used to keep plans on the native engine.
 
 Usage:
     python benchmarks/exec_bench.py                      # text tables
     python benchmarks/exec_bench.py --json exec.json     # machine-readable
     python benchmarks/exec_bench.py --min-speedup 2.0    # CI gate: columnar
         must beat native by >= 2x on the scan/filter workload at the
-        largest size, else exit 1
+        largest size, and must not lose (>= 1.0x) on the 250-row tier
+        or on any aggregate/sort series row, else exit 1
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -32,12 +38,20 @@ from _bench_common import (
     record,
 )
 
-from repro.engines import select_engine
-from repro.sql import plan_sql
+from repro.engines import pick_engine
+from repro.sql import plan_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
+from repro.workload import healthcare_database
 
-SIZES = (1_000, 10_000, 100_000)
-REPEATS = 3
+SMALL_TIER = 250
+SIZES = (SMALL_TIER, 1_000, 10_000, 100_000)
+#: Best-of repeats per engine, interleaved; sub-millisecond tiers need
+#: more samples for the minimum to settle.
+REPEATS = {SMALL_TIER: 40, 1_000: 10}
+DEFAULT_REPEATS = 3
+#: Columnar is the only engine, so it may not lose to the reference on
+#: the small tier or on the operators that used to be native-only.
+PARITY_FLOOR = 1.0
 #: Differential checks compare confidences only up to this result size —
 #: beyond it, rows and lineage formulas are still compared exactly.
 CONFIDENCE_CHECK_LIMIT = 20_000
@@ -58,7 +72,28 @@ WORKLOADS = {
         "SELECT DISTINCT k FROM events WHERE k IN "
         "(SELECT k FROM dims WHERE tier > 1)"
     ),
+    # Grouped aggregation: batched key/argument evaluation, OR lineage.
+    "aggregate": (
+        "SELECT k, COUNT(*), COUNT(DISTINCT v), SUM(v), AVG(x), MAX(x) "
+        "FROM events GROUP BY k"
+    ),
+    # Multi-key sort (DESC + tie-break) over a filtered scan.
+    "sort": "SELECT k, v FROM events WHERE v < 500 ORDER BY v DESC, k",
+    # The shape Transfer insertion used to split across engines.
+    "aggregate_over_join": (
+        "SELECT d.label, COUNT(*), SUM(e.v) FROM events AS e "
+        "JOIN dims AS d ON e.k = d.k WHERE e.v < 500 GROUP BY d.label"
+    ),
 }
+#: Series that only run columnar because of the Aggregate/Sort kernels.
+NEW_KERNEL_WORKLOADS = ("aggregate", "sort", "aggregate_over_join")
+
+
+#: Registry sizes of the small-table crossover series (EXPERIMENTS.md):
+#: ≈ 2, 6, 10, 40 and 250 base rows at ~2.5 rows per patient.
+CROSSOVER_PATIENTS = (1, 2, 4, 16, 100)
+CROSSOVER_ROUNDS = 6
+CROSSOVER_ASKS = 40
 
 
 def build_db(size: int) -> Database:
@@ -84,8 +119,8 @@ def build_db(size: int) -> Database:
 
 def assert_equivalent(db: Database, plan, check_confidences: bool) -> int:
     """Both engines must agree before a timing is worth recording."""
-    native = select_engine(plan, "native").execute()
-    columnar = select_engine(plan, "columnar").execute()
+    native = pick_engine(plan, "native").execute()
+    columnar = pick_engine(plan, "columnar").execute()
     native_rows = [(row.values, row.lineage) for row in native.rows]
     columnar_rows = [(row.values, row.lineage) for row in columnar.rows]
     if native_rows != columnar_rows:
@@ -100,14 +135,70 @@ def assert_equivalent(db: Database, plan, check_confidences: bool) -> int:
     return len(native_rows)
 
 
-def time_engine(plan, mode: str) -> float:
-    prepared = select_engine(plan, mode)
-    best = float("inf")
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        prepared.execute()
-        best = min(best, time.perf_counter() - started)
+def time_engines(plan, repeats: int) -> dict[str, float]:
+    """Best-of-*repeats* seconds per engine, the two interleaved."""
+    prepared = {mode: pick_engine(plan, mode) for mode in ("native", "columnar")}
+    best = dict.fromkeys(prepared, float("inf"))
+    for _ in range(repeats):
+        for mode, plan_on_engine in prepared.items():
+            started = time.perf_counter()
+            plan_on_engine.execute()
+            best[mode] = min(best[mode], time.perf_counter() - started)
     return best
+
+
+def run_crossover() -> None:
+    """Whole-statement latency on tiny tables, where the deleted 512-row
+    threshold used to pick native: parse → plan → optimize → execute →
+    confidences of the benchmark's point-ask mix (1 point filter : 3
+    one-patient joins), engines interleaved, median over all rounds."""
+    for patients in CROSSOVER_PATIENTS:
+        db = healthcare_database(patients=patients, seed=7).db
+        rng = random.Random(patients)
+        statements = []
+        for i in range(CROSSOVER_ASKS):
+            pid = f"P{rng.randrange(patients):04d}"
+            statements.append(
+                f"SELECT PatientId, Diagnosis, Stage FROM Patients "
+                f"WHERE PatientId = '{pid}'"
+                if i % 4 == 0
+                else f"SELECT p.PatientId, t.Treatment, t.ResponseRate "
+                f"FROM Patients p JOIN Treatments t "
+                f"ON p.PatientId = t.PatientId WHERE p.PatientId = '{pid}'"
+            )
+        samples: dict[str, list[float]] = {"native": [], "columnar": []}
+        for round_index in range(CROSSOVER_ROUNDS + 1):
+            modes = list(samples)
+            if round_index % 2:
+                modes.reverse()
+            for sql in statements:
+                replies = {}
+                for mode in modes:
+                    started = time.perf_counter()
+                    result = run_sql(db, sql, engine=mode)
+                    confidences = result.confidences(db)
+                    elapsed = time.perf_counter() - started
+                    replies[mode] = (
+                        [(row.values, row.lineage) for row in result.rows],
+                        confidences,
+                    )
+                    if round_index:  # round 0 warms caches, untimed
+                        samples[mode].append(elapsed)
+                if replies["native"] != replies["columnar"]:
+                    raise SystemExit(
+                        f"differential equivalence FAILED on {sql!r}"
+                    )
+        native_ms = statistics.median(samples["native"]) * 1e3
+        columnar_ms = statistics.median(samples["columnar"]) * 1e3
+        record(
+            "exec crossover",
+            base_rows=sum(len(table) for table in db.tables()),
+            statements=len(samples["native"]),
+            native_p50_ms=round(native_ms, 4),
+            columnar_p50_ms=round(columnar_ms, 4),
+            columnar_minus_native_ms=round(columnar_ms - native_ms, 4),
+            speedup=round(native_ms / columnar_ms, 2),
+        )
 
 
 def run(args) -> dict[str, dict[int, dict[str, float]]]:
@@ -120,9 +211,7 @@ def run(args) -> dict[str, dict[int, dict[str, float]]]:
             result_rows = assert_equivalent(
                 db, plan, check_confidences=size <= CONFIDENCE_CHECK_LIMIT
             )
-            row: dict[str, float] = {}
-            for mode in ("native", "columnar"):
-                row[mode] = time_engine(plan, mode)
+            row = time_engines(plan, REPEATS.get(size, DEFAULT_REPEATS))
             speedup = row["native"] / row["columnar"]
             timings.setdefault(workload, {})[size] = row
             record(
@@ -149,11 +238,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="X",
         help="fail unless columnar beats native by >= X on the "
-        "scan_filter workload at the largest size",
+        "scan_filter workload at the largest size (and does not lose on "
+        "the 250-row tier or the aggregate/sort series)",
     )
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
+    run_crossover()
     timings = run(args)
     panel_seconds = time.perf_counter() - started
     print(format_series())
@@ -188,6 +279,26 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"speedup gate passed: columnar {speedup:.2f}x native on "
             f"scan_filter@{largest}",
+            file=sys.stderr,
+        )
+        losses = [
+            f"{workload}@{size} ({row['native'] / row['columnar']:.2f}x)"
+            for workload, by_size in timings.items()
+            for size, row in by_size.items()
+            if (size == SMALL_TIER or workload in NEW_KERNEL_WORKLOADS)
+            and row["native"] / row["columnar"] < PARITY_FLOOR
+        ]
+        if losses:
+            print(
+                f"parity gate FAILED: columnar below {PARITY_FLOOR:.1f}x "
+                f"native on {', '.join(losses)}",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            f"parity gate passed: columnar >= {PARITY_FLOOR:.1f}x native on "
+            f"the {SMALL_TIER}-row tier and every "
+            f"{'/'.join(NEW_KERNEL_WORKLOADS)} row",
             file=sys.stderr,
         )
     return 0

@@ -54,7 +54,6 @@ from .plan import (
     SemiJoin,
     SetOperation,
     Sort,
-    Transfer,
 )
 from .rows import AnnotatedTuple, ResultSet
 
@@ -116,11 +115,12 @@ def _execute_alias(node: Alias) -> ResultSet:
     return ResultSet(node.schema, child.rows)
 
 
-def _execute_filter(node: Filter) -> ResultSet:
-    child = execute(node.child)
+def filter_rows(
+    node: Filter, child_rows: list[AnnotatedTuple]
+) -> list[AnnotatedTuple]:
     predicate = node.bound_predicate
     rows = []
-    for row in child.rows:
+    for row in child_rows:
         try:
             keep = predicate.evaluate(row.values)
         except ExecutionError:
@@ -133,22 +133,29 @@ def _execute_filter(node: Filter) -> ResultSet:
             ) from error
         if keep is True:
             rows.append(row)
-    return ResultSet(node.schema, rows)
+    return rows
 
 
-def _execute_project(node: Project) -> ResultSet:
-    child = execute(node.child)
+def _execute_filter(node: Filter) -> ResultSet:
+    return ResultSet(node.schema, filter_rows(node, execute(node.child).rows))
+
+
+def project_rows(
+    node: Project, child_rows: list[AnnotatedTuple]
+) -> list[AnnotatedTuple]:
     bound = node.bound_items
     projected = [
         AnnotatedTuple(
             tuple(item.evaluate(row.values) for item in bound),
             row.lineage,
         )
-        for row in child.rows
+        for row in child_rows
     ]
-    if node.distinct:
-        projected = _merge_duplicates(projected)
-    return ResultSet(node.schema, projected)
+    return _merge_duplicates(projected) if node.distinct else projected
+
+
+def _execute_project(node: Project) -> ResultSet:
+    return ResultSet(node.schema, project_rows(node, execute(node.child).rows))
 
 
 def _merge_duplicates(rows: list[AnnotatedTuple]) -> list[AnnotatedTuple]:
@@ -379,28 +386,19 @@ def _execute_set_operation(node: SetOperation) -> ResultSet:
     return ResultSet(node.schema, rows)
 
 
-def _aggregate_value(
-    spec: AggregateSpec,
-    bound_argument,
-    members: list[AnnotatedTuple],
-) -> Any:
-    if spec.function == "COUNT" and spec.argument is None:
-        return len(members)
-    assert bound_argument is not None
-    values = [bound_argument.evaluate(row.values) for row in members]
+def fold_aggregate(spec: AggregateSpec, dtype: DataType, values: list) -> Any:
+    """One aggregate output from a group's argument *values* (NULLs
+    included; unused for ``COUNT(*)``)."""
     values = [value for value in values if value is not None]
     if spec.distinct:
-        seen: dict[Any, None] = {}
-        for value in values:
-            seen.setdefault(value, None)
-        values = list(seen)
+        values = list(dict.fromkeys(values))
     if spec.function == "COUNT":
         return len(values)
     if not values:
         return None  # SQL: aggregates over empty/all-NULL input are NULL
     if spec.function == "SUM":
         total = sum(values)
-        return float(total) if bound_argument.dtype is REAL else total
+        return float(total) if dtype is REAL else total
     if spec.function == "AVG":
         return float(sum(values)) / len(values)
     if spec.function == "MIN":
@@ -410,10 +408,11 @@ def _aggregate_value(
     raise ExecutionError(f"unhandled aggregate {spec.function}")  # pragma: no cover
 
 
-def _execute_aggregate(node: Aggregate) -> ResultSet:
-    child = execute(node.child)
+def aggregate_rows(
+    node: Aggregate, child_rows: list[AnnotatedTuple]
+) -> list[AnnotatedTuple]:
     groups: dict[tuple[Any, ...], list[AnnotatedTuple]] = {}
-    for row in child.rows:
+    for row in child_rows:
         key = tuple(bound.evaluate(row.values) for bound in node.bound_keys)
         groups.setdefault(key, []).append(row)
     if not groups and not node.group_by:
@@ -423,45 +422,51 @@ def _execute_aggregate(node: Aggregate) -> ResultSet:
     rows: list[AnnotatedTuple] = []
     for key, members in groups.items():
         aggregate_values = tuple(
-            _aggregate_value(spec, bound_argument, members)
+            len(members)
+            if bound_argument is None  # COUNT(*)
+            else fold_aggregate(
+                spec,
+                bound_argument.dtype,
+                [bound_argument.evaluate(row.values) for row in members],
+            )
             for spec, bound_argument in zip(node.aggregates, node.bound_arguments)
         )
         lineage = (
             lineage_or(*(member.lineage for member in members)) if members else TOP
         )
         rows.append(AnnotatedTuple(key + aggregate_values, lineage))
-    return ResultSet(node.schema, rows)
+    return rows
+
+
+def _execute_aggregate(node: Aggregate) -> ResultSet:
+    return ResultSet(node.schema, aggregate_rows(node, execute(node.child).rows))
+
+
+def null_ordered(value: Any) -> tuple[int, Any]:
+    """Sort key putting NULLs first ascending / last descending: the flag
+    sorts before any real value and ``reverse=`` flips it consistently."""
+    return (0, 0) if value is None else (1, value)
+
+
+def sort_rows(node: Sort, child_rows: list[AnnotatedTuple]) -> list[AnnotatedTuple]:
+    rows = list(child_rows)
+    # Stable multi-key sort: apply keys last-to-first.
+    for key, bound in zip(reversed(node.keys), reversed(node.bound_keys)):
+        rows.sort(
+            key=lambda row, bound=bound: null_ordered(bound.evaluate(row.values)),
+            reverse=key.descending,
+        )
+    return rows
 
 
 def _execute_sort(node: Sort) -> ResultSet:
-    child = execute(node.child)
-    rows = list(child.rows)
-    # Stable multi-key sort: apply keys last-to-first.
-    for key, bound in zip(reversed(node.keys), reversed(node.bound_keys)):
-
-        def sort_key(row: AnnotatedTuple, bound=bound) -> tuple[int, Any]:
-            value = bound.evaluate(row.values)
-            # NULLs first ascending / last descending; the flag sorts before
-            # any real value and reverse= flips it consistently.
-            return (0, 0) if value is None else (1, value)
-
-        rows.sort(key=sort_key, reverse=key.descending)
-    return ResultSet(node.schema, rows)
+    return ResultSet(node.schema, sort_rows(node, execute(node.child).rows))
 
 
 def _execute_limit(node: Limit) -> ResultSet:
     child = execute(node.child)
     window = child.rows[node.offset : node.offset + node.count]
     return ResultSet(node.schema, list(window))
-
-
-def _execute_transfer(node: Transfer) -> ResultSet:
-    """Engine boundary: run the subtree on the named engine, pass rows up."""
-    # Late import — engines build on top of the executor, not vice versa.
-    from ..engines import get_engine
-
-    result = get_engine(node.engine).execute(node.child)
-    return ResultSet(node.schema, result.rows)
 
 
 _HANDLERS: dict[type, Callable[[Any], ResultSet]] = {
@@ -475,5 +480,4 @@ _HANDLERS: dict[type, Callable[[Any], ResultSet]] = {
     Aggregate: _execute_aggregate,
     Sort: _execute_sort,
     Limit: _execute_limit,
-    Transfer: _execute_transfer,
 }

@@ -84,7 +84,7 @@ class BoundExpression:
         as read-only.  Row-level results and raised errors match
         :meth:`evaluate` row by row; when two sub-expressions would each
         raise, batch order may surface a different one first (columnar
-        filter kernels re-run scalar evaluation on error to report the
+        kernels re-run the operator row-at-a-time on error to report the
         exact native diagnostic).
         """
         if count == 0:

@@ -4,10 +4,9 @@ Plan nodes are immutable descriptions of relational operations; each node
 derives (and validates) its output schema at construction time, so schema
 errors surface when the plan is built, not when it runs.  The tree is a
 logical *relation tree* in the lsst.daf.relation sense: it says nothing
-about how rows are produced, and any :mod:`repro.engines` engine may
-execute it — the row-at-a-time :mod:`~repro.algebra.executor` (the native
-engine) or the vectorized columnar engine — with :class:`Transfer` nodes
-marking engine boundaries inside mixed plans (see ``docs/ENGINES.md``).
+about how rows are produced: the vectorized columnar engine executes it,
+and the row-at-a-time :mod:`~repro.algebra.executor` (the native
+reference) must agree with it exactly (see ``docs/ENGINES.md``).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "SortKey",
     "Sort",
     "Limit",
-    "Transfer",
 ]
 
 _AGGREGATE_NAMES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
@@ -476,30 +474,3 @@ class Limit(PlanNode):
     def _describe(self) -> str:
         suffix = f" OFFSET {self.offset}" if self.offset else ""
         return f"Limit({self.count}{suffix})"
-
-
-class Transfer(PlanNode):
-    """Engine boundary: run the subtree below on a different engine.
-
-    Modeled on lsst.daf.relation's ``Transfer`` relation — a marker node
-    stating that *child* executes on the engine named *engine* and its
-    rows are materialized back into the enclosing engine's representation.
-    Values, lineage, and schema pass through unchanged; engine selection
-    (:mod:`repro.engines.select`) inserts these around maximal supported
-    subtrees so mixed plans (e.g. a columnar scan/filter/join pipeline
-    under a native sort or aggregate) work end to end.
-    """
-
-    def __init__(self, child: PlanNode, engine: str) -> None:
-        if not engine:
-            raise PlanError("transfer engine name must be non-empty")
-        self.child = child
-        self.engine = engine
-        self.schema = child.schema
-
-    @property
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
-    def _describe(self) -> str:
-        return f"Transfer[{self.engine}]"

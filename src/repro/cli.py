@@ -34,10 +34,10 @@ Observability flags (before any command arguments):
 ``--deadline-ms 50``
     Give each strategy-finding attempt a wall-clock budget; a timed-out
     primary solver degrades to greedy (see ``docs/ROBUSTNESS.md``).
-``--engine auto|native|columnar``
-    Pick the query execution engine (default ``auto``: stats-driven per
-    plan); the ``engine`` shell command changes it mid-session and
-    ``explain``/``profile ask`` report the chosen engine (see
+``--engine columnar|native``
+    Pick the query execution engine (default ``columnar``; ``native`` is
+    the row-at-a-time reference); the ``engine`` shell command changes it
+    mid-session and ``explain``/``profile ask`` report it (see
     ``docs/ENGINES.md``).
 ``--data-dir state/``
     Persist the shell's database in *state/* through a write-ahead log
@@ -67,9 +67,10 @@ import sys
 from typing import Callable, Sequence
 
 from .core import PCQEngine, QueryRequest
-from .errors import ReproError
+from .engines import DEFAULT_ENGINE, check_engine
+from .errors import PlanError, ReproError
 from .policy import PolicyStore, table_confidence_profile
-from .sql import DmlResult, execute_sql, plan_sql
+from .sql import DmlResult, execute_sql, pick_engine, plan_sql
 from .storage import (
     BOOLEAN,
     Database,
@@ -106,16 +107,9 @@ class CommandShell:
         deadline_ms: float | None = None,
         data_dir: str | None = None,
         audit_log: str | None = None,
-        engine: str = "auto",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
-        from .engines import ENGINE_MODES
-
-        if engine not in ENGINE_MODES:
-            raise CommandError(
-                f"unknown engine {engine!r}; choose from "
-                f"{', '.join(ENGINE_MODES)}"
-            )
-        self.engine = engine
+        self.engine = check_engine(engine)
         self.data_dir = data_dir
         if data_dir is not None:
             self.db = Database.open(data_dir, "cli")
@@ -245,8 +239,6 @@ class CommandShell:
     def _cmd_explain(self, rest: str) -> str:
         if not rest:
             raise CommandError("usage: explain <SELECT ...>")
-        from .sql import pick_engine
-
         prepared = pick_engine(plan_sql(self.db, rest), self.engine)
         return f"engine: {prepared.label}\n{prepared.plan.explain()}"
 
@@ -400,17 +392,10 @@ class CommandShell:
         return f"solver set to {parts[0]}{suffix}"
 
     def _cmd_engine(self, rest: str) -> str:
-        from .engines import ENGINE_MODES
-
         if not rest:
             return f"engine: {self.engine}"
-        mode = rest.strip().lower()
-        if mode not in ENGINE_MODES:
-            raise CommandError(
-                f"usage: engine [{'|'.join(ENGINE_MODES)}]"
-            )
-        self.engine = mode
-        return f"engine set to {mode}"
+        self.engine = check_engine(rest.strip().lower())
+        return f"engine set to {self.engine}"
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -737,7 +722,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     deadline_ms: float | None = None
     data_dir: str | None = None
     audit_log: str | None = None
-    engine = "auto"
+    engine = DEFAULT_ENGINE
     while argv and argv[0] in (
         "--trace-out",
         "--log-level",
@@ -761,16 +746,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif flag == "--audit-log":
             audit_log = value
         elif flag == "--engine":
-            from .engines import ENGINE_MODES
-
-            if value not in ENGINE_MODES:
-                print(
-                    f"error: --engine must be one of "
-                    f"{', '.join(ENGINE_MODES)}; got {value!r}",
-                    file=sys.stderr,
-                )
+            try:
+                engine = check_engine(value)
+            except PlanError as error:
+                print(f"error: --engine: {error}", file=sys.stderr)
                 return 2
-            engine = value
         elif flag == "--deadline-ms":
             try:
                 deadline_ms = float(value)

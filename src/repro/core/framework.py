@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from ..algebra.rows import AnnotatedTuple, ResultSet
+from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import InfeasibleIncrementError, ReproError
 from ..obs import (
     TIMING_BUCKETS,
@@ -239,7 +240,7 @@ class PCQEngine:
         fallback: "tuple[str | Solver, ...] | list[str | Solver]" = (),
         deadline_ms: float | None = None,
         audit: "AuditLog | None" = None,
-        engine: str = "auto",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
         """*fallback* lists solvers tried, in order, when the primary one
         times out (``heuristic → greedy`` is the canonical chain); each
@@ -253,9 +254,9 @@ class PCQEngine:
         lineage, verdict — plus increment write-backs and the final
         outcome (see ``docs/OBSERVABILITY.md``).
 
-        *engine* selects the execution engine for query evaluation
-        (``auto``/``native``/``columnar``, see ``docs/ENGINES.md``);
-        results are identical on every engine.
+        *engine* is ``columnar`` or the row-at-a-time ``native``
+        reference (see ``docs/ENGINES.md``); results are identical on
+        both, and any other name is rejected here.
         """
         self.db = db
         self.policies = policies
@@ -269,7 +270,7 @@ class PCQEngine:
         self.delta = delta
         self.deadline_ms = deadline_ms
         self.audit = audit
-        self.engine = engine
+        self.engine = check_engine(engine)
         attempts = [self._attempt(solver)]
         attempts.extend(self._attempt(entry) for entry in fallback)
         self.chain = DegradationChain(attempts, deadline_ms=deadline_ms)

@@ -1,68 +1,58 @@
-"""Pluggable execution engines over the logical relation tree.
+"""Execution over the logical relation tree: one engine, one reference.
 
-The logical plan (:mod:`repro.algebra.plan`) describes *what* to compute;
-an :class:`~repro.engines.base.Engine` decides *how*.  Two engines ship:
-
-* ``native`` — the row-at-a-time reference executor
-  (:mod:`repro.algebra.executor`), supporting every operator;
-* ``columnar`` — vectorized batch execution over per-column value lists
-  (:mod:`repro.engines.columnar`), covering the scan/filter/project/
-  join/semijoin/set-op/limit pipeline.
-
-Both produce identical rows, structurally identical lineage, and
-bit-identical confidences — engine choice is purely a performance
-decision, made per plan by :func:`~repro.engines.select.select_engine`
-(stats-driven ``auto``, or forced via ``--engine``).  Mixed trees use
-:class:`~repro.algebra.plan.Transfer` boundary nodes.  See
-``docs/ENGINES.md`` for the architecture and how to add a third engine.
+``columnar`` — vectorized batch execution (:mod:`repro.engines.columnar`)
+— runs every plan.  ``native`` — the row-at-a-time executor
+(:mod:`repro.algebra.executor`) — stays as the reference the differential
+tests and the benchmark's oracle compare against: both must produce
+identical rows, structurally identical lineage, bit-identical confidences
+and identical errors.  See ``docs/ENGINES.md``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from ..algebra.executor import execute as execute_native
+from ..algebra.plan import PlanNode
+from ..algebra.rows import ResultSet
 from ..errors import PlanError
-from .base import Engine
-from .columnar import ColumnarEngine
-from .native import NativeEngine
-from .select import (
-    DEFAULT_AUTO_ROW_THRESHOLD,
-    ENGINE_MODES,
-    PreparedPlan,
-    select_engine,
-)
+from .columnar import execute as execute_columnar
 
 __all__ = [
-    "Engine",
-    "NativeEngine",
-    "ColumnarEngine",
-    "PreparedPlan",
-    "select_engine",
-    "get_engine",
-    "engine_names",
+    "DEFAULT_ENGINE",
     "ENGINE_MODES",
-    "DEFAULT_AUTO_ROW_THRESHOLD",
+    "PreparedPlan",
+    "check_engine",
+    "pick_engine",
 ]
 
-_ENGINES: dict[str, Engine] = {}
+_EXECUTORS = {"columnar": execute_columnar, "native": execute_native}
+
+#: Valid values for ``--engine`` / ``run_sql(engine=...)``.
+ENGINE_MODES = tuple(_EXECUTORS)
+DEFAULT_ENGINE = "columnar"
 
 
-def _registry() -> dict[str, Engine]:
-    if not _ENGINES:
-        for engine in (NativeEngine(), ColumnarEngine()):
-            _ENGINES[engine.name] = engine
-    return _ENGINES
-
-
-def get_engine(name: str) -> Engine:
-    """The registered engine called *name* (``native``/``columnar``)."""
-    registry = _registry()
-    engine = registry.get(name)
-    if engine is None:
+def check_engine(mode: str) -> str:
+    """Return *mode* if it names an engine, else raise :class:`PlanError`."""
+    if mode not in _EXECUTORS:
         raise PlanError(
-            f"unknown engine {name!r} (registered: {sorted(registry)})"
+            f"unknown engine {mode!r} (expected one of {ENGINE_MODES})"
         )
-    return engine
+    return mode
 
 
-def engine_names() -> tuple[str, ...]:
-    """Registered engine names, sorted."""
-    return tuple(sorted(_registry()))
+@dataclass(frozen=True)
+class PreparedPlan:
+    """A plan bound to the engine (*label*) that will execute it."""
+
+    plan: PlanNode
+    label: str
+
+    def execute(self) -> ResultSet:
+        return _EXECUTORS[self.label](self.plan)
+
+
+def pick_engine(plan: PlanNode, mode: str = DEFAULT_ENGINE) -> PreparedPlan:
+    """Bind *plan* to the engine named *mode* (validated)."""
+    return PreparedPlan(plan, check_engine(mode))

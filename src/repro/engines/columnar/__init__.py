@@ -3,6 +3,6 @@
 from __future__ import annotations
 
 from .batch import ColumnBatch
-from .engine import COLUMNAR_NODES, ColumnarEngine
+from .engine import execute
 
-__all__ = ["ColumnBatch", "ColumnarEngine", "COLUMNAR_NODES"]
+__all__ = ["ColumnBatch", "execute"]

@@ -135,28 +135,13 @@ class ColumnBatch:
             columns = [[] for _ in schema]
         return cls(schema, columns, lineage=lineage)
 
-    @classmethod
-    def from_result_set(cls, result: ResultSet) -> "ColumnBatch":
-        """Materialize a native engine result into a batch (Transfer in)."""
-        rows = result.rows
-        if rows:
-            columns: Sequence[list] = [
-                list(column) for column in zip(*(row.values for row in rows))
-            ]
-        else:
-            columns = [[] for _ in result.schema]
-        return cls(
-            result.schema, columns, lineage=[row.lineage for row in rows]
-        )
-
-    def to_result_set(self, schema: Schema | None = None) -> ResultSet:
-        """Materialize the batch as an annotated result set (Transfer out)."""
-        out_schema = schema if schema is not None else self.schema
+    def to_result_set(self) -> ResultSet:
+        """Materialize the batch as an annotated result set."""
         if self.length == 0:
-            return ResultSet(out_schema, [])
+            return ResultSet(self.schema, [])
         lineage = self.lineage_column()
         return ResultSet(
-            out_schema,
+            self.schema,
             [
                 AnnotatedTuple(values, formula)
                 for values, formula in zip(zip(*self.columns), lineage)

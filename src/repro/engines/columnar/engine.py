@@ -3,27 +3,23 @@
 Walks the logical relation tree bottom-up like the native executor, but
 every operator consumes and produces a :class:`ColumnBatch` instead of a
 row list, dispatching to the vectorized kernels in
-:mod:`~repro.engines.columnar.kernels`.  Observability mirrors the native
-engine one level down: each operator records a ``columnar.<operator>``
-span and ``executor.columnar.<operator>.{calls,rows_emitted,seconds}``
-metrics, so per-engine operator costs are separable in the metrics
-snapshot and OpenMetrics exposition.
-
-The engine is deliberately partial: :class:`~repro.algebra.plan.Aggregate`
-and :class:`~repro.algebra.plan.Sort` stay native (their cost is dominated
-by per-group/per-key Python work a list-per-column layout does not help).
-Engine selection (:mod:`repro.engines.select`) wraps maximal supported
-subtrees in ``Transfer`` nodes so such plans still run their
-scan/filter/join pipelines here.
+:mod:`~repro.engines.columnar.kernels` — one per plan node type, so the
+engine executes every plan the planner can emit.  Observability mirrors
+the native engine one level down: each operator records a
+``columnar.<operator>`` span and
+``executor.columnar.<operator>.{calls,rows_emitted,seconds}`` metrics, so
+per-engine operator costs are separable in the metrics snapshot and
+OpenMetrics exposition.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from ...algebra.plan import (
+    Aggregate,
     Alias,
     Filter,
     Join,
@@ -33,126 +29,63 @@ from ...algebra.plan import (
     Scan,
     SemiJoin,
     SetOperation,
-    Transfer,
+    Sort,
 )
 from ...algebra.rows import ResultSet
 from ...errors import PlanError
 from ...obs import TIMING_BUCKETS, get_metrics, get_tracer
-from ..base import Engine
 from .batch import ColumnBatch
 from . import kernels
 
-__all__ = ["ColumnarEngine", "COLUMNAR_NODES"]
+__all__ = ["execute"]
 
 logger = logging.getLogger(__name__)
 
-#: Plan node types the columnar engine executes itself.
-COLUMNAR_NODES: tuple[type, ...] = (
-    Scan,
-    Alias,
-    Filter,
-    Project,
-    Join,
-    SemiJoin,
-    SetOperation,
-    Limit,
-    Transfer,
-)
-
-
-class ColumnarEngine(Engine):
-    """Vectorized engine over columnar batches (partial operator set)."""
-
-    name = "columnar"
-
-    def execute(self, plan: PlanNode) -> ResultSet:
-        return self._run(plan).to_result_set()
-
-    def supports(self, node: PlanNode) -> bool:
-        return isinstance(node, COLUMNAR_NODES)
-
-    # -- tree walk -------------------------------------------------------
-
-    def _run(self, node: PlanNode) -> ColumnBatch:
-        operator = type(node).__name__
-        handler = _HANDLERS.get(type(node))
-        if handler is None:
-            raise PlanError(
-                f"columnar engine does not support {operator}; route the "
-                f"plan through repro.engines.select for a mixed-engine tree"
-            )
-        tracer = get_tracer()
-        started = time.perf_counter()
-        if tracer.enabled:
-            with tracer.span(f"columnar.{operator.lower()}") as span:
-                batch = handler(self, node)
-                span.set_attribute("rows_emitted", batch.length)
-        else:
-            batch = handler(self, node)
-        elapsed = time.perf_counter() - started
-
-        metrics = get_metrics()
-        prefix = f"executor.columnar.{operator.lower()}"
-        metrics.counter(f"{prefix}.calls").inc()
-        metrics.counter(f"{prefix}.rows_emitted").inc(batch.length)
-        metrics.histogram(f"{prefix}.seconds", TIMING_BUCKETS).observe(elapsed)
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "columnar %s emitted %d row(s) in %.6fs",
-                operator,
-                batch.length,
-                elapsed,
-            )
-        return batch
-
-    # -- per-operator handlers -------------------------------------------
-
-    def _scan(self, node: Scan) -> ColumnBatch:
-        return kernels.scan_batch(node)
-
-    def _alias(self, node: Alias) -> ColumnBatch:
-        return kernels.alias_batch(node, self._run(node.child))
-
-    def _filter(self, node: Filter) -> ColumnBatch:
-        return kernels.filter_batch(node, self._run(node.child))
-
-    def _project(self, node: Project) -> ColumnBatch:
-        return kernels.project_batch(node, self._run(node.child))
-
-    def _join(self, node: Join) -> ColumnBatch:
-        return kernels.join_batch(
-            node, self._run(node.left), self._run(node.right)
-        )
-
-    def _semi_join(self, node: SemiJoin) -> ColumnBatch:
-        return kernels.semi_join_batch(
-            node, self._run(node.left), self._run(node.right)
-        )
-
-    def _set_operation(self, node: SetOperation) -> ColumnBatch:
-        return kernels.set_operation_batch(
-            node, self._run(node.left), self._run(node.right)
-        )
-
-    def _limit(self, node: Limit) -> ColumnBatch:
-        return kernels.limit_batch(node, self._run(node.child))
-
-    def _transfer(self, node: Transfer) -> ColumnBatch:
-        """Boundary into another engine: materialize its rows as a batch."""
-        from .. import get_engine
-
-        result = get_engine(node.engine).execute(node.child)
-        return ColumnBatch.from_result_set(result)
-
-
-_HANDLERS: dict[type, Callable[[ColumnarEngine, Any], ColumnBatch]] = {
-    Scan: ColumnarEngine._scan,
-    Alias: ColumnarEngine._alias,
-    Filter: ColumnarEngine._filter,
-    Project: ColumnarEngine._project,
-    Join: ColumnarEngine._join,
-    SemiJoin: ColumnarEngine._semi_join,
-    SetOperation: ColumnarEngine._set_operation,
-    Limit: ColumnarEngine._limit,
-    Transfer: ColumnarEngine._transfer,
+#: Each kernel takes the node plus one input batch per child, in order.
+_KERNELS: dict[type, Callable[..., ColumnBatch]] = {
+    Scan: kernels.scan_batch,
+    Alias: kernels.alias_batch,
+    Filter: kernels.filter_batch,
+    Project: kernels.project_batch,
+    Join: kernels.join_batch,
+    SemiJoin: kernels.semi_join_batch,
+    SetOperation: kernels.set_operation_batch,
+    Aggregate: kernels.aggregate_batch,
+    Sort: kernels.sort_batch,
+    Limit: kernels.limit_batch,
 }
+
+
+def execute(plan: PlanNode) -> ResultSet:
+    """Run *plan* on the columnar engine; materialize rows at the root."""
+    return _run(plan).to_result_set()
+
+
+def _run(node: PlanNode) -> ColumnBatch:
+    operator = type(node).__name__
+    kernel = _KERNELS.get(type(node))
+    if kernel is None:
+        raise PlanError(f"no columnar kernel for plan node {operator}")
+    tracer = get_tracer()
+    started = time.perf_counter()
+    if tracer.enabled:
+        with tracer.span(f"columnar.{operator.lower()}") as span:
+            batch = kernel(node, *map(_run, node.children))
+            span.set_attribute("rows_emitted", batch.length)
+    else:
+        batch = kernel(node, *map(_run, node.children))
+    elapsed = time.perf_counter() - started
+
+    metrics = get_metrics()
+    prefix = f"executor.columnar.{operator.lower()}"
+    metrics.counter(f"{prefix}.calls").inc()
+    metrics.counter(f"{prefix}.rows_emitted").inc(batch.length)
+    metrics.histogram(f"{prefix}.seconds", TIMING_BUCKETS).observe(elapsed)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "columnar %s emitted %d row(s) in %.6fs",
+            operator,
+            batch.length,
+            elapsed,
+        )
+    return batch

@@ -25,8 +25,17 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from ...algebra.executor import _equi_join_columns
+from ...algebra.executor import (
+    _equi_join_columns,
+    aggregate_rows,
+    filter_rows,
+    fold_aggregate,
+    null_ordered,
+    project_rows,
+    sort_rows,
+)
 from ...algebra.plan import (
+    Aggregate,
     Alias,
     Filter,
     Join,
@@ -35,10 +44,12 @@ from ...algebra.plan import (
     Scan,
     SemiJoin,
     SetOperation,
+    Sort,
 )
 from ...errors import ExecutionError
 from ...lineage.formula import (
     BOTTOM,
+    TOP,
     Lineage,
     lineage_and,
     lineage_not,
@@ -55,10 +66,28 @@ __all__ = [
     "join_batch",
     "semi_join_batch",
     "set_operation_batch",
+    "aggregate_batch",
+    "sort_batch",
     "limit_batch",
 ]
 
 _BATCH_ERRORS = (ExecutionError, TypeError, ValueError, ArithmeticError)
+
+
+def _rerun_by_row(
+    node: "Filter | Project | Aggregate | Sort",
+    child: ColumnBatch,
+    row_operator: Callable[..., list],
+) -> ColumnBatch:
+    """Redo a failed batch evaluation through the native row operator, so
+    the error raised is the native one (same diagnostic, first failing
+    row in native evaluation order)."""
+    rows = row_operator(node, child.to_result_set().rows)
+    return ColumnBatch.from_rows(
+        node.schema,
+        [row.values for row in rows],
+        [row.lineage for row in rows],
+    )
 
 
 # -- leaf / unary -----------------------------------------------------------
@@ -79,37 +108,21 @@ def filter_batch(node: Filter, child: ColumnBatch) -> ColumnBatch:
     try:
         flags = predicate.evaluate_batch(child.columns, child.length)
     except _BATCH_ERRORS:
-        # Fall back to scalar evaluation so the raised error carries the
-        # exact native diagnostic (offending row values, first-row order).
-        return _filter_scalar(node, child)
+        return _rerun_by_row(node, child, filter_rows)
     keep = [i for i, flag in enumerate(flags) if flag is True]
     if len(keep) == child.length:
         return child
     return child.gather(keep)
 
 
-def _filter_scalar(node: Filter, child: ColumnBatch) -> ColumnBatch:
-    predicate = node.bound_predicate
-    keep: list[int] = []
-    for i, values in enumerate(child.rows()):
-        try:
-            flag = predicate.evaluate(values)
-        except ExecutionError:
-            raise
-        except (TypeError, ValueError, ArithmeticError) as error:
-            raise ExecutionError(
-                f"predicate failed on row {values!r}: {error}"
-            ) from error
-        if flag is True:
-            keep.append(i)
-    return child.gather(keep)
-
-
 def project_batch(node: Project, child: ColumnBatch) -> ColumnBatch:
-    columns = [
-        item.evaluate_batch(child.columns, child.length)
-        for item in node.bound_items
-    ]
+    try:
+        columns = [
+            item.evaluate_batch(child.columns, child.length)
+            for item in node.bound_items
+        ]
+    except _BATCH_ERRORS:
+        return _rerun_by_row(node, child, project_rows)
     projected = child.with_columns(node.schema, columns)
     if not node.distinct:
         return projected
@@ -415,3 +428,68 @@ def set_operation_batch(
             values.append(group_values)
             lineage.append(formula)
     return ColumnBatch.from_rows(node.schema, values, lineage)
+
+
+# -- aggregate / sort -------------------------------------------------------
+
+
+def aggregate_batch(node: Aggregate, child: ColumnBatch) -> ColumnBatch:
+    count = child.length
+    try:
+        key_columns = [
+            bound.evaluate_batch(child.columns, count)
+            for bound in node.bound_keys
+        ]
+        argument_columns = [
+            None if bound is None else bound.evaluate_batch(child.columns, count)
+            for bound in node.bound_arguments
+        ]
+    except _BATCH_ERRORS:
+        return _rerun_by_row(node, child, aggregate_rows)
+
+    # Member row indexes per group, groups in first-seen order.
+    groups: dict[tuple[Any, ...], list[int]] = {}
+    if key_columns:
+        for i, key in enumerate(zip(*key_columns)):
+            groups.setdefault(key, []).append(i)
+    else:
+        # Global aggregate: one row, certain when the input is empty.
+        groups[()] = list(range(count))
+
+    child_lineage = child.lineage_column()
+    values: list[tuple[Any, ...]] = []
+    lineage: list[Lineage] = []
+    for key, members in groups.items():
+        values.append(
+            key
+            + tuple(
+                len(members)
+                if column is None  # COUNT(*)
+                else fold_aggregate(
+                    spec, bound.dtype, [column[i] for i in members]
+                )
+                for spec, bound, column in zip(
+                    node.aggregates, node.bound_arguments, argument_columns
+                )
+            )
+        )
+        lineage.append(
+            lineage_or(*[child_lineage[i] for i in members]) if members else TOP
+        )
+    return ColumnBatch.from_rows(node.schema, values, lineage)
+
+
+def sort_batch(node: Sort, child: ColumnBatch) -> ColumnBatch:
+    try:
+        key_columns = [
+            bound.evaluate_batch(child.columns, child.length)
+            for bound in node.bound_keys
+        ]
+    except _BATCH_ERRORS:
+        return _rerun_by_row(node, child, sort_rows)
+    order = list(range(child.length))
+    # Stable multi-key sort of row indexes: apply keys last-to-first.
+    for key, column in zip(reversed(node.keys), reversed(key_columns)):
+        ranks = [null_ordered(value) for value in column]
+        order.sort(key=ranks.__getitem__, reverse=key.descending)
+    return child.gather(order)

@@ -10,7 +10,7 @@ greedy gain recomputation, D&C partitioning), so a run can explain itself:
   sink attached, ``tracer.span(...)`` is a shared no-op.
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket histograms
   under flat dotted names (``solver.heuristic.nodes_pruned_h3``,
-  ``executor.scan.rows_emitted``, ``policy.rows_withheld`` …).
+  ``executor.columnar.scan.rows_emitted``, ``policy.rows_withheld`` …).
 * :func:`solver_run` — the one timing context manager all four increment
   solvers share (span + ``stats.elapsed_seconds`` + metric emission).
 * :class:`ProfileReport` — the stage breakdown ``PCQEngine`` attaches to a

@@ -60,6 +60,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
+from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import (
     AdmissionError,
     CircuitOpenError,
@@ -280,7 +281,7 @@ class PCQEServer:
         *,
         workers: int = 8,
         solver: str = "greedy",
-        engine: str = "auto",
+        engine: str = DEFAULT_ENGINE,
         fallback: "tuple[str, ...] | None" = None,
         service_time_hint: float = 0.0,
         request_timeout: float | None = None,
@@ -298,7 +299,7 @@ class PCQEServer:
         self.mvcc = MVCCDatabase(db)
         self.policies = policies
         self.solver = solver
-        self.engine = engine
+        self.engine = check_engine(engine)
         self.fallback = fallback
         self.workers = workers
         self.request_timeout = request_timeout

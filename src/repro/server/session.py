@@ -24,12 +24,12 @@ import threading
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from ..core import PCQEngine, PCQEResult, QueryRequest
+from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import (
     NotPrimaryError,
     QuarantinedTableError,
     ReplicaLagError,
     SessionClosedError,
-    UnknownUserError,
 )
 from ..policy import PolicyStore
 from ..storage.tuples import StoredTuple, TupleId
@@ -162,21 +162,18 @@ class Session:
         purpose: str,
         *,
         solver: str = "greedy",
-        engine: str = "auto",
+        engine: str = DEFAULT_ENGINE,
         fallback: "tuple[str, ...] | None" = None,
         client_id: str | None = None,
         read_only: bool = False,
         quarantine: "set[str] | None" = None,
     ) -> None:
-        try:
-            roles = tuple(sorted(policies.user(user).roles))
-        except UnknownUserError:
-            raise
+        roles = tuple(sorted(policies.user(user).roles))
         self.id = next(_session_ids)
         self.context = SessionContext(user, roles, purpose)
         self.policies = policies
         self.solver = solver
-        self.engine = engine
+        self.engine = check_engine(engine)
         # Degradation chain for deadline-pressed asks: unless configured
         # otherwise, a non-greedy primary falls back to greedy (fast,
         # always-feasible-when-feasible) instead of failing the request.
@@ -309,14 +306,19 @@ class Session:
         crash recovery and replication, so a retry after failover is
         deduplicated on the promoted primary too.
         """
-        from ..sql import SelectStatement, SetStatement, execute_sql, parse_command
+        from ..sql import (
+            SelectStatement,
+            SetStatement,
+            execute_command,
+            parse_command,
+        )
 
         command = parse_command(sql)
         if isinstance(command, (SelectStatement, SetStatement)):
-            return execute_sql(self.db, sql, engine=self.engine)
+            return execute_command(self.db, command, engine=self.engine)
 
         def mutate(db):
-            result = execute_sql(db, sql, engine=self.engine)
+            result = execute_command(db, command, engine=self.engine)
             if idempotency is not None:
                 db._journal(
                     {

@@ -15,9 +15,11 @@ from __future__ import annotations
 from ..algebra.optimizer import optimize
 from ..algebra.plan import PlanNode
 from ..algebra.rows import ResultSet
+from ..engines import DEFAULT_ENGINE, pick_engine
 from ..storage.database import Database
 from .ast import (
     AggregateCall,
+    Command,
     DerivedTable,
     JoinClause,
     NamedTable,
@@ -31,7 +33,7 @@ from .ast import (
 from .dml import DmlResult, execute_dml
 from .lexer import Token, TokenType, tokenize
 from .parser import parse, parse_command
-from .planner import pick_engine, plan_statement
+from .planner import plan_statement
 
 __all__ = [
     "tokenize",
@@ -44,6 +46,7 @@ __all__ = [
     "pick_engine",
     "plan_sql",
     "run_sql",
+    "execute_command",
     "execute_sql",
     "DmlResult",
     "execute_dml",
@@ -75,14 +78,13 @@ def run_sql(
     db: Database,
     sql: str,
     optimized: bool = True,
-    engine: str = "auto",
+    engine: str = DEFAULT_ENGINE,
 ) -> ResultSet:
     """Parse, plan, and execute SQL text against *db*.
 
-    *engine* picks the execution engine: ``"native"``, ``"columnar"``, or
-    ``"auto"`` (stats-driven; small inputs stay native).  Results are
-    identical either way — the chosen engine is recorded on
-    ``result.engine``.
+    *engine* is ``"columnar"`` (the engine) or ``"native"`` (the
+    row-at-a-time reference).  Results are identical either way — the
+    engine that ran is recorded on ``result.engine``.
     """
     return _run_plan(plan_sql(db, sql, optimized), engine)
 
@@ -97,17 +99,27 @@ def _run_plan(plan: PlanNode, engine: str) -> ResultSet:
     return result
 
 
-def execute_sql(
-    db: Database, sql: str, optimized: bool = True, engine: str = "auto"
+def execute_command(
+    db: Database,
+    command: Command,
+    optimized: bool = True,
+    engine: str = DEFAULT_ENGINE,
 ) -> "ResultSet | DmlResult":
-    """Run any supported SQL command: queries return a
-    :class:`~repro.algebra.ResultSet`, DML/DDL a :class:`DmlResult`."""
-    from .ast import SelectStatement, SetStatement
-
-    command = parse_command(sql)
+    """Run one parsed command (from :func:`parse_command`): queries return
+    a :class:`~repro.algebra.ResultSet`, DML/DDL a :class:`DmlResult`."""
     if isinstance(command, (SelectStatement, SetStatement)):
         plan = plan_statement(db, command)
         if optimized:
             plan = optimize(plan)
         return _run_plan(plan, engine)
     return execute_dml(db, command)
+
+
+def execute_sql(
+    db: Database,
+    sql: str,
+    optimized: bool = True,
+    engine: str = DEFAULT_ENGINE,
+) -> "ResultSet | DmlResult":
+    """Parse and run any supported SQL command."""
+    return execute_command(db, parse_command(sql), optimized, engine)

@@ -66,22 +66,7 @@ from .ast import (
     TableRef,
 )
 
-__all__ = ["plan_statement", "pick_engine"]
-
-
-def pick_engine(plan: PlanNode, mode: str = "auto"):
-    """Choose an execution engine for *plan* (cost/stats-driven).
-
-    Returns a :class:`~repro.engines.select.PreparedPlan` carrying the
-    (possibly Transfer-rewritten) plan, the driving engine, and a
-    human-readable label (``native``/``columnar``/``native+columnar``).
-    With ``mode="auto"`` the decision uses live base-table row counts:
-    small inputs stay on the row-at-a-time native engine, larger
-    scan/filter/join pipelines go columnar.
-    """
-    from ..engines import select_engine
-
-    return select_engine(plan, mode)
+__all__ = ["plan_statement"]
 
 
 def plan_statement(db: Database, statement: Statement) -> PlanNode:

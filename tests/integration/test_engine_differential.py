@@ -28,6 +28,32 @@ HEALTHCARE_QUERIES = [
     "UNION SELECT PatientId FROM Treatments WHERE Treatment = 'surgery'",
     "SELECT PatientId FROM Patients WHERE PatientId IN "
     "(SELECT PatientId FROM Treatments WHERE ResponseRate > 0.6)",
+    # Aggregate: GROUP BY, COUNT(*)/COUNT(DISTINCT), REAL SUM/AVG/MIN/MAX.
+    "SELECT Diagnosis, Stage, COUNT(*), COUNT(DISTINCT Source) "
+    "FROM Patients GROUP BY Diagnosis, Stage",
+    "SELECT Treatment, SUM(ResponseRate), AVG(ResponseRate), "
+    "MIN(ResponseRate), MAX(ResponseRate) FROM Treatments GROUP BY Treatment",
+    "SELECT COUNT(*), SUM(ResponseRate), MIN(PatientId) FROM Treatments",
+    # Global aggregate over an empty input: one certain (TOP) row.
+    "SELECT COUNT(*), SUM(ResponseRate) FROM Treatments WHERE ResponseRate > 2",
+    "SELECT p.Diagnosis, COUNT(*) AS n, AVG(t.ResponseRate) AS rate "
+    "FROM Patients p JOIN Treatments t ON p.PatientId = t.PatientId "
+    "GROUP BY p.Diagnosis HAVING COUNT(*) > 1 ORDER BY rate DESC",
+    # Sort: multi-key, DESC, ties (stability), ORDER BY + LIMIT.
+    "SELECT PatientId, Stage, Diagnosis FROM Patients "
+    "ORDER BY Stage DESC, Diagnosis, PatientId DESC",
+    "SELECT Treatment, ResponseRate FROM Treatments ORDER BY Treatment",
+    "SELECT PatientId, ResponseRate FROM Treatments "
+    "ORDER BY ResponseRate DESC LIMIT 7",
+]
+
+#: Asks whose plans end in the operators that used to be native-only.
+AGGREGATE_SORT_ASKS = [
+    "SELECT p.Company, COUNT(*) AS n, SUM(p.Funding) AS total "
+    "FROM Proposal p JOIN CompanyInfo c ON p.Company = c.Company "
+    "GROUP BY p.Company ORDER BY n DESC, Company",
+    "SELECT p.Company, c.Income FROM Proposal p JOIN CompanyInfo c "
+    "ON p.Company = c.Company ORDER BY c.Income DESC, p.Company",
 ]
 
 
@@ -41,6 +67,7 @@ def assert_engines_agree(db, sql):
         row.lineage for row in columnar.rows
     ]
     assert native.confidences(db) == columnar.confidences(db)
+    assert native.engine == "native" and columnar.engine == "columnar"
     return native, columnar
 
 
@@ -71,16 +98,23 @@ class TestHealthcareDifferential:
         scenario = healthcare_database(patients=120, seed=4)
         assert_engines_agree(scenario.db, sql)
 
+    @pytest.mark.parametrize("patients", [0, 1, 2])
+    def test_tiny_registries_run_columnar_and_agree(self, patients):
+        scenario = healthcare_database(patients=patients, seed=4)
+        for sql in HEALTHCARE_QUERIES:
+            assert_engines_agree(scenario.db, sql)
+
     def test_auto_matches_native_on_larger_registry(self):
+        """The default engine (what ``auto`` used to pick) vs native."""
         scenario = healthcare_database(patients=300, seed=11)
         sql = HEALTHCARE_QUERIES[0]
         native = run_sql(scenario.db, sql, engine="native")
-        auto = run_sql(scenario.db, sql, engine="auto")
-        assert auto.engine in ("columnar", "native+columnar")
+        default = run_sql(scenario.db, sql)
+        assert default.engine == "columnar"
         assert [row.values for row in native.rows] == [
-            row.values for row in auto.rows
+            row.values for row in default.rows
         ]
-        assert native.confidences(scenario.db) == auto.confidences(
+        assert native.confidences(scenario.db) == default.confidences(
             scenario.db
         )
 
@@ -90,6 +124,16 @@ class TestPipelineDifferential:
 
     @pytest.mark.parametrize("solver", ["heuristic", "greedy", "dnc"])
     def test_ask_costs_identical_across_engines(self, solver):
+        self.assert_ask_identical(solver, None)
+
+    @pytest.mark.parametrize("sql", AGGREGATE_SORT_ASKS)
+    @pytest.mark.parametrize("solver", ["heuristic", "greedy", "dnc"])
+    def test_aggregate_and_sort_ask_costs_identical(self, solver, sql):
+        self.assert_ask_identical(solver, sql)
+
+    @staticmethod
+    def assert_ask_identical(solver, sql):
+        """*sql* ``None`` asks the scenario's own candidate query."""
         replies = {}
         for engine_mode in ("native", "columnar"):
             scenario = venture_capital_database()
@@ -100,7 +144,7 @@ class TestPipelineDifferential:
                 engine=engine_mode,
             )
             replies[engine_mode] = engine.execute(
-                QueryRequest(scenario.QUERY, "investment", 1.0),
+                QueryRequest(sql or scenario.QUERY, "investment", 1.0),
                 user="bob",
             )
         native, columnar = replies["native"], replies["columnar"]

@@ -84,13 +84,13 @@ class TestStageSpans:
         for span in confidence_spans + filter_spans:
             assert span.parent_id in enforcement_ids
 
-        # The algebra executor traces one span per operator, nested under
+        # The columnar engine traces one span per operator, nested under
         # query evaluation; the running example's query joins two scans.
         (evaluation,) = sink.find("pcqe.query_evaluation")
         executor_spans = [
-            span for span in sink.spans if span.name.startswith("algebra.")
+            span for span in sink.spans if span.name.startswith("columnar.")
         ]
-        assert len(sink.find("algebra.scan")) == 2
+        assert len(sink.find("columnar.scan")) == 2
         roots_of_algebra = {
             span.parent_id
             for span in executor_spans
@@ -128,10 +128,10 @@ class TestStageSpans:
 
         result = run_sql(running_example.db, running_example.QUERY)
         snapshot = fresh_metrics.snapshot()
-        assert snapshot["executor.scan.calls"] == 2
+        assert snapshot["executor.columnar.scan.calls"] == 2
         # The scans surface all Proposal + CompanyInfo rows.
-        assert snapshot["executor.scan.rows_emitted"] >= len(result)
-        assert snapshot["executor.scan.seconds"]["count"] == 2
+        assert snapshot["executor.columnar.scan.rows_emitted"] >= len(result)
+        assert snapshot["executor.columnar.scan.seconds"]["count"] == 2
 
 
 class TestProfileReport:

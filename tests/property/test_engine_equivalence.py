@@ -1,18 +1,22 @@
 """Property-based differential testing of the execution engines.
 
 Random databases and random plan shapes (scan/filter/project/join/
-semijoin/set-operation nests, with DISTINCT, LIMIT, and arithmetic
-projections) must produce identical rows, structurally identical lineage
-formulas, and bit-identical confidences on the native and columnar
-engines.  The columnar engine is forced (``engine="columnar"``) so small
-random inputs cannot silently fall back to native.
+semijoin/set-operation/aggregate/sort nests, with DISTINCT, LIMIT, and
+arithmetic projections) must produce identical rows, structurally
+identical lineage formulas, bit-identical confidences, and identical
+error messages on the columnar engine and the native reference — on
+tables of 0 to 10⁴ rows.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ExecutionError
 from repro.sql import run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
 
@@ -23,6 +27,7 @@ rows_t = st.lists(
         st.sampled_from(KEYS),
         st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),
         st.floats(min_value=0.05, max_value=0.95),
+        st.sampled_from([None, None, 0.5, -1.25, 2.0, 3.75]),
     ),
     max_size=8,
 )
@@ -38,9 +43,11 @@ rows_u = st.lists(
 
 def make_db(data_t, data_u) -> Database:
     db = Database("prop")
-    t = db.create_table("t", Schema.of(("k", TEXT), ("v", INTEGER)))
-    for key, value, confidence in data_t:
-        t.insert([key, value], confidence=round(confidence, 3))
+    t = db.create_table(
+        "t", Schema.of(("k", TEXT), ("v", INTEGER), ("r", REAL))
+    )
+    for key, value, confidence, real in data_t:
+        t.insert([key, value, real], confidence=round(confidence, 3))
     u = db.create_table("u", Schema.of(("k", TEXT), ("w", INTEGER)))
     for key, value, confidence in data_u:
         u.insert([key, value], confidence=round(confidence, 3))
@@ -61,6 +68,54 @@ base_query = st.sampled_from(
         "SELECT t.k, u.w AS n FROM t JOIN u ON t.v < u.w",
         "SELECT k, v AS n FROM t WHERE k IN (SELECT k FROM u)",
         "SELECT k, v AS n FROM t WHERE k NOT IN (SELECT k FROM u WHERE w > 0)",
+        # Filter / projections that raise on v = 0 (and on different rows
+        # per item): both engines must report the same expression and row.
+        "SELECT k, v AS n FROM t WHERE 10 / v > 1",
+        "SELECT k, 10 % v AS n FROM t",
+        # Aggregates (INTEGER n): COUNT(*), COUNT(col), COUNT(DISTINCT),
+        # SUM/MIN/MAX over possibly all-NULL groups, HAVING, join input.
+        "SELECT k, COUNT(*) AS n FROM t GROUP BY k",
+        "SELECT k, COUNT(v) AS n FROM t GROUP BY k",
+        "SELECT k, COUNT(DISTINCT v) AS n FROM t GROUP BY k",
+        "SELECT k, SUM(v) AS n FROM t GROUP BY k",
+        "SELECT k, MIN(v) AS n FROM t GROUP BY k",
+        "SELECT k, MAX(w) AS n FROM u WHERE w <> 2 GROUP BY k",
+        "SELECT k, SUM(v) AS n FROM t GROUP BY k HAVING COUNT(*) > 1",
+        "SELECT t.k, SUM(u.w) AS n FROM t JOIN u ON t.k = u.k GROUP BY t.k",
+        "SELECT k, SUM(v % 2) AS n FROM t GROUP BY k",
+    ]
+)
+
+# Standalone shapes: global aggregates (one certain TOP-lineage row over
+# an empty input), REAL vs INTEGER SUM typing, AVG, expression group
+# keys, and an aggregate argument / group key that raises on v = 0.
+standalone_query = st.sampled_from(
+    [
+        "SELECT COUNT(*), COUNT(v), COUNT(DISTINCT k), SUM(v), SUM(r), "
+        "AVG(v), AVG(r), MIN(r), MAX(k) FROM t",
+        "SELECT COUNT(*), SUM(v), MIN(k) FROM t WHERE v > 99",
+        "SELECT k, SUM(r), SUM(v), AVG(v), MAX(r) FROM t GROUP BY k",
+        "SELECT k, v, COUNT(*) FROM t GROUP BY k, v",
+        "SELECT v % 2, COUNT(*), SUM(DISTINCT v) FROM t GROUP BY v % 2",
+        "SELECT SUM(10 / v) FROM t",
+        "SELECT k, MIN(10 / v) FROM t GROUP BY k",
+        "SELECT 10 / v, COUNT(*) FROM t GROUP BY 10 / v",
+        "SELECT k, 10 / v, 10 / (v - 1) FROM t",
+        "SELECT k, v, r FROM t ORDER BY r DESC, v, k DESC",
+        "SELECT k, COUNT(*) AS c FROM t GROUP BY k ORDER BY c DESC, k",
+    ]
+)
+
+# ORDER BY trailers over the (k, n) schema: multi-key, DESC, NULLs first
+# ascending / last descending, ties (stability), and ORDER BY + LIMIT.
+order_by = st.sampled_from(
+    [
+        "ORDER BY n",
+        "ORDER BY n DESC",
+        "ORDER BY k",
+        "ORDER BY k DESC, n",
+        "ORDER BY n DESC, k DESC",
+        "ORDER BY n LIMIT 3",
     ]
 )
 
@@ -78,12 +133,28 @@ query = st.one_of(
         st.sampled_from(["UNION", "UNION ALL", "INTERSECT", "EXCEPT"]),
     ),
     st.builds(lambda q: f"{q} LIMIT 3", base_query),
+    st.builds(lambda q, order: f"{q} {order}", base_query, order_by),
+    st.builds(
+        lambda left, right, op, order: f"{left} {op} {right} {order}",
+        base_query,
+        base_query,
+        st.sampled_from(["UNION", "UNION ALL", "EXCEPT"]),
+        order_by,
+    ),
+    standalone_query,
 )
 
 
 def assert_engines_agree(db: Database, sql: str) -> None:
-    native = run_sql(db, sql, engine="native")
+    try:
+        native = run_sql(db, sql, engine="native")
+    except ExecutionError as native_error:
+        with pytest.raises(ExecutionError) as columnar_error:
+            run_sql(db, sql, engine="columnar")
+        assert str(columnar_error.value) == str(native_error)
+        return
     columnar = run_sql(db, sql, engine="columnar")
+    assert native.schema == columnar.schema
     assert [row.values for row in native.rows] == [
         row.values for row in columnar.rows
     ]
@@ -94,7 +165,7 @@ def assert_engines_agree(db: Database, sql: str) -> None:
     assert native.confidences(db) == columnar.confidences(db)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(rows_t, rows_u, query)
 def test_random_plans_are_engine_equivalent(data_t, data_u, sql):
     assert_engines_agree(make_db(data_t, data_u), sql)
@@ -115,12 +186,56 @@ def test_nested_subquery_join_is_engine_equivalent(data_t, data_u):
 @settings(max_examples=40, deadline=None)
 @given(rows_t, rows_u)
 def test_auto_mode_matches_native(data_t, data_u):
-    """Whatever auto picks, results equal the native reference."""
+    """No ``engine=`` — what the deleted ``auto`` mode used to decide —
+    runs columnar and equals the native reference, however small the
+    tables."""
     db = make_db(data_t, data_u)
     sql = "SELECT t.k, u.w AS n FROM t JOIN u ON t.k = u.k WHERE u.w > 0"
     native = run_sql(db, sql, engine="native")
-    auto = run_sql(db, sql, engine="auto")
+    default = run_sql(db, sql)
+    assert default.engine == "columnar"
     assert [row.values for row in native.rows] == [
-        row.values for row in auto.rows
+        row.values for row in default.rows
     ]
-    assert native.confidences(db) == auto.confidences(db)
+    assert native.confidences(db) == default.confidences(db)
+
+
+SIZED_QUERIES = [
+    "SELECT k, v AS n FROM t WHERE v > 0",
+    "SELECT DISTINCT k, v AS n FROM t",
+    "SELECT t.k, u.w AS n FROM t JOIN u ON t.k = u.k WHERE u.w > 0",
+    "SELECT k, v AS n FROM t WHERE k IN (SELECT k FROM u WHERE w > 2)",
+    "SELECT k, COUNT(*), COUNT(DISTINCT v), SUM(v), SUM(r), AVG(r), MIN(v), "
+    "MAX(r) FROM t GROUP BY k",
+    "SELECT COUNT(*), SUM(v), SUM(r), AVG(v), MIN(k), MAX(r) FROM t",
+    "SELECT t.k, COUNT(*) AS c, SUM(u.w) AS s FROM t JOIN u ON t.k = u.k "
+    "GROUP BY t.k ORDER BY s DESC, c",
+    "SELECT k, v, r FROM t ORDER BY v DESC, r, k",
+    "SELECT k, v FROM t ORDER BY v LIMIT 5",
+]
+
+
+def sized_db(size: int) -> Database:
+    """A seeded *size*-row ``t`` and ``u`` (~2 rows per join key)."""
+    rng = random.Random(size)
+    keys = [f"k{i}" for i in range(size // 2 + 1)]
+
+    def rows(with_real: bool):
+        for _ in range(size):
+            row = [
+                rng.choice(keys),
+                rng.choice([None, *range(-5, 6)]),
+                round(rng.uniform(0.05, 0.95), 3),
+            ]
+            if with_real:
+                row.append(rng.choice([None, 0.5, -1.25, 2.0, 3.75]))
+            yield tuple(row)
+
+    return make_db(list(rows(True)), list(rows(False)))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 10, 250, 10_000])
+def test_table_sizes_from_empty_to_ten_thousand_rows(size):
+    db = sized_db(size)
+    for sql in SIZED_QUERIES:
+        assert_engines_agree(db, sql)

@@ -334,7 +334,7 @@ class TestMainEntry:
             json.loads(line)
             for line in trace.read_text().strip().splitlines()
         ]
-        assert any(r["name"] == "algebra.scan" for r in records)
+        assert any(r["name"] == "columnar.scan" for r in records)
 
     def test_trace_out_flag_requires_value(self, capsys):
         from repro.cli import main

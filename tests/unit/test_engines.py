@@ -1,39 +1,22 @@
-"""Engine registry, Transfer boundaries, selection policy, and columnar
-kernel edge cases — all differentially checked against the native engine."""
+"""Engine modes and columnar kernel edge cases — all differentially
+checked against the native reference."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.algebra import col, lit
-from repro.algebra.executor import execute
-from repro.algebra.expressions import Comparison
-from repro.algebra.plan import (
-    Aggregate,
-    AggregateSpec,
-    Filter,
-    Join,
-    Limit,
-    Project,
-    ProjectItem,
-    Scan,
-    SemiJoin,
-    SetOperation,
-    Sort,
-    SortKey,
-    Transfer,
-)
+from repro.algebra.expressions import Arithmetic
+from repro.algebra.plan import PlanNode, Scan, Sort, SortKey
 from repro.engines import (
-    DEFAULT_AUTO_ROW_THRESHOLD,
-    ColumnarEngine,
-    NativeEngine,
-    engine_names,
-    get_engine,
-    select_engine,
+    DEFAULT_ENGINE,
+    ENGINE_MODES,
+    check_engine,
+    pick_engine,
 )
 from repro.errors import ExecutionError, PlanError
 from repro.lineage.circuit import CircuitPool
-from repro.lineage.formula import lineage_and, lineage_or, lineage_not, var
+from repro.lineage.formula import TOP, lineage_and, lineage_or, lineage_not, var
 from repro.sql import plan_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
 
@@ -57,145 +40,88 @@ def db(proposal_db):
     return proposal_db
 
 
-# -- registry ---------------------------------------------------------------
+# -- engine modes -----------------------------------------------------------
 
 
 def test_engine_names():
-    assert engine_names() == ("columnar", "native")
+    assert ENGINE_MODES == ("columnar", "native")
+    assert DEFAULT_ENGINE == "columnar"
 
 
-def test_get_engine_roundtrip():
-    assert isinstance(get_engine("native"), NativeEngine)
-    assert isinstance(get_engine("columnar"), ColumnarEngine)
+def test_get_engine_roundtrip(db):
+    plan = Scan(db.table("Proposal"))
+    for mode in ENGINE_MODES:
+        assert check_engine(mode) == mode
+        assert pick_engine(plan, mode).label == mode
 
 
 def test_get_engine_unknown():
-    with pytest.raises(PlanError, match="unknown engine 'turbo'"):
-        get_engine("turbo")
-
-
-# -- Transfer plan node -----------------------------------------------------
-
-
-def test_transfer_passes_schema_through(db):
-    scan = Scan(db.table("Proposal"))
-    transfer = Transfer(scan, "columnar")
-    assert transfer.schema is scan.schema
-    assert transfer.children == (scan,)
-    assert "Transfer[columnar]" in transfer.explain()
-
-
-def test_transfer_requires_engine_name(db):
-    with pytest.raises(PlanError):
-        Transfer(Scan(db.table("Proposal")), "")
-
-
-def test_native_executor_runs_transfer_nodes(db):
-    """The native executor delegates Transfer subtrees to the named engine."""
-    plan = Transfer(
-        Filter(
-            Scan(db.table("Proposal")),
-            Comparison("<", col("Funding"), lit(1.0)),
-        ),
-        "columnar",
-    )
-    result = execute(plan)
-    baseline = execute(plan.child)
-    assert [row.values for row in result.rows] == [
-        row.values for row in baseline.rows
-    ]
-    assert [row.lineage for row in result.rows] == [
-        row.lineage for row in baseline.rows
-    ]
-
-
-# -- engine selection -------------------------------------------------------
+    """The removed ``auto`` mode included; the error names the valid modes."""
+    for name in ("turbo", "auto"):
+        with pytest.raises(
+            PlanError,
+            match=rf"unknown engine '{name}' .*'columnar', 'native'",
+        ):
+            check_engine(name)
 
 
 def test_select_engine_rejects_unknown_mode(db):
     with pytest.raises(PlanError, match="unknown engine 'vector'"):
-        select_engine(Scan(db.table("Proposal")), "vector")
+        pick_engine(Scan(db.table("Proposal")), "vector")
+
+
+@pytest.mark.parametrize("bad", ["bogus", "auto"])
+def test_bad_engine_name_fails_at_construction(running_example, bad):
+    """A server/session/engine built with a bad name must not start —
+    not construct fine and then fail every ask."""
+    from repro import PCQEngine
+    from repro.server import PCQEServer, Session
+    from repro.server.mvcc import MVCCDatabase
+
+    db, policies = running_example.db, running_example.policies
+    with pytest.raises(PlanError, match="unknown engine"):
+        PCQEngine(db, policies, engine=bad)
+    with pytest.raises(PlanError, match="unknown engine"):
+        Session(MVCCDatabase(db), policies, "bob", "investment", engine=bad)
+    with pytest.raises(PlanError, match="unknown engine"):
+        PCQEServer(db, policies, engine=bad)
 
 
 def test_native_mode_never_rewrites(db):
     plan = plan_sql(db, "SELECT Company FROM Proposal WHERE Funding < 1.0")
-    prepared = select_engine(plan, "native")
+    prepared = pick_engine(plan, "native")
     assert prepared.label == "native"
     assert prepared.plan is plan
-    assert prepared.transfers == 0
 
 
 def test_columnar_mode_takes_supported_tree_whole(db):
-    plan = plan_sql(db, "SELECT Company FROM Proposal WHERE Funding < 1.0")
-    prepared = select_engine(plan, "columnar")
-    assert prepared.label == "columnar"
-    assert prepared.plan is plan
-    assert prepared.transfers == 0
-
-
-def test_auto_keeps_small_inputs_native(db):
-    plan = plan_sql(db, "SELECT Company FROM Proposal WHERE Funding < 1.0")
-    prepared = select_engine(plan, "auto")
-    assert prepared.label == "native"
-
-
-def test_auto_goes_columnar_past_row_threshold():
-    db = Database("big")
-    table = db.create_table("big", Schema.of(("n", INTEGER)))
-    for n in range(DEFAULT_AUTO_ROW_THRESHOLD):
-        table.insert([n], confidence=0.5)
-    plan = plan_sql(db, "SELECT n FROM big WHERE n < 10")
-    prepared = select_engine(plan, "auto")
-    assert prepared.label == "columnar"
-
-
-def test_bare_scan_is_not_worthwhile(db):
-    prepared = select_engine(Scan(db.table("Proposal")), "columnar")
-    assert prepared.label == "native"
-    assert prepared.transfers == 0
-
-
-def test_mixed_tree_gets_transfer_boundaries(db):
-    plan = plan_sql(
-        db,
+    """Every tree is supported: sorts and aggregates run columnar too."""
+    for sql in (
+        "SELECT Company FROM Proposal WHERE Funding < 1.0",
         "SELECT Company FROM Proposal WHERE Funding < 1.0 ORDER BY Company",
-    )
-    assert isinstance(plan, Sort)
-    prepared = select_engine(plan, "columnar")
-    assert prepared.label == "native+columnar"
-    assert prepared.transfers == 1
-    assert isinstance(prepared.plan, Sort)
-    assert isinstance(prepared.plan.children[0], Transfer)
-
-
-def test_aggregate_over_bare_scan_stays_native(db):
-    plan = plan_sql(db, "SELECT COUNT(*) FROM Proposal")
-    prepared = select_engine(plan, "columnar")
-    assert prepared.label == "native"
-    assert prepared.plan is plan
+        "SELECT COUNT(*) FROM Proposal",
+    ):
+        plan = plan_sql(db, sql)
+        prepared = pick_engine(plan)
+        assert prepared.label == "columnar"
+        assert prepared.plan is plan
 
 
 def test_columnar_engine_rejects_unsupported_nodes(db):
-    aggregate = plan_sql(db, "SELECT COUNT(*) FROM Proposal")
-    while not isinstance(aggregate, Aggregate):
-        aggregate = aggregate.children[0]
-    with pytest.raises(PlanError, match="does not support Aggregate"):
-        ColumnarEngine().execute(aggregate)
+    class Mystery(PlanNode):
+        schema = db.table("Proposal").schema
+
+    with pytest.raises(PlanError, match="no columnar kernel for plan node Mystery"):
+        pick_engine(Mystery(), "columnar").execute()
 
 
 def test_prepared_mixed_plan_is_equivalent(db):
+    """A sort over a filter — the shape that used to run as a mixed
+    ``native+columnar`` tree — is one columnar plan and agrees with native."""
     sql = "SELECT Company FROM Proposal WHERE Funding < 1.0 ORDER BY Company"
-    native = run_sql(db, sql, engine="native")
-    mixed = run_sql(db, sql, engine="columnar")
+    native, columnar = assert_equivalent(db, sql)
     assert native.engine == "native"
-    assert mixed.engine == "native+columnar"
-    assert [row.values for row in native.rows] == [
-        row.values for row in mixed.rows
-    ]
-    assert [row.lineage for row in native.rows] == [
-        row.lineage for row in mixed.rows
-    ]
-    assert native.confidences(db) == mixed.confidences(db)
+    assert columnar.engine == "columnar"
 
 
 # -- kernel edge cases (differential vs native) -----------------------------
@@ -329,6 +255,86 @@ def test_guarded_filter_short_circuits_on_both_engines():
     ] == [(2,), (5,)]
 
 
+def _zero_divisor_table():
+    db = Database("err")
+    t = db.create_table("t", Schema.of(("k", TEXT), ("x", INTEGER)))
+    for k, x in (("a", 2), ("b", 0), ("a", 5)):
+        t.insert([k, x], confidence=0.5)
+    return db, t
+
+
+def _assert_same_error(run):
+    with pytest.raises(ExecutionError) as native_error:
+        run("native")
+    with pytest.raises(ExecutionError) as columnar_error:
+        run("columnar")
+    assert str(native_error.value) == str(columnar_error.value)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT SUM(10 / x) FROM t",
+        "SELECT k, MIN(10 / x) FROM t GROUP BY k",
+        "SELECT 10 / x, COUNT(*) FROM t GROUP BY 10 / x",
+    ],
+)
+def test_aggregate_error_matches_native(sql):
+    db, _ = _zero_divisor_table()
+    _assert_same_error(lambda engine: run_sql(db, sql, engine=engine))
+
+
+def test_projection_reports_the_first_failing_row_like_native():
+    """Row 1 fails only the second item, row 2 only the first: native
+    (row-major) reports the second item; a column-major batch would not."""
+    db = Database("err")
+    t = db.create_table("t", Schema.of(("v", INTEGER), ("w", INTEGER)))
+    t.insert([1, 0], confidence=0.5)
+    t.insert([0, 1], confidence=0.5)
+    _assert_same_error(
+        lambda engine: run_sql(db, "SELECT 10 / v, 10 / w FROM t", engine=engine)
+    )
+
+
+def test_sort_key_error_matches_native():
+    _, table = _zero_divisor_table()
+    plan = Sort(
+        Scan(table),
+        [SortKey(col("t.k")), SortKey(Arithmetic("/", lit(10), col("t.x")))],
+    )
+    _assert_same_error(lambda engine: pick_engine(plan, engine).execute())
+
+
+def test_global_aggregate_over_empty_input_is_one_certain_row(db):
+    native, columnar = assert_equivalent(
+        db, "SELECT COUNT(*), SUM(Funding) FROM Proposal WHERE Funding > 99"
+    )
+    assert [row.values for row in columnar.rows] == [(0, None)]
+    assert columnar.rows[0].lineage == TOP
+
+
+def test_grouped_aggregate_over_empty_input_is_empty(db):
+    _, columnar = assert_equivalent(
+        db,
+        "SELECT Company, COUNT(*) FROM Proposal WHERE Funding > 99 "
+        "GROUP BY Company",
+    )
+    assert columnar.rows == []
+
+
+def test_sort_keeps_lineage_with_its_row(db):
+    _, columnar = assert_equivalent(
+        db, "SELECT Company, Funding FROM Proposal ORDER BY Funding DESC, Company"
+    )
+    by_tid = {
+        var(stored.tid): stored.values
+        for stored in db.table("Proposal").scan()
+    }
+    assert [by_tid[row.lineage][0] for row in columnar.rows] == [
+        row.values[0] for row in columnar.rows
+    ]
+
+
 # -- batch confidence evaluation --------------------------------------------
 
 
@@ -373,84 +379,3 @@ def test_result_set_confidences_use_batch_path(db):
     assert result.confidences(db) == [
         row.confidence(assignment) for row in result.rows
     ]
-
-
-class TestPinnedSelectionStatistics:
-    """Regression: engine selection must read each scanned table's size
-    exactly once, so the decision cannot straddle concurrent DML."""
-
-    class _FlickeringTable:
-        """A table whose reported size changes between ``len`` reads —
-        modelling a writer committing between the selection's size checks."""
-
-        def __init__(self, table, sizes):
-            self._table = table
-            self._sizes = list(sizes)
-            self.len_calls = 0
-
-        def __len__(self):
-            self.len_calls += 1
-            if len(self._sizes) > 1:
-                return self._sizes.pop(0)
-            return self._sizes[0]
-
-        def __getattr__(self, name):
-            return getattr(self._table, name)
-
-    def _flickering_scan(self, sizes):
-        db = Database("flicker")
-        table = db.create_table(
-            "t", Schema.of(("k", INTEGER), ("v", INTEGER))
-        )
-        for i in range(4):
-            table.insert([i, i], confidence=0.5)
-        return self._FlickeringTable(table, sizes)
-
-    def test_selection_reads_each_table_once(self):
-        flicker = self._flickering_scan([100, 10_000])
-        plan = Sort(
-            Project(
-                Filter(Scan(flicker), Comparison(">", col("t.v"), lit(0))),
-                [ProjectItem(col("t.k"))],
-            ),
-            [SortKey(col("t.k"))],
-        )
-        prepared = select_engine(plan, "auto")
-        # One pinned read: the first observed size (below the threshold)
-        # governs every subtree decision, so the whole plan stays native.
-        assert flicker.len_calls == 1
-        assert prepared.label == "native"
-        assert prepared.transfers == 0
-
-    def test_selection_is_deterministic_per_pinned_statistics(self):
-        flicker = self._flickering_scan([10_000, 100])
-        plan = Sort(
-            Project(
-                Filter(Scan(flicker), Comparison(">", col("t.v"), lit(0))),
-                [ProjectItem(col("t.k"))],
-            ),
-            [SortKey(col("t.k"))],
-        )
-        prepared = select_engine(plan, "auto")
-        # The pinned (first) size is large, so the supported subtree gets
-        # its transfer even though a live re-read would now say "small".
-        assert flicker.len_calls == 1
-        assert prepared.label == "native+columnar"
-        assert prepared.transfers == 1
-
-    def test_explicit_statistics_pin_the_decision(self):
-        from repro.engines.select import pin_scan_statistics
-
-        db = Database("pin")
-        table = db.create_table("t", Schema.of(("k", INTEGER), ("v", INTEGER)))
-        for i in range(4):
-            table.insert([i, i], confidence=0.5)
-        plan = Filter(Scan(table), Comparison(">", col("t.v"), lit(0)))
-        pinned = pin_scan_statistics(plan)
-        # Mutations after pinning do not change the decision.
-        for i in range(4, 1024):
-            table.insert([i, i], confidence=0.5)
-        prepared = select_engine(plan, "auto", statistics=pinned)
-        assert prepared.label == "native"
-        fresh = select_engine(plan, "auto")
-        assert fresh.label == "columnar"

@@ -106,6 +106,27 @@ class TestSessionWrites:
             )
             fresh.release()
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM Proposal",
+            "INSERT INTO Proposal VALUES ('NewCo', 'P9', 5.0)",
+        ],
+    )
+    def test_run_sql_parses_each_statement_once(self, serving, monkeypatch, sql):
+        """The classification parse is the only parse: DML must not be
+        re-parsed inside the MVCC commit lock."""
+        from repro.sql import parser
+
+        parses = []
+        tokenize = parser.tokenize
+        monkeypatch.setattr(
+            parser, "tokenize", lambda text: parses.append(text) or tokenize(text)
+        )
+        with _session(serving) as session:
+            session.run_sql(sql)
+        assert parses == [sql]
+
     def test_improvement_writeback_lands_and_repins(self, serving):
         mvcc, scenario = serving
         observer = Session(mvcc, scenario.policies, "alice", "investment")
