@@ -25,7 +25,6 @@ from collections import defaultdict
 from functools import lru_cache
 
 from repro.increment import IncrementProblem
-from repro.lineage import CircuitPool, ConfidenceFunction
 from repro.workload import WorkloadSpec, generate_problem
 
 FULL_PROFILE = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -145,35 +144,6 @@ def scalability_problem(size: int, seed: int = 42) -> IncrementProblem:
         theta=0.5,
     )
     return generate_problem(spec, seed=seed).problem
-
-
-def rebuild_with_backend(
-    problem: IncrementProblem, backend: str
-) -> IncrementProblem:
-    """The same instance with every result on the given confidence engine.
-
-    ``"treewalk"`` rebuilds the pre-circuit baseline (per-result compiled
-    closures, dict-copy solver probes); any other value compiles all
-    results into one fresh shared :class:`~repro.lineage.CircuitPool`.
-    """
-    if backend == "treewalk":
-        results = [
-            ConfidenceFunction(result.formula, result.label, backend="treewalk")
-            for result in problem.results
-        ]
-    else:
-        pool = CircuitPool()
-        results = [
-            ConfidenceFunction(result.formula, result.label, pool=pool)
-            for result in problem.results
-        ]
-    return IncrementProblem(
-        results,
-        problem.tuples,
-        problem.threshold,
-        problem.required_count,
-        problem.delta,
-    )
 
 
 @lru_cache(maxsize=None)

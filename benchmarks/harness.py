@@ -32,7 +32,6 @@ from _bench_common import (
     format_series,
     greedy_sweep_problem,
     heuristic_problem,
-    rebuild_with_backend,
     record,
     scalability_problem,
 )
@@ -196,35 +195,6 @@ def run_fig11c_f(_args) -> None:
             )
 
 
-def run_circuit(_args) -> None:
-    """Our extension: the shared-circuit engine vs the tree-walk baseline."""
-    options = GreedyOptions(two_phase=True, gain_scope="all")
-    for size in GREEDY_SIZES:
-        base = greedy_sweep_problem(size)
-        plans = {}
-        for backend in ("treewalk", "cone"):
-            problem = rebuild_with_backend(base, backend)
-            plans[backend] = solve_greedy(problem, options)
-        if plans["treewalk"].targets != plans["cone"].targets:
-            raise AssertionError(
-                f"engines disagree on size {size}: circuit plan differs "
-                "from tree-walk plan"
-            )
-        pool = rebuild_with_backend(base, "cone").pool
-        record(
-            "circuit (greedy solve engine)",
-            data_size=size,
-            treewalk_s=plans["treewalk"].stats.elapsed_seconds,
-            cone_s=plans["cone"].stats.elapsed_seconds,
-            speedup=(
-                plans["treewalk"].stats.elapsed_seconds
-                / max(plans["cone"].stats.elapsed_seconds, 1e-9)
-            ),
-            cone_nodes=plans["cone"].stats.cone_nodes,
-            shared_hit_rate=pool.stats()["shared_hit_rate"],
-        )
-
-
 def run_ablations(_args) -> None:
     problem = scalability_problem(1000)
     for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
@@ -246,7 +216,6 @@ PANELS = {
     "fig11d": run_fig11d,
     "fig11be": run_fig11b_e,
     "fig11cf": run_fig11c_f,
-    "circuit": run_circuit,
     "ablations": run_ablations,
 }
 

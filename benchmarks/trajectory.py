@@ -4,7 +4,7 @@
 The harness (``harness.py --json``) and the observability smoke
 (``obs_smoke.py --json``) emit one machine-readable results file per run.
 This tool normalizes those files into per-panel trajectory files at the
-repo root — ``BENCH_tables.json``, ``BENCH_circuit.json``, … — each an
+repo root — ``BENCH_tables.json``, ``BENCH_fig11be.json``, … — each an
 append-only, schema-versioned series of runs, so the repository carries
 its own performance history alongside the code.
 
@@ -98,7 +98,6 @@ _PANEL_FIGURES: dict[str, tuple[str, ...]] = {
     "fig11d": ("fig11d",),
     "fig11be": ("fig11b", "fig11e"),
     "fig11cf": ("fig11c", "fig11f"),
-    "circuit": ("circuit",),
     "ablations": ("ablation",),
     "obs": ("obs",),
     "exec": ("exec",),

@@ -125,7 +125,6 @@ def solve_dnc(
             if options.refine:
                 _refine(problem, state, stats, budget)
 
-        stats.add_cone_stats(state)
         if budget is not None and budget.exhausted:
             stats.completed = False
             stats.budget_exhausted = True
@@ -172,8 +171,6 @@ def _solve_groups(
             continue
         plan = solve_greedy(sub, options.greedy, budget)
         stats.gain_evaluations += plan.stats.gain_evaluations
-        stats.cone_updates += plan.stats.cone_updates
-        stats.cone_nodes += plan.stats.cone_nodes
         if len(sub.tuples) < options.tau:
             refined = _exact_refinement(sub, plan, options, budget)
             if refined is not None and refined.total_cost < plan.total_cost:

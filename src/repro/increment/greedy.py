@@ -106,7 +106,6 @@ def solve_greedy(
                 _phase_two(problem, state, last_gain, stats, budget)
 
         algorithm = "greedy" if options.two_phase else "greedy-1phase"
-        stats.add_cone_stats(state)
         if budget is not None and budget.exhausted:
             stats.completed = False
             stats.budget_exhausted = True

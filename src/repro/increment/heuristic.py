@@ -244,7 +244,7 @@ def _solve(
             old_value = state.value_of(tid)
             undo = state.set_value(tid, value)
             potential_old = 0.0
-            potential_undo: UndoToken = ([], None)
+            potential_undo: UndoToken = []
             if potential_state is not None:
                 potential_old = potential_state.value_of(tid)
                 potential_undo = potential_state.set_value(tid, value)
@@ -287,9 +287,6 @@ def _solve(
 
     descend(0)
 
-    stats.add_cone_stats(state)
-    if potential_state is not None:
-        stats.add_cone_stats(potential_state)
     stats.completed = not budget.exhausted
     stats.budget_exhausted = budget.exhausted
     if best_targets is None:

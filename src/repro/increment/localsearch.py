@@ -120,7 +120,6 @@ def solve_local_search(
                 best_satisfied = state.satisfied_indexes()
             _perturb(problem, state, rng, options)
 
-        stats.add_cone_stats(state)
         if budget is not None and budget.exhausted:
             stats.completed = False
             stats.budget_exhausted = True

@@ -14,8 +14,9 @@ confidences minimizing total cost:
 
 The problem is NP-hard (nonlinear constrained optimization).
 :class:`IncrementProblem` is the shared, immutable description consumed by
-all three solvers; :class:`SearchState` is the mutable evaluation engine
-they use to explore assignments incrementally.
+all four solvers; :class:`SearchState` is the mutable assignment they
+explore it through, with confidences, satisfied counts and cost kept
+current move by move.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..cost import CostModel
 from ..errors import IncrementError, InfeasibleIncrementError
-from ..lineage.circuit import CircuitEvaluator, CircuitPool, CompiledCircuit
+from ..lineage.circuit import CircuitPool
 from ..lineage.confidence import ConfidenceFunction
 from ..lineage.formula import And, Lineage, Not, Or
 from ..storage.tuples import TupleId
@@ -45,11 +46,10 @@ __all__ = [
 
 _EPS = 1e-9
 
-#: Opaque undo token returned by :meth:`SearchState.set_value`: the
-#: affected results' old confidences plus, on the circuit engine, the
-#: cone's old node values as a flat ``[index, value, …]`` snapshot (so
-#: undoing never re-evaluates anything).
-UndoToken = tuple["list[tuple[int, float]]", "list | None"]
+#: Undo token returned by :meth:`SearchState.set_value`: the affected
+#: results' ``(index, old_confidence)`` pairs, so undoing a move is a
+#: write-back that never re-evaluates anything.
+UndoToken = list[tuple[int, float]]
 
 
 def _has_negation(formula: Lineage) -> bool:
@@ -200,27 +200,6 @@ class IncrementProblem:
         for group_id, (members, _count) in enumerate(self.requirement_groups):
             for index in members:
                 self.groups_by_result[index].append(group_id)
-        # One shared arithmetic-circuit pool per problem.  When the results
-        # already share a pool (the from_results / subproblem paths) their
-        # compiled circuits are reused outright; otherwise compile every
-        # formula into a fresh pool so common subformulas intern once.
-        # Treewalk-backed results opt the whole problem out of circuits
-        # (the differential tests and ablations compare both engines).
-        self.pool: CircuitPool | None = None
-        self.circuits: list[CompiledCircuit] | None = None
-        if self.results and all(
-            result.circuit is not None for result in self.results
-        ):
-            pools = {id(result.pool) for result in self.results}
-            if len(pools) == 1:
-                self.pool = self.results[0].pool
-                self.circuits = [result.circuit for result in self.results]
-            else:
-                self.pool = CircuitPool()
-                self.circuits = [
-                    self.pool.compile(result.formula)
-                    for result in self.results
-                ]
 
     @property
     def is_multi_requirement(self) -> bool:
@@ -419,22 +398,12 @@ class SolverStats:
     phase2_reductions: int = 0
     groups: int = 0
     swap_moves: int = 0
-    #: Circuit-engine counters: committed updates + what-if probes, and the
-    #: total cone nodes those recomputed (0 on the treewalk engine).
-    cone_updates: int = 0
-    cone_nodes: int = 0
     elapsed_seconds: float = 0.0
     completed: bool = True
     #: True when a runtime :class:`~repro.increment.runtime.Budget` ran out
     #: and the returned plan is the best-so-far incumbent, not the solver's
     #: normal answer.
     budget_exhausted: bool = False
-
-    def add_cone_stats(self, state: "SearchState") -> None:
-        """Fold a search state's circuit-engine counters into this record."""
-        updates, nodes = state.cone_stats()
-        self.cone_updates += updates
-        self.cone_nodes += nodes
 
 
 @dataclass
@@ -476,15 +445,14 @@ class IncrementPlan:
 class SearchState:
     """Mutable assignment with incremental confidence/cost bookkeeping.
 
-    All four solvers walk the assignment space through this class.  On
-    circuit-backed problems committed moves drive one
-    :class:`~repro.lineage.circuit.CircuitEvaluator` over the problem's
-    shared pool: setting one tuple's value recomputes only the var→root
-    cone of nodes that depend on it, and undoing a move writes the cone's
-    recorded old values straight back.  What-if queries (:meth:`probe`)
-    go through the per-result confidence caches and never commit (or
-    copy) anything.  Satisfied counts and total cost are maintained
-    incrementally either way.
+    All four solvers walk the assignment space through this class.  Every
+    confidence it reports — at construction, after a committed move, for a
+    what-if :meth:`probe` — comes from the one place a confidence is
+    computed, :meth:`~repro.lineage.ConfidenceFunction.evaluate`: a
+    dictionary hit when the result's own variables are at values seen
+    before, one forward sweep of its compiled circuit otherwise.  Undoing
+    a move writes the recorded old confidences back.  Satisfied counts and
+    total cost are maintained incrementally.
     """
 
     __slots__ = (
@@ -496,26 +464,14 @@ class SearchState:
         "cost",
         "group_counts",
         "unmet_groups",
-        "_evaluator",
     )
 
     def __init__(self, problem: IncrementProblem) -> None:
         self.problem = problem
         self.assignment: dict[TupleId, float] = problem.initial_assignment()
-        if problem.circuits is not None:
-            self._evaluator: CircuitEvaluator | None = CircuitEvaluator(
-                problem.pool, self.assignment, problem.circuits
-            )
-            self.confidences: list[float] = [
-                self._evaluator.value(circuit.root)
-                for circuit in problem.circuits
-            ]
-        else:
-            self._evaluator = None
-            self.confidences = [
-                result.evaluate(self.assignment)
-                for result in problem.results
-            ]
+        self.confidences: list[float] = [
+            result.evaluate(self.assignment) for result in problem.results
+        ]
         self.satisfied_flags: list[bool] = [
             problem.satisfied(confidence) for confidence in self.confidences
         ]
@@ -535,9 +491,11 @@ class SearchState:
             if count < needed
         )
 
-    def _flip(self, index: int, now: bool) -> None:
-        """Update group bookkeeping when result *index*'s flag flips."""
+    def _flip(self, index: int) -> None:
+        """Toggle result *index*'s satisfied flag; keep the groups current."""
         problem = self.problem
+        now = not self.satisfied_flags[index]
+        self.satisfied_flags[index] = now
         step = 1 if now else -1
         self.satisfied_count += step
         for group_id in problem.groups_by_result[index]:
@@ -553,114 +511,58 @@ class SearchState:
         return self.assignment[tid]
 
     def set_value(self, tid: TupleId, value: float) -> UndoToken:
-        """Assign ``tid := value``; returns an opaque token for :meth:`undo`.
+        """Assign ``tid := value``; returns the token for :meth:`undo`.
 
-        The token carries the affected results' old confidences plus (on
-        the circuit engine) the cone's old node values, so undoing a move
-        is a write-back with no re-evaluation.  Tokens follow the solvers'
-        last-in-first-out move discipline: undo the most recent
-        not-yet-undone move first.
+        The token holds the affected results' old confidences, so undoing
+        is a write-back.  It is valid while every *other* tuple is at the
+        value it had when the move was made — the solvers' last-in-first-out
+        move discipline: undo the most recent not-yet-undone move first.
         """
         problem = self.problem
         state = problem.tuples[tid]
         old_value = self.assignment[tid]
         if abs(value - old_value) < _EPS:
-            return ([], None)
+            return []
         self.cost += state.cost_to(value) - state.cost_to(old_value)
         self.assignment[tid] = value
-        evaluator = self._evaluator
-        snapshot = None
-        if evaluator is not None:
-            snapshot = evaluator.set_value_recorded(tid, value)
-            circuits = problem.circuits
-        pairs: list[tuple[int, float]] = []
+        pairs: UndoToken = []
+        confidences = self.confidences
         for index in problem.results_by_tuple[tid]:
-            old_confidence = self.confidences[index]
-            if evaluator is not None:
-                new_confidence = evaluator.value(circuits[index].root)
-            else:
-                new_confidence = problem.results[index].evaluate(
-                    self.assignment
-                )
-            pairs.append((index, old_confidence))
-            self.confidences[index] = new_confidence
-            was = self.satisfied_flags[index]
-            now = problem.satisfied(new_confidence)
-            if was != now:
-                self.satisfied_flags[index] = now
-                self._flip(index, now)
-        return (pairs, snapshot)
+            confidence = problem.results[index].evaluate(self.assignment)
+            pairs.append((index, confidences[index]))
+            confidences[index] = confidence
+            if problem.satisfied(confidence) != self.satisfied_flags[index]:
+                self._flip(index)
+        return pairs
 
     def commit(self, tid: TupleId, value: float) -> None:
-        """Assign ``tid := value`` with no undo token.
-
-        Identical arithmetic to :meth:`set_value` (same cone recompute,
-        same cost/flag updates, bit-identical floats) minus the snapshot
-        and old-confidence recording — for moves that are never rolled
-        back, such as greedy phase-1 picks.
-        """
-        problem = self.problem
-        state = problem.tuples[tid]
-        old_value = self.assignment[tid]
-        if abs(value - old_value) < _EPS:
-            return
-        self.cost += state.cost_to(value) - state.cost_to(old_value)
-        self.assignment[tid] = value
-        evaluator = self._evaluator
-        if evaluator is not None:
-            evaluator.set_value(tid, value)
-            circuits = problem.circuits
-        for index in problem.results_by_tuple[tid]:
-            if evaluator is not None:
-                new_confidence = evaluator.value(circuits[index].root)
-            else:
-                new_confidence = problem.results[index].evaluate(
-                    self.assignment
-                )
-            self.confidences[index] = new_confidence
-            was = self.satisfied_flags[index]
-            now = problem.satisfied(new_confidence)
-            if was != now:
-                self.satisfied_flags[index] = now
-                self._flip(index, now)
+        """:meth:`set_value` for moves that are never rolled back, such as
+        greedy phase-1 picks."""
+        self.set_value(tid, value)
 
     def undo(self, tid: TupleId, old_value: float, undo: UndoToken) -> None:
         """Reverse a :meth:`set_value` move (see its token discipline)."""
         problem = self.problem
         state = problem.tuples[tid]
         current = self.assignment[tid]
-        pairs, snapshot = undo
         if abs(current - old_value) >= _EPS:
             self.cost += state.cost_to(old_value) - state.cost_to(current)
             self.assignment[tid] = old_value
-            if self._evaluator is not None:
-                if snapshot is not None:
-                    self._evaluator.restore(snapshot)
-                else:
-                    self._evaluator.set_value(tid, old_value)
-        for index, old_confidence in pairs:
-            self.confidences[index] = old_confidence
-            was = self.satisfied_flags[index]
-            now = problem.satisfied(old_confidence)
-            if was != now:
-                self.satisfied_flags[index] = now
-                self._flip(index, now)
+        for index, confidence in undo:
+            self.confidences[index] = confidence
+            if problem.satisfied(confidence) != self.satisfied_flags[index]:
+                self._flip(index)
 
     def probe(
         self, tid: TupleId, value: float, indexes: Sequence[int]
     ) -> list[float]:
         """Confidences of result *indexes* if ``tid := value`` — no commit.
 
-        Probes patch the assignment in place and answer through each
-        result's :meth:`~repro.lineage.ConfidenceFunction.evaluate`, whose
-        bounded per-function cache has exactly the granularity gain scans
+        Probes patch the assignment in place, evaluate, and patch it back.
+        Each result's bounded cache has exactly the granularity gain scans
         need: re-probing a move whose relevant confidences did not change
-        is a cache hit, and the caches stay warm across solver runs on the
-        same problem.  On circuit-backed results a miss costs one flat
-        forward sweep of the row's (shared) circuit instead of a formula
-        tree walk.  Committed moves (:meth:`set_value` / :meth:`undo`) go
-        through the incremental cone evaluator instead; both engines
-        produce bit-identical floats, so probing and committing agree.
+        is a dictionary hit, and the caches stay warm across solver runs
+        on the same problem.
         """
         results = self.problem.results
         assignment = self.assignment
@@ -670,24 +572,6 @@ class SearchState:
             return [results[index].evaluate(assignment) for index in indexes]
         finally:
             assignment[tid] = current
-
-    def gradient(self, index: int) -> "dict[TupleId, float]":
-        """All ``∂F/∂p(t)`` of result *index* at the committed assignment.
-
-        One backward circuit pass (forward values are already committed);
-        the treewalk fallback derives each partial from the formula tree.
-        """
-        evaluator = self._evaluator
-        if evaluator is not None:
-            return evaluator.gradient(self.problem.circuits[index])
-        return self.problem.results[index].gradient(self.assignment)
-
-    def cone_stats(self) -> tuple[int, int]:
-        """(cone updates+probes, cone nodes recomputed) so far; (0, 0) on
-        the treewalk engine."""
-        if self._evaluator is None:
-            return (0, 0)
-        return (self._evaluator.updates, self._evaluator.nodes_recomputed)
 
     def is_satisfied(self) -> bool:
         """Whether every requirement group is met."""

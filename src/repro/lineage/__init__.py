@@ -3,12 +3,13 @@
 Query results carry boolean lineage over base tuples; confidence is the
 probability of the lineage under tuple independence.  Exact evaluation uses
 independence decomposition plus Shannon expansion, compiled once per query
-into shared arithmetic circuits (:mod:`repro.lineage.circuit`) that answer
-evaluation, all partial derivatives, and incremental re-evaluation as cheap
-passes; a Monte-Carlo estimator covers adversarial formulas.
+into shared arithmetic circuits (:mod:`repro.lineage.circuit`) and answered
+by one forward sweep; :func:`probability` is the interpreter every test
+compares that against, and a Monte-Carlo estimator covers adversarial
+formulas.
 """
 
-from .circuit import CircuitEvaluator, CircuitPool, CompiledCircuit
+from .circuit import CircuitPool, CompiledCircuit
 from .confidence import ConfidenceFunction
 from .explain import explain, minimal_witnesses, rank_influence
 from .formula import (
@@ -52,7 +53,6 @@ __all__ = [
     "ConfidenceFunction",
     "CircuitPool",
     "CompiledCircuit",
-    "CircuitEvaluator",
     "minimal_witnesses",
     "rank_influence",
     "explain",

@@ -1,40 +1,34 @@
 """Arithmetic circuits compiled from lineage formulas.
 
-One confidence engine for the whole pipeline.  A :class:`CircuitPool`
-compiles lineage formulas — via the same independence-decomposition and
-Shannon-expansion steps as :func:`~repro.lineage.probability.probability` —
-into flat arithmetic-circuit nodes that are *interned*: structurally equal
-subcircuits are stored once and shared across every formula compiled into
-the pool (one pool per query, so a result set with overlapping derivations
-pays for each common subformula once).
+The one way a confidence is computed.  A :class:`CircuitPool` compiles
+lineage formulas — by the same independence-decomposition and
+Shannon-expansion steps as :func:`~repro.lineage.probability.probability`
+— into flat arithmetic-circuit nodes that are *interned*: structurally
+equal subcircuits are stored once and shared across every formula compiled
+into the pool (one pool per query, so a result set with overlapping
+derivations pays for each common subformula once).
 
-Three passes answer everything the pipeline needs:
+Compile once, then evaluate by one **forward sweep**:
+:meth:`CompiledCircuit.evaluate` computes ``P(F)`` over the root's cone in
+topological (= creation) order, and :meth:`CircuitPool.evaluate_many`
+sweeps the union of many cones once for a whole result batch.  There is no
+second evaluator: the increment solvers re-run the same sweep behind
+:class:`~repro.lineage.confidence.ConfidenceFunction`'s cache.
 
-* **forward** — :meth:`CompiledCircuit.evaluate` computes ``P(F)`` by one
-  sweep over the root's cone in topological (= creation) order;
-* **backward** — :meth:`CompiledCircuit.gradient` computes *all* partial
-  derivatives ``∂F/∂p(t)`` at once by reverse-mode adjoint accumulation
-  over the same cone (the probability is multilinear, so these are exactly
-  the paper's sensitivities);
-* **incremental** — :class:`CircuitEvaluator` keeps a committed value per
-  node under a mutable assignment and, when one tuple's confidence
-  changes, recomputes only the *cone* of nodes between that variable and
-  the roots — the operation the increment solvers perform thousands of
-  times per solve.
-
-Node semantics mirror the closure evaluator they replace operation for
-operation (products left to right, OR as ``1 − Π(1 − x)``, Shannon as
+Node semantics mirror the reference interpreter operation for operation
+(products left to right, OR as ``1 − Π(1 − x)``, Shannon as
 ``p·high + (1−p)·low``), so circuit values are bit-identical to
-:func:`~repro.lineage.probability.compile_probability` — the solvers make
-exactly the same decisions on either engine, only faster.
+:func:`~repro.lineage.probability.probability`, which every differential
+test compares against.  Unlike the reference, a sweep does not range-check
+its inputs (the storage layer guarantees [0, 1]).
 
-The pool is single-threaded by design (scratch buffers are reused across
+The pool is single-threaded by design (the scratch buffer is reused across
 calls), matching the rest of the engine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from ..errors import LineageError
 from ..storage.tuples import TupleId
@@ -46,7 +40,7 @@ from .probability import (
     _rebuild_connective,
 )
 
-__all__ = ["CircuitPool", "CompiledCircuit", "CircuitEvaluator"]
+__all__ = ["CircuitPool", "CompiledCircuit"]
 
 # Node kinds.  Children are node indexes; a node's index is always larger
 # than its children's (creation order == topological order).
@@ -75,9 +69,8 @@ class CircuitPool:
         "_args",
         "_intern",
         "_formula_memo",
-        "_var_ids",
+        "_variables",
         "_scratch",
-        "_adjoint",
         "intern_hits",
         "formula_hits",
         "lookups",
@@ -88,9 +81,8 @@ class CircuitPool:
         self._args: list = []
         self._intern: dict[tuple, int] = {}
         self._formula_memo: dict[Lineage, int] = {}
-        self._var_ids: dict[TupleId, int] = {}
+        self._variables = 0
         self._scratch: list[float] = []
-        self._adjoint: list[float] = []
         #: Node-construction requests answered from the intern table.
         self.intern_hits = 0
         #: Formula compilations answered from the cross-formula memo.
@@ -124,16 +116,8 @@ class CircuitPool:
         self._args.append(arg)
         self._intern[key] = index
         if kind == VAR:
-            self._var_ids[arg] = index
+            self._variables += 1
         return index
-
-    def var_node(self, tid: TupleId) -> int:
-        """The (interned) node for base tuple *tid*'s probability."""
-        return self._node(VAR, tid)
-
-    def var_id(self, tid: TupleId) -> int | None:
-        """Node index of *tid*'s variable, or None if never compiled."""
-        return self._var_ids.get(tid)
 
     # -- compilation --------------------------------------------------------
 
@@ -182,7 +166,7 @@ class CircuitPool:
             return parts[0]
         return self._node(MUL, tuple(parts))
 
-    # -- shared buffers ------------------------------------------------------
+    # -- forward sweep -------------------------------------------------------
 
     def _values_buffer(self) -> list[float]:
         if len(self._scratch) < len(self._kinds):
@@ -190,15 +174,6 @@ class CircuitPool:
                 [0.0] * (len(self._kinds) - len(self._scratch))
             )
         return self._scratch
-
-    def _adjoint_buffer(self) -> list[float]:
-        if len(self._adjoint) < len(self._kinds):
-            self._adjoint.extend(
-                [0.0] * (len(self._kinds) - len(self._adjoint))
-            )
-        return self._adjoint
-
-    # -- evaluation kernels (shared by circuits and evaluators) -------------
 
     def _forward(
         self,
@@ -231,71 +206,6 @@ class CircuitPool:
                 )
             else:  # CONST
                 values[index] = arg
-
-    def _recompute(
-        self, cone: Sequence[int], values: list[float]
-    ) -> None:
-        """Recompute *cone* (no VAR/CONST nodes) in place over *values*."""
-        kinds = self._kinds
-        args = self._args
-        for index in cone:
-            kind = kinds[index]
-            arg = args[index]
-            if kind == MUL:
-                product = 1.0
-                for child in arg:
-                    product *= values[child]
-                values[index] = product
-            elif kind == NOT:
-                values[index] = 1.0 - values[arg]
-            else:  # LERP — cones never contain VAR/CONST nodes
-                p = values[arg[0]]
-                values[index] = (
-                    p * values[arg[1]] + (1.0 - p) * values[arg[2]]
-                )
-
-    def _backward(
-        self,
-        order: Sequence[int],
-        root: int,
-        values: list[float],
-    ) -> dict[TupleId, float]:
-        """Adjoint accumulation over *order*; returns grad per variable."""
-        adjoint = self._adjoint_buffer()
-        for index in order:
-            adjoint[index] = 0.0
-        adjoint[root] = 1.0
-        kinds = self._kinds
-        args = self._args
-        gradient: dict[TupleId, float] = {}
-        for index in reversed(order):
-            seed = adjoint[index]
-            kind = kinds[index]
-            arg = args[index]
-            if kind == VAR:
-                gradient[arg] = seed
-            elif seed == 0.0:
-                continue
-            elif kind == MUL:
-                # adj[c_i] += seed · Π_{j≠i} v_j via prefix/suffix products.
-                count = len(arg)
-                prefix = 1.0
-                suffixes = [1.0] * count
-                for position in range(count - 2, -1, -1):
-                    suffixes[position] = (
-                        suffixes[position + 1] * values[arg[position + 1]]
-                    )
-                for position, child in enumerate(arg):
-                    adjoint[child] += seed * prefix * suffixes[position]
-                    prefix *= values[child]
-            elif kind == NOT:
-                adjoint[arg] -= seed
-            elif kind == LERP:
-                p_node, high, low = arg
-                adjoint[p_node] += seed * (values[high] - values[low])
-                adjoint[high] += seed * values[p_node]
-                adjoint[low] += seed * (1.0 - values[p_node])
-        return gradient
 
     # -- batch evaluation ----------------------------------------------------
 
@@ -345,7 +255,7 @@ class CircuitPool:
         """Sharing statistics for observability spans and the CLI."""
         return {
             "nodes": len(self._kinds),
-            "variables": len(self._var_ids),
+            "variables": self._variables,
             "intern_hits": self.intern_hits,
             "formula_hits": self.formula_hits,
             "shared_hit_rate": round(self.shared_hit_rate, 4),
@@ -365,9 +275,8 @@ class CompiledCircuit:
     """One formula's root in a pool, with its cone precomputed.
 
     ``order`` is the root's cone — every pool node the root depends on —
-    in topological order; standalone evaluation and gradients sweep only
-    this slice of the pool, so unrelated formulas sharing the pool cost
-    nothing.
+    in topological order; standalone evaluation sweeps only this slice of
+    the pool, so unrelated formulas sharing the pool cost nothing.
     """
 
     __slots__ = ("pool", "root", "order", "support")
@@ -409,205 +318,3 @@ class CompiledCircuit:
         values = pool._values_buffer()
         pool._forward(self.order, values, assignment)
         return _clamp(values[self.root])
-
-    def gradient(self, assignment: ProbabilityMap) -> dict[TupleId, float]:
-        """All ``∂F/∂p(t)`` at *assignment* in one forward+backward pass.
-
-        By multilinearity each entry equals the Shannon difference
-        ``P(F|t=1) − P(F|t=0)`` that
-        :func:`~repro.lineage.probability.sensitivity` computes one
-        variable at a time.  Keys are the circuit's :attr:`support`: a
-        formula variable eliminated during compilation (absorption under
-        Shannon restriction) has a structurally zero partial and no entry.
-        """
-        pool = self.pool
-        values = pool._values_buffer()
-        pool._forward(self.order, values, assignment)
-        return pool._backward(self.order, self.root, values)
-
-
-class CircuitEvaluator:
-    """Mutable assignment over (part of) a pool with cone re-evaluation.
-
-    The increment solvers' engine: holds committed values for every node in
-    the *scope* (the union of the given circuits' cones), updates one
-    variable at a time recomputing only its var→root cone, and answers
-    hypothetical probes against an overlay without committing anything.
-    """
-
-    __slots__ = (
-        "pool",
-        "values",
-        "_scope",
-        "_parents",
-        "_cones",
-        "updates",
-        "nodes_recomputed",
-    )
-
-    def __init__(
-        self,
-        pool: CircuitPool,
-        assignment: ProbabilityMap,
-        circuits: Iterable[CompiledCircuit],
-    ) -> None:
-        self.pool = pool
-        scope: set[int] = set()
-        for circuit in circuits:
-            if circuit.pool is not pool:
-                raise LineageError(
-                    "all circuits of one evaluator must share its pool"
-                )
-            scope.update(circuit.order)
-        self._scope = scope
-        order = sorted(scope)
-        self.values: list[float] = [0.0] * len(pool)
-        pool._forward(order, self.values, assignment)
-        # Reverse adjacency inside the scope, for cone discovery.
-        parents: dict[int, list[int]] = {}
-        kinds = pool._kinds
-        args = pool._args
-        for index in order:
-            kind = kinds[index]
-            if kind == MUL or kind == LERP:
-                children: tuple[int, ...] = args[index]
-            elif kind == NOT:
-                children = (args[index],)
-            else:
-                continue
-            for child in children:
-                parents.setdefault(child, []).append(index)
-        self._parents = parents
-        self._cones: dict[TupleId, tuple[int, ...]] = {}
-        #: Committed updates and probes performed.
-        self.updates = 0
-        #: Total cone nodes recomputed across updates and probes.
-        self.nodes_recomputed = 0
-
-    def cone(self, tid: TupleId) -> tuple[int, ...]:
-        """The nodes strictly above *tid*'s variable, topologically sorted.
-
-        Empty when the scope never reads the variable.
-        """
-        cached = self._cones.get(tid)
-        if cached is not None:
-            return cached
-        var_index = self.pool._var_ids.get(tid)
-        if var_index is None or var_index not in self._scope:
-            self._cones[tid] = ()
-            return ()
-        ancestors: set[int] = set()
-        pending = list(self._parents.get(var_index, ()))
-        while pending:
-            index = pending.pop()
-            if index in ancestors:
-                continue
-            ancestors.add(index)
-            pending.extend(self._parents.get(index, ()))
-        cone = tuple(sorted(ancestors))
-        self._cones[tid] = cone
-        return cone
-
-    def set_value(self, tid: TupleId, value: float) -> None:
-        """Commit ``tid := value`` and recompute its cone."""
-        var_index = self.pool._var_ids.get(tid)
-        if var_index is None or var_index not in self._scope:
-            return
-        self.values[var_index] = value
-        cone = self.cone(tid)
-        self.pool._recompute(cone, self.values)
-        self.updates += 1
-        self.nodes_recomputed += len(cone)
-
-    def set_value_recorded(self, tid: TupleId, value: float) -> list | None:
-        """Like :meth:`set_value`, but also return an undo snapshot.
-
-        The snapshot holds the old committed value of every node the
-        commit touched, as a flat ``[index, value, index, value, …]``
-        list (no per-node pair objects — undo tokens are allocated on the
-        solvers' hottest backtracking path); :meth:`restore` writes them
-        back without any arithmetic.  It is only valid while the
-        committed values of all *other* variables are what they were at
-        snapshot time — i.e. under the solvers' last-in-first-out move
-        discipline (or after every intervening move has itself been
-        rolled back).  ``None`` when the variable is outside the scope
-        (the commit was a no-op).
-        """
-        var_index = self.pool._var_ids.get(tid)
-        if var_index is None or var_index not in self._scope:
-            return None
-        values = self.values
-        cone = self.cone(tid)
-        snapshot = [var_index, values[var_index]]
-        for index in cone:
-            snapshot.append(index)
-            snapshot.append(values[index])
-        values[var_index] = value
-        self.pool._recompute(cone, values)
-        self.updates += 1
-        self.nodes_recomputed += len(cone)
-        return snapshot
-
-    def restore(self, snapshot: Sequence) -> None:
-        """Write back a :meth:`set_value_recorded` snapshot (no arithmetic)."""
-        values = self.values
-        for position in range(0, len(snapshot), 2):
-            values[snapshot[position]] = snapshot[position + 1]
-        self.updates += 1
-
-    def value(self, root: int) -> float:
-        """The committed, clamped value of *root*."""
-        return _clamp(self.values[root])
-
-    def probe(
-        self, tid: TupleId, value: float, roots: Sequence[int]
-    ) -> list[float]:
-        """Clamped values of *roots* if ``tid := value`` — without commit.
-
-        The cone is evaluated into an overlay, so the committed state (and
-        any cached cones) stay untouched; cost is one cone sweep instead of
-        the update-evaluate-restore dance on a copied assignment.
-        """
-        var_index = self.pool._var_ids.get(tid)
-        if var_index is None or var_index not in self._scope:
-            return [self.value(root) for root in roots]
-        values = self.values
-        overlay: dict[int, float] = {var_index: value}
-        kinds = self.pool._kinds
-        args = self.pool._args
-        cone = self.cone(tid)
-        for index in cone:
-            kind = kinds[index]
-            arg = args[index]
-            if kind == MUL:
-                product = 1.0
-                for child in arg:
-                    cached = overlay.get(child)
-                    product *= values[child] if cached is None else cached
-                overlay[index] = product
-            elif kind == NOT:
-                cached = overlay.get(arg)
-                overlay[index] = 1.0 - (
-                    values[arg] if cached is None else cached
-                )
-            else:  # LERP
-                p_node, high, low = arg
-                p = overlay.get(p_node, values[p_node])
-                overlay[index] = p * overlay.get(high, values[high]) + (
-                    1.0 - p
-                ) * overlay.get(low, values[low])
-        self.updates += 1
-        self.nodes_recomputed += len(cone)
-        return [
-            _clamp(overlay.get(root, values[root])) for root in roots
-        ]
-
-    def gradient(self, circuit: CompiledCircuit) -> dict[TupleId, float]:
-        """All ``∂F/∂p(t)`` of *circuit* at the committed assignment.
-
-        Reuses committed forward values — one backward sweep, no forward
-        pass.
-        """
-        if circuit.pool is not self.pool:
-            raise LineageError("circuit belongs to a different pool")
-        return self.pool._backward(circuit.order, circuit.root, self.values)

@@ -3,34 +3,30 @@
 The strategy-finding algorithms (paper §4) treat each intermediate result's
 confidence as a function ``F(p1, …, pk)`` of its base tuples' confidences and
 evaluate it thousands of times while exploring candidate increments.
-:class:`ConfidenceFunction` is a thin facade over a compiled arithmetic
-circuit (:mod:`repro.lineage.circuit`) with:
+:class:`ConfidenceFunction` is that function: the result's lineage compiled
+once into an arithmetic circuit (:mod:`repro.lineage.circuit`) and answered
+by one forward sweep, behind
 
 * a stable, sorted tuple of the variables it depends on;
 * bounded LRU memoization keyed on the *values* of exactly those variables,
   so re-probes under a global assignment where unrelated tuples changed hit
-  the cache without the cache ever growing past :data:`CACHE_SIZE` entries;
-* exact finite-difference helpers and a gradient-backed :meth:`derivative`
-  (one backward pass yields all partials; the per-tuple slope is a lookup).
+  the cache without the cache ever growing past :data:`CACHE_SIZE` entries.
 
 Passing a shared :class:`~repro.lineage.circuit.CircuitPool` makes every
-function of one query intern common subformulas once; the increment
-solvers additionally drive the pool's incremental evaluator directly (see
-:class:`~repro.increment.problem.SearchState`).  ``backend="treewalk"``
-keeps the pre-circuit closure evaluator — used by the differential tests
-and ablation benchmarks that compare the two engines.
+function of one query intern common subformulas once.  The increment
+solvers route every probe, commit and undo through :meth:`evaluate` (see
+:class:`~repro.increment.problem.SearchState`); the reference that tests
+compare it against is :func:`~repro.lineage.probability.probability`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from ..errors import LineageError
 from ..obs import get_metrics
 from ..storage.tuples import TupleId
-from .circuit import CircuitPool, CompiledCircuit
+from .circuit import CircuitPool, CompiledCircuit, _missing
 from .formula import Lineage, node_count
-from .probability import compile_probability, sensitivity
 
 __all__ = ["ConfidenceFunction", "CACHE_SIZE"]
 
@@ -48,8 +44,7 @@ class ConfidenceFunction:
     """Callable view of one result tuple's confidence ``F(p_λ01, …, p_λ0k)``.
 
     The lineage is compiled once into an arithmetic circuit so repeated
-    evaluation under changing assignments is cheap arithmetic; gradients
-    come from the circuit's backward pass.
+    evaluation under changing assignments is cheap arithmetic.
 
     Parameters
     ----------
@@ -61,22 +56,15 @@ class ConfidenceFunction:
         Circuit pool to compile into.  Pass one pool for all results of a
         query so common subformulas are interned once; by default each
         function gets a private pool.
-    backend:
-        ``"circuit"`` (default) or ``"treewalk"`` — the pre-circuit
-        closure evaluator, kept for differential testing and ablations.
     """
 
     __slots__ = (
         "formula",
         "label",
-        "pool",
         "circuit",
         "_vars",
         "_cache",
         "_cache_old",
-        "_compiled",
-        "_grad_key",
-        "_grad",
     )
 
     def __init__(
@@ -85,39 +73,21 @@ class ConfidenceFunction:
         label: str | None = None,
         *,
         pool: CircuitPool | None = None,
-        backend: str = "circuit",
     ) -> None:
         self.formula = formula
         self.label = label
         self._vars: tuple[TupleId, ...] = tuple(sorted(formula.variables))
         self._cache: dict[tuple[float, ...], float] = {}
         self._cache_old: dict[tuple[float, ...], float] = {}
-        self._grad_key: tuple[float, ...] | None = None
-        self._grad: dict[TupleId, float] | None = None
-        if backend == "circuit":
-            self.pool = pool if pool is not None else CircuitPool()
-            self.circuit: CompiledCircuit | None = self.pool.compile(formula)
-            self._compiled = self.circuit.evaluate
-        elif backend == "treewalk":
-            if pool is not None:
-                raise LineageError("treewalk backend does not take a pool")
-            self.pool = None
-            self.circuit = None
-            self._compiled = compile_probability(formula)
-        else:
-            raise LineageError(f"unknown confidence backend {backend!r}")
+        if pool is None:  # an empty shared pool is falsy — test identity
+            pool = CircuitPool()
+        self.circuit: CompiledCircuit = pool.compile(formula)
         # Formula shape drives confidence-computation cost (Koch & Olteanu);
         # record it once per result at compile time.
         metrics = get_metrics()
         metrics.histogram("lineage.formula_nodes").observe(node_count(formula))
         metrics.histogram("lineage.formula_variables").observe(len(self._vars))
-        if self.circuit is not None:
-            metrics.histogram("circuit.cone_nodes").observe(len(self.circuit))
-
-    @property
-    def backend(self) -> str:
-        """Which evaluation engine backs this function."""
-        return "treewalk" if self.circuit is None else "circuit"
+        metrics.histogram("circuit.cone_nodes").observe(len(self.circuit))
 
     @property
     def variables(self) -> tuple[TupleId, ...]:
@@ -130,7 +100,10 @@ class ConfidenceFunction:
     def evaluate(self, assignment: Mapping[TupleId, float]) -> float:
         """``F`` under *assignment* (which may also cover unrelated tuples)."""
         cache = self._cache
-        key = tuple(map(assignment.__getitem__, self._vars))
+        try:
+            key = tuple(map(assignment.__getitem__, self._vars))
+        except KeyError as error:
+            raise _missing(error.args[0]) from None
         cached = cache.get(key)
         if cached is not None:
             return cached
@@ -138,7 +111,7 @@ class ConfidenceFunction:
         if cached is not None:
             value = cached  # promote a warm entry into the young generation
         else:
-            value = self._compiled(assignment)
+            value = self.circuit.evaluate(assignment)
         if len(cache) >= _HALF_CACHE:
             self._cache_old = cache
             cache = self._cache = {}
@@ -146,79 +119,6 @@ class ConfidenceFunction:
         return value
 
     __call__ = evaluate
-
-    def delta(
-        self,
-        assignment: Mapping[TupleId, float],
-        tid: TupleId,
-        new_value: float,
-    ) -> float:
-        """``F(assignment[tid := new_value]) − F(assignment)``.
-
-        Zero if the result does not depend on *tid* (no copies made in that
-        case).
-        """
-        if tid not in self.formula.variables:
-            return 0.0
-        base = self.evaluate(assignment)
-        patched = dict(assignment)
-        patched[tid] = new_value
-        return self.evaluate(patched) - base
-
-    def derivative(
-        self, assignment: Mapping[TupleId, float], tid: TupleId
-    ) -> float:
-        """Exact ``∂F/∂p(tid)`` at *assignment* (multilinear slope).
-
-        The circuit backend computes the whole gradient in one backward
-        pass and caches it for the assignment, so sweeping every variable
-        at one point — the common access pattern — costs a single pass
-        plus lookups.
-        """
-        if tid not in self.formula.variables:
-            return 0.0
-        if self.circuit is None:
-            return sensitivity(self.formula, assignment, tid)
-        key = tuple(map(assignment.__getitem__, self._vars))
-        if key != self._grad_key or self._grad is None:
-            self._grad = self.circuit.gradient(assignment)
-            self._grad_key = key
-        return self._grad.get(tid, 0.0)
-
-    def gradient(
-        self, assignment: Mapping[TupleId, float]
-    ) -> dict[TupleId, float]:
-        """All partial derivatives at *assignment* as one dict."""
-        if self.circuit is not None:
-            return self.circuit.gradient(assignment)
-        return {
-            tid: sensitivity(self.formula, assignment, tid)
-            for tid in self._vars
-        }
-
-    def max_value(
-        self,
-        assignment: Mapping[TupleId, float],
-        ceilings: Mapping[TupleId, float] | None = None,
-    ) -> float:
-        """``F`` with every variable raised to its ceiling (default 1.0).
-
-        This is ``F_max`` from the paper's Heuristics 1/3: the best this
-        result can ever reach.  Note: lineage with negation is not monotone,
-        so this is an upper bound only for negation-free lineage — which is
-        all the increment algorithms accept.
-        """
-        raised = dict(assignment)
-        for tid in self._vars:
-            ceiling = 1.0 if ceilings is None else ceilings.get(tid, 1.0)
-            raised[tid] = ceiling
-        return self.evaluate(raised)
-
-    def clear_cache(self) -> None:
-        self._cache = {}
-        self._cache_old = {}
-        self._grad_key = None
-        self._grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         name = self.label or "F"

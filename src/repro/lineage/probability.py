@@ -21,18 +21,23 @@ order:
 Worst case is exponential (#P-hard problem), but lineages from SPJU queries
 over the paper's workloads stay small; for adversarial formulas use
 :mod:`repro.lineage.montecarlo`.
+
+:func:`probability` interprets the formula directly and range-checks its
+inputs; the product computes the same value from a compiled circuit
+(:mod:`repro.lineage.circuit`, bit-identical) and every differential test
+uses this module as the reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Mapping
+from typing import Mapping
 
 from ..errors import LineageError
 from ..storage.tuples import TupleId
 from .formula import And, Bottom, Lineage, Not, Or, Top, Var, restrict
 
-__all__ = ["probability", "sensitivity", "compile_probability"]
+__all__ = ["probability", "sensitivity"]
 
 ProbabilityMap = Mapping[TupleId, float]
 
@@ -81,6 +86,15 @@ def _pick_branch_variable(children: tuple[Lineage, ...]) -> TupleId:
     return max(counts, key=lambda tid: (counts[tid], tid))
 
 
+def _rebuild_connective(node: Lineage, cluster: list[Lineage]) -> Lineage:
+    """The AND/OR of one independent *cluster* of *node*'s children."""
+    if len(cluster) == 1:
+        return cluster[0]
+    if isinstance(node, And):
+        return And(tuple(cluster))
+    return Or(tuple(cluster))
+
+
 def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
     """Exact ``P(formula)`` given independent base-tuple *probabilities*.
 
@@ -122,11 +136,11 @@ def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
                 if isinstance(node, And):
                     result = 1.0
                     for cluster in clusters:
-                        result *= prob(_rebuild(node, cluster))
+                        result *= prob(_rebuild_connective(node, cluster))
                     return result
                 result = 1.0
                 for cluster in clusters:
-                    result *= 1.0 - prob(_rebuild(node, cluster))
+                    result *= 1.0 - prob(_rebuild_connective(node, cluster))
                 return 1.0 - result
             # One entangled cluster: Shannon-expand on the busiest variable.
             branch = _pick_branch_variable(node.children)
@@ -135,13 +149,6 @@ def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
             low = prob(restrict(node, branch, False))
             return p * high + (1.0 - p) * low
         raise LineageError(f"cannot evaluate {node!r}")  # pragma: no cover
-
-    def _rebuild(node: Lineage, cluster: list[Lineage]) -> Lineage:
-        if len(cluster) == 1:
-            return cluster[0]
-        if isinstance(node, And):
-            return And(tuple(cluster))
-        return Or(tuple(cluster))
 
     value = prob(formula)
     # Clamp tiny float drift so callers can rely on [0, 1].
@@ -166,125 +173,3 @@ def sensitivity(
     high = probability(restrict(formula, tid, True), probabilities)
     low = probability(restrict(formula, tid, False), probabilities)
     return high - low
-
-
-def compile_probability(formula: Lineage) -> Callable[[ProbabilityMap], float]:
-    """Compile *formula* into a fast probability evaluator.
-
-    All structural analysis — independence partitioning and Shannon
-    expansion — happens once, at compile time; the returned closure only
-    performs arithmetic and dictionary lookups, which makes it suitable for
-    the strategy-finding algorithms' inner loops (thousands of evaluations
-    of the same formula under changing probabilities).
-
-    Compilation can be exponential for adversarially entangled formulas
-    (the problem is #P-hard); shared cofactors are deduplicated through a
-    per-compilation memo table keyed on the simplified formula.
-
-    The closure raises :class:`~repro.errors.LineageError` when the
-    supplied probability map is missing a needed variable.  Values are not
-    range-checked (the storage layer guarantees [0, 1]); use
-    :func:`probability` for one-off, validated evaluation.
-    """
-    memo: dict[Lineage, Callable[[ProbabilityMap], float]] = {}
-
-    def build(node: Lineage) -> Callable[[ProbabilityMap], float]:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        compiled = _build_uncached(node)
-        memo[node] = compiled
-        return compiled
-
-    def _build_uncached(node: Lineage) -> Callable[[ProbabilityMap], float]:
-        if isinstance(node, Top):
-            return lambda probabilities: 1.0
-        if isinstance(node, Bottom):
-            return lambda probabilities: 0.0
-        if isinstance(node, Var):
-            tid = node.tid
-
-            def read(probabilities: ProbabilityMap, tid=tid) -> float:
-                try:
-                    return probabilities[tid]
-                except KeyError:
-                    raise LineageError(
-                        f"no probability supplied for base tuple {tid}"
-                    ) from None
-
-            return read
-        if isinstance(node, Not):
-            inner = build(node.child)
-            return lambda probabilities: 1.0 - inner(probabilities)
-        if isinstance(node, (And, Or)):
-            clusters = _independent_clusters(node.children)
-            if len(clusters) > 1 or all(len(c) == 1 for c in clusters):
-                parts = [
-                    build(_rebuild_connective(node, cluster))
-                    for cluster in clusters
-                ]
-                if isinstance(node, And):
-
-                    def conjoin(probabilities: ProbabilityMap, parts=parts) -> float:
-                        result = 1.0
-                        for part in parts:
-                            result *= part(probabilities)
-                        return result
-
-                    return conjoin
-
-                def disjoin(probabilities: ProbabilityMap, parts=parts) -> float:
-                    result = 1.0
-                    for part in parts:
-                        result *= 1.0 - part(probabilities)
-                    return 1.0 - result
-
-                return disjoin
-            branch = _pick_branch_variable(node.children)
-            high = build(restrict(node, branch, True))
-            low = build(restrict(node, branch, False))
-            read_branch = build(Var(branch))
-
-            def shannon(
-                probabilities: ProbabilityMap,
-                read_branch=read_branch,
-                high=high,
-                low=low,
-            ) -> float:
-                p = read_branch(probabilities)
-                return p * high(probabilities) + (1.0 - p) * low(probabilities)
-
-            return shannon
-        raise LineageError(f"cannot compile {node!r}")  # pragma: no cover
-
-    compiled = build(formula)
-
-    def evaluate(probabilities: ProbabilityMap) -> float:
-        value = compiled(probabilities)
-        # Clamp tiny float drift so callers can rely on [0, 1].
-        if value < 0.0:
-            return 0.0
-        if value > 1.0:
-            return 1.0
-        return value
-
-    return evaluate
-
-
-def _rebuild_connective(node: Lineage, cluster: list[Lineage]) -> Lineage:
-    if len(cluster) == 1:
-        return cluster[0]
-    if isinstance(node, And):
-        return And(tuple(cluster))
-    return Or(tuple(cluster))
-
-
-def make_probability_fn(
-    formula: Lineage,
-) -> Callable[[ProbabilityMap], float]:
-    """A closure computing this formula's probability (no extra caching)."""
-
-    def evaluate(probabilities: ProbabilityMap) -> float:
-        return probability(formula, probabilities)
-
-    return evaluate

@@ -1,12 +1,11 @@
 """Differential properties of the arithmetic-circuit engine.
 
-The circuit compiler mirrors the tree-walk evaluator operation for
+The circuit compiler mirrors the reference interpreter operation for
 operation, so its values must be *bit-identical* to
-:func:`repro.lineage.probability.probability` and
-:func:`repro.lineage.probability.compile_probability` on arbitrary SPJU
-lineage — including formulas that share subcircuits through one pool and
-formulas whose entangled clusters force Shannon expansion.  Monte-Carlo
-estimation provides an engine-independent statistical cross-check.
+:func:`repro.lineage.probability.probability` on arbitrary SPJU lineage —
+including formulas that share subcircuits through one pool and formulas
+whose entangled clusters force Shannon expansion.  Monte-Carlo estimation
+provides an engine-independent statistical cross-check.
 """
 
 from __future__ import annotations
@@ -16,9 +15,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cost import LinearCost
+from repro.increment.problem import (
+    BaseTupleState,
+    IncrementProblem,
+    SearchState,
+)
 from repro.lineage import (
-    CircuitEvaluator,
     CircuitPool,
+    ConfidenceFunction,
     lineage_and,
     lineage_not,
     lineage_or,
@@ -27,7 +32,6 @@ from repro.lineage import (
     var,
 )
 from repro.lineage.montecarlo import estimate_probability
-from repro.lineage.probability import compile_probability
 from repro.storage import TupleId
 
 POOL = [TupleId("t", i) for i in range(5)]
@@ -73,8 +77,12 @@ def test_circuit_matches_probability_bitwise(formula, probs):
 @settings(max_examples=100, deadline=None)
 @given(formulas(), probability_maps())
 def test_circuit_matches_compiled_closure_bitwise(formula, probs):
-    circuit = CircuitPool().compile(formula)
-    assert circuit.evaluate(probs) == compile_probability(formula)(probs)
+    """The cached facade — what callers hold — agrees with the reference on
+    a miss and on the hit that follows."""
+    function = ConfidenceFunction(formula)
+    expected = probability(formula, probs)
+    assert function.evaluate(probs) == expected
+    assert function.evaluate(probs) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,15 +104,14 @@ def test_sharing_one_pool_does_not_change_values(left, right, probs):
 @settings(max_examples=75, deadline=None)
 @given(formulas(allow_not=False), probability_maps())
 def test_gradient_matches_sensitivity(formula, probs):
+    """``P(F)`` is multilinear, so two forward sweeps give each partial
+    exactly; :func:`sensitivity` gets it from the restricted formulas."""
     circuit = CircuitPool().compile(formula)
-    gradient = circuit.gradient(probs)
-    # Variables the compiler eliminated (absorption during Shannon
-    # restriction) have structurally zero partials and no gradient entry.
     for tid in formula.variables:
-        assert (
-            abs(gradient.get(tid, 0.0) - sensitivity(formula, probs, tid))
-            < 1e-9
+        slope = circuit.evaluate({**probs, tid: 1.0}) - circuit.evaluate(
+            {**probs, tid: 0.0}
         )
+        assert abs(slope - sensitivity(formula, probs, tid)) < 1e-9
 
 
 @settings(max_examples=75, deadline=None)
@@ -119,20 +126,19 @@ def test_gradient_matches_sensitivity(formula, probs):
     ),
 )
 def test_incremental_updates_match_fresh_evaluation(formula, probs, updates):
-    """A chain of cone updates always equals evaluating from scratch."""
-    pool = CircuitPool()
-    circuit = pool.compile(formula)
+    """Across a chain of updates the cached facade never serves a stale
+    value: it always equals evaluating from scratch."""
+    function = ConfidenceFunction(formula)
     current = dict(probs)
-    evaluator = CircuitEvaluator(pool, current, [circuit])
+    assert function.evaluate(current) == probability(formula, current)
     for tid, value in updates:
         current[tid] = value
-        evaluator.set_value(tid, value)
-        assert evaluator.value(circuit.root) == probability(formula, current)
+        assert function.evaluate(current) == probability(formula, current)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    formulas(),
+    formulas(allow_not=False),
     probability_maps(),
     st.sampled_from(POOL),
     st.floats(min_value=0.0, max_value=1.0),
@@ -140,15 +146,20 @@ def test_incremental_updates_match_fresh_evaluation(formula, probs, updates):
 def test_probe_equals_patched_evaluation_without_commit(
     formula, probs, tid, value
 ):
-    pool = CircuitPool()
-    circuit = pool.compile(formula)
-    evaluator = CircuitEvaluator(pool, probs, [circuit])
-    before = evaluator.value(circuit.root)
-    patched = dict(probs)
-    patched[tid] = value
-    [probed] = evaluator.probe(tid, value, [circuit.root])
-    assert probed == probability(formula, patched)
-    assert evaluator.value(circuit.root) == before
+    problem = IncrementProblem(
+        [ConfidenceFunction(formula)],
+        {t: BaseTupleState(t, probs[t], LinearCost(1.0)) for t in POOL},
+        threshold=0.5,
+        required_count=1,
+    )
+    state = SearchState(problem)
+    before = list(state.confidences)
+    if tid not in problem.tuples:  # the formula never reads it
+        return
+    [probed] = state.probe(tid, value, [0])
+    assert probed == probability(formula, {**probs, tid: value})
+    assert state.confidences == before
+    assert state.assignment == problem.initial_assignment()
 
 
 @settings(max_examples=20, deadline=None)

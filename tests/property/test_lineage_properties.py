@@ -6,12 +6,11 @@ pool, then check algebraic invariants against brute-force world enumeration.
 
 from __future__ import annotations
 
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lineage import (
+    CircuitPool,
     lineage_and,
     lineage_not,
     lineage_or,
@@ -20,8 +19,9 @@ from repro.lineage import (
     sensitivity,
     var,
 )
-from repro.lineage.probability import compile_probability
 from repro.storage import TupleId
+
+from tests.oracle import possible_worlds
 
 POOL = [TupleId("t", i) for i in range(5)]
 
@@ -52,30 +52,17 @@ def probability_maps():
     )
 
 
-def brute_force(formula, probs):
-    variables = sorted(formula.variables)
-    total = 0.0
-    for bits in itertools.product([False, True], repeat=len(variables)):
-        world = dict(zip(variables, bits))
-        weight = 1.0
-        for tid, bit in world.items():
-            weight *= probs[tid] if bit else 1.0 - probs[tid]
-        if formula.evaluate(world):
-            total += weight
-    return total
-
-
 @settings(max_examples=150, deadline=None)
 @given(formulas(), probability_maps())
 def test_probability_matches_brute_force(formula, probs):
-    assert abs(probability(formula, probs) - brute_force(formula, probs)) < 1e-9
+    assert abs(probability(formula, probs) - possible_worlds(formula, probs)) < 1e-9
 
 
 @settings(max_examples=100, deadline=None)
 @given(formulas(), probability_maps())
 def test_compiled_matches_interpreter(formula, probs):
-    compiled = compile_probability(formula)
-    assert abs(compiled(probs) - probability(formula, probs)) < 1e-12
+    compiled = CircuitPool().compile(formula)
+    assert compiled.evaluate(probs) == probability(formula, probs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,8 +5,13 @@ import random
 import pytest
 
 from repro.errors import LineageError
+from repro.cost import LinearCost
+from repro.increment.problem import (
+    BaseTupleState,
+    IncrementProblem,
+    SearchState,
+)
 from repro.lineage import (
-    CircuitEvaluator,
     CircuitPool,
     ConfidenceFunction,
     lineage_and,
@@ -17,7 +22,6 @@ from repro.lineage import (
     var,
 )
 from repro.lineage.confidence import CACHE_SIZE
-from repro.lineage.probability import compile_probability
 from repro.storage import TupleId
 
 T = [TupleId("t", i) for i in range(8)]
@@ -54,16 +58,18 @@ class TestCompilation:
             )
 
     def test_evaluate_matches_compiled_closure_bitwise(self):
+        # Compiled once, swept under many assignments.
         formula = lineage_or(
             lineage_and(var(T[0]), var(T[1]), var(T[2])),
             lineage_and(var(T[2]), var(T[3])),
             var(T[4]),
         )
-        closure = compile_probability(formula)
         circuit = CircuitPool().compile(formula)
         for seed in range(20):
             assignment = _assignment(seed)
-            assert circuit.evaluate(assignment) == closure(assignment)
+            assert circuit.evaluate(assignment) == probability(
+                formula, assignment
+            )
 
     def test_shared_subformula_interned_once(self):
         shared = lineage_and(var(T[0]), var(T[1]))
@@ -106,7 +112,18 @@ class TestCompilation:
         assert stats["variables"] == 3
 
 
+def _slope(circuit, assignment, tid):
+    """``∂F/∂p(tid)`` from two forward sweeps: ``P(F)`` is multilinear, so
+    the partial is exactly ``F(tid := 1) − F(tid := 0)``."""
+    return circuit.evaluate({**assignment, tid: 1.0}) - circuit.evaluate(
+        {**assignment, tid: 0.0}
+    )
+
+
 class TestGradient:
+    """The circuit's slopes against :func:`sensitivity`, which restricts the
+    formula and runs the reference interpreter on each cofactor."""
+
     @pytest.mark.parametrize(
         "formula",
         [
@@ -121,21 +138,23 @@ class TestGradient:
     def test_gradient_matches_sensitivity(self, formula):
         circuit = CircuitPool().compile(formula)
         assignment = _assignment(3)
-        gradient = circuit.gradient(assignment)
-        assert set(gradient) == set(formula.variables)
         for tid in formula.variables:
             expected = sensitivity(formula, assignment, tid)
-            assert gradient[tid] == pytest.approx(expected, abs=1e-12)
+            assert _slope(circuit, assignment, tid) == pytest.approx(
+                expected, abs=1e-12
+            )
 
     def test_gradient_zero_partial_still_reported(self):
-        # t1's partial is 0 when t0 = 1 in t0 ∨ t1 — still present.
+        # t1's partial is 0 when t0 = 1 in t0 ∨ t1.
         formula = lineage_or(var(T[0]), var(T[1]))
         circuit = CircuitPool().compile(formula)
-        gradient = circuit.gradient({T[0]: 1.0, T[1]: 0.3})
-        assert gradient[T[1]] == pytest.approx(0.0)
+        assert _slope(circuit, {T[0]: 1.0, T[1]: 0.3}, T[1]) == 0.0
 
 
 class TestEvaluator:
+    """:class:`SearchState` — the one mutable evaluator left — over a shared
+    pool, against ``probability()`` from scratch."""
+
     def _setup(self, seed=1):
         pool = CircuitPool()
         formulas = [
@@ -143,174 +162,122 @@ class TestEvaluator:
             lineage_and(var(T[1]), lineage_or(var(T[2]), var(T[3]))),
             _shannon_formula(),
         ]
-        circuits = [pool.compile(formula) for formula in formulas]
-        assignment = _assignment(seed)
-        evaluator = CircuitEvaluator(pool, assignment, circuits)
-        return pool, formulas, circuits, assignment, evaluator
+        assignment = _assignment(seed, T[:4])
+        problem = IncrementProblem(
+            [ConfidenceFunction(formula, pool=pool) for formula in formulas],
+            {
+                tid: BaseTupleState(tid, value, LinearCost(10.0))
+                for tid, value in assignment.items()
+            },
+            threshold=0.5,
+            required_count=2,
+        )
+        return pool, formulas, problem, assignment, SearchState(problem)
+
+    def _fresh(self, formulas, assignment):
+        return [probability(formula, assignment) for formula in formulas]
 
     def test_initial_values_match_probability(self):
-        _pool, formulas, circuits, assignment, evaluator = self._setup()
-        for formula, circuit in zip(formulas, circuits):
-            assert evaluator.value(circuit.root) == probability(
-                formula, assignment
-            )
+        _pool, formulas, _problem, assignment, state = self._setup()
+        assert state.confidences == self._fresh(formulas, assignment)
 
     def test_incremental_update_matches_fresh_evaluation(self):
-        _pool, formulas, circuits, assignment, evaluator = self._setup()
+        _pool, formulas, _problem, assignment, state = self._setup()
         rng = random.Random(9)
         for _ in range(50):
-            tid = rng.choice(T[:5])
+            tid = rng.choice(T[:4])
             value = rng.uniform(0.0, 1.0)
             assignment[tid] = value
-            evaluator.set_value(tid, value)
-            for formula, circuit in zip(formulas, circuits):
-                assert evaluator.value(circuit.root) == probability(
-                    formula, assignment
-                )
+            state.commit(tid, value)
+            assert state.confidences == self._fresh(formulas, assignment)
 
     def test_probe_does_not_commit(self):
-        _pool, formulas, circuits, assignment, evaluator = self._setup()
-        roots = [circuit.root for circuit in circuits]
-        before = [evaluator.value(root) for root in roots]
-        probed = evaluator.probe(T[1], 0.99, roots)
-        patched = dict(assignment)
-        patched[T[1]] = 0.99
-        assert probed == [
-            probability(formula, patched) for formula in formulas
-        ]
-        assert [evaluator.value(root) for root in roots] == before
+        _pool, formulas, _problem, assignment, state = self._setup()
+        before = list(state.confidences)
+        probed = state.probe(T[1], 0.99, [0, 1, 2])
+        assert probed == self._fresh(formulas, {**assignment, T[1]: 0.99})
+        assert state.confidences == before
+        assert state.assignment == assignment
 
     def test_out_of_scope_variable_is_noop(self):
-        _pool, _formulas, circuits, _assignment, evaluator = self._setup()
-        roots = [circuit.root for circuit in circuits]
-        before = [evaluator.value(root) for root in roots]
-        updates_before = evaluator.updates
-        evaluator.set_value(T[7], 0.5)  # never compiled anywhere
-        assert [evaluator.value(root) for root in roots] == before
-        assert evaluator.updates == updates_before
-        assert evaluator.probe(T[7], 0.5, roots) == before
-
-    def test_cone_excludes_leaves_and_unrelated_nodes(self):
-        pool, _formulas, _circuits, _assignment, evaluator = self._setup()
-        cone = evaluator.cone(T[0])
-        var_index = pool.var_id(T[0])
-        assert var_index is not None
-        assert var_index not in cone
-        assert all(index > var_index for index in cone)
-        assert evaluator.cone(T[7]) == ()
-
-    def test_update_counters(self):
-        _pool, _formulas, circuits, _assignment, evaluator = self._setup()
-        evaluator.set_value(T[0], 0.4)
-        evaluator.probe(T[0], 0.5, [circuits[0].root])
-        assert evaluator.updates == 2
-        assert evaluator.nodes_recomputed >= 2
+        _pool, formulas, problem, assignment, state = self._setup()
+        # T[3] is outside results 0 and 2: moving it leaves them untouched
+        # (their cache keys do not even change) and touches only result 1.
+        assert problem.results_by_tuple[T[3]] == [1]
+        before = list(state.confidences)
+        undo = state.set_value(T[3], 0.9)
+        assert [index for index, _old in undo] == [1]
+        assert state.confidences[0] == before[0]
+        assert state.confidences[2] == before[2]
+        assert state.confidences == self._fresh(
+            formulas, {**assignment, T[3]: 0.9}
+        )
 
     def test_recorded_set_restores_bitwise(self):
-        _pool, _formulas, circuits, _assignment, evaluator = self._setup()
-        before = list(evaluator.values)
-        snapshot = evaluator.set_value_recorded(T[1], 0.42)
-        assert snapshot is not None
-        assert evaluator.values != before
-        evaluator.restore(snapshot)
-        assert evaluator.values == before
-        for circuit in circuits:
-            assert evaluator.value(circuit.root) == circuit.evaluate(
-                _assignment
-            )
-        # Out-of-scope variables are a recorded no-op too.
-        assert evaluator.set_value_recorded(T[7], 0.5) is None
+        _pool, _formulas, _problem, assignment, state = self._setup()
+        before = (
+            list(state.confidences),
+            list(state.satisfied_flags),
+            list(state.group_counts),
+            state.cost,
+        )
+        old = state.value_of(T[1])
+        undo = state.set_value(T[1], 0.97)
+        assert undo and state.confidences != before[0]
+        state.undo(T[1], old, undo)
+        assert (
+            state.confidences,
+            state.satisfied_flags,
+            state.group_counts,
+            state.cost,
+        ) == before
+        assert state.assignment == assignment
+        # A move within tolerance of the current value is a recorded no-op.
+        assert state.set_value(T[1], old) == []
 
     def test_gradient_uses_committed_values(self):
-        _pool, formulas, circuits, assignment, evaluator = self._setup()
-        evaluator.set_value(T[2], 0.77)
+        # Slopes taken by probing are slopes at the *committed* assignment.
+        _pool, formulas, _problem, assignment, state = self._setup()
+        state.commit(T[2], 0.77)
         assignment[T[2]] = 0.77
-        gradient = evaluator.gradient(circuits[0])
         for tid in formulas[0].variables:
-            assert gradient[tid] == pytest.approx(
+            [high] = state.probe(tid, 1.0, [0])
+            [low] = state.probe(tid, 0.0, [0])
+            assert high - low == pytest.approx(
                 sensitivity(formulas[0], assignment, tid), abs=1e-12
             )
 
     def test_foreign_pool_rejected(self):
-        _pool, _formulas, circuits, assignment, _evaluator = self._setup()
-        other_pool = CircuitPool()
-        other = other_pool.compile(var(T[0]))
-        with pytest.raises(LineageError, match="share its pool"):
-            CircuitEvaluator(other_pool, assignment, [circuits[0]])
-        evaluator = CircuitEvaluator(other_pool, assignment, [other])
-        with pytest.raises(LineageError, match="different pool"):
-            evaluator.gradient(circuits[0])
+        pool, _formulas, problem, assignment, _state = self._setup()
+        foreign = CircuitPool().compile(var(T[0]))
+        circuits = [result.circuit for result in problem.results]
+        with pytest.raises(LineageError, match="share the pool"):
+            pool.evaluate_many(circuits + [foreign], assignment)
 
 
 class TestConfidenceFunctionFacade:
     def test_backends_agree_bitwise(self):
+        # The product path (cached facade over a circuit) and the reference.
         formula = lineage_and(_shannon_formula(), var(T[3]))
-        circuit_fn = ConfidenceFunction(formula)
-        treewalk_fn = ConfidenceFunction(formula, backend="treewalk")
+        function = ConfidenceFunction(formula)
         for seed in range(10):
             assignment = _assignment(seed)
-            assert circuit_fn.evaluate(assignment) == treewalk_fn.evaluate(
-                assignment
-            )
-
-    def test_backend_property(self):
-        formula = var(T[0])
-        assert ConfidenceFunction(formula).backend == "circuit"
-        assert (
-            ConfidenceFunction(formula, backend="treewalk").backend
-            == "treewalk"
-        )
-
-    def test_treewalk_rejects_pool(self):
-        with pytest.raises(LineageError):
-            ConfidenceFunction(
-                var(T[0]), backend="treewalk", pool=CircuitPool()
-            )
+            expected = probability(formula, assignment)
+            assert function.evaluate(assignment) == expected  # miss
+            assert function.evaluate(assignment) == expected  # hit
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(LineageError):
-            ConfidenceFunction(var(T[0]), backend="quantum")
-
-    def test_derivative_matches_sensitivity_on_both_backends(self):
-        formula = lineage_or(
-            lineage_and(var(T[0]), var(T[1])), lineage_and(var(T[1]), var(T[2]))
-        )
-        assignment = _assignment(5)
-        circuit_fn = ConfidenceFunction(formula)
-        treewalk_fn = ConfidenceFunction(formula, backend="treewalk")
-        for tid in formula.variables:
-            expected = sensitivity(formula, assignment, tid)
-            assert circuit_fn.derivative(assignment, tid) == pytest.approx(
-                expected, abs=1e-12
-            )
-            assert treewalk_fn.derivative(assignment, tid) == expected
-        # Unrelated variable: exactly zero without evaluating anything.
-        assert circuit_fn.derivative(assignment, T[7]) == 0.0
-
-    def test_derivative_gradient_cache_invalidates_on_new_assignment(self):
-        formula = lineage_and(var(T[0]), var(T[1]))
-        fn = ConfidenceFunction(formula)
-        first = fn.derivative({T[0]: 0.5, T[1]: 0.5}, T[0])
-        second = fn.derivative({T[0]: 0.5, T[1]: 0.9}, T[0])
-        assert first == pytest.approx(0.5)
-        assert second == pytest.approx(0.9)
-
-    def test_gradient_method(self):
-        formula = _shannon_formula()
-        assignment = _assignment(6)
-        fn = ConfidenceFunction(formula)
-        walk = ConfidenceFunction(formula, backend="treewalk")
-        gradient = fn.gradient(assignment)
-        assert set(gradient) == set(formula.variables)
-        for tid, value in walk.gradient(assignment).items():
-            assert gradient[tid] == pytest.approx(value, abs=1e-12)
+        # There is one way to compute a confidence; nothing to select.
+        for backend in ("treewalk", "circuit", "quantum"):
+            with pytest.raises(TypeError):
+                ConfidenceFunction(var(T[0]), backend=backend)
 
     def test_shared_pool_across_functions(self):
         pool = CircuitPool()
         shared = lineage_and(var(T[0]), var(T[1]))
         a = ConfidenceFunction(lineage_or(shared, var(T[2])), pool=pool)
         b = ConfidenceFunction(lineage_or(shared, var(T[3])), pool=pool)
-        assert a.pool is pool and b.pool is pool
+        assert a.circuit.pool is pool and b.circuit.pool is pool
         assert pool.formula_hits > 0
 
     def test_cache_is_bounded_lru(self):
@@ -327,8 +294,6 @@ class TestConfidenceFunctionFacade:
         )
         fn.evaluate({T[0]: 0.25, T[1]: 0.75})
         assert hit_key in fn._cache
-        fn.clear_cache()
-        assert len(fn._cache) == 0 and len(fn._cache_old) == 0
 
 
 class TestCliCircuitCommand:

@@ -179,7 +179,7 @@ class TestSearchState:
 
     def test_noop_set(self, problem):
         state = SearchState(problem)
-        assert state.set_value(A, 0.1) == ([], None)
+        assert state.set_value(A, 0.1) == []
         assert state.cost == 0.0
 
     def test_snapshot_targets_only_changed(self, problem):

@@ -1,6 +1,5 @@
-"""Unit tests for exact probability, compilation and Monte-Carlo."""
+"""Unit tests for exact probability, circuit compilation and Monte-Carlo."""
 
-import itertools
 import random
 
 import pytest
@@ -9,6 +8,7 @@ from repro.errors import LineageError
 from repro.lineage import (
     BOTTOM,
     TOP,
+    CircuitPool,
     ConfidenceFunction,
     estimate_probability,
     lineage_and,
@@ -18,24 +18,11 @@ from repro.lineage import (
     sensitivity,
     var,
 )
-from repro.lineage.probability import compile_probability
 from repro.storage import TupleId
 
+from tests.oracle import possible_worlds
+
 A, B, C, D = (TupleId("t", i) for i in range(4))
-
-
-def brute_force(formula, probs):
-    """Reference probability by full world enumeration."""
-    variables = sorted(formula.variables)
-    total = 0.0
-    for bits in itertools.product([False, True], repeat=len(variables)):
-        world = dict(zip(variables, bits))
-        weight = 1.0
-        for tid, bit in world.items():
-            weight *= probs[tid] if bit else 1.0 - probs[tid]
-        if formula.evaluate(world):
-            total += weight
-    return total
 
 
 class TestExactProbability:
@@ -81,7 +68,7 @@ class TestExactProbability:
         )
         probs = {A: 0.2, B: 0.7, C: 0.5, D: 0.4}
         assert probability(formula, probs) == pytest.approx(
-            brute_force(formula, probs)
+            possible_worlds(formula, probs)
         )
 
     def test_missing_probability_raises(self):
@@ -100,26 +87,35 @@ class TestExactProbability:
 
 
 class TestCompiledProbability:
+    """The compiled circuit against the interpreter."""
+
     def test_matches_interpreter(self):
         formula = lineage_or(
             lineage_and(var(A), var(B)),
             lineage_and(var(A), var(C)),
             var(D),
         )
-        compiled = compile_probability(formula)
+        compiled = CircuitPool().compile(formula)
         rng = random.Random(5)
         for _ in range(25):
             probs = {tid: rng.random() for tid in (A, B, C, D)}
-            assert compiled(probs) == pytest.approx(probability(formula, probs))
+            assert compiled.evaluate(probs) == probability(formula, probs)
 
     def test_constants_compiled(self):
-        assert compile_probability(TOP)({}) == 1.0
-        assert compile_probability(BOTTOM)({}) == 0.0
+        assert CircuitPool().compile(TOP).evaluate({}) == 1.0
+        assert CircuitPool().compile(BOTTOM).evaluate({}) == 0.0
 
     def test_missing_variable_raises(self):
-        compiled = compile_probability(var(A))
-        with pytest.raises(LineageError):
-            compiled({})
+        # Every way of asking for a confidence names the missing tuple in
+        # a LineageError (errors.py: every library error is a ReproError).
+        formula = lineage_and(var(A), var(B))
+        for evaluate in (
+            lambda probs: probability(formula, probs),
+            CircuitPool().compile(formula).evaluate,
+            ConfidenceFunction(formula).evaluate,
+        ):
+            with pytest.raises(LineageError, match="no probability supplied"):
+                evaluate({A: 0.5})
 
 
 class TestSensitivity:
@@ -157,27 +153,35 @@ class TestConfidenceFunction:
         formula = lineage_or(var(C), var(A))
         assert ConfidenceFunction(formula).variables == (A, C)
 
+    # Differences, ceilings and slopes are evaluate() at two points.
+
     def test_delta(self):
+        # §3.1: raising p03 from 0.4 to 0.5 lifts p38 from 0.058 to 0.065.
         formula = lineage_and(lineage_or(var(A), var(B)), var(C))
         function = ConfidenceFunction(formula)
         probs = {A: 0.3, B: 0.4, C: 0.1}
-        assert function.delta(probs, B, 0.5) == pytest.approx(0.065 - 0.058)
+        raised = function.evaluate({**probs, B: 0.5})
+        assert raised - function.evaluate(probs) == pytest.approx(0.065 - 0.058)
 
     def test_delta_for_unrelated_tuple_is_zero(self):
         function = ConfidenceFunction(var(A))
-        assert function.delta({A: 0.5}, B, 0.9) == 0.0
+        assert function.evaluate({A: 0.5, B: 0.9}) == function.evaluate(
+            {A: 0.5, B: 0.1}
+        )
 
     def test_max_value(self):
-        formula = lineage_and(var(A), var(B))
-        function = ConfidenceFunction(formula)
-        assert function.max_value({A: 0.1, B: 0.1}) == pytest.approx(1.0)
-        ceilings = {A: 0.8, B: 0.5}
-        assert function.max_value({A: 0.1, B: 0.1}, ceilings) == pytest.approx(0.4)
+        # F_max of Heuristics 1/3: every variable at its ceiling.
+        function = ConfidenceFunction(lineage_and(var(A), var(B)))
+        assert function.evaluate({A: 1.0, B: 1.0}) == pytest.approx(1.0)
+        assert function.evaluate({A: 0.8, B: 0.5}) == pytest.approx(0.4)
 
     def test_derivative(self):
-        formula = lineage_and(var(A), var(B))
-        function = ConfidenceFunction(formula)
-        assert function.derivative({A: 0.3, B: 0.7}, A) == pytest.approx(0.7)
+        # Multilinear: the slope in A is F(A=1) − F(A=0) = p(B).
+        function = ConfidenceFunction(lineage_and(var(A), var(B)))
+        slope = function.evaluate({A: 1.0, B: 0.7}) - function.evaluate(
+            {A: 0.0, B: 0.7}
+        )
+        assert slope == pytest.approx(0.7)
 
 
 class TestMonteCarlo:

@@ -1,9 +1,12 @@
-"""All four solvers must be engine-agnostic: circuit == tree-walk.
+"""Solver decisions must not depend on how a confidence is computed.
 
-The circuit engine mirrors the closure evaluator's arithmetic operation
-for operation, so every probe and every confidence a solver observes is
-bit-identical on either backend — and therefore every decision, target,
-cost, and satisfied set must match exactly (not approximately).
+The product path answers every confidence from a compiled circuit (one
+forward sweep behind :class:`~repro.lineage.ConfidenceFunction`'s cache);
+the reference is the :func:`~repro.lineage.probability` interpreter.  The
+two are bit-identical, so a solver whose every probe, commit and undo is
+answered by the reference must make exactly the same decisions — same
+targets, cost and satisfied set, not approximately — and every returned
+plan must hold up when re-verified with the reference alone.
 """
 
 import pytest
@@ -19,16 +22,26 @@ from repro.increment import (
     solve_heuristic,
     solve_local_search,
 )
-from repro.lineage import CircuitPool, ConfidenceFunction
+from repro.increment.problem import SearchState
+from repro.lineage import ConfidenceFunction, probability
 from repro.workload import WorkloadSpec, generate_problem
 
 
-def _both_backends(problem: IncrementProblem):
-    """The instance rebuilt on the circuit and the tree-walk engines."""
-    pool = CircuitPool()
-    circuit = IncrementProblem(
+class ReferenceFunction(ConfidenceFunction):
+    """A confidence function answered by the interpreter — no circuit sweep,
+    no cache."""
+
+    __slots__ = ()
+
+    def evaluate(self, assignment):
+        return probability(self.formula, assignment)
+
+
+def _on_reference(problem: IncrementProblem) -> IncrementProblem:
+    """The same instance with every confidence computed by ``probability()``."""
+    return IncrementProblem(
         [
-            ConfidenceFunction(result.formula, result.label, pool=pool)
+            ReferenceFunction(result.formula, result.label)
             for result in problem.results
         ],
         problem.tuples,
@@ -36,19 +49,6 @@ def _both_backends(problem: IncrementProblem):
         problem.required_count,
         problem.delta,
     )
-    treewalk = IncrementProblem(
-        [
-            ConfidenceFunction(result.formula, result.label, backend="treewalk")
-            for result in problem.results
-        ],
-        problem.tuples,
-        problem.threshold,
-        problem.required_count,
-        problem.delta,
-    )
-    assert circuit.circuits is not None
-    assert treewalk.circuits is None
-    return circuit, treewalk
 
 
 def _workload(data_size: int, seed: int) -> IncrementProblem:
@@ -62,73 +62,82 @@ def _workload(data_size: int, seed: int) -> IncrementProblem:
     return generate_problem(spec, seed=seed).problem
 
 
-def _assert_identical(circuit_plan, treewalk_plan):
-    assert circuit_plan.targets == treewalk_plan.targets
-    assert circuit_plan.total_cost == treewalk_plan.total_cost
-    assert circuit_plan.satisfied_results == treewalk_plan.satisfied_results
+def _assert_identical_and_verified(problem, solve):
+    plan = solve(problem)
+    reference_plan = solve(_on_reference(problem))
+    assert plan.targets == reference_plan.targets
+    assert plan.total_cost == reference_plan.total_cost
+    assert plan.satisfied_results == reference_plan.satisfied_results
+    # Re-verify with the reference only: the plan reaches the threshold on
+    # enough results and costs what it says.
+    final = {**problem.initial_assignment(), **plan.targets}
+    reached = [
+        index
+        for index, result in enumerate(problem.results)
+        if problem.satisfied(probability(result.formula, final))
+    ]
+    assert set(plan.satisfied_results) <= set(reached)
+    assert len(reached) >= problem.required_count
+    assert plan.total_cost == pytest.approx(problem.cost_of(plan.targets))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_greedy_identical_across_backends(seed):
-    circuit, treewalk = _both_backends(_workload(40, seed))
+    problem = _workload(40, seed)
     for options in (
         GreedyOptions(),
         GreedyOptions(two_phase=False, gain_scope="all"),
         GreedyOptions(recompute="full"),
     ):
-        _assert_identical(
-            solve_greedy(circuit, options), solve_greedy(treewalk, options)
+        _assert_identical_and_verified(
+            problem, lambda p: solve_greedy(p, options)
         )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_heuristic_identical_across_backends(seed):
-    circuit, treewalk = _both_backends(_workload(8, seed))
+    problem = _workload(8, seed)
     for options in (HeuristicOptions(), HeuristicOptions.naive()):
-        _assert_identical(
-            solve_heuristic(circuit, options),
-            solve_heuristic(treewalk, options),
+        _assert_identical_and_verified(
+            problem, lambda p: solve_heuristic(p, options)
         )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_dnc_identical_across_backends(seed):
-    circuit, treewalk = _both_backends(_workload(60, seed))
+    problem = _workload(60, seed)
     for options in (DncOptions(), DncOptions(allocation="paper")):
-        _assert_identical(
-            solve_dnc(circuit, options), solve_dnc(treewalk, options)
+        _assert_identical_and_verified(
+            problem, lambda p: solve_dnc(p, options)
         )
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_local_search_identical_across_backends(seed):
-    circuit, treewalk = _both_backends(_workload(30, seed))
+    problem = _workload(30, seed)
     options = LocalSearchOptions(seed=11, restarts=2, swap_attempts=50)
-    _assert_identical(
-        solve_local_search(circuit, options),
-        solve_local_search(treewalk, options),
+    _assert_identical_and_verified(
+        problem, lambda p: solve_local_search(p, options)
     )
 
 
 def test_search_state_probe_identical_across_backends():
-    from repro.increment.problem import SearchState
-
-    circuit, treewalk = _both_backends(_workload(25, 5))
-    state_c = SearchState(circuit)
-    state_t = SearchState(treewalk)
-    assert state_c.confidences == state_t.confidences
-    tid = next(iter(circuit.tuples))
-    indexes = list(circuit.results_by_tuple[tid])
-    target = min(1.0, state_c.value_of(tid) + circuit.delta)
-    assert state_c.probe(tid, target, indexes) == state_t.probe(
+    problem = _workload(25, 5)
+    state = SearchState(problem)
+    reference = SearchState(_on_reference(problem))
+    assert state.confidences == reference.confidences
+    tid = next(iter(problem.tuples))
+    indexes = list(problem.results_by_tuple[tid])
+    target = min(1.0, state.value_of(tid) + problem.delta)
+    assert state.probe(tid, target, indexes) == reference.probe(
         tid, target, indexes
     )
-    # Probes never commit on either engine.
-    assert state_c.confidences == state_t.confidences
-    state_c.set_value(tid, target)
-    state_t.set_value(tid, target)
-    assert state_c.confidences == state_t.confidences
-    assert state_c.cost == state_t.cost
+    # Probes never commit on either.
+    assert state.confidences == reference.confidences
+    state.set_value(tid, target)
+    reference.set_value(tid, target)
+    assert state.confidences == reference.confidences
+    assert state.cost == reference.cost
 
 
 class TestUnlimitedBudgetEquivalence:
@@ -193,32 +202,18 @@ class TestUnlimitedBudgetEquivalence:
         )
 
 
-def test_mixed_backends_disable_circuit_path():
-    base = _workload(10, 0)
-    pool = CircuitPool()
-    mixed = [
-        ConfidenceFunction(result.formula, result.label, pool=pool)
-        if index % 2 == 0
-        else ConfidenceFunction(result.formula, result.label, backend="treewalk")
-        for index, result in enumerate(base.results)
-    ]
-    problem = IncrementProblem(
-        mixed, base.tuples, base.threshold, base.required_count, base.delta
-    )
-    assert problem.circuits is None  # falls back to the treewalk path
-
-
-def test_distinct_pools_are_recompiled_into_one():
+def test_private_pools_solve_like_a_shared_pool():
+    """Results compiled into separate pools need no re-compilation: each
+    function sweeps its own circuit and the plan is the shared-pool one."""
     base = _workload(10, 1)
     results = [
         ConfidenceFunction(result.formula, result.label)  # private pools
         for result in base.results
     ]
+    assert len({id(result.circuit.pool) for result in results}) == len(results)
     problem = IncrementProblem(
         results, base.tuples, base.threshold, base.required_count, base.delta
     )
-    assert problem.circuits is not None
-    assert len({id(problem.pool)}) == 1
     plan = solve_greedy(problem)
     reference = solve_greedy(base)
     assert plan.targets == reference.targets
