@@ -13,10 +13,17 @@ authority for snapshot isolation:
 * writers serialize through :meth:`MVCCDatabase.commit`: the mutation
   runs against the live :class:`~repro.storage.database.Database` inside
   one durability batch, and a fresh generation is published on success.
-  Publication is copy-on-write per table — tables whose
-  :attr:`~repro.storage.table.Table.data_version` did not move are
-  shared with the previous generation, so a commit touching one table
-  copies one table;
+  Publication is copy-on-write per *row*: a table whose
+  :attr:`~repro.storage.table.Table.data_version` did not move is shared
+  with the previous generation as a whole; a table that moved gets a
+  new :class:`SnapshotTable` that shares every unchanged row object
+  with the previous one and copies only the rows the live table
+  recorded as touched (:meth:`~repro.storage.table.Table.drain_changes`),
+  so a commit costs O(rows it changed) plus a pointer-level list copy.
+  Whenever the recorded changes do not lead exactly from the previous
+  snapshot to now — first generation, a recreated table, a second
+  wrapper draining the same table, a bulk rewrite — the same constructor
+  copies the whole table instead;
 * readers never block writers (they hold no storage locks at all — a
   pinned generation is plain immutable data) and writers never block
   readers; generations are garbage-collected as soon as no snapshot pins
@@ -26,6 +33,7 @@ authority for snapshot isolation:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -55,29 +63,85 @@ class SnapshotTable:
     *copies* of the live :class:`StoredTuple` objects — confidence
     write-backs on the live table cannot leak into a pinned snapshot.
     Mutating methods raise :class:`~repro.errors.SnapshotWriteError`.
+
+    Given the *previous* snapshot of the same live table, only the rows
+    changed since then are copied: the previous row list, ordinal map and
+    (if built) column cache are shallow-copied — never patched in place,
+    a pinned generation must not move — and the copies are patched at the
+    changed ordinals.  Unchanged rows are the previous snapshot's own,
+    already immutable, objects.
     """
 
-    def __init__(self, source: Table) -> None:
+    def __init__(
+        self, source: Table, previous: "SnapshotTable | None" = None
+    ) -> None:
         self._name = source.name
         self._schema = source.schema
-        # One locked read of the live table: _sorted_rows() holds the
-        # table lock during any rebuild, so the row list is a consistent
-        # cut even while writers run.
-        self._rows_sorted = [
-            StoredTuple(
-                tid=row.tid,
-                values=row.values,
-                confidence=row.confidence,
-                cost_model=row.cost_model,
-            )
-            for row in source.scan()
-        ]
-        self._rows = {row.tid.ordinal: row for row in self._rows_sorted}
-        self.data_version = source.data_version
+        self._source = source
         self._column_cache: (
             tuple[tuple[list[Any], ...], list[TupleId]] | None
         ) = None
         self._column_lock = threading.Lock()
+        since = (
+            previous.data_version
+            if previous is not None and previous._source is source
+            else None
+        )
+        # One locked cut of the live table: version and row copies belong
+        # together even while writers run.
+        self.data_version, changed, complete = source.drain_changes(since)
+        if complete:
+            self._rows: dict[int, StoredTuple] = changed
+            self._rows_sorted = list(changed.values())
+            return
+        self._rows = dict(previous._rows)
+        self._rows_sorted = list(previous._rows_sorted)
+        cache = previous._column_cache
+        if cache is not None:
+            cache = (tuple(list(column) for column in cache[0]), list(cache[1]))
+            self._column_cache = cache
+        for ordinal in sorted(changed):
+            self._patch(ordinal, changed[ordinal], cache)
+
+    def _patch(
+        self,
+        ordinal: int,
+        row: StoredTuple | None,
+        cache: tuple[tuple[list[Any], ...], list[TupleId]] | None,
+    ) -> None:
+        """Replace, remove (*row* None) or add the row at *ordinal*."""
+        rows = self._rows_sorted
+        known = ordinal in self._rows
+        if row is None and not known:
+            return  # inserted and deleted again since the previous snapshot
+        if not rows or ordinal > rows[-1].tid.ordinal:
+            position = len(rows)  # the common insert: a fresh ordinal
+        else:
+            position = bisect_left(
+                rows, ordinal, key=lambda stored: stored.tid.ordinal
+            )
+        if row is None:
+            del self._rows[ordinal]
+            del rows[position]
+        else:
+            self._rows[ordinal] = row
+            if known:
+                rows[position] = row
+            else:
+                rows.insert(position, row)
+        if cache is not None:
+            columns, tids = cache
+            if row is None:
+                del tids[position]
+                for column in columns:
+                    del column[position]
+            elif known:
+                for column, value in zip(columns, row.values):
+                    column[position] = value
+            else:
+                tids.insert(position, row.tid)
+                for column, value in zip(columns, row.values):
+                    column.insert(position, value)
 
     # -- metadata (Table surface) ----------------------------------------
 
@@ -91,6 +155,17 @@ class SnapshotTable:
 
     def __len__(self) -> int:
         return len(self._rows_sorted)
+
+    def is_cut_of(self, table: Table) -> bool:
+        """True when this is still *table*'s current state.
+
+        Identity matters as much as the version: a table dropped and
+        recreated under the same name can reach the same version number.
+        """
+        return (
+            self._source is table
+            and self.data_version == table.data_version
+        )
 
     # -- reading ----------------------------------------------------------
 
@@ -462,15 +537,13 @@ class MVCCDatabase:
         tables: dict[str, SnapshotTable] = {}
         for table in self._db.tables():
             key = table.name.lower()
-            if previous is not None:
-                existing = previous.tables.get(key)
-                if (
-                    existing is not None
-                    and existing.data_version == table.data_version
-                ):
-                    tables[key] = existing  # copy-on-write: share unchanged
-                    continue
-            tables[key] = SnapshotTable(table)
+            existing = (
+                previous.tables.get(key) if previous is not None else None
+            )
+            if existing is not None and existing.is_cut_of(table):
+                tables[key] = existing  # copy-on-write: share unchanged
+            else:
+                tables[key] = SnapshotTable(table, existing)
         views = {
             name.lower(): self._db.view_definition(name)
             for name in self._db.view_names()

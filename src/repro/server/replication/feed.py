@@ -110,14 +110,17 @@ class ReplicationFeed:
                 )
                 if from_seq < self._base:
                     return None
+            # Seqs strictly increase, so walk back from the newest frame and
+            # stop at the puller's position: a caught-up replica costs O(1)
+            # under the lock the commit path's append needs, not a scan of
+            # the whole retained window.
             out: "list[tuple[int, bytes]]" = []
-            for seq, payload in self._frames:
-                if seq <= from_seq:
-                    continue
-                out.append((seq, payload))
-                if len(out) >= max_frames:
+            for frame in reversed(self._frames):
+                if frame[0] <= from_seq:
                     break
-            return out
+                out.append(frame)
+            out.reverse()
+            return out[:max_frames]
 
     def digests(
         self, from_seq: int, to_seq: int

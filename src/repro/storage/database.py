@@ -247,18 +247,13 @@ class Database:
                     f"confidence {value} invalid for {row.tid} "
                     f"(max {row.max_confidence})"
                 )
-        # Apply per table under its lock and invalidate its materialized
-        # views: data_version must move so snapshot publication (and any
-        # cache keyed on it) sees the write-back.
-        by_table: dict[str, list[tuple[StoredTuple, float]]] = {}
+        by_table: dict[str, list[tuple[int, float]]] = {}
         for row, value in rows:
-            by_table.setdefault(row.tid.table, []).append((row, value))
+            by_table.setdefault(row.tid.table, []).append(
+                (row.tid.ordinal, value)
+            )
         for table_name, group in by_table.items():
-            table = self.table(table_name)
-            with table._lock:
-                for row, value in group:
-                    row.set_confidence(value)
-                table._invalidate_caches()
+            self.table(table_name)._apply_confidences(group)
         if rows:
             self._journal(
                 {

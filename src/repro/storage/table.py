@@ -23,6 +23,15 @@ from .types import coerce_value
 __all__ = ["Table"]
 
 
+def _copy_row(row: StoredTuple) -> StoredTuple:
+    return StoredTuple(
+        tid=row.tid,
+        values=row.values,
+        confidence=row.confidence,
+        cost_model=row.cost_model,
+    )
+
+
 class Table:
     """A named heap of annotated tuples.
 
@@ -63,6 +72,20 @@ class Table:
         #: go stale, so engines can key derived caches off ``(table,
         #: data_version)`` without holding row references.
         self.data_version = 0
+        # Ordinals touched since data_version was ``_changed_since``; None
+        # means "every row".  :meth:`drain_changes` hands the set to MVCC
+        # publication and restarts it.  It collapses to None as soon as it
+        # covers more than half the table: patching a row into a snapshot
+        # costs about twice what copying it does (EXPERIMENTS.md E14), so
+        # past that point the full copy is the cheaper publication.  That
+        # also bounds the set by the table's own size with no consumer at
+        # all, and a bulk load never builds one.
+        self._changed: set[int] | None = set()
+        self._changed_since = 0
+        # ``_rows`` is kept in ordinal order (inserts append, deletes keep
+        # order), so a scan is its values; only a ``_force_insert`` below
+        # an existing ordinal breaks that, until the next scan re-sorts.
+        self._ordered = True
         # Serializes mutations against cache builds: without it, a writer
         # slipping between a cache build and its publication could leave a
         # stale columnar view installed *after* the data_version bump —
@@ -85,16 +108,56 @@ class Table:
 
     # -- cache maintenance ----------------------------------------------
 
-    def _invalidate_caches(self) -> None:
-        """Drop materialized read views after any mutation.
+    def _record_change(self, ordinals: Iterable[int] | None) -> None:
+        """Account for one mutation of rows *ordinals* (None = every row).
 
-        Confidence-only updates do not change values or ordering, but they
-        still bump :attr:`data_version` so engine-side caches keyed on it
-        (e.g. per-table lineage columns) cannot serve stale annotations.
+        Drops the materialized read views, bumps :attr:`data_version` and
+        remembers which rows moved.  Confidence-only updates do not change
+        values or ordering, but they still bump the version so engine-side
+        caches keyed on it (e.g. per-table lineage columns) cannot serve
+        stale annotations.  Callers hold the table lock.
         """
         self._scan_cache = None
         self._column_cache = None
         self.data_version += 1
+        changed = self._changed
+        if changed is not None:
+            if ordinals is not None:
+                changed.update(ordinals)
+            if ordinals is None or 2 * len(changed) > len(self._rows):
+                self._changed = None
+
+    def drain_changes(
+        self, since: int | None
+    ) -> tuple[int, dict[int, StoredTuple | None], bool]:
+        """Hand the rows changed since version *since* to a snapshot.
+
+        Returns ``(data_version, rows, complete)``.  *rows* maps ordinals
+        to fresh :class:`StoredTuple` copies (later writes to the live
+        rows cannot reach them); a deleted ordinal maps to ``None``.
+        When *complete* is true the tracked changes do not cover exactly
+        ``(since, data_version]`` — first cut, another consumer drained
+        in between, or too much changed — and *rows* is instead every
+        row, in scan order.  Either way tracking restarts at the returned
+        version, all under one hold of the table lock.
+        """
+        with self._lock:
+            changed = self._changed
+            complete = changed is None or since != self._changed_since
+            rows: dict[int, StoredTuple | None]
+            if complete:
+                rows = {
+                    row.tid.ordinal: _copy_row(row)
+                    for row in self._sorted_rows()
+                }
+            else:
+                rows = {}
+                for ordinal in changed:
+                    row = self._rows.get(ordinal)
+                    rows[ordinal] = None if row is None else _copy_row(row)
+            self._changed = set()
+            self._changed_since = self.data_version
+            return self.data_version, rows, complete
 
     # -- mutation --------------------------------------------------------
 
@@ -136,7 +199,7 @@ class Table:
             self._rows[tid.ordinal] = row
             for column_index, index in self._indexes.items():
                 index.add(coerced[column_index], tid)
-            self._invalidate_caches()
+            self._record_change((tid.ordinal,))
             if self._journal is not None:
                 self._journal(
                     {
@@ -169,7 +232,7 @@ class Table:
             del self._rows[tid.ordinal]
             for column_index, index in self._indexes.items():
                 index.remove(row.values[column_index], tid)
-            self._invalidate_caches()
+            self._record_change((tid.ordinal,))
             if self._journal is not None:
                 self._journal(
                     {"op": "delete", "table": self._name, "ordinal": tid.ordinal}
@@ -180,7 +243,7 @@ class Table:
         with self._lock:
             row = self._lookup(tid)
             row.set_confidence(confidence)
-            self._invalidate_caches()
+            self._record_change((tid.ordinal,))
             if self._journal is not None:
                 self._journal(
                     {
@@ -217,7 +280,7 @@ class Table:
                 index.remove(row.values[column_index], tid)
                 index.add(coerced[column_index], tid)
             row.values = coerced
-            self._invalidate_caches()
+            self._record_change((tid.ordinal,))
             if self._journal is not None:
                 self._journal(
                     {
@@ -265,9 +328,10 @@ class Table:
             # the lock — a stale view must never be installed.
             with self._lock:
                 version = self.data_version
-                cache = sorted(
-                    self._rows.values(), key=lambda row: row.tid.ordinal
-                )
+                if not self._ordered:
+                    self._rows = dict(sorted(self._rows.items()))
+                    self._ordered = True
+                cache = list(self._rows.values())
                 if self.data_version == version:
                     self._scan_cache = cache
         return cache
@@ -356,18 +420,16 @@ class Table:
             )
         if row.tid.ordinal in self._rows:
             raise StorageError(f"tuple {row.tid} already exists")
-        copy = StoredTuple(
-            tid=row.tid,
-            values=row.values,
-            confidence=row.confidence,
-            cost_model=row.cost_model,
-        )
+        copy = _copy_row(row)
+        ordinal = copy.tid.ordinal
         with self._lock:
-            self._rows[copy.tid.ordinal] = copy
-            self._next_ordinal = max(self._next_ordinal, copy.tid.ordinal + 1)
+            if ordinal < self._next_ordinal:
+                self._ordered = False  # may sit below an existing ordinal
+            self._rows[ordinal] = copy
+            self._next_ordinal = max(self._next_ordinal, ordinal + 1)
             for column_index, index in self._indexes.items():
                 index.add(copy.values[column_index], copy.tid)
-            self._invalidate_caches()
+            self._record_change((ordinal,))
 
     # -- bulk helpers ----------------------------------------------------
 
@@ -380,9 +442,13 @@ class Table:
         Used by :mod:`repro.trust` to seed confidences from provenance.
         """
         with self._lock:
-            for row in self._rows.values():
-                row.set_confidence(assigner(row))
-            self._invalidate_caches()
+            try:
+                for row in self._rows.values():
+                    row.set_confidence(assigner(row))
+            finally:
+                # Also when *assigner* raised half-way: the rows before it
+                # did change, and the next snapshot must see them.
+                self._record_change(None)
             if self._journal is not None:
                 self._journal(
                     {
@@ -393,6 +459,22 @@ class Table:
                         ],
                     }
                 )
+
+    def _apply_confidences(self, updates: Iterable[tuple[int, float]]) -> None:
+        """Set the confidence of many rows, as ``(ordinal, value)`` pairs.
+
+        One lock hold and one version bump for the whole group.  Like
+        :meth:`_force_insert` it neither validates targets nor journals:
+        :meth:`~repro.storage.Database.apply_confidences` checks every
+        update before the first is applied and writes ONE record for the
+        whole strategy.
+        """
+        with self._lock:
+            ordinals = []
+            for ordinal, value in updates:
+                self._rows[ordinal].set_confidence(value)
+                ordinals.append(ordinal)
+            self._record_change(ordinals)
 
     def _lookup(self, tid: TupleId) -> StoredTuple:
         if tid.table != self._name or tid.ordinal not in self._rows:

@@ -43,6 +43,19 @@ class TestReplicationFeed:
         _fill(feed, 3)
         assert feed.frames_since(3, max_frames=10) == []
 
+    def test_full_window_caught_up_and_lagging_pullers(self):
+        feed = ReplicationFeed(capacity=64)
+        _fill(feed, 200)  # wrapped several times: window is (136, 200]
+        assert len(feed) == 64 and feed.base == 136
+        assert feed.frames_since(200, max_frames=256) == []
+        assert [s for s, _ in feed.frames_since(199, max_frames=256)] == [200]
+        assert [s for s, _ in feed.frames_since(136, max_frames=3)] == [
+            137,
+            138,
+            139,
+        ]
+        assert len(feed.frames_since(136, max_frames=256)) == 64
+
     def test_eviction_below_window_forces_resync(self):
         feed = ReplicationFeed(capacity=3)
         _fill(feed, 10)  # window is now (7, 10]

@@ -186,3 +186,66 @@ class TestReadOnlyViews:
             mvcc.commit(bad)
         assert mvcc.current_seq == seq
         assert mvcc.generation_seqs() == [seq]
+
+
+class TestDeltaPublication:
+    def test_one_row_commit_copies_one_row(self):
+        db = _db()
+        mvcc = MVCCDatabase(db)
+        first = mvcc.snapshot()
+        first.db.table("t").column_data()  # built: the next one carries it
+        mvcc.commit(lambda d: d.table("t").set_confidence(TupleId("t", 2), 0.8))
+        second = mvcc.snapshot()
+        old, new = list(first.db.table("t")), list(second.db.table("t"))
+        assert [a is b for a, b in zip(old, new)] == [
+            True, True, False, True, True,
+        ]
+        assert new[2].confidence == 0.8 and old[2].confidence == 0.5
+        assert new[2] is not db.table("t").get(TupleId("t", 2))
+        assert second.db.table("t").column_data() == (
+            db.table("t").column_data()
+        )
+        first.release()
+        second.release()
+
+    def test_recreated_table_with_equal_version_is_resnapshotted(self):
+        # Drop + recreate under the same name with the same number of
+        # mutations (what Replica._resync does): the version number is
+        # equal again, the table is not.
+        mvcc = MVCCDatabase(_db())
+        assert mvcc.snapshot().db.table("u").rows() == [(1,)]
+
+        def recreate(db):
+            db.drop_table("u")
+            db.create_table("u", Schema.of(("x", TEXT), ("y", TEXT))).insert(
+                ["a", "b"]
+            )
+
+        mvcc.commit(recreate)
+        fresh = mvcc.snapshot().db.table("u")
+        assert fresh.rows() == [("a", "b")]
+        assert [column.name for column in fresh.schema] == ["x", "y"]
+
+    def test_second_wrapper_over_one_database_never_serves_stale_rows(self):
+        db = _db()
+        one, two = MVCCDatabase(db), MVCCDatabase(db)
+        one.commit(lambda d: d.table("t").insert([5, "five", 5.0]))
+        two.commit(lambda d: d.table("t").insert([6, "six", 6.0]))
+        one.commit(lambda d: d.table("t").delete(TupleId("t", 0)))
+        for mvcc in (one, two):
+            mvcc.commit(lambda d: None)
+            assert mvcc.snapshot().db.table("t").rows() == db.table("t").rows()
+
+    def test_failed_commit_leftovers_are_published_by_the_next(self):
+        db = _db()
+        mvcc = MVCCDatabase(db)
+
+        def half(d):
+            d.table("t").insert([5, "five", 5.0])
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            mvcc.commit(half)
+        assert len(mvcc.snapshot().db.table("t")) == 5
+        mvcc.commit(lambda d: d.table("u").insert([2]))
+        assert mvcc.snapshot().db.table("t").rows() == db.table("t").rows()

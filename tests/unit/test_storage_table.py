@@ -161,3 +161,76 @@ class TestTableIndex:
 
     def test_index_on_unknown_column_returns_none(self, table):
         assert table.index_on("missing") is None
+
+
+class TestChangeTracking:
+    def test_drain_reports_touched_rows_as_copies(self, table):
+        ids = table.insert_many([[c, 1.0] for c in "abcdefghijkl"], 0.5)
+        version, rows, complete = table.drain_changes(None)
+        assert complete and list(rows) == list(range(12))  # first cut: all
+        table.set_confidence(ids[0], 0.9)
+        table.update(ids[1], ["b2", 2.5])
+        table.delete(ids[2])
+        gone = table.insert(["d", 4.0])
+        table.delete(gone)
+        latest, rows, complete = table.drain_changes(version)
+        assert not complete and latest == table.data_version
+        assert rows[2] is None and rows[gone.ordinal] is None
+        assert rows[0].confidence == 0.9 and rows[0] is not table.get(ids[0])
+        assert rows[1].values == ("b2", 2.5)
+        assert table.drain_changes(latest) == (latest, {}, False)
+
+    def test_drain_from_another_version_is_complete(self, table):
+        table.insert_many([[c, 1.0] for c in "abcd"])
+        version, _, _ = table.drain_changes(None)
+        table.insert(["e", 2.0])
+        assert not table.drain_changes(version)[2]  # someone else's delta
+        table.insert(["f", 3.0])
+        _, rows, complete = table.drain_changes(version)
+        assert complete and [row.values[0] for row in rows.values()] == list(
+            "abcdef"
+        )
+
+    def test_assign_confidences_changes_everything_even_when_it_raises(
+        self, table
+    ):
+        table.insert_many([["a", 1.0], ["b", 2.0]], confidence=0.5)
+        version, _, _ = table.drain_changes(None)
+        table.assign_confidences(lambda row: 0.25)
+        version, rows, complete = table.drain_changes(version)
+        assert complete and {row.confidence for row in rows.values()} == {0.25}
+
+        def second_row_fails(row):
+            if row.values[0] == "b":
+                raise ValueError("no provenance")
+            return 0.75
+
+        with pytest.raises(ValueError):
+            table.assign_confidences(second_row_fails)
+        assert table.data_version > version  # a snapshot must not share
+        _, rows, complete = table.drain_changes(version)
+        assert complete and [row.confidence for row in rows.values()] == [
+            0.75, 0.25,
+        ]
+
+    def test_change_set_is_bounded_by_the_table_with_no_consumer(self, table):
+        table.insert_many([[str(i), float(i)] for i in range(8)])
+        version, _, _ = table.drain_changes(None)  # tracking starts here
+        most = 0
+        for i in range(1000):
+            table.delete(table.insert(["churn", float(i)]))
+            most = max(most, len(table._changed or ()))
+        assert 0 < most <= len(table)  # never more entries than rows
+        assert table._changed is None  # collapsed to "everything"
+        _, rows, complete = table.drain_changes(version)
+        assert complete and len(rows) == 8
+
+    def test_out_of_order_force_insert_is_scanned_in_ordinal_order(self, table):
+        for ordinal in (5, 2, 9):
+            table._force_insert(
+                StoredTuple(TupleId("t", ordinal), (str(ordinal), 1.0))
+            )
+        assert [row.tid.ordinal for row in table.scan()] == [2, 5, 9]
+        table.insert(["next", 1.0])
+        assert [row.tid.ordinal for row in table.scan()] == [2, 5, 9, 10]
+        assert [tid.ordinal for tid in table.column_data()[1]] == [2, 5, 9, 10]
