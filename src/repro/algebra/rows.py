@@ -102,11 +102,17 @@ class ResultSet:
             self._pool = pool
         return self._circuits
 
-    def circuit_stats(self) -> dict[str, float]:
-        """Sharing statistics of the result set's circuit pool."""
+    @property
+    def circuit_pool(self) -> CircuitPool:
+        """The pool every row's lineage is compiled into (on first use);
+        compiling a row's lineage into it again is a memo hit."""
         self.compiled_circuits()
         assert self._pool is not None
-        return self._pool.stats()
+        return self._pool
+
+    def circuit_stats(self) -> dict[str, float]:
+        """Sharing statistics of the result set's circuit pool."""
+        return self.circuit_pool.stats()
 
     def confidences(self, source: "Database | Mapping[TupleId, float]") -> list[float]:
         """Per-row confidence, from a database or an explicit probability map.

@@ -55,6 +55,7 @@ from ..increment import (
     solve_heuristic,
 )
 from ..increment.improvement import ImprovementReceipt, ImprovementService
+from ..lineage.circuit import CircuitPool
 from ..policy import FilterOutcome, PolicyEvaluator, PolicyStore
 from ..sql import run_sql
 from ..storage.database import Database
@@ -374,6 +375,7 @@ class PCQEngine:
                         outcome,
                         threshold,
                         shortfall,
+                        result.circuit_pool,
                         deadline_ms=request.deadline_ms,
                         span=span,
                     )
@@ -583,8 +585,6 @@ class PCQEngine:
     def _execute_many(
         self, requests: "list[QueryRequest]", user: str
     ) -> "BatchResult":
-        from ..increment.problem import _has_negation
-
         evaluations = []
         group_specs: list[tuple[list, int]] = []
         liftable_rows: list = []
@@ -602,7 +602,7 @@ class PCQEngine:
                 )
             members = []
             for row, _confidence in outcome.withheld:
-                if _has_negation(row.lineage):
+                if not row.lineage.monotone:
                     continue
                 members.append(len(liftable_rows))
                 liftable_rows.append((row, threshold))
@@ -706,6 +706,7 @@ class PCQEngine:
         outcome: FilterOutcome,
         threshold: float,
         shortfall: int,
+        pool: CircuitPool,
         deadline_ms: float | None = None,
         span: "object | None" = None,
     ) -> IncrementPlan:
@@ -713,10 +714,10 @@ class PCQEngine:
 
         Rows with negated lineage (e.g. from EXCEPT) cannot be lifted by
         raising base confidences and are excluded; if the shortfall exceeds
-        the liftable rows, the request is infeasible.
+        the liftable rows, the request is infeasible.  *pool* is the result
+        set's circuit pool: the withheld rows were compiled into it when
+        the policy was enforced, so the problem reuses those circuits.
         """
-        from ..increment.problem import _has_negation  # shared predicate
-
         if threshold >= 1.0:
             # Policies release rows strictly above the threshold, so a
             # threshold of 1.0 admits nothing no matter how much is spent.
@@ -726,7 +727,7 @@ class PCQEngine:
         liftable = [
             row
             for row, _confidence in outcome.withheld
-            if not _has_negation(row.lineage)
+            if row.lineage.monotone
         ]
         if shortfall > len(liftable):
             raise InfeasibleIncrementError(
@@ -743,6 +744,7 @@ class PCQEngine:
             threshold=strict_threshold,
             required_count=shortfall,
             delta=self.delta,
+            pool=pool,
         )
         problem.check_feasible()
         return self._solve(problem, deadline_ms, span)

@@ -120,7 +120,7 @@ def solve_dnc(
                 )
             combined = _solve_groups(problem, groups, options, stats, budget)
             for tid, target in combined.items():
-                state.set_value(tid, target)
+                state.set_value(problem.slot_of[tid], target)
             _top_up(problem, state, options, stats, budget)
             if options.refine:
                 _refine(problem, state, stats, budget)
@@ -236,15 +236,15 @@ def _refine(
     while True:
         if budget is not None and not budget.check():
             return  # the combined state is feasible; stop refining
-        changed = state.snapshot_targets()
+        changed = state.changed_slots()
         if not changed:
             return
         before = stats.phase2_reductions
         # Gains over *all* results: at a satisfied state the unsatisfied
         # scope would be identically zero and give a degenerate order.
         gains = {
-            tid: _step_gain(problem, state, tid, "all", stats)
-            for tid in changed
+            slot: _step_gain(problem, state, slot, "all", stats)
+            for slot in changed
         }
         _phase_two(problem, state, gains, stats, budget)
         if stats.phase2_reductions == before:

@@ -25,10 +25,10 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import IncrementError, InfeasibleIncrementError
 from ..obs import get_metrics, solver_run
-from ..storage.tuples import TupleId
 from .problem import (
     IncrementPlan,
     IncrementProblem,
@@ -132,36 +132,33 @@ def solve_greedy(
 def _step_gain(
     problem: IncrementProblem,
     state: SearchState,
-    tid: TupleId,
+    slot: int,
     scope: str,
     stats: SolverStats,
 ) -> float:
-    """gain* of one δ-step on *tid* at the current state.
+    """gain* of one δ-step on *slot* at the current state.
 
     Returns ``-inf`` when the tuple is already at its maximum.  A zero-cost
     step with positive ΔF scores ``+inf`` (always worth taking); zero ΔF
     scores 0 regardless of cost.
     """
-    tuple_state = problem.tuples[tid]
-    current = state.value_of(tid)
-    if current >= tuple_state.maximum - _EPS:
+    step = problem.step_up(slot, state.values[slot])
+    if step is None:
         return -math.inf
-    target = min(current + problem.delta, tuple_state.maximum)
-    step_cost = tuple_state.cost_to(target) - tuple_state.cost_to(current)
+    target, step_cost = step
     stats.gain_evaluations += 1
 
     # One what-if probe answers every affected result at once, through
     # the per-function caches (re-probing an unchanged move is a hit).
-    indexes = [
-        index
-        for index in problem.results_by_tuple[tid]
-        if scope == "all" or state.result_needed(index)
-    ]
+    indexes = problem.results_by_slot[slot]
+    if scope != "all":
+        indexes = [index for index in indexes if state.result_needed(index)]
+    confidences = state.confidences
     delta_f = 0.0
     for index, new_confidence in zip(
-        indexes, state.probe(tid, target, indexes)
+        indexes, state.probe(slot, target, indexes)
     ):
-        delta_f += new_confidence - state.confidences[index]
+        delta_f += new_confidence - confidences[index]
     if delta_f <= _EPS:
         return 0.0
     if step_cost <= _EPS:
@@ -175,53 +172,57 @@ def _phase_one(
     options: GreedyOptions,
     stats: SolverStats,
     budget: Budget | None = None,
-) -> dict[TupleId, float]:
+) -> dict[int, float]:
     """Raise confidences greedily until the requirement holds.
 
-    Returns each increased tuple's latest gain* (phase-2 ordering).
+    Returns each increased slot's latest gain* (phase-2 ordering).
     """
-    if options.recompute == "full":
-        return _phase_one_full(problem, state, options, stats, budget)
-    # tuple -> tuples sharing at least one result (gain invalidation set)
-    neighbours: dict[TupleId, set[TupleId]] = {tid: set() for tid in problem.tuples}
-    for result in problem.results:
-        for tid in result.variables:
-            neighbours[tid].update(result.variables)
+    # slot -> slots sharing at least one result (gain invalidation set)
+    neighbours: list[set[int]] = [set() for _ in problem.tids]
+    for slots in problem.result_slots:
+        for slot in slots:
+            neighbours[slot].update(slots)
 
     # Max-heap with lazy invalidation: each entry carries a stamp; stale
     # entries (stamp mismatch) are discarded on pop.  This keeps each
-    # iteration O(log k + |neighbourhood|) instead of O(k).
-    gains: dict[TupleId, float] = {}
-    stamps: dict[TupleId, int] = {}
-    heap: list[tuple[float, TupleId, int]] = []
+    # iteration O(log k + |neighbourhood|) instead of O(k).  Ties on gain
+    # break by slot, i.e. by sorted tuple id.
+    stamps = [0] * len(neighbours)
+    heap: list[tuple[float, int, int]] = []
 
-    def refresh(tid: TupleId) -> None:
-        if budget is not None:
-            budget.charge_probe()
-        gain = _step_gain(problem, state, tid, options.gain_scope, stats)
-        gains[tid] = gain
-        stamps[tid] = stamps.get(tid, 0) + 1
-        if gain > 0.0:
-            heapq.heappush(heap, (-gain, tid, stamps[tid]))
+    def refresh(slots: Iterable[int]) -> None:
+        for slot in slots:
+            if budget is not None:
+                budget.charge_probe()
+            gain = _step_gain(problem, state, slot, options.gain_scope, stats)
+            stamps[slot] += 1
+            if gain > 0.0:
+                heapq.heappush(heap, (-gain, slot, stamps[slot]))
 
-    for tid in problem.tuples:
-        refresh(tid)
-    last_gain: dict[TupleId, float] = {}
-
-    while not state.is_satisfied():
+    # The paper's loop ("full") recomputes every gain at each step, after
+    # the step's budget charge; ours only what the last pick made stale.
+    full = options.recompute == "full"
+    last_gain: dict[int, float] = {}
+    stale: Iterable[int] = range(len(neighbours))
+    while True:
+        if not full:
+            refresh(stale)
+        if state.is_satisfied():
+            return last_gain
         if budget is not None and not budget.charge():
             # Phase 1 only terminates feasible; mid-loop there is no
             # incumbent to fall back on.
             raise budget_exceeded("greedy", problem, state, stats)
-        pick: TupleId | None = None
-        best = 0.0
+        if full:
+            heap.clear()
+            refresh(range(len(neighbours)))
+        pick: int | None = None
         while heap:
-            negated, tid, stamp = heapq.heappop(heap)
-            if stamps.get(tid) != stamp:
-                continue  # stale entry
-            pick, best = tid, -negated
-            break
-        if pick is None or best <= 0.0:
+            negated, slot, stamp = heapq.heappop(heap)
+            if stamps[slot] == stamp:  # else a stale entry
+                pick = slot
+                break
+        if pick is None:
             # No single δ-step improves any unsatisfied result — cannot
             # happen for feasible monotone problems, but guard against
             # pathological cost models (all remaining tuples capped).
@@ -233,89 +234,33 @@ def _phase_one(
                 "greedy search stalled: no confidence step improves any "
                 "unsatisfied result"
             )
-        tuple_state = problem.tuples[pick]
-        current = state.value_of(pick)
-        target = min(current + problem.delta, tuple_state.maximum)
-        state.commit(pick, target)
-        last_gain[pick] = best
-        for tid in neighbours[pick]:
-            refresh(tid)
-    return last_gain
-
-
-def _phase_one_full(
-    problem: IncrementProblem,
-    state: SearchState,
-    options: GreedyOptions,
-    stats: SolverStats,
-    budget: Budget | None = None,
-) -> dict[TupleId, float]:
-    """Paper-faithful phase 1: recompute every tuple's gain each step."""
-    last_gain: dict[TupleId, float] = {}
-    tuple_ids = list(problem.tuples)
-    while not state.is_satisfied():
-        if budget is not None and not budget.charge():
-            raise budget_exceeded("greedy", problem, state, stats)
-        pick: TupleId | None = None
-        best = 0.0
-        for tid in tuple_ids:
-            if budget is not None:
-                budget.charge_probe()
-            gain = _step_gain(problem, state, tid, options.gain_scope, stats)
-            if gain > best or (gain == best and pick is None):
-                pick, best = tid, gain
-        if pick is None or best <= 0.0:
-            logger.warning(
-                "greedy search stalled with %d unmet requirement group(s)",
-                state.unmet_groups,
-            )
-            raise InfeasibleIncrementError(
-                "greedy search stalled: no confidence step improves any "
-                "unsatisfied result"
-            )
-        tuple_state = problem.tuples[pick]
-        target = min(state.value_of(pick) + problem.delta, tuple_state.maximum)
-        state.commit(pick, target)
-        last_gain[pick] = best
-    return last_gain
-
-
-def _previous_level(problem: IncrementProblem, tid: TupleId, value: float) -> float:
-    """The largest grid level strictly below *value*.
-
-    Walk-back must stay on the δ-lattice ``{p, p+δ, …, max}``: stepping
-    ``value − δ`` down from a clamped maximum would land between grid
-    points, producing assignments outside the space the exact solver
-    searches (and breaking its optimality guarantee relative to greedy).
-    """
-    levels = problem.tuples[tid].levels(problem.delta)
-    below = [level for level in levels if level < value - _EPS]
-    return below[-1] if below else levels[0]
+        state.commit(pick, problem.step_up(pick, state.values[pick])[0])
+        last_gain[pick] = -negated
+        stale = neighbours[pick]
 
 
 def _phase_two(
     problem: IncrementProblem,
     state: SearchState,
-    last_gain: dict[TupleId, float],
+    last_gain: dict[int, float],
     stats: SolverStats,
     budget: Budget | None = None,
 ) -> None:
-    """Walk back unnecessary increments, cheapest-gain tuples first.
+    """Walk back unnecessary increments, cheapest-gain slots first.
 
     The state entering phase 2 is feasible and every move keeps it so; on
     budget exhaustion refinement simply stops (anytime behavior — the
     caller returns the current feasible assignment).
     """
-    order = sorted(last_gain, key=lambda tid: (last_gain[tid], tid))
-    for tid in order:
+    values = state.values
+    for slot in sorted(last_gain, key=lambda slot: (last_gain[slot], slot)):
         if budget is not None and not budget.charge():
             return
-        initial = problem.tuples[tid].initial
-        while state.value_of(tid) > initial + _EPS and state.is_satisfied():
-            current = state.value_of(tid)
-            lowered = _previous_level(problem, tid, current)
-            undo = state.set_value(tid, lowered)
+        initial = problem.initial[slot]
+        while values[slot] > initial + _EPS and state.is_satisfied():
+            current = values[slot]
+            undo = state.set_value(slot, problem.previous_level(slot, current))
             if not state.is_satisfied():
-                state.undo(tid, current, undo)
+                state.undo(slot, current, undo)
                 break
             stats.phase2_reductions += 1

@@ -103,7 +103,7 @@ def cost_beta(problem: IncrementProblem, tid: TupleId) -> float:
     assignment = problem.initial_assignment()
     best = math.inf
     f_max = 0.0
-    for index in problem.results_by_tuple[tid]:
+    for index in problem.results_by_slot[problem.slot_of[tid]]:
         result = problem.results[index]
         for value in state.levels(problem.delta):
             assignment[tid] = value
@@ -177,26 +177,24 @@ def _solve(
         return IncrementPlan({}, 0.0, state.satisfied_indexes(), "heuristic", stats)
     problem.check_feasible()
 
-    order = list(problem.tuples)
+    order = list(range(len(problem.tids)))
     if options.use_h1:
-        scores = {tid: cost_beta(problem, tid) for tid in order}
-        order.sort(key=lambda tid: (-scores[tid], tid))
+        scores = [cost_beta(problem, tid) for tid in problem.tids]
+        order.sort(key=lambda slot: (-scores[slot], slot))
         stats.h1_applied += 1
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "H1 ordering applied over %d tuples (costβ range %.4g..%.4g)",
                 len(order),
-                min(scores.values(), default=0.0),
-                max(scores.values(), default=0.0),
+                min(scores, default=0.0),
+                max(scores, default=0.0),
             )
 
-    levels = {tid: problem.tuples[tid].levels(problem.delta) for tid in order}
     # H4: cheapest single δ-step from initial among tuples at position ≥ j.
+    states = list(problem.tuples.values())
     step_costs = [
-        problem.tuples[tid].cost_model.marginal_cost(
-            problem.tuples[tid].initial, problem.delta
-        )
-        for tid in order
+        states[slot].cost_model.marginal_cost(states[slot].initial, problem.delta)
+        for slot in order
     ]
     suffix_min_step = [math.inf] * (len(order) + 1)
     for position in range(len(order) - 1, -1, -1):
@@ -227,32 +225,32 @@ def _solve(
     potential_state: SearchState | None = None
     if options.use_h3:
         potential_state = SearchState(problem)
-        for tid in order:
-            potential_state.commit(tid, problem.tuples[tid].maximum)
+        for slot in order:
+            potential_state.commit(slot, problem.maximum[slot])
 
     def descend(position: int) -> None:
         nonlocal best_cost, best_targets, best_satisfied
         if budget.exhausted or position == len(order):
             return
-        tid = order[position]
-        affected = problem.results_by_tuple[tid]
-        for value_index, value in enumerate(levels[tid]):
+        slot = order[position]
+        affected = problem.results_by_slot[slot]
+        for value_index, value in enumerate(problem.levels_of(slot)):
             if value_index > 0 and options.use_h2:
                 if all(state.satisfied_flags[index] for index in affected):
                     stats.nodes_pruned_h2 += 1
                     break
-            old_value = state.value_of(tid)
-            undo = state.set_value(tid, value)
+            old_value = state.values[slot]
+            undo = state.set_value(slot, value)
             potential_old = 0.0
             potential_undo: UndoToken = []
             if potential_state is not None:
-                potential_old = potential_state.value_of(tid)
-                potential_undo = potential_state.set_value(tid, value)
+                potential_old = potential_state.values[slot]
+                potential_undo = potential_state.set_value(slot, value)
 
             def unwind() -> None:
                 if potential_state is not None:
-                    potential_state.undo(tid, potential_old, potential_undo)
-                state.undo(tid, old_value, undo)
+                    potential_state.undo(slot, potential_old, potential_undo)
+                state.undo(slot, old_value, undo)
 
             if not budget.charge():
                 unwind()

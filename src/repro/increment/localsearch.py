@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from ..errors import IncrementError
 from ..obs import get_metrics, solver_run
-from ..storage.tuples import TupleId
-from .greedy import GreedyOptions, _phase_two, _previous_level, _step_gain, solve_greedy
+from .greedy import GreedyOptions, _phase_two, _step_gain, solve_greedy
 from .problem import (
     IncrementPlan,
     IncrementProblem,
@@ -100,7 +99,7 @@ def solve_local_search(
 
         state = SearchState(problem)
         for tid, target in seed_plan.targets.items():
-            state.set_value(tid, target)
+            state.set_value(problem.slot_of[tid], target)
         if not state.is_satisfied():
             raise IncrementError(
                 "local search requires a feasible initial plan"
@@ -141,14 +140,6 @@ def solve_local_search(
         )
 
 
-def _changed_tuples(problem: IncrementProblem, state: SearchState) -> list[TupleId]:
-    return [
-        tid
-        for tid, value in state.assignment.items()
-        if value > problem.tuples[tid].initial + _EPS
-    ]
-
-
 def _descend(
     problem: IncrementProblem,
     state: SearchState,
@@ -164,12 +155,12 @@ def _descend(
         if budget is not None and not budget.charge():
             return
         # Single-tuple lowering sweep (phase-2 style, ascending gain).
-        changed = _changed_tuples(problem, state)
+        changed = state.changed_slots()
         if changed:
             before = stats.phase2_reductions
             gains = {
-                tid: _step_gain(problem, state, tid, "all", stats)
-                for tid in changed
+                slot: _step_gain(problem, state, slot, "all", stats)
+                for slot in changed
             }
             _phase_two(problem, state, gains, stats, budget)
             if stats.phase2_reductions > before:
@@ -187,41 +178,38 @@ def _try_swap(
     problem: IncrementProblem, state: SearchState, rng: random.Random
 ) -> bool:
     """One raise-B / lower-A move; True if it reduced cost feasibly."""
-    changed = _changed_tuples(problem, state)
+    changed = state.changed_slots()
     if not changed:
         return False
-    lower_tid = rng.choice(changed)
-    candidates = [tid for tid in problem.tuples if tid != lower_tid]
+    values = state.values
+    lower = rng.choice(changed)
+    candidates = [slot for slot in range(len(values)) if slot != lower]
     if not candidates:
         return False
-    raise_tid = rng.choice(candidates)
-    raise_state = problem.tuples[raise_tid]
-    current_raise = state.value_of(raise_tid)
-    if current_raise >= raise_state.maximum - _EPS:
+    raised = rng.choice(candidates)
+    raise_old = values[raised]
+    step = problem.step_up(raised, raise_old)
+    if step is None:
         return False
 
     cost_before = state.cost
-    raise_old = state.value_of(raise_tid)
-    raise_undo = state.set_value(
-        raise_tid, min(raise_old + problem.delta, raise_state.maximum)
-    )
+    raise_undo = state.set_value(raised, step[0])
     # Lower the chosen tuple as far as feasibility allows.
-    lower_old = state.value_of(lower_tid)
-    initial = problem.tuples[lower_tid].initial
+    lower_old = values[lower]
+    initial = problem.initial[lower]
     lowered_any = False
-    while state.value_of(lower_tid) > initial + _EPS:
-        current = state.value_of(lower_tid)
-        lowered = _previous_level(problem, lower_tid, current)
-        undo = state.set_value(lower_tid, lowered)
+    while values[lower] > initial + _EPS:
+        current = values[lower]
+        undo = state.set_value(lower, problem.previous_level(lower, current))
         if not state.is_satisfied():
-            state.undo(lower_tid, current, undo)
+            state.undo(lower, current, undo)
             break
         lowered_any = True
     if lowered_any and state.is_satisfied() and state.cost < cost_before - _EPS:
         return True
     # Net loss (or infeasible): roll everything back.
-    state.set_value(lower_tid, lower_old)
-    state.undo(raise_tid, raise_old, raise_undo)
+    state.set_value(lower, lower_old)
+    state.undo(raised, raise_old, raise_undo)
     return False
 
 
@@ -232,12 +220,9 @@ def _perturb(
     options: LocalSearchOptions,
 ) -> None:
     """Random kick: bump a few tuples one level (keeps feasibility)."""
-    tuple_ids = list(problem.tuples)
+    slots = range(len(state.values))
     for _ in range(options.perturbation_size):
-        tid = rng.choice(tuple_ids)
-        tuple_state = problem.tuples[tid]
-        current = state.value_of(tid)
-        if current < tuple_state.maximum - _EPS:
-            state.set_value(
-                tid, min(current + problem.delta, tuple_state.maximum)
-            )
+        slot = rng.choice(slots)
+        step = problem.step_up(slot, state.values[slot])
+        if step is not None:
+            state.set_value(slot, step[0])

@@ -66,7 +66,7 @@ def partition_results(
     # Build inter-result edge weights from shared base tuples: every base
     # tuple contributes 1 to each pair of results it feeds.
     weights: dict[tuple[int, int], float] = {}
-    for indexes in problem.results_by_tuple.values():
+    for indexes in problem.results_by_slot:
         for position, a in enumerate(indexes):
             for b in indexes[position + 1 :]:
                 key = (a, b) if a < b else (b, a)
@@ -85,8 +85,8 @@ def partition_results(
     for (a, b), weight in weights.items():
         adjacency[a][b] = weight
         adjacency[b][a] = weight
-    group_tuples: dict[int, set] = {
-        index: set(problem.results[index].variables) for index in range(count)
+    group_tuples: dict[int, set[int]] = {
+        index: set(slots) for index, slots in enumerate(problem.result_slots)
     }
 
     heap: list[tuple[float, int, int]] = [

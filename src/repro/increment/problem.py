@@ -17,19 +17,28 @@ The problem is NP-hard (nonlinear constrained optimization).
 all four solvers; :class:`SearchState` is the mutable assignment they
 explore it through, with confidences, satisfied counts and cost kept
 current move by move.
+
+Inside this layer a base tuple is a **slot**: the problem numbers its
+tuples ``0…k-1`` in sorted-:class:`TupleId` order (ties between tuples break
+as before), the state's assignment is a positional list, and each tuple's
+reached values are priced once.  ``TupleId`` stays at the boundary:
+:attr:`IncrementProblem.tuples` in, :attr:`IncrementPlan.targets` out.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..cost import CostModel
 from ..errors import IncrementError, InfeasibleIncrementError
 from ..lineage.circuit import CircuitPool
 from ..lineage.confidence import ConfidenceFunction
-from ..lineage.formula import And, Lineage, Not, Or
+from ..lineage.formula import Lineage
+from ..lineage.probability import pick
 from ..storage.tuples import TupleId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,12 +61,12 @@ _EPS = 1e-9
 UndoToken = list[tuple[int, float]]
 
 
-def _has_negation(formula: Lineage) -> bool:
-    if isinstance(formula, Not):
-        return True
-    if isinstance(formula, (And, Or)):
-        return any(_has_negation(child) for child in formula.children)
-    return False
+def _key_getter(slots: tuple[int, ...]):
+    """``values -> tuple(values[slot] for slot in slots)`` (``itemgetter``
+    alone would return a bare item for a single index)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda values: tuple(values[slot] for slot in slots)
 
 
 @dataclass(frozen=True)
@@ -87,13 +96,14 @@ class BaseTupleState:
         """
         if delta <= 0:
             raise IncrementError(f"delta must be positive, got {delta}")
+        maximum = self.maximum
         values = [self.initial]
         current = self.initial
-        while current + delta < self.maximum - _EPS:
-            current = min(round(current + delta, 12), self.maximum)
+        while current + delta < maximum - _EPS:
+            current = min(round(current + delta, 12), maximum)
             values.append(current)
-        if self.maximum > values[-1] + _EPS:
-            values.append(self.maximum)
+        if maximum > values[-1] + _EPS:
+            values.append(maximum)
         return values
 
 
@@ -163,7 +173,7 @@ class IncrementProblem:
             self.requirement_groups.append((members, int(count)))
         self.results = list(results)
         for result in self.results:
-            if _has_negation(result.formula):
+            if not result.formula.monotone:
                 raise IncrementError(
                     f"result {result.label or result} has negated lineage; "
                     f"confidence increment requires monotone lineage"
@@ -176,8 +186,10 @@ class IncrementProblem:
             raise IncrementError(
                 f"no base-tuple state for {sorted(map(str, missing))[:5]}"
             )
+        # (sorted by key: TupleId's own ordering compares in Python)
         self.tuples: dict[TupleId, BaseTupleState] = {
-            tid: tuples[tid] for tid in sorted(needed)
+            tid: tuples[tid]
+            for tid in sorted(needed, key=attrgetter("table", "ordinal"))
         }
         self.threshold = float(threshold)
         # Aggregate requirement (display / allocation); exact satisfaction
@@ -186,13 +198,32 @@ class IncrementProblem:
             count for _members, count in self.requirement_groups
         )
         self.delta = float(delta)
-        # var -> indexes of results that depend on it
-        self.results_by_tuple: dict[TupleId, list[int]] = {
-            tid: [] for tid in self.tuples
-        }
-        for index, result in enumerate(self.results):
-            for tid in result.variables:
-                self.results_by_tuple[tid].append(index)
+        # The dense index space: slot i is the i-th tuple in sorted order.
+        self.tids: tuple[TupleId, ...] = tuple(self.tuples)
+        self.slot_of = {tid: slot for slot, tid in enumerate(self.tids)}
+        states = self._states = list(self.tuples.values())
+        self.initial = [state.initial for state in states]
+        self.maximum = [state.maximum for state in states]
+        # result index -> its variables' slots, the getter pulling them out
+        # of a positional assignment as one key, and the function keyed so
+        self.result_slots: list[tuple[int, ...]] = [
+            tuple(map(self.slot_of.__getitem__, result.variables))
+            for result in self.results
+        ]
+        self._keys = [_key_getter(slots) for slots in self.result_slots]
+        self._at = [result.at for result in self.results]
+        # slot -> indexes of results that depend on it
+        self.results_by_slot: list[list[int]] = [[] for _ in states]
+        for index, slots in enumerate(self.result_slots):
+            for slot in slots:
+                self.results_by_slot[slot].append(index)
+        # Tabulated lazily, never invalidated (the problem is immutable):
+        # per slot value -> cost_to(value), value -> δ-step up and the
+        # δ-grid; per group the count achievable at maximum.
+        self._costs: list[dict[float, float]] = [{} for _ in states]
+        self._steps: list[dict] = [{} for _ in states]
+        self._levels: list[list[float] | None] = [None] * len(states)
+        self._achievable: list[int] | None = None
         # result index -> requirement-group ids it belongs to
         self.groups_by_result: list[list[int]] = [
             [] for _ in self.results
@@ -206,15 +237,19 @@ class IncrementProblem:
         """Whether this is a multi-query instance (several groups)."""
         return len(self.requirement_groups) > 1
 
+    def group_counts(self, flags: Sequence[bool]) -> list[int]:
+        """Per requirement group, how many of its results *flags* marks."""
+        return [
+            sum(1 for index in members if flags[index])
+            for members, _count in self.requirement_groups
+        ]
+
     def requirements_met(self, flags: Sequence[bool]) -> bool:
         """Whether per-result satisfaction *flags* meet every group."""
-        for members, count in self.requirement_groups:
-            if count == 0:
-                continue
-            met = sum(1 for index in members if flags[index])
-            if met < count:
-                return False
-        return True
+        counts = self.group_counts(flags)
+        return all(
+            met >= group[1] for met, group in zip(counts, self.requirement_groups)
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -227,10 +262,13 @@ class IncrementProblem:
         required_count: int,
         delta: float = 0.1,
         labels: Sequence[str] | None = None,
+        *,
+        pool: CircuitPool | None = None,
     ) -> "IncrementProblem":
         """Build a problem from raw lineages, reading current confidences
-        and cost models from the database."""
-        pool = CircuitPool()  # one pool for the whole query's results
+        and cost models from the database.  All results compile into one
+        *pool* — into the result set's, each compile is a memo hit."""
+        pool = CircuitPool() if pool is None else pool
         functions = [
             ConfidenceFunction(
                 lineage, labels[index] if labels else f"λ{index}", pool=pool
@@ -251,11 +289,11 @@ class IncrementProblem:
 
     def initial_assignment(self) -> dict[TupleId, float]:
         """Every tuple at its current (stored) confidence."""
-        return {tid: state.initial for tid, state in self.tuples.items()}
+        return dict(zip(self.tids, self.initial))
 
     def maximal_assignment(self) -> dict[TupleId, float]:
         """Every tuple at its maximum reachable confidence."""
-        return {tid: state.maximum for tid, state in self.tuples.items()}
+        return dict(zip(self.tids, self.maximum))
 
     def satisfied(self, confidence: float) -> bool:
         """Whether one result's confidence clears the threshold.
@@ -269,11 +307,7 @@ class IncrementProblem:
 
     def satisfied_count(self, assignment: Mapping[TupleId, float]) -> int:
         """How many results clear the threshold under *assignment*."""
-        return sum(
-            1
-            for result in self.results
-            if self.satisfied(result.evaluate(assignment))
-        )
+        return sum(self._flags(pick(assignment, self.tids)))
 
     def cost_of(self, assignment: Mapping[TupleId, float]) -> float:
         """Total increment cost of moving from initial to *assignment*."""
@@ -283,22 +317,71 @@ class IncrementProblem:
             if tid in self.tuples
         )
 
-    def _flags(self, assignment: Mapping[TupleId, float]) -> list[bool]:
+    def _flags(self, values: Sequence[float]) -> list[bool]:
+        """Per-result satisfaction under the positional assignment *values*."""
         return [
-            self.satisfied(result.evaluate(assignment))
-            for result in self.results
+            self.satisfied(at(key(values)))
+            for key, at in zip(self._keys, self._at)
         ]
+
+    def cost_at(self, slot: int, value: float) -> float:
+        """``cost_to(value)`` of the tuple in *slot*, priced the first time
+        *value* is reached and looked up afterwards."""
+        table = self._costs[slot]
+        cost = table.get(value)
+        if cost is None:
+            cost = table[value] = self._states[slot].cost_to(value)
+        return cost
+
+    def step_up(self, slot: int, current: float) -> tuple[float, float] | None:
+        """One δ-step up from *current*: ``(target, step cost)``, or None at
+        the maximum.  Tabulated by the value actually reached: phase 1 climbs
+        by repeated ``current + δ``, not the rounded grid of :meth:`levels_of`."""
+        table = self._steps[slot]
+        step = table.get(current, table)  # the table itself marks a miss
+        if step is table:
+            maximum = self.maximum[slot]
+            step = None
+            if current < maximum - _EPS:
+                target = min(current + self.delta, maximum)
+                step = target, self.cost_at(slot, target) - self.cost_at(
+                    slot, current
+                )
+            table[current] = step
+        return step
+
+    def levels_of(self, slot: int) -> list[float]:
+        """The δ-grid of the tuple in *slot* (built once)."""
+        levels = self._levels[slot]
+        if levels is None:
+            levels = self._levels[slot] = self._states[slot].levels(self.delta)
+        return levels
+
+    def previous_level(self, slot: int, value: float) -> float:
+        """The largest grid level of *slot* strictly below *value*.  Walk-back
+        must stay on the δ-lattice ``{p, p+δ, …, max}``: ``value − δ`` from a
+        clamped maximum would land between grid points, outside the space
+        the exact solver searches (breaking its optimality guarantee)."""
+        levels = self.levels_of(slot)
+        return levels[max(bisect_left(levels, value - _EPS) - 1, 0)]
 
     def is_trivial(self) -> bool:
         """Already satisfied without any increment."""
-        return self.requirements_met(self._flags(self.initial_assignment()))
+        return self.requirements_met(self._flags(self.initial))
+
+    def achievable(self) -> list[int]:
+        """Per requirement group, how many of its results clear the
+        threshold with every tuple at its maximum — evaluated once, read
+        by every feasibility check."""
+        if self._achievable is None:
+            self._achievable = self.group_counts(self._flags(self.maximum))
+        return self._achievable
 
     def check_feasible(self) -> None:
         """Raise :class:`InfeasibleIncrementError` if even raising every
         tuple to its maximum cannot satisfy every requirement."""
-        flags = self._flags(self.maximal_assignment())
-        for group_id, (members, count) in enumerate(self.requirement_groups):
-            best = sum(1 for index in members if flags[index])
+        for group_id, best in enumerate(self.achievable()):
+            members, count = self.requirement_groups[group_id]
             if best < count:
                 raise InfeasibleIncrementError(
                     f"requirement group {group_id}: only {best} of "
@@ -310,23 +393,19 @@ class IncrementProblem:
         """A copy whose group counts are clamped to what is achievable at
         maximal confidence (so a hard group cannot make a solve infeasible;
         used by the D&C group loop)."""
-        flags = self._flags(self.maximal_assignment())
-        clamped = []
-        changed = False
-        for members, count in self.requirement_groups:
-            best = sum(1 for index in members if flags[index])
-            if best < count:
-                changed = True
-                count = best
-            clamped.append((members, count))
-        if not changed:
+        clamped = [
+            (members, min(count, best))
+            for (members, count), best in zip(
+                self.requirement_groups, self.achievable()
+            )
+        ]
+        if clamped == self.requirement_groups:
             return self
+        return self._regrouped(self.results, clamped)
+
+    def _regrouped(self, results, groups) -> "IncrementProblem":
         return IncrementProblem(
-            self.results,
-            self.tuples,
-            self.threshold,
-            delta=self.delta,
-            requirement_groups=clamped,
+            results, self.tuples, self.threshold, 0, self.delta, groups
         )
 
     def subproblem(
@@ -359,13 +438,7 @@ class IncrementProblem:
                 continue
             share = math.ceil(count * len(kept) / len(members) - 1e-9)
             mapped.append((kept, min(len(kept), share)))
-        return IncrementProblem(
-            results,
-            self.tuples,
-            self.threshold,
-            delta=self.delta,
-            requirement_groups=mapped,
-        )
+        return self._regrouped(results, mapped)
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return (
@@ -421,11 +494,6 @@ class IncrementPlan:
     #: attribute) so the serving layer sees it with tracing disabled.
     degraded: bool = False
 
-    @property
-    def changed(self) -> dict[TupleId, float]:
-        """Alias for :attr:`targets` (only changed tuples are recorded)."""
-        return self.targets
-
     def describe(self, problem: IncrementProblem | None = None) -> str:
         """Human-readable summary (the "cost quote" shown to the user)."""
         lines = [
@@ -445,19 +513,20 @@ class IncrementPlan:
 class SearchState:
     """Mutable assignment with incremental confidence/cost bookkeeping.
 
-    All four solvers walk the assignment space through this class.  Every
-    confidence it reports — at construction, after a committed move, for a
-    what-if :meth:`probe` — comes from the one place a confidence is
-    computed, :meth:`~repro.lineage.ConfidenceFunction.evaluate`: a
-    dictionary hit when the result's own variables are at values seen
-    before, one forward sweep of its compiled circuit otherwise.  Undoing
-    a move writes the recorded old confidences back.  Satisfied counts and
-    total cost are maintained incrementally.
+    All four solvers walk the assignment space through this class, by
+    slot: :attr:`values` is the positional assignment.  Every confidence
+    it reports — at construction, after a move, for a what-if
+    :meth:`probe` — comes from the one place a confidence is computed,
+    :meth:`~repro.lineage.ConfidenceFunction.at`, keyed by the result's own
+    slots of :attr:`values`: a dictionary hit at values seen before, the
+    input of one forward sweep of its circuit otherwise.  Undoing a move
+    writes the recorded old confidences back.  Satisfied counts and total
+    cost are maintained incrementally.
     """
 
     __slots__ = (
         "problem",
-        "assignment",
+        "values",
         "confidences",
         "satisfied_flags",
         "satisfied_count",
@@ -468,9 +537,9 @@ class SearchState:
 
     def __init__(self, problem: IncrementProblem) -> None:
         self.problem = problem
-        self.assignment: dict[TupleId, float] = problem.initial_assignment()
+        values = self.values = list(problem.initial)
         self.confidences: list[float] = [
-            result.evaluate(self.assignment) for result in problem.results
+            at(key(values)) for key, at in zip(problem._keys, problem._at)
         ]
         self.satisfied_flags: list[bool] = [
             problem.satisfied(confidence) for confidence in self.confidences
@@ -479,16 +548,12 @@ class SearchState:
         self.cost: float = 0.0
         # Per requirement-group satisfied counts and the count of groups
         # still short of their requirement (0 => globally satisfied).
-        self.group_counts: list[int] = [
-            sum(1 for index in members if self.satisfied_flags[index])
-            for members, _count in problem.requirement_groups
-        ]
+        self.group_counts = problem.group_counts(self.satisfied_flags)
         self.unmet_groups: int = sum(
-            1
+            count < needed
             for count, (_members, needed) in zip(
                 self.group_counts, problem.requirement_groups
             )
-            if count < needed
         )
 
     def _flip(self, index: int) -> None:
@@ -507,71 +572,71 @@ class SearchState:
             elif not now and before == needed:
                 self.unmet_groups += 1
 
-    def value_of(self, tid: TupleId) -> float:
-        return self.assignment[tid]
-
-    def set_value(self, tid: TupleId, value: float) -> UndoToken:
-        """Assign ``tid := value``; returns the token for :meth:`undo`.
-
-        The token holds the affected results' old confidences, so undoing
-        is a write-back.  It is valid while every *other* tuple is at the
+    def set_value(self, slot: int, value: float) -> UndoToken:
+        """Assign ``values[slot] := value``; returns the token for
+        :meth:`undo`: the affected results' old confidences, so undoing is
+        a write-back.  It is valid while every *other* tuple is at the
         value it had when the move was made — the solvers' last-in-first-out
         move discipline: undo the most recent not-yet-undone move first.
         """
         problem = self.problem
-        state = problem.tuples[tid]
-        old_value = self.assignment[tid]
+        values = self.values
+        old_value = values[slot]
         if abs(value - old_value) < _EPS:
             return []
-        self.cost += state.cost_to(value) - state.cost_to(old_value)
-        self.assignment[tid] = value
-        pairs: UndoToken = []
+        cost_at = problem.cost_at
+        self.cost += cost_at(slot, value) - cost_at(slot, old_value)
+        values[slot] = value
+        keys = problem._keys
+        at = problem._at
         confidences = self.confidences
-        for index in problem.results_by_tuple[tid]:
-            confidence = problem.results[index].evaluate(self.assignment)
-            pairs.append((index, confidences[index]))
+        flags = self.satisfied_flags
+        floor = problem.threshold - _EPS  # IncrementProblem.satisfied
+        undo: UndoToken = []
+        for index in problem.results_by_slot[slot]:
+            confidence = at[index](keys[index](values))
+            undo.append((index, confidences[index]))
             confidences[index] = confidence
-            if problem.satisfied(confidence) != self.satisfied_flags[index]:
+            if (confidence >= floor) != flags[index]:
                 self._flip(index)
-        return pairs
+        return undo
 
-    def commit(self, tid: TupleId, value: float) -> None:
-        """:meth:`set_value` for moves that are never rolled back, such as
-        greedy phase-1 picks."""
-        self.set_value(tid, value)
+    #: :meth:`set_value` for moves that are never rolled back (the token
+    #: is dropped), such as greedy phase-1 picks.
+    commit = set_value
 
-    def undo(self, tid: TupleId, old_value: float, undo: UndoToken) -> None:
+    def undo(self, slot: int, old_value: float, undo: UndoToken) -> None:
         """Reverse a :meth:`set_value` move (see its token discipline)."""
         problem = self.problem
-        state = problem.tuples[tid]
-        current = self.assignment[tid]
+        current = self.values[slot]
         if abs(current - old_value) >= _EPS:
-            self.cost += state.cost_to(old_value) - state.cost_to(current)
-            self.assignment[tid] = old_value
+            cost_at = problem.cost_at
+            self.cost += cost_at(slot, old_value) - cost_at(slot, current)
+            self.values[slot] = old_value
         for index, confidence in undo:
             self.confidences[index] = confidence
             if problem.satisfied(confidence) != self.satisfied_flags[index]:
                 self._flip(index)
 
     def probe(
-        self, tid: TupleId, value: float, indexes: Sequence[int]
+        self, slot: int, value: float, indexes: Sequence[int]
     ) -> list[float]:
-        """Confidences of result *indexes* if ``tid := value`` — no commit.
-
-        Probes patch the assignment in place, evaluate, and patch it back.
-        Each result's bounded cache has exactly the granularity gain scans
-        need: re-probing a move whose relevant confidences did not change
-        is a dictionary hit, and the caches stay warm across solver runs
-        on the same problem.
-        """
-        results = self.problem.results
-        assignment = self.assignment
-        current = assignment[tid]
-        assignment[tid] = value
+        """Confidences of result *indexes* if ``values[slot] := value`` —
+        no commit: the assignment is patched, evaluated and patched back.
+        Re-probing a move whose relevant confidences did not change is a hit
+        in each result's bounded cache, warm across solves of one problem."""
+        keys = self.problem._keys
+        at = self.problem._at
+        values = self.values
+        current = values[slot]
+        values[slot] = value
+        confidences: list[float] = []
         try:
-            return [results[index].evaluate(assignment) for index in indexes]
+            for index in indexes:
+                confidences.append(at[index](keys[index](values)))
         finally:
-            assignment[tid] = current
+            values[slot] = current
+        return confidences
 
     def is_satisfied(self) -> bool:
         """Whether every requirement group is met."""
@@ -594,13 +659,19 @@ class SearchState:
             index for index, flag in enumerate(self.satisfied_flags) if flag
         )
 
+    def changed_slots(self) -> list[int]:
+        """Slots currently above their initial value, ascending."""
+        initial = self.problem.initial
+        return [
+            slot
+            for slot, value in enumerate(self.values)
+            if value > initial[slot] + _EPS
+        ]
+
     def snapshot_targets(self) -> dict[TupleId, float]:
         """The changed tuples' current values (plan extraction)."""
-        return {
-            tid: value
-            for tid, value in self.assignment.items()
-            if value > self.problem.tuples[tid].initial + _EPS
-        }
+        tids = self.problem.tids
+        return {tids[slot]: self.values[slot] for slot in self.changed_slots()}
 
 
 def ceil_required(total: int, theta: float, theta_prime: float) -> int:

@@ -8,12 +8,13 @@ equal subcircuits are stored once and shared across every formula compiled
 into the pool (one pool per query, so a result set with overlapping
 derivations pays for each common subformula once).
 
-Compile once, then evaluate by one **forward sweep**:
-:meth:`CompiledCircuit.evaluate` computes ``P(F)`` over the root's cone in
-topological (= creation) order, and :meth:`CircuitPool.evaluate_many`
-sweeps the union of many cones once for a whole result batch.  There is no
-second evaluator: the increment solvers re-run the same sweep behind
-:class:`~repro.lineage.confidence.ConfidenceFunction`'s cache.
+Compile once, then evaluate by one **forward sweep** in topological
+(= creation) order.  :meth:`CompiledCircuit.sweep` takes its inputs
+*positionally*, one per entry of the circuit's sorted ``support`` — what
+the increment solvers re-run behind ``ConfidenceFunction``'s cache;
+:meth:`CompiledCircuit.evaluate` feeds it from a mapping and
+:meth:`CircuitPool.evaluate_many` sweeps the union of many cones once per
+result batch.  All three run one loop, :meth:`CircuitPool._forward`.
 
 Node semantics mirror the reference interpreter operation for operation
 (products left to right, OR as ``1 − Π(1 − x)``, Shannon as
@@ -22,8 +23,8 @@ Node semantics mirror the reference interpreter operation for operation
 test compares against.  Unlike the reference, a sweep does not range-check
 its inputs (the storage layer guarantees [0, 1]).
 
-The pool is single-threaded by design (the scratch buffer is reused across
-calls), matching the rest of the engine.
+The pool is single-threaded by design (one value buffer, a slot per node,
+is reused across calls), matching the rest of the engine.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import LineageError
-from ..storage.tuples import TupleId
 from .formula import And, Bottom, Lineage, Not, Or, Top, Var, restrict
 from .probability import (
     ProbabilityMap,
     _independent_clusters,
+    _missing,
     _pick_branch_variable,
     _rebuild_connective,
+    pick,
 )
 
 __all__ = ["CircuitPool", "CompiledCircuit"]
@@ -49,10 +51,6 @@ VAR = 1  # arg: TupleId
 MUL = 2  # arg: tuple of child indexes — product
 NOT = 3  # arg: child index — 1 − child
 LERP = 4  # arg: (var, high, low) — var·high + (1 − var)·low
-
-
-def _missing(tid: TupleId) -> LineageError:
-    return LineageError(f"no probability supplied for base tuple {tid}")
 
 
 class CircuitPool:
@@ -69,8 +67,8 @@ class CircuitPool:
         "_args",
         "_intern",
         "_formula_memo",
-        "_variables",
-        "_scratch",
+        "_values",
+        "_circuits",
         "intern_hits",
         "formula_hits",
         "lookups",
@@ -81,8 +79,9 @@ class CircuitPool:
         self._args: list = []
         self._intern: dict[tuple, int] = {}
         self._formula_memo: dict[Lineage, int] = {}
-        self._variables = 0
-        self._scratch: list[float] = []
+        #: One value slot per node; a constant's is written at creation.
+        self._values: list[float] = []
+        self._circuits: dict[int, CompiledCircuit] = {}
         #: Node-construction requests answered from the intern table.
         self.intern_hits = 0
         #: Formula compilations answered from the cross-formula memo.
@@ -114,17 +113,19 @@ class CircuitPool:
         index = len(self._kinds)
         self._kinds.append(kind)
         self._args.append(arg)
+        self._values.append(arg if kind == CONST else 0.0)
         self._intern[key] = index
-        if kind == VAR:
-            self._variables += 1
         return index
 
     # -- compilation --------------------------------------------------------
 
     def compile(self, formula: Lineage) -> "CompiledCircuit":
-        """Compile *formula* into the pool and return its root handle."""
+        """Compile *formula* into the pool; one handle is kept per root."""
         root = self._compile_formula(formula)
-        return CompiledCircuit(self, root)
+        circuit = self._circuits.get(root)
+        if circuit is None:
+            circuit = self._circuits[root] = CompiledCircuit(self, root)
+        return circuit
 
     def _compile_formula(self, node: Lineage) -> int:
         cached = self._formula_memo.get(node)
@@ -168,22 +169,14 @@ class CircuitPool:
 
     # -- forward sweep -------------------------------------------------------
 
-    def _values_buffer(self) -> list[float]:
-        if len(self._scratch) < len(self._kinds):
-            self._scratch.extend(
-                [0.0] * (len(self._kinds) - len(self._scratch))
-            )
-        return self._scratch
-
     def _forward(
-        self,
-        order: Sequence[int],
-        values: list[float],
-        assignment: ProbabilityMap,
-    ) -> None:
-        """One forward sweep writing each node of *order* into *values*."""
+        self, order: Sequence[int], assignment: ProbabilityMap | None = None
+    ) -> list[float]:
+        """One forward sweep of *order* into the value buffer (returned).
+        ``VAR`` nodes read *assignment*; an *order* without them needs none."""
         kinds = self._kinds
         args = self._args
+        values = self._values
         for index in order:
             kind = kinds[index]
             arg = args[index]
@@ -204,21 +197,15 @@ class CircuitPool:
                 values[index] = (
                     p * values[arg[1]] + (1.0 - p) * values[arg[2]]
                 )
-            else:  # CONST
-                values[index] = arg
+        return values
 
     # -- batch evaluation ----------------------------------------------------
 
     def merged_order(
         self, circuits: Sequence["CompiledCircuit"]
     ) -> tuple[int, ...]:
-        """Topological order of the union of the circuits' cones.
-
-        Node indexes are created children-first, so ascending index order
-        is a valid topological order of any node subset; callers can cache
-        the result and hand it back to :meth:`evaluate_many` for repeated
-        batch sweeps over the same result set.
-        """
+        """Topological order of the union of the circuits' cones: ascending
+        node index, since nodes are created children-first."""
         union: set[int] = set()
         for circuit in circuits:
             if circuit.pool is not self:
@@ -234,41 +221,26 @@ class CircuitPool:
         assignment: ProbabilityMap,
         order: Sequence[int] | None = None,
     ) -> list[float]:
-        """``P(F)`` for every circuit in one forward sweep.
-
-        The whole result batch is computed over the pool's contiguous node
-        arrays at once: shared subcircuits are evaluated a single time
-        instead of once per root, and the per-call buffer setup is paid
-        once per batch instead of once per tuple.  Each per-node operation
-        is identical to :meth:`CompiledCircuit.evaluate`, so the returned
-        confidences are bit-identical to the per-circuit path.
-        """
-        if not circuits:
-            return []
+        """``P(F)`` for every circuit, from *assignment*, in one sweep over
+        the union of the cones (*order*: a cached :meth:`merged_order`): a
+        shared subcircuit is evaluated once, not once per root, by the same
+        per-node operations as :meth:`CompiledCircuit.sweep`."""
         if order is None:
             order = self.merged_order(circuits)
-        values = self._values_buffer()
-        self._forward(order, values, assignment)
-        return [_clamp(values[circuit.root]) for circuit in circuits]
+        values = self._forward(order, assignment)
+        roots = [values[circuit.root] for circuit in circuits]
+        # Clamp tiny float drift so callers can rely on [0, 1].
+        return [v if 0.0 <= v <= 1.0 else min(1.0, max(0.0, v)) for v in roots]
 
     def stats(self) -> dict[str, float]:
         """Sharing statistics for observability spans and the CLI."""
         return {
             "nodes": len(self._kinds),
-            "variables": self._variables,
+            "variables": self._kinds.count(VAR),
             "intern_hits": self.intern_hits,
             "formula_hits": self.formula_hits,
             "shared_hit_rate": round(self.shared_hit_rate, 4),
         }
-
-
-def _clamp(value: float) -> float:
-    # Clamp tiny float drift so callers can rely on [0, 1].
-    if value < 0.0:
-        return 0.0
-    if value > 1.0:
-        return 1.0
-    return value
 
 
 class CompiledCircuit:
@@ -277,9 +249,11 @@ class CompiledCircuit:
     ``order`` is the root's cone — every pool node the root depends on —
     in topological order; standalone evaluation sweeps only this slice of
     the pool, so unrelated formulas sharing the pool cost nothing.
+    ``support`` is the sorted base tuples of the cone's ``VAR`` nodes:
+    position *i* of :meth:`sweep`'s input vector is ``support[i]``.
     """
 
-    __slots__ = ("pool", "root", "order", "support")
+    __slots__ = ("pool", "root", "order", "support", "_inputs", "_inner")
 
     def __init__(self, pool: CircuitPool, root: int) -> None:
         self.pool = pool
@@ -300,21 +274,28 @@ class CompiledCircuit:
                 pending.append(args[index])
         # Node indexes are created children-first, so ascending index
         # order is a topological order of the cone.
-        self.order: tuple[int, ...] = tuple(sorted(cone))
-        self.support: tuple[TupleId, ...] = tuple(
-            sorted(
-                args[index]
-                for index in self.order
-                if kinds[index] == VAR
-            )
-        )
+        order = self.order = tuple(sorted(cone))
+        self.support = tuple(sorted(args[i] for i in order if kinds[i] == VAR))
+        self._inner: tuple[int, ...] | None = None  # bound by the first sweep
 
     def __len__(self) -> int:
         return len(self.order)
 
-    def evaluate(self, assignment: ProbabilityMap) -> float:
-        """``P(F)`` under *assignment* — one forward sweep of the cone."""
+    def sweep(self, inputs: Sequence[float]) -> float:
+        """``P(F)`` with ``support[i]`` at probability ``inputs[i]`` — one
+        forward sweep of the cone, no mapping lookups."""
         pool = self.pool
-        values = pool._values_buffer()
-        pool._forward(self.order, values, assignment)
-        return _clamp(values[self.root])
+        if self._inner is None:  # resolve VAR nodes to input positions, once
+            self._inputs = tuple(pool._intern[VAR, tid] for tid in self.support)
+            self._inner = tuple(i for i in self.order if pool._kinds[i] > VAR)
+        values = pool._values
+        for index, value in zip(self._inputs, inputs, strict=True):
+            values[index] = value
+        if self._inner:
+            pool._forward(self._inner)
+        value = values[self.root]  # clamped like the batch path's
+        return value if 0.0 <= value <= 1.0 else min(1.0, max(0.0, value))
+
+    def evaluate(self, assignment: ProbabilityMap) -> float:
+        """``P(F)`` under *assignment* (which may cover unrelated tuples)."""
+        return self.sweep(pick(assignment, self.support))

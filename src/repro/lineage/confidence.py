@@ -14,7 +14,7 @@ by one forward sweep, behind
 
 Passing a shared :class:`~repro.lineage.circuit.CircuitPool` makes every
 function of one query intern common subformulas once.  The increment
-solvers route every probe, commit and undo through :meth:`evaluate` (see
+solvers route every probe, commit and undo through :meth:`at` (see
 :class:`~repro.increment.problem.SearchState`); the reference that tests
 compare it against is :func:`~repro.lineage.probability.probability`.
 """
@@ -25,8 +25,9 @@ from typing import Mapping
 
 from ..obs import get_metrics
 from ..storage.tuples import TupleId
-from .circuit import CircuitPool, CompiledCircuit, _missing
+from .circuit import CircuitPool
 from .formula import Lineage, node_count
+from .probability import pick
 
 __all__ = ["ConfidenceFunction", "CACHE_SIZE"]
 
@@ -41,10 +42,9 @@ _HALF_CACHE = CACHE_SIZE // 2
 
 
 class ConfidenceFunction:
-    """Callable view of one result tuple's confidence ``F(p_λ01, …, p_λ0k)``.
-
-    The lineage is compiled once into an arithmetic circuit so repeated
-    evaluation under changing assignments is cheap arithmetic.
+    """One result tuple's confidence ``F(p_λ01, …, p_λ0k)``: its lineage,
+    compiled once into an arithmetic circuit so repeated evaluation under
+    changing assignments is cheap arithmetic.
 
     Parameters
     ----------
@@ -62,7 +62,8 @@ class ConfidenceFunction:
         "formula",
         "label",
         "circuit",
-        "_vars",
+        "variables",
+        "_sweep",
         "_cache",
         "_cache_old",
     )
@@ -76,49 +77,48 @@ class ConfidenceFunction:
     ) -> None:
         self.formula = formula
         self.label = label
-        self._vars: tuple[TupleId, ...] = tuple(sorted(formula.variables))
+        #: The base tuples this result depends on, in sorted order.
+        variables = self.variables = tuple(sorted(formula.variables))
         self._cache: dict[tuple[float, ...], float] = {}
         self._cache_old: dict[tuple[float, ...], float] = {}
         if pool is None:  # an empty shared pool is falsy — test identity
             pool = CircuitPool()
-        self.circuit: CompiledCircuit = pool.compile(formula)
+        circuit = self.circuit = pool.compile(formula)
+        self._sweep = circuit.sweep
+        if circuit.support != variables:
+            # Simplification dropped variables from the circuit (absorption,
+            # x AND NOT x): project the key onto what the sweep reads.
+            kept = [variables.index(tid) for tid in circuit.support]
+            self._sweep = lambda key: circuit.sweep([key[i] for i in kept])
         # Formula shape drives confidence-computation cost (Koch & Olteanu);
         # record it once per result at compile time.
         metrics = get_metrics()
         metrics.histogram("lineage.formula_nodes").observe(node_count(formula))
-        metrics.histogram("lineage.formula_variables").observe(len(self._vars))
+        metrics.histogram("lineage.formula_variables").observe(len(variables))
         metrics.histogram("circuit.cone_nodes").observe(len(self.circuit))
 
-    @property
-    def variables(self) -> tuple[TupleId, ...]:
-        """The base tuples this result depends on, in sorted order."""
-        return self._vars
-
     def arity(self) -> int:
-        return len(self._vars)
+        return len(self.variables)
 
     def evaluate(self, assignment: Mapping[TupleId, float]) -> float:
         """``F`` under *assignment* (which may also cover unrelated tuples)."""
+        return self.at(pick(assignment, self.variables))
+
+    def at(self, key: tuple[float, ...]) -> float:
+        """``F`` with ``variables[i]`` at ``key[i]`` — the positional form the
+        solvers call: *key* is the cache key and the sweep's input at once."""
         cache = self._cache
-        try:
-            key = tuple(map(assignment.__getitem__, self._vars))
-        except KeyError as error:
-            raise _missing(error.args[0]) from None
         cached = cache.get(key)
         if cached is not None:
             return cached
-        cached = self._cache_old.get(key)
-        if cached is not None:
-            value = cached  # promote a warm entry into the young generation
-        else:
-            value = self.circuit.evaluate(assignment)
+        value = self._cache_old.get(key)  # a warm entry is promoted
+        if value is None:
+            value = self._sweep(key)
         if len(cache) >= _HALF_CACHE:
             self._cache_old = cache
             cache = self._cache = {}
         cache[key] = value
         return value
-
-    __call__ = evaluate
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         name = self.label or "F"

@@ -47,6 +47,8 @@ class Lineage:
     __slots__ = ("_variables",)
 
     _variables: frozenset[TupleId]
+    #: Negation-free, so confidence rises with every base tuple's.
+    monotone = True
 
     @property
     def variables(self) -> frozenset[TupleId]:
@@ -147,7 +149,7 @@ class Var(Lineage):
 
 
 class _Connective(Lineage):
-    __slots__ = ("children", "_hash")
+    __slots__ = ("children", "_hash", "_monotone")
 
     _symbol = "?"
 
@@ -157,6 +159,12 @@ class _Connective(Lineage):
             *(child.variables for child in children)
         )
         self._hash = hash((type(self).__name__, children))
+
+    @property
+    def monotone(self) -> bool:  # decided on first use, then kept
+        if not hasattr(self, "_monotone"):
+            self._monotone = all(child.monotone for child in self.children)
+        return self._monotone
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and other.children == self.children  # type: ignore[attr-defined]
@@ -193,6 +201,7 @@ class Not(Lineage):
     """Negation — e.g. from ``EXCEPT`` / anti-join derivations."""
 
     __slots__ = ("child", "_hash")
+    monotone = False
 
     def __init__(self, child: Lineage) -> None:
         self.child = child

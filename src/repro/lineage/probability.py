@@ -42,6 +42,18 @@ __all__ = ["probability", "sensitivity"]
 ProbabilityMap = Mapping[TupleId, float]
 
 
+def _missing(tid: TupleId) -> LineageError:
+    return LineageError(f"no probability supplied for base tuple {tid}")
+
+
+def pick(probabilities: ProbabilityMap, tids: tuple[TupleId, ...]) -> tuple:
+    """The probabilities of *tids*, positionally; a missing one is an error."""
+    try:
+        return tuple(map(probabilities.__getitem__, tids))
+    except KeyError as error:
+        raise _missing(error.args[0]) from None
+
+
 def _check_probability(tid: TupleId, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise LineageError(f"probability {value} of {tid} outside [0, 1]")
@@ -107,9 +119,7 @@ def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
         try:
             return _check_probability(tid, probabilities[tid])
         except KeyError:
-            raise LineageError(
-                f"no probability supplied for base tuple {tid}"
-            ) from None
+            raise _missing(tid) from None
 
     def prob(node: Lineage) -> float:
         cached = memo.get(node)

@@ -146,7 +146,6 @@ def policy_impact(
     ``IncrementProblem -> IncrementPlan`` callable to change it.
     """
     from ..increment import IncrementProblem, solve_greedy
-    from ..increment.problem import _has_negation
 
     threshold = policies.threshold_for(subject, purpose)
     outcome = PolicyEvaluator.apply_threshold(result, db, threshold)
@@ -157,7 +156,7 @@ def policy_impact(
         liftable = [
             row.lineage
             for row, _confidence in outcome.withheld
-            if not _has_negation(row.lineage)
+            if row.lineage.monotone
         ]
         if shortfall > len(liftable):
             cost = None

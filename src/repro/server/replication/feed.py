@@ -52,13 +52,21 @@ def iter_idempotency_markers(op: dict):
 #: bootstraps from a snapshot instead of replaying frames.
 DEFAULT_CAPACITY = 4096
 
+#: Payload bytes retained in memory, the window's other bound.  A frame is
+#: ~200 B for a one-row DML but tens of KiB for a confidence write-back,
+#: so a frame count alone lets the window (one per server, primary and
+#: replica alike) grow to >100 MB under write-back traffic.
+MAX_RETAINED_BYTES = 4 * 1024 * 1024
+
 
 class ReplicationFeed:
-    """Bounded ordered window of (seq, payload) WAL frames."""
+    """Ordered window of (seq, payload) WAL frames, bounded by frame count
+    and by retained payload bytes; the newest frame is always kept."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._capacity = capacity
         self._frames: "deque[tuple[int, bytes]]" = deque()
+        self._bytes = 0
         #: Highest seq *below* the window: pulls from here are servable.
         self._base = 0
         self._lock = threading.Lock()
@@ -84,9 +92,13 @@ class ReplicationFeed:
             if self._frames and seq <= self._frames[-1][0]:
                 return  # duplicate notification; the log is append-only
             self._frames.append((seq, payload))
-            while len(self._frames) > self._capacity:
-                dropped_seq, _payload = self._frames.popleft()
+            self._bytes += len(payload)
+            while len(self._frames) > self._capacity or (
+                self._bytes > MAX_RETAINED_BYTES and len(self._frames) > 1
+            ):
+                dropped_seq, dropped = self._frames.popleft()
                 self._base = dropped_seq
+                self._bytes -= len(dropped)
             self._arrival.notify_all()
 
     def frames_since(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,12 @@ from repro.increment.problem import (
     SearchState,
 )
 from repro.lineage import (
+    BOTTOM,
+    TOP,
+    And,
     CircuitPool,
     ConfidenceFunction,
+    Or,
     lineage_and,
     lineage_not,
     lineage_or,
@@ -72,6 +77,52 @@ def probability_maps():
 def test_circuit_matches_probability_bitwise(formula, probs):
     circuit = CircuitPool().compile(formula)
     assert circuit.evaluate(probs) == probability(formula, probs)
+
+
+def sweep_formulas():
+    """:func:`formulas` plus the degenerate shapes a sweep must also get
+    right: a lone variable, the constants, constants inside connectives
+    (folded by the smart constructors, or not, when built raw), and
+    absorption — ``x OR (x AND y)`` — whose circuit drops ``y`` from its
+    support while the formula still lists it."""
+    x, y = var(POOL[0]), var(POOL[1])
+    return st.one_of(
+        formulas(),
+        st.sampled_from(POOL).map(var),
+        st.sampled_from([TOP, BOTTOM, Or((x, And((x, y)))), And((x, TOP))]),
+        formulas().map(lambda f: Or((f, BOTTOM, And((x, lineage_not(f)))))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(sweep_formulas(), min_size=1, max_size=4),
+    probability_maps(),
+    st.booleans(),
+)
+def test_positional_sweep_matches_probability_bitwise(group, probs, shared):
+    """``sweep`` takes one probability per entry of the circuit's sorted
+    support — no mapping — and equals the reference bit for bit, whether
+    the formulas share a pool (and each other's value slots) or each has
+    its own.  The facade's positional ``at`` — keyed on the *formula's*
+    variables — agrees on the miss and on the hit."""
+    pool = CircuitPool() if shared else None
+    circuits = [(pool or CircuitPool()).compile(formula) for formula in group]
+    functions = [ConfidenceFunction(formula, pool=pool) for formula in group]
+    for _ in range(2):  # second round: interleaved sweeps left no residue
+        for formula, circuit, function in zip(group, circuits, functions):
+            expected = probability(formula, probs)
+            assert circuit.support == tuple(sorted(circuit.support))
+            assert set(circuit.support) <= formula.variables
+            inputs = [probs[tid] for tid in circuit.support]
+            assert circuit.sweep(inputs) == expected
+            assert circuit.sweep(tuple(inputs)) == expected
+            key = tuple(probs[tid] for tid in function.variables)
+            assert function.at(key) == expected  # miss, then hit
+            assert function.at(key) == expected
+    wrong_length = [0.5] * (len(circuits[0].support) + 1)
+    with pytest.raises(ValueError):
+        circuits[0].sweep(wrong_length)
 
 
 @settings(max_examples=100, deadline=None)
@@ -156,10 +207,10 @@ def test_probe_equals_patched_evaluation_without_commit(
     before = list(state.confidences)
     if tid not in problem.tuples:  # the formula never reads it
         return
-    [probed] = state.probe(tid, value, [0])
+    [probed] = state.probe(problem.slot_of[tid], value, [0])
     assert probed == probability(formula, {**probs, tid: value})
     assert state.confidences == before
-    assert state.assignment == problem.initial_assignment()
+    assert state.values == problem.initial
 
 
 @settings(max_examples=20, deadline=None)

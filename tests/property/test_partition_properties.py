@@ -49,7 +49,7 @@ def test_gamma_one_groups_are_connected_components(problem):
     for group_id, group in enumerate(groups):
         for index in group:
             group_of[index] = group_id
-    for indexes in problem.results_by_tuple.values():
+    for indexes in problem.results_by_slot:
         first = indexes[0] if indexes else None
         for index in indexes[1:]:
             assert group_of[index] == group_of[first]

@@ -1,12 +1,18 @@
 """`SearchState` under random walks, against recomputation from scratch.
 
 Every solver explores through four moves — ``set_value`` (with an undo
-token), ``commit`` (without), ``undo`` and the what-if ``probe`` — under a
-last-in-first-out discipline: a token is undone before any older one, and
-a commit only happens when no token is outstanding.  After *every* step of
-a random walk that follows the discipline, everything the state maintains
+token), ``commit`` (without), ``undo`` and the what-if ``probe`` — by
+tuple *slot*, under a last-in-first-out discipline: a token is undone
+before any older one, and a commit only happens when no token is
+outstanding.  Values come from anywhere in a tuple's range and from the
+two tabulated lattice moves the solvers make (``step_up``, one δ up;
+``previous_level``, one grid level down).  After *every* step of a random
+walk that follows the discipline, everything the state maintains
 incrementally must equal what :func:`probability` — the reference
-interpreter, no circuit, no cache — gives for the current assignment.
+interpreter, no circuit, no cache — and the tuples' own ``cost_to`` give
+for the current assignment, keyed by ``TupleId`` the way the boundary
+sees it.  A second state on the same problem walks along: the tables the
+problem tabulates are shared, the assignments are not.
 """
 
 from __future__ import annotations
@@ -35,24 +41,27 @@ def problems(draw) -> IncrementProblem:
     ).problem
     if len(problem.results) < 2 or not draw(st.booleans()):
         return problem
-    # The multi-query shape: two overlapping requirement groups.
+    # The multi-query shape: two or three overlapping requirement groups,
+    # and a δ that does not divide any tuple's range.
     indexes = list(range(len(problem.results)))
-    first, second = indexes[::2], indexes[1:]
+    members = [indexes[::2], indexes[1:], indexes[: len(indexes) // 2 + 1]]
     return IncrementProblem(
         problem.results,
         problem.tuples,
         problem.threshold,
-        delta=problem.delta,
+        delta=draw(st.sampled_from([0.1, 0.07, 0.3])),
         requirement_groups=[
-            (first, draw(st.integers(0, len(first)))),
-            (second, draw(st.integers(0, len(second)))),
+            (group, draw(st.integers(0, len(group))))
+            for group in members[: draw(st.integers(2, 3))]
         ],
     )
 
 
 steps = st.lists(
     st.tuples(
-        st.sampled_from(["set", "set", "undo", "probe", "commit"]),
+        st.sampled_from(
+            ["set", "set", "up", "down", "undo", "probe", "commit", "other"]
+        ),
         st.integers(min_value=0, max_value=10_000),  # which tuple
         st.floats(min_value=0.0, max_value=1.0),  # how far towards its cap
     ),
@@ -60,11 +69,16 @@ steps = st.lists(
 )
 
 
+def assignment_of(state: SearchState) -> dict:
+    """The positional assignment as the ``TupleId``-keyed boundary sees it."""
+    return dict(zip(state.problem.tids, state.values, strict=True))
+
+
 def assert_matches_recomputation(state: SearchState) -> None:
     problem = state.problem
+    assignment = assignment_of(state)
     confidences = [
-        probability(result.formula, state.assignment)
-        for result in problem.results
+        probability(result.formula, assignment) for result in problem.results
     ]
     flags = [problem.satisfied(confidence) for confidence in confidences]
     group_counts = [
@@ -76,35 +90,57 @@ def assert_matches_recomputation(state: SearchState) -> None:
     assert state.satisfied_count == sum(flags)
     assert state.group_counts == group_counts
     assert state.is_satisfied() == problem.requirements_met(flags)
-    assert state.cost == pytest.approx(
-        problem.cost_of(state.assignment), abs=1e-9
-    )
+    assert state.cost == pytest.approx(problem.cost_of(assignment), abs=1e-9)
+    assert state.snapshot_targets() == {
+        tid: value
+        for tid, value in assignment.items()
+        if value > problem.tuples[tid].initial + 1e-9
+    }
 
 
 @settings(max_examples=150, deadline=None)
 @given(problems(), steps)
 def test_random_walk_matches_recomputation_after_every_step(problem, walk):
     state = SearchState(problem)
+    other = SearchState(problem)  # shares the problem's tables, nothing else
     assert_matches_recomputation(state)
-    tids = list(problem.tuples)
-    outstanding = []  # (tid, old value, token), most recent last
+    outstanding = []  # (slot, old value, token), most recent last
     for move, pick, fraction in walk:
-        tid = tids[pick % len(tids)]
+        slot = pick % len(problem.tids)
+        tid = problem.tids[slot]
         base = problem.tuples[tid]
+        current = state.values[slot]
         value = base.initial + fraction * (base.maximum - base.initial)
-        if move == "set":
-            old = state.value_of(tid)
-            outstanding.append((tid, old, state.set_value(tid, value)))
+        if move == "up":
+            step = problem.step_up(slot, current)
+            if step is None:
+                assert current >= base.maximum - 1e-9
+                continue
+            value, step_cost = step
+            assert value == min(current + problem.delta, base.maximum)
+            assert step_cost == base.cost_to(value) - base.cost_to(current)
+        elif move == "down":
+            value = problem.previous_level(slot, current)
+            levels = base.levels(problem.delta)
+            assert value == max(
+                [level for level in levels if level < current - 1e-9],
+                default=levels[0],
+            )
+        if move in ("set", "up", "down"):
+            outstanding.append((slot, current, state.set_value(slot, value)))
         elif move == "undo":
             if outstanding:
                 state.undo(*outstanding.pop())
         elif move == "commit":
             outstanding.clear()  # earlier moves are kept for good
-            state.commit(tid, value)
+            state.commit(slot, value)
+        elif move == "other":
+            other.commit(slot, value)
+            assert_matches_recomputation(other)
         else:
-            indexes = problem.results_by_tuple[tid]
-            patched = {**state.assignment, tid: value}
-            assert state.probe(tid, value, indexes) == [
+            indexes = problem.results_by_slot[slot]
+            patched = {**assignment_of(state), tid: value}
+            assert state.probe(slot, value, indexes) == [
                 probability(problem.results[index].formula, patched)
                 for index in indexes
             ]

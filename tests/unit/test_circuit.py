@@ -181,31 +181,36 @@ class TestEvaluator:
         _pool, formulas, _problem, assignment, state = self._setup()
         assert state.confidences == self._fresh(formulas, assignment)
 
+    def _values(self, problem, assignment):
+        """*assignment* laid out positionally, the way the state holds it."""
+        return [assignment[tid] for tid in problem.tids]
+
     def test_incremental_update_matches_fresh_evaluation(self):
-        _pool, formulas, _problem, assignment, state = self._setup()
+        _pool, formulas, problem, assignment, state = self._setup()
         rng = random.Random(9)
         for _ in range(50):
             tid = rng.choice(T[:4])
             value = rng.uniform(0.0, 1.0)
             assignment[tid] = value
-            state.commit(tid, value)
+            state.commit(problem.slot_of[tid], value)
             assert state.confidences == self._fresh(formulas, assignment)
 
     def test_probe_does_not_commit(self):
-        _pool, formulas, _problem, assignment, state = self._setup()
+        _pool, formulas, problem, assignment, state = self._setup()
         before = list(state.confidences)
-        probed = state.probe(T[1], 0.99, [0, 1, 2])
+        probed = state.probe(problem.slot_of[T[1]], 0.99, [0, 1, 2])
         assert probed == self._fresh(formulas, {**assignment, T[1]: 0.99})
         assert state.confidences == before
-        assert state.assignment == assignment
+        assert state.values == self._values(problem, assignment)
 
     def test_out_of_scope_variable_is_noop(self):
         _pool, formulas, problem, assignment, state = self._setup()
         # T[3] is outside results 0 and 2: moving it leaves them untouched
         # (their cache keys do not even change) and touches only result 1.
-        assert problem.results_by_tuple[T[3]] == [1]
+        slot = problem.slot_of[T[3]]
+        assert problem.results_by_slot[slot] == [1]
         before = list(state.confidences)
-        undo = state.set_value(T[3], 0.9)
+        undo = state.set_value(slot, 0.9)
         assert [index for index, _old in undo] == [1]
         assert state.confidences[0] == before[0]
         assert state.confidences[2] == before[2]
@@ -214,35 +219,36 @@ class TestEvaluator:
         )
 
     def test_recorded_set_restores_bitwise(self):
-        _pool, _formulas, _problem, assignment, state = self._setup()
+        _pool, _formulas, problem, assignment, state = self._setup()
         before = (
             list(state.confidences),
             list(state.satisfied_flags),
             list(state.group_counts),
             state.cost,
         )
-        old = state.value_of(T[1])
-        undo = state.set_value(T[1], 0.97)
+        slot = problem.slot_of[T[1]]
+        old = state.values[slot]
+        undo = state.set_value(slot, 0.97)
         assert undo and state.confidences != before[0]
-        state.undo(T[1], old, undo)
+        state.undo(slot, old, undo)
         assert (
             state.confidences,
             state.satisfied_flags,
             state.group_counts,
             state.cost,
         ) == before
-        assert state.assignment == assignment
+        assert state.values == self._values(problem, assignment)
         # A move within tolerance of the current value is a recorded no-op.
-        assert state.set_value(T[1], old) == []
+        assert state.set_value(slot, old) == []
 
     def test_gradient_uses_committed_values(self):
         # Slopes taken by probing are slopes at the *committed* assignment.
-        _pool, formulas, _problem, assignment, state = self._setup()
-        state.commit(T[2], 0.77)
+        _pool, formulas, problem, assignment, state = self._setup()
+        state.commit(problem.slot_of[T[2]], 0.77)
         assignment[T[2]] = 0.77
         for tid in formulas[0].variables:
-            [high] = state.probe(tid, 1.0, [0])
-            [low] = state.probe(tid, 0.0, [0])
+            [high] = state.probe(problem.slot_of[tid], 1.0, [0])
+            [low] = state.probe(problem.slot_of[tid], 0.0, [0])
             assert high - low == pytest.approx(
                 sensitivity(formulas[0], assignment, tid), abs=1e-12
             )

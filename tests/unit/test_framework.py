@@ -58,6 +58,37 @@ class TestPipelineStatuses:
         for tid in improved:
             assert running_example.db.confidence_of(tid) > 0.1 - 1e-9
 
+    def test_withheld_rows_are_compiled_once_per_ask(
+        self, running_example, monkeypatch
+    ):
+        # Strategy finding builds its problem in the result set's circuit
+        # pool: no second pool, no second compile of any withheld row.
+        from repro.lineage import CircuitPool
+
+        pools, compiled = [], []
+        new_pool, compile_uncached = (
+            CircuitPool.__init__,
+            CircuitPool._compile_uncached,
+        )
+        monkeypatch.setattr(
+            CircuitPool,
+            "__init__",
+            lambda self: pools.append(self) or new_pool(self),
+        )
+        monkeypatch.setattr(
+            CircuitPool,
+            "_compile_uncached",
+            lambda self, node: compiled.append(node)
+            or compile_uncached(self, node),
+        )
+        engine = PCQEngine(running_example.db, running_example.policies)
+        result = engine.execute(
+            QueryRequest(running_example.QUERY, "investment", 1.0), user="bob"
+        )
+        assert result.status is QueryStatus.IMPROVED
+        assert len(pools) == 1
+        assert len(compiled) == len(set(compiled))
+
     def test_declined_quote(self, running_example):
         engine = PCQEngine(
             running_example.db,

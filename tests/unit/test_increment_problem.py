@@ -9,8 +9,16 @@ from repro.increment import (
     IncrementProblem,
     SearchState,
     ceil_required,
+    solve_greedy,
 )
-from repro.lineage import ConfidenceFunction, lineage_and, lineage_not, lineage_or, var
+from repro.lineage import (
+    CircuitPool,
+    ConfidenceFunction,
+    lineage_and,
+    lineage_not,
+    lineage_or,
+    var,
+)
 from repro.storage import TupleId
 
 A, B, C = (TupleId("t", i) for i in range(3))
@@ -82,8 +90,12 @@ class TestProblemConstruction:
             ConfidenceFunction(lineage_or(var(A), var(B))),
         ]
         problem = IncrementProblem(results, make_states(A=0.1, B=0.1), 0.6, 1)
-        assert problem.results_by_tuple[A] == [0, 1]
-        assert problem.results_by_tuple[B] == [1]
+        # Slots number the kept tuples in sorted order; TupleId stays at
+        # the boundary (tids / slot_of translate).
+        assert problem.tids == (A, B)
+        assert problem.slot_of == {A: 0, B: 1}
+        assert problem.result_slots == [(0,), (0, 1)]
+        assert problem.results_by_slot == [[0, 1], [1]]
 
     def test_only_needed_tuples_kept(self):
         results = [ConfidenceFunction(var(A))]
@@ -137,6 +149,79 @@ class TestProblemQueries:
         assert problem.tuples[refs["t03"]].initial == 0.4
         assert problem.threshold == 0.06
 
+    def test_from_results_compiles_into_a_given_pool_once(
+        self, paper_increment_problem
+    ):
+        base, refs = paper_increment_problem
+        lineage = base.results[0].formula
+        pool = CircuitPool()
+        compiled = pool.compile(lineage)  # what a result set did already
+        nodes, hits = len(pool), pool.formula_hits
+        problem = IncrementProblem.from_results(
+            [lineage], refs["db"], 0.06, 1, pool=pool
+        )
+        # A memo hit: no new node, and the very same circuit handle.
+        assert len(pool) == nodes and pool.formula_hits == hits + 1
+        assert problem.results[0].circuit is compiled
+        # Without the keyword (and positionally, as before): a fresh pool.
+        fresh = IncrementProblem.from_results([lineage], refs["db"], 0.06, 1)
+        assert fresh.results[0].circuit.pool is not pool
+        assert solve_greedy(problem).total_cost == solve_greedy(fresh).total_cost
+
+    def test_feasibility_is_evaluated_once(self, monkeypatch):
+        results = [
+            ConfidenceFunction(var(A)),
+            ConfidenceFunction(lineage_and(var(A), var(B))),
+        ]
+        states = {
+            A: BaseTupleState(A, 0.1, LinearCost(1.0)),
+            B: BaseTupleState(B, 0.1, LinearCost(1.0, max_confidence=0.5)),
+        }
+        problem = IncrementProblem(
+            results, states, 0.6, requirement_groups=[([0], 1), ([1], 1)]
+        )
+        sweeps = []  # evaluations of every result at the maximal assignment
+        flags = IncrementProblem._flags
+
+        def counted(self, values):
+            if values is self.maximum:
+                sweeps.append(self)
+            return flags(self, values)
+
+        monkeypatch.setattr(IncrementProblem, "_flags", counted)
+        assert problem.achievable() == [1, 0]
+        with pytest.raises(InfeasibleIncrementError, match="group 1"):
+            problem.check_feasible()
+        clamped = problem.clamped_to_achievable()
+        assert [count for _m, count in clamped.requirement_groups] == [1, 0]
+        with pytest.raises(InfeasibleIncrementError):
+            solve_greedy(problem)  # the solver's own check reads the flags
+        assert sweeps == [problem]
+
+    def test_lattice_tables_follow_the_values_actually_reached(self):
+        # 0.1 + 0.1 + 0.1 is 0.30000000000000004, not the grid's 0.3: a
+        # δ-step is tabulated by the value it starts from, a walk-back
+        # lands on the rounded grid, and both are priced by cost_to.
+        state = BaseTupleState(A, 0.1, LinearCost(10.0, max_confidence=0.95))
+        problem = IncrementProblem(
+            [ConfidenceFunction(var(A))], {A: state}, 0.9, 1
+        )
+        value, climbed = 0.1, []
+        while (step := problem.step_up(0, value)) is not None:
+            target, cost = step
+            assert target == min(value + 0.1, 0.95)
+            assert cost == state.cost_to(target) - state.cost_to(value)
+            assert problem.step_up(0, value) is step  # tabulated
+            value = target
+            climbed.append(value)
+        assert value == 0.95 and 0.30000000000000004 in climbed
+        assert problem.levels_of(0) == state.levels(0.1)
+        assert problem.levels_of(0) is problem.levels_of(0)
+        assert problem.previous_level(0, 0.95) == 0.9
+        assert problem.previous_level(0, 0.30000000000000004) == 0.2
+        assert problem.previous_level(0, 0.1) == 0.1  # floor: the initial
+        assert problem.cost_at(0, 0.95) == state.cost_to(0.95)
+
     def test_ceil_required(self):
         assert ceil_required(100, 0.5, 0.0) == 50
         assert ceil_required(100, 0.5, 0.2) == 30
@@ -157,13 +242,14 @@ class TestSearchState:
 
     def test_initial_state(self, problem):
         state = SearchState(problem)
+        assert state.values == [0.1, 0.2, 0.3] == problem.initial
         assert state.cost == 0.0
         assert state.satisfied_count == 0
         assert not state.is_satisfied()
 
     def test_set_value_updates_affected_results(self, problem):
         state = SearchState(problem)
-        state.set_value(A, 0.6)
+        state.set_value(problem.slot_of[A], 0.6)
         assert state.confidences[0] == pytest.approx(0.6 + 0.2 - 0.12)
         assert state.confidences[1] == pytest.approx(0.2 * 0.3)  # untouched
         assert state.satisfied_count == 1
@@ -172,23 +258,25 @@ class TestSearchState:
     def test_undo_restores_everything(self, problem):
         state = SearchState(problem)
         before = (list(state.confidences), state.cost, state.satisfied_count)
-        old = state.value_of(B)
-        undo = state.set_value(B, 0.9)
-        state.undo(B, old, undo)
+        slot = problem.slot_of[B]
+        old = state.values[slot]
+        undo = state.set_value(slot, 0.9)
+        state.undo(slot, old, undo)
         assert (list(state.confidences), state.cost, state.satisfied_count) == before
 
     def test_noop_set(self, problem):
         state = SearchState(problem)
-        assert state.set_value(A, 0.1) == []
+        assert state.set_value(problem.slot_of[A], 0.1) == []
         assert state.cost == 0.0
 
     def test_snapshot_targets_only_changed(self, problem):
         state = SearchState(problem)
-        state.set_value(A, 0.5)
+        state.set_value(problem.slot_of[A], 0.5)
+        assert state.changed_slots() == [problem.slot_of[A]]
         assert state.snapshot_targets() == {A: 0.5}
 
     def test_satisfied_indexes(self, problem):
         state = SearchState(problem)
-        state.set_value(B, 1.0)
-        state.set_value(C, 0.6)
+        state.set_value(problem.slot_of[B], 1.0)
+        state.set_value(problem.slot_of[C], 0.6)
         assert 1 in state.satisfied_indexes()

@@ -114,7 +114,7 @@ class TestSearchStateGroups:
         problem = multi_problem()
         state = SearchState(problem)
         assert state.unmet_groups == 2
-        state.set_value(B, 0.6)  # satisfies the shared result
+        state.set_value(problem.slot_of[B], 0.6)  # satisfies the shared result
         assert state.unmet_groups == 0
         assert state.is_satisfied()
         assert state.group_counts == [1, 1]
@@ -122,9 +122,10 @@ class TestSearchStateGroups:
     def test_undo_restores_groups(self):
         problem = multi_problem()
         state = SearchState(problem)
-        old = state.value_of(B)
-        undo = state.set_value(B, 0.6)
-        state.undo(B, old, undo)
+        slot = problem.slot_of[B]
+        old = state.values[slot]
+        undo = state.set_value(slot, 0.6)
+        state.undo(slot, old, undo)
         assert state.unmet_groups == 2
         assert state.group_counts == [0, 0]
 
@@ -132,7 +133,7 @@ class TestSearchStateGroups:
         problem = multi_problem()
         state = SearchState(problem)
         assert state.result_needed(0)
-        state.set_value(A, 0.6)  # group 0 met
+        state.set_value(problem.slot_of[A], 0.6)  # group 0 met
         assert not state.result_needed(0)  # satisfied itself
         assert state.result_needed(2)  # group 1 still unmet
         assert state.result_needed(1)  # below β and in unmet group 1

@@ -8,6 +8,7 @@ import pytest
 
 from repro.server.replication.epoch import EPOCH_FILE, load_epoch, store_epoch
 from repro.server.replication.feed import (
+    MAX_RETAINED_BYTES,
     ReplicationFeed,
     iter_idempotency_markers,
 )
@@ -66,6 +67,41 @@ class TestReplicationFeed:
             9,
             10,
         ]
+
+    def test_window_is_bounded_by_retained_bytes_too(self):
+        # Write-back frames are tens of KiB: far below the frame capacity
+        # the window must already stop growing.
+        frame = bytes(64 * 1024)
+        budget = MAX_RETAINED_BYTES // len(frame)
+        feed = ReplicationFeed()
+        lengths = []
+        for seq in range(1, 3 * budget + 1):
+            feed.append(seq, frame)
+            lengths.append(len(feed))
+        assert max(lengths) == budget == lengths[-1]  # plateau, not growth
+        assert lengths[:budget] == list(range(1, budget + 1))
+        assert feed.base == 2 * budget and feed.last_seq == 3 * budget
+        # A caught-up puller and one just inside the window are unaffected;
+        # one below the floor is told to resync from a snapshot.
+        assert feed.frames_since(3 * budget, max_frames=8) == []
+        assert [s for s, _ in feed.frames_since(3 * budget - 2, 8)] == [
+            3 * budget - 1,
+            3 * budget,
+        ]
+        assert len(feed.frames_since(feed.base, max_frames=10**6)) == budget
+        assert feed.frames_since(feed.base - 1, max_frames=8) is None
+        assert feed.digests(feed.base - 1, 3 * budget) is None
+
+    def test_a_frame_larger_than_the_byte_budget_is_kept_and_served(self):
+        feed = ReplicationFeed()
+        _fill(feed, 3)
+        huge = bytes(MAX_RETAINED_BYTES + 1)
+        feed.append(4, huge)
+        assert len(feed) == 1 and feed.base == 3
+        assert feed.frames_since(3, max_frames=8) == [(4, huge)]
+        assert feed.frames_since(2, max_frames=8) is None
+        feed.append(5, b"small")  # the oversized frame goes first
+        assert feed.snapshot_frames() == [(5, b"small")] and feed.base == 4
 
     def test_duplicate_appends_are_ignored(self):
         feed = ReplicationFeed()

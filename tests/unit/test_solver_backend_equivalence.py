@@ -29,12 +29,16 @@ from repro.workload import WorkloadSpec, generate_problem
 
 class ReferenceFunction(ConfidenceFunction):
     """A confidence function answered by the interpreter — no circuit sweep,
-    no cache."""
+    no cache — on both of its entry points: the mapping form and the
+    positional form the solvers call."""
 
     __slots__ = ()
 
     def evaluate(self, assignment):
         return probability(self.formula, assignment)
+
+    def at(self, key):
+        return probability(self.formula, dict(zip(self.variables, key)))
 
 
 def _on_reference(problem: IncrementProblem) -> IncrementProblem:
@@ -126,16 +130,16 @@ def test_search_state_probe_identical_across_backends():
     state = SearchState(problem)
     reference = SearchState(_on_reference(problem))
     assert state.confidences == reference.confidences
-    tid = next(iter(problem.tuples))
-    indexes = list(problem.results_by_tuple[tid])
-    target = min(1.0, state.value_of(tid) + problem.delta)
-    assert state.probe(tid, target, indexes) == reference.probe(
-        tid, target, indexes
+    slot = 0
+    indexes = list(problem.results_by_slot[slot])
+    target = min(1.0, state.values[slot] + problem.delta)
+    assert state.probe(slot, target, indexes) == reference.probe(
+        slot, target, indexes
     )
     # Probes never commit on either.
     assert state.confidences == reference.confidences
-    state.set_value(tid, target)
-    reference.set_value(tid, target)
+    state.set_value(slot, target)
+    reference.set_value(slot, target)
     assert state.confidences == reference.confidences
     assert state.cost == reference.cost
 
