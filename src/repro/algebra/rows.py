@@ -68,7 +68,7 @@ class ResultSet:
         self.engine: str | None = None
         self._pool: CircuitPool | None = None
         self._circuits: list[CompiledCircuit] | None = None
-        self._order: tuple[int, ...] | None = None
+        self._order: range | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -100,6 +100,11 @@ class ResultSet:
             pool = CircuitPool()
             self._circuits = [pool.compile(row.lineage) for row in self.rows]
             self._pool = pool
+            # Every node of the fresh pool lies in some row's cone, and
+            # creation order is topological: this is the batch sweep order.
+            # Fixed now — later compiles into the pool (strategy finding)
+            # add nodes no row depends on.
+            self._order = range(len(pool))
         return self._circuits
 
     @property
@@ -118,18 +123,16 @@ class ResultSet:
         """Per-row confidence, from a database or an explicit probability map.
 
         Evaluated in batch: one forward sweep over the union of all rows'
-        circuit cones (with the merged topological order cached across
-        calls), bit-identical to evaluating each circuit separately —
-        shared subcircuits are just computed once per batch instead of
-        once per row.  This is the path policy enforcement takes.
+        circuit cones (the pool as it stood when the rows were compiled),
+        bit-identical to evaluating each circuit separately — shared
+        subcircuits are just computed once per batch instead of once per
+        row.  This is the path policy enforcement takes.
         """
         probabilities = self._probabilities(source)
         circuits = self.compiled_circuits()
         if not circuits:
             return []
-        assert self._pool is not None
-        if self._order is None:
-            self._order = self._pool.merged_order(circuits)
+        assert self._pool is not None and self._order is not None
         return self._pool.evaluate_many(circuits, probabilities, self._order)
 
     def with_confidences(

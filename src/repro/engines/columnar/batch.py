@@ -9,11 +9,14 @@ dependencies:
   per-table cache); kernels gather into fresh lists instead of mutating.
 
 * **Deferred lineage.**  A scan does not build one ``Var`` object per
-  stored row up front; the batch carries the tid column and materializes
-  ``var(tid)`` lazily — after a selective filter, lineage objects exist
-  only for surviving rows.  ``Var`` equality is structural, so deferred
-  construction yields formulas structurally identical to the native
-  engine's.
+  stored row; the batch carries the tid column and :meth:`lineage_at`
+  builds ``var(tid)`` for the rows a kernel asks about (a join's matched
+  right rows, an ``IN``'s probed values); :meth:`lineage_column`
+  materializes all of it, so kernels call it on what they return — a
+  join's matching left rows — or where every input row lands in some
+  group (DISTINCT, aggregates, set operations).  ``Var`` equality is
+  structural, so deferred construction yields formulas structurally
+  identical to the native engine's.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ColumnBatch:
 
     def row(self, index: int) -> tuple[Any, ...]:
         """Row *index*'s values as a tuple."""
-        return tuple(column[index] for column in self.columns)
+        return tuple([column[index] for column in self.columns])
 
     def rows(self) -> list[tuple[Any, ...]]:
         """All rows as value tuples (one zip, not per-row indexing)."""

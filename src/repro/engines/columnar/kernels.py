@@ -15,15 +15,22 @@ What the kernels buy over the native handlers:
 
 * predicates/projections run through the batch expression path — one
   kernel call per column instead of one closure chain per row;
-* lineage stays deferred through scan → filter → limit chains, so ``Var``
-  objects are built only for surviving rows;
 * scans share the table's cached column view instead of materializing an
-  ``AnnotatedTuple`` per stored row.
+  ``AnnotatedTuple`` per stored row;
+* value tuples and ``Var`` objects are built late, in proportion to what a
+  kernel returns: scan/filter/sort/limit build none (the tid column rides
+  along); an equi-join hashes the shorter input's key column, whichever
+  side that is, and builds them for the left rows that have a candidate
+  and, once each, for the right rows that are one; ``IN`` builds lineage
+  for the subquery values a left row probes.  DISTINCT, aggregates and
+  set operations materialize every input row — each one contributes to a
+  group — as does a cross product.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from functools import cache
+from typing import Any, Callable, Iterable, Sequence
 
 from ...algebra.executor import (
     _equi_join_columns,
@@ -156,11 +163,11 @@ def limit_batch(node: Limit, child: ColumnBatch) -> ColumnBatch:
 def join_batch(
     node: Join, left: ColumnBatch, right: ColumnBatch
 ) -> ColumnBatch:
-    left_rows = left.rows()
-    right_rows = right.rows()
+    values: list[tuple[Any, ...]] = []
+    lineage: list[Lineage] = []
     if node.kind == "cross":
-        values: list[tuple[Any, ...]] = []
-        lineage: list[Lineage] = []
+        left_rows = left.rows()
+        right_rows = right.rows()
         left_lin = left.lineage_column()
         right_lin = right.lineage_column()
         for i, left_values in enumerate(left_rows):
@@ -172,50 +179,54 @@ def join_batch(
     condition = node.bound_condition
     assert condition is not None
     equi = _equi_join_columns(node)
-    values = []
-    lineage = []
-    null_padding = (None,) * len(right.schema)
-    left_lin = left.lineage_column()
-    right_lin = right.lineage_column()
-
     if equi is not None:
-        left_index, right_index = equi
+        # Only the key columns are read whole: hash the shorter input's,
+        # stream the other's past it.  Either way ``buckets`` ends up as the
+        # native right-side buckets (NULL keys in none of them), less the
+        # keys no left row has.
+        left_keys = left.columns[equi[0]]
         buckets: dict[Any, list[int]] = {}
-        for j, key in enumerate(right.columns[right_index]):
-            if key is not None:
-                buckets.setdefault(key, []).append(j)
-        for i, key in enumerate(left.columns[left_index]):
-            candidates = buckets.get(key, ()) if key is not None else ()
-            _emit_matches(
-                node,
-                left_rows[i],
-                left_lin[i],
-                candidates,
-                right_rows,
-                right_lin,
-                condition,
-                values,
-                lineage,
-                null_padding,
-                prefiltered=False,
+        if left.length < right.length:
+            buckets = {key: [] for key in left_keys if key is not None}
+            for j, key in enumerate(right.columns[equi[1]]):
+                if key in buckets:
+                    buckets[key].append(j)
+        else:
+            for j, key in enumerate(right.columns[equi[1]]):
+                if key is not None:
+                    buckets.setdefault(key, []).append(j)
+        if node.kind != "left":  # a left row without candidates emits nothing
+            left = left.gather(
+                [i for i, key in enumerate(left_keys) if buckets.get(key)]
             )
-    else:
-        probe = _make_condition_prober(condition, right)
-        for i, left_values in enumerate(left_rows):
-            candidates = probe(left_values)
-            _emit_matches(
-                node,
-                left_values,
-                left_lin[i],
-                candidates,
-                right_rows,
-                right_lin,
-                condition,
-                values,
-                lineage,
-                null_padding,
-                prefiltered=True,
-            )
+
+    # Left rows that can emit are built in bulk; a right row's value tuple
+    # and lineage are built the first time a candidate needs them.
+    left_rows = left.rows()
+    candidates: Iterable[Sequence[int]] = (
+        map(_make_condition_prober(condition, right), left_rows)
+        if equi is None
+        else [buckets.get(key, ()) for key in left.columns[equi[0]]]
+    )
+    right_row = cache(right.row)
+    right_lineage = cache(right.lineage_at)
+    null_padding = (None,) * len(right.schema)
+    for left_values, left_lineage, row_candidates in zip(
+        left_rows, left.lineage_column(), candidates
+    ):
+        _emit_matches(
+            node,
+            left_values,
+            left_lineage,
+            row_candidates,
+            right_row,
+            right_lineage,
+            condition,
+            values,
+            lineage,
+            null_padding,
+            prefiltered=equi is None,
+        )
     return ColumnBatch.from_rows(node.schema, values, lineage)
 
 
@@ -256,23 +267,25 @@ def _emit_matches(
     left_values: tuple[Any, ...],
     left_lineage: Lineage,
     candidates: Sequence[int],
-    right_rows: list[tuple[Any, ...]],
-    right_lineage: list[Lineage],
+    right_row: Callable[[int], tuple[Any, ...]],
+    right_lineage: Callable[[int], Lineage],
     condition,
     values: list[tuple[Any, ...]],
     lineage: list[Lineage],
     null_padding: tuple[None, ...],
     prefiltered: bool,
 ) -> None:
-    """Native ``_emit_matches`` over indexes instead of AnnotatedTuples."""
+    """Native ``_emit_matches`` over right-row indexes: a candidate's value
+    tuple is built for the re-check, its lineage only once it passes."""
     matched: list[Lineage] = []
     for j in candidates:
-        combined = left_values + right_rows[j]
+        combined = left_values + right_row(j)
         if not prefiltered and condition.evaluate(combined) is not True:
             continue
-        matched.append(right_lineage[j])
+        partner = right_lineage(j)
+        matched.append(partner)
         values.append(combined)
-        lineage.append(lineage_and(left_lineage, right_lineage[j]))
+        lineage.append(lineage_and(left_lineage, partner))
     if node.kind == "left":
         if not matched:
             values.append(left_values + null_padding)
@@ -293,20 +306,18 @@ def semi_join_batch(
     node: SemiJoin, left: ColumnBatch, right: ColumnBatch
 ) -> ColumnBatch:
     probe = node.bound_probe
-    right_lin = right.lineage_column()
 
-    matches: dict[Any, Lineage] = {}
+    # Subquery row indexes per value; a value's lineage (the OR over its
+    # rows) is built the first time a probe asks for it, so values no left
+    # row probes never allocate a ``Var``.
+    members: dict[Any, list[int]] = {}
     subquery_has_null = False
     for j, value in enumerate(right.columns[0]):
         if value is None:
             subquery_has_null = True
-            continue
-        existing = matches.get(value)
-        matches[value] = (
-            right_lin[j]
-            if existing is None
-            else lineage_or(existing, right_lin[j])
-        )
+        else:
+            members.setdefault(value, []).append(j)
+    matches: dict[Any, Lineage] = {}
 
     try:
         probe_values = probe.evaluate_batch(left.columns, left.length)
@@ -321,6 +332,10 @@ def semi_join_batch(
         if value is None:
             continue  # NULL probe: IN and NOT IN are both unknown
         match = matches.get(value)
+        if match is None and value in members:
+            match = matches[value] = lineage_or(
+                *map(right.lineage_at, members[value])
+            )
         if not negated:
             if match is None:
                 continue

@@ -146,20 +146,27 @@ class CircuitPool:
         if isinstance(node, Not):
             return self._node(NOT, self._compile_formula(node.child))
         if isinstance(node, (And, Or)):
-            clusters = _independent_clusters(node.children)
-            if len(clusters) > 1 or all(len(c) == 1 for c in clusters):
+            children = node.children
+            if sum(len(c.variables) for c in children) == len(node.variables):
+                # Pairwise variable-disjoint children (a join row's
+                # ``And(var, var)``): each is its own independent cluster,
+                # in child order — what the clustering below would return.
+                parts = [self._compile_formula(child) for child in children]
+            else:
+                clusters = _independent_clusters(children)
+                if len(clusters) == 1 and len(clusters[0]) > 1:
+                    branch = _pick_branch_variable(children)
+                    high = self._compile_formula(restrict(node, branch, True))
+                    low = self._compile_formula(restrict(node, branch, False))
+                    return self._node(LERP, (self._node(VAR, branch), high, low))
                 parts = [
                     self._compile_formula(_rebuild_connective(node, cluster))
                     for cluster in clusters
                 ]
-                if isinstance(node, And):
-                    return self._product(parts)
-                complements = [self._node(NOT, part) for part in parts]
-                return self._node(NOT, self._product(complements))
-            branch = _pick_branch_variable(node.children)
-            high = self._compile_formula(restrict(node, branch, True))
-            low = self._compile_formula(restrict(node, branch, False))
-            return self._node(LERP, (self._node(VAR, branch), high, low))
+            if isinstance(node, And):
+                return self._product(parts)
+            complements = [self._node(NOT, part) for part in parts]
+            return self._node(NOT, self._product(complements))
         raise LineageError(f"cannot compile {node!r}")  # pragma: no cover
 
     def _product(self, parts: list[int]) -> int:
@@ -244,24 +251,42 @@ class CircuitPool:
 
 
 class CompiledCircuit:
-    """One formula's root in a pool, with its cone precomputed.
+    """One formula's root in a pool; its cone is found on first use.
 
     ``order`` is the root's cone — every pool node the root depends on —
     in topological order; standalone evaluation sweeps only this slice of
     the pool, so unrelated formulas sharing the pool cost nothing.
     ``support`` is the sorted base tuples of the cone's ``VAR`` nodes:
     position *i* of :meth:`sweep`'s input vector is ``support[i]``.
+    Both are computed the first time either is read: the solvers' sweeps
+    need them, a result batch evaluated by the pool-wide sweep never does.
     """
 
-    __slots__ = ("pool", "root", "order", "support", "_inputs", "_inner")
+    __slots__ = ("pool", "root", "_order", "_support", "_inputs", "_inner")
 
     def __init__(self, pool: CircuitPool, root: int) -> None:
         self.pool = pool
         self.root = root
+        self._order: tuple[int, ...] | None = None
+        self._inner: tuple[int, ...] | None = None  # bound by the first sweep
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        if self._order is None:
+            self._find_cone()
+        return self._order
+
+    @property
+    def support(self) -> tuple:
+        if self._order is None:
+            self._find_cone()
+        return self._support
+
+    def _find_cone(self) -> None:
         cone: set[int] = set()
-        pending = [root]
-        kinds = pool._kinds
-        args = pool._args
+        pending = [self.root]
+        kinds = self.pool._kinds
+        args = self.pool._args
         while pending:
             index = pending.pop()
             if index in cone:
@@ -274,9 +299,8 @@ class CompiledCircuit:
                 pending.append(args[index])
         # Node indexes are created children-first, so ascending index
         # order is a topological order of the cone.
-        order = self.order = tuple(sorted(cone))
-        self.support = tuple(sorted(args[i] for i in order if kinds[i] == VAR))
-        self._inner: tuple[int, ...] | None = None  # bound by the first sweep
+        order = self._order = tuple(sorted(cone))
+        self._support = tuple(sorted(args[i] for i in order if kinds[i] == VAR))
 
     def __len__(self) -> int:
         return len(self.order)

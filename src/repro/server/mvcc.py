@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 from ..errors import (
     SessionClosedError,
@@ -328,8 +328,8 @@ class SnapshotDatabase:
     def confidence_of(self, tid: TupleId) -> float:
         return self.resolve(tid).confidence
 
-    def confidences(self, tids: Iterable[TupleId]) -> dict[TupleId, float]:
-        return {tid: self.confidence_of(tid) for tid in tids}
+    #: The same per-table batch read (it needs only :meth:`table`).
+    confidences = Database.confidences
 
     # -- mutation is forbidden --------------------------------------------
 

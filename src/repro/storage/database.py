@@ -8,7 +8,7 @@ improvement service (to write increased confidences back).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping
 
 from ..errors import DuplicateTableError, UnknownTableError
 from .schema import Schema
@@ -222,8 +222,16 @@ class Database:
         return self.resolve(tid).confidence
 
     def confidences(self, tids: Iterable[TupleId]) -> dict[TupleId, float]:
-        """Current confidences for a batch of tuple ids."""
-        return {tid: self.confidence_of(tid) for tid in tids}
+        """Current confidences for a batch of tuple ids (each table is
+        looked up once, then its rows are read directly)."""
+        getters: dict[str, Callable[[TupleId], StoredTuple]] = {}
+        confidences: dict[TupleId, float] = {}
+        for tid in tids:
+            get = getters.get(tid.table)
+            if get is None:
+                get = getters[tid.table] = self.table(tid.table).get
+            confidences[tid] = get(tid).confidence
+        return confidences
 
     def set_confidence(self, tid: TupleId, confidence: float) -> None:
         """Overwrite the stored confidence of base tuple *tid*."""

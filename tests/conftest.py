@@ -18,6 +18,26 @@ def empty_db() -> Database:
 
 
 @pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` patches ``owner.name`` to count its calls
+    and returns the one-element counter list — for the work-count guards
+    (counts repeat exactly, timings do not)."""
+
+    def count(owner, name):
+        calls = [0]
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count
+
+
+@pytest.fixture
 def network_fault():
     """Factory for armed, seeded network fault injectors (chaos tests).
 

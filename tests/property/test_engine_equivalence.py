@@ -31,14 +31,12 @@ rows_t = st.lists(
     ),
     max_size=8,
 )
-rows_u = st.lists(
-    st.tuples(
-        st.sampled_from(KEYS),
-        st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),
-        st.floats(min_value=0.05, max_value=0.95),
-    ),
-    max_size=8,
+row_u = st.tuples(
+    st.sampled_from(KEYS),
+    st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),
+    st.floats(min_value=0.05, max_value=0.95),
 )
+rows_u = st.lists(row_u, max_size=8)
 
 
 def make_db(data_t, data_u) -> Database:
@@ -181,6 +179,28 @@ def test_nested_subquery_join_is_engine_equivalent(data_t, data_u):
         "(SELECT DISTINCT k FROM t WHERE v > 0) AS cand "
         "JOIN u ON cand.k = u.k",
     )
+
+
+# A tiny filtered input against a large one, on either side of the join:
+# the equi-join hashes whichever input is shorter, ``IN`` materialises only
+# the subquery values that are probed.
+lopsided_query = st.sampled_from(
+    [
+        "SELECT t.k, t.v, u.w FROM t JOIN u ON t.k = u.k WHERE t.v > 2",
+        "SELECT t.k, t.v, u.w FROM u JOIN t ON u.k = t.k WHERE t.v > 2",
+        "SELECT t.k, t.v, u.w FROM t LEFT JOIN u ON t.k = u.k WHERE t.v > 2",
+        "SELECT u.k, u.w, f.v FROM u LEFT JOIN "
+        "(SELECT k, v FROM t WHERE v > 2) AS f ON u.k = f.k",
+        "SELECT k, v FROM t WHERE v > 2 AND k IN (SELECT k FROM u)",
+        "SELECT k, w FROM u WHERE k NOT IN (SELECT k FROM t WHERE v > 2)",
+    ]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows_t, st.lists(row_u, min_size=20, max_size=60), lopsided_query)
+def test_lopsided_joins_are_engine_equivalent(data_t, data_u, sql):
+    assert_engines_agree(make_db(data_t, data_u), sql)
 
 
 @settings(max_examples=40, deadline=None)

@@ -335,6 +335,143 @@ def test_sort_keeps_lineage_with_its_row(db):
     ]
 
 
+# -- equi-join / IN build side (differential vs native) ---------------------
+#
+# The equi-join hashes whichever input is shorter and streams the other past
+# it; ``IN`` groups subquery rows and ORs a value's lineage on first probe.
+# Every case below runs with the short table on the left and on the right.
+
+
+def _two_tables(short, long, short_key=INTEGER, long_key=INTEGER):
+    """``s(k, x)`` and ``b(k, x)`` from ``(key, x)`` pairs, ``len(s) < len(b)``."""
+    assert len(short) < len(long)
+    db = Database("edge")
+    for name, key_type, rows in (("s", short_key, short), ("b", long_key, long)):
+        table = db.create_table(name, Schema.of(("k", key_type), ("x", INTEGER)))
+        for i, row in enumerate(rows):
+            table.insert(list(row), confidence=round(0.15 + 0.7 * i / len(rows), 3))
+    return db
+
+
+BOTH_ORDERS = pytest.mark.parametrize("l, r", [("s", "b"), ("b", "s")])
+
+
+@BOTH_ORDERS
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+def test_join_duplicate_and_null_keys_on_both_sides(l, r, kind):
+    db = _two_tables(
+        [(1, 10), (None, 11), (1, 12), (2, 13), (7, 14)],
+        [(2, 20), (1, 21), (None, 22), (3, 23), (1, 24), (2, 25), (None, 26)],
+    )
+    _, columnar = assert_equivalent(
+        db, f"SELECT {l}.k, {l}.x, {r}.x FROM {l} {kind} {r} ON {l}.k = {r}.k"
+    )
+    joined = [row.values for row in columnar.rows if row.values[2] is not None]
+    assert all(values[0] is not None for values in joined)
+    assert len(joined) == 2 * 2 + 2  # key 1: 2 x 2, key 2: 1 x 2
+
+
+@BOTH_ORDERS
+def test_join_hash_equal_keys_of_different_types(l, r):
+    """``1`` and ``1.0`` share a bucket whichever side is hashed.  (``True``
+    cannot meet them: the binder refuses INTEGER = BOOLEAN.)"""
+    db = _two_tables(
+        [(1, 10), (2, 11)],
+        [(1.0, 20), (2.5, 21), (2.0, 22), (1.0, 23)],
+        long_key=REAL,
+    )
+    _, columnar = assert_equivalent(
+        db, f"SELECT {l}.x, {r}.x FROM {l} JOIN {r} ON {l}.k = {r}.k"
+    )
+    assert len(columnar.rows) == 3
+
+
+@BOTH_ORDERS
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+def test_join_nan_key_hits_the_bucket_but_fails_the_recheck(l, r, kind):
+    """The same ``nan`` object on both sides is found by dict identity;
+    ``nan = nan`` is false, so the per-candidate re-check must drop it."""
+    nan = float("nan")
+    db = _two_tables(
+        [(nan, 10), (1.5, 11)],
+        [(1.5, 20), (nan, 21), (nan, 22)],
+        short_key=REAL,
+        long_key=REAL,
+    )
+    assert db.table("b").column_data()[0][0][1] is nan  # stored as given
+    _, columnar = assert_equivalent(
+        db, f"SELECT {l}.x, {r}.x FROM {l} {kind} {r} ON {l}.k = {r}.k"
+    )
+    matched = [row.values for row in columnar.rows if None not in row.values]
+    assert sorted(map(sorted, matched)) == [[11, 20]]
+
+
+@BOTH_ORDERS
+def test_left_join_unmatched_partly_matched_and_certainly_matched(l, r):
+    """Key 5 has no partner (padded, own lineage), key 1 has uncertain
+    partners (padded with ``NOT``), and a partner that is certain (TOP
+    lineage: a global aggregate) leaves no padded row at all."""
+    db = _two_tables(
+        [(1, 10), (5, 11), (0, 12)],
+        [(1, 20), (1, 21), (3, 22), (4, 23)],
+    )
+    _, columnar = assert_equivalent(
+        db, f"SELECT {l}.k, {l}.x, {r}.x FROM {l} LEFT JOIN {r} ON {l}.k = {r}.k"
+    )
+    assert any(row.values[2] is None for row in columnar.rows)
+    _, certain = assert_equivalent(
+        db,
+        f"SELECT {l}.k, z.c FROM {l} LEFT JOIN "
+        f"(SELECT COUNT(*) AS c FROM {r} WHERE x > 99) AS z ON {l}.k = z.c",
+    )
+    zero = [row for row in certain.rows if row.values[0] == 0]
+    assert [row.values for row in zero] == [(0, 0)] * len(zero)  # no padding
+
+
+@BOTH_ORDERS
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+def test_join_with_an_empty_side(l, r, kind):
+    db = _two_tables([], [(1, 20), (None, 21)])
+    _, columnar = assert_equivalent(
+        db, f"SELECT {l}.k, {r}.x FROM {l} {kind} {r} ON {l}.k = {r}.k"
+    )
+    assert len(columnar.rows) == (2 if (l, kind) == ("b", "LEFT JOIN") else 0)
+
+
+@BOTH_ORDERS
+@pytest.mark.parametrize("kind", ["JOIN", "LEFT JOIN"])
+def test_join_condition_that_raises_on_a_later_candidate(l, r, kind):
+    """The third candidate of key 1 divides by zero, the first of key 2
+    takes a modulo by zero: both engines stop at the same one."""
+    db = _two_tables(
+        [(1, 3), (2, 0)],
+        [(1, 2), (2, 1), (1, 5), (1, 0), (2, 0)],
+    )
+    for condition in (
+        f"{l}.k = {r}.k AND 10 / {r}.x > 1 AND 7 % {l}.x >= 0",
+        f"{l}.k = {r}.k AND 10 / ({l}.x - {r}.x - 1) > 0",
+    ):
+        sql = f"SELECT {l}.x, {r}.x FROM {l} {kind} {r} ON {condition}"
+        _assert_same_error(lambda engine: run_sql(db, sql, engine=engine))
+
+
+@BOTH_ORDERS
+@pytest.mark.parametrize("negation", ["", "NOT "])
+def test_in_subquery_duplicates_nulls_and_unprobed_values(l, r, negation):
+    db = _two_tables(
+        [(1, 10), (None, 11), (4, 12), (1, 13)],
+        [(1, 20), (9, 21), (1, 22), (8, 23), (None, 24), (4, 25), (9, 26)],
+    )
+    for subquery in (
+        f"SELECT k FROM {r}",  # NULLs present: NOT IN keeps nothing
+        f"SELECT k FROM {r} WHERE k IS NOT NULL",
+        f"SELECT k FROM {r} WHERE x > 99",  # empty
+    ):
+        assert_equivalent(
+            db, f"SELECT k, x FROM {l} WHERE k {negation}IN ({subquery})"
+        )
+
+
 # -- batch confidence evaluation --------------------------------------------
 
 

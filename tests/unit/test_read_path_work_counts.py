@@ -1,0 +1,181 @@
+"""A deterministic guard on what the columnar read path materialises.
+
+Timings drift; counts repeat exactly.  A join builds value tuples and
+``Var`` objects for the rows that have a partner — not for its inputs — an ``IN`` builds lineage for the subquery values that are probed,
+and compiling a result batch of ``And(var, var)`` rows neither clusters
+children nor walks a cone per row.  At the commit before this guard the
+first join below built 10 050 / 100 050 ``Var``s and as many value
+tuples; ``IN`` built one ``Var`` per subquery row.
+"""
+
+import pytest
+
+from repro.algebra.rows import AnnotatedTuple, ResultSet
+from repro.engines.columnar.batch import ColumnBatch
+from repro.lineage import circuit as circuit_module
+from repro.lineage.circuit import CompiledCircuit
+from repro.lineage.formula import And, Var, lineage_and, lineage_or, var
+from repro.lineage.probability import probability
+from repro.sql import run_sql
+from repro.storage import Database, INTEGER, Schema, TupleId
+from tests.oracle import possible_worlds
+
+FILTERED = 50  # rows of ``small`` that pass ``flag = 1``
+MATCHES = 75  # 30 filtered keys have two partners, 15 one, 5 none
+
+
+def _database(big_rows: int) -> Database:
+    """``small(k, flag)``: 1 000 rows, keys 0–49 flagged.  ``big(k, x)``:
+    *big_rows* rows; the partners of the flagged keys come first, every
+    other key (and the odd NULL) matches nothing flagged."""
+    db = Database("counts")
+    small = db.create_table("small", Schema.of(("k", INTEGER), ("flag", INTEGER)))
+    for k in range(1000):
+        small.insert([k, int(k < FILTERED)], confidence=0.5)
+    big = db.create_table("big", Schema.of(("k", INTEGER), ("x", INTEGER)))
+    partners = [k for k in range(45) for _ in range(2 if k < 30 else 1)]
+    assert len(partners) == MATCHES
+    for j in range(big_rows):
+        if j < MATCHES:
+            key = partners[j]
+        else:
+            key = None if j % 97 == 0 else 1000 + j % 5000
+        big.insert([key, j], confidence=0.5)
+    return db
+
+
+@pytest.mark.parametrize(
+    "sql, materialised",
+    [
+        # The 45 left rows that have a partner, and each partner: 45 + 75.
+        (
+            "SELECT s.k, b.x FROM small s JOIN big b ON s.k = b.k "
+            "WHERE s.flag = 1",
+            45 + MATCHES,
+        ),
+        # Big side on the left: its 75 matching rows, their 45 partners.
+        (
+            "SELECT s.k, b.x FROM big b JOIN small s ON b.k = s.k "
+            "WHERE s.flag = 1",
+            MATCHES + 45,
+        ),
+        # LEFT keeps the 5 partnerless rows too: 50 + 75.
+        (
+            "SELECT s.k, b.x FROM (SELECT k FROM small WHERE flag = 1) AS s "
+            "LEFT JOIN big b ON s.k = b.k",
+            FILTERED + MATCHES,
+        ),
+    ],
+)
+def test_join_materialises_matches_not_inputs(
+    monkeypatch, count_calls, sql, materialised
+):
+    counts = {}
+    for big_rows in (10_000, 100_000):
+        db = _database(big_rows)
+        variables = count_calls(Var, "__init__")
+        one_row = count_calls(ColumnBatch, "row")
+        bulk_rows = [0]
+        original_rows = ColumnBatch.rows
+
+        def counted_rows(batch):
+            rows = original_rows(batch)
+            bulk_rows[0] += len(rows)
+            return rows
+
+        monkeypatch.setattr(ColumnBatch, "rows", counted_rows)
+        result = run_sql(db, sql, engine="columnar")
+        monkeypatch.undo()
+        assert sum(row.values[1] is not None for row in result.rows) == MATCHES
+        counts[big_rows] = (variables[0], one_row[0] + bulk_rows[0])
+    # ``Var``s and value tuples built, whatever the size of the big input.
+    assert counts[10_000] == counts[100_000] == (materialised, materialised)
+    assert materialised <= 2 * (MATCHES + FILTERED)
+
+
+@pytest.mark.parametrize("negation, kept", [("", 45), ("NOT ", FILTERED)])
+def test_in_subquery_materialises_probed_values_only(
+    monkeypatch, count_calls, negation, kept
+):
+    """50 probes into a subquery of thousands of rows: one ``Var`` per kept
+    probe row plus one per subquery row of a value that was probed."""
+    sql = (
+        f"SELECT k FROM small WHERE flag = 1 AND k {negation}IN "
+        "(SELECT k FROM big WHERE k IS NOT NULL)"
+    )
+    counts = {}
+    for big_rows in (5_000, 20_000):
+        db = _database(big_rows)
+        variables = count_calls(Var, "__init__")
+        result = run_sql(db, sql, engine="columnar")
+        monkeypatch.undo()
+        assert len(result.rows) == kept
+        counts[big_rows] = variables[0]
+    assert counts[5_000] == counts[20_000] == kept + MATCHES
+
+
+def _join_rows(count: int) -> ResultSet:
+    """*count* rows shaped like a join's: ``And(left var, right var)``,
+    each left variable shared by two rows."""
+    rows = [
+        AnnotatedTuple(
+            (i,), lineage_and(var(TupleId("l", i // 2)), var(TupleId("r", i)))
+        )
+        for i in range(count)
+    ]
+    schema = Schema.of(("i", INTEGER))
+    return ResultSet(schema, rows)
+
+
+def test_join_rows_compile_without_clustering_or_cones(count_calls):
+    result = _join_rows(400)
+    assert all(type(row.lineage) is And for row in result.rows)
+    probabilities = {
+        tid: 0.05 + 0.9 * (tid.ordinal % 17) / 17
+        for row in result.rows
+        for tid in row.lineage.variables
+    }
+    clustered = count_calls(circuit_module, "_independent_clusters")
+    cones = count_calls(CompiledCircuit, "_find_cone")
+
+    confidences = result.confidences(probabilities)
+
+    assert clustered[0] == 0 and cones[0] == 0
+    # 200 + 400 VAR nodes and one MUL per row — what clustering built.
+    assert len(result.circuit_pool) == 200 + 400 + 400
+    assert result.circuit_stats()["shared_hit_rate"] == 0.1667  # 200 / 1 200
+    assert confidences == [
+        probability(row.lineage, probabilities) for row in result.rows
+    ]
+    # The solvers' path still gets a cone, on demand.
+    circuit = result.compiled_circuits()[3]
+    assert circuit.order == (5, 8, 9) and cones[0] == 1
+    assert circuit.support == (TupleId("l", 1), TupleId("r", 3))
+    assert circuit.evaluate(probabilities) == confidences[3]
+
+
+def test_shared_variable_rows_still_cluster_and_expand(count_calls):
+    """``(a ∧ b) ∨ (a ∧ c)`` shares ``a`` across children: clustering finds
+    one entangled cluster and Shannon-expands it, exactly as before."""
+    a, b, c, d = (var(TupleId("t", i)) for i in range(4))
+    entangled = lineage_or(lineage_and(a, b), lineage_and(a, c))
+    mixed = lineage_and(d, lineage_or(lineage_and(a, b), lineage_and(a, c)))
+    result = ResultSet(
+        Schema.of(("i", INTEGER)),
+        [
+            AnnotatedTuple((0,), entangled),
+            AnnotatedTuple((1,), lineage_and(b, d)),
+            AnnotatedTuple((2,), mixed),
+        ],
+    )
+    probabilities = {TupleId("t", i): p for i, p in enumerate((0.3, 0.6, 0.7, 0.9))}
+    clustered = count_calls(circuit_module, "_independent_clusters")
+
+    confidences = result.confidences(probabilities)
+
+    assert clustered[0] >= 1
+    assert confidences == [
+        probability(row.lineage, probabilities) for row in result.rows
+    ]
+    for row, confidence in zip(result.rows, confidences):
+        assert abs(confidence - possible_worlds(row.lineage, probabilities)) < 1e-12

@@ -45,6 +45,30 @@ class TestSnapshotIsolation:
         snap.release()
         fresh.release()
 
+    def test_batch_confidences_match_the_per_tuple_reads_and_errors(self):
+        """``confidences(tids)`` looks each table up once; values, key order
+        and the error for an unresolvable tid are the single-tid ones, on
+        the live database and on a snapshot alike."""
+        from repro.errors import UnknownTupleError
+
+        db = _db()
+        snap = MVCCDatabase(db).snapshot()
+        tids = [TupleId("t", 3), TupleId("u", 0), TupleId("t", 0), TupleId("t", 3)]
+        for source in (db, snap.db):
+            batch = source.confidences(iter(tids))
+            assert list(batch) == tids[:3]
+            assert batch == {tid: source.confidence_of(tid) for tid in tids}
+            for bad, error in (
+                (TupleId("t", 77), UnknownTupleError),
+                (TupleId("nope", 0), UnknownTableError),
+            ):
+                with pytest.raises(error) as single:
+                    source.confidence_of(bad)
+                with pytest.raises(error) as batched:
+                    source.confidences([tids[0], bad])
+                assert str(batched.value) == str(single.value)
+        snap.release()
+
     def test_snapshot_rows_are_copies_not_references(self):
         # Confidence writes mutate live StoredTuple objects in place; a
         # snapshot that shared them would leak the write-back.

@@ -19,18 +19,6 @@ from repro.storage import TupleId
 from tests.golden_plans import scalability_problem
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = [0]
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "size, options, min_evaluations_per_priced_point",
     [
@@ -40,12 +28,12 @@ def _count_calls(monkeypatch, owner, name):
     ],
 )
 def test_boundary_work_does_not_grow_with_gain_evaluations(
-    monkeypatch, size, options, min_evaluations_per_priced_point
+    count_calls, size, options, min_evaluations_per_priced_point
 ):
     problem = scalability_problem(size)
     tuples = len(problem.tuples)
-    hashes = _count_calls(monkeypatch, TupleId, "__hash__")
-    priced = _count_calls(monkeypatch, CostModel, "increment_cost")
+    hashes = count_calls(TupleId, "__hash__")
+    priced = count_calls(CostModel, "increment_cost")
 
     plan = solve_greedy(problem, options)
 
