@@ -239,7 +239,7 @@ def run_drain() -> dict:
         time.sleep(0.3)
         return {"ok": True, "slow": True}
 
-    server._op_sql = slow_sql
+    server._ops["sql"] = server._ops["sql"]._replace(handler=slow_sql)
     inflight_reply: dict = {}
     report: dict = {}
     client_a = ServerClient(

@@ -270,15 +270,38 @@ class ServerError(ReproError):
     overload, drain, breaker); ``False`` means retrying the identical
     request will fail the identical way (bad frame, bad SQL, unknown
     user).  The flag travels over the wire in every error reply so
-    clients never have to keep a hard-coded type list.  ``details()``
-    contributes extra structured fields to the wire payload.
+    clients never have to keep a hard-coded type list.
+
+    ``fields`` names, once per class, the structured values behind the
+    decision: each is a keyword-only constructor argument (required
+    unless the class gives it a default as a class attribute), an
+    attribute of the instance, and — in declaration order — an entry of
+    ``details()``, which contributes them to the wire payload.
     """
 
     retryable: bool = False
+    fields: "tuple[str, ...]" = ()
+
+    def __init__(self, *args: object, **fields: object) -> None:
+        super().__init__(*args)
+        cls = type(self)
+        unknown = [name for name in fields if name not in cls.fields]
+        missing = [
+            name
+            for name in cls.fields
+            if name not in fields and not hasattr(cls, name)
+        ]
+        if unknown or missing:
+            raise TypeError(
+                f"{cls.__name__}() keyword arguments must be "
+                f"{cls.fields}: unknown {unknown}, missing {missing}"
+            )
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     def details(self) -> dict:
         """Structured fields merged into the wire error payload."""
-        return {}
+        return {name: getattr(self, name) for name in self.fields}
 
 
 class ProtocolError(ServerError):
@@ -305,27 +328,7 @@ class AdmissionError(ServerError):
     """
 
     retryable = True
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        deadline_ms: float,
-        projected_wait_ms: float,
-        queue_depth: int,
-    ) -> None:
-        super().__init__(message)
-        self.deadline_ms = deadline_ms
-        self.projected_wait_ms = projected_wait_ms
-        self.queue_depth = queue_depth
-
-    def details(self) -> dict:
-        """The structured payload sent over the wire."""
-        return {
-            "deadline_ms": self.deadline_ms,
-            "projected_wait_ms": self.projected_wait_ms,
-            "queue_depth": self.queue_depth,
-        }
+    fields = ("deadline_ms", "projected_wait_ms", "queue_depth")
 
 
 class OverloadError(ServerError):
@@ -337,29 +340,7 @@ class OverloadError(ServerError):
     """
 
     retryable = True
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        op: str,
-        priority: int,
-        queue_depth: int,
-        limit: int,
-    ) -> None:
-        super().__init__(message)
-        self.op = op
-        self.priority = priority
-        self.queue_depth = queue_depth
-        self.limit = limit
-
-    def details(self) -> dict:
-        return {
-            "op": self.op,
-            "priority": self.priority,
-            "queue_depth": self.queue_depth,
-            "limit": self.limit,
-        }
+    fields = ("op", "priority", "queue_depth", "limit")
 
 
 class RequestTimeoutError(ServerError):
@@ -370,14 +351,7 @@ class RequestTimeoutError(ServerError):
     """
 
     retryable = True
-
-    def __init__(self, message: str, *, op: str, timeout_ms: float) -> None:
-        super().__init__(message)
-        self.op = op
-        self.timeout_ms = timeout_ms
-
-    def details(self) -> dict:
-        return {"op": self.op, "timeout_ms": self.timeout_ms}
+    fields = ("op", "timeout_ms")
 
 
 class CircuitOpenError(ServerError):
@@ -387,19 +361,7 @@ class CircuitOpenError(ServerError):
     """
 
     retryable = True
-
-    def __init__(
-        self, message: str, *, failures: int, retry_after_ms: float
-    ) -> None:
-        super().__init__(message)
-        self.failures = failures
-        self.retry_after_ms = retry_after_ms
-
-    def details(self) -> dict:
-        return {
-            "failures": self.failures,
-            "retry_after_ms": self.retry_after_ms,
-        }
+    fields = ("failures", "retry_after_ms")
 
 
 class ServerDrainingError(ServerError):
@@ -427,14 +389,12 @@ class NotPrimaryError(ReplicationError):
     to the next endpoint instead of burning its backoff budget here.
     """
 
-    def __init__(self, message: str, *, role: str = "replica",
-                 epoch: int = 0) -> None:
-        super().__init__(message)
-        self.role = role
-        self.epoch = epoch
+    fields = ("role", "epoch")
+    role = "replica"
+    epoch = 0
 
     def details(self) -> dict:
-        return {"rotate": True, "role": self.role, "epoch": self.epoch}
+        return {"rotate": True, **super().details()}
 
 
 class ReplicaLagError(ReplicationError):
@@ -444,20 +404,7 @@ class ReplicaLagError(ReplicationError):
     """
 
     retryable = True
-
-    def __init__(self, message: str, *, min_seq: int, position: int,
-                 waited_ms: float) -> None:
-        super().__init__(message)
-        self.min_seq = min_seq
-        self.position = position
-        self.waited_ms = waited_ms
-
-    def details(self) -> dict:
-        return {
-            "min_seq": self.min_seq,
-            "position": self.position,
-            "waited_ms": self.waited_ms,
-        }
+    fields = ("min_seq", "position", "waited_ms")
 
 
 class StaleEpochError(ReplicationError):
@@ -468,17 +415,7 @@ class StaleEpochError(ReplicationError):
     regime are rejected instead of silently diverging the log.
     """
 
-    def __init__(self, message: str, *, stale_epoch: int,
-                 current_epoch: int) -> None:
-        super().__init__(message)
-        self.stale_epoch = stale_epoch
-        self.current_epoch = current_epoch
-
-    def details(self) -> dict:
-        return {
-            "stale_epoch": self.stale_epoch,
-            "current_epoch": self.current_epoch,
-        }
+    fields = ("stale_epoch", "current_epoch")
 
 
 class DivergedLogError(ReplicationError):
@@ -487,12 +424,8 @@ class DivergedLogError(ReplicationError):
     resync before serving again.
     """
 
-    def __init__(self, message: str, *, diverged_at: int = 0) -> None:
-        super().__init__(message)
-        self.diverged_at = diverged_at
-
-    def details(self) -> dict:
-        return {"diverged_at": self.diverged_at}
+    fields = ("diverged_at",)
+    diverged_at = 0
 
 
 class QuarantinedTableError(ReplicationError):
@@ -502,13 +435,7 @@ class QuarantinedTableError(ReplicationError):
     """
 
     retryable = True
-
-    def __init__(self, message: str, *, table: str) -> None:
-        super().__init__(message)
-        self.table = table
-
-    def details(self) -> dict:
-        return {"table": self.table}
+    fields = ("table",)
 
 
 class ReplicationTimeoutError(ReplicationError):
@@ -519,14 +446,4 @@ class ReplicationTimeoutError(ReplicationError):
     """
 
     retryable = True
-
-    def __init__(self, message: str, *, seq: int, required: int,
-                 acked: int) -> None:
-        super().__init__(message)
-        self.seq = seq
-        self.required = required
-        self.acked = acked
-
-    def details(self) -> dict:
-        return {"seq": self.seq, "required": self.required,
-                "acked": self.acked}
+    fields = ("seq", "required", "acked")

@@ -1,4 +1,4 @@
-"""Concurrent multi-session serving for the PCQE (ROADMAP item 1).
+"""Concurrent multi-session serving for the PCQE.
 
 Layers, bottom up:
 
@@ -7,10 +7,13 @@ Layers, bottom up:
 * :mod:`~repro.server.session` — per-connection sessions: a pinned
   snapshot, a ⟨user, role, purpose⟩ policy context, read-your-own-writes.
 * :mod:`~repro.server.protocol` — length-prefixed JSON frames.
-* :mod:`~repro.server.server` — the asyncio socket server with
-  deadline-based admission control and obs instrumentation.
-* :mod:`~repro.server.client` — the blocking client (CLI / tests /
-  benchmarks) and the retrying idempotent :class:`RetryingClient`.
+* :mod:`~repro.server.server` — the asyncio socket server: one op
+  table, one staged request pipeline, deadline-based
+  admission control and obs instrumentation.
+* :mod:`~repro.server.client` — the one wire link and the two blocking
+  clients over it (CLI / tests / benchmarks): the raw
+  :class:`ServerClient` and the retrying idempotent
+  :class:`RetryingClient`.
 * :mod:`~repro.server.faults` — deterministic, seeded network fault
   injection for chaos testing the layers above.
 * :mod:`~repro.server.replication` — WAL-shipping replication: replica

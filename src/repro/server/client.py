@@ -1,9 +1,14 @@
-"""A blocking socket client for the PCQE server.
+"""The client side of the wire: one link, two blocking clients.
 
-Used by the ``connect`` CLI command, the integration tests, and
-``benchmarks/serve_bench.py``.  One :class:`ServerClient` is one session:
-the constructor performs the ``hello`` handshake, every call maps to one
-request frame, and :meth:`close` says ``bye`` and closes the socket.
+:class:`WireLink` is the one place a frame is sent and its reply read
+(connect to one of N endpoints, send, read until the matching ``rid``,
+raise :class:`ServerReplyError` on ``ok: false``).  It carries the
+:class:`ServerClient` of the ``connect`` CLI command, the tests and the
+serve/chaos benchmarks, the :class:`RetryingClient` of the end-to-end
+benchmark and the replication smokes, and a replica's pull loop and
+scrubber.  One :class:`ServerClient` is one session: the constructor
+performs the ``hello`` handshake, every call maps to one request frame,
+and :meth:`~ServerClient.close` says ``bye`` and closes the socket.
 
 >>> with ServerClient("127.0.0.1", 7433, user="bob",
 ...                   purpose="investment") as client:
@@ -24,7 +29,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..errors import ProtocolError, ServerError
 from ..obs import get_metrics
@@ -33,6 +38,7 @@ from .faults import FaultySocket, NetworkFaultInjector
 from .protocol import recv_frame, send_frame
 
 __all__ = [
+    "WireLink",
     "ServerClient",
     "ServerReplyError",
     "RetryingClient",
@@ -55,6 +61,95 @@ class ServerReplyError(ServerError):
         return str(self.error.get("type", "ServerError"))
 
 
+def _parse_endpoint(endpoint: "str | tuple[str, int]") -> tuple[str, int]:
+    if isinstance(endpoint, tuple):
+        return endpoint[0], int(endpoint[1])
+    host, _, port = endpoint.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"endpoint must be 'host:port', got {endpoint!r}")
+    return host, int(port)
+
+
+class WireLink:
+    """A blocking connection to one of N endpoints.
+
+    :attr:`index` names the endpoint in use (or to try first);
+    :meth:`connect` advances it past unreachable endpoints and
+    :meth:`rotate` past one that answered but will not serve.
+    :attr:`endpoints` is a plain list the owner may extend.  *faults*
+    wraps the socket in a :class:`~repro.server.faults.FaultySocket`.
+    """
+
+    def __init__(
+        self,
+        endpoints: "Iterable[str | tuple[str, int]]",
+        *,
+        timeout: float | None,
+        faults: NetworkFaultInjector | None = None,
+        index: int = 0,
+    ) -> None:
+        self.endpoints = [_parse_endpoint(e) for e in endpoints]
+        if not self.endpoints:
+            raise ValueError("a link needs at least one endpoint")
+        self.index = index
+        self.timeout = timeout
+        self.faults = faults
+        self.sock: Any = None
+
+    def connect(self, avoid: "tuple[str, int] | None" = None) -> None:
+        """Open a socket to the current endpoint, advancing past
+        unreachable ones (and never dialling *avoid*)."""
+        failure: OSError = OSError("no endpoint is reachable")
+        for offset in range(len(self.endpoints)):
+            index = (self.index + offset) % len(self.endpoints)
+            if self.endpoints[index] == avoid:
+                continue
+            try:
+                raw = socket.create_connection(
+                    self.endpoints[index], timeout=self.timeout
+                )
+            except OSError as error:
+                failure = error
+                continue
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.index = index
+            self.sock = (
+                raw if self.faults is None else FaultySocket(raw, self.faults)
+            )
+            return
+        raise failure
+
+    def rotate(self) -> None:
+        self.index = (self.index + 1) % len(self.endpoints)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            try:
+                self.sock.close()
+            except OSError:  # pragma: no cover - close is best effort
+                pass
+            self.sock = None
+
+    def exchange(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Send one frame, read its reply, raise on ``ok: false``.
+
+        A message carrying a ``rid`` reads until the reply echoing it,
+        discarding stale frames (injected duplicates, leftovers from an
+        abandoned request).
+        """
+        send_frame(self.sock, message)
+        rid = message.get("rid")
+        while True:
+            reply = recv_frame(self.sock)
+            got = reply.get("rid")
+            if rid is None or got is None or got == rid:
+                break
+            get_metrics().counter("client.stale_replies").inc()
+        if not reply.get("ok", False):
+            raise ServerReplyError(reply.get("error", {}))
+        return reply
+
+
 class ServerClient:
     """One connection = one session with a pinned snapshot."""
 
@@ -67,26 +162,51 @@ class ServerClient:
         purpose: str,
         timeout: float | None = 30.0,
     ) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._start(WireLink([(host, port)], timeout=timeout), user, purpose)
+
+    def _start(self, link: WireLink, user: str, purpose: str) -> None:
+        self._link = link
+        self._hello: dict[str, Any] = {
+            "op": "hello", "user": user, "purpose": purpose,
+        }
         self._closed = False
-        hello = self.request(
-            {"op": "hello", "user": user, "purpose": purpose}
-        )
-        self.session_id: int = hello["session"]
-        self.seq: int = hello["seq"]
-        self.role: str = hello.get("role", "")
+        self.session_id: int = 0
+        self.seq: int = 0
+        self.role: str = ""
+        self.server_role: str = ""
+        self.epoch: int = 0
+        self._open()
 
     # -- plumbing ----------------------------------------------------------
+
+    def _open(self) -> None:
+        """Connect and complete the ``hello`` handshake; no half-open
+        socket survives a failure."""
+        self._link.connect()
+        try:
+            hello = self._link.exchange(self._frame(self._hello))
+        except BaseException:
+            self._link.close()
+            raise
+        self.session_id = hello["session"]
+        self.seq = hello["seq"]
+        self.role = hello.get("role", "")
+        self.server_role = hello.get("server_role", "")
+        self.epoch = hello.get("epoch", 0)
+
+    def _frame(self, message: dict[str, Any]) -> dict[str, Any]:
+        """What actually goes on the wire for *message*."""
+        return message
+
+    def _keyed(self, message: dict[str, Any]) -> dict[str, Any]:
+        """A request that may write (``sql``, ``ask``, ``profile``)."""
+        return message
 
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
         """Send one frame, wait for the reply, raise on ``ok: false``."""
         if self._closed:
             raise ServerError("client is closed")
-        send_frame(self._sock, message)
-        reply = recv_frame(self._sock)
-        if not reply.get("ok", False):
-            raise ServerReplyError(reply.get("error", {}))
+        reply = self._link.exchange(message)
         if "seq" in reply:
             self.seq = reply["seq"]
         return reply
@@ -96,23 +216,30 @@ class ServerClient:
         if self._closed:
             return
         self._closed = True
+        if self._link.sock is None:
+            return
         try:
-            send_frame(self._sock, {"op": "bye"})
-            recv_frame(self._sock)
-        except OSError:
-            pass
-        except ServerError:
+            self._link.exchange({"op": "bye"})
+        except (OSError, ServerError):
             pass
         finally:
-            self._sock.close()
+            self._link.close()
 
-    def __enter__(self) -> "ServerClient":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
     # -- operations --------------------------------------------------------
+
+    def _ask(
+        self, op: str, sql: str, fraction: float, deadline_ms: float | None
+    ) -> dict[str, Any]:
+        message: dict[str, Any] = {"op": op, "sql": sql, "fraction": fraction}
+        if deadline_ms is not None:
+            message["deadline_ms"] = deadline_ms
+        return self.request(self._keyed(message))
 
     def ask(
         self,
@@ -121,15 +248,9 @@ class ServerClient:
         *,
         deadline_ms: float | None = None,
     ) -> dict[str, Any]:
-        """Run the PCQE pipeline; returns the status/rows/confidences reply."""
-        message: dict[str, Any] = {
-            "op": "ask",
-            "sql": sql,
-            "fraction": fraction,
-        }
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return self.request(message)
+        """Run the PCQE pipeline; returns the status/rows/confidences
+        reply (an approved increment plan commits a write-back)."""
+        return self._ask("ask", sql, fraction, deadline_ms)
 
     def profile(
         self,
@@ -139,18 +260,11 @@ class ServerClient:
         deadline_ms: float | None = None,
     ) -> dict[str, Any]:
         """``ask`` with a stage-by-stage profile report attached."""
-        message: dict[str, Any] = {
-            "op": "profile",
-            "sql": sql,
-            "fraction": fraction,
-        }
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return self.request(message)
+        return self._ask("profile", sql, fraction, deadline_ms)
 
     def sql(self, sql: str) -> dict[str, Any]:
         """Run one SQL statement (SELECT reads the snapshot; DML commits)."""
-        return self.request({"op": "sql", "sql": sql})
+        return self.request(self._keyed({"op": "sql", "sql": sql}))
 
     def refresh(self) -> int:
         """Re-pin the latest generation; returns the new ``seq``."""
@@ -181,27 +295,15 @@ class RetriesExhaustedError(ServerError):
 class _RetryableFailure(ServerError):
     """Internal: wraps a failure the retry loop is allowed to absorb."""
 
-    def __init__(self, cause: BaseException, *, reconnect: bool) -> None:
+    def __init__(self, cause: BaseException) -> None:
         super().__init__(str(cause))
         self.cause = cause
-        #: Transport-level failures poison the socket; server-side
-        #: rejections (admission, overload, breaker) leave it healthy.
-        self.reconnect = reconnect
 
 
 _client_ids = itertools.count(1)
 
 
-def _parse_endpoint(endpoint: "str | tuple[str, int]") -> tuple[str, int]:
-    if isinstance(endpoint, tuple):
-        return endpoint[0], int(endpoint[1])
-    host, _, port = endpoint.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"endpoint must be 'host:port', got {endpoint!r}")
-    return host, int(port)
-
-
-class RetryingClient:
+class RetryingClient(ServerClient):
     """A :class:`ServerClient` hardened for lossy networks and overload.
 
     * **Retry with backoff + jitter** — transport failures and retryable
@@ -260,21 +362,15 @@ class RetryingClient:
         faults: NetworkFaultInjector | None = None,
         read_your_writes: bool = True,
     ) -> None:
-        if endpoints:
-            self._endpoints = [_parse_endpoint(e) for e in endpoints]
-        elif host is not None and port is not None:
-            self._endpoints = [(host, int(port))]
-        else:
-            raise ValueError(
-                "RetryingClient needs host+port or a non-empty endpoints list"
-            )
-        self._endpoint_index = 0
+        if not endpoints:
+            if host is None or port is None:
+                raise ValueError(
+                    "RetryingClient needs host+port or a non-empty "
+                    "endpoints list"
+                )
+            endpoints = [(host, int(port))]
         self._read_your_writes = read_your_writes
         self.last_write_seq = 0
-        self._user = user
-        self._purpose = purpose
-        self._timeout = timeout
-        self._faults = faults
         self.client_id = client_id or (
             f"rc-{os.getpid()}-{next(_client_ids)}"
         )
@@ -290,87 +386,32 @@ class RetryingClient:
         self._lock = threading.Lock()
         self._rids = itertools.count(1)
         self._keys = itertools.count(1)
-        self._sock: Any = None
-        self._closed = False
         self.reconnects = 0
-        self.session_id: int = 0
-        self.seq: int = 0
-        self.role: str = ""
-        self.server_role: str = ""
-        self.epoch: int = 0
-        self._connect()
+        self._start(
+            WireLink(endpoints, timeout=timeout, faults=faults), user, purpose
+        )
 
     # -- plumbing ----------------------------------------------------------
 
-    def _connect(self) -> None:
-        """Open a socket to the current endpoint (advancing past
-        unreachable ones) and complete the ``hello`` handshake."""
-        raw: socket.socket | None = None
-        last_error: OSError | None = None
-        for offset in range(len(self._endpoints)):
-            index = (self._endpoint_index + offset) % len(self._endpoints)
-            try:
-                raw = socket.create_connection(
-                    self._endpoints[index], timeout=self._timeout
-                )
-            except OSError as error:
-                last_error = error
-                continue
-            self._endpoint_index = index
-            break
-        if raw is None:
-            assert last_error is not None
-            raise last_error
-        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock: Any = raw
-        if self._faults is not None:
-            sock = FaultySocket(raw, self._faults)
-        self._sock = sock
-        rid = next(self._rids)
-        try:
-            send_frame(sock, {
-                "op": "hello",
-                "user": self._user,
-                "purpose": self._purpose,
-                "client_id": self.client_id,
-                "rid": rid,
-            })
-            hello = self._read_matching(rid)
-        except BaseException:
-            self._drop_socket()
-            raise
-        if not hello.get("ok", False):
-            self._drop_socket()
-            raise ServerReplyError(hello.get("error", {}))
-        self.session_id = hello["session"]
-        self.seq = hello["seq"]
-        self.role = hello.get("role", "")
-        self.server_role = hello.get("server_role", "")
-        self.epoch = hello.get("epoch", 0)
+    def _frame(self, message: dict[str, Any]) -> dict[str, Any]:
+        frame = {**message, "rid": next(self._rids)}
+        op = frame.get("op")
+        if op == "hello":
+            frame["client_id"] = self.client_id
+        elif (
+            self._read_your_writes
+            and self.last_write_seq > 0
+            and "min_seq" not in frame
+            and op in ("ask", "profile", "sql", "refresh")
+        ):
+            frame["min_seq"] = self.last_write_seq
+        return frame
 
-    def _rotate_endpoint(self) -> None:
-        self._endpoint_index = (
-            self._endpoint_index + 1
-        ) % len(self._endpoints)
-        get_metrics().counter("client.endpoint_rotations").inc()
-
-    def _drop_socket(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
-            self._sock = None
-
-    def _read_matching(self, rid: int) -> dict[str, Any]:
-        """Read until a reply for *rid* arrives, discarding stale frames
-        (injected duplicates, leftovers from an abandoned request)."""
-        while True:
-            reply = recv_frame(self._sock)
-            got = reply.get("rid")
-            if got is None or got == rid:
-                return reply
-            get_metrics().counter("client.stale_replies").inc()
+    def _keyed(self, message: dict[str, Any]) -> dict[str, Any]:
+        return {
+            **message,
+            "idempotency_key": f"{self.client_id}:{next(self._keys)}",
+        }
 
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
         """Send one logical request, retrying as classified; the reply.
@@ -381,57 +422,40 @@ class RetryingClient:
         """
         if self._closed:
             raise ServerError("client is closed")
+        link = self._link
         with self._lock:
-            rid = next(self._rids)
-            frame = {**message, "rid": rid}
-            if (
-                self._read_your_writes
-                and self.last_write_seq > 0
-                and "min_seq" not in frame
-                and frame.get("op") in ("ask", "profile", "sql", "refresh")
-            ):
-                frame["min_seq"] = self.last_write_seq
+            frame = self._frame(message)
 
             def attempt() -> dict[str, Any]:
                 try:
-                    if self._sock is None:
+                    if link.sock is None:
                         self.reconnects += 1
                         get_metrics().counter("client.reconnects").inc()
-                        self._connect()
-                    send_frame(self._sock, frame)
-                    reply = self._read_matching(rid)
-                except _RetryableFailure:
-                    raise
-                except ServerReplyError as error:
-                    # A rejected hello during reconnect (e.g. the server
-                    # is draining): retryable if the server says so.
-                    self._drop_socket()
-                    if error.error.get("retryable", False):
-                        raise _RetryableFailure(
-                            error, reconnect=True
-                        ) from error
-                    raise
+                        self._open()
+                    reply = link.exchange(frame)
                 except (OSError, ProtocolError) as error:
                     # Transport death: ambiguous (the server may have
                     # executed the request) — safe to retry because
                     # mutating frames carry an idempotency key.
-                    self._drop_socket()
-                    raise _RetryableFailure(error, reconnect=True) from error
-                if not reply.get("ok", False):
-                    error_payload = reply.get("error", {})
-                    cause = ServerReplyError(error_payload)
-                    if error_payload.get("rotate", False) and (
-                        len(self._endpoints) > 1
+                    link.close()
+                    raise _RetryableFailure(error) from error
+                except ServerReplyError as error:
+                    # (Also the rejected hello of a reconnect, e.g. by a
+                    # draining server; _open left no socket behind.)
+                    if error.error.get("rotate", False) and (
+                        len(link.endpoints) > 1
                     ):
                         # e.g. NotPrimaryError: this node will *never*
                         # take the write — move to the next endpoint now
                         # instead of backing off against it.
-                        self._drop_socket()
-                        self._rotate_endpoint()
-                        raise _RetryableFailure(cause, reconnect=True)
-                    if error_payload.get("retryable", False):
-                        raise _RetryableFailure(cause, reconnect=False)
-                    raise cause
+                        link.close()
+                        link.rotate()
+                        get_metrics().counter(
+                            "client.endpoint_rotations"
+                        ).inc()
+                    elif not error.error.get("retryable", False):
+                        raise
+                    raise _RetryableFailure(error) from error
                 if "seq" in reply:
                     self.seq = reply["seq"]
                     if "result" in reply or "improved" in reply:
@@ -451,82 +475,3 @@ class RetryingClient:
                 raise RetriesExhaustedError(
                     self._retry.attempts, failure.cause
                 ) from failure.cause
-
-    def close(self) -> None:
-        """Say ``bye`` (best effort) and close the socket (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._sock is None:
-            return
-        try:
-            send_frame(self._sock, {"op": "bye"})
-            recv_frame(self._sock)
-        except (OSError, ServerError):
-            pass
-        finally:
-            self._drop_socket()
-
-    def __enter__(self) -> "RetryingClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- operations --------------------------------------------------------
-
-    def _idempotency_key(self) -> str:
-        return f"{self.client_id}:{next(self._keys)}"
-
-    def ask(
-        self,
-        sql: str,
-        fraction: float = 1.0,
-        *,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """Run the PCQE pipeline; retried with an idempotency key (an
-        approved increment plan commits a write-back)."""
-        message: dict[str, Any] = {
-            "op": "ask",
-            "sql": sql,
-            "fraction": fraction,
-            "idempotency_key": self._idempotency_key(),
-        }
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return self.request(message)
-
-    def profile(
-        self,
-        sql: str,
-        fraction: float = 1.0,
-        *,
-        deadline_ms: float | None = None,
-    ) -> dict[str, Any]:
-        """``ask`` with a stage-by-stage profile report attached."""
-        message: dict[str, Any] = {
-            "op": "profile",
-            "sql": sql,
-            "fraction": fraction,
-            "idempotency_key": self._idempotency_key(),
-        }
-        if deadline_ms is not None:
-            message["deadline_ms"] = deadline_ms
-        return self.request(message)
-
-    def sql(self, sql: str) -> dict[str, Any]:
-        """Run one SQL statement; DML retries are deduplicated by key."""
-        return self.request({
-            "op": "sql",
-            "sql": sql,
-            "idempotency_key": self._idempotency_key(),
-        })
-
-    def refresh(self) -> int:
-        """Re-pin the latest generation; returns the new ``seq``."""
-        return self.request({"op": "refresh"})["seq"]
-
-    def metrics(self) -> str:
-        """The server's OpenMetrics exposition text."""
-        return self.request({"op": "metrics"})["openmetrics"]

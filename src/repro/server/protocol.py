@@ -38,7 +38,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
     "read_frame",
-    "write_frame",
     "recv_frame",
     "send_frame",
 ]
@@ -106,13 +105,6 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
             f"({len(error.partial)}/{length} bytes)"
         ) from None
     return _decode_body(body)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, message: dict[str, Any]
-) -> None:
-    writer.write(encode_frame(message))
-    await writer.drain()
 
 
 # -- blocking side (client) ------------------------------------------------

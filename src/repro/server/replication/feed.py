@@ -203,6 +203,24 @@ class PrimaryReplication:
     def detach(self) -> None:
         self._manager.remove_commit_listener(self._on_commit)
 
+    @property
+    def last_seq(self) -> int:
+        """Head of the durable log (the manager's, which a checkpoint
+        never rewinds — not the in-memory window's)."""
+        return self._manager.last_seq
+
+    def journaled_keys(self):
+        """Yield ``(client, key, seq)`` for every dedup marker in the
+        retained frames — what a restarted primary rebuilds its durable
+        exactly-once map from."""
+        for seq, payload in self.feed.snapshot_frames():
+            try:
+                op = json.loads(payload.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                continue
+            for client, key in iter_idempotency_markers(op):
+                yield client, key, seq
+
     # -- acknowledgements --------------------------------------------------
 
     def record_ack(self, replica_id: str, seq: int) -> None:
@@ -211,14 +229,6 @@ class PrimaryReplication:
             if seq > self._positions.get(replica_id, -1):
                 self._positions[replica_id] = seq
                 self._acked.notify_all()
-
-    def replica_positions(self) -> dict[str, int]:
-        with self._ack_lock:
-            return dict(self._positions)
-
-    def acked_count(self, seq: int) -> int:
-        with self._ack_lock:
-            return sum(1 for pos in self._positions.values() if pos >= seq)
 
     def wait_for_acks(self, seq: int, required: int, timeout: float) -> int:
         """Block until *required* replicas confirm *seq*; returns the
@@ -231,9 +241,3 @@ class PrimaryReplication:
                 timeout=timeout,
             )
             return sum(1 for pos in self._positions.values() if pos >= seq)
-
-    def lag_of(self, replica_id: str) -> int:
-        """Frames between the feed head and *replica_id*'s last ack."""
-        with self._ack_lock:
-            position = self._positions.get(replica_id, 0)
-        return max(0, self.feed.last_seq - position)

@@ -20,14 +20,13 @@ One :class:`Replica` owns three things:
   primary snapshot.
 
 The pull protocol is the ordinary length-prefixed JSON framing on the
-same port clients use; ``repl.*`` ops are session-less (see
-``PCQEServer._dispatch_repl``).
+same port clients use; ``repl.*`` ops are session-less (the primary's
+side is :mod:`~repro.server.replication.ops`).
 """
 
 from __future__ import annotations
 
 import json
-import socket
 import threading
 import time
 from collections import deque
@@ -42,9 +41,9 @@ from ...storage.durability.checksum import crc32c
 from ...storage.durability.codec import decode_op
 from ...storage.durability.recovery import apply_op
 from ...storage.durability.snapshot import populate_database
-from ..client import ServerReplyError
+from ..client import WireLink
 from ..faults import NetworkFaultInjector
-from ..protocol import encode_frame, recv_frame, send_frame
+from ..protocol import encode_frame
 from ..server import PCQEServer
 from .epoch import load_epoch, store_epoch
 from .feed import iter_idempotency_markers
@@ -59,15 +58,6 @@ _DIGEST_WINDOW = 512
 class _ResyncNeeded(Exception):
     """Internal: the incremental stream cannot continue; bootstrap from
     a primary snapshot instead (gap, divergence, or apply failure)."""
-
-
-def _parse_endpoint(endpoint: "str | tuple[str, int]") -> tuple[str, int]:
-    if isinstance(endpoint, tuple):
-        return endpoint[0], int(endpoint[1])
-    host, _, port = endpoint.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"endpoint must be 'host:port', got {endpoint!r}")
-    return host, int(port)
 
 
 _replica_ids = iter(range(1, 1 << 30))
@@ -93,9 +83,10 @@ class Replica:
         connect_timeout: float = 5.0,
         **server_kwargs: Any,
     ) -> None:
-        self.endpoints = [_parse_endpoint(e) for e in endpoints]
-        if not self.endpoints:
-            raise ValueError("a replica needs at least one primary endpoint")
+        #: The pull loop's link to the primary fleet.  ``endpoints`` is
+        #: its (extendable) list: peers learned later are appended.
+        self._link = WireLink(endpoints, timeout=connect_timeout)
+        self.endpoints = self._link.endpoints
         self.data_dir = data_dir
         self.replica_id = replica_id or f"replica-{next(_replica_ids)}"
         self.pull_interval = pull_interval
@@ -103,7 +94,6 @@ class Replica:
         self.max_frames = max_frames
         self.auto_promote_after = auto_promote_after
         self.faults = faults
-        self.connect_timeout = connect_timeout
         if data_dir is not None:
             self._db = Database.open(data_dir, name=self.replica_id)
             self.epoch = load_epoch(data_dir)
@@ -128,7 +118,6 @@ class Replica:
         self._recent_digests: "deque[tuple[int, int]]" = deque(
             maxlen=_DIGEST_WINDOW
         )
-        self._endpoint_index = 0
         self._last_contact = time.monotonic()
         self._force_resync = False
         self._stop = threading.Event()
@@ -234,7 +223,7 @@ class Replica:
             self._stop.wait(self.pull_interval)
 
     def _rotate_endpoint(self) -> None:
-        self._endpoint_index = (self._endpoint_index + 1) % len(self.endpoints)
+        self._link.rotate()
         get_metrics().counter("repl.endpoint_rotations").inc()
 
     def _maybe_auto_promote(self) -> None:
@@ -251,26 +240,17 @@ class Replica:
         except ServerError:
             return None
 
-    def _connect(self) -> socket.socket:
-        own = self._own_address()
-        for offset in range(len(self.endpoints)):
-            index = (self._endpoint_index + offset) % len(self.endpoints)
-            endpoint = self.endpoints[index]
-            if endpoint == own:
-                continue  # never pull from ourselves post-promotion
-            try:
-                sock = socket.create_connection(
-                    endpoint, timeout=self.connect_timeout
-                )
-            except OSError:
-                continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._endpoint_index = index
-            return sock
-        raise OSError("no replication endpoint is reachable")
+    def open_link(self) -> WireLink:
+        """A second, connected link to the endpoint the pull loop is on
+        (the scrubber's: it must not share the pull loop's socket)."""
+        link = WireLink(
+            self.endpoints, timeout=self._link.timeout, index=self._link.index
+        )
+        link.connect(avoid=self._own_address())
+        return link
 
     def _request(
-        self, sock: socket.socket, message: dict[str, Any]
+        self, link: WireLink, message: dict[str, Any]
     ) -> dict[str, Any]:
         if self.faults is not None and message.get("op") == "repl.pull":
             action = self.faults.decide(
@@ -279,20 +259,18 @@ class Replica:
             if action is not None:
                 get_metrics().counter("repl.faults.injected").inc()
                 if action.mode == "disconnect":
-                    sock.close()
+                    link.close()
                     raise OSError("injected: replication link dropped")
                 if action.mode == "torn_frame":
-                    sock.sendall(encode_frame(message)[: action.cut])
-                    sock.close()
+                    link.sock.sendall(encode_frame(message)[: action.cut])
+                    link.close()
                     raise OSError("injected: torn replication frame")
                 if action.mode == "delay":
                     time.sleep(action.delay_s)
-        send_frame(sock, message)
-        reply = recv_frame(sock)
-        if not reply.get("ok", False):
-            # Includes a peer that fenced itself on seeing our higher
-            # epoch (StaleEpochError): treat it as a dead endpoint.
-            raise ServerReplyError(reply.get("error", {}))
+        # An ``ok: false`` reply raises — including a peer that fenced
+        # itself on seeing our higher epoch (StaleEpochError): treat it
+        # as a dead endpoint.
+        reply = link.exchange(message)
         self._adopt_epoch(reply.get("epoch"))
         return reply
 
@@ -315,10 +293,12 @@ class Replica:
             self.server.set_epoch(peer_epoch)
 
     def _sync_once(self) -> None:
-        sock = self._connect()
+        link = self._link
+        # Never pull from ourselves post-promotion.
+        link.connect(avoid=self._own_address())
         try:
             handshake = self._request(
-                sock,
+                link,
                 {
                     "op": "repl.handshake",
                     "replica": self.replica_id,
@@ -329,20 +309,17 @@ class Replica:
             self._last_contact = time.monotonic()
             try:
                 if self._force_resync:
-                    self._resync(sock)
+                    self._resync(link)
                     self._force_resync = False
                 else:
-                    self._check_divergence(sock, handshake)
-                self._pull_loop(sock)
+                    self._check_divergence(link, handshake)
+                self._pull_loop(link)
             except _ResyncNeeded:
-                self._resync(sock)
+                self._resync(link)
         finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
+            link.close()
 
-    def _check_divergence(self, sock: socket.socket, handshake: dict) -> None:
+    def _check_divergence(self, link: WireLink, handshake: dict) -> None:
         """Compare recent frame digests with the primary's; a forked tail
         (we applied frames the new reign never committed) is truncated to
         the common prefix via a snapshot resync."""
@@ -356,7 +333,7 @@ class Replica:
         if not local:
             return
         reply = self._request(
-            sock,
+            link,
             {
                 "op": "repl.digest",
                 "from_seq": local[0][0] - 1,
@@ -374,14 +351,14 @@ class Replica:
             get_metrics().counter("repl.divergences").inc()
             raise _ResyncNeeded()
 
-    def _pull_loop(self, sock: socket.socket) -> None:
+    def _pull_loop(self, link: WireLink) -> None:
         metrics = get_metrics()
         while not self._stop.is_set() and not self.promoted:
             if self._force_resync:
-                self._resync(sock)
+                self._resync(link)
                 self._force_resync = False
             reply = self._request(
-                sock,
+                link,
                 {
                     "op": "repl.pull",
                     "from_seq": self._position,
@@ -466,7 +443,7 @@ class Replica:
         if self._manager is not None:
             self._manager.maybe_checkpoint()
 
-    def _resync(self, sock: socket.socket) -> None:
+    def _resync(self, link: WireLink) -> None:
         """Bootstrap (or truncate-and-rebuild) from a primary snapshot.
 
         Replaces the whole logical state under one MVCC publish, realigns
@@ -478,7 +455,7 @@ class Replica:
             # Never rebuild a retiring or promoted node from a peer.
             return
         metrics = get_metrics()
-        reply = self._request(sock, {"op": "repl.snapshot", "epoch": self.epoch})
+        reply = self._request(link, {"op": "repl.snapshot", "epoch": self.epoch})
         snap_seq = reply["seq"]
         payload = reply["snapshot"]
 

@@ -21,16 +21,14 @@ on a timer or on demand:
 
 from __future__ import annotations
 
-import socket
 import threading
+from contextlib import closing
 from typing import TYPE_CHECKING, Any
 
 from ...errors import ProtocolError, ReproError, ServerError
 from ...obs import get_metrics
 from ...storage.durability.fingerprint import database_fingerprints
 from ...storage.durability.fsck import fsck_data_dir
-from ..client import ServerReplyError
-from ..protocol import recv_frame, send_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .replica import Replica
@@ -113,28 +111,19 @@ class Scrubber:
         time) — skipped, not passed."""
         replica = self.replica
         try:
-            sock = replica._connect()
-        except OSError:
+            with closing(replica.open_link()) as link:
+                link.exchange(
+                    {
+                        "op": "repl.handshake",
+                        "replica": f"{replica.replica_id}-scrub",
+                        "epoch": replica.epoch,
+                    }
+                )
+                reply = link.exchange(
+                    {"op": "repl.fingerprints", "epoch": replica.epoch}
+                )
+        except (OSError, ServerError):
             return None
-        try:
-            self._request(
-                sock,
-                {
-                    "op": "repl.handshake",
-                    "replica": f"{replica.replica_id}-scrub",
-                    "epoch": replica.epoch,
-                },
-            )
-            reply = self._request(
-                sock, {"op": "repl.fingerprints", "epoch": replica.epoch}
-            )
-        except (OSError, ServerReplyError, ProtocolError, ServerError):
-            return None
-        finally:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - close is best effort
-                pass
         seq = reply.get("seq")
         theirs = reply.get("fingerprints")
         if not isinstance(seq, int) or not isinstance(theirs, dict):
@@ -153,12 +142,3 @@ class Scrubber:
             if ours.get(name) != theirs.get(name)
         )
         return divergent
-
-    def _request(
-        self, sock: socket.socket, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        send_frame(sock, message)
-        reply = recv_frame(sock)
-        if not reply.get("ok", False):
-            raise ServerReplyError(reply.get("error", {}))
-        return reply

@@ -11,13 +11,20 @@ a :class:`~repro.server.session.Session` with a pinned snapshot.
 Requests on one connection run in arrival order; sessions run in
 parallel up to the pool size, with everything beyond that queueing.
 
-Admission control: a request carrying ``deadline_ms`` is given a PR-3
-:class:`~repro.increment.Budget` at arrival.  Before queueing, the
-server projects the queue wait from the current in-flight count and an
-EWMA of recent service times; if the projection already exceeds the
-budget's remaining time, the request is rejected immediately with a
-structured :class:`~repro.errors.AdmissionError` — a fast "no" instead
-of a guaranteed-late answer.
+One request path: every decoded frame becomes one request record and
+walks one pipeline — route by connection kind, then the stages that kind
+owes (client session: idempotent replay → breaker → drain/shed/admit →
+run under the request timeout; replication link: fence → run) — until a
+stage sets the reply, which is stamped with the request's ``rid`` and
+written at the single write boundary (``docs/SERVING.md`` has the stage
+table).  The ops are rows of one table built at construction.
+
+Admission control: before queueing a request carrying ``deadline_ms``,
+the server projects the queue wait from the current in-flight count and
+an EWMA of recent service times; if the projection already exceeds the
+deadline, the request is rejected immediately with a structured
+:class:`~repro.errors.AdmissionError` — a fast "no" instead of a
+guaranteed-late answer.
 
 Failure hardening (see ``docs/ROBUSTNESS.md``, "Serving under failure"):
 
@@ -52,13 +59,13 @@ stack's interpolation) feed the OpenMetrics exposition.
 from __future__ import annotations
 
 import asyncio
-import json
+import functools
 import logging
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable, NamedTuple
 
 from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import (
@@ -66,24 +73,20 @@ from ..errors import (
     CircuitOpenError,
     OverloadError,
     ProtocolError,
-    ReplicationError,
     ReplicationTimeoutError,
     ReproError,
     RequestTimeoutError,
     ServerDrainingError,
     ServerError,
-    StaleEpochError,
 )
-from ..increment import Budget
 from ..obs import TIMING_BUCKETS, get_metrics, get_tracer
 from ..policy import PolicyStore
 from ..storage.database import Database
-from ..storage.durability.fingerprint import database_fingerprints
-from ..storage.durability.snapshot import snapshot_payload
 from .faults import NetworkFaultInjector
 from .mvcc import MVCCDatabase
 from .protocol import encode_frame, read_frame
-from .replication.feed import PrimaryReplication, iter_idempotency_markers
+from .replication.feed import PrimaryReplication
+from .replication.ops import LINK_OP_PREFIX, register_link_ops
 from .session import Session
 
 __all__ = ["PCQEServer", "PRIORITY_CLASSES"]
@@ -108,13 +111,18 @@ PRIORITY_CLASSES: dict[str, int] = {
 #: is shed.  No entry = never shed.
 DEFAULT_SHED_MULTIPLIERS: dict[int, float] = {0: 2.0, 1: 4.0}
 
+#: Consecutive handler failures that open a connection's breaker, and
+#: the seconds it then stays open before the half-open probe.
+BREAKER_THRESHOLD = 5
+BREAKER_COOLDOWN = 1.0
 
-class _ConnectionPoisoned(Exception):
-    """Internal: send *reply*, then close the connection (zombie worker)."""
+#: Entries each exactly-once map keeps (volatile replies and journaled
+#: seqs alike) before the least recently used key is forgotten.
+IDEMPOTENCY_CAPACITY = 1024
 
-    def __init__(self, reply: dict[str, Any]) -> None:
-        super().__init__("connection poisoned")
-        self.reply = reply
+#: Seconds a ``min_seq`` read waits for replication before answering
+#: with the retryable ``ReplicaLagError``.
+MIN_SEQ_WAIT = 2.0
 
 
 class _ConnectionBreaker:
@@ -132,8 +140,8 @@ class _ConnectionBreaker:
 
     def __init__(
         self,
-        threshold: int,
-        cooldown: float,
+        threshold: int = BREAKER_THRESHOLD,
+        cooldown: float = BREAKER_COOLDOWN,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.threshold = threshold
@@ -180,52 +188,14 @@ class _ConnectionBreaker:
         self._set_state("closed")
 
 
-class _ReplicatedKeys:
-    """Bounded map of ⟨client id, idempotency key⟩ → commit seq, built
-    from WAL-journaled dedup markers.
+class _KeyedLRU:
+    """Bounded, thread-safe LRU keyed by ⟨client id, idempotency key⟩.
 
-    Unlike :class:`_IdempotencyCache` (volatile, holds full replies)
-    this map is reconstructed from the *replicated log* — on startup
-    from the local WAL, on replicas from every applied frame — so a
-    retry that lands on a freshly-promoted primary after failover is
-    still deduplicated, even though the node that executed the original
-    is dead.  The replay cannot reproduce the original reply payload
-    (that died with the old primary); it answers with the committed seq,
-    which is exactly what an exactly-once writer needs.
+    One class backs both exactly-once maps of a server; what differs is
+    what they hold and where it comes from (see ``PCQEServer.__init__``).
     """
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, str], int] = OrderedDict()
-
-    def get(self, key: tuple[str, str]) -> "int | None":
-        with self._lock:
-            seq = self._entries.get(key)
-            if seq is not None:
-                self._entries.move_to_end(key)
-            return seq
-
-    def put(self, key: tuple[str, str], seq: int) -> None:
-        with self._lock:
-            self._entries[key] = seq
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-class _IdempotencyCache:
-    """Bounded LRU of ⟨client id, idempotency key⟩ → reply (or in-flight
-    future).  Storing the *future* at admission closes the double-execute
-    race: a retry that lands while the original is still running awaits
-    the same execution instead of starting a second one.
-    """
-
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int = IDEMPOTENCY_CAPACITY) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str], Any] = OrderedDict()
@@ -253,23 +223,91 @@ class _IdempotencyCache:
             return len(self._entries)
 
 
+class _Op(NamedTuple):
+    """One row of the op table: who may send the op, what it owes."""
+
+    #: ``(session | link peer state, frame) -> reply``, run on a worker.
+    handler: Callable[[Any, dict[str, Any]], dict[str, Any]]
+    kind: str = "session"  # the kind of connection that may carry it
+    #: Shed class of a session op (a class without a shed multiplier is
+    #: never shed); links are outside admission altogether.
+    priority: int = 1
+    #: Ask-like: the worker's deadline is capped by ``request_timeout``.
+    capped: bool = False
+    #: Link ops: ``(peer state, frame)`` check run first; raises the refusal.
+    fence: "Callable[[Any, dict[str, Any]], None] | None" = None
+
+
+#: Routing, by connection kind: the refusal for an op of the other family,
+#: whether the conversation ends with it, and the refusal for an op of
+#: its own family that nobody registered.
+_ROUTES: dict[str, tuple[str, bool, str]] = {
+    "fresh": ("first frame must be 'hello', got {op!r}", True, ""),
+    "session": (
+        "replication ops are not valid on a client session",
+        False,
+        "unknown op {op!r} (expected one of {ops} or 'bye')",
+    ),
+    "replication": (
+        "this connection is a replication link; client ops are not valid",
+        True,
+        "unknown replication op {op!r} (expected one of {ops})",
+    ),
+}
+
+
+class _Connection:
+    """What one socket has become: ``fresh`` until its first frame, then
+    a client ``session`` or a ``replication`` link — never both."""
+
+    __slots__ = ("kind", "party", "breaker")
+
+    def __init__(self) -> None:
+        self.kind = "fresh"
+        #: The :class:`Session`, or a link's ``{"id": replica id}`` state.
+        self.party: Any = None
+        self.breaker = _ConnectionBreaker()
+
+
+class _Request:
+    """The one record a decoded frame carries down the pipeline.
+
+    A stage reads what earlier stages added and adds its own; setting
+    ``reply`` ends the walk.  What a skipped stage would have added keeps
+    its default, which is its stated consequence downstream: never
+    ``admitted`` means no slot to give back, no span, no breaker verdict;
+    no ``timeout`` means the run is not bounded.
+    """
+
+    __slots__ = ("conn", "frame", "op", "rid", "entry", "key", "admitted",
+                 "timeout", "reply", "close")
+
+    def __init__(self, conn: _Connection, frame: dict[str, Any]) -> None:
+        self.conn, self.frame = conn, frame
+        self.op, self.rid = frame.get("op"), frame.get("rid")
+        self.entry: Any = None  # the op-table row, once routed
+        self.key: Any = None  # ⟨client id, idempotency key⟩
+        self.timeout: float | None = None
+        self.reply: Any = None
+        self.admitted = self.close = False  # close: hang up after the reply
+
+    def refuse(self, error: BaseException) -> None:
+        self.reply = _error_reply(error)
+
+
 class PCQEServer:
     """Serve PCQE queries over a socket with snapshot-isolated sessions.
 
     ``port=0`` binds an ephemeral port (tests/benchmarks); :attr:`port`
     reports the bound one.  *workers* sizes the query thread pool.
-    *service_time_hint* seeds the admission controller's service-time
-    estimate (seconds) before any request has completed.
 
     *request_timeout* (seconds) bounds every request server-side: the
     client gets a retryable :class:`~repro.errors.RequestTimeoutError`
     and the worker — whose ask budget is capped to the same horizon — is
     given a grace window to stop before the connection is closed.
     *faults* arms a :class:`~repro.server.faults.NetworkFaultInjector`
-    for chaos testing.  *breaker_threshold* / *breaker_cooldown*
-    configure the per-connection circuit breaker (``threshold=0``
-    disables it); *shed_multipliers* maps priority class → queue-depth
-    multiple of *workers* above which that class is shed.
+    for chaos testing.  :attr:`shed_multipliers` maps priority class →
+    queue-depth multiple of *workers* above which that class is shed.
     """
 
     def __init__(
@@ -283,40 +321,29 @@ class PCQEServer:
         solver: str = "greedy",
         engine: str = DEFAULT_ENGINE,
         fallback: "tuple[str, ...] | None" = None,
-        service_time_hint: float = 0.0,
         request_timeout: float | None = None,
         faults: NetworkFaultInjector | None = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 1.0,
-        shed_multipliers: "dict[int, float] | None" = None,
-        idempotency_capacity: int = 1024,
         read_only: bool = False,
         epoch: int = 1,
         min_sync_replicas: int = 0,
         sync_timeout: float = 2.0,
-        min_seq_wait: float = 2.0,
     ) -> None:
-        self.mvcc = MVCCDatabase(db)
+        # Validate before acquiring anything: a rejected constructor must
+        # not leave a commit listener attached to the caller's database.
+        self.engine = check_engine(engine)
+        if request_timeout is not None and request_timeout <= 0:
+            raise ServerError("request_timeout must be positive")
+        self.request_timeout = request_timeout
         self.policies = policies
         self.solver = solver
-        self.engine = check_engine(engine)
         self.fallback = fallback
         self.workers = workers
-        self.request_timeout = request_timeout
         self.faults = faults
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.shed_multipliers = (
-            dict(DEFAULT_SHED_MULTIPLIERS)
-            if shed_multipliers is None
-            else dict(shed_multipliers)
-        )
+        self.shed_multipliers = dict(DEFAULT_SHED_MULTIPLIERS)
+        self.min_seq_wait = MIN_SEQ_WAIT
         self._db = db
         self._host = host
         self._port = port
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="pcqe-worker"
-        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
         self._thread: threading.Thread | None = None
@@ -324,53 +351,80 @@ class PCQEServer:
         self._bound: tuple[str, int] | None = None
         self._sessions: set[Session] = set()
         self._sessions_lock = threading.Lock()
-        # Admission state: in-flight request count + service-time EWMA.
+        # Admission state: in-flight request count + service-time EWMA
+        # (which seeds itself from the first completion).
         self._admission_lock = threading.Lock()
         self._inflight = 0
-        self._service_ewma = service_time_hint
+        self._service_ewma = 0.0
         self._draining = False
-        # Requests admitted but whose reply has not been written yet;
-        # drain waits on this so an accepted request is never dropped
+        # Session requests decoded but whose reply has not been written
+        # yet; drain waits on this so an accepted request is never dropped
         # between its worker finishing and its reply leaving the socket.
         self._requests_open = 0
-        self._idempotency = _IdempotencyCache(idempotency_capacity)
         # -- replication state --------------------------------------------
         #: Replica mode: sessions are read-only, writes answer
         #: NotPrimaryError with rotate:true.  Flipped by promotion.
         self.read_only = read_only
-        self.epoch = epoch
-        get_metrics().gauge("server.epoch").set(epoch)
         self.min_sync_replicas = min_sync_replicas
         self.sync_timeout = sync_timeout
-        self.min_seq_wait = min_seq_wait
         #: Lowercase table names the scrubber has quarantined; shared
         #: with every session (enforced at SessionDatabase.table).
         self.quarantine: "set[str]" = set()
-        self._replicated_keys = _ReplicatedKeys(idempotency_capacity)
-        self._durability = db._durability if db.is_durable else None
+        # The two exactly-once maps.  Volatile: key → completed reply, or
+        # the in-flight future — storing the *future* at admission closes
+        # the double-execute race: a retry that lands while the original
+        # is still running awaits the same execution instead of starting
+        # a second one.  Durable: key → commit seq, rebuilt from the
+        # *replicated log* — at startup from the local WAL, on replicas
+        # from every applied frame — so a retry that lands on a freshly
+        # promoted primary after failover is still deduplicated even
+        # though the node that executed the original is dead.  That
+        # replay cannot reproduce the original reply payload (it died
+        # with the old primary); it answers with the committed seq, which
+        # is exactly what an exactly-once writer needs.
+        self._idempotency = _KeyedLRU()
+        self._replicated_keys = _KeyedLRU()
+        # The op table, built once: session ops here, link ops by the
+        # package that owns them.
+        self._ops: dict[str, _Op] = {}
+        for name, handler, capped in (
+            ("ask", self._op_ask, True),
+            ("profile", functools.partial(self._op_ask, profile=True), True),
+            ("sql", self._op_sql, False),
+            ("refresh", self._op_refresh, False),
+            ("metrics", self._op_metrics, False),
+        ):
+            self.register_op(
+                name, handler, priority=PRIORITY_CLASSES[name], capped=capped
+            )
+        register_link_ops(self)
+        #: The stages a routed request still walks, by connection kind.
+        self._stages = {
+            "session": (
+                self._replay, self._breaker, self._admission, self._run_op
+            ),
+            "replication": (self._fence, self._run_op),
+        }
+        # -- acquisitions (released by stop(), started or not) ------------
+        self.set_epoch(epoch)
+        self.mvcc = MVCCDatabase(db)
+        self._executor = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="pcqe-worker"
+        )
         self.replication: PrimaryReplication | None = (
-            PrimaryReplication(self._durability)
-            if self._durability is not None
-            else None
+            PrimaryReplication(db._durability) if db.is_durable else None
         )
         if self.replication is not None:
-            # Rebuild the durable exactly-once map from markers already
-            # in the WAL (a restarted primary must keep deduplicating
-            # keys it committed before the restart).
-            for seq, payload in self.replication.feed.snapshot_frames():
-                try:
-                    op = json.loads(payload.decode("utf-8"))
-                except (UnicodeDecodeError, ValueError):
-                    continue
-                for client, idem_key in iter_idempotency_markers(op):
-                    self._replicated_keys.put((client, idem_key), seq)
-        if request_timeout is not None and request_timeout <= 0:
-            raise ServerError("request_timeout must be positive")
-        self._timeout_grace = (
-            max(1.0, 2.0 * request_timeout)
-            if request_timeout is not None
-            else 1.0
-        )
+            # A restarted primary must keep deduplicating keys it
+            # committed before the restart.
+            for client, key, seq in self.replication.journaled_keys():
+                self._replicated_keys.put((client, key), seq)
+
+    def register_op(
+        self, name: str, handler: Callable[..., dict[str, Any]], **row: Any
+    ) -> None:
+        """Add one row to the op table (construction time only)."""
+        self._ops[name] = _Op(handler, **row)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -462,13 +516,14 @@ class PCQEServer:
             loop.close()
 
     def stop(self) -> None:
-        """Stop accepting, drain workers, release every session pin."""
-        if self._thread is None:
-            return
-        assert self._loop is not None
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._thread = None
+        """Stop accepting, drain workers, release every session pin — and
+        everything the constructor acquired, whether or not
+        :meth:`start` ever ran (idempotent)."""
+        if self._thread is not None:
+            assert self._loop is not None
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=10.0)
+            self._thread = None
         self._executor.shutdown(wait=True)
         if self.replication is not None:
             self.replication.detach()
@@ -533,11 +588,7 @@ class PCQEServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         metrics = get_metrics()
-        session: Session | None = None
-        repl_peer: "dict[str, Any] | None" = None
-        breaker = _ConnectionBreaker(
-            self.breaker_threshold, self.breaker_cooldown
-        )
+        conn = _Connection()
         try:
             while True:
                 if self.faults is not None:
@@ -546,119 +597,30 @@ class PCQEServer:
                         metrics.counter("server.faults.injected").inc()
                         return
                 try:
-                    request = await read_frame(reader)
+                    frame = await read_frame(reader)
                 except ProtocolError as error:
                     await self._write_frame(writer, _error_reply(error))
                     return
-                if request is None:
+                if frame is None:
                     return  # clean disconnect
-                op = request.get("op")
-                rid = request.get("rid")
-                if isinstance(op, str) and op.startswith("repl."):
-                    # Replication is session-less: no snapshot pin, no
-                    # policy context, and no admission accounting — a
-                    # draining primary keeps feeding its replicas so
-                    # acknowledged commits reach safety before shutdown.
-                    if session is not None:
-                        reply = _error_reply(
-                            ProtocolError(
-                                "replication ops are not valid on a "
-                                "client session"
-                            ),
-                            rid=rid,
-                        )
-                    else:
-                        if repl_peer is None:
-                            repl_peer = {"id": None}
-                        reply = await self._dispatch_repl(
-                            op, request, repl_peer
-                        )
-                    if not await self._write_frame(writer, _stamp(reply, rid)):
-                        return
-                    continue
-                if session is None:
-                    if repl_peer is not None:
-                        await self._write_frame(
-                            writer,
-                            _error_reply(
-                                ProtocolError(
-                                    "this connection is a replication "
-                                    "link; client ops are not valid"
-                                ),
-                                rid=rid,
-                            ),
-                        )
-                        return
-                    if op != "hello":
-                        await self._write_frame(
-                            writer,
-                            _error_reply(
-                                ProtocolError(
-                                    f"first frame must be 'hello', got {op!r}"
-                                ),
-                                rid=rid,
-                            ),
-                        )
-                        return
-                    if self._draining:
-                        await self._write_frame(
-                            writer,
-                            _error_reply(
-                                ServerDrainingError(
-                                    "hello rejected: server is draining"
-                                ),
-                                rid=rid,
-                            ),
-                        )
-                        return
-                    try:
-                        session = self._open_session(request)
-                    except ReproError as error:
-                        await self._write_frame(
-                            writer, _error_reply(error, rid=rid)
-                        )
-                        return
-                    metrics.gauge("server.active_sessions").inc()
-                    await self._write_frame(
-                        writer,
-                        _stamp(
-                            {
-                                "ok": True,
-                                "session": session.id,
-                                "seq": session.seq,
-                                "user": session.context.user,
-                                "role": session.context.role,
-                                "purpose": session.context.purpose,
-                                "server_role": self.role,
-                                "epoch": self.epoch,
-                            },
-                            rid,
-                        ),
-                    )
-                    continue
-                if op == "bye":
-                    await self._write_frame(
-                        writer, _stamp({"ok": True, "closed": True}, rid)
-                    )
-                    return
-                poisoned = False
-                with self._admission_lock:
-                    self._requests_open += 1
+                req = _Request(conn, frame)
+                # Replication links stay out of drain's books: a draining
+                # primary keeps feeding its replicas so acknowledged
+                # commits reach safety before shutdown.
+                counted = conn.kind == "session"
+                if counted:
+                    with self._admission_lock:
+                        self._requests_open += 1
                 try:
-                    try:
-                        reply = await self._dispatch(
-                            session, breaker, op, request
-                        )
-                    except _ConnectionPoisoned as zombie:
-                        reply = zombie.reply
-                        poisoned = True
+                    await self._serve(req)
                     wrote = await self._write_frame(
-                        writer, _stamp(reply, rid)
+                        writer, _stamp(req.reply, req.rid)
                     )
                 finally:
-                    with self._admission_lock:
-                        self._requests_open -= 1
-                if poisoned or not wrote:
+                    if counted:
+                        with self._admission_lock:
+                            self._requests_open -= 1
+                if req.close or not wrote:
                     return
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; the finally block cleans up
@@ -673,12 +635,12 @@ class PCQEServer:
             metrics.counter("server.connection_errors").inc()
             logger.exception("connection handler failed")
         finally:
-            if session is not None:
-                session.close()
+            if conn.kind == "session":
+                conn.party.close()
                 with self._sessions_lock:
-                    self._sessions.discard(session)
+                    self._sessions.discard(conn.party)
                 metrics.gauge("server.active_sessions").dec()
-            breaker.discard()
+            conn.breaker.discard()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -738,12 +700,86 @@ class PCQEServer:
             metrics.counter("server.write_errors").inc()
             return False
 
-    def _open_session(self, request: dict[str, Any]) -> Session:
-        user = request.get("user")
-        purpose = request.get("purpose")
+    # -- the request pipeline ------------------------------------------------
+
+    async def _serve(self, req: _Request) -> None:
+        """Walk one decoded frame down the pipeline until a stage sets
+        its reply.  A stage is a plain call on the event loop; one that
+        has to wait returns the awaitable."""
+        for stage in self._route(req):
+            waiting = stage(req)
+            if waiting is not None:
+                await waiting
+            if req.reply is not None:
+                return
+
+    def _reply_of(self, label: Any, call: Callable[..., Any], *args: Any) -> Any:
+        """The one place an exception becomes a reply: what *call*
+        returns (``None`` from a check that passed), or the error reply
+        for what it raised."""
+        try:
+            return call(*args)
+        except ReproError as error:
+            return _error_reply(error)
+        except Exception as error:
+            get_metrics().counter("server.handler_errors").inc()
+            logger.exception("unexpected failure in %s handler", label)
+            return _error_reply(
+                ServerError(
+                    f"internal error in {label}: "
+                    f"{type(error).__name__}: {error}"
+                )
+            )
+
+    def _route(self, req: _Request) -> "tuple[Callable[[_Request], Any], ...]":
+        """Connection kind × op family → the stages the request still
+        owes; none once it is answered here.  ``hello`` and ``bye`` open
+        and end a client session; they are conversation control, not ops.
+        """
+        conn, op = req.conn, req.op
+        req.entry = self._ops.get(op) if isinstance(op, str) else None
+        link_op = (
+            req.entry.kind == "replication"
+            if req.entry is not None
+            else isinstance(op, str) and op.startswith(LINK_OP_PREFIX)
+        )
+        if conn.kind == "fresh" and op == "hello":
+            # A refused hello hangs up.
+            if self._draining:
+                req.refuse(
+                    ServerDrainingError("hello rejected: server is draining")
+                )
+            else:
+                req.reply = self._reply_of(
+                    op, self._open_session, conn, req.frame
+                )
+            req.close = not req.reply["ok"]
+            return ()
+        if conn.kind == "fresh" and link_op:
+            conn.kind, conn.party = "replication", {"id": None}
+        foreign, hangs_up, unknown = _ROUTES[conn.kind]
+        if conn.kind == "fresh" or link_op != (conn.kind == "replication"):
+            req.refuse(ProtocolError(foreign.format(op=op)))
+            req.close = hangs_up
+        elif op == "bye":
+            req.reply, req.close = {"ok": True, "closed": True}, True
+        elif req.entry is None:
+            ops = sorted(
+                name for name, row in self._ops.items() if row.kind == conn.kind
+            )
+            req.refuse(ProtocolError(unknown.format(op=op, ops=ops)))
+        else:
+            return self._stages[conn.kind]
+        return ()
+
+    def _open_session(
+        self, conn: _Connection, frame: dict[str, Any]
+    ) -> dict[str, Any]:
+        user = frame.get("user")
+        purpose = frame.get("purpose")
         if not isinstance(user, str) or not isinstance(purpose, str):
             raise ProtocolError("hello needs string 'user' and 'purpose'")
-        client_id = request.get("client_id")
+        client_id = frame.get("client_id")
         if client_id is not None and not isinstance(client_id, str):
             raise ProtocolError("client_id must be a string")
         session = Session(
@@ -760,174 +796,159 @@ class PCQEServer:
         )
         with self._sessions_lock:
             self._sessions.add(session)
-        return session
-
-    # -- request dispatch --------------------------------------------------
-
-    async def _dispatch(
-        self,
-        session: Session,
-        breaker: _ConnectionBreaker,
-        op: Any,
-        request: dict[str, Any],
-    ) -> dict[str, Any]:
-        handlers: dict[str, Callable[[Session, dict[str, Any]], dict[str, Any]]] = {
-            "ask": self._op_ask,
-            "profile": self._op_profile,
-            "sql": self._op_sql,
-            "refresh": self._op_refresh,
-            "metrics": self._op_metrics,
+        conn.kind, conn.party = "session", session
+        get_metrics().gauge("server.active_sessions").inc()
+        return {
+            "ok": True,
+            "session": session.id,
+            "seq": session.seq,
+            "user": session.context.user,
+            "role": session.context.role,
+            "purpose": session.context.purpose,
+            "server_role": self.role,
+            "epoch": self.epoch,
         }
-        handler = handlers.get(op) if isinstance(op, str) else None
-        if handler is None:
-            return _error_reply(
-                ProtocolError(
-                    f"unknown op {op!r} (expected one of "
-                    f"{sorted(handlers)} or 'bye')"
-                )
-            )
-        metrics = get_metrics()
-        key = request.get("idempotency_key")
-        ckey: tuple[str, str] | None = None
-        if key is not None:
-            if not isinstance(key, str):
-                return _error_reply(
-                    ProtocolError("idempotency_key must be a string")
-                )
-            ckey = (session.client_id, key)
-            entry = self._idempotency.get(ckey)
-            if entry is not None:
-                metrics.counter("server.idempotent_replays").inc()
-                if isinstance(entry, asyncio.Future):
-                    reply = await asyncio.shield(entry)
-                else:
-                    reply = entry
-                reply = dict(reply)
-                reply["idempotent_replay"] = True
-                return reply
-            seq_seen = self._replicated_keys.get(ckey)
-            if seq_seen is not None:
-                # Durable dedup: the key was journaled inside the commit
-                # it guards, so it survives crash recovery *and* failover
-                # to a promoted replica.  The full reply is gone (it lived
-                # in the dead primary's volatile cache); re-acknowledge the
-                # commit without re-executing it.
-                metrics.counter("server.idempotent_replays").inc()
 
-                def replay(seq: int = seq_seen) -> dict[str, Any]:
-                    try:
-                        self._confirm_replicated(seq)
-                    except ReproError as error:
-                        return _error_reply(error)
-                    return {
-                        "ok": True,
-                        "idempotent_replay": True,
-                        "seq": seq,
-                        "result": "ok (deduplicated from the replicated log)",
-                    }
+    def _fence(self, req: _Request) -> None:
+        """Link ops: the check their package registered (a durable log?
+        handshake first? a peer epoch ahead of ours?)."""
+        req.reply = self._reply_of(
+            req.op, req.entry.fence, req.conn.party, req.frame
+        )
 
-                assert self._loop is not None
-                return await asyncio.shield(
-                    self._loop.run_in_executor(self._executor, replay)
-                )
+    def _replay(self, req: _Request) -> "Awaitable[None] | None":
+        """Exactly-once: a key seen before is answered, not re-executed."""
+        key = req.frame.get("idempotency_key")
+        if key is None:
+            return None
+        if not isinstance(key, str):
+            return req.refuse(ProtocolError("idempotency_key must be a string"))
+        req.key = (req.conn.party.client_id, key)
+        seen, flag = self._idempotency.get(req.key), {"idempotent_replay": True}
+        if seen is None:
+            seq = self._replicated_keys.get(req.key)
+            if seq is None:
+                return None
+            # Durable dedup: the key was journaled inside the commit it
+            # guards, so it survives crash recovery *and* failover to a
+            # promoted replica.  The full reply is gone (it lived in the
+            # dead primary's volatile cache); re-acknowledge the commit
+            # without re-executing it (a failed re-wait is a plain error).
+            assert self._loop is not None
+            seen, flag = self._loop.run_in_executor(
+                self._executor, self._reply_of, req.op, self._reacknowledge, seq
+            ), {}
+        get_metrics().counter("server.idempotent_replays").inc()
+
+        async def replay() -> None:
+            reply = seen
+            if isinstance(seen, asyncio.Future):  # still running: share it
+                reply = await asyncio.shield(seen)
+            req.reply = {**reply, **flag}
+
+        return replay()
+
+    def _reacknowledge(self, seq: int) -> dict[str, Any]:
+        self._confirm_replicated(seq)
+        return {
+            "ok": True,
+            "idempotent_replay": True,
+            "seq": seq,
+            "result": "ok (deduplicated from the replicated log)",
+        }
+
+    def _breaker(self, req: _Request) -> None:
+        breaker = req.conn.breaker
         allowed, retry_after = breaker.allow()
         if not allowed:
-            metrics.counter("server.breaker.rejections").inc()
-            return _error_reply(
+            get_metrics().counter("server.breaker.rejections").inc()
+            req.refuse(
                 CircuitOpenError(
-                    f"{op} rejected: circuit breaker open after "
+                    f"{req.op} rejected: circuit breaker open after "
                     f"{breaker.failures} consecutive failure(s); retry in "
                     f"{retry_after * 1000.0:.0f} ms",
                     failures=breaker.failures,
                     retry_after_ms=retry_after * 1000.0,
                 )
             )
-        deadline_ms = request.get("deadline_ms")
-        try:
-            budget = self._admit(op, deadline_ms)
-        except ReproError as error:
-            metrics.counter("server.rejected").inc()
-            return _error_reply(error)
-        del budget  # consumed by admission; queries budget via deadline_ms
-        if self.request_timeout is not None and op in ("ask", "profile"):
+
+    def _admission(self, req: _Request) -> None:
+        """Drain/shed/admit; an admitted request holds a pool slot and is
+        bounded by the server-side timeout."""
+        deadline_ms = req.frame.get("deadline_ms")
+        req.reply = self._reply_of(req.op, self._admit, req.op, deadline_ms)
+        if req.reply is not None:
+            get_metrics().counter("server.rejected").inc()
+            return
+        req.admitted, req.timeout = True, self.request_timeout
+        if req.timeout is not None and req.entry.capped:
             # Cap the worker's cooperative deadline by the server-side
             # timeout so a timed-out ask *stops* (degrading through the
             # session's fallback chain) instead of running on as a
             # zombie after its client already got the timeout reply.
-            cap_ms = self.request_timeout * 1000.0
+            cap_ms = req.timeout * 1000.0
             if not isinstance(deadline_ms, (int, float)) or deadline_ms > cap_ms:
-                request = {**request, "deadline_ms": cap_ms}
+                req.frame = {**req.frame, "deadline_ms": cap_ms}
 
-        def run() -> dict[str, Any]:
-            started = time.perf_counter()
-            tracer = get_tracer()
-            try:
-                with tracer.span(
-                    "server.request",
-                    op=op,
-                    session=session.id,
-                    user=session.context.user,
-                    purpose=session.context.purpose,
-                    seq=session.seq,
-                ):
-                    try:
-                        return handler(session, request)
-                    except ReproError as error:
-                        return _error_reply(error)
-                    except Exception as error:
-                        get_metrics().counter("server.handler_errors").inc()
-                        logger.exception("unexpected failure in %s handler", op)
-                        return _error_reply(
-                            ServerError(
-                                f"internal error in {op}: "
-                                f"{type(error).__name__}: {error}"
-                            )
-                        )
-            finally:
-                self._finish(time.perf_counter() - started)
-
+    async def _run_op(self, req: _Request) -> None:
+        """Run the handler on the pool, under the request timeout; then
+        record the outcome with the connection's breaker."""
         assert self._loop is not None
-        future = self._loop.run_in_executor(self._executor, run)
-        if ckey is not None:
-            cache_key = ckey
-            self._idempotency.put(cache_key, future)
+        future = self._loop.run_in_executor(self._executor, self._work, req)
+        if req.key is not None:
+            key = req.key
+            self._idempotency.put(key, future)
             future.add_done_callback(
-                lambda fut: self._settle_idempotent(cache_key, fut)
+                lambda fut: self._settle_idempotent(key, fut)
             )
-        if self.request_timeout is None:
-            reply = await asyncio.shield(future)
-        else:
-            try:
-                reply = await asyncio.wait_for(
-                    asyncio.shield(future), self.request_timeout
+        try:
+            req.reply = await asyncio.wait_for(
+                asyncio.shield(future), req.timeout
+            )
+        except asyncio.TimeoutError:
+            get_metrics().counter("server.timeouts").inc()
+            req.refuse(
+                RequestTimeoutError(
+                    f"{req.op} exceeded the server-side request timeout of "
+                    f"{req.timeout * 1000.0:g} ms",
+                    op=str(req.op),
+                    timeout_ms=req.timeout * 1000.0,
                 )
-            except asyncio.TimeoutError:
-                metrics.counter("server.timeouts").inc()
-                breaker.record_failure()
-                timeout_reply = _error_reply(
-                    RequestTimeoutError(
-                        f"{op} exceeded the server-side request timeout of "
-                        f"{self.request_timeout * 1000.0:g} ms",
-                        op=str(op),
-                        timeout_ms=self.request_timeout * 1000.0,
-                    )
+            )
+            # Cancellation handshake: budgets are cooperative, so the
+            # worker (whose deadline was capped at admission) should
+            # yield shortly.  If it does not within the grace window, the
+            # connection is poisoned — closed after this reply — so the
+            # session is never shared with a still-running worker.
+            done, _pending = await asyncio.wait(
+                {future}, timeout=max(1.0, 2.0 * req.timeout)
+            )
+            req.close = not done
+        if req.admitted and req.reply.get("ok", False):
+            req.conn.breaker.record_success()
+        elif req.admitted:
+            req.conn.breaker.record_failure()
+
+    def _work(self, req: _Request) -> dict[str, Any]:
+        """The worker-thread half of the run stage."""
+        party = req.conn.party
+        if not req.admitted:
+            return self._reply_of(req.op, req.entry.handler, party, req.frame)
+        started = time.perf_counter()
+        try:
+            with get_tracer().span(
+                "server.request",
+                op=req.op,
+                session=party.id,
+                user=party.context.user,
+                purpose=party.context.purpose,
+                seq=party.seq,
+            ):
+                return self._reply_of(
+                    req.op, req.entry.handler, party, req.frame
                 )
-                # Cancellation handshake: budgets are cooperative, so the
-                # worker (whose deadline was capped above) should yield
-                # shortly.  If it does not, the connection is poisoned —
-                # closed after this reply — so the session is never shared
-                # with a still-running worker.
-                done, _pending = await asyncio.wait(
-                    {future}, timeout=self._timeout_grace
-                )
-                if not done:
-                    raise _ConnectionPoisoned(timeout_reply)
-                return timeout_reply
-        if reply.get("ok", False):
-            breaker.record_success()
-        else:
-            breaker.record_failure()
-        return reply
+        finally:
+            self._finish(time.perf_counter() - started)
 
     def _settle_idempotent(
         self, key: tuple[str, str], future: "asyncio.Future"
@@ -944,8 +965,8 @@ class PCQEServer:
         else:
             self._idempotency.drop(key)
 
-    def _admit(self, op: str, deadline_ms: Any) -> Budget | None:
-        """Gate one request; returns its deadline budget (None = no SLO).
+    def _admit(self, op: str, deadline_ms: Any) -> None:
+        """Gate one request; raises its refusal, else takes a pool slot.
 
         Three tiers, cheapest first: a drain check (the server is going
         away), the load shedder (queue depth vs. a per-priority-class
@@ -970,8 +991,7 @@ class PCQEServer:
             )
         with self._admission_lock:
             queue_depth = self._inflight
-            ewma = self._service_ewma
-            priority = PRIORITY_CLASSES.get(op, 1)
+            priority = self._ops[op].priority
             multiplier = self.shed_multipliers.get(priority)
             if multiplier is not None:
                 limit = max(1, int(self.workers * multiplier))
@@ -986,12 +1006,11 @@ class PCQEServer:
                         queue_depth=queue_depth,
                         limit=limit,
                     )
-            budget = None
             if deadline_ms is not None:
-                budget = Budget.from_deadline_ms(float(deadline_ms))
-                projected = queue_depth * ewma / max(1, self.workers)
-                remaining = budget.deadline - time.perf_counter()
-                if projected > remaining:
+                projected = (
+                    queue_depth * self._service_ewma / max(1, self.workers)
+                )
+                if projected > float(deadline_ms) / 1000.0:
                     raise AdmissionError(
                         f"{op} rejected at admission: projected queue wait "
                         f"{projected * 1000.0:.1f} ms exceeds the "
@@ -1004,7 +1023,6 @@ class PCQEServer:
             self._inflight += 1
             metrics.gauge("server.queue_depth").set(self._inflight)
         metrics.counter("server.requests").inc()
-        return budget
 
     def _finish(self, elapsed_seconds: float) -> None:
         metrics = get_metrics()
@@ -1066,11 +1084,6 @@ class PCQEServer:
         if result.profile is not None:
             reply["profile"] = result.profile.format()
         return reply
-
-    def _op_profile(
-        self, session: Session, request: dict[str, Any]
-    ) -> dict[str, Any]:
-        return self._op_ask(session, request, profile=True)
 
     def _op_sql(
         self, session: Session, request: dict[str, Any]
@@ -1156,199 +1169,6 @@ class PCQEServer:
                 acked=acked,
             )
 
-    # -- replication ops (session-less; see _handle) -------------------------
-
-    async def _dispatch_repl(
-        self, op: str, request: dict[str, Any], peer: dict[str, Any]
-    ) -> dict[str, Any]:
-        handlers: dict[str, Callable[..., dict[str, Any]]] = {
-            "repl.handshake": self._repl_handshake,
-            "repl.pull": self._repl_pull,
-            "repl.snapshot": self._repl_snapshot,
-            "repl.digest": self._repl_digest,
-            "repl.fingerprints": self._repl_fingerprints,
-        }
-        handler = handlers.get(op)
-        if handler is None:
-            return _error_reply(
-                ProtocolError(
-                    f"unknown replication op {op!r} "
-                    f"(expected one of {sorted(handlers)})"
-                )
-            )
-        if self.replication is None:
-            return _error_reply(
-                ServerError(
-                    "replication requires a durable database "
-                    "(this server is in-memory)"
-                )
-            )
-        if op != "repl.handshake" and peer["id"] is None:
-            return _error_reply(
-                ProtocolError(
-                    f"{op} before repl.handshake: the handshake names the "
-                    f"replica and agrees on an epoch first"
-                )
-            )
-
-        def run() -> dict[str, Any]:
-            try:
-                return handler(request, peer)
-            except ReproError as error:
-                return _error_reply(error)
-            except Exception as error:
-                get_metrics().counter("server.handler_errors").inc()
-                logger.exception("unexpected failure in %s handler", op)
-                return _error_reply(
-                    ServerError(
-                        f"internal error in {op}: "
-                        f"{type(error).__name__}: {error}"
-                    )
-                )
-
-        assert self._loop is not None
-        return await asyncio.shield(
-            self._loop.run_in_executor(self._executor, run)
-        )
-
-    def _repl_epoch_guard(self, request: dict[str, Any]) -> None:
-        """Fence a deposed primary: a peer announcing a *higher* epoch
-        proves a promotion happened behind our back, so this node must
-        stop acting as primary for replication purposes.  Lower peer
-        epochs are fine — the reply carries ours and the replica adopts
-        it."""
-        peer_epoch = request.get("epoch")
-        if peer_epoch is None:
-            return
-        if not isinstance(peer_epoch, int) or peer_epoch < 0:
-            raise ProtocolError(
-                f"epoch must be a non-negative integer, got {peer_epoch!r}"
-            )
-        if peer_epoch > self.epoch:
-            get_metrics().counter("server.fenced").inc()
-            raise StaleEpochError(
-                f"this server's epoch {self.epoch} is stale: a peer is at "
-                f"epoch {peer_epoch} (a newer primary has been promoted)",
-                stale_epoch=self.epoch,
-                current_epoch=peer_epoch,
-            )
-
-    def _repl_handshake(
-        self, request: dict[str, Any], peer: dict[str, Any]
-    ) -> dict[str, Any]:
-        replica = request.get("replica")
-        if not isinstance(replica, str) or not replica:
-            raise ProtocolError(
-                "repl.handshake needs a non-empty 'replica' id"
-            )
-        self._repl_epoch_guard(request)
-        peer["id"] = replica
-        last_seq = request.get("last_seq")
-        if isinstance(last_seq, int) and last_seq >= 0:
-            assert self.replication is not None
-            self.replication.record_ack(replica, last_seq)
-        assert self._durability is not None
-        return {
-            "ok": True,
-            "epoch": self.epoch,
-            "last_seq": self._durability.last_seq,
-            "role": self.role,
-        }
-
-    def _repl_pull(
-        self, request: dict[str, Any], peer: dict[str, Any]
-    ) -> dict[str, Any]:
-        self._repl_epoch_guard(request)
-        assert self.replication is not None and self._durability is not None
-        from_seq = request.get("from_seq")
-        if not isinstance(from_seq, int) or from_seq < 0:
-            raise ProtocolError(
-                f"repl.pull needs a non-negative integer 'from_seq', "
-                f"got {from_seq!r}"
-            )
-        max_frames = request.get("max_frames", 256)
-        if not isinstance(max_frames, int) or not 1 <= max_frames <= 1024:
-            raise ProtocolError(
-                f"max_frames must be an integer in [1, 1024], "
-                f"got {max_frames!r}"
-            )
-        wait_ms = request.get("wait_ms", 0)
-        if not isinstance(wait_ms, (int, float)) or not 0 <= wait_ms <= 2000:
-            raise ProtocolError(
-                f"wait_ms must be a number in [0, 2000], got {wait_ms!r}"
-            )
-        applied = request.get("applied")
-        if isinstance(applied, int) and applied >= 0:
-            self.replication.record_ack(peer["id"], applied)
-        frames = self.replication.feed.frames_since(
-            from_seq, max_frames, wait_ms / 1000.0
-        )
-        if frames is None:
-            return {"ok": True, "epoch": self.epoch, "resync": True,
-                    "last_seq": self._durability.last_seq}
-        return {
-            "ok": True,
-            "epoch": self.epoch,
-            "last_seq": self._durability.last_seq,
-            "frames": [
-                [seq, payload.decode("utf-8")] for seq, payload in frames
-            ],
-        }
-
-    def _repl_snapshot(
-        self, request: dict[str, Any], peer: dict[str, Any]
-    ) -> dict[str, Any]:
-        self._repl_epoch_guard(request)
-        assert self._durability is not None
-        # Pause commits so the payload and its wal_seq agree exactly —
-        # the replica anchors its replication position at this seq.
-        with self.mvcc.paused_commits():
-            wal_seq = self._durability.last_seq
-            payload = snapshot_payload(self._db, wal_seq)
-        return {
-            "ok": True,
-            "epoch": self.epoch,
-            "seq": wal_seq,
-            "snapshot": payload,
-        }
-
-    def _repl_digest(
-        self, request: dict[str, Any], peer: dict[str, Any]
-    ) -> dict[str, Any]:
-        self._repl_epoch_guard(request)
-        assert self.replication is not None and self._durability is not None
-        from_seq = request.get("from_seq")
-        to_seq = request.get("to_seq")
-        if not isinstance(from_seq, int) or not isinstance(to_seq, int):
-            raise ProtocolError(
-                "repl.digest needs integer 'from_seq' and 'to_seq'"
-            )
-        digests = self.replication.feed.digests(from_seq, to_seq)
-        if digests is None:
-            return {"ok": True, "epoch": self.epoch, "resync": True,
-                    "last_seq": self._durability.last_seq}
-        return {
-            "ok": True,
-            "epoch": self.epoch,
-            "digests": [[seq, digest] for seq, digest in digests],
-            "last_seq": self._durability.last_seq,
-        }
-
-    def _repl_fingerprints(
-        self, request: dict[str, Any], peer: dict[str, Any]
-    ) -> dict[str, Any]:
-        self._repl_epoch_guard(request)
-        assert self._durability is not None
-        with self.mvcc.paused_commits():
-            seq = self._durability.last_seq
-            prints = database_fingerprints(self._db)
-        return {
-            "ok": True,
-            "epoch": self.epoch,
-            "seq": seq,
-            "fingerprints": prints,
-        }
-
 
 def _stamp(reply: dict[str, Any], rid: Any) -> dict[str, Any]:
     """Echo the client's request id so retrying clients can discard
@@ -1358,7 +1178,7 @@ def _stamp(reply: dict[str, Any], rid: Any) -> dict[str, Any]:
     return {**reply, "rid": rid}
 
 
-def _error_reply(error: BaseException, rid: Any = None) -> dict[str, Any]:
+def _error_reply(error: BaseException) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "type": type(error).__name__,
         "message": str(error),
@@ -1366,5 +1186,4 @@ def _error_reply(error: BaseException, rid: Any = None) -> dict[str, Any]:
     if isinstance(error, ServerError):
         payload["retryable"] = error.retryable
         payload.update(error.details())
-    reply = {"ok": False, "error": payload}
-    return _stamp(reply, rid)
+    return {"ok": False, "error": payload}

@@ -208,7 +208,8 @@ class TestRequestTimeouts:
             time.sleep(0.4)  # beyond the timeout, inside the grace window
             return {"ok": True, "slow": True}
 
-        server._op_sql = slow_sql
+        fast_sql = server._ops["sql"]
+        server._ops["sql"] = fast_sql._replace(handler=slow_sql)
         try:
             with ServerClient(
                 server.host, server.port, user="bob", purpose="investment"
@@ -221,7 +222,7 @@ class TestRequestTimeouts:
                 assert timeouts.value == before + 1
                 # The worker yielded inside the grace window, so the
                 # connection was not poisoned: it still serves.
-                del server._op_sql
+                server._ops["sql"] = fast_sql
                 assert client.sql("SELECT * FROM Proposal")["count"] == 6
         finally:
             server.stop()
@@ -267,7 +268,7 @@ class TestGracefulDrain:
             time.sleep(0.3)
             return {"ok": True, "slow": True}
 
-        server._op_sql = slow_sql
+        server._ops["sql"] = server._ops["sql"]._replace(handler=slow_sql)
         inflight_reply: dict = {}
         client_a = ServerClient(
             server.host, server.port, user="bob", purpose="investment"
@@ -275,6 +276,7 @@ class TestGracefulDrain:
         client_b = ServerClient(
             server.host, server.port, user="alice", purpose="investment"
         )
+        host = server.host
 
         def ask_slow():
             inflight_reply.update(client_a.request({"op": "sql", "sql": "x"}))
@@ -303,9 +305,7 @@ class TestGracefulDrain:
         # Drain ends in a full stop: pins released, listener closed.
         assert server.mvcc.generation_seqs() == [server.mvcc.current_seq]
         with pytest.raises(OSError):
-            socket.create_connection(
-                (client_a._sock.getpeername()[0], 0), timeout=0.2
-            )
+            socket.create_connection((host, 0), timeout=0.2)
         client_a._closed = True  # the server is gone; skip the bye
         client_b._closed = True
 

@@ -33,11 +33,12 @@ service_times = st.lists(
 )
 
 
-def _server(**kwargs) -> PCQEServer:
+def _server(shed_multipliers=None) -> PCQEServer:
     # Never started: _admit/_finish need no socket or event loop.
-    return PCQEServer(
-        Database("t"), PolicyStore(default_threshold=0.0), **kwargs
-    )
+    server = PCQEServer(Database("t"), PolicyStore(default_threshold=0.0))
+    if shed_multipliers is not None:
+        server.shed_multipliers = shed_multipliers
+    return server
 
 
 def _complete(server: PCQEServer, elapsed: float) -> None:

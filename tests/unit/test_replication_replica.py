@@ -228,8 +228,8 @@ class TestReplicaReads:
             policies,
             pull_interval=0.01,
             wait_ms=50,
-            min_seq_wait=0.05,
         ) as replica:
+            replica.server.min_seq_wait = 0.05
             assert replica.wait_for_position(client.last_write_seq, 5.0)
             raw = ServerClient(
                 "127.0.0.1", replica.server.port, user="bob", purpose="ops"

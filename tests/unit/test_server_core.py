@@ -133,8 +133,7 @@ class TestAdmissionControl:
 
     def test_admit_accepts_with_headroom_and_counts_inflight(self, served):
         server, _ = served
-        budget = server._admit("ask", 60_000.0)
-        assert budget is not None and budget.deadline is not None
+        assert server._admit("ask", 60_000.0) is None
         assert server._inflight == 1
         server._finish(0.01)
         assert server._inflight == 0
@@ -198,3 +197,29 @@ class TestLifecycle:
         server = PCQEServer(scenario.db, scenario.policies, port=0).start()
         server.stop()
         server.stop()
+
+    def test_a_rejected_or_never_started_server_leaves_no_commit_listener(
+        self, tmp_path
+    ):
+        """Regression: ``request_timeout`` used to be validated *after*
+        the replication feed attached its commit listener, and ``stop()``
+        returned early on a never-started server — each leaked a feed
+        (up to 4 MiB, appended to on every later commit) on the caller's
+        durable database."""
+        from repro.errors import ServerError
+        from repro.policy import PolicyStore
+        from repro.storage.database import Database
+
+        db = Database.open(str(tmp_path))
+        listeners = db._durability._listeners
+        try:
+            with pytest.raises(ServerError):
+                PCQEServer(db, PolicyStore(), request_timeout=0)
+            assert len(listeners) == 0
+            never_started = PCQEServer(db, PolicyStore())
+            assert len(listeners) == 1
+            never_started.stop()
+            assert len(listeners) == 0
+            never_started.stop()  # still idempotent
+        finally:
+            db.close()

@@ -18,7 +18,7 @@ from repro.errors import (
 from repro.obs import get_metrics
 from repro.policy import PolicyStore
 from repro.server import PCQEServer, PRIORITY_CLASSES
-from repro.server.server import _ConnectionBreaker, _IdempotencyCache
+from repro.server.server import _ConnectionBreaker, _KeyedLRU
 from repro.storage import Database
 
 
@@ -88,11 +88,8 @@ class TestLoadShedding:
         assert counter.value == before + 1
 
     def test_custom_multipliers_and_disabling(self):
-        strict = PCQEServer(
-            Database("t"),
-            PolicyStore(default_threshold=0.0),
-            shed_multipliers={0: 1.0},
-        )
+        strict = PCQEServer(Database("t"), PolicyStore(default_threshold=0.0))
+        strict.shed_multipliers = {0: 1.0}
         strict._inflight = strict.workers
         try:
             with pytest.raises(OverloadError):
@@ -182,10 +179,33 @@ class TestConnectionBreaker:
         assert CircuitOpenError("x", failures=3, retry_after_ms=10.0).retryable
         assert RequestTimeoutError("x", op="ask", timeout_ms=50.0).retryable
 
+    def test_structured_fields_are_declared_once_per_class(self):
+        """``fields`` drives the constructor, the attributes and the wire
+        ``details()`` alike: a missing or unknown keyword is a TypeError,
+        and a class-level default makes a field optional."""
+        from repro.errors import NotPrimaryError, ServerError
+
+        error = RequestTimeoutError("x", op="ask", timeout_ms=50.0)
+        assert (error.op, error.timeout_ms) == ("ask", 50.0)
+        assert list(error.details().items()) == [
+            ("op", "ask"), ("timeout_ms", 50.0)
+        ]
+        with pytest.raises(TypeError, match="missing"):
+            RequestTimeoutError("x", op="ask")
+        with pytest.raises(TypeError, match="unknown"):
+            RequestTimeoutError("x", op="ask", timeout_ms=1.0, extra=2)
+        with pytest.raises(TypeError):
+            ServerError("x", anything=1)
+        assert ServerError("x").details() == {}
+        assert list(NotPrimaryError("x").details().items()) == [
+            ("rotate", True), ("role", "replica"), ("epoch", 0)
+        ]
+        assert NotPrimaryError("x", epoch=3).details()["epoch"] == 3
+
 
 class TestIdempotencyCache:
     def test_lru_evicts_the_oldest_entry(self):
-        cache = _IdempotencyCache(2)
+        cache = _KeyedLRU(2)
         cache.put(("c", "a"), 1)
         cache.put(("c", "b"), 2)
         cache.put(("c", "c"), 3)
@@ -194,7 +214,7 @@ class TestIdempotencyCache:
         assert len(cache) == 2
 
     def test_get_refreshes_recency(self):
-        cache = _IdempotencyCache(2)
+        cache = _KeyedLRU(2)
         cache.put(("c", "a"), 1)
         cache.put(("c", "b"), 2)
         cache.get(("c", "a"))  # a is now the most recent
@@ -203,14 +223,14 @@ class TestIdempotencyCache:
         assert cache.get(("c", "b")) is None
 
     def test_keys_are_scoped_per_client(self):
-        cache = _IdempotencyCache(8)
+        cache = _KeyedLRU(8)
         cache.put(("alice", "k"), "hers")
         cache.put(("bob", "k"), "his")
         assert cache.get(("alice", "k")) == "hers"
         assert cache.get(("bob", "k")) == "his"
 
     def test_drop_is_idempotent(self):
-        cache = _IdempotencyCache(8)
+        cache = _KeyedLRU(8)
         cache.put(("c", "k"), 1)
         cache.drop(("c", "k"))
         cache.drop(("c", "k"))

@@ -15,7 +15,6 @@ from repro.server.protocol import (
     read_frame,
     recv_frame,
     send_frame,
-    write_frame,
 )
 
 
@@ -84,7 +83,8 @@ def test_async_read_frame_round_trip_and_clean_eof():
 
         async def handle(reader, writer):
             received.append(await read_frame(reader))
-            await write_frame(writer, {"ok": True})
+            writer.write(encode_frame({"ok": True}))
+            await writer.drain()
             received.append(await read_frame(reader))  # None on clean EOF
             writer.close()
             server_done.set()
@@ -92,7 +92,8 @@ def test_async_read_frame_round_trip_and_clean_eof():
         server = await asyncio.start_server(handle, "127.0.0.1", 0)
         host, port = server.sockets[0].getsockname()[:2]
         reader, writer = await asyncio.open_connection(host, port)
-        await write_frame(writer, {"op": "ping"})
+        writer.write(encode_frame({"op": "ping"}))
+        await writer.drain()
         reply = await read_frame(reader)
         writer.close()
         await writer.wait_closed()
