@@ -224,7 +224,7 @@ class AuditLog:
     def _write_batch(self, batch: list[dict[str, Any]]) -> None:
         """Encode, checksum and append one query's batch as one frame."""
         try:
-            nbytes = self._wal.append(_encode_batch(batch))
+            nbytes, _ = self._wal.append(_encode_batch(batch))
         except BaseException as error:  # surfaced via write_error
             if self._error is None:
                 self._error = error

@@ -243,6 +243,9 @@ class SnapshotTable:
     def set_confidence(self, *args, **kwargs):
         self._readonly("set_confidence")
 
+    def update_rows(self, *args, **kwargs):
+        self._readonly("update_rows")
+
     def assign_confidences(self, *args, **kwargs):
         self._readonly("assign_confidences")
 

@@ -408,9 +408,13 @@ class Replica:
             op = decode_op(raw)
             # WAL-first, exactly like a local commit: the frame is
             # durable before its effects are visible, so a crash between
-            # the two replays it on restart.
+            # the two replays it on restart.  Framing the payload is the
+            # one checksum pass over these bytes on this node: the
+            # divergence window below keeps that CRC32C.
             if self._manager is not None:
-                self._manager.import_frame(payload, seq)
+                digest = self._manager.import_frame(payload, seq)
+            else:
+                digest = crc32c(payload)
 
             def mutate(db):
                 guard = (
@@ -435,7 +439,7 @@ class Replica:
             raise _ResyncNeeded() from error
         for client, key in iter_idempotency_markers(op):
             self.server.record_replicated_key(client, key, seq)
-        self._recent_digests.append((seq, crc32c(payload)))
+        self._recent_digests.append((seq, digest))
         metrics.counter("repl.frames_applied").inc()
         metrics.histogram("repl.apply_seconds", TIMING_BUCKETS).observe(
             time.perf_counter() - started

@@ -209,18 +209,17 @@ def _update(db: Database, command: UpdateStatement) -> DmlResult:
     confidence = _confidence_value(command.confidence)
 
     affected = _matching_rows(table, command.where)
-    with db.durability_batch():
-        for row in affected:
-            values = list(row.values)
-            updates = [
-                (position, bound.evaluate(row.values))
-                for position, bound in assignments
-            ]
-            for position, value in updates:
-                values[position] = value
-            table.update(row.tid, values)
-            if confidence is not None:
-                table.set_confidence(row.tid, confidence)
+    # One storage call and one WAL record per statement, whatever the row
+    # count; a row the schema rejects leaves every row as it was.
+    table.update_rows(
+        [row.tid.ordinal for row in affected],
+        [position for position, _ in assignments],
+        [
+            [bound.evaluate(row.values) for row in affected]
+            for _, bound in assignments
+        ],
+        confidence,
+    )
     return DmlResult("UPDATE", len(affected), tuple(row.tid for row in affected))
 
 

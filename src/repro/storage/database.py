@@ -241,10 +241,11 @@ class Database:
         """Apply a batch of confidence updates atomically-in-effect.
 
         All updates are validated before any is applied, so a bad target
-        leaves the database unchanged.  On a durable database the whole
-        batch — e.g. an accepted increment strategy's write-back — is
-        journaled as ONE atomic WAL record: recovery sees either none of
-        the strategy or all of it.
+        leaves the database unchanged.  Each table takes its share as one
+        :meth:`~repro.storage.table.Table.update_rows` call; on a durable
+        database the whole batch — e.g. an accepted increment strategy's
+        write-back — is journaled as ONE atomic WAL record: recovery sees
+        either none of the strategy or all of it.
         """
         rows = [(self.resolve(tid), value) for tid, value in updates.items()]
         for row, value in rows:
@@ -255,23 +256,14 @@ class Database:
                     f"confidence {value} invalid for {row.tid} "
                     f"(max {row.max_confidence})"
                 )
-        by_table: dict[str, list[tuple[int, float]]] = {}
+        by_table: dict[str, tuple[list[int], list[float]]] = {}
         for row, value in rows:
-            by_table.setdefault(row.tid.table, []).append(
-                (row.tid.ordinal, value)
-            )
-        for table_name, group in by_table.items():
-            self.table(table_name)._apply_confidences(group)
-        if rows:
-            self._journal(
-                {
-                    "op": "confidences",
-                    "updates": [
-                        [row.tid.table, row.tid.ordinal, row.confidence]
-                        for row, _ in rows
-                    ],
-                }
-            )
+            ordinals, values = by_table.setdefault(row.tid.table, ([], []))
+            ordinals.append(row.tid.ordinal)
+            values.append(value)
+        with self.durability_batch():
+            for table_name, (ordinals, values) in by_table.items():
+                self.table(table_name).update_rows(ordinals, confidence=values)
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"Database({self.name!r}, tables={self.table_names()})"

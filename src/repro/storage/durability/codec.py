@@ -10,6 +10,13 @@ Value encoding is trivial (the engine's scalar types are JSON's scalar
 types: int, float, str, bool, NULL); the interesting cases are
 :class:`~repro.cost.CostModel` instances (encoded as ``{"kind": ...}``
 discriminated unions) and :class:`~repro.storage.schema.Schema` columns.
+
+Operation kinds are listed at :data:`OP_KINDS`, with which of them are
+still written and which are only read.  A record's size is what every
+later stage pays for — the primary's checksum and fsync, the replication
+feed's byte budget, the replica's checksum and replay — so the one
+multi-row kind, ``update_rows``, is columnar: ordinals, then one value
+list per *assigned* column, then one confidence or one per row.
 """
 
 from __future__ import annotations
@@ -143,10 +150,29 @@ def decode_schema(columns: list[list[Any]]) -> Schema:
 # -- logical operations ----------------------------------------------------
 
 #: Every operation kind the WAL can carry.  ``batch`` wraps a list of
-#: sub-operations committed as one atomic record (a multi-row DML
-#: statement, or a solver's accepted increment strategy).
-#: ``idempotency`` is a state no-op marker journaled alongside a write so
-#: the (client, key) dedup map survives crash recovery and replication.
+#: sub-operations committed as one atomic record (a multi-row INSERT or
+#: DELETE, a write-back that spans tables, a statement plus its dedup
+#: marker).  ``idempotency`` is a state no-op marker journaled alongside
+#: a write so the (client, key) dedup map survives crash recovery and
+#: replication.
+#:
+#: ``update_rows`` is "a statement changed these rows of this table" —
+#: what every multi-row writer emits (SQL ``UPDATE``, a strategy's
+#: write-back, ``Table.assign_confidences``), columnar so its size
+#: follows the rows and columns that changed and nothing else::
+#:
+#:     {"op": "update_rows", "table": T,
+#:      "ordinals":   [o1, o2, …],          # the rows, in statement order
+#:      "columns":    [c1, …],              # assigned column positions
+#:      "values":     [[v(c1,o1), v(c1,o2), …], …],   # one list per column
+#:      "confidence": null | p | [p1, p2, …]}         # keep | uniform | per row
+#:
+#: ``update`` (one row, the whole value tuple) and ``set_confidence`` are
+#: what the single-row ``Table.update`` / ``Table.set_confidence`` API
+#: writes.  ``confidences`` (``[table, ordinal, value]`` triples) is
+#: **read-only legacy**: nothing writes it any more, but logs written
+#: before ``update_rows`` hold it and replay through the same
+#: :func:`~repro.storage.durability.recovery.apply_op`.
 OP_KINDS = frozenset(
     {
         "create_table",
@@ -158,6 +184,7 @@ OP_KINDS = frozenset(
         "delete",
         "update",
         "set_confidence",
+        "update_rows",
         "confidences",
         "idempotency",
         "batch",

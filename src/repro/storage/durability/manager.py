@@ -3,10 +3,12 @@
 A :class:`DurabilityManager` attaches to a
 :class:`~repro.storage.database.Database` and receives every logical
 mutation through the journal hooks (``Table._journal`` and the
-database's catalog/confidence paths).  Each op becomes one fsync'd WAL
-record; :meth:`batch` groups a multi-row statement (or a solver's entire
-accepted strategy) into a single atomic record; :meth:`checkpoint`
-writes a checksummed snapshot and compacts the WAL.
+database's catalog paths).  Each op becomes one fsync'd WAL record — a
+multi-row UPDATE is already one op, ``update_rows``; :meth:`batch`
+groups what is not (a multi-row INSERT or DELETE, a write-back that
+spans tables, a statement plus its idempotency marker) into a single
+atomic record; :meth:`checkpoint` writes a checksummed snapshot and
+compacts the WAL.
 
 Observability: every append runs under a ``wal.append`` span (no-op
 unless tracing is enabled) and moves ``wal.records`` / ``wal.bytes`` /
@@ -156,9 +158,10 @@ class DurabilityManager:
         for listener in list(self._listeners):
             listener(seq, payload)
 
-    def import_frame(self, payload: bytes, seq: int) -> None:
+    def import_frame(self, payload: bytes, seq: int) -> int:
         """Append a primary-authored WAL record verbatim (replica path).
 
+        Returns the payload's CRC32C, computed once while framing it.
         The payload already carries its ``seq``; frames must arrive in
         order with no gaps so the replica's log stays a byte-prefix of
         the primary's.  Deliberately does **not** auto-checkpoint: the
@@ -172,7 +175,7 @@ class DurabilityManager:
                 f"expected {self._seq + 1}"
             )
         with get_tracer().span("wal.import", seq=seq) as span:
-            nbytes = self._wal.append(payload)
+            nbytes, payload_crc = self._wal.append(payload)
             span.set_attribute("bytes", nbytes)
         self._seq = seq
         self._metrics.counter("wal.records").inc()
@@ -181,6 +184,7 @@ class DurabilityManager:
             self._metrics.counter("wal.fsyncs").inc()
         self._metrics.gauge("wal.size_bytes").set(self._wal.size_bytes)
         self._notify(seq, payload)
+        return payload_crc
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -213,7 +217,7 @@ class DurabilityManager:
         with get_tracer().span(
             "wal.append", op=op.get("op", "?"), seq=self._seq
         ) as span:
-            nbytes = self._wal.append(payload)
+            nbytes, _ = self._wal.append(payload)
             span.set_attribute("bytes", nbytes)
         self._metrics.counter("wal.records").inc()
         self._metrics.counter("wal.bytes").inc(nbytes)

@@ -18,6 +18,14 @@ behind:
 The resulting state is exactly "snapshot ∘ committed WAL suffix" — for
 any single interrupted operation, either the pre-op or the post-op
 state, never a third.
+
+:func:`apply_op` is the one replay function: ``recover`` calls it per
+record, and a replica calls it per shipped frame.  It replays through
+the storage layer's own mutators — an ``update_rows`` record is one
+:meth:`~repro.storage.table.Table.update_rows` call, the call the
+primary's commit made — and it still understands the kinds older logs
+hold (per-row ``update`` / ``set_confidence`` inside a ``batch``,
+triple-shaped ``confidences``); there is no second decoder.
 """
 
 from __future__ import annotations
@@ -116,7 +124,15 @@ def apply_op(db: "Database", op: dict[str, Any]) -> None:
             db.table(op["table"]).set_confidence(
                 TupleId(op["table"], op["ordinal"]), op["confidence"]
             )
+        elif kind == "update_rows":
+            # The method the primary's commit ran: one call, one version
+            # bump, and it journals nothing here (recovery has no manager
+            # attached yet; a replica applies under suspended()).
+            db.table(op["table"]).update_rows(
+                op["ordinals"], op["columns"], op["values"], op["confidence"]
+            )
         elif kind == "confidences":
+            # Legacy (pre-update_rows) write-back / assign_confidences.
             for table, ordinal, value in op["updates"]:
                 db.table(table).set_confidence(TupleId(table, ordinal), value)
         elif kind == "idempotency":

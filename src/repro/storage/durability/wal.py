@@ -48,14 +48,17 @@ _LEN_CRC = struct.Struct("<II")
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 
-def _frame(payload: bytes, checksum=crc32c) -> bytes:
+def _frame(payload: bytes, checksum=crc32c) -> tuple[bytes, int]:
+    """The framed record for *payload*, and the payload checksum in it."""
     if len(payload) > MAX_RECORD_BYTES:
         raise DurabilityError(
             f"WAL record of {len(payload)} bytes exceeds the "
             f"{MAX_RECORD_BYTES}-byte limit"
         )
-    length_crc = _LEN_CRC.pack(len(payload), checksum(payload))
-    return length_crc + struct.pack("<I", checksum(length_crc)) + payload
+    payload_crc = checksum(payload)
+    length_crc = _LEN_CRC.pack(len(payload), payload_crc)
+    record = length_crc + struct.pack("<I", checksum(length_crc)) + payload
+    return record, payload_crc
 
 
 @dataclass
@@ -195,9 +198,14 @@ class WriteAheadLog:
         if self._injector is not None:
             self._injector.hit(point)
 
-    def append(self, payload: bytes) -> int:
-        """Durably append one record; returns the bytes written."""
-        record = _frame(payload, self._checksum)
+    def append(self, payload: bytes) -> tuple[int, int]:
+        """Durably append one record.
+
+        Returns ``(bytes written, payload checksum)`` — the checksum is
+        the one pass over the payload this log makes; callers that need a
+        digest of the same bytes (a replica's divergence window) reuse it.
+        """
+        record, payload_crc = _frame(payload, self._checksum)
         if self._writer == threading.get_ident():
             raise DurabilityError(
                 f"re-entrant WriteAheadLog.append on {self.path}: append "
@@ -207,7 +215,7 @@ class WriteAheadLog:
         with self._lock:
             self._writer = threading.get_ident()
             try:
-                return self._append_locked(record)
+                return self._append_locked(record), payload_crc
             finally:
                 self._writer = None
 

@@ -11,6 +11,7 @@ scans and joins.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..cost import CostModel, FreeCost
@@ -291,6 +292,107 @@ class Table:
                     }
                 )
 
+    def update_rows(
+        self,
+        ordinals: Sequence[int],
+        columns: Sequence[int] = (),
+        values: Sequence[Sequence[Any]] = (),
+        confidence: "float | Sequence[float] | None" = None,
+    ) -> None:
+        """Change many rows as ONE mutation: what a statement did to a table.
+
+        *ordinals* names the (distinct) rows.  *columns* holds the assigned
+        column positions and *values* one sequence per assigned column,
+        aligned with *ordinals* — unassigned columns are not mentioned and
+        not touched.  *confidence* is ``None`` (keep), one number for every
+        row, or one number per row.
+
+        Every ordinal is resolved and every value and confidence coerced
+        and validated before the first row changes, so a rejected row
+        leaves the table — and the journal — exactly as they were.  The
+        whole set is one lock hold, one :attr:`data_version` bump, index
+        maintenance for assigned indexed columns only, and one
+        ``update_rows`` journal record.  Crash recovery and a replica
+        replay that record through this same method.
+        """
+        ordinals = list(ordinals)
+        if not ordinals:
+            return
+        scalar = isinstance(confidence, (int, float))
+        per_row = list(values)
+        if confidence is not None and not scalar:
+            per_row.append(confidence)
+        if len(values) != len(columns) or any(
+            len(column) != len(ordinals) for column in per_row
+        ):
+            raise SchemaError(
+                f"table {self._name!r}: update_rows needs one value per row "
+                f"for each assigned column, and one confidence or one per row"
+            )
+        if any(not 0 <= position < len(self._schema) for position in columns):
+            raise SchemaError(
+                f"table {self._name!r} has no column at one of the positions "
+                f"{list(columns)}"
+            )
+        with self._lock:
+            stored = self._rows
+            try:
+                rows = [stored[ordinal] for ordinal in ordinals]
+            except KeyError as error:
+                raise UnknownTupleError(
+                    f"no tuple {self._name}:{error.args[0]} in table "
+                    f"{self._name!r}"
+                ) from None
+            assigned = []
+            for position, column_values in zip(columns, values):
+                column = self._schema[position]
+                dtype = column.dtype
+                coerced = [coerce_value(value, dtype) for value in column_values]
+                if not column.nullable and any(value is None for value in coerced):
+                    raise SchemaError(
+                        f"column {column.qualified_name} is NOT NULL"
+                    )
+                assigned.append(coerced)
+            confidences = None
+            if confidence is not None:
+                confidences = [
+                    row.checked_confidence(value)
+                    for row, value in zip(
+                        rows, repeat(confidence) if scalar else confidence
+                    )
+                ]
+            # Nothing below this line can be refused.
+            if assigned:
+                indexed = [
+                    (position, self._indexes[position])
+                    for position in columns
+                    if position in self._indexes
+                ]
+                for row, new in zip(rows, zip(*assigned)):
+                    old = row.values
+                    fresh = list(old)
+                    for position, value in zip(columns, new):
+                        fresh[position] = value
+                    row.values = tuple(fresh)
+                    for position, index in indexed:
+                        index.remove(old[position], row.tid)
+                        index.add(fresh[position], row.tid)
+            if confidences is not None:
+                for row, value in zip(rows, confidences):
+                    row.confidence = value
+            self._record_change(ordinals)
+            if self._journal is not None:
+                self._journal(
+                    {
+                        "op": "update_rows",
+                        "table": self._name,
+                        "ordinals": ordinals,
+                        "columns": list(columns),
+                        "values": assigned,
+                        "confidence": confidences[0] if scalar else confidences,
+                    }
+                )
+
     # -- reading ---------------------------------------------------------
 
     def get(self, tid: TupleId) -> StoredTuple:
@@ -440,41 +542,16 @@ class Table:
         """Recompute every tuple's confidence with *assigner* (element 1).
 
         Used by :mod:`repro.trust` to seed confidences from provenance.
+        Every row is scored before any is changed, so an *assigner* that
+        raises — or returns a confidence a row cannot hold — changes
+        nothing.
         """
         with self._lock:
-            try:
-                for row in self._rows.values():
-                    row.set_confidence(assigner(row))
-            finally:
-                # Also when *assigner* raised half-way: the rows before it
-                # did change, and the next snapshot must see them.
-                self._record_change(None)
-            if self._journal is not None:
-                self._journal(
-                    {
-                        "op": "confidences",
-                        "updates": [
-                            [self._name, row.tid.ordinal, row.confidence]
-                            for row in self._rows.values()
-                        ],
-                    }
-                )
-
-    def _apply_confidences(self, updates: Iterable[tuple[int, float]]) -> None:
-        """Set the confidence of many rows, as ``(ordinal, value)`` pairs.
-
-        One lock hold and one version bump for the whole group.  Like
-        :meth:`_force_insert` it neither validates targets nor journals:
-        :meth:`~repro.storage.Database.apply_confidences` checks every
-        update before the first is applied and writes ONE record for the
-        whole strategy.
-        """
-        with self._lock:
-            ordinals = []
-            for ordinal, value in updates:
-                self._rows[ordinal].set_confidence(value)
-                ordinals.append(ordinal)
-            self._record_change(ordinals)
+            rows = list(self._rows.values())
+            self.update_rows(
+                [row.tid.ordinal for row in rows],
+                confidence=[assigner(row) for row in rows],
+            )
 
     def _lookup(self, tid: TupleId) -> StoredTuple:
         if tid.table != self._name or tid.ordinal not in self._rows:

@@ -99,15 +99,19 @@ class StoredTuple:
         """Highest confidence this tuple can be improved to."""
         return self.cost_model.max_confidence
 
-    def set_confidence(self, value: float) -> None:
-        """Update the stored confidence, validating range and cap."""
+    def checked_confidence(self, value: float) -> float:
+        """*value* as this tuple would store it (raises on range or cap)."""
         value = _check_confidence(value)
         if value > self.max_confidence + _EPS:
             raise InvalidConfidenceError(
                 f"confidence {value} of {self.tid} exceeds maximum "
                 f"{self.max_confidence}"
             )
-        self.confidence = value
+        return value
+
+    def set_confidence(self, value: float) -> None:
+        """Update the stored confidence, validating range and cap."""
+        self.confidence = self.checked_confidence(value)
 
     def improvement_cost(self, target: float) -> float:
         """Cost of raising this tuple's confidence to *target*."""

@@ -10,6 +10,13 @@ Two families of laws:
   observes a snapshot older than it, across arbitrary interleavings of
   commits, stale pins, and lag checks; a demand beyond the node's
   position raises instead of lying, leaving the pin untouched.
+* **Row-set records** — any interleaving of multi-row UPDATEs (with and
+  without a confidence, over indexed and unindexed columns, matching no
+  row, or rejected by the schema), write-backs, bulk re-scoring,
+  single-row operations and crash-reopens leaves the live primary, its
+  published snapshot, its recovered log and a replica fed the same
+  frames with equal fingerprints, and every delta-published snapshot
+  table equal to a from-scratch copy.
 """
 
 from __future__ import annotations
@@ -18,18 +25,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReplicaLagError
+from repro.cost import LinearCost
+from repro.errors import ReplicaLagError, SchemaError
 from repro.policy import PolicyStore
-from repro.server.mvcc import MVCCDatabase
+from repro.server import Replica
+from repro.server.mvcc import MVCCDatabase, SnapshotTable
 from repro.server.replication.reconcile import (
     common_prefix_seq,
     divergence_point,
     frame_digests,
 )
 from repro.server.session import Session
+from repro.sql import execute_dml, parse_command
 from repro.storage import Database
-from repro.storage.schema import Schema
-from repro.storage.types import TEXT
+from repro.storage.durability import database_fingerprints, recover
+from repro.storage.schema import Column, Schema
+from repro.storage.types import INTEGER, REAL, TEXT
 
 # -- log divergence ---------------------------------------------------------
 
@@ -202,3 +213,202 @@ class TestReadYourWrites:
             thread.join()
         finally:
             session.close()
+
+
+# -- row-set records ----------------------------------------------------------
+
+_ROW_SCHEMA = Schema(
+    [
+        Column("k", INTEGER, nullable=False),
+        Column("name", TEXT),
+        Column("v", REAL),
+    ]
+)
+_TABLES = ("t", "u")  # t is indexed on name, u is not indexed at all
+_ASSIGNMENTS = {
+    "k": "k = k + 1",
+    "name": "name = 'renamed'",
+    "v": "v = v * 2 + k",
+}
+_bounds = st.integers(-1, 9)
+_row_confidences = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0])
+_positions = st.integers(0, 1000)
+
+_row_steps = st.one_of(
+    st.tuples(
+        st.just("update"),
+        st.sampled_from(_TABLES),
+        _bounds,
+        _bounds,  # lo >= hi: no row matches
+        st.lists(
+            st.sampled_from(sorted(_ASSIGNMENTS)), min_size=1, unique=True
+        ),
+        st.one_of(st.none(), _row_confidences),
+    ),
+    st.tuples(st.just("rejected"), st.sampled_from(_TABLES), _bounds),
+    st.tuples(
+        st.just("write_back"),
+        st.lists(
+            st.tuples(st.sampled_from(_TABLES), _positions, _row_confidences),
+            max_size=6,
+        ),
+    ),
+    st.tuples(st.just("assign"), st.sampled_from(_TABLES), _row_confidences),
+    st.tuples(
+        st.just("single"),
+        st.sampled_from(["insert", "update", "delete", "set_confidence"]),
+        st.sampled_from(_TABLES),
+        _positions,
+    ),
+    st.tuples(st.just("crash")),
+)
+
+
+def _row_state(table) -> list:
+    return [
+        (row.tid, row.values, row.confidence, row.cost_model)
+        for row in table.scan()
+    ]
+
+
+def _run_row_step(db: Database, step: tuple) -> None:
+    kind, *args = step
+    if kind == "update":
+        name, lo, hi, columns, confidence = args
+        sql = (
+            f"UPDATE {name} SET "
+            + ", ".join(_ASSIGNMENTS[column] for column in columns)
+            + f" WHERE k >= {lo} AND k < {hi}"
+        )
+        if confidence is not None:
+            sql += f" WITH CONFIDENCE {confidence}"
+        execute_dml(db, parse_command(sql))
+    elif kind == "rejected":
+        name, lo = args
+        execute_dml(
+            db,
+            parse_command(
+                f"UPDATE {name} SET v = v + 1, "
+                f"k = CASE WHEN k >= {lo} THEN NULL ELSE k END"
+            ),
+        )
+    elif kind == "write_back":
+        updates = {}
+        for name, position, confidence in args[0]:
+            rows = list(db.table(name).scan())
+            if rows:
+                updates[rows[position % len(rows)].tid] = confidence
+        db.apply_confidences(updates)
+    elif kind == "assign":
+        name, confidence = args
+        db.table(name).assign_confidences(lambda row: confidence)
+    else:
+        assert kind == "single"
+        action, name, position = args
+        table = db.table(name)
+        rows = list(table.scan())
+        if action == "insert" or not rows:
+            table.insert(
+                [position % 10, "fresh", 0.5],
+                confidence=0.5,
+                cost_model=LinearCost(2.0),
+            )
+            return
+        row = rows[position % len(rows)]
+        if action == "update":
+            table.update(row.tid, [position % 10, None, 1.5])
+        elif action == "delete":
+            table.delete(row.tid)
+        else:
+            table.set_confidence(row.tid, 0.75)
+
+
+class _Primary:
+    def __init__(self, data_dir: str, frames: list) -> None:
+        self.data_dir = data_dir
+        self.frames = frames
+        self.open()
+
+    def open(self) -> None:
+        self.db = Database.open(self.data_dir, sync=False)
+        self.mvcc = MVCCDatabase(self.db)
+        self.db._durability.add_commit_listener(
+            lambda seq, payload: self.frames.append((seq, payload))
+        )
+
+
+class TestRowSetRecords:
+    @given(steps=st.lists(_row_steps, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_live_snapshot_recovered_and_replica_state_agree(
+        self, tmp_path_factory, steps
+    ):
+        root = tmp_path_factory.mktemp("rowsets")
+        frames: "list[tuple[int, bytes]]" = []
+        primary = _Primary(str(root / "primary"), frames)
+        replica = Replica(
+            ["127.0.0.1:1"], _policies(), data_dir=str(root / "replica")
+        )
+        shipped = 0
+        try:
+            def seed(db):
+                for name in _TABLES:
+                    table = db.create_table(name, _ROW_SCHEMA)
+                    for i in range(8):
+                        table.insert(
+                            [i, f"row{i}", float(i)],
+                            confidence=0.5,
+                            cost_model=LinearCost(2.0),
+                        )
+                db.table("t").create_index("name")
+
+            primary.mvcc.commit(seed)
+            for step in steps:
+                if step[0] == "crash":
+                    live = database_fingerprints(primary.db)
+                    primary.db.close()
+                    recovered, _report = recover(primary.data_dir)
+                    assert database_fingerprints(recovered) == live
+                    primary.open()
+                else:
+                    before = database_fingerprints(primary.db)
+                    try:
+                        primary.mvcc.commit(lambda db: _run_row_step(db, step))
+                    except SchemaError:
+                        assert step[0] == "rejected"
+                        assert database_fingerprints(primary.db) == before
+                for seq, payload in frames[shipped:]:
+                    replica._apply_frame(seq, payload)
+                shipped = len(frames)
+
+                live = database_fingerprints(primary.db)
+                assert database_fingerprints(replica._db) == live
+                for mvcc, db in (
+                    (primary.mvcc, primary.db),
+                    (replica.server.mvcc, replica._db),
+                ):
+                    with mvcc.snapshot() as snapshot:
+                        assert database_fingerprints(snapshot.db) == live
+                        for name in _TABLES:
+                            published = snapshot.db.table(name)
+                            reference = SnapshotTable(db.clone().table(name))
+                            assert _row_state(published) == _row_state(reference)
+                            assert (
+                                published.column_data()
+                                == reference.column_data()
+                            )
+                    # The live hash index (t only) followed every
+                    # assigned value, on the primary and on the replica.
+                    indexed = db.table("t")
+                    for value in ("renamed", "fresh", "row3", None):
+                        assert sorted(
+                            row.tid for row in indexed.lookup("name", value)
+                        ) == [
+                            row.tid
+                            for row in indexed.scan()
+                            if row.values[1] == value
+                        ]
+                assert replica.position == primary.db._durability.last_seq
+        finally:
+            replica.stop()
+            primary.db.close()

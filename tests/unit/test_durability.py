@@ -430,9 +430,11 @@ def test_apply_confidences_is_one_record(tmp_path):
     db.close()
     payloads = scan_wal(os.path.join(data_dir, "wal.log")).payloads
     records = [json.loads(p) for p in payloads]
-    confidence_records = [r for r in records if r["op"] == "confidences"]
+    confidence_records = [r for r in records if r["op"] == "update_rows"]
     assert len(confidence_records) == 1
-    assert len(confidence_records[0]["updates"]) == 3
+    assert confidence_records[0]["ordinals"] == [0, 1, 2]
+    assert confidence_records[0]["confidence"] == [0.9, 0.9, 0.9]
+    assert confidence_records[0]["columns"] == confidence_records[0]["values"] == []
 
     db2, _report = recover(data_dir)
     assert all(row.confidence == 0.9 for row in db2.table("t").scan())

@@ -1,0 +1,327 @@
+"""A multi-row write is one row-set: one storage call, one WAL record.
+
+``Table.update_rows`` is the one bulk mutator (SQL ``UPDATE``, the
+strategy write-back and ``assign_confidences`` all land in it, and so do
+crash recovery and a replica replaying their ``update_rows`` record).
+Three things are pinned here:
+
+* the mutator's contract — validate everything, then change everything;
+* atomicity end to end — a statement the schema rejects on row *k*
+  leaves table, MVCC snapshot, WAL and replica exactly as they were;
+* the work — counts, not timings: a *k*-row UPDATE is 1 record whose
+  size follows *k* and the assigned columns only, 1 ``data_version`` bump
+  and 1 checksum pass over the payload on each side of the wire.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+
+import pytest
+
+from repro.cost import LinearCost
+from repro.errors import (
+    InvalidConfidenceError,
+    SchemaError,
+    UnknownTupleError,
+)
+from repro.policy import PolicyStore
+from repro.server import Replica
+from repro.server.mvcc import MVCCDatabase
+from repro.sql import execute_dml, parse_command
+from repro.storage import INTEGER, REAL, TEXT, Column, Database, Schema, TupleId
+from repro.storage.durability import checksum, database_fingerprints, scan_wal
+from repro.storage.durability.recovery import WAL_FILE
+
+_SCHEMA = Schema(
+    [
+        Column("k", INTEGER, nullable=False),
+        Column("name", TEXT),
+        Column("v", REAL),
+    ]
+)
+
+
+def _table(db: Database, rows: int = 6):
+    table = db.create_table("t", _SCHEMA)
+    for i in range(rows):
+        table.insert(
+            [i, f"row{i}", float(i)], confidence=0.5, cost_model=LinearCost(1.0, 0.9)
+        )
+    return table
+
+
+def _state(table) -> list:
+    return [(row.tid.ordinal, row.values, row.confidence) for row in table.scan()]
+
+
+# -- the mutator --------------------------------------------------------------
+
+
+class TestUpdateRows:
+    def test_assigned_columns_and_confidence_change_together(self):
+        table = _table(Database())
+        version = table.data_version
+        table.update_rows([1, 4], [2, 0], [[10, 40], [11, 44]], [0.6, 0.7])
+        assert table.data_version == version + 1
+        assert _state(table)[1] == (1, (11, "row1", 10.0), 0.6)  # int → REAL
+        assert _state(table)[4] == (4, (44, "row4", 40.0), 0.7)
+        assert _state(table)[0] == (0, (0, "row0", 0.0), 0.5)
+
+    def test_uniform_confidence_and_no_columns(self):
+        table = _table(Database())
+        table.update_rows([0, 2], confidence=0.25)
+        assert [c for _o, _v, c in _state(table)] == [0.25, 0.5, 0.25, 0.5, 0.5, 0.5]
+
+    def test_no_rows_is_no_mutation(self):
+        table = _table(Database())
+        version = table.data_version
+        table.update_rows([], [0], [[]], 0.1)
+        assert table.data_version == version
+
+    @pytest.mark.parametrize(
+        "arguments, error",
+        [
+            (([0, 99], [0], [[1, 2]]), UnknownTupleError),
+            (([0, 1], [0], [[1, None]]), SchemaError),  # NOT NULL on row 2
+            (([0, 1], [0], [[1, "x"]]), SchemaError),  # type on row 2
+            (([0, 1], [0], [[1]]), SchemaError),  # ragged column
+            (([0, 1], [7], [[1, 2]]), SchemaError),  # no such position
+            (([0, 1], [0], [[1, 2]], [0.6, 0.95]), InvalidConfidenceError),  # cap
+            (([0, 1], [0], [[1, 2]], 1.5), InvalidConfidenceError),
+            (([0, 1], [0], [[1, 2]], [0.6]), SchemaError),
+        ],
+    )
+    def test_a_rejected_row_changes_nothing(self, arguments, error):
+        table = _table(Database())
+        table.create_index("name")
+        before, version = _state(table), table.data_version
+        with pytest.raises(error):
+            table.update_rows(*arguments)
+        assert _state(table) == before and table.data_version == version
+
+    def test_only_assigned_indexed_columns_are_reindexed(self, count_calls):
+        table = _table(Database())
+        table.create_index("name")
+        table.create_index("k")
+        name_index, k_index = table.index_on("name"), table.index_on("k")
+        removed = count_calls(type(name_index), "remove")
+        table.update_rows([0, 1, 2], [2], [[7.0, 8.0, 9.0]])  # v: no index
+        assert removed[0] == 0
+        table.update_rows([0, 1], [1], [["a", "a"]])  # name only
+        assert removed[0] == 2
+        assert [row.tid.ordinal for row in table.lookup("name", "a")] == [0, 1]
+        assert table.lookup("name", "row0") == []
+        assert k_index.find(1) == [TupleId("t", 1)]
+
+    def test_one_journal_record_with_the_stored_values(self):
+        table = _table(Database())
+        journal: list[dict] = []
+        table._journal = journal.append
+        table.update_rows([3, 5], [2], [[1, 2]], 0.75)
+        table.update_rows([3], confidence=[0.8])
+        assert journal == [
+            {
+                "op": "update_rows", "table": "t", "ordinals": [3, 5],
+                "columns": [2], "values": [[1.0, 2.0]], "confidence": 0.75,
+            },
+            {
+                "op": "update_rows", "table": "t", "ordinals": [3],
+                "columns": [], "values": [], "confidence": [0.8],
+            },
+        ]
+
+
+# -- a cluster without threads: frames are handed over by hand ---------------
+
+
+def _policies() -> PolicyStore:
+    policies = PolicyStore(default_threshold=0.0)
+    policies.add_role("Manager")
+    policies.add_purpose("ops")
+    policies.add_user("bob", roles=["Manager"])
+    policies.add_policy("Manager", "ops", 0.0)
+    return policies
+
+
+class _Pair:
+    """A durable primary behind MVCC and a durable, never-started replica.
+
+    ``ship()`` plays the pull loop: every frame the primary's manager
+    committed since the last call goes through ``Replica._apply_frame``.
+    """
+
+    def __init__(self, root) -> None:
+        self.primary_dir = str(root / "primary")
+        self.db = Database.open(self.primary_dir)
+        self.mvcc = MVCCDatabase(self.db)
+        self.frames: list[tuple[int, bytes]] = []
+        self.db._durability.add_commit_listener(
+            lambda seq, payload: self.frames.append((seq, payload))
+        )
+        self.replica = Replica(
+            ["127.0.0.1:1"], _policies(), data_dir=str(root / "replica")
+        )
+        self._shipped = 0
+
+    def run(self, sql: str):
+        command = parse_command(sql)
+        return self.mvcc.commit(lambda db: execute_dml(db, command))
+
+    def ship(self) -> list[bytes]:
+        fresh = self.frames[self._shipped:]
+        self._shipped = len(self.frames)
+        for seq, payload in fresh:
+            self.replica._apply_frame(seq, payload)
+        return [payload for _seq, payload in fresh]
+
+    def wal_bytes(self) -> int:
+        return os.path.getsize(os.path.join(self.primary_dir, WAL_FILE))
+
+    def close(self) -> None:
+        self.replica.stop()
+        self.db.close()
+
+
+@pytest.fixture
+def pair(tmp_path):
+    pair = _Pair(tmp_path)
+    try:
+        yield pair
+    finally:
+        pair.close()
+
+
+def _seed(pair: _Pair, rows: int, wide: int = 0) -> None:
+    pair.run(
+        "CREATE TABLE t (k INT NOT NULL, name TEXT, v REAL, note TEXT)"
+    )
+    note = "n" * wide
+    values = ", ".join(f"({i}, 'row{i}', {i}.0, '{note}')" for i in range(rows))
+    pair.run(f"INSERT INTO t VALUES {values} WITH CONFIDENCE 0.5")
+    pair.ship()
+
+
+def test_a_failing_multi_row_update_changes_nothing_anywhere(pair):
+    """Row 0..2 are fine, row 3 assigns NULL to a NOT NULL column.  At the
+    parent commit rows 0..2 stayed changed *and* were journaled."""
+    _seed(pair, 6)
+    live_before = _state(pair.db.table("t"))
+    prints_before = database_fingerprints(pair.db)
+    seq_before, wal_before = pair.mvcc.current_seq, pair.wal_bytes()
+    version_before = pair.db.table("t").data_version
+
+    with pytest.raises(SchemaError):
+        pair.run(
+            "UPDATE t SET k = CASE WHEN k >= 3 THEN NULL ELSE k + 100 END, "
+            "v = v + 1 WITH CONFIDENCE 0.9"
+        )
+
+    assert _state(pair.db.table("t")) == live_before
+    assert pair.db.table("t").data_version == version_before
+    assert pair.wal_bytes() == wal_before and pair.ship() == []
+    assert pair.mvcc.current_seq == seq_before
+    with pair.mvcc.snapshot() as snapshot:
+        assert database_fingerprints(snapshot.db) == prints_before
+    assert database_fingerprints(pair.replica._db) == prints_before
+    # And the next statement commits as if nothing had happened.
+    assert pair.run("UPDATE t SET v = v + 1 WHERE k < 3").rows_affected == 3
+    pair.ship()
+    assert database_fingerprints(pair.replica._db) == database_fingerprints(pair.db)
+
+
+@pytest.mark.parametrize("k", [1, 40, 200])
+def test_a_k_row_update_is_one_record_one_bump_one_checksum_pass(
+    pair, count_calls, k
+):
+    rows, wide = 250, 300
+    _seed(pair, rows, wide)
+    primary_table = pair.db.table("t")
+    replica_table = pair.replica._db.table("t")
+    versions = primary_table.data_version, replica_table.data_version
+    records_before = len(pair.frames)
+    sliced = count_calls(checksum, "_crc_sliced")
+
+    result = pair.run(
+        f"UPDATE t SET v = v + 1 WHERE k < {k} WITH CONFIDENCE 0.25"
+    )
+    primary_passes, sliced[0] = sliced[0], 0
+    (payload,) = pair.ship()
+    replica_passes = sliced[0]
+
+    assert result.rows_affected == k
+    assert result.tuple_ids == tuple(TupleId("t", i) for i in range(k))
+    # One record, and it is the row-set itself — no batch around it.
+    assert len(pair.frames) == records_before + 1
+    record = json.loads(payload)
+    assert record["op"] == "update_rows" and record["ordinals"] == list(range(k))
+    assert record["columns"] == [2] and record["confidence"] == 0.25
+    # Linear in k, in the assigned column only: ≤ 4 B of ordinal and
+    # ≤ 6 B of REAL per row, commas included.  The 300-byte ``note`` of
+    # every row (what a whole-tuple record would carry) is nowhere in it.
+    assert len(payload) <= 128 + 10 * k
+    assert b"nnn" not in payload
+    # One version bump on each side ...
+    assert primary_table.data_version == versions[0] + 1
+    assert replica_table.data_version == versions[1] + 1
+    # ... and one pass of the checksum over the payload on each side (the
+    # sliced kernel only runs for payloads ≥ 512 B; the 8-byte header
+    # checksum never reaches it).
+    expected = 1 if len(payload) >= checksum._SLICE_THRESHOLD else 0
+    assert (primary_passes, replica_passes) == (expected, expected)
+    if k == 200:
+        assert expected == 1
+    assert database_fingerprints(pair.replica._db) == database_fingerprints(pair.db)
+    assert pair.replica._recent_digests[-1] == (
+        pair.frames[-1][0], checksum.crc32c(payload)
+    )
+
+
+def test_an_in_memory_replica_still_digests_each_frame_once(tmp_path, count_calls):
+    pair = _Pair(tmp_path)
+    memory = Replica(["127.0.0.1:1"], _policies())  # no data_dir, no WAL
+    try:
+        _seed(pair, 250, 50)
+        for seq, payload in pair.frames:
+            memory._apply_frame(seq, payload)
+        sliced = count_calls(checksum, "_crc_sliced")
+        pair.run("UPDATE t SET v = 0 WHERE k < 200")
+        sliced[0] = 0
+        seq, payload = pair.frames[-1]
+        memory._apply_frame(seq, payload)
+        assert len(payload) >= checksum._SLICE_THRESHOLD and sliced[0] == 1
+        assert memory._recent_digests[-1] == (seq, checksum.crc32c(payload))
+        assert database_fingerprints(memory._db) == database_fingerprints(pair.db)
+    finally:
+        memory.stop()
+        pair.close()
+
+
+def test_a_write_back_is_one_record_of_one_row_set_per_table(pair):
+    _seed(pair, 6)
+    pair.run("CREATE TABLE u (k INT)")
+    pair.run("INSERT INTO u VALUES (1), (2) WITH CONFIDENCE 0.1")
+    pair.ship()
+    records_before = len(pair.frames)
+    pair.mvcc.commit(
+        lambda db: db.apply_confidences(
+            {TupleId("t", 4): 0.8, TupleId("u", 1): 0.9, TupleId("t", 0): 0.7}
+        )
+    )
+    (payload,) = pair.ship()
+    assert len(pair.frames) == records_before + 1
+    record = json.loads(payload)
+    assert record["op"] == "batch"
+    assert [
+        (sub["op"], sub["table"], sub["ordinals"], sub["confidence"])
+        for sub in record["ops"]
+    ] == [
+        ("update_rows", "t", [4, 0], [0.8, 0.7]),
+        ("update_rows", "u", [1], [0.9]),
+    ]
+    assert database_fingerprints(pair.replica._db) == database_fingerprints(pair.db)
+    recovered = [json.loads(p) for p in scan_wal(
+        os.path.join(pair.primary_dir, WAL_FILE)
+    ).payloads]
+    assert recovered[-1] == record

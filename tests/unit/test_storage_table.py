@@ -191,12 +191,11 @@ class TestChangeTracking:
             "abcdef"
         )
 
-    def test_assign_confidences_changes_everything_even_when_it_raises(
-        self, table
-    ):
+    def test_raising_assigner_changes_nothing(self, table):
         table.insert_many([["a", 1.0], ["b", 2.0]], confidence=0.5)
         version, _, _ = table.drain_changes(None)
         table.assign_confidences(lambda row: 0.25)
+        assert table.data_version == version + 1  # one mutation, not two
         version, rows, complete = table.drain_changes(version)
         assert complete and {row.confidence for row in rows.values()} == {0.25}
 
@@ -205,13 +204,12 @@ class TestChangeTracking:
                 raise ValueError("no provenance")
             return 0.75
 
+        # Every row is scored before the first is changed.
         with pytest.raises(ValueError):
             table.assign_confidences(second_row_fails)
-        assert table.data_version > version  # a snapshot must not share
-        _, rows, complete = table.drain_changes(version)
-        assert complete and [row.confidence for row in rows.values()] == [
-            0.75, 0.25,
-        ]
+        assert table.data_version == version
+        assert [row.confidence for row in table.scan()] == [0.25, 0.25]
+        assert table.drain_changes(version) == (version, {}, False)
 
     def test_change_set_is_bounded_by_the_table_with_no_consumer(self, table):
         table.insert_many([[str(i), float(i)] for i in range(8)])
