@@ -27,10 +27,12 @@ from typing import Sequence
 from ..errors import ReproError, SchemaError
 from ..storage.statistics import TableStatistics, collect_statistics
 from .expressions import ColumnRef, Comparison, Expression, LogicalAnd
-from .plan import Filter, Join, PlanNode, Project, ProjectItem, Scan
+from .plan import Filter, Join, PlanNode, Project, ProjectItem, Scan, with_inputs
 
-__all__ = ["reorder_joins"]
+__all__ = ["reorder_joins", "reads_statistics"]
 
+#: Statistics are consulted only for clusters of at least this many leaves.
+_MIN_CLUSTER_LEAVES = 3
 _DEFAULT_CARDINALITY = 1000.0
 _FILTER_SELECTIVITY = 0.3
 _EQUALITY_SELECTIVITY_FLOOR = 1e-4
@@ -70,6 +72,18 @@ def reorder_joins(plan: PlanNode) -> PlanNode:
     return _rewrite(plan)
 
 
+def reads_statistics(plan: PlanNode) -> bool:
+    """Whether :func:`reorder_joins` consults table statistics for *plan*
+    (given or returned — the pass keeps every cluster's leaf count): such
+    a plan is a function of the rows, not only of the catalog."""
+    leaves: list[PlanNode] = []
+    if isinstance(plan, Join):
+        _collect_cluster(plan, leaves, [])
+    return len(leaves) >= _MIN_CLUSTER_LEAVES or any(
+        reads_statistics(child) for child in plan.children
+    )
+
+
 def _rewrite(node: PlanNode) -> PlanNode:
     # A filter directly above a join cluster contributes its equality
     # conjuncts as join conditions.
@@ -90,7 +104,7 @@ def _rewrite(node: PlanNode) -> PlanNode:
             for conjunct in leftover:
                 result = Filter(result, conjunct)
             return result
-    return _rebuild_children(node)
+    return with_inputs(node, _rewrite)
 
 
 def _guarded_reorder(
@@ -107,36 +121,6 @@ def _guarded_reorder(
         # Planner-level failures (binding, ambiguity) mean "keep the
         # original tree"; genuine bugs (TypeError & co.) must surface.
         return None
-
-
-def _rebuild_children(node: PlanNode) -> PlanNode:
-    from .plan import Aggregate, Alias, Limit, SetOperation, Sort
-
-    if isinstance(node, Filter):
-        return Filter(_rewrite(node.child), node.predicate)
-    if isinstance(node, Project):
-        return Project(node.child and _rewrite(node.child), node.items, node.distinct)
-    if isinstance(node, Join):
-        return Join(
-            _rewrite(node.left), _rewrite(node.right), node.condition, node.kind
-        )
-    if isinstance(node, Alias):
-        return Alias(_rewrite(node.child), node.name)
-    from .plan import SemiJoin
-
-    if isinstance(node, SemiJoin):
-        return SemiJoin(
-            _rewrite(node.left), _rewrite(node.right), node.probe, node.negated
-        )
-    if isinstance(node, Sort):
-        return Sort(_rewrite(node.child), node.keys)
-    if isinstance(node, Limit):
-        return Limit(_rewrite(node.child), node.count, node.offset)
-    if isinstance(node, SetOperation):
-        return SetOperation(_rewrite(node.left), _rewrite(node.right), node.kind)
-    if isinstance(node, Aggregate):
-        return Aggregate(_rewrite(node.child), node.group_by, node.aggregates)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def _try_reorder(
     conditions: list[Expression] = []
     if not _collect_cluster(root, leaves, conditions):
         return None
-    if len(leaves) < 3:
+    if len(leaves) < _MIN_CLUSTER_LEAVES:
         return None
 
     relations = [_estimate_leaf(_rewrite(leaf)) for leaf in leaves]

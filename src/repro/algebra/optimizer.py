@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import SchemaError
 from .expressions import ColumnRef, Expression, LogicalAnd
-from .plan import Alias, Filter, Join, PlanNode, Project, SemiJoin, Sort
+from .plan import Filter, Join, PlanNode, Project, SemiJoin, Sort, with_inputs
 
 __all__ = ["optimize"]
 
@@ -58,49 +58,9 @@ def _references_resolvable(predicate: Expression, schema) -> bool:
     return True
 
 
-def _rebuild_children(node: PlanNode) -> PlanNode:
-    """Optimize the node's inputs in place of a full visitor."""
-    if isinstance(node, Filter):
-        return Filter(_push_down(node.child), node.predicate)
-    if isinstance(node, Join):
-        return Join(
-            _push_down(node.left),
-            _push_down(node.right),
-            node.condition,
-            node.kind,
-        )
-    if isinstance(node, Project):
-        return Project(_push_down(node.child), node.items, node.distinct)
-    if isinstance(node, Sort):
-        return Sort(_push_down(node.child), node.keys)
-    if isinstance(node, Alias):
-        return Alias(_push_down(node.child), node.name)
-    if isinstance(node, SemiJoin):
-        return SemiJoin(
-            _push_down(node.left), _push_down(node.right), node.probe, node.negated
-        )
-    # Remaining node types are handled generically where safe; anything we
-    # don't know how to rebuild is returned untouched (children included) —
-    # correctness first.
-    rebuilt = _generic_rebuild(node)
-    return rebuilt if rebuilt is not None else node
-
-
-def _generic_rebuild(node: PlanNode) -> PlanNode | None:
-    from .plan import Aggregate, Limit, SetOperation
-
-    if isinstance(node, Limit):
-        return Limit(_push_down(node.child), node.count, node.offset)
-    if isinstance(node, SetOperation):
-        return SetOperation(_push_down(node.left), _push_down(node.right), node.kind)
-    if isinstance(node, Aggregate):
-        return Aggregate(_push_down(node.child), node.group_by, node.aggregates)
-    return None
-
-
 def _push_down(node: PlanNode) -> PlanNode:
     if not isinstance(node, Filter):
-        return _rebuild_children(node)
+        return with_inputs(node, _push_down)
 
     child = _push_down(node.child)
     conjuncts = _split_conjuncts(node.predicate)
@@ -177,34 +137,4 @@ def _merge_filters(node: PlanNode) -> PlanNode:
             predicate = LogicalAnd(child.predicate, predicate)
             child = child.child
         return Filter(child, predicate)
-    if isinstance(node, Join):
-        return Join(
-            _merge_filters(node.left),
-            _merge_filters(node.right),
-            node.condition,
-            node.kind,
-        )
-    if isinstance(node, Project):
-        return Project(_merge_filters(node.child), node.items, node.distinct)
-    if isinstance(node, Sort):
-        return Sort(_merge_filters(node.child), node.keys)
-    if isinstance(node, Alias):
-        return Alias(_merge_filters(node.child), node.name)
-    if isinstance(node, SemiJoin):
-        return SemiJoin(
-            _merge_filters(node.left),
-            _merge_filters(node.right),
-            node.probe,
-            node.negated,
-        )
-    from .plan import Aggregate, Limit, SetOperation
-
-    if isinstance(node, Limit):
-        return Limit(_merge_filters(node.child), node.count, node.offset)
-    if isinstance(node, SetOperation):
-        return SetOperation(
-            _merge_filters(node.left), _merge_filters(node.right), node.kind
-        )
-    if isinstance(node, Aggregate):
-        return Aggregate(_merge_filters(node.child), node.group_by, node.aggregates)
-    return node
+    return with_inputs(node, _merge_filters)

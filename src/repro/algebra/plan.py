@@ -23,6 +23,8 @@ from .expressions import BoundExpression, Expression
 __all__ = [
     "PlanNode",
     "Scan",
+    "rebind_scans",
+    "with_inputs",
     "Alias",
     "Filter",
     "ProjectItem",
@@ -64,11 +66,19 @@ class PlanNode:
 
 
 class Scan(PlanNode):
-    """Full scan of a stored table, optionally under an alias."""
+    """Full scan of a stored table, optionally under an alias.
 
-    def __init__(self, table: Table, alias: str | None = None) -> None:
+    *name* is what the catalog lookup used (default: the table's own);
+    with ``table_schema`` it is all a cached, table-free plan keeps.
+    """
+
+    def __init__(
+        self, table: Table, alias: str | None = None, name: str | None = None
+    ) -> None:
         self.table = table
+        self.name = name or table.name
         self.alias = alias
+        self.table_schema = table.schema
         self.schema = (
             table.schema.qualify(alias) if alias else table.schema
         )
@@ -76,6 +86,22 @@ class Scan(PlanNode):
     def _describe(self) -> str:
         alias = f" AS {self.alias}" if self.alias else ""
         return f"Scan({self.table.name}{alias})"
+
+
+def rebind_scans(node: PlanNode, table_of) -> PlanNode:
+    """A copy of *node*'s spine whose scans read ``table_of(scan)``.
+
+    Nodes are copied, never patched — a cached template is shared between
+    threads; the immutable expressions and schemas stay shared.
+    """
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__)
+    if isinstance(node, Scan):
+        clone.table = table_of(node)
+    for field in ("child", "left", "right"):
+        if field in clone.__dict__:
+            setattr(clone, field, rebind_scans(getattr(node, field), table_of))
+    return clone
 
 
 class Alias(PlanNode):
@@ -474,3 +500,33 @@ class Limit(PlanNode):
     def _describe(self) -> str:
         suffix = f" OFFSET {self.offset}" if self.offset else ""
         return f"Limit({self.count}{suffix})"
+
+
+def with_inputs(node: PlanNode, transform) -> PlanNode:
+    """*node* rebuilt, through its constructor (schemas re-derived,
+    expressions re-bound), over ``transform(input)`` for each input — the
+    one traversal every optimizer pass shares.  Leaves and node types
+    unknown here come back untouched: correctness first."""
+    if isinstance(node, Filter):
+        return Filter(transform(node.child), node.predicate)
+    if isinstance(node, Project):
+        return Project(transform(node.child), node.items, node.distinct)
+    if isinstance(node, Join):
+        return Join(
+            transform(node.left), transform(node.right), node.condition, node.kind
+        )
+    if isinstance(node, SemiJoin):
+        return SemiJoin(
+            transform(node.left), transform(node.right), node.probe, node.negated
+        )
+    if isinstance(node, Alias):
+        return Alias(transform(node.child), node.name)
+    if isinstance(node, Sort):
+        return Sort(transform(node.child), node.keys)
+    if isinstance(node, Limit):
+        return Limit(transform(node.child), node.count, node.offset)
+    if isinstance(node, SetOperation):
+        return SetOperation(transform(node.left), transform(node.right), node.kind)
+    if isinstance(node, Aggregate):
+        return Aggregate(transform(node.child), node.group_by, node.aggregates)
+    return node

@@ -37,8 +37,8 @@ Observability flags (before any command arguments):
 ``--engine columnar|native``
     Pick the query execution engine (default ``columnar``; ``native`` is
     the row-at-a-time reference); the ``engine`` shell command changes it
-    mid-session and ``explain``/``profile ask`` report it (see
-    ``docs/ENGINES.md``).
+    mid-session and ``explain``/``profile ask`` report it, with whether
+    the plan came from the plan cache (see ``docs/ENGINES.md``).
 ``--data-dir state/``
     Persist the shell's database in *state/* through a write-ahead log
     and checksummed snapshots; reopening the directory recovers every
@@ -70,7 +70,7 @@ from .core import PCQEngine, QueryRequest
 from .engines import DEFAULT_ENGINE, check_engine
 from .errors import PlanError, ReproError
 from .policy import PolicyStore, table_confidence_profile
-from .sql import DmlResult, execute_sql, pick_engine, plan_sql
+from .sql import DmlResult, execute_sql, pick_engine, prepare_query
 from .storage import (
     BOOLEAN,
     Database,
@@ -239,8 +239,13 @@ class CommandShell:
     def _cmd_explain(self, rest: str) -> str:
         if not rest:
             raise CommandError("usage: explain <SELECT ...>")
-        prepared = pick_engine(plan_sql(self.db, rest), self.engine)
-        return f"engine: {prepared.label}\n{prepared.plan.explain()}"
+        statement = prepare_query(self.db, rest)
+        prepared = pick_engine(statement.plan, self.engine)
+        return (
+            f"engine: {prepared.label}\n"
+            f"plan: {'cached' if statement.cached else 'planned'}\n"
+            f"{prepared.plan.explain()}"
+        )
 
     def _cmd_circuit(self, rest: str) -> str:
         """Compile a query's lineage and report circuit sharing stats."""
@@ -289,11 +294,14 @@ class CommandShell:
 
     def _profile_ask(self, rest: str) -> str:
         reply, user, purpose, fraction = self._run_pipeline(rest, profile=True)
+        assert reply.profile is not None  # profile=True guarantees a report
         lines = [f"status: {reply.status.value} (threshold {reply.threshold})"]
         executed = (
             reply.raw_result.engine if reply.raw_result is not None else None
         )
         lines.append(f"engine: {executed or self.engine}")
+        cached = "sql.plan_cache.hits" in reply.profile.metrics
+        lines.append(f"plan: {'cached' if cached else 'planned'}")
         # One audit summary line per applicable policy: the decision
         # counts under the ⟨role, purpose, β⟩ that governed this ask.
         policy = self.policies.select_policy(user, purpose)
@@ -304,7 +312,6 @@ class CommandShell:
             f"blocked={reply.withheld_count} shortfall={shortfall} "
             f"status={reply.status.value}"
         )
-        assert reply.profile is not None  # profile=True guarantees a report
         lines.append(reply.profile.format())
         return "\n".join(lines)
 

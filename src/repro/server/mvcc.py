@@ -284,10 +284,14 @@ class SnapshotDatabase:
     :class:`~repro.errors.SnapshotWriteError`.
     """
 
-    def __init__(self, generation: _Generation, name: str, durable: bool) -> None:
+    def __init__(
+        self, generation: _Generation, name: str, durable: bool, plan_cache
+    ) -> None:
         self._generation = generation
         self.name = name
         self._durable = durable
+        #: The live catalog's cache: one per server, whatever the pin.
+        self.plan_cache = plan_cache
 
     @property
     def seq(self) -> int:
@@ -443,7 +447,9 @@ class MVCCDatabase:
             seq = self._current_seq
             self._pins[seq] = self._pins.get(seq, 0) + 1
             generation = self._generations[seq]
-        view = SnapshotDatabase(generation, self._db.name, self._db.is_durable)
+        view = SnapshotDatabase(
+            generation, self._db.name, self._db.is_durable, self._db.plan_cache
+        )
         self._gauge()
         return Snapshot(self, view)
 

@@ -63,7 +63,6 @@ import functools
 import logging
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, NamedTuple
 
@@ -82,6 +81,7 @@ from ..errors import (
 from ..obs import TIMING_BUCKETS, get_metrics, get_tracer
 from ..policy import PolicyStore
 from ..storage.database import Database
+from ..storage.lru import BoundedLRU as _KeyedLRU  # ⟨client id, key⟩ → entry
 from .faults import NetworkFaultInjector
 from .mvcc import MVCCDatabase
 from .protocol import encode_frame, read_frame
@@ -186,41 +186,6 @@ class _ConnectionBreaker:
     def discard(self) -> None:
         """Connection teardown: an open breaker leaves the gauge with it."""
         self._set_state("closed")
-
-
-class _KeyedLRU:
-    """Bounded, thread-safe LRU keyed by ⟨client id, idempotency key⟩.
-
-    One class backs both exactly-once maps of a server; what differs is
-    what they hold and where it comes from (see ``PCQEServer.__init__``).
-    """
-
-    def __init__(self, capacity: int = IDEMPOTENCY_CAPACITY) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[str, str], Any] = OrderedDict()
-
-    def get(self, key: tuple[str, str]) -> Any:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: tuple[str, str], value: Any) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def drop(self, key: tuple[str, str]) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class _Op(NamedTuple):
@@ -382,8 +347,8 @@ class PCQEServer:
         # replay cannot reproduce the original reply payload (it died
         # with the old primary); it answers with the committed seq, which
         # is exactly what an exactly-once writer needs.
-        self._idempotency = _KeyedLRU()
-        self._replicated_keys = _KeyedLRU()
+        self._idempotency = _KeyedLRU(IDEMPOTENCY_CAPACITY)
+        self._replicated_keys = _KeyedLRU(IDEMPOTENCY_CAPACITY)
         # The op table, built once: session ops here, link ops by the
         # package that owns them.
         self._ops: dict[str, _Op] = {}

@@ -92,6 +92,10 @@ class SessionDatabase:
     def is_durable(self) -> bool:
         return self._db.is_durable
 
+    @property
+    def plan_cache(self):
+        return self._db.plan_cache
+
     # -- reads (delegate to the pinned generation) -------------------------
 
     def table(self, name: str) -> SnapshotTable:
@@ -306,19 +310,14 @@ class Session:
         crash recovery and replication, so a retry after failover is
         deduplicated on the promoted primary too.
         """
-        from ..sql import (
-            SelectStatement,
-            SetStatement,
-            execute_command,
-            parse_command,
-        )
+        from ..sql import prepare
 
-        command = parse_command(sql)
-        if isinstance(command, (SelectStatement, SetStatement)):
-            return execute_command(self.db, command, engine=self.engine)
+        prepared = prepare(self.db, sql)
+        if prepared.plan is not None:
+            return prepared.run(self.db, self.engine)
 
         def mutate(db):
-            result = execute_command(db, command, engine=self.engine)
+            result = prepared.run(db, self.engine)
             if idempotency is not None:
                 db._journal(
                     {

@@ -66,19 +66,36 @@ from .ast import (
     TableRef,
 )
 
-__all__ = ["plan_statement"]
+__all__ = ["Planning", "plan_statement"]
+
+
+class Planning:
+    """State of one planning call: the catalog it reads, the views it is
+    expanding (the cycle guard) and the views it resolved — with the
+    plan's scans, all a cached plan is re-validated against."""
+
+    def __init__(self, db: Database) -> None:
+        self.db = db
+        self.expanding: list[str] = []
+        #: lowercase view name → the definition text that was expanded.
+        self.views: dict[str, str] = {}
+
+    def plan(self, statement: Statement) -> PlanNode:
+        if isinstance(statement, SetStatement):
+            plan = SetOperation(
+                self.plan(_strip_trailers(statement.left)),
+                self.plan(_strip_trailers(statement.right)),
+                statement.kind,
+            )
+            return _apply_trailers(
+                plan, statement.order_by, statement.limit, statement.offset
+            )
+        return _plan_select(self, statement)
 
 
 def plan_statement(db: Database, statement: Statement) -> PlanNode:
     """Convert a parsed *statement* into an executable logical plan."""
-    if isinstance(statement, SetStatement):
-        plan = SetOperation(
-            plan_statement(db, _strip_trailers(statement.left)),
-            plan_statement(db, _strip_trailers(statement.right)),
-            statement.kind,
-        )
-        return _apply_trailers(plan, statement.order_by, statement.limit, statement.offset)
-    return _plan_select(db, statement)
+    return Planning(db).plan(statement)
 
 
 def _strip_trailers(statement: Statement) -> Statement:
@@ -97,10 +114,10 @@ def _strip_trailers(statement: Statement) -> Statement:
 # ---------------------------------------------------------------------------
 
 
-def _plan_select(db: Database, statement: SelectStatement) -> PlanNode:
-    plan = _plan_from(db, statement.from_tables, statement.joins)
+def _plan_select(planning: Planning, statement: SelectStatement) -> PlanNode:
+    plan = _plan_from(planning, statement.from_tables, statement.joins)
     if statement.where is not None:
-        plan = _plan_where(db, plan, statement.where)
+        plan = _plan_where(planning, plan, statement.where)
 
     items = _expand_stars(statement.items, plan)
     aggregate_calls: list[AggregateCall] = []
@@ -123,7 +140,7 @@ def _plan_select(db: Database, statement: SelectStatement) -> PlanNode:
 
 
 def _plan_where(
-    db: Database, plan: PlanNode, where: Expression
+    planning: Planning, plan: PlanNode, where: Expression
 ) -> PlanNode:
     """Plan a WHERE clause, rewriting IN-subquery conjuncts to semi-joins.
 
@@ -138,7 +155,7 @@ def _plan_where(
     remaining: list[Expression] = []
     for conjunct in _where_conjuncts(where):
         if isinstance(conjunct, InSubquery):
-            subplan = plan_statement(db, conjunct.query)
+            subplan = planning.plan(conjunct.query)
             plan = SemiJoin(plan, subplan, conjunct.operand, conjunct.negated)
         else:
             _reject_nested_subqueries(conjunct)
@@ -168,54 +185,53 @@ def _reject_nested_subqueries(expression: Expression) -> None:
 
 
 def _plan_from(
-    db: Database,
+    planning: Planning,
     tables: Sequence[TableRef],
     joins: Sequence[JoinClause],
 ) -> PlanNode:
     if not tables:
         raise PlanError("FROM clause must name at least one table")
-    plan = _plan_table_ref(db, tables[0])
+    plan = _plan_table_ref(planning, tables[0])
     for table in tables[1:]:  # comma-separated FROM items are cross products
-        plan = Join(plan, _plan_table_ref(db, table), None, "cross")
+        plan = Join(plan, _plan_table_ref(planning, table), None, "cross")
     for join in joins:
-        right = _plan_table_ref(db, join.table)
+        right = _plan_table_ref(planning, join.table)
         plan = Join(plan, right, join.condition, join.kind)
     return plan
 
 
-_view_expansion_stack: list[str] = []
-
-
-def _plan_table_ref(db: Database, ref: TableRef) -> PlanNode:
+def _plan_table_ref(planning: Planning, ref: TableRef) -> PlanNode:
     if isinstance(ref, NamedTable):
+        db = planning.db
         if db.has_table(ref.name):
-            return Scan(db.table(ref.name), ref.alias)
+            return Scan(db.table(ref.name), ref.alias, ref.name)
         definition = db.view_definition(ref.name)
         if definition is not None:
-            return _plan_view(db, ref.name, definition, ref.alias)
+            return _plan_view(planning, ref.name, definition, ref.alias)
         # Let the catalog raise its usual UnknownTableError.
         return Scan(db.table(ref.name), ref.alias)
     if isinstance(ref, DerivedTable):
-        inner = plan_statement(db, ref.query)
+        inner = planning.plan(ref.query)
         return Alias(inner, ref.alias)
     raise PlanError(f"unsupported table reference {ref!r}")  # pragma: no cover
 
 
 def _plan_view(
-    db: Database, name: str, definition: str, alias: str | None
+    planning: Planning, name: str, definition: str, alias: str | None
 ) -> PlanNode:
     """Expand a view like a derived table, guarding against cycles."""
     from .parser import parse
 
     key = name.lower()
-    if key in _view_expansion_stack:
-        chain = " -> ".join([*_view_expansion_stack, key])
+    if key in planning.expanding:
+        chain = " -> ".join([*planning.expanding, key])
         raise PlanError(f"view definitions form a cycle: {chain}")
-    _view_expansion_stack.append(key)
+    planning.views[key] = definition
+    planning.expanding.append(key)
     try:
-        inner = plan_statement(db, parse(definition))
+        inner = planning.plan(parse(definition))
     finally:
-        _view_expansion_stack.pop()
+        planning.expanding.pop()
     return Alias(inner, alias or name)
 
 

@@ -11,6 +11,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping
 
 from ..errors import DuplicateTableError, UnknownTableError
+from .lru import BoundedLRU
 from .schema import Schema
 from .table import Table
 from .tuples import StoredTuple, TupleId
@@ -19,7 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .durability import DurabilityManager, RetryPolicy
     from .durability.faults import FaultInjector
 
-__all__ = ["Database"]
+__all__ = ["Database", "PLAN_CACHE_SIZE"]
+
+#: Statements one catalog keeps prepared (least recently used goes first).
+PLAN_CACHE_SIZE = 1024
 
 
 class Database:
@@ -34,6 +38,10 @@ class Database:
         self.name = name
         self._tables: dict[str, Table] = {}
         self._views: dict[str, str] = {}
+        #: Exact SQL text → what :func:`repro.sql.prepare` made of it
+        #: (opaque here, and table-free: an entry must keep no generation's
+        #: rows alive); shared by every snapshot and session of this catalog.
+        self.plan_cache = BoundedLRU(PLAN_CACHE_SIZE)
         #: Set by DurabilityManager.attach; None = in-memory database.
         self._durability: "DurabilityManager | None" = None
 

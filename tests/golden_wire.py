@@ -5,7 +5,10 @@ conversation below at the commit *before* the request path became one
 staged pipeline over one op table.  ``tests/unit/test_golden_wire.py``
 replays the conversation and compares each reply's JSON text with ``==``
 — key order included — so a refusal that moved, lost its ``rid``, changed
-its wording or stopped closing the connection shows up as a diff.  Only
+its wording or stopped closing the connection shows up as a diff.  (The
+``repeat-*`` steps — one ask sent three times — were added with the plan
+cache and recorded by running this script on a clone of the commit
+before it.)  Only
 session ids (a process-global counter) are masked.  Nothing but raw
 sockets, the public constructors and ``server._draining`` is used, which
 is what lets the same file run on both sides of the rewrite.
@@ -234,6 +237,25 @@ def _draining_session(server: PCQEServer, transcript: list) -> None:
     wire.expect_closed()
 
 
+#: One ask text no earlier step has sent: its first reply is planned, the
+#: next two are served from the plan cache.
+REPEATED_ASK = {"op": "ask", "sql": "SELECT name, qty FROM t WHERE qty > 0",
+                "fraction": 0, "rid": 2}
+
+
+def repeated_ask(server: PCQEServer, transcript: list) -> None:
+    """The same ask twice on one session and once on a second session."""
+    for name, steps in (("repeat-a", ("ask", "ask again")),
+                        ("repeat-b", ("ask on another session",))):
+        wire = _Wire(server, name, transcript)
+        wire.send("hello", {"op": "hello", "user": "bob", "purpose": "ops",
+                            "rid": 1})
+        for step in steps:
+            wire.send(step, REPEATED_ASK)
+        wire.send("bye", {"op": "bye", "rid": 3})
+        wire.expect_closed()
+
+
 def _after_restart(server: PCQEServer, transcript: list) -> None:
     wire = _Wire(server, "restarted", transcript)
     wire.send("hello", {"op": "hello", "user": "bob", "purpose": "ops",
@@ -267,6 +289,7 @@ def run_conversation() -> "list[list[str]]":
                 _replication_link(server, transcript)
                 _first_frames(server, transcript)
                 _draining_session(server, transcript)
+                repeated_ask(server, transcript)
         finally:
             db.close()
         db = Database.open(root)

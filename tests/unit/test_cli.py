@@ -72,6 +72,19 @@ class TestQueryCommands:
         output = shell.execute_line("explain SELECT a FROM t")
         assert "Scan(t)" in output
 
+    def test_explain_and_profile_ask_say_where_the_plan_came_from(self, shell):
+        shell.execute_line("demo")
+        sql = "SELECT Company FROM Proposal WHERE Funding < 1.0"
+        first = shell.execute_line(f"explain {sql}").splitlines()
+        again = shell.execute_line(f"explain {sql}").splitlines()
+        assert first[:2] == ["engine: columnar", "plan: planned"]
+        assert again[:2] == ["engine: columnar", "plan: cached"]
+        assert first[2:] == again[2:]
+        ask = f"profile ask bob investment 1.0 {sql}"
+        assert "plan: cached" in shell.execute_line(ask).splitlines()
+        fresh = shell.execute_line(f"{ask} AND Funding < 2.0")
+        assert "plan: planned" in fresh.splitlines()
+
     def test_profile(self, shell):
         shell.execute_line("create t a:text")
         shell.db.table("t").insert(["x"], confidence=0.25)

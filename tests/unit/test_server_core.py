@@ -100,6 +100,17 @@ class TestDispatch:
         assert "server_requests" in text
         assert "server_request_latency_seconds" in text
 
+    def test_metrics_exposition_includes_the_plan_cache_counters(self, served):
+        server, scenario = served
+        with _client(server) as client:
+            client.ask(scenario.QUERY, fraction=0.0)
+            client.ask(scenario.QUERY, fraction=0.0)
+            text = client.metrics()
+        # (invalidations shows once one has happened — the registry is
+        # get-or-create — and is covered by tests/unit/test_plan_cache.py)
+        for counter in ("hits", "misses"):
+            assert f"sql_plan_cache_{counter}_total" in text
+
     def test_dml_and_refresh_move_the_session_seq(self, served):
         server, _ = served
         with _client(server) as writer, _client(server) as reader:

@@ -1,5 +1,8 @@
 """Unit tests for SQL views."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -8,7 +11,7 @@ from repro.errors import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.sql import execute_sql, run_sql
+from repro.sql import execute_sql, parse, plan_statement, run_sql
 from repro.storage import Database
 
 
@@ -119,3 +122,43 @@ class TestViewCycles:
         db.create_view("loop", "SELECT amt FROM loop")
         with pytest.raises(PlanError):
             run_sql(db, "SELECT * FROM loop")
+
+    def test_cycle_message_names_the_chain(self, db):
+        db.create_view("a", "SELECT amt FROM b")
+        db.create_view("b", "SELECT amt FROM a")
+        for _ in range(2):  # the stack is per planning call: no residue
+            with pytest.raises(
+                PlanError, match="^view definitions form a cycle: a -> b -> a$"
+            ):
+                plan_statement(db, parse("SELECT * FROM a"))
+
+    def test_two_threads_planning_over_one_view_see_no_cycle(self, db):
+        """The expansion stack used to be one module-level list: a thread
+        planning over a view found it there while another was inside the
+        expansion and reported ``east_sales -> east_sales``."""
+        statement = parse("SELECT e.amt FROM east_sales e WHERE e.amt > 5")
+        rounds = 200
+        barrier = threading.Barrier(2)
+        errors: list = []
+
+        def plan() -> None:
+            try:
+                for _ in range(rounds):
+                    barrier.wait(timeout=30)
+                    plan_statement(db, statement)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+                barrier.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
