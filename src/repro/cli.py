@@ -66,7 +66,7 @@ import shlex
 import sys
 from typing import Callable, Sequence
 
-from .core import PCQEngine, QueryRequest
+from .core import SOLVERS, PCQEngine, QueryRequest, greedy_fallback
 from .engines import DEFAULT_ENGINE, check_engine
 from .errors import PlanError, ReproError
 from .policy import PolicyStore, table_confidence_profile
@@ -372,16 +372,8 @@ class CommandShell:
 
     def _cmd_solver(self, rest: str) -> str:
         parts = rest.split()
-        usage = (
-            "usage: solver heuristic|greedy|dnc|local-search "
-            "[--deadline-ms <ms>]"
-        )
-        if not parts or parts[0] not in (
-            "heuristic",
-            "greedy",
-            "dnc",
-            "local-search",
-        ):
+        usage = f"usage: solver {'|'.join(SOLVERS)} [--deadline-ms <ms>]"
+        if not parts or parts[0] not in SOLVERS:
             raise CommandError(usage)
         if len(parts) == 3 and parts[1] == "--deadline-ms":
             try:
@@ -413,18 +405,11 @@ class CommandShell:
                 "usage: ask <user> <purpose> <required-fraction> <SELECT ...>"
             )
         user, purpose, fraction_text, sql = parts
-        # Under a deadline, a timed-out primary solver falls back to the
-        # (polynomial) greedy solver so the shell still answers.
-        fallback = (
-            ("greedy",)
-            if self.deadline_ms is not None and self.solver != "greedy"
-            else ()
-        )
         engine = PCQEngine(
             self.db,
             self.policies,
             solver=self.solver,
-            fallback=fallback,
+            fallback=greedy_fallback(self.solver),
             deadline_ms=self.deadline_ms,
             audit=self.audit,
             engine=self.engine,
@@ -524,8 +509,6 @@ class CommandShell:
         parts = shlex.split(rest)
         from .obs.audit import build_trails, explain_decision, read_audit_log
 
-        if self.audit is not None:
-            self.audit.drain()  # completed trails become visible to scan
         records = read_audit_log(self.audit_path)
         if len(parts) == 3 and parts[0] == "explain":
             return explain_decision(records, parts[1], parts[2])

@@ -7,6 +7,8 @@ from .framework import (
     PCQEResult,
     QueryRequest,
     QueryStatus,
+    SOLVERS,
+    greedy_fallback,
     make_solver,
 )
 
@@ -17,5 +19,7 @@ __all__ = [
     "QueryStatus",
     "PCQEResult",
     "CostQuote",
+    "SOLVERS",
     "make_solver",
+    "greedy_fallback",
 ]

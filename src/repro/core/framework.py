@@ -12,19 +12,27 @@ of results they need to receive.  The engine then:
    through the approval hook, and — on approval — has the improvement
    service raise the stored confidences and re-evaluates (element 4).
 
+One request or many (the §4 multi-query extension) run through the same
+function: every request is evaluated and filtered, every shortfall becomes
+one requirement group of one increment problem, and every request leaves
+through one settlement — so ``execute(r)`` is ``execute_many([r])``'s only
+result.
+
 The approval hook models the paper's "the increment cost ... will be
 reported to the manager.  If the manager agrees ... actions will be taken";
 pass ``approval=lambda quote: True`` (the default) for an auto-approving
 system, or a callback that asks a human / checks a budget.
 """
 
+
 from __future__ import annotations
 
 import enum
 import logging
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..algebra.rows import AnnotatedTuple, ResultSet
 from ..engines import DEFAULT_ENGINE, check_engine
@@ -47,15 +55,16 @@ from ..increment import (
     HeuristicOptions,
     IncrementPlan,
     IncrementProblem,
+    LocalSearchOptions,
     SimulatedImprovementService,
     SolverAttempt,
     as_budgeted,
     solve_dnc,
     solve_greedy,
     solve_heuristic,
+    solve_local_search,
 )
 from ..increment.improvement import ImprovementReceipt, ImprovementService
-from ..lineage.circuit import CircuitPool
 from ..policy import FilterOutcome, PolicyEvaluator, PolicyStore
 from ..sql import run_sql
 from ..storage.database import Database
@@ -67,19 +76,28 @@ __all__ = [
     "BatchResult",
     "CostQuote",
     "PCQEngine",
+    "SOLVERS",
     "make_solver",
+    "greedy_fallback",
 ]
 
 Solver = Callable[..., IncrementPlan]
 
 logger = logging.getLogger(__name__)
 
+#: The solvers reachable by name: name -> (solve function, options class).
+SOLVERS: dict[str, tuple[Solver, type]] = {
+    "heuristic": (solve_heuristic, HeuristicOptions),
+    "greedy": (solve_greedy, GreedyOptions),
+    "dnc": (solve_dnc, DncOptions),
+    "local-search": (solve_local_search, LocalSearchOptions),
+}
+
 
 def make_solver(
     name: str, deadline_ms: float | None = None, **options
 ) -> Solver:
-    """A solver callable from a name:
-    ``"heuristic" | "greedy" | "dnc" | "local-search"``.
+    """A solver callable from a name in :data:`SOLVERS`.
 
     Keyword arguments are forwarded into the corresponding options class.
     The returned callable accepts ``(problem, budget=None)``; with
@@ -87,45 +105,30 @@ def make_solver(
     :class:`~repro.increment.Budget` expiring that many milliseconds after
     the call starts.
     """
-    if name == "heuristic":
-        configured = HeuristicOptions(**options)
-
-        def solve(problem, budget=None):
-            return solve_heuristic(problem, configured, budget)
-
-    elif name == "greedy":
-        configured_greedy = GreedyOptions(**options)
-
-        def solve(problem, budget=None):
-            return solve_greedy(problem, configured_greedy, budget)
-
-    elif name == "dnc":
-        configured_dnc = DncOptions(**options)
-
-        def solve(problem, budget=None):
-            return solve_dnc(problem, configured_dnc, budget)
-
-    elif name == "local-search":
-        from ..increment import LocalSearchOptions, solve_local_search
-
-        configured_ls = LocalSearchOptions(**options)
-
-        def solve(problem, budget=None):
-            return solve_local_search(problem, configured_ls, budget)
-
-    else:
+    if name not in SOLVERS:
         raise ReproError(f"unknown solver {name!r}")
-    solve.__name__ = name
-    if deadline_ms is None:
-        return solve
+    search, options_class = SOLVERS[name]
+    configured = options_class(**options)
 
-    def with_deadline(problem, budget=None):
-        if budget is None:
+    def solve(problem, budget=None):
+        if budget is None and deadline_ms is not None:
             budget = Budget.from_deadline_ms(deadline_ms)
-        return solve(problem, budget)
+        return search(problem, configured, budget)
 
-    with_deadline.__name__ = name
-    return with_deadline
+    solve.__name__ = name
+    return solve
+
+
+def greedy_fallback(solver: str) -> tuple[str, ...]:
+    """The fallback hops behind a primary solver named *solver*.
+
+    A non-greedy primary whose budget runs out falls back to greedy —
+    polynomial, and feasible whenever the problem is — instead of failing
+    the request.  A greedy primary has no cheaper hop: its anytime
+    incumbent is the degradation (``docs/ROBUSTNESS.md``).  Without a
+    deadline the hop is never taken, so callers pass this unconditionally.
+    """
+    return () if solver == "greedy" else ("greedy",)
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,21 @@ class PCQEResult:
         return 1.0 if total == 0 else len(self.released) / total
 
 
+@dataclass
+class _Evaluation:
+    """One request between its evaluation and its settlement."""
+
+    request: QueryRequest
+    result: ResultSet
+    threshold: float
+    #: The latest enforcement pass (replaced by the re-evaluation).
+    outcome: FilterOutcome
+    shortfall: int
+    query_id: str | None = None
+    #: ``{tuple index: (confidence, verdict)}`` of the last audited pass.
+    decisions: "dict[int, tuple[float, str]] | None" = None
+
+
 class PCQEngine:
     """Policy-compliant query evaluation over a database + policy store."""
 
@@ -244,16 +262,18 @@ class PCQEngine:
         engine: str = DEFAULT_ENGINE,
     ) -> None:
         """*fallback* lists solvers tried, in order, when the primary one
-        times out (``heuristic → greedy`` is the canonical chain); each
-        attempt gets a fresh budget of *deadline_ms* milliseconds.  A
-        request's own ``deadline_ms`` overrides the engine default.  With
-        no deadline anywhere, solvers run unbudgeted exactly as before.
+        times out (``heuristic → greedy`` is the canonical chain, see
+        :func:`greedy_fallback`); each attempt gets a fresh budget of
+        *deadline_ms* milliseconds.  A request's own ``deadline_ms``
+        overrides the engine default.  With no deadline anywhere the
+        primary runs unbudgeted and no hop is ever taken.
 
         *audit* attaches an :class:`~repro.obs.audit.AuditLog`: every
-        :meth:`execute` then journals one record per result tuple per
-        enforcement pass — policy triple, confidence, contributing
-        lineage, verdict — plus increment write-backs and the final
-        outcome (see ``docs/OBSERVABILITY.md``).
+        request — alone or in a batch — then journals its own trail: one
+        record per result tuple per enforcement pass (policy triple,
+        confidence, contributing lineage, verdict), the increment it was
+        quoted or given, and the final outcome (see
+        ``docs/OBSERVABILITY.md``).
 
         *engine* is ``columnar`` or the row-at-a-time ``native``
         reference (see ``docs/ENGINES.md``); results are identical on
@@ -261,20 +281,18 @@ class PCQEngine:
         """
         self.db = db
         self.policies = policies
-        self.solver: Solver = (
-            make_solver(solver) if isinstance(solver, str) else solver
-        )
         self.improvement: ImprovementService = (
             improvement if improvement is not None else SimulatedImprovementService()
         )
         self.approval = approval if approval is not None else (lambda _quote: True)
         self.delta = delta
-        self.deadline_ms = deadline_ms
         self.audit = audit
         self.engine = check_engine(engine)
-        attempts = [self._attempt(solver)]
-        attempts.extend(self._attempt(entry) for entry in fallback)
-        self.chain = DegradationChain(attempts, deadline_ms=deadline_ms)
+        #: The one way a solver runs: primary first, then each fallback.
+        self.chain = DegradationChain(
+            [self._attempt(entry) for entry in (solver, *fallback)],
+            deadline_ms=deadline_ms,
+        )
         self._evaluator = PolicyEvaluator(policies)
 
     @staticmethod
@@ -293,278 +311,10 @@ class PCQEngine:
         tracer is enabled for the duration if it was not already) and a
         :class:`~repro.obs.ProfileReport` is attached to the result.
         """
-        started = time.monotonic_ns()
-        try:
-            if not request.profile:
-                return self._execute_pipeline(request, user)
-            tracer = get_tracer()
-            metrics = get_metrics()
-            before = metrics.snapshot()
-            with tracer.capture() as sink:
-                result = self._execute_pipeline(request, user)
-            result.profile = ProfileReport.from_spans(
-                sink.spans,
-                root="pcqe.execute",
-                metrics=metrics_diff(before, metrics.snapshot()),
-            )
-            return result
-        finally:
-            get_metrics().histogram(
-                "pcqe.ask.latency_seconds", TIMING_BUCKETS
-            ).observe((time.monotonic_ns() - started) / 1e9)
-
-    def _execute_pipeline(self, request: QueryRequest, user: str) -> PCQEResult:
-        tracer = get_tracer()
-        with tracer.span(
-            "pcqe.execute", user=user, purpose=request.purpose
-        ) as root:
-            with tracer.span("pcqe.query_evaluation") as span:
-                result = run_sql(self.db, request.sql, engine=self.engine)
-                span.set_attribute("rows", len(result))
-                if result.engine is not None:
-                    span.set_attribute("engine", result.engine)
-            threshold = self.policies.threshold_for(user, request.purpose)
-            with tracer.span("pcqe.policy_enforcement", threshold=threshold):
-                outcome = self._evaluator.apply_threshold(
-                    result, self.db, threshold
-                )
-            get_metrics().counter("pcqe.queries").inc()
-
-            audit = self.audit
-            query_id: str | None = None
-            if audit is not None:
-                policy = self.policies.select_policy(user, request.purpose)
-                query_id = audit.begin_query(
-                    user=user,
-                    purpose=request.purpose,
-                    role=policy.role,
-                    threshold=threshold,
-                    required_fraction=request.required_fraction,
-                    sql=request.sql,
-                )
-                root.set_attribute("audit.query_id", query_id)
-                initial_decisions = self._audit_enforcement(
-                    audit, query_id, result, outcome, phase="initial"
-                )
-
-            if outcome.satisfies(request.required_fraction):
-                root.set_attribute("status", QueryStatus.SATISFIED.value)
-                if audit is not None and query_id is not None:
-                    audit.end_query(
-                        query_id,
-                        status=QueryStatus.SATISFIED.value,
-                        released=len(outcome.released),
-                        withheld=len(outcome.withheld),
-                    )
-                return PCQEResult(
-                    status=QueryStatus.SATISFIED,
-                    threshold=threshold,
-                    released=list(outcome.released),
-                    withheld_count=len(outcome.withheld),
-                    outcome=outcome,
-                    raw_result=result,
-                )
-
-            shortfall = outcome.shortfall(request.required_fraction)
-            degraded = False
-            try:
-                with tracer.span(
-                    "pcqe.strategy_finding", shortfall=shortfall
-                ) as span:
-                    plan = self._find_strategy(
-                        outcome,
-                        threshold,
-                        shortfall,
-                        result.circuit_pool,
-                        deadline_ms=request.deadline_ms,
-                        span=span,
-                    )
-                    span.set_attribute("cost", plan.total_cost)
-                # The degradation chain stamps the plan when it came from
-                # a fallback hop or an exhausted-budget incumbent.
-                degraded = plan.degraded
-                if degraded:
-                    root.set_attribute("degraded", True)
-            except InfeasibleIncrementError as error:
-                logger.warning(
-                    "infeasible increment for user=%s purpose=%s: %s",
-                    user,
-                    request.purpose,
-                    error,
-                )
-                get_metrics().counter("pcqe.infeasible").inc()
-                root.set_attribute("status", QueryStatus.INFEASIBLE.value)
-                if audit is not None and query_id is not None:
-                    audit.end_query(
-                        query_id,
-                        status=QueryStatus.INFEASIBLE.value,
-                        released=len(outcome.released),
-                        withheld=len(outcome.withheld),
-                        shortfall=shortfall,
-                    )
-                return PCQEResult(
-                    status=QueryStatus.INFEASIBLE,
-                    threshold=threshold,
-                    released=list(outcome.released),
-                    withheld_count=len(outcome.withheld),
-                    outcome=outcome,
-                    raw_result=result,
-                )
-            quote = CostQuote(plan, plan.total_cost, shortfall)
-            if not self.approval(quote):
-                root.set_attribute("status", QueryStatus.QUOTED.value)
-                if audit is not None and query_id is not None:
-                    audit.record_increment(
-                        query_id,
-                        approved=False,
-                        cost=plan.total_cost,
-                        targets={
-                            str(tid): conf for tid, conf in plan.targets.items()
-                        },
-                    )
-                    audit.end_query(
-                        query_id,
-                        status=QueryStatus.QUOTED.value,
-                        released=len(outcome.released),
-                        withheld=len(outcome.withheld),
-                        shortfall=shortfall,
-                        degraded=degraded,
-                    )
-                return PCQEResult(
-                    status=QueryStatus.QUOTED,
-                    threshold=threshold,
-                    released=list(outcome.released),
-                    withheld_count=len(outcome.withheld),
-                    outcome=outcome,
-                    quote=quote,
-                    raw_result=result,
-                    degraded=degraded,
-                )
-
-            with tracer.span("pcqe.improvement") as span:
-                # On a durable database the write-back lands as ONE WAL
-                # record (db.apply_confidences journals the whole batch),
-                # so a crash mid-improvement recovers to before-or-after
-                # the strategy, never half of it.
-                receipt = self.improvement.apply(self.db, plan)
-                span.set_attribute("tuples_improved", receipt.tuples_improved)
-                span.set_attribute("total_cost", receipt.total_cost)
-                span.set_attribute("durable", self.db.is_durable)
-                if self.db.is_durable:
-                    get_metrics().counter("pcqe.improvements_persisted").inc()
-            with tracer.span("pcqe.reevaluation") as span:
-                # Same ResultSet object as the first enforcement pass, so
-                # the row circuits compiled there are evaluated again with
-                # the improved confidences instead of being rebuilt.
-                span.set_attribute("circuit.reused", result.has_compiled_circuits)
-                improved_outcome = self._evaluator.apply_threshold(
-                    result, self.db, threshold
-                )
-            logger.info(
-                "improved %d tuple(s) for %.4f so user=%s purpose=%s "
-                "releases %d/%d row(s)",
-                receipt.tuples_improved,
-                receipt.total_cost,
-                user,
-                request.purpose,
-                len(improved_outcome.released),
-                improved_outcome.total,
-            )
-            root.set_attribute("status", QueryStatus.IMPROVED.value)
-            if audit is not None and query_id is not None:
-                # The write-back that changed verdicts: the applied targets
-                # and a fresh decision record per tuple under the new
-                # confidences, so replay can reconstruct the verdict flip.
-                audit.record_increment(
-                    query_id,
-                    approved=True,
-                    cost=receipt.total_cost,
-                    targets={
-                        str(tid): conf for tid, conf in plan.targets.items()
-                    },
-                )
-                self._audit_enforcement(
-                    audit,
-                    query_id,
-                    result,
-                    improved_outcome,
-                    phase="post_increment",
-                    previous=initial_decisions,
-                )
-                audit.end_query(
-                    query_id,
-                    status=QueryStatus.IMPROVED.value,
-                    released=len(improved_outcome.released),
-                    withheld=len(improved_outcome.withheld),
-                    shortfall=shortfall,
-                    degraded=degraded,
-                )
-            return PCQEResult(
-                status=QueryStatus.IMPROVED,
-                threshold=threshold,
-                released=list(improved_outcome.released),
-                withheld_count=len(improved_outcome.withheld),
-                outcome=improved_outcome,
-                quote=quote,
-                receipt=receipt,
-                raw_result=result,
-                degraded=degraded,
-            )
-
-    def _audit_enforcement(
-        self,
-        audit: "AuditLog",
-        query_id: str,
-        result: ResultSet,
-        outcome: FilterOutcome,
-        phase: str,
-        previous: "dict[int, tuple[float, str]] | None" = None,
-    ) -> dict[int, tuple[float, str]]:
-        """Journal one decision record per result tuple, in result order.
-
-        Tuple ids are positional (``t0``, ``t1``, …) within the query's
-        result set — stable across both enforcement passes because
-        re-evaluation reuses the same :class:`ResultSet` object.  Each
-        record carries the base-tuple lineage ids and the confidences they
-        held *at decision time*, read from the database in one batch.
-
-        With *previous* (the map this returned for the ``initial`` pass),
-        tuples whose confidence and verdict are unchanged are skipped —
-        their initial record remains the decision of record, and the
-        journal only grows where the increment actually changed something.
-        Returns ``{tuple index: (confidence, verdict)}`` for this pass.
-        """
-        base = (
-            self.db.confidences(result.base_tuples()) if len(result) else {}
+        batch = self._run(
+            [request], user, "pcqe.execute", purpose=request.purpose
         )
-        labels = {tid: str(tid) for tid in base}
-        verdicts: dict[int, tuple[float, str]] = {}
-        for row, confidence in outcome.released:
-            verdicts[id(row)] = (confidence, "released")
-        for row, confidence in outcome.withheld:
-            verdicts[id(row)] = (confidence, "blocked")
-        decided: dict[int, tuple[float, str]] = {}
-        entries = []
-        for index, row in enumerate(result.rows):
-            confidence, verdict = verdicts[id(row)]
-            decided[index] = (confidence, verdict)
-            if previous is not None and previous.get(index) == (
-                confidence,
-                verdict,
-            ):
-                continue
-            lineage = [
-                (labels[tid], base[tid])
-                for tid in sorted(
-                    row.lineage.variables,
-                    key=lambda tid: (tid.table, tid.ordinal),
-                )
-            ]
-            entries.append(
-                (f"t{index}", row.values, confidence, verdict, phase, lineage)
-            )
-        audit.record_decisions(query_id, entries)
-        return decided
+        return batch.results[0]
 
     def execute_many(
         self, requests: "list[QueryRequest]", user: str
@@ -576,193 +326,322 @@ class PCQEngine:
         search space is the union of all queries' base tuples, and a
         solution must satisfy *every* query's requirement).  One quote is
         issued and — on approval — one improvement benefits all queries.
+        The batch is all-or-nothing: every request that was short shares
+        the increment's status (``INFEASIBLE``, ``QUOTED`` or
+        ``IMPROVED``); a request with no shortfall is ``SATISFIED``
+        whatever happens to its neighbours.
         """
-        with get_tracer().span(
-            "pcqe.execute_many", user=user, queries=len(requests)
-        ):
-            return self._execute_many(requests, user)
+        return self._run(
+            requests, user, "pcqe.execute_many", queries=len(requests)
+        )
 
-    def _execute_many(
-        self, requests: "list[QueryRequest]", user: str
-    ) -> "BatchResult":
-        evaluations = []
-        group_specs: list[tuple[list, int]] = []
-        liftable_rows: list = []
-        for request in requests:
-            result = run_sql(self.db, request.sql, engine=self.engine)
-            threshold = self.policies.threshold_for(user, request.purpose)
-            outcome = self._evaluator.apply_threshold(result, self.db, threshold)
-            evaluations.append((request, result, threshold, outcome))
-            shortfall = outcome.shortfall(request.required_fraction)
-            if shortfall == 0:
-                continue
-            if threshold >= 1.0:
-                raise InfeasibleIncrementError(
-                    "no result can exceed a confidence threshold of 1.0"
+    def _run(
+        self,
+        requests: "list[QueryRequest]",
+        user: str,
+        root_name: str,
+        **attributes: Any,
+    ) -> BatchResult:
+        """One call's frame: the root span, the latency observation and,
+        for requests that asked, the profile."""
+        tracer, metrics = get_tracer(), get_metrics()
+        profiled = any(request.profile for request in requests)
+        started = time.monotonic_ns()
+        try:
+            before = metrics.snapshot() if profiled else None
+            with tracer.capture() if profiled else nullcontext() as sink:
+                with tracer.span(root_name, user=user, **attributes) as root:
+                    batch = self._pipeline(requests, user, root)
+            if profiled:
+                report = ProfileReport.from_spans(
+                    sink.spans,
+                    root=root_name,
+                    metrics=metrics_diff(before, metrics.snapshot()),
                 )
-            members = []
-            for row, _confidence in outcome.withheld:
-                if not row.lineage.monotone:
-                    continue
-                members.append(len(liftable_rows))
-                liftable_rows.append((row, threshold))
-            if shortfall > len(members):
-                raise InfeasibleIncrementError(
-                    f"query for {request.purpose!r}: {shortfall} more results "
-                    f"required but only {len(members)} can be improved"
-                )
-            group_specs.append((members, shortfall))
+                for request, result in zip(requests, batch.results):
+                    if request.profile:
+                        result.profile = report
+            return batch
+        finally:
+            metrics.histogram(
+                "pcqe.ask.latency_seconds", TIMING_BUCKETS
+            ).observe((time.monotonic_ns() - started) / 1e9)
 
-        if not group_specs:
-            return BatchResult(
-                results=[
-                    self._settled(threshold, outcome, result)
-                    for _request, result, threshold, outcome in evaluations
-                ],
-                quote=None,
-                receipt=None,
+    def _pipeline(
+        self, requests: "list[QueryRequest]", user: str, root: Any
+    ) -> BatchResult:
+        """Figure 1, for one request or many: evaluate and enforce each,
+        find one increment for every shortfall, quote it, apply it,
+        re-enforce — leaving through :meth:`_settle` at every exit."""
+        tracer = get_tracer()
+        evaluations = [self._evaluate(request, user) for request in requests]
+        if self.audit is not None:
+            root.set_attribute(
+                "audit.query_id",
+                ",".join(str(each.query_id) for each in evaluations),
             )
+        short = [each for each in evaluations if each.shortfall]
+        if not short:
+            return self._settle(evaluations, QueryStatus.SATISFIED, root)
 
-        # Solve one problem at the strictest involved threshold per row's
-        # own policy: each result must clear *its* query's threshold, so the
-        # problem threshold must be per-result.  The shared solvers use one
-        # β, so we conservatively target each row at its own threshold by
-        # lifting the problem threshold to the row's requirement via the
-        # maximum involved threshold.  (Thresholds usually coincide across
-        # a session; the conservative choice never under-delivers.)
-        strict = min(
-            1.0, max(threshold for _row, threshold in liftable_rows) + 1e-6
-        )
-        problem = IncrementProblem.from_results(
-            [row.lineage for row, _threshold in liftable_rows],
-            self.db,
-            threshold=strict,
-            required_count=0,
-            delta=self.delta,
-        )
-        problem = IncrementProblem(
-            problem.results,
-            problem.tuples,
-            strict,
-            delta=self.delta,
-            requirement_groups=group_specs,
-        )
-        problem.check_feasible()
-        # A batch runs one solve for every query; the strictest per-request
+        shortfall = sum(each.shortfall for each in short)
+        # One solve serves the whole batch; the strictest per-request
         # deadline (if any) governs it.
-        deadlines = [
-            request.deadline_ms
-            for request in requests
-            if request.deadline_ms is not None
-        ]
-        batch_deadline = min(deadlines) if deadlines else None
-        with get_tracer().span(
-            "pcqe.strategy_finding", queries=len(group_specs)
-        ) as span:
-            plan = self._solve(problem, batch_deadline, span)
-            span.set_attribute("cost", plan.total_cost)
-        total_shortfall = sum(count for _members, count in group_specs)
-        quote = CostQuote(plan, plan.total_cost, total_shortfall)
-        if not self.approval(quote):
-            return BatchResult(
-                results=[
-                    self._settled(threshold, outcome, result, QueryStatus.QUOTED)
-                    for _request, result, threshold, outcome in evaluations
-                ],
-                quote=quote,
-                receipt=None,
+        deadlines = [r.deadline_ms for r in requests if r.deadline_ms is not None]
+        try:
+            with tracer.span(
+                "pcqe.strategy_finding", shortfall=shortfall
+            ) as span:
+                plan = self.chain.solve(
+                    self._increment_problem(short),
+                    deadline_ms=min(deadlines, default=None),
+                    span=span,
+                )
+                span.set_attribute("cost", plan.total_cost)
+        except InfeasibleIncrementError as error:
+            logger.warning(
+                "infeasible increment for user=%s purpose=%s: %s",
+                user,
+                "/".join(sorted({each.request.purpose for each in short})),
+                error,
             )
-        with get_tracer().span("pcqe.improvement") as span:
+            get_metrics().counter("pcqe.infeasible").inc()
+            return self._settle(evaluations, QueryStatus.INFEASIBLE, root)
+        # The degradation chain stamps the plan when it came from a
+        # fallback hop or an exhausted-budget incumbent.
+        if plan.degraded:
+            root.set_attribute("degraded", True)
+        quote = CostQuote(plan, plan.total_cost, shortfall)
+        if not self.approval(quote):
+            return self._settle(evaluations, QueryStatus.QUOTED, root, quote)
+
+        with tracer.span("pcqe.improvement") as span:
+            # On a durable database the write-back lands as ONE WAL
+            # record (db.apply_confidences journals the whole batch),
+            # so a crash mid-improvement recovers to before-or-after
+            # the strategy, never half of it.
             receipt = self.improvement.apply(self.db, plan)
+            span.set_attribute("tuples_improved", receipt.tuples_improved)
+            span.set_attribute("total_cost", receipt.total_cost)
             span.set_attribute("durable", self.db.is_durable)
             if self.db.is_durable:
                 get_metrics().counter("pcqe.improvements_persisted").inc()
-        results = []
-        for _request, result, threshold, _old in evaluations:
-            outcome = self._evaluator.apply_threshold(result, self.db, threshold)
-            results.append(
-                self._settled(threshold, outcome, result, QueryStatus.IMPROVED)
-            )
-        return BatchResult(results=results, quote=quote, receipt=receipt)
-
-    @staticmethod
-    def _settled(
-        threshold: float,
-        outcome: FilterOutcome,
-        result: ResultSet,
-        status: QueryStatus = QueryStatus.SATISFIED,
-    ) -> PCQEResult:
-        return PCQEResult(
-            status=status,
-            threshold=threshold,
-            released=list(outcome.released),
-            withheld_count=len(outcome.withheld),
-            outcome=outcome,
-            raw_result=result,
+        for each in evaluations:
+            with tracer.span("pcqe.reevaluation") as span:
+                # Same ResultSet object as the first enforcement pass, so
+                # the row circuits compiled there are evaluated again with
+                # the improved confidences instead of being rebuilt.  A
+                # request that was not short is re-enforced too: what it
+                # releases must hold against the database as it is now.
+                span.set_attribute(
+                    "circuit.reused", each.result.has_compiled_circuits
+                )
+                each.outcome = self._evaluator.apply_threshold(
+                    each.result, self.db, each.threshold
+                )
+        logger.info(
+            "improved %d tuple(s) for %.4f for user=%s over %d request(s)",
+            receipt.tuples_improved,
+            receipt.total_cost,
+            user,
+            len(evaluations),
+        )
+        return self._settle(
+            evaluations, QueryStatus.IMPROVED, root, quote, receipt
         )
 
-    def _find_strategy(
-        self,
-        outcome: FilterOutcome,
-        threshold: float,
-        shortfall: int,
-        pool: CircuitPool,
-        deadline_ms: float | None = None,
-        span: "object | None" = None,
-    ) -> IncrementPlan:
-        """Build and solve the increment problem for the withheld rows.
+    def _evaluate(self, request: QueryRequest, user: str) -> _Evaluation:
+        """Elements 1–3 for one request: run the query with lineage,
+        enforce its policy, open its audit trail."""
+        tracer = get_tracer()
+        with tracer.span("pcqe.query_evaluation") as span:
+            result = run_sql(self.db, request.sql, engine=self.engine)
+            span.set_attribute("rows", len(result))
+            if result.engine is not None:
+                span.set_attribute("engine", result.engine)
+        threshold = self.policies.threshold_for(user, request.purpose)
+        with tracer.span("pcqe.policy_enforcement", threshold=threshold):
+            outcome = self._evaluator.apply_threshold(
+                result, self.db, threshold
+            )
+        get_metrics().counter("pcqe.queries").inc()
+        evaluation = _Evaluation(
+            request,
+            result,
+            threshold,
+            outcome,
+            outcome.shortfall(request.required_fraction),
+        )
+        if self.audit is not None:
+            policy = self.policies.select_policy(user, request.purpose)
+            evaluation.query_id = self.audit.begin_query(
+                user=user,
+                purpose=request.purpose,
+                role=policy.role,
+                threshold=threshold,
+                required_fraction=request.required_fraction,
+                sql=request.sql,
+            )
+            self.audit.record_decisions(
+                evaluation.query_id, self._decisions(evaluation, "initial")
+            )
+        return evaluation
+
+    def _increment_problem(
+        self, short: "list[_Evaluation]"
+    ) -> IncrementProblem:
+        """The one increment problem for every request that is short: one
+        requirement group per request over its liftable withheld rows.
 
         Rows with negated lineage (e.g. from EXCEPT) cannot be lifted by
-        raising base confidences and are excluded; if the shortfall exceeds
-        the liftable rows, the request is infeasible.  *pool* is the result
-        set's circuit pool: the withheld rows were compiled into it when
-        the policy was enforced, so the problem reuses those circuits.
+        raising base confidences and are excluded; a request whose
+        shortfall exceeds its liftable rows makes the problem infeasible.
+        With one result set the problem compiles into that set's circuit
+        pool: its withheld rows were compiled there when the policy was
+        enforced, so every compile is a memo hit.
         """
-        if threshold >= 1.0:
-            # Policies release rows strictly above the threshold, so a
-            # threshold of 1.0 admits nothing no matter how much is spent.
-            raise InfeasibleIncrementError(
-                "no result can exceed a confidence threshold of 1.0"
-            )
-        liftable = [
-            row
-            for row, _confidence in outcome.withheld
-            if row.lineage.monotone
-        ]
-        if shortfall > len(liftable):
-            raise InfeasibleIncrementError(
-                f"{shortfall} more results required but only {len(liftable)} "
-                f"withheld results can be improved"
-            )
+        lineages: list = []
+        groups: list[tuple[range, int]] = []
+        for each in short:
+            if each.threshold >= 1.0:
+                # Policies release rows strictly above the threshold, so a
+                # threshold of 1.0 admits nothing no matter what is spent.
+                raise InfeasibleIncrementError(
+                    "no result can exceed a confidence threshold of 1.0"
+                )
+            liftable = [
+                row.lineage
+                for row, _confidence in each.outcome.withheld
+                if row.lineage.monotone
+            ]
+            if each.shortfall > len(liftable):
+                raise InfeasibleIncrementError(
+                    f"{each.shortfall} more results required but only "
+                    f"{len(liftable)} withheld results can be improved"
+                )
+            start = len(lineages)
+            lineages.extend(liftable)
+            groups.append((range(start, len(lineages)), each.shortfall))
         # Policies release rows with confidence strictly above the
         # threshold; nudge the solver's target up so a plan landing exactly
-        # on β cannot be filtered again after improvement.
-        strict_threshold = min(1.0, threshold + 1e-6)
+        # on β cannot be filtered again after improvement.  The solvers
+        # share one β, so a batch targets the strictest one involved
+        # (thresholds usually coincide; this never under-delivers).
+        strict = min(1.0, max(each.threshold for each in short) + 1e-6)
         problem = IncrementProblem.from_results(
-            [row.lineage for row in liftable],
+            lineages,
             self.db,
-            threshold=strict_threshold,
-            required_count=shortfall,
+            threshold=strict,
             delta=self.delta,
-            pool=pool,
+            pool=short[0].result.circuit_pool if len(short) == 1 else None,
+            requirement_groups=groups,
         )
         problem.check_feasible()
-        return self._solve(problem, deadline_ms, span)
+        return problem
 
-    def _solve(
+    def _settle(
         self,
-        problem: IncrementProblem,
-        deadline_ms: float | None = None,
-        span: "object | None" = None,
-    ) -> IncrementPlan:
-        """Run the degradation chain (or the bare solver when unbudgeted).
+        evaluations: "list[_Evaluation]",
+        status: QueryStatus,
+        root: Any,
+        quote: CostQuote | None = None,
+        receipt: ImprovementReceipt | None = None,
+    ) -> BatchResult:
+        """The pipeline's one exit: stamp the span, close every audit
+        trail, build every result.
 
-        With no deadline and no fallback configured the primary solver is
-        called directly on the current thread — no worker thread, no
-        attempt spans — keeping unbudgeted runs byte-for-byte identical to
-        the pre-runtime engine.
+        *status* is the increment's fate and the status of every request
+        that was short; the others are ``SATISFIED`` and carry no quote.
+        A trail records the increment when its request was quoted it or —
+        once applied — when it changed one of the request's decisions.
         """
-        effective = deadline_ms if deadline_ms is not None else self.deadline_ms
-        if effective is None and len(self.chain.attempts) == 1:
-            return self.solver(problem)
-        return self.chain.solve(problem, deadline_ms=effective, span=span)
+        root.set_attribute("status", status.value)
+        audit = self.audit
+        if audit is not None and quote is not None:
+            targets = {
+                str(tid): conf for tid, conf in quote.plan.targets.items()
+            }
+        results = []
+        for each in evaluations:
+            short = each.shortfall > 0
+            settled = status if short else QueryStatus.SATISFIED
+            degraded = short and quote is not None and quote.plan.degraded
+            outcome = each.outcome
+            if audit is not None:
+                # After a write-back: a fresh decision record per tuple it
+                # changed, so replay can reconstruct the verdict flip.
+                applied = receipt is not None
+                changed = self._decisions(each, "post_increment") if applied else []
+                if quote is not None and (short or changed):
+                    audit.record_increment(
+                        each.query_id,
+                        approved=applied,
+                        cost=receipt.total_cost if applied else quote.cost,
+                        targets=targets,
+                    )
+                if applied:
+                    audit.record_decisions(each.query_id, changed)
+                audit.end_query(
+                    each.query_id,
+                    status=settled.value,
+                    released=len(outcome.released),
+                    withheld=len(outcome.withheld),
+                    shortfall=each.shortfall,
+                    degraded=degraded,
+                )
+            results.append(
+                PCQEResult(
+                    status=settled,
+                    threshold=each.threshold,
+                    released=list(outcome.released),
+                    withheld_count=len(outcome.withheld),
+                    outcome=outcome,
+                    quote=quote if short else None,
+                    receipt=receipt if short else None,
+                    raw_result=each.result,
+                    degraded=degraded,
+                )
+            )
+        return BatchResult(results, quote, receipt)
+
+    def _decisions(self, each: _Evaluation, phase: str) -> list[tuple]:
+        """The audit entries of one enforcement pass, in result order.
+
+        Tuple ids are positional (``t0``, ``t1``, …) within the query's
+        result set — stable across both enforcement passes because
+        re-evaluation reuses the same :class:`ResultSet` object.  Each
+        entry carries the base-tuple lineage ids and the confidences they
+        held *at decision time*, read from the database in one batch.
+
+        Tuples whose confidence and verdict equal the previous pass's
+        (``each.decisions``, which this pass then replaces) are skipped —
+        their earlier record remains the decision of record, and the
+        journal only grows where the increment actually changed something.
+        """
+        result, previous = each.result, each.decisions
+        base = (
+            self.db.confidences(result.base_tuples()) if len(result) else {}
+        )
+        labels = {tid: str(tid) for tid in base}
+        verdicts: dict[int, tuple[float, str]] = {}
+        for row, confidence in each.outcome.released:
+            verdicts[id(row)] = (confidence, "released")
+        for row, confidence in each.outcome.withheld:
+            verdicts[id(row)] = (confidence, "blocked")
+        decided = each.decisions = {}
+        entries = []
+        for index, row in enumerate(result.rows):
+            confidence, verdict = decided[index] = verdicts[id(row)]
+            if previous is not None and previous.get(index) == decided[index]:
+                continue
+            lineage = [
+                (labels[tid], base[tid])
+                for tid in sorted(
+                    row.lineage.variables,
+                    key=lambda tid: (tid.table, tid.ordinal),
+                )
+            ]
+            entries.append(
+                (f"t{index}", row.values, confidence, verdict, phase, lineage)
+            )
+        return entries

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import IncrementError
-from ..obs import get_metrics, solver_run
+from ..obs import get_metrics
 from ..storage.tuples import TupleId
 from .greedy import GreedyOptions, _phase_two, _step_gain, solve_greedy
 from .heuristic import HeuristicOptions, solve_heuristic
@@ -38,7 +38,7 @@ from .problem import (
     SearchState,
     SolverStats,
 )
-from .runtime import Budget
+from .runtime import Budget, run_frame
 
 __all__ = ["DncOptions", "solve_dnc"]
 
@@ -93,15 +93,8 @@ def solve_dnc(
     fixpoint stops early and the feasible plan is returned.
     """
     options = options or DncOptions()
-    stats = SolverStats()
-    with solver_run(
-        "dnc",
-        stats,
-        results=len(problem.results),
-        tuples=len(problem.tuples),
-    ) as span:
-        if budget is not None and budget.deadline_ms is not None:
-            span.set_attribute("budget.deadline_ms", budget.deadline_ms)
+    with run_frame("dnc", problem, budget) as run:
+        stats = run.stats
         state = SearchState(problem)
 
         if not state.is_satisfied():
@@ -125,18 +118,8 @@ def solve_dnc(
             if options.refine:
                 _refine(problem, state, stats, budget)
 
-        if budget is not None and budget.exhausted:
-            stats.completed = False
-            stats.budget_exhausted = True
-            span.set_attribute("solver.incumbent_cost", state.cost)
-            get_metrics().gauge("solver.dnc.incumbent_cost").set(state.cost)
-        span.set_attribute("cost", state.cost)
-        return IncrementPlan(
-            state.snapshot_targets(),
-            state.cost,
-            state.satisfied_indexes(),
-            "dnc",
-            stats,
+        return run.plan(
+            state.snapshot_targets(), state.cost, state.satisfied_indexes()
         )
 
 

@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import IncrementError, InfeasibleIncrementError
-from ..obs import get_metrics, solver_run
 from .problem import (
     IncrementPlan,
     IncrementProblem,
     SearchState,
     SolverStats,
 )
-from .runtime import Budget, budget_exceeded
+from .runtime import Budget, budget_exceeded, run_frame
 
 __all__ = ["GreedyOptions", "solve_greedy"]
 
@@ -87,16 +86,10 @@ def solve_greedy(
     far (``stats.budget_exhausted = True``).
     """
     options = options or GreedyOptions()
-    stats = SolverStats()
-    with solver_run(
-        "greedy",
-        stats,
-        results=len(problem.results),
-        tuples=len(problem.tuples),
-        two_phase=options.two_phase,
-    ) as span:
-        if budget is not None and budget.deadline_ms is not None:
-            span.set_attribute("budget.deadline_ms", budget.deadline_ms)
+    with run_frame(
+        "greedy", problem, budget, two_phase=options.two_phase
+    ) as run:
+        stats = run.stats
         state = SearchState(problem)
 
         if not state.is_satisfied():
@@ -106,12 +99,6 @@ def solve_greedy(
                 _phase_two(problem, state, last_gain, stats, budget)
 
         algorithm = "greedy" if options.two_phase else "greedy-1phase"
-        if budget is not None and budget.exhausted:
-            stats.completed = False
-            stats.budget_exhausted = True
-            span.set_attribute("solver.incumbent_cost", state.cost)
-            get_metrics().gauge("solver.greedy.incumbent_cost").set(state.cost)
-        span.set_attribute("cost", state.cost)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "%s solved: cost=%.4f gain_evaluations=%d phase2_reductions=%d",
@@ -120,12 +107,11 @@ def solve_greedy(
                 stats.gain_evaluations,
                 stats.phase2_reductions,
             )
-        return IncrementPlan(
+        return run.plan(
             state.snapshot_targets(),
             state.cost,
             state.satisfied_indexes(),
             algorithm,
-            stats,
         )
 
 

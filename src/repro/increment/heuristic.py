@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 from ..errors import IncrementError
-from ..obs import get_metrics, solver_run
 from ..storage.tuples import TupleId
 from .problem import (
     IncrementPlan,
@@ -46,7 +45,7 @@ from .problem import (
     SolverStats,
     UndoToken,
 )
-from .runtime import Budget, budget_exceeded
+from .runtime import Budget, budget_exceeded, run_frame
 
 __all__ = ["HeuristicOptions", "solve_heuristic", "cost_beta"]
 
@@ -135,22 +134,9 @@ def solve_heuristic(
     incumbent a :class:`~repro.errors.TimeBudgetExceeded` is raised.
     """
     options = options or HeuristicOptions()
-    stats = SolverStats()
-    with solver_run(
-        "heuristic",
-        stats,
-        results=len(problem.results),
-        tuples=len(problem.tuples),
-    ) as span:
-        if budget is not None and budget.deadline_ms is not None:
-            span.set_attribute("budget.deadline_ms", budget.deadline_ms)
-        plan = _solve(problem, options, stats, budget)
-        span.set_attribute("cost", plan.total_cost)
-        if stats.budget_exhausted:
-            span.set_attribute("solver.incumbent_cost", plan.total_cost)
-            get_metrics().gauge("solver.heuristic.incumbent_cost").set(
-                plan.total_cost
-            )
+    with run_frame("heuristic", problem, budget) as run:
+        stats = run.stats
+        plan = run.plan(*_solve(problem, options, stats, budget))
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "heuristic solved: cost=%.4f nodes=%d pruned bound=%d "
@@ -171,10 +157,10 @@ def _solve(
     options: HeuristicOptions,
     stats: SolverStats,
     shared_budget: Budget | None = None,
-) -> IncrementPlan:
+) -> "tuple[dict[TupleId, float], float, tuple[int, ...]]":
+    """The search: the best ``(targets, cost, satisfied indexes)`` found."""
     if problem.is_trivial():
-        state = SearchState(problem)
-        return IncrementPlan({}, 0.0, state.satisfied_indexes(), "heuristic", stats)
+        return {}, 0.0, SearchState(problem).satisfied_indexes()
     problem.check_feasible()
 
     order = list(range(len(problem.tids)))
@@ -303,6 +289,4 @@ def _solve(
                 "was found"
             ),
         )
-    return IncrementPlan(
-        best_targets, best_cost, best_satisfied, "heuristic", stats
-    )
+    return best_targets, best_cost, best_satisfied

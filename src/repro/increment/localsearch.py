@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass
 
 from ..errors import IncrementError
-from ..obs import get_metrics, solver_run
 from .greedy import GreedyOptions, _phase_two, _step_gain, solve_greedy
 from .problem import (
     IncrementPlan,
@@ -33,7 +32,7 @@ from .problem import (
     SearchState,
     SolverStats,
 )
-from .runtime import Budget
+from .runtime import Budget, run_frame
 
 __all__ = ["LocalSearchOptions", "solve_local_search"]
 
@@ -79,16 +78,10 @@ def solve_local_search(
     :class:`~repro.errors.TimeBudgetExceeded`.
     """
     options = options or LocalSearchOptions()
-    stats = SolverStats()
-    with solver_run(
-        "local-search",
-        stats,
-        results=len(problem.results),
-        tuples=len(problem.tuples),
-        restarts=options.restarts,
-    ) as span:
-        if budget is not None and budget.deadline_ms is not None:
-            span.set_attribute("budget.deadline_ms", budget.deadline_ms)
+    with run_frame(
+        "local-search", problem, budget, restarts=options.restarts
+    ) as run:
+        stats = run.stats
         rng = random.Random(options.seed)
 
         if options.initial_plan is not None:
@@ -119,14 +112,6 @@ def solve_local_search(
                 best_satisfied = state.satisfied_indexes()
             _perturb(problem, state, rng, options)
 
-        if budget is not None and budget.exhausted:
-            stats.completed = False
-            stats.budget_exhausted = True
-            span.set_attribute("solver.incumbent_cost", best_cost)
-            get_metrics().gauge("solver.local-search.incumbent_cost").set(
-                best_cost
-            )
-        span.set_attribute("cost", best_cost)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "local search finished: cost=%.4f (seed %.4f), "
@@ -135,9 +120,7 @@ def solve_local_search(
                 seed_plan.total_cost,
                 stats.swap_moves,
             )
-        return IncrementPlan(
-            best_targets, best_cost, best_satisfied, "local-search", stats
-        )
+        return run.plan(best_targets, best_cost, best_satisfied)
 
 
 def _descend(

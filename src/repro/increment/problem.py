@@ -259,15 +259,20 @@ class IncrementProblem:
         lineages: Sequence[Lineage],
         db: "Database",
         threshold: float,
-        required_count: int,
+        required_count: int = 0,
         delta: float = 0.1,
         labels: Sequence[str] | None = None,
         *,
         pool: CircuitPool | None = None,
+        requirement_groups: (
+            Sequence[tuple[Sequence[int], int]] | None
+        ) = None,
     ) -> "IncrementProblem":
         """Build a problem from raw lineages, reading current confidences
         and cost models from the database.  All results compile into one
-        *pool* — into the result set's, each compile is a memo hit."""
+        *pool* — into the result set's, each compile is a memo hit.
+        *requirement_groups* (one per query of a batch) replaces
+        *required_count* as in the constructor."""
         pool = CircuitPool() if pool is None else pool
         functions = [
             ConfidenceFunction(
@@ -283,7 +288,9 @@ class IncrementProblem:
                     tuples[tid] = BaseTupleState(
                         tid, stored.confidence, stored.cost_model
                     )
-        return cls(functions, tuples, threshold, required_count, delta)
+        return cls(
+            functions, tuples, threshold, required_count, delta, requirement_groups
+        )
 
     # -- basic queries -------------------------------------------------------
 

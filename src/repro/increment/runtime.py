@@ -16,9 +16,12 @@ caller is willing to wait.  This module gives every solver a cooperative
   got.  When a feasible incumbent does exist, solvers return it instead
   (``stats.budget_exhausted = True``) — the *anytime* contract.
 * :class:`DegradationChain` — an ordered list of solver attempts (e.g.
-  ``heuristic → greedy``).  Each attempt runs on a worker thread with a
-  fresh budget of the same deadline; the first feasible plan wins, and a
+  ``heuristic → greedy``) and the one way the engine runs a solver.  Each
+  attempt runs on the calling thread with a fresh budget of the same
+  deadline; the first feasible plan wins, and a
   :class:`~repro.errors.TimeBudgetExceeded` falls through to the next hop.
+* :func:`run_frame` — what the four ``solve_*`` entry points share around
+  their searches: stats, span, the budget's marks and the plan.
 
 With no budget configured nothing changes: every ``budget is None`` check
 short-circuits and the solvers' search paths — and therefore their plans —
@@ -27,18 +30,18 @@ are bit-identical to the unbudgeted code.
 
 from __future__ import annotations
 
-import contextvars
-import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..errors import IncrementError, TimeBudgetExceeded
-from ..obs import get_metrics, get_tracer
+from ..obs import get_metrics, get_tracer, solver_run
+from .problem import IncrementPlan, SolverStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..storage.tuples import TupleId
-    from .problem import IncrementPlan, IncrementProblem, SearchState, SolverStats
+    from .problem import IncrementProblem, SearchState
 
 __all__ = [
     "CHECK_INTERVAL",
@@ -48,6 +51,8 @@ __all__ = [
     "DegradationChain",
     "as_budgeted",
     "budget_exceeded",
+    "RunFrame",
+    "run_frame",
 ]
 
 #: How many charges pass between wall-clock reads (matches the historical
@@ -219,6 +224,68 @@ def budget_exceeded(
     return TimeBudgetExceeded(message, algorithm=algorithm, partial=partial)
 
 
+@dataclass
+class RunFrame:
+    """One solver run in progress: what :func:`run_frame` yields."""
+
+    algorithm: str
+    budget: "Budget | None"
+    stats: SolverStats
+    span: Any
+
+    def plan(
+        self,
+        targets: "dict[TupleId, float]",
+        cost: float,
+        satisfied: tuple[int, ...],
+        algorithm: str | None = None,
+    ) -> IncrementPlan:
+        """The run's answer.  On an exhausted budget it is the anytime
+        incumbent: the stats say so and its cost is published as
+        ``solver.<algorithm>.incumbent_cost``.  *algorithm* relabels the
+        plan only (``greedy-1phase``)."""
+        stats = self.stats
+        if self.budget is not None and self.budget.exhausted:
+            stats.completed = False
+            stats.budget_exhausted = True
+        if stats.budget_exhausted:
+            self.span.set_attribute("solver.incumbent_cost", cost)
+            get_metrics().gauge(
+                f"solver.{self.algorithm}.incumbent_cost"
+            ).set(cost)
+        self.span.set_attribute("cost", cost)
+        return IncrementPlan(
+            targets, cost, satisfied, algorithm or self.algorithm, stats
+        )
+
+
+@contextmanager
+def run_frame(
+    algorithm: str,
+    problem: "IncrementProblem",
+    budget: "Budget | None",
+    **attributes: Any,
+) -> Iterator[RunFrame]:
+    """The frame every ``solve_*`` entry point runs its search in.
+
+    Opens the ``solver.<algorithm>`` span (instance size, *attributes*,
+    the budget's deadline) around fresh :class:`SolverStats`, which
+    :func:`~repro.obs.solver_run` times and publishes on the way out —
+    also when the search raises; :meth:`RunFrame.plan` closes the run.
+    """
+    stats = SolverStats()
+    with solver_run(
+        algorithm,
+        stats,
+        results=len(problem.results),
+        tuples=len(problem.tuples),
+        **attributes,
+    ) as span:
+        if budget is not None and budget.deadline_ms is not None:
+            span.set_attribute("budget.deadline_ms", budget.deadline_ms)
+        yield RunFrame(algorithm, budget, stats, span)
+
+
 #: A solver that accepts an optional budget.
 BudgetedSolver = Callable[["IncrementProblem", "Budget | None"], "IncrementPlan"]
 
@@ -281,12 +348,15 @@ class SolverAttempt:
 class DegradationChain:
     """Ordered solver attempts with per-attempt budgets and fallback.
 
-    Each attempt runs on a **worker thread** (with the caller's context
-    copied, so tracing spans opened by the solver nest under the attempt
-    span) and receives a *fresh* budget with the configured deadline: the
-    fallback hop must be allowed to actually run, which it could not if it
-    inherited the exhausted budget of the attempt it replaces.  The
-    worst-case wall time is therefore ``deadline × len(attempts)``.
+    Each attempt runs on the **calling thread**, inside its own
+    ``pcqe.solver_attempt`` span, and receives a *fresh* budget with the
+    configured deadline: the fallback hop must be allowed to actually run,
+    which it could not if it inherited the exhausted budget of the attempt
+    it replaces.  Budgets are cooperative — a solver returns (or raises)
+    shortly after its own budget expires — so the worst-case wall time is
+    ``deadline × len(attempts)``.  A hop can only follow a
+    :class:`TimeBudgetExceeded`; without a deadline a solver built from a
+    name never raises one, and the chain is one direct call.
 
     Resolution order per attempt:
 
@@ -339,7 +409,7 @@ class DegradationChain:
                 if effective is not None:
                     attempt_span.set_attribute("budget.deadline_ms", effective)
                 try:
-                    plan = _run_on_worker(attempt, problem, budget)
+                    plan = attempt.solve(problem, budget)
                 except TimeBudgetExceeded as error:
                     attempt_span.set_attribute("budget.exhausted", True)
                     attempt_span.set_attribute("timed_out", True)
@@ -384,36 +454,3 @@ class DegradationChain:
         assert last_error is not None
         raise last_error
 
-
-def _run_on_worker(
-    attempt: SolverAttempt,
-    problem: "IncrementProblem",
-    budget: "Budget | None",
-) -> "IncrementPlan":
-    """Run one attempt on a worker thread, propagating its result/error.
-
-    The caller's :mod:`contextvars` context is copied into the thread so
-    the solver's spans keep their parent; budgets are cooperative, so the
-    join is unbounded — the solver returns (or raises) shortly after its
-    own budget expires.
-    """
-    context = contextvars.copy_context()
-    outcome: list[tuple[bool, Any]] = []
-
-    def run() -> None:
-        try:
-            outcome.append(
-                (True, context.run(attempt.solve, problem, budget))
-            )
-        except BaseException as error:  # propagated to the calling thread
-            outcome.append((False, error))
-
-    worker = threading.Thread(
-        target=run, name=f"pcqe-solver-{attempt.name}", daemon=True
-    )
-    worker.start()
-    worker.join()
-    ok, payload = outcome[0]
-    if ok:
-        return payload
-    raise payload

@@ -29,8 +29,8 @@ carries ``schema``, declaring the record layout for its whole trail):
 Records are written in deterministic order (decisions follow result-set
 order), so replay reconstructs the live run byte-for-byte.
 
-Write batching and the deferred writer
---------------------------------------
+Write batching
+--------------
 Records buffer in memory per query and land as **one WAL frame per
 query** when ``end_query`` closes the trail — one checksum + one write
 per ask instead of one per record, and crash atomicity at query
@@ -41,19 +41,11 @@ C-speed ``json.dumps`` call, and each record's canonical document is a
 byte-identical substring of the frame, so replay can be verified
 directly against the bytes on disk.
 
-By default (``deferred=False``) the batch is encoded and appended
-synchronously inside ``end_query`` — one bounded, predictable cost per
-ask.  ``deferred=True`` hands completed batches to a daemon writer
-thread instead; batches are written strictly in completion order, so
-replay determinism is unaffected, and :meth:`drain` blocks until
-everything enqueued is on disk (readers call it before scanning).
-Deferring pays off only when the sink actually blocks — ``sync=True``
-fsyncs, a slow volume — because under the GIL the encoding CPU cannot
-overlap the serving thread, while the extra runnable thread adds
-scheduler handoff jitter on contended hosts.  A write failure is counted
-under ``audit.write_errors`` and surfaced on :attr:`write_error`;
-:meth:`close` drains, flushes any trail whose query died mid-pipeline,
-and joins the writer.
+The batch is encoded and appended synchronously inside ``end_query`` —
+one bounded, predictable cost per ask, and a finished query's trail is
+on disk when ``end_query`` returns.  A write failure is counted under
+``audit.write_errors`` and surfaced on :attr:`write_error`;
+:meth:`close` flushes any trail whose query died mid-pipeline.
 """
 
 from __future__ import annotations
@@ -148,10 +140,6 @@ class AuditLog:
     retry:
         :class:`~repro.storage.durability.retry.RetryPolicy` for
         transient append IO errors.
-    deferred:
-        Hand completed batches to a daemon writer thread instead of
-        writing inside ``end_query``.  Worth it only when appends block
-        on IO (``sync=True``); see the module docstring.
     """
 
     def __init__(
@@ -160,11 +148,9 @@ class AuditLog:
         *,
         sync: bool = False,
         retry: RetryPolicy | None = None,
-        deferred: bool = False,
     ) -> None:
         self.path = path
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
         self._metrics = get_metrics()
         last_query = 0
         if os.path.exists(path) and os.path.getsize(path) > 0:
@@ -180,22 +166,12 @@ class AuditLog:
         self._next_query = last_query + 1
         #: query_id -> record dicts awaiting their end_query flush.
         self._buffers: dict[str, list[dict[str, Any]]] = {}
-        #: completed batches awaiting the writer thread, in flush order.
-        self._queue: list[list[dict[str, Any]]] = []
-        self._writing = False
-        self._stopping = False
         self._closed = False
         self._error: BaseException | None = None
-        self._writer: threading.Thread | None = None
-        if deferred:
-            self._writer = threading.Thread(
-                target=self._write_loop, name="repro-audit-writer", daemon=True
-            )
-            self._writer.start()
 
     @property
     def write_error(self) -> BaseException | None:
-        """The first writer-thread failure, if any (also counted under
+        """The first append failure, if any (also counted under
         ``audit.write_errors``)."""
         return self._error
 
@@ -208,18 +184,6 @@ class AuditLog:
             if self._closed:
                 raise ValueError(f"audit log {self.path} is closed")
             self._buffers.setdefault(query_id, []).append(record)
-
-    def _flush(self, query_id: str) -> None:
-        """Hand a query's completed batch to the writer (or write now)."""
-        with self._work:
-            batch = self._buffers.pop(query_id, None)
-            if not batch:
-                return
-            if self._writer is not None:
-                self._queue.append(batch)
-                self._work.notify_all()
-                return
-        self._write_batch(batch)
 
     def _write_batch(self, batch: list[dict[str, Any]]) -> None:
         """Encode, checksum and append one query's batch as one frame."""
@@ -234,31 +198,6 @@ class AuditLog:
         self._metrics.counter("audit.records").inc(len(batch))
         self._metrics.counter("audit.decisions").inc(decisions)
         self._metrics.counter("audit.bytes").inc(nbytes)
-
-    def _write_loop(self) -> None:
-        while True:
-            with self._work:
-                self._writing = False
-                self._work.notify_all()
-                while not self._queue and not self._stopping:
-                    self._work.wait()
-                if not self._queue:
-                    return  # stopping, fully drained
-                batch = self._queue.pop(0)
-                self._writing = True
-            self._write_batch(batch)
-
-    def drain(self) -> None:
-        """Block until every batch flushed so far is on disk.
-
-        Readers (``audit list``/``explain`` on a live journal) call this
-        so a just-finished query's trail is visible to ``scan_wal``.
-        """
-        if self._writer is None:
-            return
-        with self._work:
-            while self._queue or self._writing:
-                self._work.wait(timeout=0.05)
 
     def begin_query(
         self,
@@ -393,18 +332,20 @@ class AuditLog:
         if degraded:
             record = {"degraded": True, **record}
         self._append(record)
-        self._flush(query_id)
+        with self._lock:
+            batch = self._buffers.pop(query_id)
+        self._write_batch(batch)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Flush pending trails, drain the writer, close the journal.
+        """Flush pending trails, close the journal.
 
         A trail still buffered here belongs to a query that died before
         ``end_query`` (pipeline exception); its partial records are
         flushed so the journal keeps the evidence.  Idempotent.
         """
-        with self._work:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -414,14 +355,6 @@ class AuditLog:
                 if self._buffers[query_id]
             ]
             self._buffers.clear()
-            if self._writer is not None:
-                self._queue.extend(leftovers)
-                leftovers = []
-                self._stopping = True
-                self._work.notify_all()
-        if self._writer is not None:
-            self._writer.join(timeout=10.0)
-            self._writer = None
         for batch in leftovers:
             self._write_batch(batch)
         self._wal.close()

@@ -52,7 +52,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 class Counter:
     """A monotonically increasing count.
 
-    Thread-safe: the degradation chain runs solvers on worker threads, so
+    Thread-safe: the server runs sessions on a worker pool, so
     ``inc`` (a read-modify-write) takes a per-instrument lock — plain
     ``+=`` on a float drops increments under contention.
     """

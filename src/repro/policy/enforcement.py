@@ -61,8 +61,8 @@ class FilterOutcome:
         fraction like 1/3, where θ·n rounds down to the integer) at
         boundary fractions.
         """
-        if self.total == 0:
-            return 0  # released_fraction is 1.0: vacuously satisfied
+        if self.satisfies(required_fraction):
+            return 0  # by definition; also the pipeline's common case
         needed = math.ceil(required_fraction * self.total - 1e-9)
         needed = max(0, min(needed, self.total))
         # Align with satisfies(), which compares released/total (a float

@@ -23,7 +23,7 @@ import itertools
 import threading
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
-from ..core import PCQEngine, PCQEResult, QueryRequest
+from ..core import PCQEngine, PCQEResult, QueryRequest, greedy_fallback
 from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import (
     NotPrimaryError,
@@ -178,14 +178,11 @@ class Session:
         self.policies = policies
         self.solver = solver
         self.engine = check_engine(engine)
-        # Degradation chain for deadline-pressed asks: unless configured
-        # otherwise, a non-greedy primary falls back to greedy (fast,
-        # always-feasible-when-feasible) instead of failing the request.
-        # A greedy primary has no cheaper hop; its anytime incumbent is
-        # the degradation (see docs/ROBUSTNESS.md).
-        if fallback is None:
-            fallback = ("greedy",) if solver != "greedy" else ()
-        self.fallback: tuple[str, ...] = tuple(fallback)
+        #: Degradation hops for deadline-pressed asks (the default rule is
+        #: :func:`~repro.core.greedy_fallback`'s).
+        self.fallback: tuple[str, ...] = (
+            greedy_fallback(solver) if fallback is None else tuple(fallback)
+        )
         #: Stable client identity for idempotency dedup: a reconnecting
         #: retry presents the same id, so its keys match across sessions.
         self.client_id = client_id or f"session-{self.id}"
@@ -284,10 +281,7 @@ class Session:
             self.db,
             self.policies,
             solver=self.solver,
-            # The degradation chain only engages under a deadline — an
-            # unbudgeted ask keeps the direct single-solver fast path.
-            fallback=self.fallback if deadline_ms is not None else (),
-            deadline_ms=deadline_ms,
+            fallback=self.fallback,
             engine=self.engine,
         )
         request = QueryRequest(

@@ -38,6 +38,17 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def no_new_threads(monkeypatch):
+    """From here on, starting any thread fails the test."""
+    import threading
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+@pytest.fixture
 def network_fault():
     """Factory for armed, seeded network fault injectors (chaos tests).
 

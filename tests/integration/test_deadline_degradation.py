@@ -135,8 +135,9 @@ class TestEngineDeadlines:
         assert strategy.attributes["budget.deadline_ms"] == 50.0
 
     def test_no_deadline_keeps_the_legacy_span_tree(self, running_example):
-        """Without a deadline and without fallback, the engine calls the
-        solver directly: no pcqe.solver_attempt spans appear."""
+        """Without a deadline and without fallback the chain is one direct
+        call on the caller's thread: the legacy span tree, plus the one
+        hop-0 ``pcqe.solver_attempt`` span every solve now carries."""
         engine = PCQEngine(
             running_example.db, running_example.policies, solver="heuristic"
         )
@@ -146,7 +147,14 @@ class TestEngineDeadlines:
                 user="bob",
             )
         assert result.status is QueryStatus.IMPROVED
-        assert sink.find("pcqe.solver_attempt") == []
+        (attempt,) = sink.find("pcqe.solver_attempt")
+        assert attempt.attributes["hop"] == 0
+        assert "budget.deadline_ms" not in attempt.attributes
+        (strategy,) = sink.find("pcqe.strategy_finding")
+        (solver,) = sink.find("solver.heuristic")
+        assert attempt.parent_id == strategy.span_id
+        assert solver.parent_id == attempt.span_id
+        assert strategy.attributes["fallback_hops"] == 0
 
     def test_every_hop_timing_out_surfaces_the_structured_error(
         self, running_example

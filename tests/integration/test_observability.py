@@ -100,10 +100,13 @@ class TestStageSpans:
         }
         assert roots_of_algebra == {evaluation.span_id}
 
-        # The solver span sits under strategy finding with its stats.
+        # The solver span sits under strategy finding — one hop-0 attempt
+        # span down, as every solve runs through the chain — with its stats.
         (strategy,) = sink.find("pcqe.strategy_finding")
+        (attempt,) = sink.find("pcqe.solver_attempt")
         (solver_span,) = sink.find("solver.heuristic")
-        assert solver_span.parent_id == strategy.span_id
+        assert attempt.parent_id == strategy.span_id
+        assert solver_span.parent_id == attempt.span_id
         assert solver_span.attributes["nodes_explored"] > 0
 
     def test_satisfied_flow_skips_solver_stages(

@@ -188,42 +188,34 @@ class TestAuditLogRecovery:
         assert [r["kind"] for r in records] == ["query", "decision"]
 
 
-class TestDeferredWriter:
-    def test_drain_makes_trails_visible(self, tmp_path, isolated_metrics):
-        path = tmp_path / "audit.log"
-        with AuditLog(str(path), deferred=True) as log:
-            write_one_query(log)
-            log.drain()
-            assert len(read_audit_log(path)) == 6
-        assert len(read_audit_log(path)) == 6
+class TestSynchronousWrites:
+    """``end_query`` writes the trail itself: no writer thread, no drain."""
 
-    def test_write_failure_is_surfaced_not_raised(
+    def test_a_finished_trail_is_on_disk_before_close(
+        self, tmp_path, isolated_metrics, no_new_threads
+    ):
+        path = tmp_path / "audit.log"
+        with AuditLog(str(path)) as log:
+            write_one_query(log)
+            assert len(read_audit_log(path)) == 6
+
+    def test_append_failure_is_surfaced_not_raised(
         self, tmp_path, isolated_metrics
     ):
-        with AuditLog(str(tmp_path / "audit.log"), deferred=True) as log:
+        with AuditLog(str(tmp_path / "audit.log")) as log:
             def boom(payload):
                 raise OSError("disk full")
 
             log._wal.append = boom
             write_one_query(log)
-            log.drain()
             assert isinstance(log.write_error, OSError)
         assert isolated_metrics.snapshot()["audit.write_errors"] == 1
 
-    def test_batches_flush_in_completion_order(self, tmp_path, isolated_metrics):
-        path = tmp_path / "audit.log"
-        with AuditLog(str(path), deferred=True) as log:
-            for _ in range(5):
-                write_one_query(log)
-            log.drain()
-        ids = [r["query_id"] for r in read_audit_log(path) if r["kind"] == "query"]
-        assert ids == ["q1", "q2", "q3", "q4", "q5"]
-
-    def test_concurrent_queries_keep_trails_intact(
+    def test_concurrent_queries_keep_their_trails_intact(
         self, tmp_path, isolated_metrics
     ):
         path = tmp_path / "audit.log"
-        with AuditLog(str(path), deferred=True) as log:
+        with AuditLog(str(path)) as log:
             threads = [
                 threading.Thread(target=write_one_query, args=(log,))
                 for _ in range(8)
@@ -231,14 +223,18 @@ class TestDeferredWriter:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            log.drain()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
         trails = build_trails(read_audit_log(path))
         assert len(trails) == 8
         for trail in trails.values():
             assert trail.query is not None
             assert trail.outcome is not None
             assert len(trail.decisions) == 3
+
+    def test_deferred_is_not_an_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            AuditLog(str(tmp_path / "audit.log"), deferred=True)
 
 
 class TestReplayAndExplain:

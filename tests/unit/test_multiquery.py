@@ -10,6 +10,14 @@ import pytest
 from repro import PCQEngine, QueryRequest, QueryStatus
 from repro.cost import LinearCost
 from repro.errors import IncrementError, InfeasibleIncrementError
+from repro.increment.runtime import budget_exceeded
+from repro.obs import MetricsRegistry, set_metrics
+from repro.obs.audit import (
+    AuditLog,
+    build_trails,
+    explain_decision,
+    read_audit_log,
+)
 from repro.increment import (
     BaseTupleState,
     IncrementProblem,
@@ -229,3 +237,150 @@ class TestEngineBatch:
         assert all(r.status is QueryStatus.QUOTED for r in batch.results)
         # Database untouched.
         assert all(row.confidence == 0.2 for row in db.table("m").scan())
+
+    def test_batch_declined_quote_leaves_a_satisfied_neighbour_alone(self):
+        db, policies = self._setup()
+        engine = PCQEngine(
+            db, policies, solver="greedy", approval=lambda _q: False
+        )
+        batch = engine.execute_many(
+            [
+                QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 0.0),
+                QueryRequest("SELECT k FROM m WHERE grp = 'g2'", "p", 1.0),
+            ],
+            user="u",
+        )
+        satisfied, quoted = batch.results
+        assert satisfied.status is QueryStatus.SATISFIED
+        assert satisfied.quote is None
+        assert quoted.status is QueryStatus.QUOTED
+        assert quoted.quote is batch.quote
+        assert batch.quote.shortfall == 2
+
+    def test_request_without_shortfall_stays_satisfied_beside_improved(self):
+        db, policies = self._setup()
+        engine = PCQEngine(db, policies, solver="greedy")
+        batch = engine.execute_many(
+            [
+                QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 0.0),
+                QueryRequest("SELECT k FROM m WHERE grp = 'g2'", "p", 1.0),
+            ],
+            user="u",
+        )
+        satisfied, improved = batch.results
+        assert satisfied.status is QueryStatus.SATISFIED
+        assert satisfied.quote is None and satisfied.receipt is None
+        assert improved.status is QueryStatus.IMPROVED
+        assert improved.receipt is batch.receipt
+        assert improved.released_fraction == 1.0
+
+    def test_infeasible_batch_answers_infeasible_and_touches_nothing(self):
+        db, policies = self._setup()
+        policies.add_purpose("certain")
+        policies.add_policy("r", "certain", 1.0)
+        engine = PCQEngine(db, policies, solver="greedy")
+        batch = engine.execute_many(
+            [
+                QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 1.0),
+                QueryRequest("SELECT k FROM m WHERE grp = 'g2'", "certain", 1.0),
+            ],
+            user="u",
+        )
+        assert [r.status for r in batch.results] == [QueryStatus.INFEASIBLE] * 2
+        assert batch.quote is None and batch.receipt is None
+        assert all(r.quote is None for r in batch.results)
+        assert all(row.confidence == 0.2 for row in db.table("m").scan())
+
+    def test_fallback_hop_marks_the_short_requests_degraded(self):
+        db, policies = self._setup()
+
+        def late(problem, budget=None):
+            raise budget_exceeded("late", problem, None)
+
+        engine = PCQEngine(db, policies, solver=late, fallback=("greedy",))
+        batch = engine.execute_many(
+            [
+                QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 0.0),
+                QueryRequest("SELECT k FROM m WHERE grp = 'g2'", "p", 1.0),
+            ],
+            user="u",
+        )
+        assert batch.quote.plan.degraded
+        assert [r.degraded for r in batch.results] == [False, True]
+        assert batch.results[1].status is QueryStatus.IMPROVED
+
+    def test_batch_counts_every_request_and_one_latency(self):
+        db, policies = self._setup()
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            PCQEngine(db, policies, solver="greedy").execute_many(
+                [
+                    QueryRequest("SELECT k FROM m", "p", 0.0),
+                    QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 0.0),
+                    QueryRequest("SELECT k FROM m WHERE grp = 'g2'", "p", 0.5),
+                ],
+                user="u",
+            )
+        finally:
+            set_metrics(previous)
+        snapshot = registry.snapshot()
+        assert snapshot["pcqe.queries"] == 3
+        assert snapshot["pcqe.ask.latency_seconds"]["count"] == 1
+
+    def test_audited_batch_journals_a_trail_per_request(self, tmp_path):
+        """Regression: ``execute_many`` on an audited engine used to journal
+        nothing at all — releases and a write-back with no audit frame."""
+        db, policies = self._setup()
+        path = tmp_path / "audit.log"
+        with AuditLog(str(path)) as log:
+            batch = PCQEngine(
+                db, policies, solver="greedy", audit=log
+            ).execute_many(
+                [
+                    QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 1.0),
+                    QueryRequest("SELECT k FROM m", "p", 0.0),
+                ],
+                user="u",
+            )
+        assert batch.improved
+        records = read_audit_log(path)
+        trails = build_trails(records)
+        assert list(trails) == ["q1", "q2"]
+        for trail, result in zip(trails.values(), batch.results):
+            assert trail.query is not None and trail.outcome is not None
+            initial = [r for r in trail.decisions if r["phase"] == "initial"]
+            assert len(initial) == len(result.raw_result)
+            assert trail.outcome["released"] == len(result.released)
+        improved, neighbour = trails.values()
+        assert improved.outcome["status"] == "improved"
+        assert neighbour.outcome["status"] == "satisfied"
+        # The write-back is in the trail it was quoted for — and in the
+        # neighbour's, whose g1 rows it lifted over the threshold too.
+        (increment,) = improved.increments
+        assert increment["approved"] and increment["cost"] == batch.receipt.total_cost
+        assert neighbour.increments == [increment | {"query_id": "q2"}]
+        lifted = [r for r in neighbour.decisions if r["phase"] == "post_increment"]
+        assert [r["verdict"] for r in lifted] == ["released", "released"]
+        for query_id in trails:
+            story = explain_decision(records, query_id, "t0")
+            assert "verdict changed: blocked → released" in story
+            assert "increment (applied)" in story
+
+    def test_unaffected_neighbour_trail_has_no_increment(self, tmp_path):
+        db, policies = self._setup()
+        for row in list(db.table("m").scan()):
+            if row.values[1] == "g2":
+                db.set_confidence(row.tid, 0.9)
+        path = tmp_path / "audit.log"
+        with AuditLog(str(path)) as log:
+            PCQEngine(db, policies, solver="greedy", audit=log).execute_many(
+                [
+                    QueryRequest("SELECT k FROM m WHERE grp = 'g1'", "p", 1.0),
+                    QueryRequest("SELECT k FROM m WHERE grp = 'g2'", "p", 1.0),
+                ],
+                user="u",
+            )
+        improved, neighbour = build_trails(read_audit_log(path)).values()
+        assert improved.increments and not neighbour.increments
+        assert {r["phase"] for r in neighbour.decisions} == {"initial"}

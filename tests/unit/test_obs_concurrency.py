@@ -1,10 +1,11 @@
 """Thread-safety tests for the observability layer.
 
-The degradation chain runs solver attempts on worker threads, so the
-instruments they touch — counters, gauges, histograms, the registry's
-get-or-create, and the tracer's contextvar-based span parenting — must
-hold up under concurrency: counters must not lose increments and spans
-must not adopt parents from unrelated threads.
+The server runs sessions in parallel on its worker pool (the degradation
+chain itself runs on its caller's thread), so the instruments an ask
+touches — counters, gauges, histograms, the registry's get-or-create, and
+the tracer's contextvar-based span parenting — must hold up under
+concurrency: counters must not lose increments and spans must not adopt
+parents from unrelated threads.
 """
 
 from __future__ import annotations

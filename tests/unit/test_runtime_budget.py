@@ -315,8 +315,8 @@ class TestDegradationChain:
         )
 
     def test_worker_thread_spans_nest_under_the_attempt(self, problem):
-        """contextvars are copied into the worker, so solver spans keep
-        their parent across the thread hop."""
+        """An attempt runs on the caller's thread inside its attempt span,
+        so spans the solver opens nest under it."""
 
         def traced(problem, budget=None):
             with get_tracer().span("custom.inner"):
@@ -328,6 +328,26 @@ class TestDegradationChain:
         (attempt,) = sink.find("pcqe.solver_attempt")
         (inner,) = sink.find("custom.inner")
         assert inner.parent_id == attempt.span_id
+
+    def test_a_deadline_solve_starts_no_thread(self, problem, no_new_threads):
+        """Budgets are cooperative: the chain runs every hop — also a
+        budgeted one that falls back — on the calling thread."""
+        import threading
+
+        caller = threading.get_ident()
+        ran_on = []
+
+        def tracked(problem, budget=None):
+            ran_on.append(threading.get_ident())
+            return solve_greedy(problem, None, budget)
+
+        chain = DegradationChain(
+            [self._timeout_solver(), SolverAttempt("tracked", tracked)],
+            deadline_ms=60_000.0,
+        )
+        plan = chain.solve(problem, deadline_ms=30_000.0)
+        assert plan.degraded
+        assert ran_on == [caller]
 
     def test_each_hop_gets_a_fresh_budget(self, problem):
         """The fallback must not inherit the exhausted budget."""

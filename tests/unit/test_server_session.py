@@ -141,3 +141,30 @@ class TestSessionWrites:
         observer.refresh()
         assert observer.seq == mvcc.current_seq
         observer.close()
+
+
+class TestSessionSolves:
+    def test_every_ask_carries_the_same_chain(self, serving):
+        """The fallback hops are not conditional on a deadline: a hop can
+        only follow a budget running out, which needs one."""
+        mvcc, scenario = serving
+        with Session(
+            mvcc, scenario.policies, "bob", "investment", solver="heuristic"
+        ) as session:
+            assert session.fallback == ("greedy",)
+            result = session.ask(scenario.QUERY, required_fraction=1.0)
+        assert result.status.value == "improved"
+        assert not result.degraded
+        assert result.quote.plan.algorithm == "heuristic"
+        with _session(serving) as session:  # greedy has no cheaper hop
+            assert session.fallback == ()
+
+    def test_a_deadline_ask_starts_no_thread(self, serving, no_new_threads):
+        mvcc, scenario = serving
+        with Session(
+            mvcc, scenario.policies, "bob", "investment", solver="heuristic"
+        ) as session:
+            result = session.ask(
+                scenario.QUERY, required_fraction=1.0, deadline_ms=60_000.0
+            )
+        assert result.status.value == "improved"
