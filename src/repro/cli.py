@@ -55,9 +55,9 @@ Observability flags (before any command arguments):
     <tuple-id>`` replays the deterministic explanation and ``audit
     list`` summarizes recorded queries (see ``docs/OBSERVABILITY.md``).
 
-Telemetry commands: ``metrics dump [path]`` writes the OpenMetrics
-exposition, ``metrics serve [port]`` / ``metrics stop`` run the
-``/metrics`` HTTP endpoint.
+Telemetry command: ``metrics dump [path]`` writes the OpenMetrics
+exposition of the process's registry (a served database answers the
+same text to the ``metrics`` wire op).
 """
 
 from __future__ import annotations
@@ -124,7 +124,6 @@ class CommandShell:
             from .obs.audit import AuditLog
 
             self.audit = AuditLog(audit_log)
-        self.metrics_server = None
         self._commands: dict[str, Callable[[str], str]] = {
             "create": self._cmd_create,
             "load": self._cmd_load,
@@ -154,16 +153,17 @@ class CommandShell:
         self.serve_drain_timeout: float | None = None
 
     def close(self) -> None:
-        """Flush and detach the durable database, audit log, and server."""
-        self.db.close()
+        """Stop serving, then close the audit log, then the database.
+
+        The server goes first (draining when ``--drain-timeout`` was
+        given): a session write it acknowledged after the database had
+        closed would not be in the log.
+        """
+        if self.pcqe_server is not None:
+            self._cmd_serve("stop")
         if self.audit is not None:
             self.audit.close()
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
-            self.metrics_server = None
-        if self.pcqe_server is not None:
-            self.pcqe_server.stop()
-            self.pcqe_server = None
+        self.db.close()
 
     # -- dispatch -----------------------------------------------------------
 
@@ -531,41 +531,19 @@ class CommandShell:
         raise CommandError(usage)
 
     def _cmd_metrics(self, rest: str) -> str:
-        """``metrics dump [path]`` / ``metrics serve [port]`` / ``metrics stop``."""
-        usage = "usage: metrics dump [path] | metrics serve [port] | metrics stop"
+        """``metrics dump [path]``."""
+        usage = "usage: metrics dump [path]"
         parts = shlex.split(rest)
-        if not parts:
+        if not parts or parts[0] != "dump" or len(parts) > 2:
             raise CommandError(usage)
-        from .obs import MetricsServer, render_openmetrics
+        from .obs import render_openmetrics
 
-        if parts[0] == "dump":
-            text = render_openmetrics()
-            if len(parts) == 2:
-                with open(parts[1], "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                return f"metrics written to {parts[1]}"
-            if len(parts) == 1:
-                return text.rstrip("\n")
-            raise CommandError(usage)
-        if parts[0] == "serve":
-            if self.metrics_server is not None:
-                raise CommandError(
-                    f"metrics server already running at {self.metrics_server.url}"
-                )
-            try:
-                port = int(parts[1]) if len(parts) == 2 else 0
-            except ValueError:
-                raise CommandError(usage) from None
-            self.metrics_server = MetricsServer(port=port).start()
-            return f"serving OpenMetrics at {self.metrics_server.url}"
-        if parts[0] == "stop":
-            if self.metrics_server is None:
-                raise CommandError("no metrics server running")
-            url = self.metrics_server.url
-            self.metrics_server.stop()
-            self.metrics_server = None
-            return f"stopped metrics server at {url}"
-        raise CommandError(usage)
+        text = render_openmetrics()
+        if len(parts) == 2:
+            with open(parts[1], "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return f"metrics written to {parts[1]}"
+        return text.rstrip("\n")
 
     # -- serving ---------------------------------------------------------------
 

@@ -58,7 +58,6 @@ from ..increment import (
     LocalSearchOptions,
     SimulatedImprovementService,
     SolverAttempt,
-    as_budgeted,
     solve_dnc,
     solve_greedy,
     solve_heuristic,
@@ -300,7 +299,7 @@ class PCQEngine:
         if isinstance(entry, str):
             return SolverAttempt(entry, make_solver(entry))
         name = getattr(entry, "__name__", None) or type(entry).__name__
-        return SolverAttempt(name, as_budgeted(entry))
+        return SolverAttempt(name, entry)
 
     # -- pipeline ----------------------------------------------------------
 

@@ -33,7 +33,6 @@ __all__ = [
     "UnknownRoleError",
     "UnknownUserError",
     "UnknownPurposeError",
-    "PolicyViolationError",
     "NoApplicablePolicyError",
     "CostModelError",
     "IncrementError",
@@ -54,7 +53,6 @@ __all__ = [
     "NotPrimaryError",
     "ReplicaLagError",
     "StaleEpochError",
-    "DivergedLogError",
     "QuarantinedTableError",
     "ReplicationTimeoutError",
 ]
@@ -191,10 +189,6 @@ class UnknownUserError(PolicyError):
 
 class UnknownPurposeError(PolicyError):
     """A referenced purpose is not registered."""
-
-
-class PolicyViolationError(PolicyError):
-    """An operation was denied by policy."""
 
 
 class NoApplicablePolicyError(PolicyError):
@@ -416,16 +410,6 @@ class StaleEpochError(ReplicationError):
     """
 
     fields = ("stale_epoch", "current_epoch")
-
-
-class DivergedLogError(ReplicationError):
-    """A replica's WAL disagrees with the primary's at a position both
-    claim to hold — the replica must truncate to the common prefix and
-    resync before serving again.
-    """
-
-    fields = ("diverged_at",)
-    diverged_at = 0
 
 
 class QuarantinedTableError(ReplicationError):

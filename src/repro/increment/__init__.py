@@ -30,7 +30,6 @@ from .runtime import (
     DegradationChain,
     PartialProgress,
     SolverAttempt,
-    as_budgeted,
 )
 from .problem import (
     BaseTupleState,
@@ -63,7 +62,6 @@ __all__ = [
     "DegradationChain",
     "PartialProgress",
     "SolverAttempt",
-    "as_budgeted",
     "ImprovementService",
     "SimulatedImprovementService",
     "ImprovementAction",

@@ -49,7 +49,6 @@ __all__ = [
     "PartialProgress",
     "SolverAttempt",
     "DegradationChain",
-    "as_budgeted",
     "budget_exceeded",
     "RunFrame",
     "run_frame",
@@ -286,55 +285,10 @@ def run_frame(
         yield RunFrame(algorithm, budget, stats, span)
 
 
-#: A solver that accepts an optional budget.
+#: A solver the chain can run.  It is called as ``solve(problem, budget)``
+#: with *budget* ``None`` when no deadline applies, so a custom solver is
+#: ``def solve(problem, budget=None)`` — what ``make_solver`` returns.
 BudgetedSolver = Callable[["IncrementProblem", "Budget | None"], "IncrementPlan"]
-
-
-def as_budgeted(solver: Callable[..., "IncrementPlan"]) -> BudgetedSolver:
-    """Adapt *solver* to the ``(problem, budget)`` calling convention.
-
-    Solvers built by :func:`~repro.core.framework.make_solver` (and the
-    ``solve_*`` functions themselves) already accept a budget; plain
-    single-argument callables — e.g. pre-existing custom solvers — are
-    wrapped so the budget is simply not enforced for them.
-    """
-
-    def adaptive(
-        problem: "IncrementProblem", budget: "Budget | None" = None
-    ) -> "IncrementPlan":
-        try:
-            return solver(problem, budget=budget)
-        except TypeError:
-            if budget is not None:
-                raise
-            return solver(problem)
-
-    import inspect
-
-    try:
-        parameters = inspect.signature(solver).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return adaptive
-    if any(
-        name == "budget" or parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for name, parameter in parameters.items()
-    ):
-        # Always pass the budget by keyword: the ``solve_*`` functions take
-        # ``(problem, options=None, budget=None)``, so a positional second
-        # argument would land in the options slot.
-        return lambda problem, budget=None: solver(problem, budget=budget)
-    positional = [
-        parameter
-        for parameter in parameters.values()
-        if parameter.kind
-        in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        )
-    ]
-    if len(positional) >= 2:
-        return solver  # type: ignore[return-value]  # (problem, budget)
-    return lambda problem, budget=None: solver(problem)
 
 
 @dataclass(frozen=True)

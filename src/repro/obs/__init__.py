@@ -6,22 +6,21 @@ greedy gain recomputation, D&C partitioning), so a run can explain itself:
 
 * :class:`Tracer` — nested spans with a contextvar current-span and
   pluggable sinks (:class:`InMemorySink` ring buffer, :class:`JsonLinesSink`
-  file, :class:`LoggingSink` stdlib bridge).  Disabled by default: with no
-  sink attached, ``tracer.span(...)`` is a shared no-op.
+  file).  Disabled by default: with no sink attached, ``tracer.span(...)``
+  is a shared no-op.
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket histograms
   under flat dotted names (``solver.heuristic.nodes_pruned_h3``,
   ``executor.columnar.scan.rows_emitted``, ``policy.rows_withheld`` …).
 * :func:`solver_run` — the one timing context manager all four increment
   solvers share (span + ``stats.elapsed_seconds`` + metric emission).
 * :class:`ProfileReport` — the stage breakdown ``PCQEngine`` attaches to a
-  result under ``profile=True``.
+  result under ``profile=True``; built from spans, it is the one profiler.
 * :func:`configure_logging` — one-call stdlib-logging setup for the
   package's module loggers.
-* :func:`render_openmetrics` / :func:`parse_openmetrics` /
-  :class:`MetricsServer` — OpenMetrics text exposition of the registry,
-  its strict validator, and a zero-dependency ``/metrics`` HTTP server.
-* :class:`SamplingProfiler` — a ``sys._current_frames`` stack sampler
-  with flame-style per-stage reports that reconcile against span trees.
+* :func:`render_openmetrics` / :func:`parse_openmetrics` — OpenMetrics
+  text exposition of the registry and its strict validator.  The registry
+  leaves the process through the shell's ``metrics dump`` and the
+  server's ``metrics`` op, both of which render this text.
 * :mod:`repro.obs.audit` (imported directly, not re-exported here) — the
   append-only decision audit journal and its replay/explain tooling.
 
@@ -47,14 +46,12 @@ from .metrics import (
     set_metrics,
 )
 from .profile import ProfileReport
-from .profiler import SamplingProfiler, StackProfile
 from .export import (
-    MetricsServer,
     OpenMetricsParseError,
     parse_openmetrics,
     render_openmetrics,
 )
-from .sinks import InMemorySink, JsonLinesSink, LoggingSink, SpanSink
+from .sinks import InMemorySink, JsonLinesSink, SpanSink
 from .tracer import Span, SpanEvent, Tracer, get_tracer, set_tracer
 
 __all__ = [
@@ -66,7 +63,6 @@ __all__ = [
     "SpanSink",
     "InMemorySink",
     "JsonLinesSink",
-    "LoggingSink",
     "Counter",
     "Gauge",
     "Histogram",
@@ -75,9 +71,6 @@ __all__ = [
     "set_metrics",
     "metrics_diff",
     "ProfileReport",
-    "SamplingProfiler",
-    "StackProfile",
-    "MetricsServer",
     "OpenMetricsParseError",
     "parse_openmetrics",
     "render_openmetrics",

@@ -230,22 +230,6 @@ class AuditLog:
         self._metrics.counter("audit.queries").inc()
         return query_id
 
-    def record_decision(
-        self,
-        query_id: str,
-        tuple_id: str,
-        *,
-        values: Iterable[Any],
-        confidence: float,
-        verdict: str,
-        phase: str,
-        lineage: Iterable[tuple[str, float]],
-    ) -> None:
-        """One result tuple's verdict under one enforcement pass."""
-        self.record_decisions(
-            query_id, [(tuple_id, values, confidence, verdict, phase, lineage)]
-        )
-
     def record_decisions(
         self,
         query_id: str,

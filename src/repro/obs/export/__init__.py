@@ -6,8 +6,6 @@
   and labels sanitized to the spec's grammar, terminated by ``# EOF``.
 * :func:`parse_openmetrics` — a strict parser for the same format; the
   round-trip validator CI runs against every dump.
-* :class:`MetricsServer` — a zero-dependency ``http.server`` exposing
-  ``/metrics`` (the shell's ``metrics serve``).
 """
 
 from .openmetrics import (
@@ -16,12 +14,10 @@ from .openmetrics import (
     render_openmetrics,
     sanitize_metric_name,
 )
-from .server import MetricsServer
 
 __all__ = [
     "OpenMetricsParseError",
     "parse_openmetrics",
     "render_openmetrics",
     "sanitize_metric_name",
-    "MetricsServer",
 ]

@@ -1,26 +1,23 @@
 """Span sinks: where completed spans go.
 
-Three zero-dependency exporters:
+Two zero-dependency exporters:
 
 * :class:`InMemorySink` — a bounded ring buffer, for tests and the
   ``profile=True`` stage breakdown;
 * :class:`JsonLinesSink` — one JSON object per line, the ``--trace-out``
-  format readable by ``jq`` or any trace viewer after a tiny conversion;
-* :class:`LoggingSink` — bridges spans onto a stdlib ``logging`` logger so
-  existing log pipelines pick traces up without new plumbing.
+  format readable by ``jq`` or any trace viewer after a tiny conversion.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import threading
 from collections import deque
 from typing import IO, Any, Protocol
 
 from .tracer import Span
 
-__all__ = ["SpanSink", "InMemorySink", "JsonLinesSink", "LoggingSink"]
+__all__ = ["SpanSink", "InMemorySink", "JsonLinesSink"]
 
 
 class SpanSink(Protocol):
@@ -127,32 +124,3 @@ class JsonLinesSink:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-class LoggingSink:
-    """Emits one log record per completed span on a stdlib logger."""
-
-    def __init__(
-        self,
-        logger: "logging.Logger | str" = "repro.trace",
-        level: int = logging.DEBUG,
-    ) -> None:
-        self._logger = (
-            logging.getLogger(logger) if isinstance(logger, str) else logger
-        )
-        self._level = level
-
-    def export(self, span: Span) -> None:
-        if not self._logger.isEnabledFor(self._level):
-            return
-        duration = span.duration_seconds or 0.0
-        self._logger.log(
-            self._level,
-            "span %s trace=%s id=%d parent=%s %.6fs %s",
-            span.name,
-            span.trace_id,
-            span.span_id,
-            span.parent_id,
-            duration,
-            span.attributes or "",
-        )

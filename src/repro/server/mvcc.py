@@ -208,10 +208,6 @@ class SnapshotTable:
                     self._column_cache = cache
         return cache
 
-    def index_on(self, column: str):
-        """Snapshots carry no hash indexes; engines fall back to scans."""
-        return None
-
     def lookup(self, column: str, value: Any) -> list[StoredTuple]:
         column_index = self._schema.index_of(column)
         return [
@@ -248,9 +244,6 @@ class SnapshotTable:
 
     def assign_confidences(self, *args, **kwargs):
         self._readonly("assign_confidences")
-
-    def create_index(self, *args, **kwargs):
-        self._readonly("create_index")
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"SnapshotTable({self._name!r}, {len(self)} rows)"

@@ -21,7 +21,6 @@ from .durability import (
     SimulatedCrash,
     recover,
 )
-from .index import HashIndex
 from .schema import Column, Schema
 from .statistics import ColumnStatistics, TableStatistics, collect_statistics
 from .table import Table
@@ -39,7 +38,6 @@ __all__ = [
     "TupleId",
     "StoredTuple",
     "Table",
-    "HashIndex",
     "Database",
     "load_csv",
     "dump_csv",

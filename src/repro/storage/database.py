@@ -168,7 +168,7 @@ class Database:
     def clone(self, name: str | None = None) -> "Database":
         """A deep copy for what-if analysis.
 
-        Tuple ids, values, confidences, cost models, indexes and view
+        Tuple ids, values, confidences, cost models and view
         definitions are all copied, so an improvement plan can be applied
         to the clone (e.g. to preview post-improvement query results)
         without touching the original.  Cost-model objects are shared —
@@ -177,8 +177,6 @@ class Database:
         copy = Database(name if name is not None else f"{self.name}-clone")
         for table in self.tables():
             cloned = copy.create_table(table.name, table.schema.unqualified())
-            for column_index in table._indexes:
-                cloned.create_index(table.schema[column_index].name)
             for row in table.scan():
                 # Plain insert would renumber ordinals after deletes; keep
                 # the original ids so lineage stays valid across the clone.

@@ -169,10 +169,12 @@ def decode_schema(columns: list[list[Any]]) -> Schema:
 #:
 #: ``update`` (one row, the whole value tuple) and ``set_confidence`` are
 #: what the single-row ``Table.update`` / ``Table.set_confidence`` API
-#: writes.  ``confidences`` (``[table, ordinal, value]`` triples) is
-#: **read-only legacy**: nothing writes it any more, but logs written
-#: before ``update_rows`` hold it and replay through the same
-#: :func:`~repro.storage.durability.recovery.apply_op`.
+#: writes.  ``confidences`` (``[table, ordinal, value]`` triples) and
+#: ``create_index`` are **read-only legacy**: nothing writes them any
+#: more, but older logs hold them and replay through the same
+#: :func:`~repro.storage.durability.recovery.apply_op` — the first as
+#: per-row ``set_confidence`` calls, the second as no state change
+#: (tables keep no secondary index).
 OP_KINDS = frozenset(
     {
         "create_table",

@@ -68,9 +68,6 @@ def snapshot_payload(db: "Database", wal_seq: int) -> dict[str, Any]:
                 "name": table.name,
                 "columns": encode_schema(table.schema),
                 "next_ordinal": table._next_ordinal,
-                "indexes": [
-                    table.schema[index].name for index in table._indexes
-                ],
                 "rows": [
                     {
                         "o": row.tid.ordinal,
@@ -96,7 +93,8 @@ def populate_database(db: "Database", payload: dict[str, Any]) -> int:
 
     Shared between cold recovery (:func:`database_from_payload`) and a
     replica's in-place resync rebuild.  Returns the payload's
-    ``wal_seq``.
+    ``wal_seq``.  A table's ``indexes`` list, which older snapshots
+    carry, is ignored: tables keep no secondary index.
     """
     from ..tuples import StoredTuple, TupleId
 
@@ -107,8 +105,6 @@ def populate_database(db: "Database", payload: dict[str, Any]) -> int:
     try:
         for spec in payload["tables"]:
             table = db.create_table(spec["name"], decode_schema(spec["columns"]))
-            for column in spec.get("indexes", ()):
-                table.create_index(column)
             for row in spec["rows"]:
                 table._force_insert(
                     StoredTuple(

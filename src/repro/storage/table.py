@@ -4,8 +4,7 @@ A :class:`Table` is a heap of :class:`~repro.storage.tuples.StoredTuple`
 objects over a fixed :class:`~repro.storage.schema.Schema`.  Inserts validate
 values against the schema and assign monotonically increasing ordinals (and
 hence stable :class:`~repro.storage.tuples.TupleId` values, even across
-deletes).  Hash indexes can be attached per column to accelerate equality
-scans and joins.
+deletes).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..cost import CostModel, FreeCost
 from ..errors import SchemaError, UnknownTupleError
-from .index import HashIndex
 from .schema import Schema
 from .tuples import StoredTuple, TupleId
 from .types import coerce_value
@@ -59,7 +57,6 @@ class Table:
         self._schema = schema.qualify(name)
         self._rows: dict[int, StoredTuple] = {}
         self._next_ordinal = 0
-        self._indexes: dict[int, HashIndex] = {}
         #: Durability hook (``Callable[[dict], None]``); None = in-memory.
         self._journal = None
         # Materialized read views, built lazily on first scan and reused
@@ -198,8 +195,6 @@ class Table:
                 cost_model=cost_model if cost_model is not None else FreeCost(),
             )
             self._rows[tid.ordinal] = row
-            for column_index, index in self._indexes.items():
-                index.add(coerced[column_index], tid)
             self._record_change((tid.ordinal,))
             if self._journal is not None:
                 self._journal(
@@ -229,10 +224,8 @@ class Table:
         Raises :class:`~repro.errors.UnknownTupleError` if absent.
         """
         with self._lock:
-            row = self._lookup(tid)
+            self._lookup(tid)
             del self._rows[tid.ordinal]
-            for column_index, index in self._indexes.items():
-                index.remove(row.values[column_index], tid)
             self._record_change((tid.ordinal,))
             if self._journal is not None:
                 self._journal(
@@ -258,10 +251,10 @@ class Table:
     def update(self, tid: TupleId, values: Sequence[Any]) -> None:
         """Replace tuple *tid*'s values (validated against the schema).
 
-        The tuple keeps its id, confidence and cost model; indexes are
-        maintained.  Note that lineage referencing the id continues to
-        refer to the (now updated) tuple — UPDATE models a correction of
-        the stored fact, not a new fact.
+        The tuple keeps its id, confidence and cost model.  Note that
+        lineage referencing the id continues to refer to the (now updated)
+        tuple — UPDATE models a correction of the stored fact, not a new
+        fact.
         """
         row = self._lookup(tid)
         if len(values) != len(self._schema):
@@ -277,9 +270,6 @@ class Table:
             if value is None and not column.nullable:
                 raise SchemaError(f"column {column.qualified_name} is NOT NULL")
         with self._lock:
-            for column_index, index in self._indexes.items():
-                index.remove(row.values[column_index], tid)
-                index.add(coerced[column_index], tid)
             row.values = coerced
             self._record_change((tid.ordinal,))
             if self._journal is not None:
@@ -310,8 +300,7 @@ class Table:
         Every ordinal is resolved and every value and confidence coerced
         and validated before the first row changes, so a rejected row
         leaves the table — and the journal — exactly as they were.  The
-        whole set is one lock hold, one :attr:`data_version` bump, index
-        maintenance for assigned indexed columns only, and one
+        whole set is one lock hold, one :attr:`data_version` bump and one
         ``update_rows`` journal record.  Crash recovery and a replica
         replay that record through this same method.
         """
@@ -363,20 +352,11 @@ class Table:
                 ]
             # Nothing below this line can be refused.
             if assigned:
-                indexed = [
-                    (position, self._indexes[position])
-                    for position in columns
-                    if position in self._indexes
-                ]
                 for row, new in zip(rows, zip(*assigned)):
-                    old = row.values
-                    fresh = list(old)
+                    fresh = list(row.values)
                     for position, value in zip(columns, new):
                         fresh[position] = value
                     row.values = tuple(fresh)
-                    for position, index in indexed:
-                        index.remove(old[position], row.tid)
-                        index.add(fresh[position], row.tid)
             if confidences is not None:
                 for row, value in zip(rows, confidences):
                     row.confidence = value
@@ -467,41 +447,9 @@ class Table:
                     self._column_cache = cache
         return cache
 
-    # -- indexing --------------------------------------------------------
-
-    def create_index(self, column: str) -> None:
-        """Create (or no-op if present) a hash index on *column*."""
-        column_index = self._schema.index_of(column)
-        with self._lock:
-            if column_index in self._indexes:
-                return
-            index = HashIndex()
-            for row in self._rows.values():
-                index.add(row.values[column_index], row.tid)
-            self._indexes[column_index] = index
-        if self._journal is not None:
-            self._journal(
-                {
-                    "op": "create_index",
-                    "table": self._name,
-                    "column": self._schema[column_index].name,
-                }
-            )
-
-    def index_on(self, column: str) -> HashIndex | None:
-        """The hash index on *column*, if one exists."""
-        try:
-            column_index = self._schema.index_of(column)
-        except SchemaError:
-            return None
-        return self._indexes.get(column_index)
-
     def lookup(self, column: str, value: Any) -> list[StoredTuple]:
-        """All tuples whose *column* equals *value*, via index if available."""
+        """All tuples whose *column* equals *value*, in scan order."""
         column_index = self._schema.index_of(column)
-        index = self._indexes.get(column_index)
-        if index is not None:
-            return [self._rows[tid.ordinal] for tid in index.find(value)]
         return [
             row
             for row in self.scan()
@@ -529,8 +477,6 @@ class Table:
                 self._ordered = False  # may sit below an existing ordinal
             self._rows[ordinal] = copy
             self._next_ordinal = max(self._next_ordinal, ordinal + 1)
-            for column_index, index in self._indexes.items():
-                index.add(copy.values[column_index], copy.tid)
             self._record_change((ordinal,))
 
     # -- bulk helpers ----------------------------------------------------

@@ -7,7 +7,9 @@ history, that must be indistinguishable from copying the whole table:
 * **Equivalence** — after every publish the new snapshot equals a
   from-scratch full copy (scan order, ``rows``, ``get``, ``lookup``,
   ``len``, confidences, ``column_data`` — with the previous column cache
-  built and unbuilt);
+  built and unbuilt); and ``lookup`` on the live table, on the snapshot
+  and the scan-order filter are one list, order included, whatever
+  ``insert`` / ``update_rows`` / ``delete`` came before;
 * **Immutability** — every snapshot still pinned, and the previous
   generation, is bit-unchanged and holds the very same row objects;
 * **Sharing** — rows the commit did not touch are the previous
@@ -36,6 +38,11 @@ _POSITIONS = st.integers(0, 10_000)
 _mutations = st.one_of(
     st.tuples(st.just("insert"), _KEYS),
     st.tuples(st.just("update"), _POSITIONS, _KEYS),
+    st.tuples(
+        st.just("update_rows"),
+        st.lists(_POSITIONS, min_size=1, max_size=4),
+        _KEYS,
+    ),
     st.tuples(st.just("delete"), _POSITIONS),
     st.tuples(st.just("set_confidence"), _POSITIONS, _CONFIDENCES),
     st.tuples(
@@ -98,6 +105,12 @@ def _mutate(db: Database, mutation: tuple) -> "set[int] | None":
         row = pick(position)
         table.update(row.tid, [key, row.values[1] + "'", float(key)])
         return {row.tid.ordinal}
+    if kind == "update_rows":
+        positions, key = args
+        # Distinct, in the generated (not scan) order: statement order.
+        ordinals = list(dict.fromkeys(pick(p).tid.ordinal for p in positions))
+        table.update_rows(ordinals, [0], [[key] * len(ordinals)])
+        return set(ordinals)
     if kind == "delete":
         row = pick(args[0])
         table.delete(row.tid)
@@ -137,9 +150,11 @@ def _assert_equals_full_copy(snapshot: SnapshotTable, db: Database) -> None:
     with pytest.raises(UnknownTupleError):
         snapshot.get(TupleId("t", 1_000_000))
     for key in range(-3, 4):
-        assert [row.tid for row in snapshot.lookup("k", key)] == [
-            row.tid for row in reference.lookup("k", key)
+        in_scan_order = [
+            row.tid for row in live.scan() if row.values[0] == key
         ]
+        for table in (snapshot, reference, live):
+            assert [row.tid for row in table.lookup("k", key)] == in_scan_order
 
 
 class _Frozen:

@@ -360,7 +360,6 @@ class TestRowSetRecords:
                             confidence=0.5,
                             cost_model=LinearCost(2.0),
                         )
-                db.table("t").create_index("name")
 
             primary.mvcc.commit(seed)
             for step in steps:

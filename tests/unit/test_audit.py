@@ -50,14 +50,9 @@ def write_one_query(log: AuditLog) -> str:
     log.record_increment(
         query_id, approved=True, cost=100.0, targets={"Proposal:1": 0.6}
     )
-    log.record_decision(
+    log.record_decisions(
         query_id,
-        "t0",
-        values=["A", 1.5],
-        confidence=0.6,
-        verdict="released",
-        phase="post_increment",
-        lineage=[("Proposal:1", 0.6)],
+        [("t0", ["A", 1.5], 0.6, "released", "post_increment", [("Proposal:1", 0.6)])],
     )
     log.end_query(query_id, status="improved", released=2, withheld=0)
     return query_id

@@ -275,23 +275,10 @@ class TestMetricsCommands:
         assert str(target) in output
         parse_openmetrics(target.read_text())
 
-    def test_metrics_serve_and_stop(self, shell):
-        import urllib.request
-
-        output = shell.execute_line("metrics serve 0")
-        assert "serving OpenMetrics at http://" in output
-        url = shell.metrics_server.url
-        with urllib.request.urlopen(url, timeout=5) as response:
-            assert response.status == 200
-        with pytest.raises(CommandError):
-            shell.execute_line("metrics serve 0")  # already running
-        assert "stopped" in shell.execute_line("metrics stop")
-        with pytest.raises(CommandError):
-            shell.execute_line("metrics stop")  # nothing running
-
     def test_metrics_usage_error(self, shell):
-        with pytest.raises(CommandError):
-            shell.execute_line("metrics")
+        for line in ("metrics", "metrics serve 0", "metrics stop", "metrics dump a b"):
+            with pytest.raises(CommandError, match="usage: metrics dump"):
+                shell.execute_line(line)
 
 
 class TestProfileAskAuditLine:
@@ -379,3 +366,36 @@ class TestMainEntry:
     def test_help(self):
         shell = CommandShell()
         assert "ask" in shell.execute_line("help")
+
+
+class TestServeLifecycle:
+    def test_close_stops_the_server_before_the_database(self, tmp_path, monkeypatch):
+        from repro.server import ServerClient
+        from repro.storage import Database
+
+        data_dir = str(tmp_path / "state")
+        shell = CommandShell(data_dir=data_dir)
+        bootstrap(shell)
+        shell.execute_line("serve 0")
+        server = shell.pcqe_server
+        host, port = server.host, server.port
+        with ServerClient(host, port, user="mira", purpose="reporting") as client:
+            assert client.sql("INSERT INTO items VALUES ('a', 1.0)")["ok"]
+
+        stopped_first = []
+        close_database = Database.close
+
+        def checked_close(db):
+            # A session write acknowledged from here on would not be logged.
+            stopped_first.append(server._thread is None)
+            close_database(db)
+
+        monkeypatch.setattr(Database, "close", checked_close)
+        shell.close()
+        assert stopped_first == [True] and shell.pcqe_server is None
+        with pytest.raises(ConnectionError):  # refused, not acknowledged
+            ServerClient(host, port, user="mira", purpose="reporting")
+        monkeypatch.undo()
+        recovered = Database.open(data_dir)
+        assert recovered.table("items").rows() == [("a", 1.0)]
+        recovered.close()

@@ -13,7 +13,6 @@ def db() -> Database:
     table = database.create_table(
         "t", Schema.of(("k", TEXT), ("v", REAL))
     )
-    table.create_index("k")
     first = table.insert(["a", 1.0], confidence=0.3, cost_model=LinearCost(10.0))
     table.insert(["b", 2.0], confidence=0.5)
     table.delete(first)  # leave an ordinal gap
@@ -53,7 +52,6 @@ class TestClone:
         copy = db.clone()
         matches = copy.table("t").lookup("k", "b")
         assert len(matches) == 1
-        assert copy.table("t").index_on("k") is not None
 
     def test_views_copied(self, db):
         copy = db.clone()

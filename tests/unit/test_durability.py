@@ -24,13 +24,17 @@ from repro.storage.durability import (
     atomic_write_bytes,
     atomic_write_text,
     crc32c,
+    database_fingerprints,
+    database_from_payload,
     decode_cost_model,
     decode_op,
     encode_cost_model,
     encode_op,
+    fsck_data_dir,
     load_snapshot,
     recover,
     scan_wal,
+    snapshot_payload,
     write_snapshot,
 )
 from repro.storage.durability.wal import truncate_torn_tail
@@ -315,7 +319,6 @@ def _sample_db() -> Database:
     table.insert([2, None], confidence=1.0)
     tid = table.insert([3, "z"])
     table.delete(tid)  # leaves an ordinal gap the snapshot must keep
-    table.create_index("a")
     db.create_view("v", "SELECT a FROM t")
     return db
 
@@ -330,10 +333,23 @@ def test_snapshot_roundtrip_preserves_everything(tmp_path):
     assert table.rows() == [(1, "x"), (2, None)]
     assert table.get(next(iter(table.scan())).tid).confidence == 0.25
     assert table._next_ordinal == 3  # the deleted ordinal is not reused
-    assert table.index_on("a") is not None
     assert restored.view_definition("v") == "SELECT a FROM t"
     model = next(iter(table.scan())).cost_model
     assert isinstance(model, LinearCost) and model.rate == 3.0
+
+
+def test_snapshot_payload_declaring_indexes_still_loads():
+    # Snapshots written before hash indexes were removed list them per
+    # table; the key is ignored and the state is the same without it.
+    db = _sample_db()
+    payload = snapshot_payload(db, wal_seq=7)
+    assert "indexes" not in payload["tables"][0]
+    legacy = json.loads(json.dumps(payload))
+    legacy["tables"][0]["indexes"] = ["a"]
+    restored, wal_seq = database_from_payload(legacy)
+    assert wal_seq == 7
+    assert database_fingerprints(restored) == database_fingerprints(db)
+    assert [r.values for r in restored.table("t").lookup("a", 2)] == [(2, None)]
 
 
 def test_snapshot_detects_bitflip(tmp_path):
@@ -455,6 +471,27 @@ def test_recover_rejects_unknown_table_reference(tmp_path):
     log.close()
     with pytest.raises(CorruptLogError):
         recover(data_dir)
+
+
+def test_recover_replays_a_legacy_create_index_record_as_no_change(tmp_path):
+    data_dir = str(tmp_path / "state")
+    db = Database.open(data_dir)
+    db.create_table("t", _schema("a")).insert([1])
+    before = database_fingerprints(db)
+    db.close()
+    # What Table.create_index journaled before hash indexes were removed.
+    log = WriteAheadLog(os.path.join(data_dir, "wal.log"))
+    log.append(
+        json.dumps(
+            {"op": "create_index", "table": "t", "column": "a", "seq": 3}
+        ).encode()
+    )
+    log.close()
+    recovered, report = recover(data_dir)
+    assert report.records_replayed == 3 and report.last_seq == 3
+    assert database_fingerprints(recovered) == before
+    assert recovered.table("t").rows() == [(1,)]
+    assert fsck_data_dir(data_dir).clean
 
 
 def test_recover_empty_directory_is_first_boot(tmp_path):

@@ -165,14 +165,6 @@ class TestTableFingerprints:
         table.insert(["y"], confidence=0.5)
         assert table_fingerprint(table) != base
 
-    def test_indexes_do_not_affect_the_fingerprint(self):
-        db = Database("a")
-        table = db.create_table("t", Schema.of(("name", TEXT)))
-        table.insert(["x"], confidence=0.5)
-        before = table_fingerprint(table)
-        table.create_index("name")
-        assert table_fingerprint(table) == before
-
     def test_snapshot_tables_fingerprint_like_live_tables(self):
         from repro.server.mvcc import MVCCDatabase
 

@@ -9,7 +9,6 @@ import pytest
 from repro.obs import (
     InMemorySink,
     JsonLinesSink,
-    LoggingSink,
     MetricsRegistry,
     ProfileReport,
     TIMING_BUCKETS,
@@ -181,13 +180,6 @@ class TestSinks:
         with tracer.span("op"):
             pass
         assert json.loads(buffer.getvalue())["name"] == "op"
-
-    def test_logging_sink_bridges_to_stdlib(self, caplog):
-        tracer = Tracer(sinks=[LoggingSink("repro.trace.test", logging.INFO)])
-        with caplog.at_level(logging.INFO, logger="repro.trace.test"):
-            with tracer.span("bridged"):
-                pass
-        assert any("bridged" in record.message for record in caplog.records)
 
 
 class TestMetrics:

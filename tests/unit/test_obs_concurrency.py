@@ -14,7 +14,8 @@ import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.increment import DegradationChain, SolverAttempt, as_budgeted, solve_greedy
+from repro.core import make_solver
+from repro.increment import DegradationChain, SolverAttempt
 from repro.obs import (
     JsonLinesSink,
     MetricsRegistry,
@@ -193,7 +194,7 @@ class TestThreadedEngineUse:
             chain = DegradationChain(
                 [
                     SolverAttempt("flaky", flaky),
-                    SolverAttempt("greedy", as_budgeted(solve_greedy)),
+                    SolverAttempt("greedy", make_solver("greedy")),
                 ]
             )
             plans = []
@@ -217,7 +218,7 @@ class TestThreadedEngineUse:
                 WorkloadSpec(data_size=15, tuples_per_result=4), seed=1
             ).problem
             chain = DegradationChain(
-                [SolverAttempt("greedy", as_budgeted(solve_greedy))]
+                [SolverAttempt("greedy", make_solver("greedy"))]
             )
             with tracer.capture() as sink:
 

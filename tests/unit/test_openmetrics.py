@@ -1,11 +1,8 @@
-"""Unit tests for the OpenMetrics exposition, parser, and server."""
-
-import urllib.error
-import urllib.request
+"""Unit tests for the OpenMetrics exposition and parser."""
 
 import pytest
 
-from repro.obs import MetricsRegistry, MetricsServer
+from repro.obs import MetricsRegistry
 from repro.obs.export import (
     OpenMetricsParseError,
     parse_openmetrics,
@@ -15,7 +12,6 @@ from repro.obs.export.openmetrics import (
     sanitize_label_value,
     sanitize_metric_name,
 )
-from repro.obs.export.server import CONTENT_TYPE
 
 
 def populated_registry() -> MetricsRegistry:
@@ -221,32 +217,3 @@ class TestStrictParserRejections:
             parse_openmetrics(
                 '# TYPE h histogram\nh_bucket{le="1",le="2"} 1\n# EOF\n'
             )
-
-
-class TestMetricsServer:
-    def test_serves_the_registry_as_openmetrics(self):
-        registry = populated_registry()
-        with MetricsServer(registry, port=0) as server:
-            with urllib.request.urlopen(server.url, timeout=5) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"] == CONTENT_TYPE
-                body = response.read().decode("utf-8")
-        families = parse_openmetrics(body)
-        assert families["solver_greedy_runs"]["type"] == "counter"
-
-    def test_unknown_path_is_404(self):
-        with MetricsServer(MetricsRegistry(), port=0) as server:
-            url = server.url.replace("/metrics", "/anything")
-            with pytest.raises(urllib.error.HTTPError) as info:
-                urllib.request.urlopen(url, timeout=5)
-            assert info.value.code == 404
-
-    def test_double_start_raises_and_stop_is_idempotent(self):
-        server = MetricsServer(MetricsRegistry(), port=0)
-        server.start()
-        try:
-            with pytest.raises(RuntimeError):
-                server.start()
-        finally:
-            server.stop()
-        server.stop()

@@ -12,6 +12,7 @@ The contract under test (docs/ROBUSTNESS.md):
 
 import pytest
 
+from repro.core import make_solver
 from repro.errors import IncrementError, TimeBudgetExceeded
 from repro.increment import (
     Budget,
@@ -19,7 +20,6 @@ from repro.increment import (
     GreedyOptions,
     HeuristicOptions,
     SolverAttempt,
-    as_budgeted,
     solve_dnc,
     solve_greedy,
     solve_heuristic,
@@ -58,8 +58,8 @@ def fresh_metrics():
 
 
 def _greedy_attempt() -> SolverAttempt:
-    """Greedy as a chain hop, adapted to the (problem, budget) convention."""
-    return SolverAttempt("greedy", as_budgeted(solve_greedy))
+    """Greedy as a chain hop, under the (problem, budget=None) contract."""
+    return SolverAttempt("greedy", make_solver("greedy"))
 
 
 class TestBudget:
@@ -160,43 +160,6 @@ class TestBudgetExceededHelper:
         assert error.partial.cost == 0.0
         assert error.partial.targets == {}
         assert str(error) == "boom"
-
-
-class TestAsBudgeted:
-    def test_budget_reaches_a_keyword_budget_solver(self, problem):
-        # The adapter must forward by keyword: ``solve_greedy(problem,
-        # budget)`` positionally would put the budget in the options slot.
-        adapted = as_budgeted(solve_greedy)
-        with pytest.raises(TimeBudgetExceeded):
-            adapted(problem, Budget(node_limit=0))
-
-        def custom(problem, budget=None):
-            return ("plan", budget)
-
-        marker = Budget(node_limit=7)
-        assert as_budgeted(custom)(problem, marker) == ("plan", marker)
-
-    def test_two_positional_solver_passes_through(self, problem):
-        def positional(problem, limits):
-            return ("plan", limits)
-
-        assert as_budgeted(positional) is positional
-
-    def test_single_argument_solver_is_wrapped(self, problem):
-        calls = []
-
-        def legacy(problem):
-            calls.append(problem)
-            return "plan"
-
-        adapted = as_budgeted(legacy)
-        assert adapted is not legacy
-        assert adapted(problem, Budget(node_limit=1)) == "plan"
-        assert calls == [problem]
-
-    def test_unintrospectable_callable_still_runs(self, problem):
-        adapted = as_budgeted(len)  # builtins have no retrievable signature
-        assert adapted([1, 2], None) == 2
 
 
 class TestSolverExhaustion:

