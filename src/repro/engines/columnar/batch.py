@@ -71,6 +71,13 @@ class ColumnBatch:
             self._lineage = [var(tid) for tid in self._tids]
         return self._lineage
 
+    def tids(self) -> Sequence[TupleId]:
+        """Each row's base tuple — for a batch that is still rows of one
+        table (a scan under filters and projections), nothing else."""
+        if self._tids is None:
+            return [formula.tid for formula in self._lineage]
+        return self._tids
+
     # -- row views -------------------------------------------------------
 
     def row(self, index: int) -> tuple[Any, ...]:

@@ -37,7 +37,7 @@ from ...obs import TIMING_BUCKETS, get_metrics, get_tracer
 from .batch import ColumnBatch
 from . import kernels
 
-__all__ = ["execute"]
+__all__ = ["execute", "run_batch"]
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +58,11 @@ _KERNELS: dict[type, Callable[..., ColumnBatch]] = {
 
 def execute(plan: PlanNode) -> ResultSet:
     """Run *plan* on the columnar engine; materialize rows at the root."""
-    return _run(plan).to_result_set()
+    return run_batch(plan).to_result_set()
 
 
-def _run(node: PlanNode) -> ColumnBatch:
+def run_batch(node: PlanNode) -> ColumnBatch:
+    """Run *node*, result left columnar (DML reads tuple ids off it)."""
     operator = type(node).__name__
     kernel = _KERNELS.get(type(node))
     if kernel is None:
@@ -70,10 +71,10 @@ def _run(node: PlanNode) -> ColumnBatch:
     started = time.perf_counter()
     if tracer.enabled:
         with tracer.span(f"columnar.{operator.lower()}") as span:
-            batch = kernel(node, *map(_run, node.children))
+            batch = kernel(node, *map(run_batch, node.children))
             span.set_attribute("rows_emitted", batch.length)
     else:
-        batch = kernel(node, *map(_run, node.children))
+        batch = kernel(node, *map(run_batch, node.children))
     elapsed = time.perf_counter() - started
 
     metrics = get_metrics()

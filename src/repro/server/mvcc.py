@@ -47,11 +47,20 @@ from ..obs import get_metrics
 from ..storage.database import Database
 from ..storage.schema import Schema
 from ..storage.table import Table
-from ..storage.tuples import StoredTuple, TupleId
+from ..storage.tuples import StoredTuple, TupleId, column_view
 
 __all__ = ["MVCCDatabase", "Snapshot", "SnapshotDatabase", "SnapshotTable"]
 
 T = TypeVar("T")
+
+
+def _refused(operation: str):
+    """The mutator *operation* as a snapshot view has it: a refusal."""
+
+    def refuse(self, *args, **kwargs):
+        self._readonly(operation)
+
+    return refuse
 
 
 class SnapshotTable:
@@ -194,17 +203,7 @@ class SnapshotTable:
             with self._column_lock:
                 cache = self._column_cache
                 if cache is None:
-                    tids = [row.tid for row in self._rows_sorted]
-                    if self._rows_sorted:
-                        columns = tuple(
-                            list(column)
-                            for column in zip(
-                                *[row.values for row in self._rows_sorted]
-                            )
-                        )
-                    else:
-                        columns = tuple([] for _ in self._schema)
-                    cache = (columns, tids)
+                    cache = column_view(self._rows_sorted, len(self._schema))
                     self._column_cache = cache
         return cache
 
@@ -224,26 +223,14 @@ class SnapshotTable:
             f"snapshots are immutable; commit through MVCCDatabase.commit"
         )
 
-    def insert(self, *args, **kwargs):
-        self._readonly("insert")
-
-    def insert_many(self, *args, **kwargs):
-        self._readonly("insert_many")
-
-    def delete(self, *args, **kwargs):
-        self._readonly("delete")
-
-    def update(self, *args, **kwargs):
-        self._readonly("update")
-
-    def set_confidence(self, *args, **kwargs):
-        self._readonly("set_confidence")
-
-    def update_rows(self, *args, **kwargs):
-        self._readonly("update_rows")
-
-    def assign_confidences(self, *args, **kwargs):
-        self._readonly("assign_confidences")
+    insert = _refused("insert")
+    delete = _refused("delete")
+    update = _refused("update")
+    set_confidence = _refused("set_confidence")
+    insert_rows = _refused("insert_rows")
+    delete_rows = _refused("delete_rows")
+    update_rows = _refused("update_rows")
+    assign_confidences = _refused("assign_confidences")
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"SnapshotTable({self._name!r}, {len(self)} rows)"
@@ -339,23 +326,12 @@ class SnapshotDatabase:
             f"are immutable; commit through MVCCDatabase.commit"
         )
 
-    def create_table(self, *args, **kwargs):
-        self._readonly("create_table")
-
-    def drop_table(self, *args, **kwargs):
-        self._readonly("drop_table")
-
-    def create_view(self, *args, **kwargs):
-        self._readonly("create_view")
-
-    def drop_view(self, *args, **kwargs):
-        self._readonly("drop_view")
-
-    def set_confidence(self, *args, **kwargs):
-        self._readonly("set_confidence")
-
-    def apply_confidences(self, *args, **kwargs):
-        self._readonly("apply_confidences")
+    create_table = _refused("create_table")
+    drop_table = _refused("drop_table")
+    create_view = _refused("create_view")
+    drop_view = _refused("drop_view")
+    set_confidence = _refused("set_confidence")
+    apply_confidences = _refused("apply_confidences")
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return (
@@ -462,11 +438,13 @@ class MVCCDatabase:
 
         The mutation executes under the commit lock inside one durability
         batch, so concurrent commits serialize and a durable database
-        recovers the whole commit or none of it.  If *mutate* raises, no
-        generation is published (the live tables may have partially
-        changed — the caller's exception reports that — but no snapshot
-        ever observes the partial state, and the next successful commit
-        re-publishes everything whose version moved).
+        recovers the whole commit or none of it.  A *statement* that
+        raises has changed nothing — storage validates it whole before its
+        first row moves — so there is nothing to flush or re-publish.  A
+        *mutate* that applied one mutation and then raised is the
+        remaining case: no generation is published, the batch journals
+        what was applied, and no snapshot observes it until the next
+        successful commit publishes everything whose version moved.
         """
         with self._commit_lock:
             with self._db.durability_batch():

@@ -12,8 +12,11 @@ directly:
   optional confidence clause re-scores the corrected fact.
 * ``DELETE FROM t [WHERE p]``
 
-Value expressions in INSERT are constants (no row in scope); UPDATE/DELETE
-expressions evaluate against the target table's schema.
+Value expressions in INSERT are constants (no row in scope).  The rows an
+UPDATE/DELETE touches are what ``Filter(Scan(t), where)`` selects on the
+columnar engine — the SELECT's own predicate path — and every statement
+is one storage call (``insert_rows`` / ``update_rows`` / ``delete_rows``):
+validated whole, applied whole, journaled whole.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ import time
 from dataclasses import dataclass
 
 from ..algebra.expressions import Expression
-from ..errors import BindError, PlanError, ReproError, SqlError
+from ..algebra.plan import Filter, Project, ProjectItem, Scan
+from ..engines.columnar.batch import ColumnBatch
+from ..engines.columnar.engine import run_batch
+from ..errors import BindError, PlanError, SchemaError, SqlError
 from ..obs import TIMING_BUCKETS, get_metrics
 from ..storage.database import Database
 from ..storage.schema import Column, Schema
@@ -92,18 +98,15 @@ def _dispatch_dml(db: Database, command) -> DmlResult:
         db.drop_table(command.name)
         return DmlResult("DROP TABLE", 0)
     if isinstance(command, CreateViewStatement):
-        # Validate the definition against the current catalog before
-        # registering it (the text is what the catalog stores).
+        # The catalog stores the text; it registers and journals the view
+        # only once the definition has planned against it.
         from .planner import plan_statement
 
-        db.create_view(command.name, command.definition_sql)
-        try:
-            plan_statement(db, command.query)
-        except ReproError:
-            # Expected validation failures (unknown columns, bad plans):
-            # unregister the half-created view, then surface the error.
-            db.drop_view(command.name)
-            raise
+        db.create_view(
+            command.name,
+            command.definition_sql,
+            validate=lambda: plan_statement(db, command.query),
+        )
         return DmlResult("CREATE VIEW", 0)
     if isinstance(command, DropViewStatement):
         db.drop_view(command.name)
@@ -133,8 +136,6 @@ def _create_table(db: Database, command: CreateTableStatement) -> DmlResult:
 
 def _constant(expression: Expression, context: str):
     """Evaluate a row-independent expression (INSERT values, confidence)."""
-    from ..errors import SchemaError
-
     try:
         bound = expression.bind(_EMPTY_SCHEMA)
     except (BindError, SchemaError) as error:
@@ -165,68 +166,60 @@ def _insert(db: Database, command: InsertStatement) -> DmlResult:
         if len(set(positions)) != len(positions):
             raise SqlError("duplicate column in INSERT column list")
     confidence = _confidence_value(command.confidence)
-    tids = []
-    # One WAL record per statement: a multi-row INSERT recovers atomically.
-    with db.durability_batch():
-        for row in command.rows:
-            if len(row) != len(positions):
-                raise SqlError(
-                    f"INSERT row has {len(row)} values for "
-                    f"{len(positions)} columns"
-                )
-            values: list = [None] * len(schema)
-            for position, expression in zip(positions, row):
-                values[position] = _constant(expression, "INSERT value")
-            tids.append(
-                table.insert(
-                    values,
-                    confidence=1.0 if confidence is None else confidence,
-                )
+    rows = []
+    for row in command.rows:
+        if len(row) != len(positions):
+            raise SqlError(
+                f"INSERT row has {len(row)} values for "
+                f"{len(positions)} columns"
             )
+        values: list = [None] * len(schema)
+        for position, expression in zip(positions, row):
+            values[position] = _constant(expression, "INSERT value")
+        rows.append(values)
+    # One storage call and one WAL record per statement, whatever the row
+    # count; a row the schema rejects leaves every row as it was.
+    tids = table.insert_rows(rows, 1.0 if confidence is None else confidence)
     return DmlResult("INSERT", len(tids), tuple(tids))
 
 
-def _matching_rows(table, where: Expression | None):
-    if where is None:
-        return list(table.scan())
-    bound = where.bind(table.schema)
-    if bound.dtype is not BOOLEAN:
-        raise SqlError("WHERE clause must be boolean")
-    return [row for row in table.scan() if bound.evaluate(row.values) is True]
+def _selected(table, where: Expression | None, items=()) -> ColumnBatch:
+    """The rows of *table* a statement's WHERE selects — what a SELECT's
+    own ``Filter`` keeps, on the engine, so the clause binds, type-checks,
+    evaluates and fails as it does in a query — projected to *items*."""
+    plan = Scan(table)
+    if where is not None:
+        plan = Filter(plan, where)
+    if items:
+        plan = Project(plan, items)
+    return run_batch(plan)
 
 
 def _update(db: Database, command: UpdateStatement) -> DmlResult:
     table = db.table(command.table)
-    schema = table.schema
-    assignments = []
-    seen = set()
-    for name, expression in command.assignments:
-        position = schema.index_of(name)
-        if position in seen:
+    positions = []
+    for name, _ in command.assignments:
+        position = table.schema.index_of(name)
+        if position in positions:
             raise SqlError(f"column {name!r} assigned twice")
-        seen.add(position)
-        assignments.append((position, expression.bind(schema)))
+        positions.append(position)
     confidence = _confidence_value(command.confidence)
-
-    affected = _matching_rows(table, command.where)
-    # One storage call and one WAL record per statement, whatever the row
-    # count; a row the schema rejects leaves every row as it was.
-    table.update_rows(
-        [row.tid.ordinal for row in affected],
-        [position for position, _ in assignments],
-        [
-            [bound.evaluate(row.values) for row in affected]
-            for _, bound in assignments
-        ],
-        confidence,
+    # The SET expressions ride the WHERE's batch as its projection: one
+    # value column per assigned column, still carrying the tuple ids.
+    batch = _selected(
+        table,
+        command.where,
+        [ProjectItem(expression, name) for name, expression in command.assignments],
     )
-    return DmlResult("UPDATE", len(affected), tuple(row.tid for row in affected))
+    tids = tuple(batch.tids())
+    table.update_rows(
+        [tid.ordinal for tid in tids], positions, batch.columns, confidence
+    )
+    return DmlResult("UPDATE", len(tids), tids)
 
 
 def _delete(db: Database, command: DeleteStatement) -> DmlResult:
     table = db.table(command.table)
-    affected = _matching_rows(table, command.where)
-    with db.durability_batch():
-        for row in affected:
-            table.delete(row.tid)
-    return DmlResult("DELETE", len(affected), tuple(row.tid for row in affected))
+    tids = tuple(_selected(table, command.where).tids())
+    table.delete_rows([tid.ordinal for tid in tids])
+    return DmlResult("DELETE", len(tids), tids)

@@ -63,7 +63,7 @@ def load_csv(
     extra columns other than ``__confidence__`` are rejected to catch schema
     drift early.  Malformed cells raise :class:`~repro.errors.SchemaError`
     naming the file, row number and column, and ``__confidence__`` values
-    must be numbers in [0, 1].
+    must be numbers in [0, 1]; a file with a bad line loads no row at all.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as handle:
@@ -99,7 +99,7 @@ def load_csv(
             f"CSV has columns {extras!r} not in table {table.name!r}"
         )
 
-    count = 0
+    rows, confidences = [], []
     for row_number, row in enumerate(reader, start=2):  # 1 is the header
         if not row:
             continue
@@ -129,9 +129,10 @@ def load_csv(
                     f"column {CONFIDENCE_COLUMN!r}: "
                     f"confidence {confidence} outside [0, 1]"
                 )
-        table.insert(values, confidence=confidence, cost_model=cost_model)
-        count += 1
-    return count
+        rows.append(values)
+        confidences.append(confidence)
+    # Every line parsed: the file is one mutation.
+    return len(table.insert_rows(rows, confidences, cost_model))
 
 
 def dump_csv(table: Table, target: str | Path | TextIO) -> int:

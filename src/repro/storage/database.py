@@ -101,9 +101,10 @@ class Database:
     def durability_batch(self) -> ContextManager[Any]:
         """Context manager grouping enclosed mutations into one WAL record.
 
-        Multi-row DML statements and accepted increment strategies wrap
-        themselves in this so they recover atomically.  For in-memory
-        databases this is a free no-op.
+        One statement is already one mutation and one record; this groups
+        what spans mutations — a commit's statement plus its idempotency
+        marker, a strategy's write-back over several tables — so it
+        recovers atomically.  For in-memory databases this is a free no-op.
         """
         if self._durability is None:
             return nullcontext()
@@ -191,16 +192,27 @@ class Database:
     # SQL planner expands them at plan time, so views compose with lineage
     # and confidence like any derived table.
 
-    def create_view(self, name: str, sql: str) -> None:
+    def create_view(
+        self, name: str, sql: str, validate: Callable[[], Any] | None = None
+    ) -> None:
         """Register a named view over *sql* (a SELECT statement).
 
-        The definition is validated lazily, at first use; names share the
-        table namespace (a view cannot shadow a table).
+        Names share the table namespace (a view cannot shadow a table).
+        *validate* runs with the view registered (a definition that reads
+        itself must plan as the cycle it is) and before anything is
+        journaled: if it raises, the view is un-registered and the log
+        untouched.  Without it the definition is validated at first use.
         """
         key = name.lower()
         if key in self._tables or key in self._views:
             raise DuplicateTableError(f"table or view {name!r} already exists")
         self._views[key] = sql
+        if validate is not None:
+            try:
+                validate()
+            except BaseException:
+                del self._views[key]
+                raise
         self._journal({"op": "create_view", "name": name, "sql": sql})
 
     def drop_view(self, name: str) -> None:
@@ -246,27 +258,20 @@ class Database:
     def apply_confidences(self, updates: Mapping[TupleId, float]) -> None:
         """Apply a batch of confidence updates atomically-in-effect.
 
-        All updates are validated before any is applied, so a bad target
-        leaves the database unchanged.  Each table takes its share as one
+        All updates are validated (``StoredTuple.checked_confidence``)
+        before any is applied, so a bad target leaves the database
+        unchanged.  Each table takes its share as one
         :meth:`~repro.storage.table.Table.update_rows` call; on a durable
         database the whole batch — e.g. an accepted increment strategy's
         write-back — is journaled as ONE atomic WAL record: recovery sees
         either none of the strategy or all of it.
         """
-        rows = [(self.resolve(tid), value) for tid, value in updates.items()]
-        for row, value in rows:
-            if value > row.max_confidence or not 0.0 <= value <= 1.0:
-                from ..errors import InvalidConfidenceError
-
-                raise InvalidConfidenceError(
-                    f"confidence {value} invalid for {row.tid} "
-                    f"(max {row.max_confidence})"
-                )
         by_table: dict[str, tuple[list[int], list[float]]] = {}
-        for row, value in rows:
+        for tid, value in updates.items():
+            row = self.resolve(tid)
             ordinals, values = by_table.setdefault(row.tid.table, ([], []))
             ordinals.append(row.tid.ordinal)
-            values.append(value)
+            values.append(row.checked_confidence(value))
         with self.durability_batch():
             for table_name, (ordinals, values) in by_table.items():
                 self.table(table_name).update_rows(ordinals, confidence=values)

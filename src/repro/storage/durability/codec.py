@@ -15,7 +15,7 @@ Operation kinds are listed at :data:`OP_KINDS`, with which of them are
 still written and which are only read.  A record's size is what every
 later stage pays for — the primary's checksum and fsync, the replication
 feed's byte budget, the replica's checksum and replay — so the one
-multi-row kind, ``update_rows``, is columnar: ordinals, then one value
+row-set kind, ``update_rows``, is columnar: ordinals, then one value
 list per *assigned* column, then one confidence or one per row.
 """
 
@@ -150,16 +150,17 @@ def decode_schema(columns: list[list[Any]]) -> Schema:
 # -- logical operations ----------------------------------------------------
 
 #: Every operation kind the WAL can carry.  ``batch`` wraps a list of
-#: sub-operations committed as one atomic record (a multi-row INSERT or
-#: DELETE, a write-back that spans tables, a statement plus its dedup
-#: marker).  ``idempotency`` is a state no-op marker journaled alongside
-#: a write so the (client, key) dedup map survives crash recovery and
-#: replication.
+#: sub-operations committed as one atomic record (the ``insert`` /
+#: ``delete`` ops of a multi-row ``Table.insert_rows`` / ``delete_rows``,
+#: a write-back that spans tables, a statement plus its dedup marker).
+#: ``idempotency`` is a state no-op marker journaled alongside a write so
+#: the (client, key) dedup map survives crash recovery and replication.
 #:
 #: ``update_rows`` is "a statement changed these rows of this table" —
-#: what every multi-row writer emits (SQL ``UPDATE``, a strategy's
-#: write-back, ``Table.assign_confidences``), columnar so its size
-#: follows the rows and columns that changed and nothing else::
+#: what every updating writer emits (SQL ``UPDATE``, a strategy's
+#: write-back, ``Table.assign_confidences``, the one-row ``Table.update``
+#: / ``set_confidence``), columnar so its size follows the rows and
+#: columns that changed and nothing else::
 #:
 #:     {"op": "update_rows", "table": T,
 #:      "ordinals":   [o1, o2, …],          # the rows, in statement order
@@ -167,13 +168,12 @@ def decode_schema(columns: list[list[Any]]) -> Schema:
 #:      "values":     [[v(c1,o1), v(c1,o2), …], …],   # one list per column
 #:      "confidence": null | p | [p1, p2, …]}         # keep | uniform | per row
 #:
-#: ``update`` (one row, the whole value tuple) and ``set_confidence`` are
-#: what the single-row ``Table.update`` / ``Table.set_confidence`` API
-#: writes.  ``confidences`` (``[table, ordinal, value]`` triples) and
+#: ``update`` (one row, the whole value tuple), ``set_confidence``,
+#: ``confidences`` (``[table, ordinal, value]`` triples) and
 #: ``create_index`` are **read-only legacy**: nothing writes them any
-#: more, but older logs hold them and replay through the same
-#: :func:`~repro.storage.durability.recovery.apply_op` — the first as
-#: per-row ``set_confidence`` calls, the second as no state change
+#: more (9 kinds are written), but older logs hold them and replay through
+#: the same :func:`~repro.storage.durability.recovery.apply_op` — the
+#: first three as ``update_rows`` of one row, the last as no state change
 #: (tables keep no secondary index).
 OP_KINDS = frozenset(
     {

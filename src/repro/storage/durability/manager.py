@@ -3,10 +3,11 @@
 A :class:`DurabilityManager` attaches to a
 :class:`~repro.storage.database.Database` and receives every logical
 mutation through the journal hooks (``Table._journal`` and the
-database's catalog paths).  Each op becomes one fsync'd WAL record — a
-multi-row UPDATE is already one op, ``update_rows``; :meth:`batch`
-groups what is not (a multi-row INSERT or DELETE, a write-back that
-spans tables, a statement plus its idempotency marker) into a single
+database's catalog paths).  Each hand-off becomes one fsync'd WAL record
+— a statement is one mutation and one hand-off: an ``update_rows`` op, or
+the ``insert`` / ``delete`` ops of a multi-row INSERT / DELETE as one
+``batch``; :meth:`batch` groups what spans hand-offs (a write-back over
+several tables, a statement plus its idempotency marker) into a single
 atomic record; :meth:`checkpoint` writes a checksummed snapshot and
 compacts the WAL.
 
@@ -120,13 +121,21 @@ class DurabilityManager:
     # -- journaling --------------------------------------------------------
 
     def log_op(self, op: dict[str, Any]) -> None:
-        """Journal one logical op (buffered inside an open batch)."""
+        """Journal one mutation — one op, or a ``batch`` of them (a multi-row
+        insert or delete); buffered, flat, inside an open batch."""
         if self._suspended:
             return
+        ops = op["ops"] if op["op"] == "batch" else [op]
         if self._batch is not None:
-            self._batch.append(op)
-            return
-        self._commit(op)
+            self._batch.extend(ops)
+        else:
+            self._commit_ops(ops)
+
+    def _commit_ops(self, ops: "list[dict[str, Any]]") -> None:
+        if len(ops) == 1:
+            self._commit(ops[0])
+        elif ops:
+            self._commit({"op": "batch", "ops": ops})
 
     @contextmanager
     def suspended(self) -> Iterator[None]:
@@ -190,10 +199,11 @@ class DurabilityManager:
     def batch(self) -> Iterator[None]:
         """Group every op journaled inside into one atomic WAL record.
 
-        The buffered ops are committed even when the guarded statement
-        raises: journal hooks fire *after* each in-memory mutation, so
-        the buffer is exactly what was applied — flushing it keeps the
-        log and the in-memory state convergent on partial failures.
+        A statement that raises has changed — so buffered — nothing, but
+        the block may be any callable, one that applied a mutation and then
+        raised: the buffered ops are committed even then.  Journal hooks
+        fire *after* each in-memory mutation, so the buffer is exactly what
+        was applied, and flushing it keeps log and memory convergent.
         Nested batches flatten into the outermost record.
         """
         if self._batch is not None:
@@ -204,10 +214,7 @@ class DurabilityManager:
             yield
         finally:
             buffered, self._batch = self._batch, None
-            if len(buffered) == 1:
-                self._commit(buffered[0])
-            elif buffered:
-                self._commit({"op": "batch", "ops": buffered})
+            self._commit_ops(buffered)
 
     def _commit(self, op: dict[str, Any]) -> None:
         encoded = encode_op(op)

@@ -21,11 +21,12 @@ state, never a third.
 
 :func:`apply_op` is the one replay function: ``recover`` calls it per
 record, and a replica calls it per shipped frame.  It replays through
-the storage layer's own mutators — an ``update_rows`` record is one
-:meth:`~repro.storage.table.Table.update_rows` call, the call the
-primary's commit made — and it still understands the kinds older logs
-hold (per-row ``update`` / ``set_confidence`` inside a ``batch``,
-triple-shaped ``confidences``); there is no second decoder.
+the storage layer's own row-set mutators — an ``update_rows`` record is
+one :meth:`~repro.storage.table.Table.update_rows` call, the call the
+primary's commit made, a ``delete`` op one ``delete_rows`` — and it still
+understands the kinds older logs hold (per-row ``update`` /
+``set_confidence``, triple-shaped ``confidences``: each an
+``update_rows`` of one row); there is no second decoder.
 """
 
 from __future__ import annotations
@@ -117,15 +118,7 @@ def apply_op(db: "Database", op: dict[str, Any]) -> None:
                 )
             )
         elif kind == "delete":
-            db.table(op["table"]).delete(TupleId(op["table"], op["ordinal"]))
-        elif kind == "update":
-            db.table(op["table"]).update(
-                TupleId(op["table"], op["ordinal"]), op["values"]
-            )
-        elif kind == "set_confidence":
-            db.table(op["table"]).set_confidence(
-                TupleId(op["table"], op["ordinal"]), op["confidence"]
-            )
+            db.table(op["table"]).delete_rows([op["ordinal"]])
         elif kind == "update_rows":
             # The method the primary's commit ran: one call, one version
             # bump, and it journals nothing here (recovery has no manager
@@ -133,10 +126,21 @@ def apply_op(db: "Database", op: dict[str, Any]) -> None:
             db.table(op["table"]).update_rows(
                 op["ordinals"], op["columns"], op["values"], op["confidence"]
             )
+        # Read-only legacy kinds, replayed as the row sets of one they are.
+        elif kind == "update":
+            table = db.table(op["table"])
+            table.update_rows(
+                [op["ordinal"]],
+                range(len(table.schema)),
+                [[value] for value in op["values"]],
+            )
+        elif kind == "set_confidence":
+            db.table(op["table"]).update_rows(
+                [op["ordinal"]], confidence=op["confidence"]
+            )
         elif kind == "confidences":
-            # Legacy (pre-update_rows) write-back / assign_confidences.
             for table, ordinal, value in op["updates"]:
-                db.table(table).set_confidence(TupleId(table, ordinal), value)
+                db.table(table).update_rows([ordinal], confidence=value)
         elif kind == "idempotency":
             # Dedup marker: no state change.  The serving layer harvests
             # these during replication/recovery to rebuild its

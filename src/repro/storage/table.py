@@ -14,9 +14,9 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..cost import CostModel, FreeCost
-from ..errors import SchemaError, UnknownTupleError
-from .schema import Schema
-from .tuples import StoredTuple, TupleId
+from ..errors import SchemaError, StorageError, UnknownTupleError
+from .schema import Column, Schema
+from .tuples import StoredTuple, TupleId, column_view
 from .types import coerce_value
 
 __all__ = ["Table"]
@@ -41,11 +41,17 @@ class Table:
     while it was being built.  Readers of already-built caches stay
     lock-free.
 
-    When the owning database is durable, ``_journal`` holds the
+    A statement is one mutation: :meth:`insert_rows`, :meth:`update_rows`
+    and :meth:`delete_rows` are the only code that takes the lock to
+    change rows, records the change and journals it, and each resolves
+    every ordinal and validates every value and confidence before the
+    first row changes — a refused row leaves table and journal exactly as
+    they were.  When the owning database is durable, ``_journal`` holds the
     :meth:`~repro.storage.durability.manager.DurabilityManager.log_op`
-    hook; every successful mutation emits one logical operation *after*
-    applying it in memory, so the write-ahead log records exactly what
-    happened (see ``docs/ROBUSTNESS.md``).
+    hook; a mutation hands it over once, *after* applying it in memory, so
+    the write-ahead log records exactly what happened (see
+    ``docs/ROBUSTNESS.md``); crash recovery and a replica replay the
+    record through the same three.
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -159,128 +165,104 @@ class Table:
 
     # -- mutation --------------------------------------------------------
 
-    def insert(
-        self,
-        values: Sequence[Any],
-        confidence: float = 1.0,
-        cost_model: CostModel | None = None,
-    ) -> TupleId:
-        """Insert one tuple; returns its new :class:`TupleId`.
+    @staticmethod
+    def _coerced(column: Column, values: Iterable[Any]) -> list[Any]:
+        """*values* as *column* stores them (raises on type or NOT NULL)."""
+        dtype = column.dtype
+        coerced = [coerce_value(value, dtype) for value in values]
+        if not column.nullable and None in coerced:
+            raise SchemaError(f"column {column.qualified_name} is NOT NULL")
+        return coerced
 
-        Values are validated and coerced against the schema (ints widen to
-        float in REAL columns).  *confidence* defaults to fully trusted and
-        *cost_model* to free improvement.
-        """
-        if len(values) != len(self._schema):
+    def _per_row(self, confidence: Any, count: int) -> Iterable[float]:
+        """One confidence for every row, or one per row (*count* of them)."""
+        if isinstance(confidence, (int, float)):
+            return repeat(confidence, count)
+        if len(confidence) != count:
             raise SchemaError(
-                f"table {self._name!r} expects {len(self._schema)} values, "
-                f"got {len(values)}"
+                f"table {self._name!r}: {len(confidence)} confidences for "
+                f"{count} rows (give one, or one per row)"
             )
-        coerced = tuple(
-            coerce_value(value, column.dtype)
-            for value, column in zip(values, self._schema)
-        )
-        for value, column in zip(coerced, self._schema):
-            if value is None and not column.nullable:
-                raise SchemaError(
-                    f"column {column.qualified_name} is NOT NULL"
-                )
-        with self._lock:
-            tid = TupleId(self._name, self._next_ordinal)
-            self._next_ordinal += 1
-            row = StoredTuple(
-                tid=tid,
-                values=coerced,
-                confidence=confidence,
-                cost_model=cost_model if cost_model is not None else FreeCost(),
-            )
-            self._rows[tid.ordinal] = row
-            self._record_change((tid.ordinal,))
-            if self._journal is not None:
-                self._journal(
-                    {
-                        "op": "insert",
-                        "table": self._name,
-                        "ordinal": tid.ordinal,
-                        "values": row.values,
-                        "confidence": row.confidence,
-                        "cost_model": row.cost_model,
-                    }
-                )
-        return tid
+        return confidence
 
-    def insert_many(
+    def insert_rows(
         self,
         rows: Iterable[Sequence[Any]],
-        confidence: float = 1.0,
+        confidence: "float | Sequence[float]" = 1.0,
         cost_model: CostModel | None = None,
     ) -> list[TupleId]:
-        """Insert many tuples sharing the same annotations."""
-        return [self.insert(row, confidence, cost_model) for row in rows]
+        """Insert many tuples as ONE mutation; returns their new ids.
 
-    def delete(self, tid: TupleId) -> None:
-        """Remove the tuple with id *tid*.
-
-        Raises :class:`~repro.errors.UnknownTupleError` if absent.
+        Values are validated and coerced against the schema (ints widen to
+        float in REAL columns).  *confidence* is one number for every row
+        or one per row and defaults to fully trusted, *cost_model* to free
+        improvement.  One lock hold, one :attr:`data_version` bump and one
+        journal hand-off: a ``batch`` of one ``insert`` op per row (the
+        journal writes a batch of one as the bare op).
         """
-        with self._lock:
-            self._lookup(tid)
-            del self._rows[tid.ordinal]
-            self._record_change((tid.ordinal,))
-            if self._journal is not None:
-                self._journal(
-                    {"op": "delete", "table": self._name, "ordinal": tid.ordinal}
+        rows = list(rows)
+        if not rows:
+            return []
+        width = len(self._schema)
+        for row in rows:
+            if len(row) != width:
+                raise SchemaError(
+                    f"table {self._name!r} expects {width} values, "
+                    f"got {len(row)}"
                 )
-
-    def set_confidence(self, tid: TupleId, confidence: float) -> None:
-        """Overwrite the stored confidence of tuple *tid*."""
+        values = zip(*map(self._coerced, self._schema, zip(*rows)))
+        confidences = self._per_row(confidence, len(rows))
+        model = cost_model if cost_model is not None else FreeCost()
+        name = self._name
         with self._lock:
-            row = self._lookup(tid)
-            row.set_confidence(confidence)
-            self._record_change((tid.ordinal,))
+            ordinals = range(self._next_ordinal, self._next_ordinal + len(rows))
+            # Building a StoredTuple checks its confidence (range and cap).
+            stored = [
+                StoredTuple(TupleId(name, ordinal), row, row_confidence, model)
+                for ordinal, row, row_confidence in zip(
+                    ordinals, values, confidences
+                )
+            ]
+            # Nothing below this line can be refused.
+            self._next_ordinal = ordinals.stop
+            self._rows.update(zip(ordinals, stored))
+            self._record_change(ordinals)
             if self._journal is not None:
-                self._journal(
+                ops = [
                     {
-                        "op": "set_confidence",
-                        "table": self._name,
-                        "ordinal": tid.ordinal,
+                        "op": "insert",
+                        "table": name,
+                        "ordinal": row.tid.ordinal,
+                        "values": row.values,
                         "confidence": row.confidence,
+                        "cost_model": model,
                     }
-                )
+                    for row in stored
+                ]
+                self._journal({"op": "batch", "ops": ops})
+        return [row.tid for row in stored]
 
-    def update(self, tid: TupleId, values: Sequence[Any]) -> None:
-        """Replace tuple *tid*'s values (validated against the schema).
+    def delete_rows(self, ordinals: Iterable[int]) -> None:
+        """Remove many tuples as ONE mutation.
 
-        The tuple keeps its id, confidence and cost model.  Note that
-        lineage referencing the id continues to refer to the (now updated)
-        tuple — UPDATE models a correction of the stored fact, not a new
-        fact.
+        Raises :class:`~repro.errors.UnknownTupleError`, having removed
+        nothing, if any is absent.  One lock hold, one version bump, one
+        journal hand-off: a ``batch`` of one ``delete`` op per row.
         """
-        row = self._lookup(tid)
-        if len(values) != len(self._schema):
-            raise SchemaError(
-                f"table {self._name!r} expects {len(self._schema)} values, "
-                f"got {len(values)}"
-            )
-        coerced = tuple(
-            coerce_value(value, column.dtype)
-            for value, column in zip(values, self._schema)
-        )
-        for value, column in zip(coerced, self._schema):
-            if value is None and not column.nullable:
-                raise SchemaError(f"column {column.qualified_name} is NOT NULL")
+        ordinals = list(dict.fromkeys(ordinals))
+        if not ordinals:
+            return
         with self._lock:
-            row.values = coerced
-            self._record_change((tid.ordinal,))
+            self._resolved(ordinals)
+            for ordinal in ordinals:
+                del self._rows[ordinal]
+            self._record_change(ordinals)
             if self._journal is not None:
-                self._journal(
-                    {
-                        "op": "update",
-                        "table": self._name,
-                        "ordinal": tid.ordinal,
-                        "values": coerced,
-                    }
-                )
+                ops = [
+                    {"op": "delete", "table": self._name, "ordinal": ordinal}
+                    for ordinal in ordinals
+                ]
+                self._journal({"op": "batch", "ops": ops})
 
     def update_rows(
         self,
@@ -307,16 +289,12 @@ class Table:
         ordinals = list(ordinals)
         if not ordinals:
             return
-        scalar = isinstance(confidence, (int, float))
-        per_row = list(values)
-        if confidence is not None and not scalar:
-            per_row.append(confidence)
         if len(values) != len(columns) or any(
-            len(column) != len(ordinals) for column in per_row
+            len(column) != len(ordinals) for column in values
         ):
             raise SchemaError(
                 f"table {self._name!r}: update_rows needs one value per row "
-                f"for each assigned column, and one confidence or one per row"
+                f"for each assigned column"
             )
         if any(not 0 <= position < len(self._schema) for position in columns):
             raise SchemaError(
@@ -324,30 +302,17 @@ class Table:
                 f"{list(columns)}"
             )
         with self._lock:
-            stored = self._rows
-            try:
-                rows = [stored[ordinal] for ordinal in ordinals]
-            except KeyError as error:
-                raise UnknownTupleError(
-                    f"no tuple {self._name}:{error.args[0]} in table "
-                    f"{self._name!r}"
-                ) from None
-            assigned = []
-            for position, column_values in zip(columns, values):
-                column = self._schema[position]
-                dtype = column.dtype
-                coerced = [coerce_value(value, dtype) for value in column_values]
-                if not column.nullable and any(value is None for value in coerced):
-                    raise SchemaError(
-                        f"column {column.qualified_name} is NOT NULL"
-                    )
-                assigned.append(coerced)
+            rows = self._resolved(ordinals)
+            assigned = [
+                self._coerced(self._schema[position], column)
+                for position, column in zip(columns, values)
+            ]
             confidences = None
             if confidence is not None:
                 confidences = [
                     row.checked_confidence(value)
                     for row, value in zip(
-                        rows, repeat(confidence) if scalar else confidence
+                        rows, self._per_row(confidence, len(rows))
                     )
                 ]
             # Nothing below this line can be refused.
@@ -362,6 +327,7 @@ class Table:
                     row.confidence = value
             self._record_change(ordinals)
             if self._journal is not None:
+                scalar = isinstance(confidence, (int, float))
                 self._journal(
                     {
                         "op": "update_rows",
@@ -373,15 +339,59 @@ class Table:
                     }
                 )
 
+    def _resolved(self, ordinals: Sequence[int]) -> list[StoredTuple]:
+        try:
+            return [self._rows[ordinal] for ordinal in ordinals]
+        except KeyError as error:
+            raise UnknownTupleError(
+                f"no tuple {self._name}:{error.args[0]} in table "
+                f"{self._name!r}"
+            ) from None
+
+    # The one-row spellings of the three.
+
+    def insert(
+        self,
+        values: Sequence[Any],
+        confidence: float = 1.0,
+        cost_model: CostModel | None = None,
+    ) -> TupleId:
+        """Insert one tuple; returns its new :class:`TupleId`."""
+        return self.insert_rows([values], confidence, cost_model)[0]
+
+    def delete(self, tid: TupleId) -> None:
+        """Remove the tuple with id *tid* (raises if absent)."""
+        self.delete_rows([self.get(tid).tid.ordinal])
+
+    def set_confidence(self, tid: TupleId, confidence: float) -> None:
+        """Overwrite the stored confidence of tuple *tid*."""
+        self.update_rows([self.get(tid).tid.ordinal], confidence=confidence)
+
+    def update(self, tid: TupleId, values: Sequence[Any]) -> None:
+        """Replace tuple *tid*'s values (validated against the schema).
+
+        The tuple keeps its id, confidence and cost model.  Note that
+        lineage referencing the id continues to refer to the (now updated)
+        tuple — UPDATE models a correction of the stored fact, not a new
+        fact.
+        """
+        self.update_rows(
+            [self.get(tid).tid.ordinal],
+            range(len(self._schema)),
+            [[value] for value in values],
+        )
+
     # -- reading ---------------------------------------------------------
 
     def get(self, tid: TupleId) -> StoredTuple:
         """The stored tuple with id *tid* (raises if unknown)."""
-        return self._lookup(tid)
+        if tid.table != self._name or tid.ordinal not in self._rows:
+            raise UnknownTupleError(f"no tuple {tid} in table {self._name!r}")
+        return self._rows[tid.ordinal]
 
     def confidence_of(self, tid: TupleId) -> float:
         """Current confidence of tuple *tid*."""
-        return self._lookup(tid).confidence
+        return self.get(tid).confidence
 
     def scan(self) -> Iterator[StoredTuple]:
         """Iterate all tuples in insertion order.
@@ -434,15 +444,7 @@ class Table:
             with self._lock:
                 version = self.data_version
                 stored = self._sorted_rows()
-                tids = [row.tid for row in stored]
-                if stored:
-                    columns = tuple(
-                        list(column)
-                        for column in zip(*[row.values for row in stored])
-                    )
-                else:
-                    columns = tuple([] for _ in self._schema)
-                cache = (columns, tids)
+                cache = column_view(stored, len(self._schema))
                 if self.data_version == version:
                     self._column_cache = cache
         return cache
@@ -462,8 +464,6 @@ class Table:
         Used by :meth:`~repro.storage.Database.clone` so tuple ids — and
         therefore existing lineage formulas — stay valid in the copy.
         """
-        from ..errors import StorageError
-
         if row.tid.table != self._name:
             raise StorageError(
                 f"tuple {row.tid} does not belong to table {self._name!r}"
@@ -498,11 +498,6 @@ class Table:
                 [row.tid.ordinal for row in rows],
                 confidence=[assigner(row) for row in rows],
             )
-
-    def _lookup(self, tid: TupleId) -> StoredTuple:
-        if tid.table != self._name or tid.ordinal not in self._rows:
-            raise UnknownTupleError(f"no tuple {tid} in table {self._name!r}")
-        return self._rows[tid.ordinal]
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"Table({self._name!r}, {len(self)} rows)"

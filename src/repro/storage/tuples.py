@@ -13,12 +13,12 @@ and the resulting maximum reachable confidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from ..cost import CostModel, FreeCost
 from ..errors import InvalidConfidenceError
 
-__all__ = ["TupleId", "StoredTuple"]
+__all__ = ["TupleId", "StoredTuple", "column_view"]
 
 _EPS = 1e-12
 
@@ -57,12 +57,6 @@ class TupleId:
         return cls(table, int(ordinal))
 
 
-def _check_confidence(value: float) -> float:
-    if not 0.0 <= value <= 1.0 + _EPS:
-        raise InvalidConfidenceError(f"confidence {value} outside [0, 1]")
-    return min(float(value), 1.0)
-
-
 @dataclass
 class StoredTuple:
     """A base tuple plus its uncertainty annotations.
@@ -87,12 +81,7 @@ class StoredTuple:
 
     def __post_init__(self) -> None:
         self.values = tuple(self.values)
-        self.confidence = _check_confidence(self.confidence)
-        if self.confidence > self.cost_model.max_confidence + _EPS:
-            raise InvalidConfidenceError(
-                f"confidence {self.confidence} of {self.tid} exceeds the cost "
-                f"model's maximum {self.cost_model.max_confidence}"
-            )
+        self.confidence = self.checked_confidence(self.confidence)
 
     @property
     def max_confidence(self) -> float:
@@ -101,11 +90,13 @@ class StoredTuple:
 
     def checked_confidence(self, value: float) -> float:
         """*value* as this tuple would store it (raises on range or cap)."""
-        value = _check_confidence(value)
+        if not 0.0 <= value <= 1.0 + _EPS:
+            raise InvalidConfidenceError(f"confidence {value} outside [0, 1]")
+        value = min(float(value), 1.0)
         if value > self.max_confidence + _EPS:
             raise InvalidConfidenceError(
-                f"confidence {value} of {self.tid} exceeds maximum "
-                f"{self.max_confidence}"
+                f"confidence {value} of {self.tid} exceeds the cost model's "
+                f"maximum {self.max_confidence}"
             )
         return value
 
@@ -125,3 +116,16 @@ class StoredTuple:
 
     def __getitem__(self, index: int) -> Any:
         return self.values[index]
+
+
+def column_view(
+    rows: "Sequence[StoredTuple]", width: int
+) -> tuple[tuple[list[Any], ...], list[TupleId]]:
+    """``(one value list per column, the tid column)`` of *rows*.
+
+    One pass per column: a ``zip(*rows)`` transposition would hold one
+    iterator per row, collector-tracked garbage on every DML's cold scan.
+    """
+    values = [row.values for row in rows]
+    columns = tuple([row[position] for row in values] for position in range(width))
+    return columns, [row.tid for row in rows]

@@ -149,10 +149,10 @@ class ConfidenceAssigner:
         applied: dict[TupleId, float] = {}
         for row in table.scan():
             record = provenance.get(row.tid, default)
-            if record is None:
-                continue
-            confidence = min(self.score(record), row.max_confidence)
-            # Route through the table so durable databases journal the write.
-            table.set_confidence(row.tid, confidence)
-            applied[row.tid] = confidence
+            if record is not None:
+                applied[row.tid] = min(self.score(record), row.max_confidence)
+        # Every row scored: one mutation, one WAL record on a durable table.
+        table.update_rows(
+            [tid.ordinal for tid in applied], confidence=list(applied.values())
+        )
         return applied

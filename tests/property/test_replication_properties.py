@@ -12,11 +12,16 @@ Two families of laws:
   position raises instead of lying, leaving the pin untouched.
 * **Row-set records** — any interleaving of multi-row UPDATEs (with and
   without a confidence, over indexed and unindexed columns, matching no
-  row, or rejected by the schema), write-backs, bulk re-scoring,
-  single-row operations and crash-reopens leaves the live primary, its
-  published snapshot, its recovered log and a replica fed the same
-  frames with equal fingerprints, and every delta-published snapshot
-  table equal to a from-scratch copy.
+  row, or rejected by the schema), multi-row INSERTs, range DELETEs,
+  write-backs, bulk re-scoring, single-row operations and crash-reopens
+  leaves the live primary, its published snapshot, its recovered log and
+  a replica fed the same frames with equal fingerprints, and every
+  delta-published snapshot table equal to a from-scratch copy.
+* **A refused statement writes nothing** — after every rejected step (an
+  UPDATE or an INSERT with a bad row at a drawn position, a CREATE VIEW
+  that does not plan) fingerprints, ``last_seq``, every table's
+  ``data_version`` and the catalog are what they were before it: on the
+  primary at once, on the replica after catch-up, after a crash + recover.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cost import LinearCost
-from repro.errors import ReplicaLagError, SchemaError
+from repro.errors import ReplicaLagError, ReproError
 from repro.policy import PolicyStore
 from repro.server import Replica
 from repro.server.mvcc import MVCCDatabase, SnapshotTable
@@ -247,6 +252,24 @@ _row_steps = st.one_of(
     ),
     st.tuples(st.just("rejected"), st.sampled_from(_TABLES), _bounds),
     st.tuples(
+        st.just("insert"),
+        st.sampled_from(_TABLES),
+        st.integers(1, 5),
+        st.one_of(st.none(), _row_confidences),
+    ),
+    st.tuples(
+        st.just("rejected_insert"),
+        st.sampled_from(_TABLES),
+        st.integers(1, 5),
+        _positions,  # where among the rows the bad one sits
+        st.sampled_from(["(NULL, 'bad', 1.0)", "(1, 'bad', 'zzz')", "(1)"]),
+    ),
+    st.tuples(st.just("delete"), st.sampled_from(_TABLES), _bounds, _bounds),
+    st.tuples(
+        st.just("rejected_view"),
+        st.sampled_from(["SELECT nope FROM t", "SELECT k FROM v"]),
+    ),
+    st.tuples(
         st.just("write_back"),
         st.lists(
             st.tuples(st.sampled_from(_TABLES), _positions, _row_confidences),
@@ -292,6 +315,24 @@ def _run_row_step(db: Database, step: tuple) -> None:
                 f"k = CASE WHEN k >= {lo} THEN NULL ELSE k END"
             ),
         )
+    elif kind in ("insert", "rejected_insert"):
+        name, count, *bad = args
+        rows = [f"({i}, 'new{i}', {i}.5)" for i in range(count)]
+        sql = f"INSERT INTO {name} VALUES "
+        if kind == "insert":
+            if bad[0] is not None:
+                rows[-1] += f" WITH CONFIDENCE {bad[0]}"
+        else:
+            position, row = bad
+            rows.insert(position % (count + 1), row)
+        execute_dml(db, parse_command(sql + ", ".join(rows)))
+    elif kind == "delete":
+        name, lo, hi = args
+        execute_dml(
+            db, parse_command(f"DELETE FROM {name} WHERE k >= {lo} AND k < {hi}")
+        )
+    elif kind == "rejected_view":
+        execute_dml(db, parse_command(f"CREATE VIEW v AS {args[0]}"))
     elif kind == "write_back":
         updates = {}
         for name, position, confidence in args[0]:
@@ -323,6 +364,17 @@ def _run_row_step(db: Database, step: tuple) -> None:
             table.set_confidence(row.tid, 0.75)
 
 
+def _written_state(db: Database, last_seq: int) -> tuple:
+    """Everything a refused statement must leave as it was (the first
+    three survive a restart; versions count from zero again)."""
+    return (
+        database_fingerprints(db),
+        last_seq,
+        (db.table_names(), db.view_names()),
+        {table.name: table.data_version for table in db.tables()},
+    )
+
+
 class _Primary:
     def __init__(self, data_dir: str, frames: list) -> None:
         self.data_dir = data_dir
@@ -335,6 +387,18 @@ class _Primary:
         self.db._durability.add_commit_listener(
             lambda seq, payload: self.frames.append((seq, payload))
         )
+
+    def crash(self) -> None:
+        """Close, recover the log into a fresh database, compare, reopen."""
+        live = database_fingerprints(self.db)
+        catalog = (self.db.table_names(), self.db.view_names())
+        last_seq = self.db._durability.last_seq
+        self.db.close()
+        recovered, report = recover(self.data_dir)
+        assert database_fingerprints(recovered) == live
+        assert (recovered.table_names(), recovered.view_names()) == catalog
+        assert report.last_seq == last_seq
+        self.open()
 
 
 class TestRowSetRecords:
@@ -361,24 +425,46 @@ class TestRowSetRecords:
                             cost_model=LinearCost(2.0),
                         )
 
+            def ship() -> int:
+                nonlocal shipped
+                fresh, shipped = frames[shipped:], len(frames)
+                for seq, payload in fresh:
+                    replica._apply_frame(seq, payload)
+                return len(fresh)
+
             primary.mvcc.commit(seed)
+            ship()
             for step in steps:
+                rejected = False
                 if step[0] == "crash":
-                    live = database_fingerprints(primary.db)
-                    primary.db.close()
-                    recovered, _report = recover(primary.data_dir)
-                    assert database_fingerprints(recovered) == live
-                    primary.open()
+                    primary.crash()
                 else:
-                    before = database_fingerprints(primary.db)
+                    before = _written_state(
+                        primary.db, primary.db._durability.last_seq
+                    )
+                    replica_before = _written_state(replica._db, replica.position)
                     try:
                         primary.mvcc.commit(lambda db: _run_row_step(db, step))
-                    except SchemaError:
-                        assert step[0] == "rejected"
-                        assert database_fingerprints(primary.db) == before
-                for seq, payload in frames[shipped:]:
-                    replica._apply_frame(seq, payload)
-                shipped = len(frames)
+                    except ReproError:
+                        rejected = True
+                    # (A "rejected" UPDATE passes when no k reaches its bound.)
+                    assert rejected <= step[0].startswith("rejected")
+                    assert rejected or step[0] not in (
+                        "rejected_insert", "rejected_view"
+                    )
+                sent = ship()
+                if rejected:
+                    assert sent == 0
+                    assert before == _written_state(
+                        primary.db, primary.db._durability.last_seq
+                    )
+                    assert replica_before == _written_state(
+                        replica._db, replica.position
+                    )
+                    primary.crash()  # recovers to the same fingerprints and seq
+                    assert before[:3] == _written_state(
+                        primary.db, primary.db._durability.last_seq
+                    )[:3]
 
                 live = database_fingerprints(primary.db)
                 assert database_fingerprints(replica._db) == live

@@ -1,16 +1,19 @@
-"""A multi-row write is one row-set: one storage call, one WAL record.
+"""A statement is one mutation: one storage call, one WAL record.
 
-``Table.update_rows`` is the one bulk mutator (SQL ``UPDATE``, the
-strategy write-back and ``assign_confidences`` all land in it, and so do
-crash recovery and a replica replaying their ``update_rows`` record).
+``Table.insert_rows`` / ``update_rows`` / ``delete_rows`` are the three
+mutators (SQL ``INSERT`` / ``UPDATE`` / ``DELETE``, the strategy
+write-back, ``assign_confidences`` and the one-row spellings all land in
+them, and so do crash recovery and a replica replaying their records).
 Three things are pinned here:
 
-* the mutator's contract — validate everything, then change everything;
-* atomicity end to end — a statement the schema rejects on row *k*
-  leaves table, MVCC snapshot, WAL and replica exactly as they were;
-* the work — counts, not timings: a *k*-row UPDATE is 1 record whose
-  size follows *k* and the assigned columns only, 1 ``data_version`` bump
-  and 1 checksum pass over the payload on each side of the wire.
+* the mutators' contract — validate everything, then change everything;
+* atomicity end to end — a statement refused on its last row leaves
+  table, MVCC snapshot, WAL and replica exactly as they were, and no
+  later commit, recovery or replica ever shows a row of it;
+* the work — counts, not timings: a *k*-row statement is 1 record, 1
+  ``data_version`` bump and 1 checksum pass over the payload on each side
+  of the wire; an UPDATE's record follows *k* and the assigned columns
+  only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from repro.cost import LinearCost
 from repro.errors import (
     InvalidConfidenceError,
     SchemaError,
+    SqlError,
+    TypeMismatchError,
     UnknownTupleError,
 )
 from repro.policy import PolicyStore
@@ -31,7 +36,12 @@ from repro.server import Replica
 from repro.server.mvcc import MVCCDatabase
 from repro.sql import execute_dml, parse_command
 from repro.storage import INTEGER, REAL, TEXT, Column, Database, Schema, TupleId
-from repro.storage.durability import checksum, database_fingerprints, scan_wal
+from repro.storage.durability import (
+    checksum,
+    database_fingerprints,
+    recover,
+    scan_wal,
+)
 from repro.storage.durability.recovery import WAL_FILE
 
 _SCHEMA = Schema(
@@ -127,6 +137,107 @@ class TestUpdateRows:
         ]
 
 
+class TestInsertAndDeleteRows:
+    def test_rows_enter_together_with_one_or_per_row_confidence(self):
+        table = _table(Database(), rows=1)
+        version = table.data_version
+        tids = table.insert_rows(
+            [[7, "a", 1], [8, None, None]], [0.25, 0.75], LinearCost(1.0, 0.9)
+        )
+        assert tids == [TupleId("t", 1), TupleId("t", 2)]
+        assert table.data_version == version + 1
+        assert _state(table)[1:] == [
+            (1, (7, "a", 1.0), 0.25), (2, (8, None, None), 0.75)  # int → REAL
+        ]
+        assert table.get(tids[1]).max_confidence == 0.9
+        assert table.insert_rows([[9, "c", 2.0]], 0.5) == [TupleId("t", 3)]
+        assert table.insert_rows([]) == [] and table.data_version == version + 2
+
+    @pytest.mark.parametrize(
+        "arguments, error",
+        [
+            (([[7, "a", 1.0], [None, "b", 2.0]],), SchemaError),  # NOT NULL
+            (([[7, "a", 1.0], [8, "b", "x"]],), TypeMismatchError),
+            (([[7, "a", 1.0], [8, "b"]],), SchemaError),  # arity
+            (([[7, "a", 1.0], [8, "b", 2.0]], [0.5, 0.95]), InvalidConfidenceError),
+            (([[7, "a", 1.0], [8, "b", 2.0]], 1.5), InvalidConfidenceError),
+            (([[7, "a", 1.0], [8, "b", 2.0]], [0.5]), SchemaError),
+        ],
+    )
+    def test_a_rejected_last_row_inserts_nothing(self, arguments, error):
+        table = _table(Database())
+        before, version = _state(table), table.data_version
+        journal: list[dict] = []
+        table._journal = journal.append
+        with pytest.raises(error):
+            table.insert_rows(*arguments, cost_model=LinearCost(1.0, 0.9))
+        assert _state(table) == before and table.data_version == version
+        assert journal == []
+        assert table.insert([7, "a", 1.0]) == TupleId("t", 6)  # no ordinal burnt
+
+    def test_rows_leave_together_or_not_at_all(self):
+        table = _table(Database())
+        before, version = _state(table), table.data_version
+        with pytest.raises(UnknownTupleError):
+            table.delete_rows([1, 99])
+        assert _state(table) == before and table.data_version == version
+        table.delete_rows([4, 1, 4])
+        assert [o for o, _v, _c in _state(table)] == [0, 2, 3, 5]
+        assert table.data_version == version + 1
+        table.delete_rows([])
+        assert table.data_version == version + 1
+
+    def test_one_hand_off_per_mutation_of_the_per_row_ops(self):
+        table = _table(Database(), rows=2)
+        journal: list[dict] = []
+        table._journal = journal.append
+        table.insert_rows([[7, "a", 1.0]], 0.5)
+        table.insert_rows([[8, "b", 2.0], [9, "c", 3.0]], 0.5)
+        table.delete_rows([0])
+        table.delete_rows([2, 3])
+        # One hand-off each: a ``batch`` of the per-row ops older logs hold
+        # (the journal writes a batch of one as the bare op).
+        assert [op["op"] for op in journal] == ["batch"] * 4
+        assert [
+            [(sub["op"], sub["ordinal"]) for sub in op["ops"]] for op in journal
+        ] == [
+            [("insert", 2)],
+            [("insert", 3), ("insert", 4)],
+            [("delete", 0)],
+            [("delete", 2), ("delete", 3)],
+        ]
+        assert journal[2]["ops"] == [{"op": "delete", "table": "t", "ordinal": 0}]
+
+    def test_the_one_row_spellings_are_row_sets_of_one(self):
+        table = _table(Database(), rows=3)
+        journal: list[dict] = []
+        table._journal = journal.append
+        table.update(TupleId("t", 1), [11, "x", 5])
+        table.set_confidence(TupleId("t", 2), 0.75)
+        table.delete(TupleId("t", 0))
+        assert journal == [
+            {
+                "op": "update_rows", "table": "t", "ordinals": [1],
+                "columns": [0, 1, 2], "values": [[11], ["x"], [5.0]],
+                "confidence": None,
+            },
+            {
+                "op": "update_rows", "table": "t", "ordinals": [2],
+                "columns": [], "values": [], "confidence": 0.75,
+            },
+            {"op": "batch", "ops": [{"op": "delete", "table": "t", "ordinal": 0}]},
+        ]
+        for call, error in [
+            (lambda: table.update(TupleId("t", 1), [11, "x"]), SchemaError),
+            (lambda: table.update(TupleId("u", 1), [11, "x", 5.0]), UnknownTupleError),
+            (lambda: table.set_confidence(TupleId("t", 1), 0.95), InvalidConfidenceError),
+            (lambda: table.delete(TupleId("t", 0)), UnknownTupleError),
+        ]:
+            with pytest.raises(error):
+                call()
+        assert len(journal) == 3
+
+
 # -- a cluster without threads: frames are handed over by hand ---------------
 
 
@@ -197,37 +308,79 @@ def _seed(pair: _Pair, rows: int, wide: int = 0) -> None:
     pair.ship()
 
 
+_GOOD_ROWS = "(10, 'a', 1.0, ''), (11, 'b', 2.0, '')"
+
+
 def test_a_failing_multi_row_update_changes_nothing_anywhere(pair):
-    """Row 0..2 are fine, row 3 assigns NULL to a NOT NULL column.  At the
-    parent commit rows 0..2 stayed changed *and* were journaled."""
+    """Row 0..2 are fine, row 3 assigns NULL to a NOT NULL column.  Before
+    ``update_rows`` rows 0..2 stayed changed *and* were journaled."""
+    _refused_statement_changes_nothing_anywhere(
+        pair,
+        "UPDATE t SET k = CASE WHEN k >= 3 THEN NULL ELSE k + 100 END, "
+        "v = v + 1 WITH CONFIDENCE 0.9",
+        SchemaError,
+    )
+
+
+@pytest.mark.parametrize(
+    "sql, error",
+    [
+        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (NULL, 'c', 3.0, '')", SchemaError),
+        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (12, 'c', 'zzz', '')", TypeMismatchError),
+        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (12)", SqlError),
+        (f"INSERT INTO t VALUES {_GOOD_ROWS} WITH CONFIDENCE 1.5", SqlError),
+    ],
+    ids=["not-null", "type", "arity", "confidence"],
+)
+def test_a_multi_row_insert_refused_on_its_last_row_changes_nothing_anywhere(
+    pair, sql, error
+):
+    """Two good rows, then what the statement is refused for.  At the
+    parent commit the first three cases kept the two good rows: journaled
+    (``last_seq`` moved), invisible until the next commit published them,
+    then recovered and replicated."""
+    _refused_statement_changes_nothing_anywhere(pair, sql, error)
+
+
+def _refused_statement_changes_nothing_anywhere(pair, sql, error):
     _seed(pair, 6)
     live_before = _state(pair.db.table("t"))
     prints_before = database_fingerprints(pair.db)
     seq_before, wal_before = pair.mvcc.current_seq, pair.wal_bytes()
+    last_seq_before = pair.db._durability.last_seq
     version_before = pair.db.table("t").data_version
 
-    with pytest.raises(SchemaError):
-        pair.run(
-            "UPDATE t SET k = CASE WHEN k >= 3 THEN NULL ELSE k + 100 END, "
-            "v = v + 1 WITH CONFIDENCE 0.9"
-        )
+    with pytest.raises(error):
+        pair.run(sql)
 
     assert _state(pair.db.table("t")) == live_before
     assert pair.db.table("t").data_version == version_before
     assert pair.wal_bytes() == wal_before and pair.ship() == []
+    assert pair.db._durability.last_seq == last_seq_before
     assert pair.mvcc.current_seq == seq_before
     with pair.mvcc.snapshot() as snapshot:
         assert database_fingerprints(snapshot.db) == prints_before
     assert database_fingerprints(pair.replica._db) == prints_before
-    # And the next statement commits as if nothing had happened.
+    # The next, unrelated commit goes through as if nothing had happened —
+    # and publishes, journals and ships no row of the refused statement.
     assert pair.run("UPDATE t SET v = v + 1 WHERE k < 3").rows_affected == 3
-    pair.ship()
-    assert database_fingerprints(pair.replica._db) == database_fingerprints(pair.db)
+    assert pair.db._durability.last_seq == last_seq_before + 1
+    assert len(pair.ship()) == 1
+    expected = [(o, (k, n, v + 1 if k < 3 else v, x), c)
+                for o, (k, n, v, x), c in live_before]
+    with pair.mvcc.snapshot() as snapshot:
+        assert _state(snapshot.db.table("t")) == expected
+    assert _state(pair.replica._db.table("t")) == expected
+    assert _state(recover(pair.primary_dir)[0].table("t")) == expected
 
 
-@pytest.mark.parametrize("k", [1, 40, 200])
+@pytest.mark.parametrize(
+    "verb, k",
+    [(verb, k) for verb in ("UPDATE", "DELETE") for k in (1, 40, 200)],
+    ids=["1", "40", "200", "DELETE-1", "DELETE-40", "DELETE-200"],
+)
 def test_a_k_row_update_is_one_record_one_bump_one_checksum_pass(
-    pair, count_calls, k
+    pair, count_calls, verb, k
 ):
     rows, wide = 250, 300
     _seed(pair, rows, wide)
@@ -239,6 +392,8 @@ def test_a_k_row_update_is_one_record_one_bump_one_checksum_pass(
 
     result = pair.run(
         f"UPDATE t SET v = v + 1 WHERE k < {k} WITH CONFIDENCE 0.25"
+        if verb == "UPDATE"
+        else f"DELETE FROM t WHERE k < {k}"
     )
     primary_passes, sliced[0] = sliced[0], 0
     (payload,) = pair.ship()
@@ -246,19 +401,31 @@ def test_a_k_row_update_is_one_record_one_bump_one_checksum_pass(
 
     assert result.rows_affected == k
     assert result.tuple_ids == tuple(TupleId("t", i) for i in range(k))
-    # One record, and it is the row-set itself — no batch around it.
     assert len(pair.frames) == records_before + 1
     record = json.loads(payload)
-    assert record["op"] == "update_rows" and record["ordinals"] == list(range(k))
-    assert record["columns"] == [2] and record["confidence"] == 0.25
-    # Linear in k, in the assigned column only: ≤ 4 B of ordinal and
-    # ≤ 6 B of REAL per row, commas included.  The 300-byte ``note`` of
-    # every row (what a whole-tuple record would carry) is nowhere in it.
-    assert len(payload) <= 128 + 10 * k
+    if verb == "UPDATE":
+        # The record is the row-set itself — no batch around it.
+        assert record["op"] == "update_rows" and record["ordinals"] == list(range(k))
+        assert record["columns"] == [2] and record["confidence"] == 0.25
+        # Linear in k, in the assigned column only: ≤ 4 B of ordinal and
+        # ≤ 6 B of REAL per row, commas included.
+        assert len(payload) <= 128 + 10 * k
+        replica_bumps = 1
+    else:
+        # The per-row ``delete`` ops older logs hold, as one record: bare
+        # for one row, else one ``batch`` (a replica replays it op by op).
+        ops = [record] if k == 1 else record["ops"]
+        assert record["op"] == ("delete" if k == 1 else "batch")
+        assert [(op["op"], op["ordinal"]) for op in ops] == [
+            ("delete", i) for i in range(k)
+        ]
+        replica_bumps = k
+    # The 300-byte ``note`` of every row (what a whole-tuple record would
+    # carry) is nowhere in it.
     assert b"nnn" not in payload
-    # One version bump on each side ...
+    # One version bump on the primary — the statement was one mutation ...
     assert primary_table.data_version == versions[0] + 1
-    assert replica_table.data_version == versions[1] + 1
+    assert replica_table.data_version == versions[1] + replica_bumps
     # ... and one pass of the checksum over the payload on each side (the
     # sliced kernel only runs for payloads ≥ 512 B; the 8-byte header
     # checksum never reaches it).

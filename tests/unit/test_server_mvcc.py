@@ -163,6 +163,10 @@ class TestReadOnlyViews:
             lambda: table.delete(TupleId("t", 0)),
             lambda: table.update(TupleId("t", 0), [1, "x", 1.0]),
             lambda: table.set_confidence(TupleId("t", 0), 0.9),
+            lambda: table.insert_rows([[1, "x", 1.0]]),
+            lambda: table.delete_rows([0]),
+            lambda: table.update_rows([0], confidence=0.9),
+            lambda: table.assign_confidences(lambda row: 0.9),
         ):
             with pytest.raises(SnapshotWriteError):
                 attempt()

@@ -155,5 +155,10 @@ class TestCsvIO:
 
         db = Database()
         table = db.create_table("t", Schema.of(("flag", BOOLEAN)))
-        with pytest.raises(SchemaError):
-            load_csv(table, io.StringIO("flag\nmaybe\n"))
+        table.insert([False])
+        version = table.data_version
+        with pytest.raises(SchemaError, match="row 3, column 'flag'"):
+            load_csv(table, io.StringIO("flag\ntrue\nmaybe\n"))
+        # The good line before the bad one is not loaded either (it was,
+        # when every CSV line was its own insert).
+        assert table.rows() == [(False,)] and table.data_version == version

@@ -87,7 +87,7 @@ class TestTableInsert:
         assert table.get(tid).values == ("a", 3.0)
 
     def test_insert_many(self, table):
-        ids = table.insert_many([["a", 1.0], ["b", 2.0]], confidence=0.5)
+        ids = table.insert_rows([["a", 1.0], ["b", 2.0]], confidence=0.5)
         assert len(ids) == 2
         assert all(table.confidence_of(tid) == 0.5 for tid in ids)
 
@@ -157,7 +157,7 @@ class TestTableIndex:
 
 class TestChangeTracking:
     def test_drain_reports_touched_rows_as_copies(self, table):
-        ids = table.insert_many([[c, 1.0] for c in "abcdefghijkl"], 0.5)
+        ids = table.insert_rows([[c, 1.0] for c in "abcdefghijkl"], 0.5)
         version, rows, complete = table.drain_changes(None)
         assert complete and list(rows) == list(range(12))  # first cut: all
         table.set_confidence(ids[0], 0.9)
@@ -173,7 +173,7 @@ class TestChangeTracking:
         assert table.drain_changes(latest) == (latest, {}, False)
 
     def test_drain_from_another_version_is_complete(self, table):
-        table.insert_many([[c, 1.0] for c in "abcd"])
+        table.insert_rows([[c, 1.0] for c in "abcd"])
         version, _, _ = table.drain_changes(None)
         table.insert(["e", 2.0])
         assert not table.drain_changes(version)[2]  # someone else's delta
@@ -184,7 +184,7 @@ class TestChangeTracking:
         )
 
     def test_raising_assigner_changes_nothing(self, table):
-        table.insert_many([["a", 1.0], ["b", 2.0]], confidence=0.5)
+        table.insert_rows([["a", 1.0], ["b", 2.0]], confidence=0.5)
         version, _, _ = table.drain_changes(None)
         table.assign_confidences(lambda row: 0.25)
         assert table.data_version == version + 1  # one mutation, not two
@@ -204,7 +204,7 @@ class TestChangeTracking:
         assert table.drain_changes(version) == (version, {}, False)
 
     def test_change_set_is_bounded_by_the_table_with_no_consumer(self, table):
-        table.insert_many([[str(i), float(i)] for i in range(8)])
+        table.insert_rows([[str(i), float(i)] for i in range(8)])
         version, _, _ = table.drain_changes(None)  # tracking starts here
         most = 0
         for i in range(1000):

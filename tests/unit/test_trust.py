@@ -118,6 +118,36 @@ class TestAssignToTable:
         assert applied[capped] == 0.5  # clamped to the cost model's cap
         assert applied[free] == pytest.approx(0.855)
 
+    def test_a_table_is_scored_as_one_mutation_or_not_at_all(
+        self, sources, methods, tmp_path
+    ):
+        """Every row used to be its own ``set_confidence``: one WAL record
+        and one fsync per row, and a ``score`` that raised half-way left
+        the rows before it re-scored."""
+        db = Database.open(str(tmp_path))
+        try:
+            table = db.create_table("t", Schema.of(("x", TEXT)))
+            tids = [table.insert([name], confidence=0.1) for name in "abcd"]
+            record = ProvenanceRecord(sources["gov"], methods["api"])
+            assigner = ConfidenceAssigner(half_life_days=None)
+            last_seq, version = db._durability.last_seq, table.data_version
+
+            with pytest.raises(AttributeError):  # the third record cannot score
+                assigner.assign(table, {tids[0]: record, tids[1]: record, tids[2]: object()})
+            assert [row.confidence for row in table.scan()] == [0.1] * 4
+            assert (db._durability.last_seq, table.data_version) == (last_seq, version)
+
+            applied = assigner.assign(table, dict.fromkeys(tids[:3], record))
+            assert list(applied) == tids[:3]
+            assert [row.confidence for row in table.scan()] == [
+                pytest.approx(0.855)
+            ] * 3 + [0.1]
+            assert (db._durability.last_seq, table.data_version) == (
+                last_seq + 1, version + 1,
+            )
+        finally:
+            db.close()
+
     def test_missing_records_keep_confidence(self, sources, methods):
         db = Database()
         table = db.create_table("t", Schema.of(("x", TEXT)))

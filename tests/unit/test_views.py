@@ -86,6 +86,38 @@ class TestViewCatalog:
             execute_sql(db, "CREATE VIEW bad AS SELECT nope FROM sales")
         assert db.view_definition("bad") is None
 
+    def test_a_refused_definition_writes_nothing_to_the_log(self, tmp_path):
+        """A definition that does not plan used to be journaled and then
+        retracted: a ``create_view`` + ``drop_view`` pair per refusal,
+        replicated and replayed (two refusals moved the WAL by four)."""
+        import json
+        import os
+
+        from repro.storage.durability import scan_wal
+        from repro.storage.durability.recovery import WAL_FILE
+
+        db = Database.open(str(tmp_path))
+        try:
+            execute_sql(db, "CREATE TABLE t (k TEXT, n INT)")
+            last_seq = db._durability.last_seq
+            with pytest.raises(UnknownColumnError):
+                execute_sql(db, "CREATE VIEW bad AS SELECT nope FROM t")
+            with pytest.raises(
+                PlanError, match="^view definitions form a cycle: v -> v$"
+            ):
+                execute_sql(db, "CREATE VIEW v AS SELECT k FROM v")
+            assert db.view_names() == []
+            assert db._durability.last_seq == last_seq
+            kinds = [
+                json.loads(payload)["op"]
+                for payload in scan_wal(os.path.join(tmp_path, WAL_FILE)).payloads
+            ]
+            assert kinds == ["create_table"]
+            execute_sql(db, "CREATE VIEW v AS SELECT k FROM t")  # name is free
+            assert db._durability.last_seq == last_seq + 1
+        finally:
+            db.close()
+
     def test_drop_view(self, db):
         execute_sql(db, "DROP VIEW east_sales")
         with pytest.raises(UnknownTableError):
