@@ -55,7 +55,7 @@ from repro.server import (
 )
 from repro.storage.database import Database
 from repro.storage.durability import database_fingerprints
-from repro.storage.durability.codec import decode_op
+from repro.storage.durability.codec import decode_record
 from repro.storage.durability.recovery import SNAPSHOT_FILE, WAL_FILE, apply_op
 from repro.storage.durability.snapshot import load_snapshot
 from repro.storage.durability.wal import scan_wal
@@ -110,11 +110,11 @@ def _replay_to(data_dir: str, seq_limit: int) -> Database:
     wal_path = os.path.join(data_dir, WAL_FILE)
     if os.path.exists(wal_path):
         for payload in scan_wal(wal_path).payloads:
-            entry = json.loads(payload.decode("utf-8"))
-            seq = entry.pop("seq", None)
-            if not isinstance(seq, int) or seq <= base or seq > seq_limit:
-                continue
-            apply_op(db, decode_op(entry))
+            seq, op = decode_record(payload)
+            if seq > seq_limit:
+                break
+            if seq > base:
+                apply_op(db, op, seq)
     return db
 
 

@@ -18,11 +18,7 @@ The moving parts (see docs/SERVING.md for the topology):
 """
 
 from .epoch import EPOCH_FILE, load_epoch, store_epoch
-from .feed import (
-    PrimaryReplication,
-    ReplicationFeed,
-    iter_idempotency_markers,
-)
+from .feed import PrimaryReplication, ReplicationFeed
 from .reconcile import common_prefix_seq, divergence_point, frame_digests
 
 
@@ -47,7 +43,6 @@ __all__ = [
     "store_epoch",
     "PrimaryReplication",
     "ReplicationFeed",
-    "iter_idempotency_markers",
     "common_prefix_seq",
     "divergence_point",
     "frame_digests",

@@ -17,55 +17,36 @@ failover" contract (docs/SERVING.md).
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import deque
 
 from ...obs import get_metrics
 from ...storage.durability.checksum import crc32c
 from ...storage.durability.manager import DurabilityManager
-from ...storage.durability.recovery import WAL_FILE
-from ...storage.durability.wal import scan_wal
+from ...storage.durability.recovery import TAIL_BYTES, TAIL_FRAMES
 
-__all__ = ["ReplicationFeed", "PrimaryReplication", "iter_idempotency_markers"]
-
-
-def iter_idempotency_markers(op: dict):
-    """Yield every ``(client, key)`` dedup marker inside a decoded op.
-
-    Markers are journaled inside the same WAL record as the write they
-    guard (possibly nested in a batch), so walking a frame's op tree
-    recovers the exactly-once map after a crash or on a replica.
-    """
-    kind = op.get("op")
-    if kind == "idempotency":
-        client, key = op.get("client"), op.get("key")
-        if isinstance(client, str) and isinstance(key, str):
-            yield client, key
-    elif kind == "batch":
-        for sub in op.get("ops", ()):
-            if isinstance(sub, dict):
-                yield from iter_idempotency_markers(sub)
+__all__ = ["ReplicationFeed", "PrimaryReplication"]
 
 #: Frames retained in memory; a replica further behind than this
 #: bootstraps from a snapshot instead of replaying frames.
-DEFAULT_CAPACITY = 4096
+DEFAULT_CAPACITY = TAIL_FRAMES
 
 #: Payload bytes retained in memory, the window's other bound.  A frame is
 #: ~200 B for a one-row DML but tens of KiB for a confidence write-back,
 #: so a frame count alone lets the window (one per server, primary and
 #: replica alike) grow to >100 MB under write-back traffic.
-MAX_RETAINED_BYTES = 4 * 1024 * 1024
+MAX_RETAINED_BYTES = TAIL_BYTES
 
 
 class ReplicationFeed:
     """Ordered window of (seq, payload) WAL frames, bounded by frame count
-    and by retained payload bytes; the newest frame is always kept."""
+    and by retained payload bytes; the newest frame is always kept.  Each
+    frame keeps the payload checksum its log's framing computed, so a
+    digest is looked up, never recomputed."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._capacity = capacity
-        self._frames: "deque[tuple[int, bytes]]" = deque()
+        self._frames: "deque[tuple[int, bytes, int]]" = deque()
         self._bytes = 0
         #: Highest seq *below* the window: pulls from here are servable.
         self._base = 0
@@ -87,16 +68,22 @@ class ReplicationFeed:
             if not self._frames:
                 self._base = seq
 
-    def append(self, seq: int, payload: bytes) -> None:
+    def append(
+        self, seq: int, payload: bytes, digest: "int | None" = None
+    ) -> None:
+        """Add the frame; *digest* is its CRC32C when the caller's log
+        already computed it."""
+        if digest is None:
+            digest = crc32c(payload)
         with self._arrival:
             if self._frames and seq <= self._frames[-1][0]:
                 return  # duplicate notification; the log is append-only
-            self._frames.append((seq, payload))
+            self._frames.append((seq, payload, digest))
             self._bytes += len(payload)
             while len(self._frames) > self._capacity or (
                 self._bytes > MAX_RETAINED_BYTES and len(self._frames) > 1
             ):
-                dropped_seq, dropped = self._frames.popleft()
+                dropped_seq, dropped, _digest = self._frames.popleft()
                 self._base = dropped_seq
                 self._bytes -= len(dropped)
             self._arrival.notify_all()
@@ -130,7 +117,7 @@ class ReplicationFeed:
             for frame in reversed(self._frames):
                 if frame[0] <= from_seq:
                     break
-                out.append(frame)
+                out.append(frame[:2])
             out.reverse()
             return out[:max_frames]
 
@@ -146,15 +133,10 @@ class ReplicationFeed:
             if from_seq < self._base:
                 return None
             return [
-                (seq, crc32c(payload))
-                for seq, payload in self._frames
+                (seq, digest)
+                for seq, _payload, digest in self._frames
                 if from_seq < seq <= to_seq
             ]
-
-    def snapshot_frames(self) -> "list[tuple[int, bytes]]":
-        """A point-in-time copy of the retained frames (oldest first)."""
-        with self._lock:
-            return list(self._frames)
 
     def __len__(self) -> int:
         with self._lock:
@@ -173,31 +155,22 @@ class PrimaryReplication:
         self._manager = manager
         self.feed = ReplicationFeed(capacity)
         self._metrics = get_metrics()
-        # Preload the frames already on disk so a replica that restarts
-        # shortly after the primary does not need a full resync.
-        wal_path = os.path.join(manager.data_dir, WAL_FILE)
-        if os.path.exists(wal_path):
-            for payload in scan_wal(wal_path).payloads:
-                try:
-                    seq = json.loads(payload.decode("utf-8")).get("seq")
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue  # recovery already vetted the log; be safe
-                if not isinstance(seq, int):
-                    continue
-                if len(self.feed) == 0:
-                    self.feed.set_position(seq - 1)
-                self.feed.append(seq, payload)
-        if len(self.feed) == 0:
-            # Empty WAL (fresh dir or just checkpointed): everything up
-            # to the manager's position is only available via snapshot.
-            self.feed.set_position(manager.last_seq)
+        # Start from the frames already on disk — the ones recovery read —
+        # so a replica that restarts shortly after the primary does not
+        # need a full resync.  With an empty WAL (fresh dir or just
+        # checkpointed) everything up to the manager's position is only
+        # available via snapshot.
+        tail = manager.take_tail()
+        self.feed.set_position(tail[0][0] - 1 if tail else manager.last_seq)
+        for frame in tail:
+            self.feed.append(*frame)
         self._positions: dict[str, int] = {}
         self._ack_lock = threading.Lock()
         self._acked = threading.Condition(self._ack_lock)
         manager.add_commit_listener(self._on_commit)
 
     def _on_commit(self, seq: int, payload: bytes) -> None:
-        self.feed.append(seq, payload)
+        self.feed.append(seq, payload, self._manager.last_digest)
         self._metrics.gauge("repl.feed_frames").set(len(self.feed))
 
     def detach(self) -> None:
@@ -208,18 +181,6 @@ class PrimaryReplication:
         """Head of the durable log (the manager's, which a checkpoint
         never rewinds — not the in-memory window's)."""
         return self._manager.last_seq
-
-    def journaled_keys(self):
-        """Yield ``(client, key, seq)`` for every dedup marker in the
-        retained frames — what a restarted primary rebuilds its durable
-        exactly-once map from."""
-        for seq, payload in self.feed.snapshot_frames():
-            try:
-                op = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            for client, key in iter_idempotency_markers(op):
-                yield client, key, seq
 
     # -- acknowledgements --------------------------------------------------
 

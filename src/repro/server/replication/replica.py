@@ -26,7 +26,6 @@ side is :mod:`~repro.server.replication.ops`).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -38,7 +37,7 @@ from ...obs import TIMING_BUCKETS, get_metrics
 from ...policy import PolicyStore
 from ...storage.database import Database
 from ...storage.durability.checksum import crc32c
-from ...storage.durability.codec import decode_op
+from ...storage.durability.codec import decode_record
 from ...storage.durability.recovery import apply_op
 from ...storage.durability.snapshot import populate_database
 from ..client import WireLink
@@ -46,7 +45,6 @@ from ..faults import NetworkFaultInjector
 from ..protocol import encode_frame
 from ..server import PCQEServer
 from .epoch import load_epoch, store_epoch
-from .feed import iter_idempotency_markers
 from .reconcile import divergence_point
 
 __all__ = ["Replica"]
@@ -386,6 +384,12 @@ class Replica:
                     max(0, last_seq - self._position)
                 )
 
+    def _replaying(self):
+        """Journaling off: what is replayed is already in the local log."""
+        if self._manager is None:
+            return nullcontext()
+        return self._manager.suspended()
+
     def _apply_frame(self, seq: int, payload: bytes) -> None:
         metrics = get_metrics()
         if seq <= self._position:
@@ -403,9 +407,7 @@ class Replica:
                 time.sleep(action.delay_s)
         started = time.perf_counter()
         try:
-            raw = json.loads(payload.decode("utf-8"))
-            raw.pop("seq", None)
-            op = decode_op(raw)
+            _seq, op = decode_record(payload)
             # WAL-first, exactly like a local commit: the frame is
             # durable before its effects are visible, so a crash between
             # the two replays it on restart.  Framing the payload is the
@@ -417,13 +419,8 @@ class Replica:
                 digest = crc32c(payload)
 
             def mutate(db):
-                guard = (
-                    self._manager.suspended()
-                    if self._manager is not None
-                    else nullcontext()
-                )
-                with guard:
-                    apply_op(db, op)
+                with self._replaying():
+                    apply_op(db, op, seq)
                 # Advance the position while still under the commit lock
                 # so paused_commits() observers (the scrubber's pinned
                 # fingerprint compare) see state and position atomically.
@@ -437,8 +434,6 @@ class Replica:
         except (ReproError, ValueError, KeyError) as error:
             metrics.counter("repl.apply_errors").inc()
             raise _ResyncNeeded() from error
-        for client, key in iter_idempotency_markers(op):
-            self.server.record_replicated_key(client, key, seq)
         self._recent_digests.append((seq, digest))
         metrics.counter("repl.frames_applied").inc()
         metrics.histogram("repl.apply_seconds", TIMING_BUCKETS).observe(
@@ -464,16 +459,13 @@ class Replica:
         payload = reply["snapshot"]
 
         def mutate(db):
-            guard = (
-                self._manager.suspended()
-                if self._manager is not None
-                else nullcontext()
-            )
-            with guard:
+            with self._replaying():
                 for name in list(db.view_names()):
                     db.drop_view(name)
                 for name in list(db.table_names()):
                     db.drop_table(name)
+                # A key a divergent frame carried is rolled back with it.
+                db.idempotency_keys.clear()
                 populate_database(db, payload)
             with self._position_cv:
                 self._position = snap_seq

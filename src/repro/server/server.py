@@ -80,7 +80,7 @@ from ..errors import (
 )
 from ..obs import TIMING_BUCKETS, get_metrics, get_tracer
 from ..policy import PolicyStore
-from ..storage.database import Database
+from ..storage.database import IDEMPOTENCY_CAPACITY, Database
 from ..storage.lru import BoundedLRU as _KeyedLRU  # ⟨client id, key⟩ → entry
 from .faults import NetworkFaultInjector
 from .mvcc import MVCCDatabase
@@ -115,10 +115,6 @@ DEFAULT_SHED_MULTIPLIERS: dict[int, float] = {0: 2.0, 1: 4.0}
 #: the seconds it then stays open before the half-open probe.
 BREAKER_THRESHOLD = 5
 BREAKER_COOLDOWN = 1.0
-
-#: Entries each exactly-once map keeps (volatile replies and journaled
-#: seqs alike) before the least recently used key is forgotten.
-IDEMPOTENCY_CAPACITY = 1024
 
 #: Seconds a ``min_seq`` read waits for replication before answering
 #: with the retryable ``ReplicaLagError``.
@@ -335,20 +331,15 @@ class PCQEServer:
         #: Lowercase table names the scrubber has quarantined; shared
         #: with every session (enforced at SessionDatabase.table).
         self.quarantine: "set[str]" = set()
-        # The two exactly-once maps.  Volatile: key → completed reply, or
-        # the in-flight future — storing the *future* at admission closes
-        # the double-execute race: a retry that lands while the original
-        # is still running awaits the same execution instead of starting
-        # a second one.  Durable: key → commit seq, rebuilt from the
-        # *replicated log* — at startup from the local WAL, on replicas
-        # from every applied frame — so a retry that lands on a freshly
-        # promoted primary after failover is still deduplicated even
-        # though the node that executed the original is dead.  That
-        # replay cannot reproduce the original reply payload (it died
-        # with the old primary); it answers with the committed seq, which
-        # is exactly what an exactly-once writer needs.
+        # The volatile exactly-once map: key → completed reply, or the
+        # in-flight future — storing the *future* at admission closes the
+        # double-execute race: a retry that lands while the original is
+        # still running awaits the same execution instead of starting a
+        # second one.  The durable map (key → commit seq) is the database's
+        # own replicated state, ``Database.idempotency_keys``; a hit there
+        # cannot reproduce the original reply, it answers with the
+        # committed seq — exactly what an exactly-once writer needs.
         self._idempotency = _KeyedLRU(IDEMPOTENCY_CAPACITY)
-        self._replicated_keys = _KeyedLRU(IDEMPOTENCY_CAPACITY)
         # The op table, built once: session ops here, link ops by the
         # package that owns them.
         self._ops: dict[str, _Op] = {}
@@ -379,11 +370,6 @@ class PCQEServer:
         self.replication: PrimaryReplication | None = (
             PrimaryReplication(db._durability) if db.is_durable else None
         )
-        if self.replication is not None:
-            # A restarted primary must keep deduplicating keys it
-            # committed before the restart.
-            for client, key, seq in self.replication.journaled_keys():
-                self._replicated_keys.put((client, key), seq)
 
     def register_op(
         self, name: str, handler: Callable[..., dict[str, Any]], **row: Any
@@ -427,10 +413,6 @@ class PCQEServer:
         self.read_only = False
         self.set_epoch(epoch)
         get_metrics().counter("server.promotions").inc()
-
-    def record_replicated_key(self, client: str, key: str, seq: int) -> None:
-        """Harvested WAL idempotency marker (replica apply path)."""
-        self._replicated_keys.put((client, key), seq)
 
     def start(self) -> "PCQEServer":
         """Bind and serve on a daemon thread; returns once listening."""
@@ -791,14 +773,15 @@ class PCQEServer:
         req.key = (req.conn.party.client_id, key)
         seen, flag = self._idempotency.get(req.key), {"idempotent_replay": True}
         if seen is None:
-            seq = self._replicated_keys.get(req.key)
+            seq = self._db.idempotency_keys.get(req.key)
             if seq is None:
                 return None
             # Durable dedup: the key was journaled inside the commit it
-            # guards, so it survives crash recovery *and* failover to a
-            # promoted replica.  The full reply is gone (it lived in the
-            # dead primary's volatile cache); re-acknowledge the commit
-            # without re-executing it (a failed re-wait is a plain error).
+            # guards and restored by whatever restored that commit — log
+            # replay, a snapshot, a replica's apply.  The full reply is
+            # gone (it lived in the executing process's volatile cache);
+            # re-acknowledge the commit without re-executing it (a failed
+            # re-wait is a plain error).
             assert self._loop is not None
             seen, flag = self._loop.run_in_executor(
                 self._executor, self._reply_of, req.op, self._reacknowledge, seq
@@ -1066,11 +1049,9 @@ class PCQEServer:
         result = session.run_sql(sql, idempotency=idempotency)
         if isinstance(result, DmlResult):
             seq = session.seq
-            if idempotency is not None:
-                # Record before confirming: if the semi-sync wait times
-                # out and the client retries, the retry must hit the
-                # durable replay path, not re-execute the statement.
-                self._replicated_keys.put((session.client_id, idempotency), seq)
+            # The commit already recorded the key (before this wait): if
+            # the semi-sync wait times out and the client retries, the
+            # retry hits the durable replay path, not the statement.
             self._confirm_replicated(seq)
             return {"ok": True, "result": str(result), "seq": seq}
         return {

@@ -299,10 +299,11 @@ class Session:
         SELECTs read the pinned snapshot; DML/DDL commits through MVCC
         (one WAL batch) and advances this session's pin so the statement
         is immediately visible to its own connection.  When *idempotency*
-        is given, a no-op dedup marker is journaled inside the same WAL
-        record, making the (client, key) pair durable — it survives
-        crash recovery and replication, so a retry after failover is
-        deduplicated on the promoted primary too.
+        is given, a dedup marker is journaled inside the same WAL record;
+        committing (or replaying) it sets ⟨client, key⟩ → seq in the
+        database's exactly-once map, so the pair survives whatever the
+        write survives — crash recovery, a checkpoint, replication — and a
+        retry after failover is deduplicated on the promoted primary too.
         """
         from ..sql import prepare
 

@@ -25,6 +25,9 @@ __all__ = ["Database", "PLAN_CACHE_SIZE"]
 #: Statements one catalog keeps prepared (least recently used goes first).
 PLAN_CACHE_SIZE = 1024
 
+#: Keyed writes one database remembers having committed (likewise).
+IDEMPOTENCY_CAPACITY = 1024
+
 
 class Database:
     """A named collection of :class:`~repro.storage.table.Table` objects.
@@ -42,6 +45,12 @@ class Database:
         #: (opaque here, and table-free: an entry must keep no generation's
         #: rows alive); shared by every snapshot and session of this catalog.
         self.plan_cache = BoundedLRU(PLAN_CACHE_SIZE)
+        #: The exactly-once map, ⟨client id, idempotency key⟩ → the seq of
+        #: the commit that carried the key's ``idempotency`` marker.  It is
+        #: replicated state like the tables: written where a marker is
+        #: committed (``DurabilityManager._commit``) or replayed
+        #: (``apply_op`` — recovery, a replica), carried by every snapshot.
+        self.idempotency_keys = BoundedLRU(IDEMPOTENCY_CAPACITY)
         #: Set by DurabilityManager.attach; None = in-memory database.
         self._durability: "DurabilityManager | None" = None
 
@@ -76,7 +85,7 @@ class Database:
             checkpoint_bytes=checkpoint_bytes,
             faults=faults,
         )
-        manager.attach(db, report.last_seq)
+        manager.attach(db, report.last_seq, report.tail)
         return db
 
     @property

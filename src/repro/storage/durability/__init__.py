@@ -31,10 +31,12 @@ from .checksum import crc32c
 from .codec import (
     decode_cost_model,
     decode_op,
+    decode_record,
     decode_schema,
     encode_cost_model,
     encode_op,
     encode_schema,
+    iter_idempotency_markers,
 )
 from .faults import (
     CRASH_POINTS,
@@ -71,6 +73,8 @@ __all__ = [
     "decode_schema",
     "encode_op",
     "decode_op",
+    "decode_record",
+    "iter_idempotency_markers",
     "CRASH_POINTS",
     "FaultInjector",
     "FaultSpec",

@@ -21,7 +21,8 @@ list per *assigned* column, then one confidence or one per row.
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, Iterator
 
 from ...cost import (
     BinomialCost,
@@ -32,7 +33,7 @@ from ...cost import (
     LogarithmicCost,
     TabulatedCost,
 )
-from ...errors import DurabilityError
+from ...errors import CorruptLogError, DurabilityError
 from ..schema import Column, Schema
 from ..types import DataType
 
@@ -43,6 +44,8 @@ __all__ = [
     "decode_schema",
     "encode_op",
     "decode_op",
+    "decode_record",
+    "iter_idempotency_markers",
 ]
 
 
@@ -153,8 +156,10 @@ def decode_schema(columns: list[list[Any]]) -> Schema:
 #: sub-operations committed as one atomic record (the ``insert`` /
 #: ``delete`` ops of a multi-row ``Table.insert_rows`` / ``delete_rows``,
 #: a write-back that spans tables, a statement plus its dedup marker).
-#: ``idempotency`` is a state no-op marker journaled alongside a write so
-#: the (client, key) dedup map survives crash recovery and replication.
+#: ``idempotency`` is the marker journaled alongside a keyed write; it
+#: sets ⟨client, key⟩ → the record's seq in the database's exactly-once
+#: map (``Database.idempotency_keys``), which is therefore replicated
+#: state: recovery, replicas and snapshots carry it like any table.
 #:
 #: ``update_rows`` is "a statement changed these rows of this table" —
 #: what every updating writer emits (SQL ``UPDATE``, a strategy's
@@ -219,7 +224,7 @@ def encode_op(op: dict[str, Any]) -> dict[str, Any]:
 
 def decode_op(data: dict[str, Any]) -> dict[str, Any]:
     """Validate a decoded JSON op (shape errors become DurabilityError)."""
-    kind = data.get("op")
+    kind = data.get("op") if isinstance(data, dict) else None
     if kind not in OP_KINDS:
         raise DurabilityError(f"unknown operation kind {kind!r} in log")
     if kind == "batch":
@@ -228,3 +233,45 @@ def decode_op(data: dict[str, Any]) -> dict[str, Any]:
             raise DurabilityError("batch record without an 'ops' list")
         return {"op": "batch", "ops": [decode_op(sub) for sub in subs]}
     return data
+
+
+def decode_record(payload: bytes) -> "tuple[int, dict[str, Any]]":
+    """One log record's payload as ``(seq, op)`` — the one record decoder.
+
+    A record is UTF-8 JSON: an object carrying an integer ``seq`` beside
+    the fields of one :func:`decode_op`-valid operation.  Whatever else a
+    checksummed payload holds is one outcome, :class:`CorruptLogError`,
+    for every reader — recovery raises it, ``fsck`` reports it, a replica
+    resyncs on it.
+    """
+    try:
+        raw = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise CorruptLogError(f"record is not valid JSON: {error}") from error
+    seq = raw.pop("seq", None) if isinstance(raw, dict) else None
+    if not isinstance(seq, int):
+        raise CorruptLogError(
+            "record is not a JSON object with an integer 'seq'"
+        )
+    try:
+        return seq, decode_op(raw)
+    except DurabilityError as error:
+        raise CorruptLogError(f"record {seq}: {error}") from error
+
+
+def iter_idempotency_markers(op: dict) -> "Iterator[tuple[str, str]]":
+    """Yield every ``(client, key)`` dedup marker inside a decoded op.
+
+    Markers are journaled inside the same WAL record as the write they
+    guard (possibly nested in a batch), so whoever commits or replays the
+    record learns the key with the write, atomically.
+    """
+    kind = op.get("op")
+    if kind == "idempotency":
+        client, key = op.get("client"), op.get("key")
+        if isinstance(client, str) and isinstance(key, str):
+            yield client, key
+    elif kind == "batch":
+        for sub in op.get("ops", ()):
+            if isinstance(sub, dict):
+                yield from iter_idempotency_markers(sub)

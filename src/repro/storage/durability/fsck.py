@@ -1,14 +1,15 @@
 """Offline integrity check (``repro fsck``): verify, never repair.
 
-``fsck_data_dir`` walks a durability directory read-only and re-verifies
-every guarantee the write path claims:
-
-* the snapshot's magic, version, declared length, and payload CRC32C;
-* every WAL record's header checksum, length plausibility, and payload
-  CRC32C, plus sequence-number continuity across records;
-* a torn tail (incomplete final record) is *reported* with its byte
-  offset and the last intact frame's seq — unlike recovery, fsck never
-  truncates, so operators can inspect the damage first.
+``fsck_data_dir`` is recovery's own readers run dry: the snapshot goes
+through :func:`~repro.storage.durability.snapshot.read_snapshot`, the log
+through :func:`~repro.storage.durability.wal.read_log` and every record
+through :func:`~repro.storage.durability.codec.decode_record` — the
+functions ``recover`` replays from — so the two cannot disagree about the
+same bytes.  What recovery raises on, fsck reports with its byte offset
+and the last intact record's seq, and it adds the one check recovery does
+not make, sequence-number continuity.  A torn tail (incomplete final
+record) is *reported*, never truncated: operators inspect the damage
+first.
 
 The same checks back the replica scrubber's local pass
 (:mod:`repro.server.replication.scrub`), which is what turns silent
@@ -17,14 +18,14 @@ bit rot into a quarantine + resync instead of a served wrong answer.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
-from .checksum import crc32c
+from ...errors import CorruptLogError
+from .codec import decode_record
 from .recovery import SNAPSHOT_FILE, WAL_FILE
-from .snapshot import SNAPSHOT_MAGIC, _FRAME, FORMAT_VERSION
-from .wal import _HEADER, _LEN_CRC, MAX_RECORD_BYTES, WAL_MAGIC
+from .snapshot import read_snapshot
+from .wal import Damage, read_log
 
 __all__ = ["FsckIssue", "FsckReport", "fsck_data_dir"]
 
@@ -91,114 +92,27 @@ class FsckReport:
 
 def _check_snapshot(path: str, report: FsckReport) -> None:
     report.snapshot_present = True
-    with open(path, "rb") as handle:
-        data = handle.read()
-    report.snapshot_bytes = len(data)
-    name = os.path.basename(path)
-    header_size = len(SNAPSHOT_MAGIC) + _FRAME.size
-    if len(data) < header_size or data[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
+    report.snapshot_bytes, found = read_snapshot(path)
+    if isinstance(found, Damage):
         report.issues.append(FsckIssue(
-            name, "snapshot-bad-header", 0, 0,
-            "bad or truncated snapshot header",
+            os.path.basename(path), f"snapshot-{found.kind}", found.offset, 0,
+            found.reason,
         ))
-        return
-    version, payload_crc, length = _FRAME.unpack_from(data, len(SNAPSHOT_MAGIC))
-    if version != FORMAT_VERSION:
-        report.issues.append(FsckIssue(
-            name, "snapshot-bad-version", len(SNAPSHOT_MAGIC), 0,
-            f"unsupported snapshot version {version}",
-        ))
-        return
-    payload = data[header_size:]
-    if len(payload) != length:
-        report.issues.append(FsckIssue(
-            name, "snapshot-truncated", header_size, 0,
-            f"payload is {len(payload)} bytes, header declares {length}",
-        ))
-        return
-    if crc32c(payload) != payload_crc:
-        report.issues.append(FsckIssue(
-            name, "snapshot-checksum", header_size, 0,
-            "payload CRC32C mismatch",
-        ))
-        return
-    try:
-        document = json.loads(payload.decode("utf-8"))
-        report.snapshot_wal_seq = int(document.get("wal_seq", 0))
-    except (UnicodeDecodeError, json.JSONDecodeError, ValueError):
-        report.issues.append(FsckIssue(
-            name, "snapshot-bad-json", header_size, 0,
-            "checksummed payload is not valid JSON",
-        ))
+    else:
+        report.snapshot_wal_seq = found.get("wal_seq", 0)
 
 
 def _check_wal(path: str, report: FsckReport) -> None:
     report.wal_present = True
-    with open(path, "rb") as handle:
-        data = handle.read()
-    size = len(data)
-    report.wal_bytes = size
+    scan = read_log(path)
+    report.wal_bytes = scan.file_length
     name = os.path.basename(path)
-    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
-        if size < len(WAL_MAGIC) and WAL_MAGIC.startswith(data):
-            report.issues.append(FsckIssue(
-                name, "wal-torn-magic", 0, 0,
-                f"only {size} of {len(WAL_MAGIC)} magic bytes present",
-            ))
-        else:
-            report.issues.append(FsckIssue(
-                name, "wal-bad-magic", 0, 0, "not a PCQE write-ahead log",
-            ))
-        return
-    offset = len(WAL_MAGIC)
-    while offset < size:
-        remaining = size - offset
-        if remaining < _HEADER.size:
-            report.issues.append(FsckIssue(
-                name, "wal-torn-header", offset, report.last_seq,
-                f"file ends {remaining} byte(s) into a record header "
-                f"({remaining}/{_HEADER.size})",
-            ))
-            return
-        length, payload_crc, header_crc = _HEADER.unpack_from(data, offset)
-        if crc32c(data[offset : offset + _LEN_CRC.size]) != header_crc:
-            report.issues.append(FsckIssue(
-                name, "wal-header-checksum", offset, report.last_seq,
-                "record header CRC32C mismatch (length field untrusted; "
-                "remaining bytes unverifiable)",
-            ))
-            return
-        if length > MAX_RECORD_BYTES:
-            report.issues.append(FsckIssue(
-                name, "wal-bad-length", offset, report.last_seq,
-                f"implausible record length {length}",
-            ))
-            return
-        body_start = offset + _HEADER.size
-        if body_start + length > size:
-            report.issues.append(FsckIssue(
-                name, "wal-torn-payload", offset, report.last_seq,
-                f"file ends {size - body_start} byte(s) into a "
-                f"{length}-byte payload",
-            ))
-            return
-        payload = data[body_start : body_start + length]
-        if crc32c(payload) != payload_crc:
-            report.issues.append(FsckIssue(
-                name, "wal-payload-checksum", offset, report.last_seq,
-                f"record payload CRC32C mismatch ({length} bytes)",
-            ))
-            return
-        seq = 0
+    for offset, payload in zip(scan.offsets, scan.payloads):
         try:
-            record = json.loads(payload.decode("utf-8"))
-            seq = record.get("seq")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            record, seq = None, None
-        if not isinstance(seq, int):
+            seq, _op = decode_record(payload)
+        except CorruptLogError as error:
             report.issues.append(FsckIssue(
-                name, "wal-bad-record", offset, report.last_seq,
-                "checksummed record is not JSON with an integer 'seq'",
+                name, "wal-bad-record", offset, report.last_seq, str(error),
             ))
         else:
             if report.last_seq and seq != report.last_seq + 1:
@@ -208,7 +122,11 @@ def _check_wal(path: str, report: FsckReport) -> None:
                 ))
             report.last_seq = seq
         report.frames_verified += 1
-        offset = body_start + length
+    if scan.damage is not None:
+        report.issues.append(FsckIssue(
+            name, f"wal-{scan.damage.kind}", scan.damage.offset,
+            report.last_seq, scan.damage.reason,
+        ))
 
 
 def fsck_data_dir(data_dir: str) -> FsckReport:

@@ -27,12 +27,12 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ...errors import DurabilityError
 from ...obs import get_metrics, get_tracer
-from .codec import encode_op
+from .codec import decode_record, encode_op, iter_idempotency_markers
 from .faults import FaultInjector, FaultyFile
 from .fileio import DurableFile, os_opener
 from .recovery import SNAPSHOT_FILE, WAL_FILE
 from .retry import RetryPolicy
-from .wal import WriteAheadLog
+from .wal import WriteAheadLog, scan_wal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..database import Database
@@ -91,6 +91,10 @@ class DurabilityManager:
         self._closed = False
         self._suspended = False
         self._listeners: "list[Any]" = []
+        #: Payload checksum of the newest durable record — the one pass the
+        #: log's framing made over it, for a commit listener to keep.
+        self.last_digest = 0
+        self._tail: "list[tuple[int, bytes, int]] | None" = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -102,10 +106,18 @@ class DurabilityManager:
     def _count_retry(self, attempt: int, error: BaseException) -> None:
         self._metrics.counter("wal.retries").inc()
 
-    def attach(self, db: "Database", last_seq: int) -> None:
-        """Start journaling *db* (state must already match the log)."""
+    def attach(
+        self,
+        db: "Database",
+        last_seq: int,
+        tail: "list[tuple[int, bytes, int]] | None" = None,
+    ) -> None:
+        """Start journaling *db* (state must already match the log).
+
+        *tail* is ``RecoveryReport.tail``, held for :meth:`take_tail`."""
         self._db = db
         self._seq = last_seq
+        self._tail = tail
         db._durability = self
         for table in db.tables():
             table._journal = self.log_op
@@ -163,9 +175,35 @@ class DurabilityManager:
         except ValueError:
             pass
 
-    def _notify(self, seq: int, payload: bytes) -> None:
+    def _append(self, span: str, seq: int, payload: bytes, **attrs: Any) -> None:
+        """The one durable append, a commit's or an imported frame's:
+        framed and fsync'd, counted, its checksum kept, listeners told."""
+        with get_tracer().span(span, **attrs, seq=seq) as active:
+            nbytes, self.last_digest = self._wal.append(payload)
+            active.set_attribute("bytes", nbytes)
+        self._seq = seq
+        self._metrics.counter("wal.records").inc()
+        self._metrics.counter("wal.bytes").inc(nbytes)
+        if self.sync:
+            self._metrics.counter("wal.fsyncs").inc()
+        self._metrics.gauge("wal.size_bytes").set(self._wal.size_bytes)
+        self._tail = None  # no longer the log's tail: release it
         for listener in list(self._listeners):
             listener(seq, payload)
+
+    def take_tail(self) -> "list[tuple[int, bytes, int]]":
+        """The log's last records as ``(seq, payload, payload checksum)``,
+        for a replication feed to start from: the ones recovery just read
+        and verified, handed over once — or, when something was journaled
+        since (or they were already taken), the log read again."""
+        tail, self._tail = self._tail, None
+        if tail is None:
+            scan = scan_wal(self._wal.path)
+            tail = [
+                (decode_record(payload)[0], payload, digest)
+                for payload, digest in zip(scan.payloads, scan.digests)
+            ]
+        return tail
 
     def import_frame(self, payload: bytes, seq: int) -> int:
         """Append a primary-authored WAL record verbatim (replica path).
@@ -183,17 +221,8 @@ class DurabilityManager:
                 f"out-of-order frame import: got seq {seq}, "
                 f"expected {self._seq + 1}"
             )
-        with get_tracer().span("wal.import", seq=seq) as span:
-            nbytes, payload_crc = self._wal.append(payload)
-            span.set_attribute("bytes", nbytes)
-        self._seq = seq
-        self._metrics.counter("wal.records").inc()
-        self._metrics.counter("wal.bytes").inc(nbytes)
-        if self.sync:
-            self._metrics.counter("wal.fsyncs").inc()
-        self._metrics.gauge("wal.size_bytes").set(self._wal.size_bytes)
-        self._notify(seq, payload)
-        return payload_crc
+        self._append("wal.import", seq, payload)
+        return self.last_digest
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -221,17 +250,11 @@ class DurabilityManager:
         self._seq += 1
         encoded["seq"] = self._seq
         payload = json.dumps(encoded, separators=(",", ":")).encode("utf-8")
-        with get_tracer().span(
-            "wal.append", op=op.get("op", "?"), seq=self._seq
-        ) as span:
-            nbytes, _ = self._wal.append(payload)
-            span.set_attribute("bytes", nbytes)
-        self._metrics.counter("wal.records").inc()
-        self._metrics.counter("wal.bytes").inc(nbytes)
-        if self.sync:
-            self._metrics.counter("wal.fsyncs").inc()
-        self._metrics.gauge("wal.size_bytes").set(self._wal.size_bytes)
-        self._notify(self._seq, payload)
+        self._append("wal.append", self._seq, payload, op=op.get("op", "?"))
+        # Durable: the keys it carried are now answered, not re-executed
+        # (recorded before a checkpoint can fold the record away).
+        for marker in iter_idempotency_markers(op):
+            self._db.idempotency_keys.put(marker, self._seq)
         self.maybe_checkpoint()
 
     def maybe_checkpoint(self) -> bool:

@@ -31,14 +31,18 @@ understands the kinds older logs hold (per-row ``update`` /
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ...errors import CorruptLogError, DurabilityError, ReproError
 from ...obs import get_metrics, get_tracer
-from .codec import decode_cost_model, decode_op, decode_schema
+from .codec import (
+    decode_cost_model,
+    decode_record,
+    decode_schema,
+    iter_idempotency_markers,
+)
 from .wal import scan_wal, truncate_torn_tail
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -48,6 +52,11 @@ __all__ = ["RecoveryReport", "recover", "apply_op", "SNAPSHOT_FILE", "WAL_FILE"]
 
 SNAPSHOT_FILE = "snapshot.snap"
 WAL_FILE = "wal.log"
+
+#: How much of the log's tail recovery keeps in memory for a replication
+#: feed to start from: the feed's own window, in frames and payload bytes.
+TAIL_FRAMES = 4096
+TAIL_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -62,6 +71,10 @@ class RecoveryReport:
     bytes_replayed: int = 0
     torn_bytes_truncated: int = 0
     last_seq: int = 0
+    #: The log's last records as ``(seq, payload, payload checksum)``,
+    #: bounded by ``TAIL_FRAMES`` / ``TAIL_BYTES`` — read and verified once,
+    #: here, so a replication feed over this log need not read it again.
+    tail: "list[tuple[int, bytes, int]]" = field(default_factory=list, repr=False)
 
     def format(self) -> str:
         snapshot = (
@@ -82,9 +95,11 @@ class RecoveryReport:
         )
 
 
-def apply_op(db: "Database", op: dict[str, Any]) -> None:
+def apply_op(db: "Database", op: dict[str, Any], seq: int = 0) -> None:
     """Replay one decoded logical operation against *db*.
 
+    *seq* is the sequence number of the record *op* came in: what an
+    ``idempotency`` marker inside it maps its ⟨client, key⟩ to.
     Inconsistencies (a record referencing a table the state does not
     have) mean the log and snapshot disagree — that is corruption, and
     it surfaces as :class:`CorruptLogError`.
@@ -95,7 +110,7 @@ def apply_op(db: "Database", op: dict[str, Any]) -> None:
     try:
         if kind == "batch":
             for sub in op["ops"]:
-                apply_op(db, sub)
+                apply_op(db, sub, seq)
         elif kind == "create_table":
             db.create_table(op["table"], decode_schema(op["columns"]))
         elif kind == "drop_table":
@@ -142,10 +157,10 @@ def apply_op(db: "Database", op: dict[str, Any]) -> None:
             for table, ordinal, value in op["updates"]:
                 db.table(table).update_rows([ordinal], confidence=value)
         elif kind == "idempotency":
-            # Dedup marker: no state change.  The serving layer harvests
-            # these during replication/recovery to rebuild its
-            # (client, key) -> seq exactly-once map.
-            pass
+            # The exactly-once map is replicated state: replaying the
+            # marker restores it, with the write it guards.
+            for marker in iter_idempotency_markers(op):
+                db.idempotency_keys.put(marker, seq)
         else:  # pragma: no cover - decode_op already rejects these
             raise DurabilityError(f"unknown operation kind {kind!r}")
     except (KeyError, TypeError) as error:
@@ -168,6 +183,18 @@ def _clean_stale_temps(data_dir: str) -> None:
             os.unlink(path)
         except FileNotFoundError:
             pass
+
+
+def _window(records: "list[tuple[int, bytes, int]]") -> "list[tuple[int, bytes, int]]":
+    """The longest suffix of *records* within the tail bounds (never empty
+    for a non-empty log: the newest record is always kept)."""
+    kept = nbytes = 0
+    for _seq, payload, _digest in reversed(records):
+        nbytes += len(payload)
+        if kept == TAIL_FRAMES or (kept and nbytes > TAIL_BYTES):
+            break
+        kept += 1
+    return records[len(records) - kept :]
 
 
 def recover(
@@ -205,24 +232,16 @@ def recover(
             report.torn_bytes_truncated = truncate_torn_tail(wal_path, scan)
             if report.torn_bytes_truncated:
                 metrics.counter("recovery.torn_tails").inc()
-            for payload in scan.payloads:
-                try:
-                    raw = json.loads(payload.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                    raise CorruptLogError(
-                        f"{wal_path}: record is not valid JSON: {error}"
-                    ) from error
-                seq = raw.pop("seq", None)
-                if not isinstance(seq, int):
-                    raise CorruptLogError(
-                        f"{wal_path}: record without a sequence number"
-                    )
+            for payload, digest in zip(scan.payloads, scan.digests):
+                seq, op = decode_record(payload)
+                report.tail.append((seq, payload, digest))
                 if seq <= snap_seq:
                     continue  # already folded into the snapshot
-                apply_op(db, decode_op(raw))
+                apply_op(db, op, seq)
                 report.records_replayed += 1
                 report.bytes_replayed += len(payload)
                 report.last_seq = max(report.last_seq, seq)
+            report.tail = _window(report.tail)
 
         span.set_attribute("records_replayed", report.records_replayed)
         span.set_attribute("snapshot_loaded", report.snapshot_loaded)

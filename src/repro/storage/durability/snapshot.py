@@ -12,8 +12,11 @@ File format (``snapshot.snap``)::
 
 The payload is the complete logical database state — per table: schema,
 indexed columns, ``next_ordinal``, and every row as ``(ordinal, values,
-confidence, cost model)`` — plus the view catalog and ``wal_seq``, the
-sequence number of the last WAL record folded into the snapshot.
+confidence, cost model)`` — plus the view catalog, ``wal_seq``, the
+sequence number of the last WAL record folded into the snapshot, and —
+only when there is one — ``idempotency``, the exactly-once map
+(``[client, key, seq]`` triples, least recently used first) of the keyed
+writes folded in with it.
 Recovery replays only WAL records with ``seq > wal_seq``, which is what
 makes "write snapshot, then compact the WAL" crash-safe in either order.
 
@@ -41,6 +44,7 @@ from .codec import (
 )
 from .faults import FaultInjector
 from .fileio import Opener, fsync_dir, os_opener
+from .wal import Damage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..database import Database
@@ -51,6 +55,7 @@ __all__ = [
     "populate_database",
     "database_from_payload",
     "write_snapshot",
+    "read_snapshot",
     "load_snapshot",
 ]
 
@@ -79,13 +84,19 @@ def snapshot_payload(db: "Database", wal_seq: int) -> dict[str, Any]:
                 ],
             }
         )
-    return {
+    payload = {
         "format": FORMAT_VERSION,
         "name": db.name,
         "wal_seq": wal_seq,
         "tables": tables,
         "views": [[name, db.view_definition(name)] for name in db.view_names()],
     }
+    keys = db.idempotency_keys.items()
+    if keys:  # omitted when empty: older readers and byte-identical files
+        payload["idempotency"] = [
+            [client, key, seq] for (client, key), seq in keys
+        ]
+    return payload
 
 
 def populate_database(db: "Database", payload: dict[str, Any]) -> int:
@@ -94,7 +105,8 @@ def populate_database(db: "Database", payload: dict[str, Any]) -> int:
     Shared between cold recovery (:func:`database_from_payload`) and a
     replica's in-place resync rebuild.  Returns the payload's
     ``wal_seq``.  A table's ``indexes`` list, which older snapshots
-    carry, is ignored: tables keep no secondary index.
+    carry, is ignored: tables keep no secondary index; the ``idempotency``
+    list, which they lack, restores the exactly-once map.
     """
     from ..tuples import StoredTuple, TupleId
 
@@ -119,7 +131,9 @@ def populate_database(db: "Database", payload: dict[str, Any]) -> int:
             )
         for view_name, sql in payload.get("views", ()):
             db.create_view(view_name, sql)
-    except (KeyError, TypeError, DurabilityError) as error:
+        for client, key, seq in payload.get("idempotency", ()):
+            db.idempotency_keys.put((client, key), seq)
+    except (KeyError, TypeError, ValueError, DurabilityError) as error:
         raise CorruptSnapshotError(
             f"malformed snapshot payload: {error}"
         ) from error
@@ -175,6 +189,53 @@ def write_snapshot(
     return len(frame)
 
 
+def read_snapshot(
+    path: "str | os.PathLike[str]",
+) -> "tuple[int, dict[str, Any] | Damage]":
+    """Read and verify the snapshot file at *path*: the one reader of its
+    header (magic, version, declared length, payload CRC32C, JSON object).
+
+    Returns the file's size and the document — or the :class:`Damage` that
+    says why there is none.  Never raises on what the file holds;
+    :func:`load_snapshot` raises the verdict, ``fsck`` reports it.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    size, magic = len(data), len(SNAPSHOT_MAGIC)
+    body = magic + _FRAME.size
+    if size < body or data[:magic] != SNAPSHOT_MAGIC:
+        return size, Damage(
+            "bad-header", 0, "not a PCQE snapshot (bad or truncated header)"
+        )
+    version, payload_crc, length = _FRAME.unpack_from(data, magic)
+    payload = data[body:]
+    if version != FORMAT_VERSION:
+        return size, Damage(
+            "bad-version", magic, f"unsupported snapshot version {version}"
+        )
+    if len(payload) != length:
+        return size, Damage(
+            "truncated", body,
+            f"snapshot payload is {len(payload)} bytes, header declares {length}",
+        )
+    if crc32c(payload) != payload_crc:
+        return size, Damage("checksum", body, "snapshot checksum mismatch")
+    try:
+        document = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        return size, Damage(
+            "bad-json", body, f"snapshot payload is not valid JSON: {error}"
+        )
+    if not isinstance(document, dict) or not isinstance(
+        document.get("wal_seq", 0), int
+    ):
+        return size, Damage(
+            "bad-json", body,
+            "snapshot payload is not a JSON object with an integer 'wal_seq'",
+        )
+    return size, document
+
+
 def load_snapshot(
     path: "str | os.PathLike[str]", name: str | None = None
 ) -> "tuple[Database, int]":
@@ -183,30 +244,7 @@ def load_snapshot(
     Raises :class:`CorruptSnapshotError` on any framing or checksum
     failure — including a zero-length file left by an un-fsync'd rename.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    header_size = len(SNAPSHOT_MAGIC) + _FRAME.size
-    if len(data) < header_size or data[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        raise CorruptSnapshotError(
-            f"{path}: not a PCQE snapshot (bad or truncated header)"
-        )
-    version, payload_crc, length = _FRAME.unpack_from(data, len(SNAPSHOT_MAGIC))
-    if version != FORMAT_VERSION:
-        raise CorruptSnapshotError(
-            f"{path}: unsupported snapshot version {version}"
-        )
-    payload = data[header_size:]
-    if len(payload) != length:
-        raise CorruptSnapshotError(
-            f"{path}: snapshot payload is {len(payload)} bytes, "
-            f"header declares {length}"
-        )
-    if crc32c(payload) != payload_crc:
-        raise CorruptSnapshotError(f"{path}: snapshot checksum mismatch")
-    try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CorruptSnapshotError(
-            f"{path}: snapshot payload is not valid JSON: {error}"
-        ) from error
-    return database_from_payload(document, name)
+    _size, found = read_snapshot(path)
+    if isinstance(found, Damage):
+        raise CorruptSnapshotError(f"{path}: {found.reason}")
+    return database_from_payload(found, name)

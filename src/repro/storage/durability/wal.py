@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ...errors import CorruptLogError, DurabilityError
 from .checksum import crc32c
@@ -39,7 +39,7 @@ from .faults import FaultInjector
 from .fileio import DurableFile, Opener, os_opener
 from .retry import RetryPolicy
 
-__all__ = ["WAL_MAGIC", "WriteAheadLog", "ScanResult", "scan_wal"]
+__all__ = ["WAL_MAGIC", "WriteAheadLog", "ScanResult", "scan_wal", "read_log"]
 
 WAL_MAGIC = b"PCQEWAL1"
 _HEADER = struct.Struct("<III")  # payload length, payload CRC, header CRC
@@ -61,6 +61,22 @@ def _frame(payload: bytes, checksum=crc32c) -> tuple[bytes, int]:
     return record, payload_crc
 
 
+@dataclass(frozen=True)
+class Damage:
+    """Where and why a durability file stops being readable: the check that
+    failed (``repro fsck`` reports it as ``wal-<kind>`` / ``snapshot-<kind>``),
+    its byte offset, and the sentence recovery's error and fsck's issue carry."""
+
+    kind: str
+    offset: int
+    reason: str
+
+    @property
+    def torn(self) -> bool:
+        """An incomplete final write (recovery truncates it), not corruption."""
+        return self.kind.startswith("torn")
+
+
 @dataclass
 class ScanResult:
     """Outcome of scanning a WAL file."""
@@ -68,10 +84,76 @@ class ScanResult:
     payloads: list[bytes]
     good_length: int  #: byte offset up to which the log is intact
     file_length: int  #: actual file size (> good_length ⇒ torn tail)
+    #: Each payload's byte offset and verified checksum, in step with it.
+    offsets: list[int] = field(default_factory=list)
+    digests: list[int] = field(default_factory=list)
+    damage: "Damage | None" = None  #: why the scan stopped at good_length
 
     @property
     def torn_bytes(self) -> int:
         return self.file_length - self.good_length
+
+
+def read_log(path: "str | os.PathLike[str]", checksum=crc32c) -> ScanResult:
+    """Walk the log at *path*: the one reader of the record framing.
+
+    Never raises on what the file holds and never modifies it.  The walk
+    ends at the first record that is not intact, and ``damage`` says which
+    check failed there: ``torn-magic`` / ``torn-header`` / ``torn-payload``
+    (the file ends mid-write) or ``bad-magic`` / ``header-checksum`` /
+    ``bad-length`` / ``payload-checksum`` (the bytes are there and wrong).
+    :func:`scan_wal` raises on the second group; ``fsck`` reports both.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    size = len(data)
+    scan = ScanResult([], 0, size)
+    if not data:
+        return scan  # created, nothing written yet
+    offset, found = len(WAL_MAGIC), None
+    if data[:offset] != WAL_MAGIC:
+        offset = 0
+        if WAL_MAGIC.startswith(data):  # only a prefix of the magic landed
+            found = "torn-magic", (
+                f"only {size} of {len(WAL_MAGIC)} magic bytes present"
+            )
+        else:
+            found = "bad-magic", "not a PCQE write-ahead log (bad magic)"
+    while offset < size and found is None:
+        body = offset + _HEADER.size
+        if body > size:
+            found = "torn-header", (
+                f"file ends {size - offset} byte(s) into a {_HEADER.size}-byte "
+                f"record header"
+            )
+            break
+        length, payload_crc, header_crc = _HEADER.unpack_from(data, offset)
+        if checksum(data[offset : offset + _LEN_CRC.size]) != header_crc:
+            found = "header-checksum", (
+                f"record header checksum mismatch at offset {offset}"
+            )
+        elif length > MAX_RECORD_BYTES:
+            found = "bad-length", (
+                f"implausible record length {length} at offset {offset}"
+            )
+        elif body + length > size:
+            found = "torn-payload", (
+                f"file ends {size - body} byte(s) into a {length}-byte payload"
+            )
+        elif checksum(payload := data[body : body + length]) != payload_crc:
+            found = "payload-checksum", (
+                f"record payload checksum mismatch at offset {offset} "
+                f"(record {len(scan.payloads)})"
+            )
+        else:
+            scan.payloads.append(payload)
+            scan.offsets.append(offset)
+            scan.digests.append(payload_crc)
+            offset = body + length
+    scan.good_length = offset
+    if found is not None:
+        scan.damage = Damage(found[0], offset, found[1])
+    return scan
 
 
 def scan_wal(path: "str | os.PathLike[str]", checksum=crc32c) -> ScanResult:
@@ -83,47 +165,10 @@ def scan_wal(path: "str | os.PathLike[str]", checksum=crc32c) -> ScanResult:
     match the function the log was written with — the storage WAL uses
     the default CRC32C; the audit journal frames with ``zlib.crc32``.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    size = len(data)
-    if size < len(WAL_MAGIC):
-        # A torn header write: only a prefix of the magic landed.
-        if data and not WAL_MAGIC.startswith(data):
-            raise CorruptLogError(
-                f"{path}: not a PCQE write-ahead log (bad magic)"
-            )
-        return ScanResult([], 0, size)
-    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
-        raise CorruptLogError(f"{path}: not a PCQE write-ahead log (bad magic)")
-
-    payloads: list[bytes] = []
-    offset = len(WAL_MAGIC)
-    while offset < size:
-        remaining = size - offset
-        if remaining < _HEADER.size:
-            return ScanResult(payloads, offset, size)  # torn header
-        length, payload_crc, header_crc = _HEADER.unpack_from(data, offset)
-        if checksum(data[offset : offset + _LEN_CRC.size]) != header_crc:
-            raise CorruptLogError(
-                f"{path}: record header checksum mismatch at offset {offset}"
-            )
-        if length > MAX_RECORD_BYTES:
-            raise CorruptLogError(
-                f"{path}: implausible record length {length} at offset "
-                f"{offset}"
-            )
-        body_start = offset + _HEADER.size
-        if body_start + length > size:
-            return ScanResult(payloads, offset, size)  # torn payload
-        payload = data[body_start : body_start + length]
-        if checksum(payload) != payload_crc:
-            raise CorruptLogError(
-                f"{path}: record payload checksum mismatch at offset "
-                f"{offset} (record {len(payloads)})"
-            )
-        payloads.append(payload)
-        offset = body_start + length
-    return ScanResult(payloads, offset, size)
+    scan = read_log(path, checksum)
+    if scan.damage is not None and not scan.damage.torn:
+        raise CorruptLogError(f"{path}: {scan.damage.reason}")
+    return scan
 
 
 def truncate_torn_tail(path: "str | os.PathLike[str]", scan: ScanResult) -> int:

@@ -1,8 +1,9 @@
 """A bounded, thread-safe least-recently-used map.
 
 One class for the process's small caches: a catalog's prepared
-statements (:attr:`repro.storage.database.Database.plan_cache`) and a
-server's two exactly-once maps.
+statements (:attr:`repro.storage.database.Database.plan_cache`) and the
+two exactly-once maps — the replicated ⟨client, key⟩ → seq map of a
+:class:`~repro.storage.database.Database` and a server's volatile replies.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ class BoundedLRU:
     def drop(self, key: Hashable) -> None:
         with self._lock:
             self._entries.pop(key, None)
+
+    def items(self) -> "list[tuple[Hashable, Any]]":
+        """A copy of the entries, least recently used first (not a use)."""
+        with self._lock:
+            return list(self._entries.items())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -8,7 +8,11 @@ Two round-trip laws and two corruption laws:
   save/load;
 * truncating a WAL at any byte never raises — the scan yields a prefix
   of the records (the torn-tail contract);
-* flipping any single bit of a complete WAL is always detected.
+* flipping any single bit of a complete WAL is always detected;
+* whatever one truncation or bit flip does to ``wal.log`` or
+  ``snapshot.snap``, ``fsck`` and ``recover`` give the same verdict on
+  the same bytes — clean, torn at one offset, or corrupt for one reason —
+  and neither raises anything but the two structured errors.
 """
 
 from __future__ import annotations
@@ -25,14 +29,18 @@ from repro.cost import (
     LogarithmicCost,
     TabulatedCost,
 )
-from repro.errors import CorruptLogError
+from repro.errors import CorruptLogError, CorruptSnapshotError
 from repro.storage import Database
 from repro.storage.durability import (
+    SNAPSHOT_FILE,
+    WAL_FILE,
     WAL_MAGIC,
     WriteAheadLog,
     decode_cost_model,
     encode_cost_model,
+    fsck_data_dir,
     load_snapshot,
+    recover,
     scan_wal,
     write_snapshot,
 )
@@ -191,6 +199,112 @@ def test_wal_single_bitflip_always_detected(tmp_path_factory, payloads, data):
     # CRC32C detects every single-bit error in header and payload alike.
     with pytest.raises(CorruptLogError):
         scan_wal(path)
+
+
+# -- fsck and recovery agree -----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory) -> "dict[str, bytes]":
+    """The two files of a data directory holding a snapshot at seq 4 and a
+    four-record log suffix (one a keyed batch), byte for byte."""
+    data_dir = tmp_path_factory.mktemp("pristine")
+    db = Database.open(str(data_dir), sync=False)
+    table = db.create_table("t", Schema([Column("name", DataType.TEXT)]))
+    for index in range(3):
+        table.insert([f"row-{index}"], confidence=0.5)
+    db.checkpoint()
+    for index in range(3, 6):
+        table.insert([f"row-{index}"], confidence=0.5)
+    with db.durability_batch():
+        table.insert(["keyed"], confidence=0.5)
+        db._journal({"op": "idempotency", "client": "c", "key": "k"})
+    db.close()
+    return {
+        name: (data_dir / name).read_bytes() for name in (WAL_FILE, SNAPSHOT_FILE)
+    }
+
+
+def _verdicts(data_dir) -> None:
+    """Assert fsck's report and recovery's outcome are one row of the table."""
+    wal_path = data_dir / WAL_FILE
+    before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+    report = fsck_data_dir(str(data_dir))
+    assert before == {
+        path.name: path.read_bytes() for path in data_dir.iterdir()
+    }, "fsck modified a file"
+    try:
+        _db, recovery = recover(str(data_dir))
+    except (CorruptLogError, CorruptSnapshotError) as error:
+        # corrupt ⇔ the first fsck issue names the file recovery gave up
+        # on, and its sentence — offset included — is recovery's reason.
+        issue = report.issues[0]
+        assert not issue.kind.startswith("wal-torn")
+        assert issue.file == (
+            SNAPSHOT_FILE if isinstance(error, CorruptSnapshotError) else WAL_FILE
+        )
+        assert issue.detail in str(error)
+        return
+    if recovery.torn_bytes_truncated:
+        # torn ⇔ recovery cut the log at exactly the offset fsck named.
+        (issue,) = report.issues
+        assert issue.kind.startswith("wal-torn")
+        assert issue.offset == len(wal_path.read_bytes())
+        assert recovery.torn_bytes_truncated == (
+            len(before[WAL_FILE]) - issue.offset
+        )
+    else:
+        # clean ⇔ every record fsck verified was scanned, and every one
+        # past the snapshot replayed.
+        assert report.clean, report.format()
+        assert wal_path.read_bytes() == before[WAL_FILE]
+        assert recovery.records_scanned == report.frames_verified
+        assert recovery.last_seq == report.last_seq
+        assert recovery.records_replayed == (
+            recovery.last_seq - report.snapshot_wal_seq
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fsck_and_recovery_agree_on_any_single_damage(
+    tmp_path_factory, pristine, data
+):
+    data_dir = tmp_path_factory.mktemp("damaged")
+    target = data.draw(st.sampled_from([WAL_FILE, SNAPSHOT_FILE]))
+    raw = bytearray(pristine[target])
+    if data.draw(st.booleans()):
+        del raw[data.draw(st.integers(min_value=0, max_value=len(raw))) :]
+    else:
+        position = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        raw[position] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+    for name, content in pristine.items():
+        (data_dir / name).write_bytes(raw if name == target else content)
+    _verdicts(data_dir)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"[1]",  # JSON, not an object
+        b"\xff\xfe",  # not UTF-8
+        b'{"op":"insert"}',  # no seq
+        b'{"seq":"1","op":"insert"}',  # seq not an integer
+        b'{"seq":1,"op":"nope"}',  # unknown kind
+        b'{"seq":1,"op":"batch","ops":[1]}',  # sub-op not an object
+    ],
+)
+def test_a_checksummed_malformed_record_is_one_structured_outcome(
+    tmp_path, payload
+):
+    log = WriteAheadLog(str(tmp_path / WAL_FILE), sync=False)
+    log.append(payload)
+    log.close()
+    (issue,) = fsck_data_dir(str(tmp_path)).issues
+    assert (issue.kind, issue.offset) == ("wal-bad-record", len(WAL_MAGIC))
+    with pytest.raises(CorruptLogError) as excinfo:
+        recover(str(tmp_path))
+    assert issue.detail in str(excinfo.value)
 
 
 # -- snapshot round-trip ---------------------------------------------------

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.server.replication.feed import iter_idempotency_markers
 from repro.storage import Database, TupleId
 from repro.storage.durability import (
     database_fingerprints,
     fsck_data_dir,
+    iter_idempotency_markers,
     recover,
     scan_wal,
 )

@@ -280,8 +280,16 @@ class TestEpochFencing:
 
 
 class TestDurableReplay:
-    def test_idempotent_replay_across_failover(self, tmp_path, primary):
-        server, policies, _db = primary
+    """A retried (client, key) is answered from the replicated state —
+    ``idempotent_replay``, the same ``seq``, one row — whatever happened to
+    the node between the write and the retry."""
+
+    @pytest.mark.parametrize(
+        "between",
+        ["failover", "crash-reopen", "drain-reopen", "checkpoint-bootstrap"],
+    )
+    def test_idempotent_replay_across_failover(self, tmp_path, primary, between):
+        server, policies, db = primary
         setup = _raw_session(server.port, "client-a")
         assert _rpc(setup, op="sql", sql="CREATE TABLE t (name TEXT)")["ok"]
         written = _rpc(
@@ -291,21 +299,46 @@ class TestDurableReplay:
             idempotency_key="k1",
         )
         assert written["ok"], written
-        with Replica(
-            [f"127.0.0.1:{server.port}"],
-            policies,
-            data_dir=str(tmp_path / "replica"),
-            pull_interval=0.01,
-            wait_ms=50,
-        ) as replica:
-            assert replica.wait_for_position(written["seq"], 5.0)
-            setup.close()
-            server.stop()
-            replica.promote()
-            # The retried write carries the same (client, key); the
-            # promoted replica learned it from the replicated WAL and
-            # answers from the log instead of applying twice.
-            retry = _raw_session(replica.server.port, "client-a")
+        replica = None
+        if between in ("failover", "checkpoint-bootstrap"):
+            if between == "checkpoint-bootstrap":
+                # The log is compacted and the primary restarted, so the
+                # fresh replica below can only bootstrap from repl.snapshot:
+                # the key must arrive in the snapshot, not in a frame.
+                setup.close()
+                db.checkpoint()
+                server.stop()
+                db.close()
+                db = Database.open(str(tmp_path / "primary"))
+                server = PCQEServer(db, policies, port=0).start()
+                assert len(server.replication.feed) == 0
+            replica = Replica(
+                [f"127.0.0.1:{server.port}"],
+                policies,
+                data_dir=str(tmp_path / "replica"),
+                pull_interval=0.01,
+                wait_ms=50,
+            ).start()
+            survivor = replica.server
+        try:
+            if replica is not None:
+                assert replica.wait_for_position(written["seq"], 5.0)
+                setup.close()
+                server.stop()
+                replica.promote()
+            else:
+                setup.close()
+                if between == "drain-reopen":
+                    assert server.drain()["checkpoint_bytes"] > 0
+                else:
+                    server.stop()  # no checkpoint: the marker is in the WAL
+                db.close()
+                db = Database.open(str(tmp_path / "primary"))
+                server = survivor = PCQEServer(db, policies, port=0).start()
+            # The retried write carries the same (client, key); whichever
+            # node answers learned it with the write — from the log, a
+            # snapshot, or the replicated stream — and does not apply twice.
+            retry = _raw_session(survivor.port, "client-a")
             replayed = _rpc(
                 retry,
                 op="sql",
@@ -317,6 +350,11 @@ class TestDurableReplay:
             assert replayed["seq"] == written["seq"]
             assert _rpc(retry, op="sql", sql="SELECT * FROM t")["count"] == 1
             retry.close()
+        finally:
+            if replica is not None:
+                replica.stop()
+            server.stop()
+            db.close()
 
 
 class TestClientFailover:

@@ -7,16 +7,13 @@ import threading
 import pytest
 
 from repro.server.replication.epoch import EPOCH_FILE, load_epoch, store_epoch
-from repro.server.replication.feed import (
-    MAX_RETAINED_BYTES,
-    ReplicationFeed,
-    iter_idempotency_markers,
-)
+from repro.server.replication.feed import MAX_RETAINED_BYTES, ReplicationFeed
 from repro.server.replication.reconcile import (
     common_prefix_seq,
     divergence_point,
     frame_digests,
 )
+from repro.storage.durability import iter_idempotency_markers
 from repro.storage.durability.checksum import crc32c
 
 
@@ -101,7 +98,7 @@ class TestReplicationFeed:
         assert feed.frames_since(3, max_frames=8) == [(4, huge)]
         assert feed.frames_since(2, max_frames=8) is None
         feed.append(5, b"small")  # the oversized frame goes first
-        assert feed.snapshot_frames() == [(5, b"small")] and feed.base == 4
+        assert feed.frames_since(4, max_frames=8) == [(5, b"small")] and feed.base == 4
 
     def test_duplicate_appends_are_ignored(self):
         feed = ReplicationFeed()
