@@ -9,15 +9,17 @@ the database's current base-tuple confidences (element 2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from operator import mul
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from ..lineage.circuit import CircuitPool, CompiledCircuit
 from ..lineage.formula import Lineage
-from ..lineage.probability import probability
+from ..lineage.probability import _missing, probability
 from ..storage.schema import Schema
 from ..storage.tuples import TupleId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..engines.columnar.batch import ColumnBatch
     from ..storage.database import Database
 
 __all__ = ["AnnotatedTuple", "ResultSet"]
@@ -51,18 +53,30 @@ class AnnotatedTuple:
 class ResultSet:
     """An ordered collection of annotated rows over a schema.
 
-    Confidence computation compiles every row's lineage into one shared
-    :class:`~repro.lineage.circuit.CircuitPool` on first use: common
-    subformulas across rows are interned once, and repeated calls (policy
-    enforcement, re-evaluation after an increment strategy) reuse the
-    compiled circuits instead of re-walking the formula trees.
+    The columnar engine hands over its root batch (:meth:`from_batch`) and
+    the result stays columnar until someone reads :attr:`rows`: its length,
+    :meth:`values`, :meth:`base_tuples` and :meth:`take` build no
+    ``AnnotatedTuple`` and no lineage.
+
+    Confidence computation has two paths.  A still-deferred batch whose tid
+    columns come from pairwise different tables holds, by construction, a
+    read-once ``And`` of distinct variables per row: its confidence is the
+    product of the base confidences, taken over the columns (see
+    :meth:`confidences`).  Everything else compiles every row's lineage
+    into one shared :class:`~repro.lineage.circuit.CircuitPool` on first
+    use: common subformulas across rows are interned once, and repeated
+    calls (policy enforcement, re-evaluation after an increment strategy)
+    reuse the compiled circuits instead of re-walking the formula trees.
     """
 
-    __slots__ = ("schema", "rows", "engine", "_pool", "_circuits", "_order")
+    __slots__ = (
+        "schema", "engine", "_rows", "_batch", "_pool", "_circuits", "_order"
+    )
 
     def __init__(self, schema: Schema, rows: list[AnnotatedTuple]) -> None:
         self.schema = schema
-        self.rows = rows
+        self._rows: list[AnnotatedTuple] | None = rows
+        self._batch: "ColumnBatch | None" = None
         #: Name of the execution engine that produced this result (set by
         #: :func:`repro.sql.run_sql`; None for directly-executed plans).
         self.engine: str | None = None
@@ -70,8 +84,31 @@ class ResultSet:
         self._circuits: list[CompiledCircuit] | None = None
         self._order: range | None = None
 
+    @classmethod
+    def from_batch(cls, batch: "ColumnBatch") -> "ResultSet":
+        """The columnar engine's result: *batch*, until :attr:`rows` is read."""
+        result = cls(batch.schema, None)
+        result._batch = batch
+        return result
+
+    @property
+    def rows(self) -> list[AnnotatedTuple]:
+        """The annotated rows (built from the batch on first read, kept)."""
+        if self._rows is None:
+            batch = self._batch
+            self._rows = [
+                AnnotatedTuple(values, formula)
+                for values, formula in zip(batch.rows(), batch.lineage_column())
+            ]
+            self._batch = None
+        return self._rows
+
+    def _tid_columns(self) -> "tuple[Sequence[TupleId], ...] | None":
+        """The deferred lineage, while no one has read a formula."""
+        return None if self._batch is None else self._batch.tid_columns
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows) if self._batch is None else self._batch.length
 
     def __iter__(self) -> Iterator[AnnotatedTuple]:
         return iter(self.rows)
@@ -81,13 +118,32 @@ class ResultSet:
 
     def values(self) -> list[tuple[Any, ...]]:
         """Bare value tuples, in result order."""
-        return [row.values for row in self.rows]
+        if self._batch is not None:
+            return self._batch.rows()
+        return [row.values for row in self._rows]
+
+    def take(self, positions: Sequence[int]) -> "ResultSet":
+        """The rows at *positions*, in that order, as a result set of their
+        own (a columnar result stays columnar)."""
+        if self._batch is not None:
+            return ResultSet.from_batch(self._batch.gather(positions))
+        return ResultSet(self.schema, [self._rows[i] for i in positions])
 
     def base_tuples(self) -> frozenset[TupleId]:
         """All base tuples any row's lineage mentions (Λ0 in the paper)."""
+        columns = self._tid_columns()
+        if columns is not None:
+            return frozenset().union(*columns)
         if not self.rows:
             return frozenset()
         return frozenset().union(*(row.lineage.variables for row in self.rows))
+
+    def row_base_tuples(self) -> list[frozenset[TupleId]]:
+        """Each row's base tuples, in result order."""
+        columns = self._tid_columns()
+        if columns is not None:
+            return list(map(frozenset, zip(*columns)))
+        return [row.lineage.variables for row in self.rows]
 
     @property
     def has_compiled_circuits(self) -> bool:
@@ -122,18 +178,40 @@ class ResultSet:
     def confidences(self, source: "Database | Mapping[TupleId, float]") -> list[float]:
         """Per-row confidence, from a database or an explicit probability map.
 
-        Evaluated in batch: one forward sweep over the union of all rows'
-        circuit cones (the pool as it stood when the rows were compiled),
-        bit-identical to evaluating each circuit separately — shared
-        subcircuits are just computed once per batch instead of once per
-        row.  This is the path policy enforcement takes.
+        A product-form result (see :meth:`_product_columns`) multiplies its
+        tid columns' probabilities row-wise: the ``MUL`` node each row would
+        compile to, without the node.  Otherwise evaluated in batch: one
+        forward sweep over the union of all rows' circuit cones (the pool as
+        it stood when the rows were compiled), bit-identical to evaluating
+        each circuit separately — shared subcircuits are just computed once
+        per batch instead of once per row.  This is the path policy
+        enforcement takes.
         """
         probabilities = self._probabilities(source)
+        columns = self._product_columns()
+        if columns is not None:
+            return _row_products(columns, probabilities)
         circuits = self.compiled_circuits()
         if not circuits:
             return []
         assert self._pool is not None and self._order is not None
         return self._pool.evaluate_many(circuits, probabilities, self._order)
+
+    def _product_columns(self) -> "tuple[Sequence[TupleId], ...] | None":
+        """The tid columns, when each row's confidence is their product.
+
+        That needs a lineage no one has read yet (compiling the circuits
+        reads it, so a caller who asked for circuits keeps them) and
+        columns of pairwise different tables: a column holds tuples of one
+        scanned table, so every row is then an ``And`` of distinct
+        variables.  Two columns of one table (a self-join) can meet in
+        ``And(x, x) = x`` and take the compile path.
+        """
+        columns = self._tid_columns()
+        if columns is None or not len(self):
+            return None
+        tables = {column[0].table for column in columns}
+        return columns if len(tables) == len(columns) else None
 
     def with_confidences(
         self, source: "Database | Mapping[TupleId, float]"
@@ -190,7 +268,7 @@ class ResultSet:
         for row in body_rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
         if truncated:
-            lines.append(f"... ({len(self.rows)} rows total)")
+            lines.append(f"... ({len(self)} rows total)")
         return "\n".join(lines)
 
     def _probabilities(
@@ -202,4 +280,36 @@ class ResultSet:
         return source  # already a probability map
 
     def __repr__(self) -> str:  # pragma: no cover - display only
-        return f"ResultSet({len(self.rows)} rows, schema={self.schema.names})"
+        return f"ResultSet({len(self)} rows, schema={self.schema.names})"
+
+
+def _row_products(
+    columns: "tuple[Sequence[TupleId], ...]",
+    probabilities: Mapping[TupleId, float],
+) -> list[float]:
+    """Row-wise ``1.0 · p(c₀[i]) · p(c₁[i]) · …``, left to right.
+
+    Operation for operation what ``CircuitPool._forward`` computes for the
+    ``MUL`` over ``VAR`` nodes that ``And(var(c₀[i]), var(c₁[i]), …)``
+    compiles to — float multiplication is not associative, so the product
+    runs over the flattened columns in order, not join by join — with the
+    same clamp and the same error for a tuple *probabilities* lacks.  A
+    single column is the ``VAR`` node itself: the probability as supplied.
+    """
+    lookup = probabilities.__getitem__
+    try:
+        if len(columns) == 1:
+            values = list(map(lookup, columns[0]))
+        else:
+            values = [1.0] * len(columns[0])
+            for column in columns:
+                values = list(map(mul, values, map(lookup, column)))
+    except KeyError:
+        # Name the tuple the sweep would have met first: nodes are created,
+        # and swept, row by row.
+        for tids in zip(*columns):
+            for tid in tids:
+                if tid not in probabilities:
+                    raise _missing(tid) from None
+        raise
+    return [v if 0.0 <= v <= 1.0 else min(1.0, max(0.0, v)) for v in values]

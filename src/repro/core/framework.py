@@ -34,7 +34,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..algebra.rows import AnnotatedTuple, ResultSet
+from ..algebra.rows import ResultSet
 from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import InfeasibleIncrementError, ReproError
 from ..obs import (
@@ -65,6 +65,7 @@ from ..increment import (
 )
 from ..increment.improvement import ImprovementReceipt, ImprovementService
 from ..policy import FilterOutcome, PolicyEvaluator, PolicyStore
+from ..policy.enforcement import OutcomeSide
 from ..sql import run_sql
 from ..storage.database import Database
 
@@ -202,7 +203,9 @@ class PCQEResult:
 
     status: QueryStatus
     threshold: float
-    released: list[tuple[AnnotatedTuple, float]]
+    #: The outcome's released side: ``(row, confidence)`` pairs, built
+    #: when first read (:attr:`rows` and :attr:`confidences` build none).
+    released: OutcomeSide
     withheld_count: int
     outcome: FilterOutcome
     quote: CostQuote | None = None
@@ -221,7 +224,12 @@ class PCQEResult:
     @property
     def rows(self) -> list[tuple]:
         """Released value tuples (what the user actually sees)."""
-        return [row.values for row, _confidence in self.released]
+        return self.released.values()
+
+    @property
+    def confidences(self) -> list[float]:
+        """The released rows' confidences, in :attr:`rows` order."""
+        return self.released.confidences
 
     @property
     def released_fraction(self) -> float:
@@ -495,9 +503,10 @@ class PCQEngine:
         Rows with negated lineage (e.g. from EXCEPT) cannot be lifted by
         raising base confidences and are excluded; a request whose
         shortfall exceeds its liftable rows makes the problem infeasible.
-        With one result set the problem compiles into that set's circuit
-        pool: its withheld rows were compiled there when the policy was
-        enforced, so every compile is a memo hit.
+        With one result set whose rows were compiled when the policy was
+        enforced, the problem compiles into that set's circuit pool and
+        every compile is a memo hit; a product-form result never built a
+        pool, so only the liftable rows are compiled, into the problem's.
         """
         lineages: list = []
         groups: list[tuple[range, int]] = []
@@ -532,7 +541,11 @@ class PCQEngine:
             self.db,
             threshold=strict,
             delta=self.delta,
-            pool=short[0].result.circuit_pool if len(short) == 1 else None,
+            pool=(
+                short[0].result.circuit_pool
+                if len(short) == 1 and short[0].result.has_compiled_circuits
+                else None
+            ),
             requirement_groups=groups,
         )
         problem.check_feasible()
@@ -592,7 +605,7 @@ class PCQEngine:
                 PCQEResult(
                     status=settled,
                     threshold=each.threshold,
-                    released=list(outcome.released),
+                    released=outcome.released,
                     withheld_count=len(outcome.withheld),
                     outcome=outcome,
                     quote=quote if short else None,
@@ -608,39 +621,42 @@ class PCQEngine:
 
         Tuple ids are positional (``t0``, ``t1``, …) within the query's
         result set — stable across both enforcement passes because
-        re-evaluation reuses the same :class:`ResultSet` object.  Each
-        entry carries the base-tuple lineage ids and the confidences they
-        held *at decision time*, read from the database in one batch.
+        re-evaluation reuses the same :class:`ResultSet` object — and so
+        are the verdicts, read off the outcome's two sides.  Each entry
+        carries the base-tuple lineage ids (a still-deferred result's tid
+        columns: a trail builds no formula) and the confidences they held
+        *at decision time*, read from the database in one batch.
 
         Tuples whose confidence and verdict equal the previous pass's
         (``each.decisions``, which this pass then replaces) are skipped —
         their earlier record remains the decision of record, and the
         journal only grows where the increment actually changed something.
         """
-        result, previous = each.result, each.decisions
+        result, previous, outcome = each.result, each.decisions, each.outcome
         base = (
             self.db.confidences(result.base_tuples()) if len(result) else {}
         )
         labels = {tid: str(tid) for tid in base}
-        verdicts: dict[int, tuple[float, str]] = {}
-        for row, confidence in each.outcome.released:
-            verdicts[id(row)] = (confidence, "released")
-        for row, confidence in each.outcome.withheld:
-            verdicts[id(row)] = (confidence, "blocked")
         decided = each.decisions = {}
+        for side, verdict in (
+            (outcome.released, "released"),
+            (outcome.withheld, "blocked"),
+        ):
+            for index, confidence in zip(side.positions, side.confidences):
+                decided[index] = (confidence, verdict)
         entries = []
-        for index, row in enumerate(result.rows):
-            confidence, verdict = decided[index] = verdicts[id(row)]
+        rows = zip(result.values(), result.row_base_tuples())
+        for index, (values, variables) in enumerate(rows):
+            confidence, verdict = decided[index]
             if previous is not None and previous.get(index) == decided[index]:
                 continue
             lineage = [
                 (labels[tid], base[tid])
                 for tid in sorted(
-                    row.lineage.variables,
-                    key=lambda tid: (tid.table, tid.ordinal),
+                    variables, key=lambda tid: (tid.table, tid.ordinal)
                 )
             ]
             entries.append(
-                (f"t{index}", row.values, confidence, verdict, phase, lineage)
+                (f"t{index}", values, confidence, verdict, phase, lineage)
             )
         return entries

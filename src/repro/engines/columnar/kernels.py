@@ -18,13 +18,16 @@ What the kernels buy over the native handlers:
 * scans share the table's cached column view instead of materializing an
   ``AnnotatedTuple`` per stored row;
 * value tuples and ``Var`` objects are built late, in proportion to what a
-  kernel returns: scan/filter/sort/limit build none (the tid column rides
-  along); an equi-join hashes the shorter input's key column, whichever
-  side that is, and builds them for the left rows that have a candidate
-  and, once each, for the right rows that are one; ``IN`` builds lineage
-  for the subquery values a left row probes.  DISTINCT, aggregates and
+  kernel returns: scan/filter/project/sort/limit build none (the tid
+  columns ride along); an inner equi-join hashes the shorter input's key
+  column, whichever side that is, and gathers value *columns* and — when
+  both inputs are deferred — tid columns over its (left, right) index
+  pairs, building none either; ``IN`` builds lineage for the rows it
+  keeps and the subquery values they probe.  DISTINCT, aggregates and
   set operations materialize every input row — each one contributes to a
-  group — as does a cross product.
+  group — as does a cross product; LEFT and non-equi joins build a value
+  tuple and a formula per left row with a candidate and, once each, per
+  right row that is one.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _rerun_by_row(
 def scan_batch(node: Scan) -> ColumnBatch:
     """Wrap the table's cached column view; lineage stays deferred."""
     columns, tids = node.table.column_data()
-    return ColumnBatch(node.schema, columns, tids=tids)
+    return ColumnBatch(node.schema, columns, tid_columns=(tids,))
 
 
 def alias_batch(node: Alias, child: ColumnBatch) -> ColumnBatch:
@@ -195,7 +198,12 @@ def join_batch(
             for j, key in enumerate(right.columns[equi[1]]):
                 if key is not None:
                     buckets.setdefault(key, []).append(j)
-        if node.kind != "left":  # a left row without candidates emits nothing
+        if node.kind != "left":
+            joined = _join_index_pairs(node, left, right, left_keys, buckets)
+            if joined is not None:
+                return joined
+            # The re-check raised: the row path below raises natively.  A
+            # left row without candidates emits nothing.
             left = left.gather(
                 [i for i, key in enumerate(left_keys) if buckets.get(key)]
             )
@@ -228,6 +236,60 @@ def join_batch(
             prefiltered=equi is None,
         )
     return ColumnBatch.from_rows(node.schema, values, lineage)
+
+
+def _join_index_pairs(
+    node: Join,
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_keys: list,
+    buckets: dict[Any, list[int]],
+) -> ColumnBatch | None:
+    """The inner equi-join as a gather over (left, right) index pairs, in
+    native order: left rows in order, each one's bucket in right order.
+
+    The join condition is re-checked over the gathered columns, as the row
+    path re-checks every hash-equal candidate (``None`` when that raises).
+    Two deferred inputs give a deferred output — the left's tid columns,
+    then the right's — so no ``Var``, ``And`` or value tuple is built.
+    """
+    left_index: list[int] = []
+    right_index: list[int] = []
+    for i, key in enumerate(left_keys):
+        matches = buckets.get(key)
+        if matches:
+            left_index.extend([i] * len(matches))
+            right_index.extend(matches)
+    columns = [[column[i] for i in left_index] for column in left.columns]
+    columns += [[column[j] for j in right_index] for column in right.columns]
+    try:
+        flags = node.bound_condition.evaluate_batch(columns, len(left_index))
+    except _BATCH_ERRORS:
+        return None
+    keep = [p for p, flag in enumerate(flags) if flag is True]
+    if len(keep) != len(flags):
+        columns = [[column[p] for p in keep] for column in columns]
+        left_index = [left_index[p] for p in keep]
+        right_index = [right_index[p] for p in keep]
+    if left.tid_columns is not None and right.tid_columns is not None:
+        return ColumnBatch(
+            node.schema,
+            columns,
+            tid_columns=(
+                *([tids[i] for i in left_index] for tids in left.tid_columns),
+                *([tids[j] for j in right_index] for tids in right.tid_columns),
+            ),
+        )
+    left_lineage = cache(left.lineage_at)
+    right_lineage = cache(right.lineage_at)
+    return ColumnBatch(
+        node.schema,
+        columns,
+        lineage=[
+            lineage_and(left_lineage(i), right_lineage(j))
+            for i, j in zip(left_index, right_index)
+        ],
+    )
 
 
 def _make_condition_prober(
@@ -352,8 +414,8 @@ def semi_join_batch(
             if formula != BOTTOM:
                 keep.append(i)
                 lineage.append(formula)
-    gathered = left.gather(keep)
-    return ColumnBatch(node.schema, gathered.columns, lineage=lineage)
+    columns = [[column[i] for i in keep] for column in left.columns]
+    return ColumnBatch(node.schema, columns, lineage=lineage)
 
 
 # -- set operations ---------------------------------------------------------

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..algebra.rows import AnnotatedTuple, ResultSet
 from ..errors import PolicyError
@@ -28,13 +29,66 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FilterOutcome", "PolicyEvaluator"]
 
 
+class OutcomeSide(Sequence):
+    """One side of a threshold partition: positions of a result set and
+    the confidence at each.
+
+    A sequence of ``(AnnotatedTuple, confidence)`` pairs whose length,
+    :attr:`positions`, :attr:`confidences` and :meth:`values` read no row:
+    the tuples — and through them a columnar result's ``Var``/``And`` —
+    are built when a pair is first read, for this side's positions only.
+    """
+
+    __slots__ = ("_result", "positions", "confidences", "_pairs")
+
+    def __init__(
+        self, result: ResultSet, positions: list[int], confidences: list[float]
+    ) -> None:
+        self._result = result
+        self.positions = positions
+        self.confidences = confidences
+        self._pairs: list[tuple[AnnotatedTuple, float]] | None = None
+
+    def values(self) -> list[tuple[Any, ...]]:
+        """This side's bare value tuples, in result order."""
+        return self._result.take(self.positions).values()
+
+    def _built(self) -> list[tuple[AnnotatedTuple, float]]:
+        if self._pairs is None:
+            rows = self._result.take(self.positions).rows
+            self._pairs = list(zip(rows, self.confidences))
+        return self._pairs
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and self._built() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - display only
+        return f"<{len(self)} row(s) of {self._result!r}>"
+
+
 @dataclass
 class FilterOutcome:
-    """Result of applying one confidence threshold to a result set."""
+    """Result of applying one confidence threshold to a result set.
+
+    :meth:`PolicyEvaluator.apply_threshold` fills both sides lazily (see
+    :class:`OutcomeSide`): counting them — ``total``, ``released_fraction``,
+    ``satisfies``, ``shortfall`` — builds no row.
+    """
 
     threshold: float
-    released: list[tuple[AnnotatedTuple, float]]
-    withheld: list[tuple[AnnotatedTuple, float]]
+    released: Sequence[tuple[AnnotatedTuple, float]]
+    withheld: Sequence[tuple[AnnotatedTuple, float]]
 
     @property
     def total(self) -> int:
@@ -117,9 +171,11 @@ class PolicyEvaluator:
         tracer = get_tracer()
         with tracer.span("policy.confidence", rows=len(result)) as span:
             reused_circuits = result.has_compiled_circuits
-            pairs = result.with_confidences(source)
-            span.set_attribute("rows", len(pairs))
-            if len(result):
+            confidences = result.confidences(source)
+            span.set_attribute("rows", len(confidences))
+            # A product-form result builds no pool: nothing to describe.
+            compiled = bool(confidences) and result.has_compiled_circuits
+            if compiled:
                 circuit_stats = result.circuit_stats()
                 span.set_attribute("circuit.nodes", circuit_stats["nodes"])
                 span.set_attribute(
@@ -128,21 +184,21 @@ class PolicyEvaluator:
                 )
                 span.set_attribute("circuit.reused", reused_circuits)
         with tracer.span("policy.filter", threshold=threshold) as span:
-            released: list[tuple[AnnotatedTuple, float]] = []
-            withheld: list[tuple[AnnotatedTuple, float]] = []
-            for row, confidence in pairs:
+            released: list[int] = []
+            withheld: list[int] = []
+            for position, confidence in enumerate(confidences):
                 if confidence > threshold:
-                    released.append((row, confidence))
+                    released.append(position)
                 else:
-                    withheld.append((row, confidence))
+                    withheld.append(position)
             span.set_attribute("released", len(released))
             span.set_attribute("withheld", len(withheld))
         metrics = get_metrics()
-        if len(result):
+        if compiled:
             metrics.counter(
                 "circuit.pool_reuses" if reused_circuits else "circuit.pool_compiles"
             ).inc()
-        metrics.counter("policy.rows_evaluated").inc(len(pairs))
+        metrics.counter("policy.rows_evaluated").inc(len(confidences))
         metrics.counter("policy.rows_released").inc(len(released))
         metrics.counter("policy.rows_withheld").inc(len(withheld))
         if logger.isEnabledFor(logging.DEBUG):
@@ -150,6 +206,10 @@ class PolicyEvaluator:
                 "threshold %.3f released %d/%d row(s)",
                 threshold,
                 len(released),
-                len(pairs),
+                len(confidences),
             )
-        return FilterOutcome(threshold, released, withheld)
+        return FilterOutcome(
+            threshold,
+            OutcomeSide(result, released, [confidences[i] for i in released]),
+            OutcomeSide(result, withheld, [confidences[i] for i in withheld]),
+        )

@@ -1011,8 +1011,8 @@ class PCQEServer:
             "status": result.status.value,
             "threshold": result.threshold,
             "seq": session.seq,
-            "rows": [list(row.values) for row, _conf in result.released],
-            "confidences": [conf for _row, conf in result.released],
+            "rows": [list(values) for values in result.rows],
+            "confidences": result.confidences,
             "released": len(result.released),
             "withheld": result.withheld_count,
         }
@@ -1057,10 +1057,8 @@ class PCQEServer:
         return {
             "ok": True,
             "columns": list(result.schema.names),
-            "rows": [list(row.values) for row in result.rows],
-            "confidences": [
-                conf for _row, conf in result.with_confidences(session.db)
-            ],
+            "rows": [list(values) for values in result.values()],
+            "confidences": result.confidences(session.db),
             "count": len(result),
             "seq": session.seq,
         }

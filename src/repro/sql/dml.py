@@ -43,6 +43,7 @@ from .ast import (
     InsertStatement,
     UpdateStatement,
 )
+from .planner import _reject_nested_subqueries
 
 __all__ = ["DmlResult", "execute_dml"]
 
@@ -183,10 +184,22 @@ def _insert(db: Database, command: InsertStatement) -> DmlResult:
     return DmlResult("INSERT", len(tids), tuple(tids))
 
 
-def _selected(table, where: Expression | None, items=()) -> ColumnBatch:
-    """The rows of *table* a statement's WHERE selects — what a SELECT's
-    own ``Filter`` keeps, on the engine, so the clause binds, type-checks,
-    evaluates and fails as it does in a query — projected to *items*."""
+def _selected(
+    kind: str, table, where: Expression | None, items=()
+) -> ColumnBatch:
+    """The rows of *table* a *kind* statement's WHERE selects — what a
+    SELECT's own ``Filter`` keeps, on the engine, so the clause binds,
+    type-checks, evaluates and fails as it does in a query — projected to
+    *items*.  A subquery is refused first: a SELECT's planner rewrites
+    ``IN (SELECT …)`` into a semi-join before anything binds it, and DML
+    has no such rewrite."""
+    refusal = (
+        f"{kind}: subqueries are not supported in DML statements "
+        "(IN (SELECT ...) becomes a semi-join only in a SELECT's WHERE)"
+    )
+    for expression in (where, *(item.expression for item in items)):
+        if expression is not None:
+            _reject_nested_subqueries(expression, refusal)
     plan = Scan(table)
     if where is not None:
         plan = Filter(plan, where)
@@ -207,6 +220,7 @@ def _update(db: Database, command: UpdateStatement) -> DmlResult:
     # The SET expressions ride the WHERE's batch as its projection: one
     # value column per assigned column, still carrying the tuple ids.
     batch = _selected(
+        "UPDATE",
         table,
         command.where,
         [ProjectItem(expression, name) for name, expression in command.assignments],
@@ -220,6 +234,6 @@ def _update(db: Database, command: UpdateStatement) -> DmlResult:
 
 def _delete(db: Database, command: DeleteStatement) -> DmlResult:
     table = db.table(command.table)
-    tids = tuple(_selected(table, command.where).tids())
+    tids = tuple(_selected("DELETE", table, command.where).tids())
     table.delete_rows([tid.ordinal for tid in tids])
     return DmlResult("DELETE", len(tids), tids)

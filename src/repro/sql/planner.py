@@ -173,15 +173,19 @@ def _where_conjuncts(expression: Expression) -> list[Expression]:
     return [expression]
 
 
-def _reject_nested_subqueries(expression: Expression) -> None:
+def _reject_nested_subqueries(
+    expression: Expression,
+    refusal: str = (
+        "IN (SELECT ...) is only supported as a top-level WHERE conjunct"
+    ),
+) -> None:
+    """Raise *refusal* if *expression* holds a subquery at any depth."""
     from .ast import InSubquery
 
     if isinstance(expression, InSubquery):
-        raise PlanError(
-            "IN (SELECT ...) is only supported as a top-level WHERE conjunct"
-        )
+        raise PlanError(refusal)
     for child in _expression_children(expression):
-        _reject_nested_subqueries(child)
+        _reject_nested_subqueries(child, refusal)
 
 
 def _plan_from(

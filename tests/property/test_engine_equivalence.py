@@ -7,6 +7,13 @@ identical lineage formulas, bit-identical confidences, and identical
 error messages on the columnar engine and the native reference — on
 tables of 0 to 10⁴ rows.
 
+A result whose lineage stayed deferred to the root answers
+``confidences`` with a product over its tid columns: for generated SPJ
+plans that product is bit-identical to ``probability`` of the lineage it
+stands for, to the native engine's compiled circuits, and within 1e-12 of
+possible-worlds enumeration — before and after a confidence write-back,
+whatever was read first.
+
 DML shares the predicate path: the rows ``UPDATE``/``DELETE … WHERE p``
 touch are the rows ``SELECT * FROM t WHERE p`` returns on either engine,
 and a ``p`` that fails fails the same way in all three statements.
@@ -20,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError, LineageError, ReproError
+from repro.lineage.probability import probability
 from repro.sql import execute_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
+from tests.oracle import possible_worlds
 
 KEYS = "abcd"
 
@@ -336,3 +345,169 @@ def test_table_sizes_from_empty_to_ten_thousand_rows(size):
     db = sized_db(size)
     for sql in SIZED_QUERIES:
         assert_engines_agree(db, sql)
+
+
+# -- deferred lineage: a product-form row's confidence is a product ------------
+
+# SPJ plans whose lineage the columnar engine keeps deferred to the root
+# (scan / filter / project / inner equi-join / sort / limit), next to the
+# shapes that must leave that path: a residual conjunct in ON, a self-join
+# (two tid columns of one table), DISTINCT below or above a join.  ``s.x``
+# is REAL and joins INTEGER ``t.v``: ``1 = 1.0`` keys are hash-equal.
+rows_s = st.lists(
+    st.tuples(
+        st.sampled_from([None, -1.0, 0.0, 1.0, 2.0, 2.5]),
+        st.sampled_from(KEYS),
+        st.floats(min_value=0.05, max_value=0.95),
+    ),
+    max_size=6,
+)
+
+spj_query = st.sampled_from(
+    [
+        "SELECT k, v FROM t WHERE v > 0",
+        "SELECT t.k, t.v, u.w FROM t JOIN u ON t.k = u.k",
+        "SELECT u.w, t.r FROM u JOIN t ON u.k = t.k WHERE t.v IS NOT NULL",
+        "SELECT t.k, s.x FROM t JOIN s ON t.v = s.x",
+        "SELECT s.x, t.v FROM s JOIN t ON s.x = t.v WHERE s.x < 2",
+        # Three-way, left-deep and — through a derived table — right-deep.
+        "SELECT t.k, u.w, s.x FROM t JOIN u ON t.k = u.k JOIN s ON t.v = s.x",
+        "SELECT t.k, us.w, us.x FROM t JOIN "
+        "(SELECT u.k AS k, u.w AS w, s.x AS x FROM u JOIN s ON u.k = s.j) AS us "
+        "ON t.k = us.k",
+        "SELECT ts.k, u.w FROM "
+        "(SELECT t.k AS k, s.x AS x FROM t JOIN s ON t.v = s.x) AS ts "
+        "JOIN u ON ts.k = u.k WHERE u.w > 0",
+        "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k AND t.v < u.w",
+        "SELECT a.k, a.v, b.v FROM t a JOIN t b ON a.k = b.k",
+        "SELECT a.v, b.r FROM t a JOIN t b ON a.v = b.v WHERE a.v > 0",
+        "SELECT tv.k, u.w FROM tv JOIN u ON tv.k = u.k",
+        "SELECT d.k, u.w FROM (SELECT DISTINCT k FROM t WHERE v > 0) AS d "
+        "JOIN u ON d.k = u.k",
+        "SELECT DISTINCT t.k, u.w FROM t JOIN u ON t.k = u.k",
+        "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k WHERE t.v > 99",
+    ]
+)
+spj_trailer = st.sampled_from(
+    ["", "ORDER BY 1", "ORDER BY 2 DESC, 1", "LIMIT 3", "ORDER BY 1 DESC LIMIT 4"]
+)
+
+
+def make_spj_db(data_t, data_u, data_s) -> Database:
+    db = make_db(data_t, data_u)
+    s = db.create_table("s", Schema.of(("x", REAL), ("j", TEXT)))
+    for x, key, confidence in data_s:
+        s.insert([x, key], confidence=round(confidence, 3))
+    execute_sql(db, "CREATE VIEW tv AS SELECT k, v FROM t WHERE v <> 1")
+    return db
+
+
+def _hex(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+def _assert_confidences_are_the_lineage_probabilities(db, sql) -> None:
+    probabilities = {
+        row.tid: row.confidence for table in db.tables() for row in table.scan()
+    }
+    columnar = run_sql(db, sql, engine="columnar")
+    # Confidences first: a deferred result answers without a formula.
+    confidences = columnar.confidences(db)
+    assert _hex(confidences) == _hex(
+        probability(row.lineage, probabilities) for row in columnar.rows
+    )
+    native = run_sql(db, sql, engine="native")
+    assert _hex(confidences) == _hex(native.confidences(db))
+    for row, confidence in zip(columnar.rows, confidences):
+        if len(row.lineage.variables) <= 16:
+            exact = possible_worlds(row.lineage, probabilities)
+            assert abs(confidence - exact) < 1e-12
+    # Rows first, then confidences: the same rows, the same numbers.
+    rows_first = run_sql(db, sql, engine="columnar")
+    assert [(r.values, r.lineage) for r in rows_first.rows] == [
+        (r.values, r.lineage) for r in columnar.rows
+    ] == [(r.values, r.lineage) for r in native.rows]
+    assert _hex(rows_first.confidences(db)) == _hex(confidences)
+    assert columnar.values() == rows_first.values() == native.values()
+    assert columnar.base_tuples() == native.base_tuples()
+    assert columnar.row_base_tuples() == native.row_base_tuples()
+
+
+@settings(max_examples=250, deadline=None)
+@given(rows_t, rows_u, rows_s, spj_query, spj_trailer)
+def test_deferred_confidences_are_bit_identical_to_lineage_probability(
+    data_t, data_u, data_s, query_text, trailer
+):
+    db = make_spj_db(data_t, data_u, data_s)
+    sql = f"{query_text} {trailer}".strip()
+    _assert_confidences_are_the_lineage_probabilities(db, sql)
+
+    # The same ResultSet after a confidence write-back: a still-deferred
+    # result multiplies the new numbers, a compiled one sweeps them.
+    deferred = run_sql(db, sql, engine="columnar")
+    compiled = run_sql(db, sql, engine="native")
+    before = deferred.confidences(db)
+    assert _hex(before) == _hex(compiled.confidences(db))
+    db.apply_confidences(
+        {
+            tid: round(1.0 - db.confidences([tid])[tid] / 2, 3)
+            for tid in sorted(deferred.base_tuples())[::2]
+        }
+    )
+    after = deferred.confidences(db)
+    assert _hex(after) == _hex(compiled.confidences(db))
+    probabilities = db.confidences(deferred.base_tuples())
+    assert _hex(after) == _hex(
+        probability(row.lineage, probabilities) for row in deferred.rows
+    )
+
+    # A probability map that lacks one tuple: the same refusal, whichever
+    # path would have read it.
+    for missing in sorted(deferred.base_tuples())[:2]:
+        partial = {
+            tid: p for tid, p in probabilities.items() if tid != missing
+        }
+        with pytest.raises(LineageError) as compiled_error:
+            compiled.confidences(partial)
+        with pytest.raises(LineageError) as deferred_error:
+            run_sql(db, sql, engine="columnar").confidences(partial)
+        assert str(deferred_error.value) == str(compiled_error.value)
+
+
+def test_product_order_is_the_flattened_column_order():
+    """``MUL`` computes ((1.0·a)·b)·c; float multiplication is not
+    associative, so a right-deep join must not multiply b·c first."""
+    a, b, c = 0.1, 0.7, 0.3
+    assert (a * b) * c != a * (b * c)
+    db = Database("assoc")
+    for name, confidence in (("x", a), ("y", b), ("z", c)):
+        db.create_table(name, Schema.of(("k", INTEGER))).insert(
+            [1], confidence=confidence
+        )
+    right_deep = (
+        "SELECT x.k FROM x JOIN (SELECT y.k AS k FROM y JOIN z ON y.k = z.k) "
+        "AS yz ON x.k = yz.k"
+    )
+    left_deep = "SELECT x.k FROM x JOIN y ON x.k = y.k JOIN z ON y.k = z.k"
+    for sql in (right_deep, left_deep):
+        result = run_sql(db, sql, engine="columnar")
+        assert result.confidences(db) == [(a * b) * c]
+        assert not result.has_compiled_circuits
+        assert run_sql(db, sql, engine="native").confidences(db) == [(a * b) * c]
+
+
+@pytest.mark.parametrize("size", [0, 1, 40, 1_000])
+def test_deferred_confidences_on_seeded_tables(size):
+    """Every SPJ shape on tables big enough that three-way joins have
+    hundreds of rows — and products whose order shows in the last bit."""
+    rng = random.Random(size)
+    db = sized_db(size)
+    s = db.create_table("s", Schema.of(("x", REAL), ("j", TEXT)))
+    for _ in range(size // 4):
+        s.insert(
+            [rng.choice([None, -1.0, 0.0, 1.0, 2.0, 2.5]), f"k{rng.randrange(9)}"],
+            confidence=round(rng.uniform(0.05, 0.95), 3),
+        )
+    execute_sql(db, "CREATE VIEW tv AS SELECT k, v FROM t WHERE v <> 1")
+    for sql in spj_query.elements:
+        _assert_confidences_are_the_lineage_probabilities(db, f"{sql} LIMIT 300")

@@ -18,7 +18,9 @@ from repro.obs.audit import (
 )
 from repro.obs.audit.log import _crc32, _encode, _encode_batch
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.policy import PolicyEvaluator
 from repro.storage.durability.wal import scan_wal
+from repro.workload import healthcare_database
 
 
 @pytest.fixture
@@ -328,6 +330,53 @@ class TestEngineIntegration:
                 record["confidence"],
                 record["verdict"],
             )
+
+    def test_decisions_are_keyed_by_position_not_by_row_identity(
+        self, tmp_path, isolated_metrics, monkeypatch
+    ):
+        """A columnar result builds rows on demand, so the pairs an outcome
+        hands out need not be the objects ``result.rows`` holds.  Someone
+        reads ``outcome.withheld`` before the trail is written — and the
+        trail of an improving pure-join ask is still the native engine's,
+        record for record."""
+        enforce = PolicyEvaluator.apply_threshold
+
+        def read_withheld_first(result, source, threshold):
+            outcome = enforce(result, source, threshold)
+            assert all(row.lineage.variables for row, _ in outcome.withheld)
+            return outcome
+
+        monkeypatch.setattr(
+            PolicyEvaluator, "apply_threshold", staticmethod(read_withheld_first)
+        )
+        sql = (
+            "SELECT p.PatientId, t.Treatment FROM Patients p JOIN Treatments t "
+            "ON p.PatientId = t.PatientId WHERE p.Stage = 'II'"
+        )
+        trails = {}
+        for engine_name in ("native", "columnar"):
+            scenario = healthcare_database(patients=40, seed=7)
+            path = tmp_path / f"{engine_name}.log"
+            with AuditLog(str(path)) as log:
+                engine = PCQEngine(
+                    scenario.db,
+                    scenario.policies,
+                    solver="greedy",
+                    audit=log,
+                    engine=engine_name,
+                )
+                result = engine.execute(
+                    QueryRequest(sql, "research", 0.9), user="rachel"
+                )
+            assert result.status is QueryStatus.IMPROVED
+            (trail,) = build_trails(read_audit_log(path)).values()
+            trails[engine_name] = trail.decisions
+        assert trails["columnar"] == trails["native"]
+        assert {(r["phase"], r["verdict"]) for r in trails["columnar"]} == {
+            ("initial", "blocked"),
+            ("initial", "released"),
+            ("post_increment", "released"),
+        }
 
     def test_quoted_run_never_mutates_and_audits_the_quote(
         self, tmp_path, running_example, isolated_metrics

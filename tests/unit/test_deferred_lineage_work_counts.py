@@ -1,0 +1,211 @@
+"""A deterministic guard on what an ``ask`` builds for the rows it withholds.
+
+Timings drift; counts repeat exactly.  The lineage of a scan → filter →
+project → inner equi-join pipeline stays deferred to the root, its
+confidences are products over the tid columns and the policy filter is a
+mask over them: an ask builds ``AnnotatedTuple``s, ``Var``s and ``And``s
+for the rows someone reads, and a circuit only for the rows strategy
+finding has to lift.  At the commit before this guard every count below
+grew with the number of withheld rows (two ``Var``s, an ``And``, an
+``AnnotatedTuple`` and three circuit-node requests per row of the result).
+"""
+
+import pytest
+
+from repro import QueryStatus
+from repro.algebra.rows import AnnotatedTuple, ResultSet
+from repro.engines.columnar.engine import run_batch
+from repro.errors import ExecutionError
+from repro.lineage.circuit import CircuitPool
+from repro.lineage.formula import And, Var
+from repro.obs import get_tracer
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.policy import PolicyEvaluator, PolicyStore
+from repro.server.mvcc import MVCCDatabase
+from repro.server.session import Session
+from repro.sql import prepare, run_sql
+from repro.storage import Database, INTEGER, Schema
+
+JOIN = "SELECT l.k, r.x FROM l JOIN r ON l.k = r.k WHERE l.flag = 1"
+BETA = 0.5
+
+
+def _database(released: int, withheld: int) -> Database:
+    """``l(k, flag)``: 200 rows at 0.9, keys 0–49 flagged.  ``r(k, x)``:
+    *released* partners at 0.9 (0.81 > β) then *withheld* ones at 0.1."""
+    db = Database("ask")
+    left = db.create_table("l", Schema.of(("k", INTEGER), ("flag", INTEGER)))
+    left.insert_rows([[k, int(k < 50)] for k in range(200)], confidence=0.9)
+    right = db.create_table("r", Schema.of(("k", INTEGER), ("x", INTEGER)))
+    right.insert_rows([[j % 50, j] for j in range(released)], confidence=0.9)
+    right.insert_rows(
+        [[j % 50, released + j] for j in range(withheld)], confidence=0.1
+    )
+    return db
+
+
+def _session(db: Database) -> Session:
+    policies = PolicyStore(default_threshold=0.0)
+    policies.add_role("Analyst")
+    policies.add_purpose("review")
+    policies.add_user("ann", roles=["Analyst"])
+    policies.add_policy("Analyst", "review", BETA)
+    return Session(MVCCDatabase(db), policies, "ann", "review", solver="greedy")
+
+
+def _counters(count_calls) -> dict[str, list[int]]:
+    return {
+        "Var": count_calls(Var, "__init__"),
+        "And": count_calls(And, "__init__"),
+        "AnnotatedTuple": count_calls(AnnotatedTuple, "__init__"),
+        "node": count_calls(CircuitPool, "_node"),
+    }
+
+
+def _read(counters) -> dict[str, int]:
+    return {name: calls[0] for name, calls in counters.items()}
+
+
+def test_an_ask_builds_rows_for_what_is_read_not_what_is_withheld(
+    monkeypatch, count_calls
+):
+    released = 60
+    after_ask, after_reading = {}, {}
+    for withheld in (40, 4_000):
+        session = _session(_database(released, withheld))
+        counters = _counters(count_calls)
+        reply = session.ask(JOIN, 0.0)
+        assert reply.status is QueryStatus.SATISFIED
+        assert (len(reply.released), reply.withheld_count) == (released, withheld)
+        # What the wire reply is made of: values and floats.
+        assert len(reply.rows) == len(reply.confidences) == released
+        assert min(reply.confidences) > BETA
+        after_ask[withheld] = _read(counters)
+        assert all(type(row.lineage) is And for row, _conf in reply.released)
+        after_reading[withheld] = _read(counters)
+        monkeypatch.undo()
+        session.close()
+    nothing = {"Var": 0, "And": 0, "AnnotatedTuple": 0, "node": 0}
+    assert after_ask[40] == after_ask[4_000] == nothing
+    # One ``Var`` per base tuple read: the 50 flagged keys, their partners.
+    assert after_reading[40] == after_reading[4_000] == {
+        "Var": 50 + released,
+        "And": released,
+        "AnnotatedTuple": released,
+        "node": 0,
+    }
+
+
+def test_an_improving_ask_compiles_the_rows_it_lifts_not_the_released_ones(
+    monkeypatch, count_calls
+):
+    withheld = 12
+    counts = {}
+    for released in (30, 3_000):
+        session = _session(_database(released, withheld))
+        counters = _counters(count_calls)
+        reply = session.ask(JOIN, 1.0)
+        counts[released] = _read(counters)
+        monkeypatch.undo()
+        assert reply.status is QueryStatus.IMPROVED
+        assert (len(reply.released), reply.withheld_count) == (
+            released + withheld,
+            0,
+        )
+        # The re-enforcement after the write-back was a product again.
+        assert not reply.raw_result.has_compiled_circuits
+        session.close()
+    # Two VAR requests and one MUL per lifted row, nothing per released one.
+    assert counts[30] == counts[3_000] == {
+        "Var": 2 * withheld,
+        "And": withheld,
+        "AnnotatedTuple": withheld,
+        "node": 3 * withheld,
+    }
+
+
+@pytest.mark.parametrize(
+    "sql, product_form",
+    [
+        (JOIN, True),
+        ("SELECT l.k FROM l WHERE l.flag = 1 ORDER BY k DESC LIMIT 7", True),
+        (
+            "SELECT a.k, r.x FROM (SELECT k FROM l WHERE flag = 1) AS a "
+            "JOIN r ON a.k = r.k",
+            True,
+        ),
+        # Two tid columns of one table can meet in And(x, x) = x.
+        ("SELECT a.k, b.flag FROM l a JOIN l b ON a.k = b.k", False),
+        ("SELECT l.k, r.x FROM l LEFT JOIN r ON l.k = r.k", False),
+        (
+            "SELECT d.k, r.x FROM (SELECT DISTINCT k FROM l WHERE flag = 1) "
+            "AS d JOIN r ON d.k = r.k",
+            False,
+        ),
+    ],
+    ids=["join", "sort-limit", "derived", "self-join", "left", "distinct-derived"],
+)
+def test_which_plans_are_products_and_which_still_compile(
+    count_calls, sql, product_form
+):
+    db = _database(20, 20)
+    nodes = count_calls(CircuitPool, "_node")
+    result = run_sql(db, sql, engine="columnar")
+    confidences = result.confidences(db)
+    assert len(confidences) == len(result) > 0
+    assert result.has_compiled_circuits is not product_form
+    assert (nodes[0] == 0) is product_form
+    native = run_sql(db, sql, engine="native")
+    assert [c.hex() for c in confidences] == [
+        c.hex() for c in native.confidences(db)
+    ]
+    assert [row.lineage for row in result.rows] == [
+        row.lineage for row in native.rows
+    ]
+
+
+def test_tids_says_when_rows_are_not_rows_of_one_table():
+    """DML's row selector: defined for a batch that is still one table's
+    rows; a join's batch used to die on ``And.tid``."""
+    db = _database(5, 5)
+    one_table = run_batch(prepare(db, "SELECT k FROM l WHERE flag = 1").plan)
+    assert [tid.table for tid in one_table.tids()] == ["l"] * 50
+    joined = run_batch(prepare(db, JOIN).plan)
+    assert len(joined.tid_columns) == 2
+    for batch in (joined, joined.gather([0, 1])):
+        with pytest.raises(ExecutionError, match="rows of one table"):
+            batch.tids()
+    joined.lineage_column()  # materialised: still not one table's rows
+    with pytest.raises(ExecutionError, match="rows of one table"):
+        joined.tids()
+
+
+@pytest.mark.parametrize(
+    "sql, compiles",
+    [(JOIN, False), ("SELECT DISTINCT l.flag FROM l JOIN r ON l.k = r.k", True)],
+    ids=["product", "compiled"],
+)
+def test_enforcement_describes_a_pool_only_when_one_was_built(
+    count_calls, sql, compiles
+):
+    """``policy.confidence`` carries ``circuit.*`` attributes and the pass
+    counts as a pool compile when it compiled; a product-form pass must
+    not build a pool to describe it."""
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    stats = count_calls(ResultSet, "circuit_stats")
+    try:
+        db = _database(20, 20)
+        result = run_sql(db, sql, engine="columnar")
+        with get_tracer().capture() as sink:
+            outcome = PolicyEvaluator.apply_threshold(result, db, BETA)
+    finally:
+        set_metrics(previous)
+    (span,) = [s for s in sink.spans if s.name == "policy.confidence"]
+    assert span.attributes["rows"] == outcome.total > 0
+    assert ("circuit.nodes" in span.attributes) is compiles
+    assert stats[0] == int(compiles)
+    assert result.has_compiled_circuits is compiles
+    counters = registry.snapshot()
+    assert counters.get("circuit.pool_compiles", 0) == int(compiles)
+    assert counters["policy.rows_evaluated"] == outcome.total

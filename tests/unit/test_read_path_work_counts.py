@@ -1,11 +1,14 @@
 """A deterministic guard on what the columnar read path materialises.
 
-Timings drift; counts repeat exactly.  A join builds value tuples and
-``Var`` objects for the rows that have a partner — not for its inputs — an ``IN`` builds lineage for the subquery values that are probed,
-and compiling a result batch of ``And(var, var)`` rows neither clusters
-children nor walks a cone per row.  At the commit before this guard the
-first join below built 10 050 / 100 050 ``Var``s and as many value
-tuples; ``IN`` built one ``Var`` per subquery row.
+Timings drift; counts repeat exactly.  An inner equi-join of scans
+gathers columns and builds no value tuple and no ``Var`` at all (its
+lineage stays deferred); a LEFT join builds them for the rows that have a
+partner — not for its inputs — an ``IN`` builds lineage for the subquery
+values that are probed, and compiling a result batch of ``And(var, var)``
+rows neither clusters children nor walks a cone per row.  At the commit
+before this guard the first join below built 10 050 / 100 050 ``Var``s
+and as many value tuples, and until the join kept lineage deferred 120 of
+each; ``IN`` built one ``Var`` per subquery row.
 """
 
 import pytest
@@ -47,17 +50,16 @@ def _database(big_rows: int) -> Database:
 @pytest.mark.parametrize(
     "sql, materialised",
     [
-        # The 45 left rows that have a partner, and each partner: 45 + 75.
+        # Inner equi-joins, either operand order: index pairs, nothing else.
         (
             "SELECT s.k, b.x FROM small s JOIN big b ON s.k = b.k "
             "WHERE s.flag = 1",
-            45 + MATCHES,
+            0,
         ),
-        # Big side on the left: its 75 matching rows, their 45 partners.
         (
             "SELECT s.k, b.x FROM big b JOIN small s ON b.k = s.k "
             "WHERE s.flag = 1",
-            MATCHES + 45,
+            0,
         ),
         # LEFT keeps the 5 partnerless rows too: 50 + 75.
         (

@@ -26,6 +26,7 @@ import pytest
 from repro.cost import LinearCost
 from repro.errors import (
     InvalidConfidenceError,
+    PlanError,
     SchemaError,
     SqlError,
     TypeMismatchError,
@@ -342,7 +343,28 @@ def test_a_multi_row_insert_refused_on_its_last_row_changes_nothing_anywhere(
     _refused_statement_changes_nothing_anywhere(pair, sql, error)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "UPDATE t SET v = v + 1 WHERE k IN (SELECT k FROM t WHERE v > 2)",
+        "DELETE FROM t WHERE k < 4 AND k NOT IN (SELECT k FROM t)",
+        "DELETE FROM t WHERE NOT (k IN (SELECT k FROM t))",
+        "UPDATE t SET note = CASE WHEN k IN (SELECT k FROM t) THEN 'x' END",
+    ],
+    ids=["update-in", "delete-not-in", "delete-nested", "update-set"],
+)
+def test_a_subquery_in_dml_is_refused_as_what_it_is(pair, sql):
+    """DML has no semi-join rewrite.  At the parent commit the top-level
+    conjunct of the first statement reached ``InSubquery.bind`` and was
+    refused as "only supported as a top-level WHERE conjunct"."""
+    refusal = _refused_statement_changes_nothing_anywhere(pair, sql, PlanError)
+    assert str(refusal).startswith(
+        f"{sql.split()[0]}: subqueries are not supported in DML statements"
+    )
+
+
 def _refused_statement_changes_nothing_anywhere(pair, sql, error):
+    """Returns the refusal, for callers that pin its text."""
     _seed(pair, 6)
     live_before = _state(pair.db.table("t"))
     prints_before = database_fingerprints(pair.db)
@@ -350,7 +372,7 @@ def _refused_statement_changes_nothing_anywhere(pair, sql, error):
     last_seq_before = pair.db._durability.last_seq
     version_before = pair.db.table("t").data_version
 
-    with pytest.raises(error):
+    with pytest.raises(error) as refusal:
         pair.run(sql)
 
     assert _state(pair.db.table("t")) == live_before
@@ -372,6 +394,7 @@ def _refused_statement_changes_nothing_anywhere(pair, sql, error):
         assert _state(snapshot.db.table("t")) == expected
     assert _state(pair.replica._db.table("t")) == expected
     assert _state(recover(pair.primary_dir)[0].table("t")) == expected
+    return refusal.value
 
 
 @pytest.mark.parametrize(
