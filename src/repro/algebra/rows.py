@@ -9,17 +9,18 @@ the database's current base-tuple confidences (element 2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from ..lineage.circuit import CircuitPool, CompiledCircuit
 from ..lineage.formula import Lineage
-from ..lineage.probability import _missing, probability
+from ..lineage.probability import probability
 from ..storage.schema import Schema
 from ..storage.tuples import TupleId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engines.columnar.batch import ColumnBatch
+    from ..engines.columnar.batch import ColumnBatch, Group
     from ..storage.database import Database
 
 __all__ = ["AnnotatedTuple", "ResultSet"]
@@ -58,11 +59,11 @@ class ResultSet:
     :meth:`values`, :meth:`base_tuples` and :meth:`take` build no
     ``AnnotatedTuple`` and no lineage.
 
-    Confidence computation has two paths.  A still-deferred batch whose tid
-    columns come from pairwise different tables holds, by construction, a
-    read-once ``And`` of distinct variables per row: its confidence is the
-    product of the base confidences, taken over the columns (see
-    :meth:`confidences`).  Everything else compiles every row's lineage
+    Confidence computation has two paths.  A still-deferred batch whose
+    factors' leaf tables are pairwise different holds, by construction, an
+    ``And`` of variable-disjoint factors per row: its confidence is their
+    product, each group's OR computed as its circuit would compute it (see
+    :func:`_row_confidences`).  Everything else compiles every row's lineage
     into one shared :class:`~repro.lineage.circuit.CircuitPool` on first
     use: common subformulas across rows are interned once, and repeated
     calls (policy enforcement, re-evaluation after an increment strategy)
@@ -103,10 +104,6 @@ class ResultSet:
             self._batch = None
         return self._rows
 
-    def _tid_columns(self) -> "tuple[Sequence[TupleId], ...] | None":
-        """The deferred lineage, while no one has read a formula."""
-        return None if self._batch is None else self._batch.tid_columns
-
     def __len__(self) -> int:
         return len(self._rows) if self._batch is None else self._batch.length
 
@@ -131,18 +128,14 @@ class ResultSet:
 
     def base_tuples(self) -> frozenset[TupleId]:
         """All base tuples any row's lineage mentions (Λ0 in the paper)."""
-        columns = self._tid_columns()
-        if columns is not None:
-            return frozenset().union(*columns)
-        if not self.rows:
-            return frozenset()
+        if self._batch is not None:
+            return self._batch.variables()
         return frozenset().union(*(row.lineage.variables for row in self.rows))
 
     def row_base_tuples(self) -> list[frozenset[TupleId]]:
         """Each row's base tuples, in result order."""
-        columns = self._tid_columns()
-        if columns is not None:
-            return list(map(frozenset, zip(*columns)))
+        if self._batch is not None:
+            return self._batch.row_variables()
         return [row.lineage.variables for row in self.rows]
 
     @property
@@ -178,40 +171,25 @@ class ResultSet:
     def confidences(self, source: "Database | Mapping[TupleId, float]") -> list[float]:
         """Per-row confidence, from a database or an explicit probability map.
 
-        A product-form result (see :meth:`_product_columns`) multiplies its
-        tid columns' probabilities row-wise: the ``MUL`` node each row would
-        compile to, without the node.  Otherwise evaluated in batch: one
-        forward sweep over the union of all rows' circuit cones (the pool as
-        it stood when the rows were compiled), bit-identical to evaluating
+        A product-form result (see :func:`_row_confidences`; its lineage is
+        still deferred — compiling the circuits reads it, so a caller who
+        asked for circuits keeps them) runs each row's circuit arithmetic
+        without the circuit.  Otherwise evaluated in batch: one forward
+        sweep over the union of all rows' circuit cones (the pool as it
+        stood when the rows were compiled), bit-identical to evaluating
         each circuit separately — shared subcircuits are just computed once
-        per batch instead of once per row.  This is the path policy
-        enforcement takes.
+        per batch instead of once per row.
         """
         probabilities = self._probabilities(source)
-        columns = self._product_columns()
-        if columns is not None:
-            return _row_products(columns, probabilities)
+        if self._batch is not None and self._batch.factors and len(self):
+            confidences = _row_confidences(self._batch.factors, probabilities)
+            if confidences is not None:
+                return confidences
         circuits = self.compiled_circuits()
         if not circuits:
             return []
         assert self._pool is not None and self._order is not None
         return self._pool.evaluate_many(circuits, probabilities, self._order)
-
-    def _product_columns(self) -> "tuple[Sequence[TupleId], ...] | None":
-        """The tid columns, when each row's confidence is their product.
-
-        That needs a lineage no one has read yet (compiling the circuits
-        reads it, so a caller who asked for circuits keeps them) and
-        columns of pairwise different tables: a column holds tuples of one
-        scanned table, so every row is then an ``And`` of distinct
-        variables.  Two columns of one table (a self-join) can meet in
-        ``And(x, x) = x`` and take the compile path.
-        """
-        columns = self._tid_columns()
-        if columns is None or not len(self):
-            return None
-        tables = {column[0].table for column in columns}
-        return columns if len(tables) == len(columns) else None
 
     def with_confidences(
         self, source: "Database | Mapping[TupleId, float]"
@@ -283,33 +261,110 @@ class ResultSet:
         return f"ResultSet({len(self)} rows, schema={self.schema.names})"
 
 
-def _row_products(
-    columns: "tuple[Sequence[TupleId], ...]",
+def _row_confidences(
+    factors: "tuple[Sequence[TupleId | Group], ...]",
     probabilities: Mapping[TupleId, float],
-) -> list[float]:
-    """Row-wise ``1.0 · p(c₀[i]) · p(c₁[i]) · …``, left to right.
+) -> list[float] | None:
+    """Each row's confidence, operation for operation what
+    ``CircuitPool._forward`` computes for the circuit its lineage compiles
+    to — or ``None`` when that is not a product over the factors, or
+    *probabilities* lacks a tuple (then compiling raises the one error).
 
-    Operation for operation what ``CircuitPool._forward`` computes for the
-    ``MUL`` over ``VAR`` nodes that ``And(var(c₀[i]), var(c₁[i]), …)``
-    compiles to — float multiplication is not associative, so the product
-    runs over the flattened columns in order, not join by join — with the
-    same clamp and the same error for a tuple *probabilities* lacks.  A
-    single column is the ``VAR`` node itself: the probability as supplied.
+    A row is ``lineage_and`` of its factors.  When their leaf tables — a
+    tid column's table, each of a group's inner columns' — are pairwise
+    different, its children are variable-disjoint and it compiles to one
+    ``MUL`` over them, left to right: float multiplication is not
+    associative, so the product runs over the flattened factors in order,
+    a one-member group contributing its member's (``lineage_or`` unwraps
+    it, ``lineage_and`` splices it in).  ``1.0·x`` is ``x``, so a single
+    factor is its own node.  Any other group is one child worth
+    :func:`_or_probability`, or ``1 −`` that under ``NOT``; a group over a
+    materialised batch or over groups is not product form.
     """
+    tables: list[str] = []
+    for column in factors:
+        if type(column[0]) is TupleId:
+            tables.append(column[0].table)
+            continue
+        inner = column[0].inner.factors
+        if inner is None or any(
+            leaves and type(leaves[0]) is not TupleId for leaves in inner
+        ):
+            return None
+        tables.extend(leaves[0].table for leaves in inner if leaves)
+    if len(set(tables)) != len(tables):
+        return None
     lookup = probabilities.__getitem__
+    products = [1.0] * len(factors[0])
     try:
-        if len(columns) == 1:
-            values = list(map(lookup, columns[0]))
-        else:
-            values = [1.0] * len(columns[0])
-            for column in columns:
-                values = list(map(mul, values, map(lookup, column)))
+        for column in factors:
+            if type(column[0]) is TupleId:
+                products = list(map(mul, products, map(lookup, column)))
+                continue
+            terms = {
+                group: _group_terms(group, lookup)
+                for group in dict.fromkeys(column)
+            }
+            if None in terms.values():
+                return None
+            products = [
+                prod(terms[group], start=product)
+                for product, group in zip(products, column)
+            ]
     except KeyError:
-        # Name the tuple the sweep would have met first: nodes are created,
-        # and swept, row by row.
-        for tids in zip(*columns):
-            for tid in tids:
-                if tid not in probabilities:
-                    raise _missing(tid) from None
-        raise
-    return [v if 0.0 <= v <= 1.0 else min(1.0, max(0.0, v)) for v in values]
+        return None
+    return [v if 0.0 <= v <= 1.0 else min(1.0, max(0.0, v)) for v in products]
+
+
+def _group_terms(group: "Group", lookup) -> tuple[float, ...] | None:
+    """What *group* multiplies its row's product by."""
+    columns, members = group.inner.factors, group.members
+    if len(members) == 1 and not group.negated:
+        return tuple([lookup(column[members[0]]) for column in columns])
+    value = _or_probability(columns, members, lookup)
+    if value is None:
+        return None
+    return (1.0 - value,) if group.negated else (value,)
+
+
+def _or_probability(
+    columns: "tuple[Sequence[TupleId], ...]", members: Sequence[int], lookup
+) -> float | None:
+    """``P`` of the OR of rows *members* of tid *columns*, by the
+    compiler's own steps — ``None`` unless the OR is star-shaped.
+
+    Members sharing no tuple are independent children: ``1 − ∏(1 −
+    P(member))``, left to right.  When exactly one column repeats a tuple
+    (the hub), ``_independent_clusters`` groups the members by hub tuple in
+    first-seen order, and a cluster of several is Shannon-expanded on its
+    hub, the one variable in more than one of its members: the high
+    cofactor is the OR of the members' other factors, the low one ⊥, and
+    ``LERP`` computes ``p·high + (1 − p)·0.0``.  One cluster is the OR's
+    value; several combine like independent members — so a one-member OR
+    is its member, and an empty one ⊥ (``1.0 − 1``).
+    """
+    repeating = [
+        i
+        for i, column in enumerate(columns)
+        if len({column[j] for j in members}) < len(members)
+    ]
+    if len(repeating) > 1:
+        return None
+    clusters: dict[Any, list[int]] = {}
+    for j in members:
+        key = columns[repeating[0]][j] if repeating else j
+        clusters.setdefault(key, []).append(j)
+    rest = [column for i, column in enumerate(columns) if i not in repeating]
+    values = []
+    for hub, cluster in clusters.items():
+        if len(cluster) == 1:
+            values.append(prod([lookup(column[cluster[0]]) for column in columns]))
+        else:
+            p = lookup(hub)
+            high = 1.0 - prod(
+                [1.0 - prod([lookup(column[j]) for column in rest]) for j in cluster]
+            )
+            values.append(p * high + (1.0 - p) * 0.0)
+    if len(values) == 1:
+        return values[0]
+    return 1.0 - prod([1.0 - value for value in values])

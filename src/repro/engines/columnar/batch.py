@@ -9,56 +9,134 @@ dependencies:
   per-table cache); kernels gather into fresh lists instead of mutating.
 
 * **Deferred lineage.**  A batch's lineage is in one of two states.
-  *Deferred*: k ≥ 1 tid columns, row *i* standing for
-  ``And(var(c₀[i]), var(c₁[i]), …)`` — a scan is k = 1, an inner
-  equi-join of deferred inputs concatenates its inputs' columns, and
-  filter / project / sort / limit carry them along, so none of these
-  builds a ``Var`` or an ``And``.  *Materialised*: a list of formulas.
-  :meth:`lineage_at` builds one deferred row's formula for the rows a
-  kernel asks about (an ``IN``'s kept rows and probed values);
+  *Deferred*: k ≥ 1 factor columns, row *i* standing for
+  ``lineage_and(f₀[i], f₁[i], …)``, where a factor is a base tuple (its
+  ``Var``) or a :class:`Group` — the OR over rows of an inner batch that
+  DISTINCT, GROUP BY and ``IN`` emit instead of building it.  A scan is
+  one tid column, an inner equi-join concatenates its inputs' columns,
+  and filter / project / sort / limit carry them along, so none of these
+  builds a ``Var``, an ``And`` or an ``Or``.  *Materialised*: a list of
+  formulas.  :meth:`lineage_at` builds one deferred row's formula and
   :meth:`lineage_column` materialises the batch, which kernels do where
-  every input row lands in some group (DISTINCT, aggregates, set
-  operations, a cross product).  ``lineage_and`` flattens and dedupes and
-  ``Var`` equality is structural, so deferred construction yields
-  formulas structurally identical to the native engine's — a self-join's
+  a formula is combined row by row (LEFT and theta joins, a cross
+  product, set operations).  The smart constructors flatten and dedupe,
+  ``Var`` equality is structural, and a group ORs its members in the
+  order the native engine does, so deferred construction yields formulas
+  structurally identical to the native engine's — a self-join's
   ``And(x, x)`` is ``x`` here too.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Any, Sequence
+from itertools import islice
+from typing import Any, Iterator, Sequence
 
 from ...algebra.rows import ResultSet
 from ...errors import ExecutionError
-from ...lineage.formula import Lineage, Var, lineage_and, var
+from ...lineage.formula import (
+    Lineage,
+    Var,
+    lineage_and,
+    lineage_not,
+    lineage_or,
+    var,
+)
 from ...storage.schema import Schema
 from ...storage.tuples import TupleId
 
-__all__ = ["ColumnBatch"]
+__all__ = ["ColumnBatch", "Group"]
+
+
+class Group:
+    """A lineage factor: the OR over rows *members* of an *inner* batch.
+
+    One DISTINCT / GROUP BY key's rows, or the subquery rows an ``IN``
+    probe matches — ``NOT`` of that OR under ``NOT IN``, where a probe
+    without a match is the empty group (``¬⊥ = ⊤``).  Every row a group
+    stands for shares it, so its formula and its tuples are built once.
+    """
+
+    __slots__ = ("inner", "members", "negated", "_lineage", "_variables")
+
+    def __init__(
+        self, inner: "ColumnBatch", members: Sequence[int], negated: bool = False
+    ) -> None:
+        self.inner = inner
+        self.members = members
+        self.negated = negated
+        self._lineage: Lineage | None = None
+        self._variables: frozenset[TupleId] | None = None
+
+    def lineage(self) -> Lineage:
+        """``lineage_or`` of the members' formulas, in member order."""
+        if self._lineage is None:
+            _build_groups([self])
+        return self._lineage
+
+    @property
+    def variables(self) -> frozenset[TupleId]:
+        """The members' base tuples (read off a deferred inner's columns)."""
+        if self._variables is None:
+            self._variables = self.inner.variables(self.members)
+        return self._variables
+
+
+def _build_groups(groups: Sequence[Group]) -> None:
+    """Build the formulas of *groups* — one column's, so one inner batch's
+    — in one pass over the members of those not built yet."""
+    pending = [group for group in dict.fromkeys(groups) if group._lineage is None]
+    if pending:
+        formulas = iter(
+            pending[0].inner.lineages(
+                [j for group in pending for j in group.members]
+            )
+        )
+        for group in pending:
+            formula = lineage_or(*islice(formulas, len(group.members)))
+            group._lineage = lineage_not(formula) if group.negated else formula
+
+
+def _shared_vars(tids: Sequence[TupleId]) -> Iterator[Var]:
+    """A ``Var`` per tuple, shared by its repeats: a joined column repeats a
+    tuple once per partner, and the native rows share its ``Var``."""
+    shared = {tid: var(tid) for tid in dict.fromkeys(tids)}
+    return map(shared.__getitem__, tids)
+
+
+def _holds_groups(column: Sequence) -> bool:
+    """Whether a factor column holds groups — all over one inner batch —
+    rather than base tuples (never both)."""
+    return bool(column) and type(column[0]) is Group
+
+
+def _tuple_sets(column: Sequence) -> list:
+    """Each entry's base tuples: a tid's own, a group's or a formula's."""
+    if column and type(column[0]) is TupleId:
+        return [(tid,) for tid in column]
+    return [entry.variables for entry in column]
 
 
 class ColumnBatch:
     """A schema, per-column value lists, and a lineage column — deferred
-    (:attr:`tid_columns`) or materialised, never both."""
+    (:attr:`factors`) or materialised, never both."""
 
-    __slots__ = ("schema", "columns", "length", "_lineage", "tid_columns")
+    __slots__ = ("schema", "columns", "length", "_lineage", "factors")
 
     def __init__(
         self,
         schema: Schema,
         columns: Sequence[list],
         lineage: list[Lineage] | None = None,
-        tid_columns: tuple[Sequence[TupleId], ...] | None = None,
+        factors: tuple[Sequence["TupleId | Group"], ...] | None = None,
     ) -> None:
         self.schema = schema
         self.columns = columns
         self.length = len(columns[0]) if columns else 0
-        if (lineage is None) == (tid_columns is None):
-            raise ValueError("a batch needs a lineage or tid columns, not both")
+        if (lineage is None) == (factors is None):
+            raise ValueError("a batch needs a lineage or factors, not both")
         self._lineage = lineage
         #: The deferred lineage (``None`` once materialised).
-        self.tid_columns = tid_columns
+        self.factors = factors
 
     def __len__(self) -> int:
         return self.length
@@ -67,42 +145,66 @@ class ColumnBatch:
 
     def lineage_at(self, index: int) -> Lineage:
         """Row *index*'s lineage (built per call when deferred)."""
+        return self.lineages([index])[0]
+
+    def lineages(self, indices: Sequence[int] | None = None) -> list[Lineage]:
+        """The lineage of the rows at *indices* (all rows by default),
+        built in bulk when deferred."""
         if self._lineage is not None:
-            return self._lineage[index]
-        if len(self.tid_columns) == 1:
-            return var(self.tid_columns[0][index])
-        return lineage_and(*[var(tids[index]) for tids in self.tid_columns])
+            if indices is None:
+                return self._lineage
+            return [self._lineage[i] for i in indices]
+        columns = self.factors
+        if indices is not None:
+            columns = [[column[i] for i in indices] for column in columns]
+        parts = []
+        for column in columns:
+            if _holds_groups(column):
+                _build_groups(column)
+                parts.append(map(Group.lineage, column))
+            else:
+                parts.append(_shared_vars(column))
+        return list(parts[0] if len(parts) == 1 else map(lineage_and, *parts))
 
     def lineage_column(self) -> list[Lineage]:
         """The full lineage column; a deferred batch is materialised by
         the call."""
         if self._lineage is None:
-            if len(self.tid_columns) == 1:
-                self._lineage = list(map(var, self.tid_columns[0]))
-            else:
-                # A joined column repeats a tuple once per partner: one
-                # ``Var`` per tuple, shared, as the native rows share it.
-                self._lineage = list(
-                    map(
-                        lineage_and,
-                        *[map(cache(var), tids) for tids in self.tid_columns],
-                    )
-                )
-            self.tid_columns = None
+            self._lineage = self.lineages()
+            self.factors = None
         return self._lineage
 
     def tids(self) -> Sequence[TupleId]:
         """Each row's base tuple — for a batch that is still rows of one
         table (a scan under filters and projections), nothing else."""
-        if self.tid_columns is not None:
-            if len(self.tid_columns) == 1:
-                return self.tid_columns[0]
+        if self.factors is not None:
+            if len(self.factors) == 1 and not _holds_groups(self.factors[0]):
+                return self.factors[0]
         elif all(type(formula) is Var for formula in self._lineage):
             return [formula.tid for formula in self._lineage]
         raise ExecutionError(
             "tids() needs a batch whose rows are rows of one table; "
             "these derive from several base tuples each"
         )
+
+    def variables(
+        self, indices: Sequence[int] | None = None
+    ) -> frozenset[TupleId]:
+        """The base tuples of the rows at *indices* (all rows by default)."""
+        tuples: set[TupleId] = set()
+        for column in self.factors or (self._lineage,):
+            if indices is not None:
+                column = [column[i] for i in indices]
+            if column and type(column[0]) is TupleId:
+                tuples.update(column)
+            else:  # a group or a formula per row, shared by many
+                tuples.update(*(entry.variables for entry in dict.fromkeys(column)))
+        return frozenset(tuples)
+
+    def row_variables(self) -> list[frozenset[TupleId]]:
+        """Each row's base tuples, in row order."""
+        columns = map(_tuple_sets, self.factors or (self._lineage,))
+        return [frozenset().union(*parts) for parts in zip(*columns)]
 
     # -- row views -------------------------------------------------------
 
@@ -122,7 +224,7 @@ class ColumnBatch:
         self, schema: Schema, columns: Sequence[list]
     ) -> "ColumnBatch":
         """Same rows/lineage, different values (project, alias, widen)."""
-        return ColumnBatch(schema, columns, self._lineage, self.tid_columns)
+        return ColumnBatch(schema, columns, self._lineage, self.factors)
 
     def gather(self, indices: Sequence[int]) -> "ColumnBatch":
         """The sub-batch of *indices*, in the given order (filter output)."""
@@ -138,8 +240,8 @@ class ColumnBatch:
         return ColumnBatch(
             self.schema,
             columns,
-            tid_columns=tuple(
-                [tids[i] for i in indices] for tids in self.tid_columns
+            factors=tuple(
+                [column[i] for i in indices] for column in self.factors
             ),
         )
 
@@ -153,9 +255,7 @@ class ColumnBatch:
         return ColumnBatch(
             self.schema,
             columns,
-            tid_columns=tuple(
-                tids[start:stop] for tids in self.tid_columns
-            ),
+            factors=tuple(column[start:stop] for column in self.factors),
         )
 
     # -- boundaries ------------------------------------------------------
@@ -165,14 +265,15 @@ class ColumnBatch:
         cls,
         schema: Schema,
         values: Sequence[tuple[Any, ...]],
-        lineage: list[Lineage],
+        lineage: list[Lineage] | None = None,
+        factors: tuple[Sequence["TupleId | Group"], ...] | None = None,
     ) -> "ColumnBatch":
         """Build a batch from row tuples (join/distinct/set-op outputs)."""
         if values:
             columns: Sequence[list] = [list(column) for column in zip(*values)]
         else:
             columns = [[] for _ in schema]
-        return cls(schema, columns, lineage=lineage)
+        return cls(schema, columns, lineage, factors)
 
     def to_result_set(self) -> ResultSet:
         """Hand the batch over as a result set: rows, and a deferred

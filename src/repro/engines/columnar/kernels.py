@@ -18,16 +18,17 @@ What the kernels buy over the native handlers:
 * scans share the table's cached column view instead of materializing an
   ``AnnotatedTuple`` per stored row;
 * value tuples and ``Var`` objects are built late, in proportion to what a
-  kernel returns: scan/filter/project/sort/limit build none (the tid
+  kernel returns: scan/filter/project/sort/limit build none (the factor
   columns ride along); an inner equi-join hashes the shorter input's key
   column, whichever side that is, and gathers value *columns* and — when
-  both inputs are deferred — tid columns over its (left, right) index
-  pairs, building none either; ``IN`` builds lineage for the rows it
-  keeps and the subquery values they probe.  DISTINCT, aggregates and
-  set operations materialize every input row — each one contributes to a
-  group — as does a cross product; LEFT and non-equi joins build a value
-  tuple and a formula per left row with a candidate and, once each, per
-  right row that is one.
+  both inputs are deferred — factor columns over its (left, right) index
+  pairs, building none either.  DISTINCT, GROUP BY and ``IN`` build no
+  OR: they emit one :class:`~.batch.Group` per key or probed value, over
+  the rows of their input (``lineage_or`` of those rows' formulas when
+  someone reads it).  Intersect / except and a cross product materialize
+  every input row; LEFT and non-equi joins build a value tuple and a
+  formula per left row with a candidate and, once each, per right row
+  that is one.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from ...lineage.formula import (
     lineage_or,
 )
 from ...storage.types import REAL, DataType
-from .batch import ColumnBatch
+from .batch import ColumnBatch, Group
 
 __all__ = [
     "scan_batch",
@@ -106,7 +107,7 @@ def _rerun_by_row(
 def scan_batch(node: Scan) -> ColumnBatch:
     """Wrap the table's cached column view; lineage stays deferred."""
     columns, tids = node.table.column_data()
-    return ColumnBatch(node.schema, columns, tid_columns=(tids,))
+    return ColumnBatch(node.schema, columns, factors=(tids,))
 
 
 def alias_batch(node: Alias, child: ColumnBatch) -> ColumnBatch:
@@ -136,22 +137,19 @@ def project_batch(node: Project, child: ColumnBatch) -> ColumnBatch:
     projected = child.with_columns(node.schema, columns)
     if not node.distinct:
         return projected
-    return _merge_duplicates_batch(
-        node.schema, projected.rows(), projected.lineage_column()
-    )
+    return _merge_duplicates_batch(node.schema, projected)
 
 
-def _merge_duplicates_batch(
-    schema, values: Sequence[tuple[Any, ...]], lineage: Sequence[Lineage]
-) -> ColumnBatch:
-    """Native ``_merge_duplicates``: first-seen order, OR of duplicates."""
-    groups: dict[tuple[Any, ...], list[Lineage]] = {}
-    for row_values, row_lineage in zip(values, lineage):
-        groups.setdefault(row_values, []).append(row_lineage)
+def _merge_duplicates_batch(schema, inner: ColumnBatch) -> ColumnBatch:
+    """Native ``_merge_duplicates``: first-seen order, one group of
+    duplicates per distinct row."""
+    groups: dict[tuple[Any, ...], list[int]] = {}
+    for i, row_values in enumerate(inner.rows()):
+        groups.setdefault(row_values, []).append(i)
     return ColumnBatch.from_rows(
         schema,
-        list(groups.keys()),
-        [lineage_or(*lineages) for lineages in groups.values()],
+        list(groups),
+        factors=([Group(inner, members) for members in groups.values()],),
     )
 
 
@@ -250,8 +248,9 @@ def _join_index_pairs(
 
     The join condition is re-checked over the gathered columns, as the row
     path re-checks every hash-equal candidate (``None`` when that raises).
-    Two deferred inputs give a deferred output — the left's tid columns,
-    then the right's — so no ``Var``, ``And`` or value tuple is built.
+    Two deferred inputs give a deferred output — the left's factor
+    columns, then the right's — so no ``Var``, ``And`` or value tuple is
+    built.
     """
     left_index: list[int] = []
     right_index: list[int] = []
@@ -271,24 +270,21 @@ def _join_index_pairs(
         columns = [[column[p] for p in keep] for column in columns]
         left_index = [left_index[p] for p in keep]
         right_index = [right_index[p] for p in keep]
-    if left.tid_columns is not None and right.tid_columns is not None:
+    if left.factors is not None and right.factors is not None:
         return ColumnBatch(
             node.schema,
             columns,
-            tid_columns=(
-                *([tids[i] for i in left_index] for tids in left.tid_columns),
-                *([tids[j] for j in right_index] for tids in right.tid_columns),
+            factors=(
+                *([factor[i] for i in left_index] for factor in left.factors),
+                *([factor[j] for j in right_index] for factor in right.factors),
             ),
         )
-    left_lineage = cache(left.lineage_at)
-    right_lineage = cache(right.lineage_at)
     return ColumnBatch(
         node.schema,
         columns,
-        lineage=[
-            lineage_and(left_lineage(i), right_lineage(j))
-            for i, j in zip(left_index, right_index)
-        ],
+        lineage=list(
+            map(lineage_and, left.lineages(left_index), right.lineages(right_index))
+        ),
     )
 
 
@@ -368,54 +364,51 @@ def semi_join_batch(
     node: SemiJoin, left: ColumnBatch, right: ColumnBatch
 ) -> ColumnBatch:
     probe = node.bound_probe
-
-    # Subquery row indexes per value; a value's lineage (the OR over its
-    # rows) is built the first time a probe asks for it, so values no left
-    # row probes never allocate a ``Var``.
-    members: dict[Any, list[int]] = {}
-    subquery_has_null = False
-    for j, value in enumerate(right.columns[0]):
-        if value is None:
-            subquery_has_null = True
-        else:
-            members.setdefault(value, []).append(j)
-    matches: dict[Any, Lineage] = {}
-
     try:
         probe_values = probe.evaluate_batch(left.columns, left.length)
     except _BATCH_ERRORS:
         # Scalar fallback surfaces the native error for the first row.
         probe_values = [probe.evaluate(values) for values in left.rows()]
 
-    keep: list[int] = []
-    lineage: list[Lineage] = []
+    # Subquery row indexes per probed value, in subquery order: the
+    # value's group, shared by every left row that probes it.
+    members: dict[Any, list[int]] = {
+        value: [] for value in probe_values if value is not None
+    }
+    for j, value in enumerate(right.columns[0]):
+        if value in members:
+            members[value].append(j)
     negated = node.negated
-    for i, value in enumerate(probe_values):
-        if value is None:
-            continue  # NULL probe: IN and NOT IN are both unknown
-        match = matches.get(value)
-        if match is None and value in members:
-            match = matches[value] = lineage_or(
-                *map(right.lineage_at, members[value])
-            )
-        if not negated:
-            if match is None:
-                continue
-            keep.append(i)
-            lineage.append(lineage_and(left.lineage_at(i), match))
-        else:
-            if subquery_has_null:
-                continue  # NOT IN with NULLs present is never true
-            if match is None:
+    # NOT IN: a probe without a match is the empty group, ``¬⊥ = ⊤``.
+    unmatched = Group(right, (), negated=True) if negated else None
+    groups = {
+        value: Group(right, rows, negated) if rows else unmatched
+        for value, rows in members.items()
+    }
+    keep: list[int] = []
+    probed: list[Group] = []
+    if not (negated and None in right.columns[0]):  # then NOT IN is never true
+        for i, value in enumerate(probe_values):
+            # A NULL probe: IN and NOT IN are both unknown.
+            group = None if value is None else groups[value]
+            if group is not None:
                 keep.append(i)
-                lineage.append(left.lineage_at(i))
-                continue
-            formula = lineage_and(left.lineage_at(i), lineage_not(match))
-            if formula != BOTTOM:
-                keep.append(i)
-                lineage.append(formula)
+                probed.append(group)
+    if left.factors is not None and right.factors is not None:
+        kept = left.gather(keep)
+        return ColumnBatch(
+            node.schema, kept.columns, factors=(*kept.factors, probed)
+        )
+    # A materialised input: the formulas now, less ``x ∧ ¬⊤`` (a NOT IN
+    # whose match is certain).
+    lineage = list(map(lineage_and, left.lineages(keep), map(Group.lineage, probed)))
+    keep = [i for i, formula in zip(keep, lineage) if formula != BOTTOM]
     columns = [[column[i] for i in keep] for column in left.columns]
-    return ColumnBatch(node.schema, columns, lineage=lineage)
+    return ColumnBatch(
+        node.schema,
+        columns,
+        lineage=[formula for formula in lineage if formula != BOTTOM],
+    )
 
 
 # -- set operations ---------------------------------------------------------
@@ -449,7 +442,7 @@ def set_operation_batch(
     left_wide = left.with_columns(node.schema, _widen_columns(left, types))
     right_wide = right.with_columns(node.schema, _widen_columns(right, types))
 
-    if node.kind == "union_all":
+    if node.kind in ("union_all", "union"):
         columns = [
             left_column + right_column
             for left_column, right_column in zip(
@@ -457,16 +450,13 @@ def set_operation_batch(
             )
         ]
         lineage = left_wide.lineage_column() + right_wide.lineage_column()
-        return ColumnBatch(node.schema, columns, lineage=lineage)
+        combined = ColumnBatch(node.schema, columns, lineage=lineage)
+        if node.kind == "union_all":
+            return combined
+        return _merge_duplicates_batch(node.schema, combined)
 
     left_values = left_wide.rows()
     right_values = right_wide.rows()
-    if node.kind == "union":
-        return _merge_duplicates_batch(
-            node.schema,
-            left_values + right_values,
-            left_wide.lineage_column() + right_wide.lineage_column(),
-        )
 
     left_groups: dict[tuple[Any, ...], list[Lineage]] = {}
     for row_values, row_lineage in zip(
@@ -533,27 +523,25 @@ def aggregate_batch(node: Aggregate, child: ColumnBatch) -> ColumnBatch:
         # Global aggregate: one row, certain when the input is empty.
         groups[()] = list(range(count))
 
-    child_lineage = child.lineage_column()
-    values: list[tuple[Any, ...]] = []
-    lineage: list[Lineage] = []
-    for key, members in groups.items():
-        values.append(
-            key
-            + tuple(
-                len(members)
-                if column is None  # COUNT(*)
-                else fold_aggregate(
-                    spec, bound.dtype, [column[i] for i in members]
-                )
-                for spec, bound, column in zip(
-                    node.aggregates, node.bound_arguments, argument_columns
-                )
+    values = [
+        key
+        + tuple(
+            len(members)
+            if column is None  # COUNT(*)
+            else fold_aggregate(spec, bound.dtype, [column[i] for i in members])
+            for spec, bound, column in zip(
+                node.aggregates, node.bound_arguments, argument_columns
             )
         )
-        lineage.append(
-            lineage_or(*[child_lineage[i] for i in members]) if members else TOP
-        )
-    return ColumnBatch.from_rows(node.schema, values, lineage)
+        for key, members in groups.items()
+    ]
+    if not count and not key_columns:
+        return ColumnBatch.from_rows(node.schema, values, lineage=[TOP])
+    return ColumnBatch.from_rows(
+        node.schema,
+        values,
+        factors=([Group(child, members) for members in groups.values()],),
+    )
 
 
 def sort_batch(node: Sort, child: ColumnBatch) -> ColumnBatch:

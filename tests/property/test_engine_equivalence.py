@@ -8,11 +8,12 @@ error messages on the columnar engine and the native reference — on
 tables of 0 to 10⁴ rows.
 
 A result whose lineage stayed deferred to the root answers
-``confidences`` with a product over its tid columns: for generated SPJ
-plans that product is bit-identical to ``probability`` of the lineage it
-stands for, to the native engine's compiled circuits, and within 1e-12 of
-possible-worlds enumeration — before and after a confidence write-back,
-whatever was read first.
+``confidences`` with a product over its factors — base tuples, and the
+groups DISTINCT, GROUP BY and ``IN`` emit, each computed as its circuit
+would compute it: for generated plans that number is bit-identical to
+``probability`` of the lineage it stands for, to the native engine's
+compiled circuits, and within 1e-12 of possible-worlds enumeration —
+before and after a confidence write-back, whatever was read first.
 
 DML shares the predicate path: the rows ``UPDATE``/``DELETE … WHERE p``
 touch are the rows ``SELECT * FROM t WHERE p`` returns on either engine,
@@ -433,13 +434,9 @@ def _assert_confidences_are_the_lineage_probabilities(db, sql) -> None:
     assert columnar.row_base_tuples() == native.row_base_tuples()
 
 
-@settings(max_examples=250, deadline=None)
-@given(rows_t, rows_u, rows_s, spj_query, spj_trailer)
-def test_deferred_confidences_are_bit_identical_to_lineage_probability(
-    data_t, data_u, data_s, query_text, trailer
-):
-    db = make_spj_db(data_t, data_u, data_s)
-    sql = f"{query_text} {trailer}".strip()
+def _assert_deferred_path(db, sql) -> None:
+    """:func:`_assert_confidences_are_the_lineage_probabilities`, then the
+    same again after a write-back, then a map that lacks a tuple."""
     _assert_confidences_are_the_lineage_probabilities(db, sql)
 
     # The same ResultSet after a confidence write-back: a still-deferred
@@ -472,6 +469,126 @@ def test_deferred_confidences_are_bit_identical_to_lineage_probability(
         with pytest.raises(LineageError) as deferred_error:
             run_sql(db, sql, engine="columnar").confidences(partial)
         assert str(deferred_error.value) == str(compiled_error.value)
+
+
+@settings(max_examples=250, deadline=None)
+@given(rows_t, rows_u, rows_s, spj_query, spj_trailer)
+def test_deferred_confidences_are_bit_identical_to_lineage_probability(
+    data_t, data_u, data_s, query_text, trailer
+):
+    db = make_spj_db(data_t, data_u, data_s)
+    _assert_deferred_path(db, f"{query_text} {trailer}".strip())
+
+
+# Plans whose ORs stay groups: DISTINCT / GROUP BY over one, two and
+# three tables (star-shaped — one side repeats within a key — or not, as
+# the data falls), ``IN`` / ``NOT IN`` with NULL probes, NULLs in the
+# subquery, an empty subquery, INTEGER ``v`` probing REAL ``s.x`` and a
+# two-table subquery (one-member groups of a two-table member, spliced
+# into the row's product), views and derived tables; next to the shapes
+# that must compile: a self-semijoin, a group over a group, UNION.
+group_query = st.sampled_from(
+    [
+        "SELECT DISTINCT k FROM t",
+        "SELECT DISTINCT k FROM tv WHERE v > 0",
+        "SELECT DISTINCT t.k FROM t JOIN u ON t.k = u.k",
+        "SELECT DISTINCT u.w FROM t JOIN u ON t.k = u.k",
+        "SELECT DISTINCT t.k, u.w FROM t JOIN u ON t.k = u.k",
+        "SELECT DISTINCT t.k FROM t JOIN u ON t.k = u.k JOIN s ON t.v = s.x",
+        "SELECT d.k, s.x FROM (SELECT DISTINCT t.k AS k FROM t JOIN u "
+        "ON t.k = u.k) AS d JOIN s ON d.k = s.j",
+        "SELECT s.x, d.k FROM s JOIN (SELECT DISTINCT t.k AS k, u.w AS w "
+        "FROM t JOIN u ON t.k = u.k) AS d ON s.j = d.k",
+        "SELECT k, COUNT(*) FROM t GROUP BY k",
+        "SELECT COUNT(*), SUM(v) FROM t",
+        "SELECT COUNT(*) FROM t WHERE v > 99",
+        "SELECT t.k, SUM(u.w) FROM t JOIN u ON t.k = u.k GROUP BY t.k",
+        "SELECT u.w, COUNT(*) FROM u JOIN t ON u.k = t.k GROUP BY u.w",
+        "SELECT k, v FROM t WHERE k IN (SELECT k FROM u)",
+        "SELECT k, v FROM t WHERE v IN (SELECT w FROM u)",
+        "SELECT k, v FROM t WHERE v NOT IN (SELECT w FROM u)",
+        "SELECT k, v FROM t WHERE v NOT IN (SELECT w FROM u WHERE w IS NOT NULL)",
+        "SELECT k, v FROM t WHERE v IN (SELECT w FROM u WHERE w > 99)",
+        "SELECT k, v FROM t WHERE v NOT IN (SELECT w FROM u WHERE w > 99)",
+        "SELECT k, v FROM t WHERE v IN (SELECT x FROM s)",
+        "SELECT k FROM tv WHERE k IN (SELECT k FROM u WHERE w > 0)",
+        "SELECT k, v FROM t WHERE k IN (SELECT u.k FROM u JOIN s ON u.k = s.j)",
+        "SELECT k FROM t WHERE k NOT IN (SELECT u.k FROM u JOIN s ON u.k = s.j)",
+        "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k "
+        "WHERE t.v IN (SELECT x FROM s)",
+        "SELECT k, v FROM t WHERE v IN (SELECT v FROM t WHERE v > 0)",
+        "SELECT DISTINCT k FROM t WHERE k IN (SELECT k FROM u)",
+        "SELECT k, COUNT(*) FROM (SELECT DISTINCT k, v FROM t) AS d GROUP BY k",
+        "SELECT k FROM t WHERE k IN (SELECT d.k FROM (SELECT DISTINCT k FROM u) AS d)",
+        "SELECT k FROM t UNION SELECT k FROM u",
+    ]
+)
+group_trailer = st.sampled_from(
+    ["", "ORDER BY 1", "ORDER BY 1 DESC LIMIT 2", "LIMIT 3"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_t, rows_u, rows_s, group_query, group_trailer)
+def test_group_confidences_are_bit_identical_to_lineage_probability(
+    data_t, data_u, data_s, query_text, trailer
+):
+    db = make_spj_db(data_t, data_u, data_s)
+    _assert_deferred_path(db, f"{query_text} {trailer}".strip())
+
+
+STAR_QUERIES = [
+    # One cluster per group (t.k is unique: the hub is the key's t row).
+    "SELECT DISTINCT t.k FROM t JOIN u ON t.k = u.k",
+    # Several clusters per group, one per t row — interleaved when the
+    # hub side is the right one (u rows are stored shuffled), where the
+    # clusters' order shows in the last bit of a three-cluster OR.
+    "SELECT DISTINCT t.v FROM t JOIN u ON t.k = u.k",
+    "SELECT DISTINCT t.r FROM u JOIN t ON u.k = t.k",
+    "SELECT DISTINCT u.w FROM t JOIN u ON t.k = u.k",
+    "SELECT t.v, COUNT(*), SUM(u.w) FROM t JOIN u ON t.k = u.k GROUP BY t.v",
+    # One-member groups of a two-table member, after another factor.
+    "SELECT s.x, d.k FROM s JOIN (SELECT DISTINCT t.k AS k, u.w AS w "
+    "FROM t JOIN u ON t.k = u.k) AS d ON s.j = d.k",
+    "SELECT k, w FROM u WHERE k IN (SELECT t.k FROM t JOIN s ON t.k = s.j)",
+    "SELECT k, w FROM u WHERE k IN "
+    "(SELECT t.k FROM t JOIN s ON t.k = s.j WHERE s.x > 1.5)",
+    "SELECT k, w FROM u WHERE k NOT IN "
+    "(SELECT t.k FROM t JOIN s ON t.k = s.j WHERE s.x > 1.5 AND t.v > 1)",
+    "SELECT k, w FROM u WHERE k IN (SELECT k FROM t WHERE v > 0) ORDER BY w",
+]
+
+
+def test_star_groups_are_products_bit_identical_to_lineage_probability():
+    """Every key has one ``t`` row, three ``u`` rows and two ``s`` rows,
+    so every group below is star-shaped: the confidences come from the
+    product path — no circuit — and still equal the circuits' bit for bit."""
+    rng = random.Random(25)
+    keys = [f"k{i}" for i in range(60)]
+    data_u = [
+        (key, i % w, rng.uniform(0.05, 0.95))
+        for i, key in enumerate(keys)
+        for w in (3, 5, 7)
+    ]
+    rng.shuffle(data_u)
+    db = make_db(
+        [
+            (key, i % 4, rng.uniform(0.05, 0.95), float(i % 20))
+            for i, key in enumerate(keys)
+        ],
+        data_u,
+    )
+    db.create_table("s", Schema.of(("x", REAL), ("j", TEXT)))
+    for key in keys:
+        for x in (0.5, 2.0):
+            db.table("s").insert(
+                [x, key], confidence=round(rng.uniform(0.05, 0.95), 3)
+            )
+    for sql in STAR_QUERIES:
+        _assert_confidences_are_the_lineage_probabilities(db, sql)
+        result = run_sql(db, sql, engine="columnar")
+        assert len(result.confidences(db)) == len(result) > 0
+        assert not result.has_compiled_circuits, sql
 
 
 def test_product_order_is_the_flattened_column_order():
@@ -509,5 +626,5 @@ def test_deferred_confidences_on_seeded_tables(size):
             confidence=round(rng.uniform(0.05, 0.95), 3),
         )
     execute_sql(db, "CREATE VIEW tv AS SELECT k, v FROM t WHERE v <> 1")
-    for sql in spj_query.elements:
+    for sql in spj_query.elements + group_query.elements:
         _assert_confidences_are_the_lineage_probabilities(db, f"{sql} LIMIT 300")

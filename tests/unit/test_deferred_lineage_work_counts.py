@@ -1,13 +1,16 @@
 """A deterministic guard on what an ``ask`` builds for the rows it withholds.
 
 Timings drift; counts repeat exactly.  The lineage of a scan → filter →
-project → inner equi-join pipeline stays deferred to the root, its
-confidences are products over the tid columns and the policy filter is a
-mask over them: an ask builds ``AnnotatedTuple``s, ``Var``s and ``And``s
-for the rows someone reads, and a circuit only for the rows strategy
-finding has to lift.  At the commit before this guard every count below
-grew with the number of withheld rows (two ``Var``s, an ``And``, an
-``AnnotatedTuple`` and three circuit-node requests per row of the result).
+project → inner equi-join pipeline stays deferred to the root — DISTINCT,
+GROUP BY and ``IN`` add one group per key or probed value to it — its
+confidences are products over the factors and the policy filter is a
+mask over them: an ask builds ``AnnotatedTuple``s, ``Var``s, ``And``s and
+``Or``s for the rows someone reads, and a circuit only for the rows
+strategy finding has to lift.  At the commit before this guard every count
+below grew with the number of withheld rows (two ``Var``s, an ``And``, an
+``AnnotatedTuple`` and three circuit-node requests per row of the result),
+and until groups kept it deferred a DISTINCT or ``IN`` ask compiled a
+circuit for every row.
 """
 
 import pytest
@@ -17,7 +20,7 @@ from repro.algebra.rows import AnnotatedTuple, ResultSet
 from repro.engines.columnar.engine import run_batch
 from repro.errors import ExecutionError
 from repro.lineage.circuit import CircuitPool
-from repro.lineage.formula import And, Var
+from repro.lineage.formula import And, Or, Var
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.policy import PolicyEvaluator, PolicyStore
@@ -57,6 +60,7 @@ def _counters(count_calls) -> dict[str, list[int]]:
     return {
         "Var": count_calls(Var, "__init__"),
         "And": count_calls(And, "__init__"),
+        "Or": count_calls(Or, "__init__"),
         "AnnotatedTuple": count_calls(AnnotatedTuple, "__init__"),
         "node": count_calls(CircuitPool, "_node"),
     }
@@ -85,15 +89,45 @@ def test_an_ask_builds_rows_for_what_is_read_not_what_is_withheld(
         after_reading[withheld] = _read(counters)
         monkeypatch.undo()
         session.close()
-    nothing = {"Var": 0, "And": 0, "AnnotatedTuple": 0, "node": 0}
+    nothing = {"Var": 0, "And": 0, "Or": 0, "AnnotatedTuple": 0, "node": 0}
     assert after_ask[40] == after_ask[4_000] == nothing
     # One ``Var`` per base tuple read: the 50 flagged keys, their partners.
     assert after_reading[40] == after_reading[4_000] == {
         "Var": 50 + released,
         "And": released,
+        "Or": 0,
         "AnnotatedTuple": released,
         "node": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT DISTINCT l.flag FROM l JOIN r ON l.k = r.k",
+        "SELECT k FROM l WHERE flag = 1 AND k IN (SELECT k FROM r)",
+        "SELECT k FROM l WHERE k NOT IN (SELECT k FROM r WHERE x > 30)",
+        "SELECT l.flag, COUNT(*) FROM l JOIN r ON l.k = r.k GROUP BY l.flag",
+    ],
+    ids=["distinct-join", "in", "not-in", "group-by-join"],
+)
+def test_a_grouping_ask_builds_no_formula_and_no_circuit(
+    monkeypatch, count_calls, sql
+):
+    """A DISTINCT / GROUP BY over a join and an ``IN`` keep one group per
+    key or probed value: the ask and its reply build nothing, whatever the
+    size of the input."""
+    counts = {}
+    for withheld in (40, 4_000):
+        session = _session(_database(60, withheld))
+        counters = _counters(count_calls)
+        reply = session.ask(sql, 0.0)
+        assert len(reply.rows) == len(reply.confidences) > 0
+        counts[withheld] = _read(counters)
+        monkeypatch.undo()
+        session.close()
+    nothing = {"Var": 0, "And": 0, "Or": 0, "AnnotatedTuple": 0, "node": 0}
+    assert counts[40] == counts[4_000] == nothing
 
 
 def test_an_improving_ask_compiles_the_rows_it_lifts_not_the_released_ones(
@@ -119,6 +153,7 @@ def test_an_improving_ask_compiles_the_rows_it_lifts_not_the_released_ones(
     assert counts[30] == counts[3_000] == {
         "Var": 2 * withheld,
         "And": withheld,
+        "Or": 0,
         "AnnotatedTuple": withheld,
         "node": 3 * withheld,
     }
@@ -140,10 +175,38 @@ def test_an_improving_ask_compiles_the_rows_it_lifts_not_the_released_ones(
         (
             "SELECT d.k, r.x FROM (SELECT DISTINCT k FROM l WHERE flag = 1) "
             "AS d JOIN r ON d.k = r.k",
+            True,
+        ),
+        # Star groups: within a key only the l tuple repeats.
+        ("SELECT DISTINCT l.flag FROM l JOIN r ON l.k = r.k", True),
+        ("SELECT r.k, COUNT(*) FROM l JOIN r ON l.k = r.k GROUP BY r.k", True),
+        ("SELECT k FROM l WHERE k IN (SELECT k FROM r WHERE x > 5)", True),
+        ("SELECT k FROM l WHERE k NOT IN (SELECT k FROM r WHERE x > 5)", True),
+        # Both join sides repeat within a key: not star-shaped.
+        ("SELECT DISTINCT l.flag FROM l JOIN r ON l.flag = r.k", False),
+        ("SELECT k FROM l WHERE k IN (SELECT k FROM l WHERE flag = 1)", False),
+        (
+            "SELECT DISTINCT flag FROM l WHERE k IN (SELECT k FROM r)",
             False,
         ),
+        ("SELECT k FROM l WHERE flag = 1 UNION SELECT k FROM r", False),
     ],
-    ids=["join", "sort-limit", "derived", "self-join", "left", "distinct-derived"],
+    ids=[
+        "join",
+        "sort-limit",
+        "derived",
+        "self-join",
+        "left",
+        "distinct-derived",
+        "distinct-join",
+        "group-by-join",
+        "in",
+        "not-in",
+        "non-star",
+        "self-semijoin",
+        "distinct-over-in",
+        "union",
+    ],
 )
 def test_which_plans_are_products_and_which_still_compile(
     count_calls, sql, product_form
@@ -166,13 +229,16 @@ def test_which_plans_are_products_and_which_still_compile(
 
 def test_tids_says_when_rows_are_not_rows_of_one_table():
     """DML's row selector: defined for a batch that is still one table's
-    rows; a join's batch used to die on ``And.tid``."""
+    rows; a join's batch used to die on ``And.tid``, and a DISTINCT's
+    holds groups, not tuples."""
     db = _database(5, 5)
     one_table = run_batch(prepare(db, "SELECT k FROM l WHERE flag = 1").plan)
     assert [tid.table for tid in one_table.tids()] == ["l"] * 50
     joined = run_batch(prepare(db, JOIN).plan)
-    assert len(joined.tid_columns) == 2
-    for batch in (joined, joined.gather([0, 1])):
+    assert len(joined.factors) == 2
+    distinct = run_batch(prepare(db, "SELECT DISTINCT flag FROM l").plan)
+    assert len(distinct.factors) == 1 and len(distinct) == 2
+    for batch in (joined, joined.gather([0, 1]), distinct):
         with pytest.raises(ExecutionError, match="rows of one table"):
             batch.tids()
     joined.lineage_column()  # materialised: still not one table's rows
@@ -182,7 +248,7 @@ def test_tids_says_when_rows_are_not_rows_of_one_table():
 
 @pytest.mark.parametrize(
     "sql, compiles",
-    [(JOIN, False), ("SELECT DISTINCT l.flag FROM l JOIN r ON l.k = r.k", True)],
+    [(JOIN, False), ("SELECT l.k, r.x FROM l LEFT JOIN r ON l.k = r.k", True)],
     ids=["product", "compiled"],
 )
 def test_enforcement_describes_a_pool_only_when_one_was_built(

@@ -3,12 +3,14 @@
 Timings drift; counts repeat exactly.  An inner equi-join of scans
 gathers columns and builds no value tuple and no ``Var`` at all (its
 lineage stays deferred); a LEFT join builds them for the rows that have a
-partner — not for its inputs — an ``IN`` builds lineage for the subquery
-values that are probed, and compiling a result batch of ``And(var, var)``
-rows neither clusters children nor walks a cone per row.  At the commit
-before this guard the first join below built 10 050 / 100 050 ``Var``s
-and as many value tuples, and until the join kept lineage deferred 120 of
-each; ``IN`` built one ``Var`` per subquery row.
+partner — not for its inputs — an ``IN`` builds no lineage until its rows
+are read, and then for the subquery values that are probed, and compiling
+a result batch of ``And(var, var)`` rows neither clusters children nor
+walks a cone per row.  At the commit before this guard the first join
+below built 10 050 / 100 050 ``Var``s and as many value tuples, and until
+the join kept lineage deferred 120 of each; ``IN`` built one ``Var`` per
+subquery row, and until a probed value became a group 120 (``NOT IN``
+125) before anyone read a row.
 """
 
 import pytest
@@ -99,8 +101,9 @@ def test_join_materialises_matches_not_inputs(
 def test_in_subquery_materialises_probed_values_only(
     monkeypatch, count_calls, negation, kept
 ):
-    """50 probes into a subquery of thousands of rows: one ``Var`` per kept
-    probe row plus one per subquery row of a value that was probed."""
+    """50 probes into a subquery of thousands of rows: no ``Var`` for the
+    result and its confidences; reading its rows builds one per kept probe
+    row plus one per subquery row of a value that was probed."""
     sql = (
         f"SELECT k FROM small WHERE flag = 1 AND k {negation}IN "
         "(SELECT k FROM big WHERE k IS NOT NULL)"
@@ -110,10 +113,12 @@ def test_in_subquery_materialises_probed_values_only(
         db = _database(big_rows)
         variables = count_calls(Var, "__init__")
         result = run_sql(db, sql, engine="columnar")
-        monkeypatch.undo()
+        assert len(result) == len(result.confidences(db)) == kept
+        unread = variables[0]
         assert len(result.rows) == kept
-        counts[big_rows] = variables[0]
-    assert counts[5_000] == counts[20_000] == kept + MATCHES
+        counts[big_rows] = (unread, variables[0])
+        monkeypatch.undo()
+    assert counts[5_000] == counts[20_000] == (0, kept + MATCHES)
 
 
 def _join_rows(count: int) -> ResultSet:
