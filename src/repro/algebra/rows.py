@@ -191,6 +191,27 @@ class ResultSet:
         assert self._pool is not None and self._order is not None
         return self._pool.evaluate_many(circuits, probabilities, self._order)
 
+    def row_factors(
+        self, positions: Sequence[int]
+    ) -> list[tuple[TupleId, ...]] | None:
+        """The base tuples each row at *positions* is the product of, in
+        factor order — read off a still-deferred batch whose factors are
+        all tid columns of pairwise-different tables (the product form of
+        :meth:`confidences`), building no row and no formula; ``None`` for
+        any other result."""
+        batch = self._batch
+        if (
+            batch is None
+            or not batch.factors
+            or not len(self)
+            or any(type(column[0]) is not TupleId for column in batch.factors)
+            or not _product_form(batch.factors)
+        ):
+            return None
+        return list(
+            zip(*[[column[i] for i in positions] for column in batch.factors])
+        )
+
     def with_confidences(
         self, source: "Database | Mapping[TupleId, float]"
     ) -> list[tuple[AnnotatedTuple, float]]:
@@ -278,21 +299,9 @@ def _row_confidences(
     a one-member group contributing its member's (``lineage_or`` unwraps
     it, ``lineage_and`` splices it in).  ``1.0·x`` is ``x``, so a single
     factor is its own node.  Any other group is one child worth
-    :func:`_or_probability`, or ``1 −`` that under ``NOT``; a group over a
-    materialised batch or over groups is not product form.
+    :func:`_or_probability`, or ``1 −`` that under ``NOT``.
     """
-    tables: list[str] = []
-    for column in factors:
-        if type(column[0]) is TupleId:
-            tables.append(column[0].table)
-            continue
-        inner = column[0].inner.factors
-        if inner is None or any(
-            leaves and type(leaves[0]) is not TupleId for leaves in inner
-        ):
-            return None
-        tables.extend(leaves[0].table for leaves in inner if leaves)
-    if len(set(tables)) != len(tables):
+    if not _product_form(factors):
         return None
     lookup = probabilities.__getitem__
     products = [1.0] * len(factors[0])
@@ -314,6 +323,25 @@ def _row_confidences(
     except KeyError:
         return None
     return [v if 0.0 <= v <= 1.0 else min(1.0, max(0.0, v)) for v in products]
+
+
+def _product_form(factors: "tuple[Sequence[TupleId | Group], ...]") -> bool:
+    """Whether every row of a deferred batch is an ``And`` of
+    variable-disjoint factors: their leaf tables — a tid column's table,
+    each of a group's inner columns' — are pairwise different.  A group
+    over a materialised batch or over groups is not product form."""
+    tables: list[str] = []
+    for column in factors:
+        if type(column[0]) is TupleId:
+            tables.append(column[0].table)
+            continue
+        inner = column[0].inner.factors
+        if inner is None or any(
+            leaves and type(leaves[0]) is not TupleId for leaves in inner
+        ):
+            return False
+        tables.extend(leaves[0].table for leaves in inner if leaves)
+    return len(set(tables)) == len(tables)
 
 
 def _group_terms(group: "Group", lookup) -> tuple[float, ...] | None:

@@ -500,13 +500,16 @@ class PCQEngine:
         """The one increment problem for every request that is short: one
         requirement group per request over its liftable withheld rows.
 
-        Rows with negated lineage (e.g. from EXCEPT) cannot be lifted by
-        raising base confidences and are excluded; a request whose
-        shortfall exceeds its liftable rows makes the problem infeasible.
-        With one result set whose rows were compiled when the policy was
-        enforced, the problem compiles into that set's circuit pool and
-        every compile is a memo hit; a product-form result never built a
-        pool, so only the liftable rows are compiled, into the problem's.
+        A product-form result (one whose confidences were products of its
+        rows' base tuples) hands over each withheld row's tuples in factor
+        order, read off its batch: no row, formula or circuit is built, and
+        the solver multiplies them.  Otherwise each withheld row's lineage
+        is read; rows with negated lineage (e.g. from EXCEPT) cannot be
+        lifted by raising base confidences and are excluded.  A request
+        whose shortfall exceeds its liftable rows makes the problem
+        infeasible.  With one result set whose rows were compiled when the
+        policy was enforced, the problem compiles into that set's circuit
+        pool and every compile is a memo hit.
         """
         lineages: list = []
         groups: list[tuple[range, int]] = []
@@ -517,11 +520,14 @@ class PCQEngine:
                 raise InfeasibleIncrementError(
                     "no result can exceed a confidence threshold of 1.0"
                 )
-            liftable = [
-                row.lineage
-                for row, _confidence in each.outcome.withheld
-                if row.lineage.monotone
-            ]
+            withheld = each.outcome.withheld
+            liftable = each.result.row_factors(withheld.positions)
+            if liftable is None:
+                liftable = [
+                    row.lineage
+                    for row, _confidence in withheld
+                    if row.lineage.monotone
+                ]
             if each.shortfall > len(liftable):
                 raise InfeasibleIncrementError(
                     f"{each.shortfall} more results required but only "

@@ -173,7 +173,8 @@ class IncrementProblem:
             self.requirement_groups.append((members, int(count)))
         self.results = list(results)
         for result in self.results:
-            if not result.formula.monotone:
+            # A product is monotone; reading its formula would build it.
+            if result.factors is None and not result.formula.monotone:
                 raise IncrementError(
                     f"result {result.label or result} has negated lineage; "
                     f"confidence increment requires monotone lineage"
@@ -204,14 +205,19 @@ class IncrementProblem:
         states = self._states = list(self.tuples.values())
         self.initial = [state.initial for state in states]
         self.maximum = [state.maximum for state in states]
-        # result index -> its variables' slots, the getter pulling them out
-        # of a positional assignment as one key, and the function keyed so
+        # result index -> its variables' slots (sorted), the getter pulling
+        # its key out of a positional assignment and the function of that
+        # key (:meth:`~repro.lineage.ConfidenceFunction.keyed`)
+        slot = self.slot_of.__getitem__
         self.result_slots: list[tuple[int, ...]] = [
-            tuple(map(self.slot_of.__getitem__, result.variables))
-            for result in self.results
+            tuple(map(slot, result.variables)) for result in self.results
         ]
-        self._keys = [_key_getter(slots) for slots in self.result_slots]
-        self._at = [result.at for result in self.results]
+        self._keys = []
+        self._at = []
+        for result in self.results:
+            key, at = result.keyed()
+            self._keys.append(_key_getter(tuple(map(slot, key))))
+            self._at.append(at)
         # slot -> indexes of results that depend on it
         self.results_by_slot: list[list[int]] = [[] for _ in states]
         for index, slots in enumerate(self.result_slots):
@@ -256,7 +262,7 @@ class IncrementProblem:
     @classmethod
     def from_results(
         cls,
-        lineages: Sequence[Lineage],
+        lineages: Sequence[Lineage | Sequence[TupleId]],
         db: "Database",
         threshold: float,
         required_count: int = 0,
@@ -269,7 +275,9 @@ class IncrementProblem:
         ) = None,
     ) -> "IncrementProblem":
         """Build a problem from raw lineages, reading current confidences
-        and cost models from the database.  All results compile into one
+        and cost models from the database.  A row given as the base tuples
+        it is the product of, in factor order, or as a plain-product
+        formula, is that product; every other row compiles into one
         *pool* — into the result set's, each compile is a memo hit.
         *requirement_groups* (one per query of a batch) replaces
         *required_count* as in the constructor."""
@@ -523,10 +531,11 @@ class SearchState:
     All four solvers walk the assignment space through this class, by
     slot: :attr:`values` is the positional assignment.  Every confidence
     it reports — at construction, after a move, for a what-if
-    :meth:`probe` — comes from the one place a confidence is computed,
-    :meth:`~repro.lineage.ConfidenceFunction.at`, keyed by the result's own
-    slots of :attr:`values`: a dictionary hit at values seen before, the
-    input of one forward sweep of its circuit otherwise.  Undoing a move
+    :meth:`probe` — is the result's function of a key pulled out of
+    :attr:`values` by its own slots: a product's factors multiplied in
+    factor order, or :meth:`~repro.lineage.ConfidenceFunction.at` — a
+    dictionary hit at values seen before, the input of one forward sweep
+    of its circuit otherwise.  Undoing a move
     writes the recorded old confidences back.  Satisfied counts and total
     cost are maintained incrementally.
     """
@@ -631,7 +640,8 @@ class SearchState:
         """Confidences of result *indexes* if ``values[slot] := value`` —
         no commit: the assignment is patched, evaluated and patched back.
         Re-probing a move whose relevant confidences did not change is a hit
-        in each result's bounded cache, warm across solves of one problem."""
+        in each compiled result's bounded cache, warm across solves of one
+        problem; a product is multiplied again."""
         keys = self.problem._keys
         at = self.problem._at
         values = self.values

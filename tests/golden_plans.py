@@ -169,24 +169,34 @@ def capped_problem() -> IncrementProblem:
     return IncrementProblem(results, tuples, 0.58, required_count=4, delta=0.1)
 
 
-def improve_ask_slice() -> IncrementProblem:
-    """One ask of the ``improve-ask-2.5k`` benchmark workload: a registry of
-    1 000 patients (seed 7), patients P0000–P0199 reset to confidence 0.1,
-    β 0.75, required fraction 0.5."""
-    db = healthcare_database(1000, seed=7).db
+#: The ``improve-ask-2.5k`` ask over patients P0000–P0199.
+IMPROVE_ASK_SQL = (
+    "SELECT p.PatientId, t.Treatment, t.ResponseRate "
+    "FROM Patients p JOIN Treatments t ON p.PatientId = t.PatientId "
+    "WHERE p.PatientId >= 'P0000' AND p.PatientId < 'P0200'"
+)
+
+
+def improve_ask_scenario():
+    """A registry of 1 000 patients (seed 7) with patients P0000–P0199
+    reset to confidence 0.1, as the ``improve-ask-2.5k`` workload leaves
+    a slice before its ask."""
+    scenario = healthcare_database(1000, seed=7)
     for table in ("Patients", "Treatments"):
         execute_sql(
-            db,
+            scenario.db,
             f"UPDATE {table} SET Source = Source "
             "WHERE PatientId >= 'P0000' AND PatientId < 'P0200' "
             "WITH CONFIDENCE 0.1",
         )
-    result = run_sql(
-        db,
-        "SELECT p.PatientId, t.Treatment, t.ResponseRate "
-        "FROM Patients p JOIN Treatments t ON p.PatientId = t.PatientId "
-        "WHERE p.PatientId >= 'P0000' AND p.PatientId < 'P0200'",
-    )
+    return scenario
+
+
+def improve_ask_slice() -> IncrementProblem:
+    """One ask of the ``improve-ask-2.5k`` benchmark workload
+    (:func:`improve_ask_scenario`), β 0.75, required fraction 0.5."""
+    db = improve_ask_scenario().db
+    result = run_sql(db, IMPROVE_ASK_SQL)
     outcome = PolicyEvaluator.apply_threshold(result, db, 0.75)
     return IncrementProblem.from_results(
         [row.lineage for row, _confidence in outcome.withheld],

@@ -5,12 +5,14 @@ project → inner equi-join pipeline stays deferred to the root — DISTINCT,
 GROUP BY and ``IN`` add one group per key or probed value to it — its
 confidences are products over the factors and the policy filter is a
 mask over them: an ask builds ``AnnotatedTuple``s, ``Var``s, ``And``s and
-``Or``s for the rows someone reads, and a circuit only for the rows
-strategy finding has to lift.  At the commit before this guard every count
-below grew with the number of withheld rows (two ``Var``s, an ``And``, an
+``Or``s for the rows someone reads, and strategy finding reads a join row
+it has to lift off its factors, so only a row that is not a plain product
+is compiled for it.  At the commit before this guard every count below
+grew with the number of withheld rows (two ``Var``s, an ``And``, an
 ``AnnotatedTuple`` and three circuit-node requests per row of the result),
-and until groups kept it deferred a DISTINCT or ``IN`` ask compiled a
-circuit for every row.
+until groups kept it deferred a DISTINCT or ``IN`` ask compiled a circuit
+for every row, and until strategy finding read the factors an improving
+join ask built all four again for every row it lifted.
 """
 
 import pytest
@@ -130,16 +132,18 @@ def test_a_grouping_ask_builds_no_formula_and_no_circuit(
     assert counts[40] == counts[4_000] == nothing
 
 
-def test_an_improving_ask_compiles_the_rows_it_lifts_not_the_released_ones(
+def test_an_improving_join_ask_builds_nothing_it_lifts(
     monkeypatch, count_calls
 ):
-    withheld = 12
+    """The rows strategy finding lifts reach the solver as their factor
+    tuples, and the solver multiplies them: no row, formula or circuit is
+    built, however many rows are released or withheld."""
     counts = {}
-    for released in (30, 3_000):
+    for released, withheld in ((30, 12), (3_000, 12), (30, 1_200)):
         session = _session(_database(released, withheld))
         counters = _counters(count_calls)
         reply = session.ask(JOIN, 1.0)
-        counts[released] = _read(counters)
+        counts[released, withheld] = _read(counters)
         monkeypatch.undo()
         assert reply.status is QueryStatus.IMPROVED
         assert (len(reply.released), reply.withheld_count) == (
@@ -149,13 +153,51 @@ def test_an_improving_ask_compiles_the_rows_it_lifts_not_the_released_ones(
         # The re-enforcement after the write-back was a product again.
         assert not reply.raw_result.has_compiled_circuits
         session.close()
-    # Two VAR requests and one MUL per lifted row, nothing per released one.
-    assert counts[30] == counts[3_000] == {
-        "Var": 2 * withheld,
-        "And": withheld,
-        "Or": 0,
-        "AnnotatedTuple": withheld,
-        "node": 3 * withheld,
+    nothing = {"Var": 0, "And": 0, "Or": 0, "AnnotatedTuple": 0, "node": 0}
+    assert list(counts.values()) == [nothing] * 3
+
+
+def _star_database(keys: int) -> Database:
+    """``l(k)``: *keys* rows at 0.9.  ``r(k)``: two rows per key at 0.1, so
+    ``DISTINCT l.k`` over the join is one star group per key, ``(l ∧ r) ∨
+    (l ∧ r′)`` at 0.9 · 0.19 — withheld under β = 0.5, not a plain
+    product."""
+    db = Database("star")
+    left = db.create_table("l", Schema.of(("k", INTEGER)))
+    left.insert_rows([[k] for k in range(keys)], confidence=0.9)
+    right = db.create_table("r", Schema.of(("k", INTEGER)))
+    right.insert_rows([[k % keys] for k in range(2 * keys)], confidence=0.1)
+    return db
+
+
+def test_an_improving_ask_still_compiles_rows_that_are_not_products(
+    monkeypatch, count_calls
+):
+    """A star group is product-form on the read path but not a plain
+    product for the solver: each row it lifts is built and compiled, so
+    the work follows the number of withheld rows."""
+    counts = {}
+    for keys in (10, 20):
+        session = _session(_star_database(keys))
+        counters = _counters(count_calls)
+        reply = session.ask(
+            "SELECT DISTINCT l.k FROM l JOIN r ON l.k = r.k", 1.0
+        )
+        counts[keys] = _read(counters)
+        monkeypatch.undo()
+        assert reply.status is QueryStatus.IMPROVED
+        assert len(reply.released) == keys
+        session.close()
+    # Per lifted row: its tuple, formula and eight node requests (the
+    # Shannon step on the hub); per problem, one ⊥ constant.
+    assert counts[10]["AnnotatedTuple"] == 10
+    assert {keys: count["node"] for keys, count in counts.items()} == {
+        10: 8 * 10 + 1,
+        20: 8 * 20 + 1,
+    }
+    assert counts[20] == {
+        name: 2 * count if name != "node" else 8 * 20 + 1
+        for name, count in counts[10].items()
     }
 
 

@@ -29,15 +29,19 @@ from repro.workload import WorkloadSpec, generate_problem
 
 class ReferenceFunction(ConfidenceFunction):
     """A confidence function answered by the interpreter — no circuit sweep,
-    no cache — on both of its entry points: the mapping form and the
-    positional form the solvers call."""
+    no cache, no product — on both of its entry points: the mapping form and
+    the positional form the solvers call.  A product row keeps its factors,
+    but overriding ``at`` must still route every probe here."""
 
     __slots__ = ()
+    #: Interpreter calls made through :meth:`at`, over every instance.
+    calls = 0
 
     def evaluate(self, assignment):
         return probability(self.formula, assignment)
 
     def at(self, key):
+        ReferenceFunction.calls += 1
         return probability(self.formula, dict(zip(self.variables, key)))
 
 
@@ -126,20 +130,32 @@ def test_local_search_identical_across_backends(seed):
 
 
 def test_search_state_probe_identical_across_backends():
-    problem = _workload(25, 5)
-    state = SearchState(problem)
-    reference = SearchState(_on_reference(problem))
-    assert state.confidences == reference.confidences
-    slot = 0
+    problem = _workload(60, 0)
+    products = [i for i, r in enumerate(problem.results) if r.factors]
+    # A slot that feeds a product row, which the reference must still answer.
+    slot = problem.result_slots[products[0]][0]
     indexes = list(problem.results_by_slot[slot])
+    on_reference = _on_reference(problem)
+    assert [r.factors for r in on_reference.results] == [
+        r.factors for r in problem.results
+    ]
+    state = SearchState(problem)
+    calls = ReferenceFunction.calls
+    reference = SearchState(on_reference)
+    assert ReferenceFunction.calls - calls == len(problem.results)
+    assert state.confidences == reference.confidences
     target = min(1.0, state.values[slot] + problem.delta)
+    calls = ReferenceFunction.calls
     assert state.probe(slot, target, indexes) == reference.probe(
         slot, target, indexes
     )
+    assert ReferenceFunction.calls - calls == len(indexes)
     # Probes never commit on either.
     assert state.confidences == reference.confidences
     state.set_value(slot, target)
+    calls = ReferenceFunction.calls
     reference.set_value(slot, target)
+    assert ReferenceFunction.calls - calls == len(indexes)
     assert state.confidences == reference.confidences
     assert state.cost == reference.cost
 

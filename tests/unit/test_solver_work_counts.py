@@ -15,8 +15,9 @@ import pytest
 
 from repro.cost import CostModel
 from repro.increment import GreedyOptions, solve_greedy
+from repro.lineage import CompiledCircuit, ConfidenceFunction
 from repro.storage import TupleId
-from tests.golden_plans import scalability_problem
+from tests.golden_plans import improve_ask_slice, scalability_problem
 
 
 @pytest.mark.parametrize(
@@ -59,3 +60,18 @@ def test_boundary_work_does_not_grow_with_gain_evaluations(
     assert again.stats.gain_evaluations == evaluations
     assert again.total_cost == plan.total_cost
     assert priced[0] == 0
+
+
+def test_a_product_row_is_multiplied_not_swept(count_calls):
+    """A join row's confidence is the product of its base tuples' (the
+    ``improve-ask-2.5k`` slice): a greedy solve over such rows sweeps no
+    circuit and looks nothing up in a confidence function's memo."""
+    problem = improve_ask_slice()
+    assert all(result.factors is not None for result in problem.results)
+    sweeps = count_calls(CompiledCircuit, "sweep")
+    lookups = count_calls(ConfidenceFunction, "at")
+
+    plan = solve_greedy(problem)
+
+    assert plan.stats.gain_evaluations > 1_000
+    assert sweeps[0] == lookups[0] == 0
