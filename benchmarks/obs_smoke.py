@@ -14,13 +14,15 @@ surface against the paper's running example plus a generated workload:
    must produce identical text.
 4. **Strict OpenMetrics** — render the registry and round-trip it through
    the strict parser (histogram monotonicity, ``# EOF``, name grammar).
-5. **Overhead gate** — auditing must cost at most ``--max-overhead``
-   (default 5%) of the plain serving time on a fig11-profile workload.
-   Measured intrusively: the audited run accumulates wall time inside
-   the audit hooks and gates on ``hook_time / (total − hook_time)``,
-   median over ``--trials`` runs — numerator and denominator share the
-   run, so host noise scales both and cancels (see
+5. **Overhead gate** — the audit hooks must cost at most
+   ``--max-hook-ms`` (default 3.0) milliseconds per ask on a
+   fig11-profile workload, with the cyclic garbage collector disabled
+   while timing.  Measured intrusively: the audited run accumulates wall
+   time inside the audit hooks, median over ``--trials`` runs (see
    :func:`measure_overhead` for why A/B subtraction cannot work here).
+   The hooks' share of the plain serving time is reported, not gated:
+   its denominator is mostly the greedy solve, so it moves whenever the
+   solver does (docs/OBSERVABILITY.md).
 
 Exit code 0 only if every check passes.  ``--json`` writes a harness-
 compatible results file (panel ``obs``) for ``trajectory.py``.
@@ -29,6 +31,7 @@ compatible results file (panel ``obs``) for ``trajectory.py``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -208,33 +211,28 @@ class _TimedAuditLog(AuditLog):
 
 
 def measure_overhead(trials: int, pairs: int) -> tuple[float, float, float]:
-    """Audit overhead as (plain seconds/ask, audited seconds/ask, ratio).
+    """Audit cost as (plain seconds/ask, hook seconds/ask, hook share).
 
     Measured intrusively, not by A/B subtraction: the audited run
     accumulates the wall time spent inside the audit hooks (record
-    building, canonical encoding, checksumming, the WAL append), and
+    building, canonical encoding, checksumming, the WAL append); the
+    plain serving time is the rest of the run, and the share is
+    ``hook_time / (total − hook_time)``.  (An A/B design has to subtract
+    two ~±30% noisy wall times to resolve a ~2% effect; measured here,
+    it fails that badly.)  Each figure is the median across *trials*
+    runs; the engine-side record preparation outside the hooks
+    benchmarks at the noise floor (see docs/OBSERVABILITY.md).
 
-        overhead = hook_time / (total − hook_time)
-
-    Numerator and denominator come from the *same* run, so host steal
-    and clock distortion — which on a shared runner swing batch-to-batch
-    wall times by ±30%, far beyond the 5% budget — scale both sides and
-    cancel.  (An A/B design has to subtract two ~±30% noisy wall times
-    to resolve a ~2% effect; measured here, it fails that badly.)  The
-    gated quantity is the median overhead across *trials* runs; the
-    engine-side record preparation outside the hooks benchmarks at the
-    noise floor (see docs/OBSERVABILITY.md).
-
-    The registry size matters: engine cost per result row grows with the
-    table sizes (join probes, candidate scans) while audit cost per row
-    is constant, so a larger registry is the fairer — and more
-    production-shaped — denominator for a percentage budget.
+    The cyclic garbage collector is disabled while the asks are timed: a
+    collection is charged to whichever code allocates when a generation
+    fills, so with it on the hook time moves with where the solver's
+    allocations leave the collector, not with what the hooks do.
     """
     scenario = healthcare_database(patients=800)
     asks = 2 * pairs
     fractions: list[float] = []
-    plain_equiv: list[float] = []
-    audited: list[float] = []
+    plain: list[float] = []
+    hooks: list[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         for trial in range(trials):
             log = _TimedAuditLog(Path(tmp) / f"overhead-{trial}.log")
@@ -257,36 +255,43 @@ def measure_overhead(trials: int, pairs: int) -> tuple[float, float, float]:
                     user=user,
                 )
             log.spent = 0.0
-            started = time.perf_counter()
-            for _ in range(pairs):
-                for user, purpose, fraction in OVERHEAD_ASKS:
-                    engine.execute(
-                        QueryRequest(
-                            OVERHEAD_SQL,
-                            purpose=purpose,
-                            required_fraction=fraction,
-                        ),
-                        user=user,
-                    )
-            total = time.perf_counter() - started
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                for _ in range(pairs):
+                    for user, purpose, fraction in OVERHEAD_ASKS:
+                        engine.execute(
+                            QueryRequest(
+                                OVERHEAD_SQL,
+                                purpose=purpose,
+                                required_fraction=fraction,
+                            ),
+                            user=user,
+                        )
+                total = time.perf_counter() - started
+            finally:
+                if collecting:
+                    gc.enable()
             log.close()
             fractions.append(log.spent / (total - log.spent))
-            plain_equiv.append((total - log.spent) / asks)
-            audited.append(total / asks)
+            plain.append((total - log.spent) / asks)
+            hooks.append(log.spent / asks)
     return (
-        statistics.median(plain_equiv),
-        statistics.median(audited),
-        1.0 + statistics.median(fractions),
+        statistics.median(plain),
+        statistics.median(hooks),
+        statistics.median(fractions),
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--max-overhead",
+        "--max-hook-ms",
         type=float,
-        default=0.05,
-        help="allowed audited/plain slowdown fraction (default: 0.05)",
+        default=3.0,
+        help="allowed audit hook time per ask, collector disabled, in "
+        "milliseconds (default: 3.0)",
     )
     parser.add_argument(
         "--trials",
@@ -329,26 +334,26 @@ def main(argv: list[str] | None = None) -> int:
             families = check_openmetrics()
             print(f"openmetrics: {families} families parse strictly")
 
-        plain_s, audited_s, ratio = measure_overhead(
+        plain_s, hook_s, overhead = measure_overhead(
             args.trials, args.pairs_per_trial
         )
-        overhead = ratio - 1.0
-        if overhead > args.max_overhead:
+        over_budget = 1e3 * hook_s > args.max_hook_ms
+        if over_budget:
             # Escalate once with doubled trials before failing: a perf
             # gate on a shared runner must survive one unlucky window.
             print(
-                f"overhead: {overhead:+.2%} over budget — re-measuring "
-                f"with {2 * args.trials} trials"
+                f"overhead: {1e3 * hook_s:.2f}ms/ask over budget — "
+                f"re-measuring with {2 * args.trials} trials"
             )
-            plain_s, audited_s, ratio = measure_overhead(
+            plain_s, hook_s, overhead = measure_overhead(
                 2 * args.trials, args.pairs_per_trial
             )
-            overhead = ratio - 1.0
-        verdict = "ok" if overhead <= args.max_overhead else "FAIL"
+            over_budget = 1e3 * hook_s > args.max_hook_ms
         print(
             f"overhead: {1e3 * plain_s:.1f}ms/ask serving + "
-            f"{1e3 * (audited_s - plain_s):.2f}ms/ask audit -> "
-            f"{overhead:+.2%} (limit {args.max_overhead:.0%}) — {verdict}"
+            f"{1e3 * hook_s:.2f}ms/ask audit (limit {args.max_hook_ms:.2f}ms, "
+            f"collector off; {overhead:+.2%} of serving, not gated) — "
+            f"{'FAIL' if over_budget else 'ok'}"
         )
         record(
             "obs (telemetry smoke)",
@@ -356,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
             decision_records=decisions,
             metric_families=families,
             plain_ask_s=plain_s,
-            audited_ask_s=audited_s,
+            audited_ask_s=plain_s + hook_s,
+            hook_ms_per_ask=1e3 * hook_s,
             overhead_pct=100.0 * overhead,
         )
         if args.json:
@@ -371,9 +377,9 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(payload, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"wrote {args.json}")
-        if overhead > args.max_overhead:
+        if over_budget:
             print(
-                "FAIL: audit+metrics overhead exceeds the budget",
+                "FAIL: audit hook time per ask exceeds the budget",
                 file=sys.stderr,
             )
             return 1

@@ -249,7 +249,7 @@ class TabulatedCost(CostModel):
             raise CostModelError("tabulated confidences must strictly increase")
         if any(b < a for a, b in zip(costs, costs[1:])):
             raise CostModelError("tabulated costs must be non-decreasing")
-        if not 0.0 <= confidences[0] and confidences[-1] <= 1.0:
+        if not (0.0 <= confidences[0] and confidences[-1] <= 1.0):
             raise CostModelError("tabulated confidences must lie in [0, 1]")
         cap = confidences[-1] if max_confidence is None else max_confidence
         super().__init__(min(cap, confidences[-1]))

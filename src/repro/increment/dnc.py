@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from ..errors import IncrementError
 from ..obs import get_metrics
 from ..storage.tuples import TupleId
-from .greedy import GreedyOptions, _phase_two, _step_gain, solve_greedy
+from .greedy import GreedyOptions, _phase_two, solve_greedy
 from .heuristic import HeuristicOptions, solve_heuristic
 from .partition import PartitionOptions, partition_results
 from .problem import (
@@ -113,7 +113,7 @@ def solve_dnc(
                 )
             combined = _solve_groups(problem, groups, options, stats, budget)
             for tid, target in combined.items():
-                state.set_value(problem.slot_of[tid], target)
+                state.commit(problem.slot_of[tid], target)
             _top_up(problem, state, options, stats, budget)
             if options.refine:
                 _refine(problem, state, stats, budget)
@@ -225,10 +225,7 @@ def _refine(
         before = stats.phase2_reductions
         # Gains over *all* results: at a satisfied state the unsatisfied
         # scope would be identically zero and give a degenerate order.
-        gains = {
-            slot: _step_gain(problem, state, slot, "all", stats)
-            for slot in changed
-        }
+        gains = {slot: state.gain(slot, True, stats) for slot in changed}
         _phase_two(problem, state, gains, stats, budget)
         if stats.phase2_reductions == before:
             return

@@ -14,16 +14,18 @@ one result — which keeps the loop near-linear on sparse workloads.
 **Phase 2 (refinement)** — the aggressive phase can overshoot (a tuple
 picked early may not serve any finally-satisfied result).  Tuples that were
 increased are revisited in ascending order of their latest gain*, and each
-is walked back δ-step by δ-step while the requirement still holds.  The
-paper measures phase 2 cutting total cost by >30% at negligible time cost
-(Figure 11(b)/(e)).
+is walked back δ-step by δ-step while the requirement still holds (each
+step judged before it is applied).  The paper measures phase 2 cutting
+total cost by >30% at negligible time cost (Figure 11(b)/(e)).
+
+A gain evaluation is one :meth:`SearchState.gain` call, reading the
+step it prices straight out of :attr:`IncrementProblem.steps`.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -115,43 +117,6 @@ def solve_greedy(
         )
 
 
-def _step_gain(
-    problem: IncrementProblem,
-    state: SearchState,
-    slot: int,
-    scope: str,
-    stats: SolverStats,
-) -> float:
-    """gain* of one δ-step on *slot* at the current state.
-
-    Returns ``-inf`` when the tuple is already at its maximum.  A zero-cost
-    step with positive ΔF scores ``+inf`` (always worth taking); zero ΔF
-    scores 0 regardless of cost.
-    """
-    step = problem.step_up(slot, state.values[slot])
-    if step is None:
-        return -math.inf
-    target, step_cost = step
-    stats.gain_evaluations += 1
-
-    # One what-if probe answers every affected result at once, through
-    # the per-function caches (re-probing an unchanged move is a hit).
-    indexes = problem.results_by_slot[slot]
-    if scope != "all":
-        indexes = [index for index in indexes if state.result_needed(index)]
-    confidences = state.confidences
-    delta_f = 0.0
-    for index, new_confidence in zip(
-        indexes, state.probe(slot, target, indexes)
-    ):
-        delta_f += new_confidence - confidences[index]
-    if delta_f <= _EPS:
-        return 0.0
-    if step_cost <= _EPS:
-        return math.inf
-    return delta_f / step_cost
-
-
 def _phase_one(
     problem: IncrementProblem,
     state: SearchState,
@@ -175,12 +140,14 @@ def _phase_one(
     # break by slot, i.e. by sorted tuple id.
     stamps = [0] * len(neighbours)
     heap: list[tuple[float, int, int]] = []
+    every = options.gain_scope == "all"
+    gain_of = state.gain
 
     def refresh(slots: Iterable[int]) -> None:
         for slot in slots:
             if budget is not None:
                 budget.charge_probe()
-            gain = _step_gain(problem, state, slot, options.gain_scope, stats)
+            gain = gain_of(slot, every, stats)
             stamps[slot] += 1
             if gain > 0.0:
                 heapq.heappush(heap, (-gain, slot, stamps[slot]))
@@ -220,7 +187,7 @@ def _phase_one(
                 "greedy search stalled: no confidence step improves any "
                 "unsatisfied result"
             )
-        state.commit(pick, problem.step_up(pick, state.values[pick])[0])
+        state.commit(pick, problem.steps[pick][state.values[pick]][0])
         last_gain[pick] = -negated
         stale = neighbours[pick]
 
@@ -244,9 +211,7 @@ def _phase_two(
             return
         initial = problem.initial[slot]
         while values[slot] > initial + _EPS and state.is_satisfied():
-            current = values[slot]
-            undo = state.set_value(slot, problem.previous_level(slot, current))
-            if not state.is_satisfied():
-                state.undo(slot, current, undo)
+            lower = problem.previous_level(slot, values[slot])
+            if not state.walk_back(slot, lower):
                 break
             stats.phase2_reductions += 1

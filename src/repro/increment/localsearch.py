@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from ..errors import IncrementError
-from .greedy import GreedyOptions, _phase_two, _step_gain, solve_greedy
+from .greedy import GreedyOptions, _phase_two, solve_greedy
 from .problem import (
     IncrementPlan,
     IncrementProblem,
@@ -92,7 +92,7 @@ def solve_local_search(
 
         state = SearchState(problem)
         for tid, target in seed_plan.targets.items():
-            state.set_value(problem.slot_of[tid], target)
+            state.commit(problem.slot_of[tid], target)
         if not state.is_satisfied():
             raise IncrementError(
                 "local search requires a feasible initial plan"
@@ -141,10 +141,7 @@ def _descend(
         changed = state.changed_slots()
         if changed:
             before = stats.phase2_reductions
-            gains = {
-                slot: _step_gain(problem, state, slot, "all", stats)
-                for slot in changed
-            }
+            gains = {slot: state.gain(slot, True, stats) for slot in changed}
             _phase_two(problem, state, gains, stats, budget)
             if stats.phase2_reductions > before:
                 improved = True
@@ -171,7 +168,7 @@ def _try_swap(
         return False
     raised = rng.choice(candidates)
     raise_old = values[raised]
-    step = problem.step_up(raised, raise_old)
+    step = problem.steps[raised][raise_old]
     if step is None:
         return False
 
@@ -182,16 +179,15 @@ def _try_swap(
     initial = problem.initial[lower]
     lowered_any = False
     while values[lower] > initial + _EPS:
-        current = values[lower]
-        undo = state.set_value(lower, problem.previous_level(lower, current))
-        if not state.is_satisfied():
-            state.undo(lower, current, undo)
+        if not state.walk_back(
+            lower, problem.previous_level(lower, values[lower])
+        ):
             break
         lowered_any = True
     if lowered_any and state.is_satisfied() and state.cost < cost_before - _EPS:
         return True
     # Net loss (or infeasible): roll everything back.
-    state.set_value(lower, lower_old)
+    state.commit(lower, lower_old)
     state.undo(raised, raise_old, raise_undo)
     return False
 
@@ -206,6 +202,6 @@ def _perturb(
     slots = range(len(state.values))
     for _ in range(options.perturbation_size):
         slot = rng.choice(slots)
-        step = problem.step_up(slot, state.values[slot])
+        step = problem.steps[slot][state.values[slot]]
         if step is not None:
-            state.set_value(slot, step[0])
+            state.commit(slot, step[0])

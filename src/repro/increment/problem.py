@@ -69,6 +69,38 @@ def _key_getter(slots: tuple[int, ...]):
     return lambda values: tuple(values[slot] for slot in slots)
 
 
+class _Prices(dict):
+    """One tuple's ``value -> cost_to(value)``.  Reading a value not seen
+    before prices it — one ``CostModel.increment_cost`` call above the
+    initial value — and keeps the price; a hit is a plain dict read."""
+
+    __slots__ = ("state",)
+
+    def __missing__(self, value: float) -> float:
+        cost = self[value] = self.state.cost_to(value)
+        return cost
+
+
+class _Steps(dict):
+    """One tuple's ``current -> (target, step cost)`` of one δ-step up, or
+    ``None`` at its maximum.  Reading a value not seen before makes the
+    step from the tuple's prices and keeps it; a hit is a plain dict read."""
+
+    __slots__ = ("prices", "maximum", "delta")
+
+    def __missing__(self, current: float) -> tuple[float, float] | None:
+        maximum = self.maximum
+        step = None
+        if current < maximum - _EPS:
+            target = current + self.delta
+            if target > maximum:
+                target = maximum
+            prices = self.prices
+            step = target, prices[target] - prices[current]
+        self[current] = step
+        return step
+
+
 @dataclass(frozen=True)
 class BaseTupleState:
     """One decision variable: a base tuple's current state and cost model."""
@@ -224,11 +256,29 @@ class IncrementProblem:
             for slot in slots:
                 self.results_by_slot[slot].append(index)
         # Tabulated lazily, never invalidated (the problem is immutable):
-        # per slot value -> cost_to(value), value -> δ-step up and the
-        # δ-grid; per group the count achievable at maximum.
-        self._costs: list[dict[float, float]] = [{} for _ in states]
-        self._steps: list[dict] = [{} for _ in states]
-        self._levels: list[list[float] | None] = [None] * len(states)
+        # per slot its prices and δ-steps up, each filled by its first
+        # read; per (initial, maximum) pair the δ-grid, which slots with
+        # the same pair share; per group the count achievable at maximum.
+        #: ``prices[slot][value]``: ``cost_to(value)`` of the tuple in
+        #: *slot*, priced the first time *value* is read (0 at the initial
+        #: value, by definition).
+        self.prices: list[_Prices] = []
+        #: ``steps[slot][current]``: one δ-step up from *current* as
+        #: ``(target, step cost)``, or ``None`` at the maximum.  Tabulated
+        #: by the value actually reached: phase 1 climbs by repeated
+        #: ``current + δ``, not the rounded grid of :meth:`levels_of`.
+        self.steps: list[_Steps] = []
+        for state, maximum in zip(states, self.maximum):
+            prices = _Prices()
+            prices[state.initial] = 0.0
+            prices.state = state
+            steps = _Steps()
+            steps.prices = prices
+            steps.maximum = maximum
+            steps.delta = self.delta
+            self.prices.append(prices)
+            self.steps.append(steps)
+        self._grids: dict[tuple[float, float], list[float]] = {}
         self._achievable: list[int] | None = None
         # result index -> requirement-group ids it belongs to
         self.groups_by_result: list[list[int]] = [
@@ -339,37 +389,13 @@ class IncrementProblem:
             for key, at in zip(self._keys, self._at)
         ]
 
-    def cost_at(self, slot: int, value: float) -> float:
-        """``cost_to(value)`` of the tuple in *slot*, priced the first time
-        *value* is reached and looked up afterwards."""
-        table = self._costs[slot]
-        cost = table.get(value)
-        if cost is None:
-            cost = table[value] = self._states[slot].cost_to(value)
-        return cost
-
-    def step_up(self, slot: int, current: float) -> tuple[float, float] | None:
-        """One δ-step up from *current*: ``(target, step cost)``, or None at
-        the maximum.  Tabulated by the value actually reached: phase 1 climbs
-        by repeated ``current + δ``, not the rounded grid of :meth:`levels_of`."""
-        table = self._steps[slot]
-        step = table.get(current, table)  # the table itself marks a miss
-        if step is table:
-            maximum = self.maximum[slot]
-            step = None
-            if current < maximum - _EPS:
-                target = min(current + self.delta, maximum)
-                step = target, self.cost_at(slot, target) - self.cost_at(
-                    slot, current
-                )
-            table[current] = step
-        return step
-
     def levels_of(self, slot: int) -> list[float]:
-        """The δ-grid of the tuple in *slot* (built once)."""
-        levels = self._levels[slot]
+        """The δ-grid of the tuple in *slot*: a function of its initial
+        value and maximum alone, built once per distinct pair."""
+        pair = self.initial[slot], self.maximum[slot]
+        levels = self._grids.get(pair)
         if levels is None:
-            levels = self._levels[slot] = self._states[slot].levels(self.delta)
+            levels = self._grids[pair] = self._states[slot].levels(self.delta)
         return levels
 
     def previous_level(self, slot: int, value: float) -> float:
@@ -530,14 +556,14 @@ class SearchState:
 
     All four solvers walk the assignment space through this class, by
     slot: :attr:`values` is the positional assignment.  Every confidence
-    it reports — at construction, after a move, for a what-if
-    :meth:`probe` — is the result's function of a key pulled out of
-    :attr:`values` by its own slots: a product's factors multiplied in
-    factor order, or :meth:`~repro.lineage.ConfidenceFunction.at` — a
+    it reports — at construction, after a move, in a :meth:`gain` probe or
+    a judged :meth:`walk_back` — is the result's function of a key pulled
+    out of :attr:`values` by its own slots: a product's factors multiplied
+    in factor order, or :meth:`~repro.lineage.ConfidenceFunction.at` — a
     dictionary hit at values seen before, the input of one forward sweep
-    of its circuit otherwise.  Undoing a move
-    writes the recorded old confidences back.  Satisfied counts and total
-    cost are maintained incrementally.
+    of its circuit otherwise.  Undoing a move writes the recorded old
+    confidences back.  Satisfied counts, the per-result :attr:`needed`
+    flags and total cost are maintained incrementally.
     """
 
     __slots__ = (
@@ -549,6 +575,7 @@ class SearchState:
         "cost",
         "group_counts",
         "unmet_groups",
+        "needed",
     )
 
     def __init__(self, problem: IncrementProblem) -> None:
@@ -571,37 +598,86 @@ class SearchState:
                 self.group_counts, problem.requirement_groups
             )
         )
+        #: Per result, whether lifting it can still help: it is below the
+        #: threshold and belongs to at least one unmet group.
+        self.needed: list[bool] = [False] * len(self.confidences)
+        self._renew_needed(range(len(self.confidences)))
+
+    def _renew_needed(self, indexes: Iterable[int]) -> None:
+        """Recompute :attr:`needed` for *indexes* from the current flags
+        and group counts."""
+        flags = self.satisfied_flags
+        counts = self.group_counts
+        groups = self.problem.requirement_groups
+        groups_by_result = self.problem.groups_by_result
+        needed = self.needed
+        for index in indexes:
+            needed[index] = False
+            if not flags[index]:
+                for group_id in groups_by_result[index]:
+                    if counts[group_id] < groups[group_id][1]:
+                        needed[index] = True
+                        break
 
     def _flip(self, index: int) -> None:
-        """Toggle result *index*'s satisfied flag; keep the groups current."""
+        """Toggle result *index*'s satisfied flag; keep the groups and the
+        :attr:`needed` flags current."""
         problem = self.problem
+        counts = self.group_counts
         now = not self.satisfied_flags[index]
         self.satisfied_flags[index] = now
         step = 1 if now else -1
         self.satisfied_count += step
+        short = False  # whether a group of *index* is still unmet
         for group_id in problem.groups_by_result[index]:
-            needed = problem.requirement_groups[group_id][1]
-            before = self.group_counts[group_id]
-            self.group_counts[group_id] = before + step
-            if now and before + 1 == needed:
+            members, needed = problem.requirement_groups[group_id]
+            count = counts[group_id] = counts[group_id] + step
+            if now and count == needed:
                 self.unmet_groups -= 1
-            elif not now and before == needed:
+                self._renew_needed(members)
+            elif not now and count == needed - 1:
                 self.unmet_groups += 1
+                self._renew_needed(members)
+            short = short or count < needed
+        self.needed[index] = short and not now
+
+    def commit(self, slot: int, value: float) -> None:
+        """Assign ``values[slot] := value`` for good: the affected results
+        are re-evaluated, nothing is recorded to undo it."""
+        problem = self.problem
+        values = self.values
+        old_value = values[slot]
+        if abs(value - old_value) < _EPS:
+            return
+        prices = problem.prices[slot]
+        self.cost += prices[value] - prices[old_value]
+        values[slot] = value
+        keys = problem._keys
+        at = problem._at
+        confidences = self.confidences
+        flags = self.satisfied_flags
+        floor = problem.threshold - _EPS  # IncrementProblem.satisfied
+        for index in problem.results_by_slot[slot]:
+            confidence = confidences[index] = at[index](keys[index](values))
+            if (confidence >= floor) != flags[index]:
+                self._flip(index)
 
     def set_value(self, slot: int, value: float) -> UndoToken:
-        """Assign ``values[slot] := value``; returns the token for
-        :meth:`undo`: the affected results' old confidences, so undoing is
-        a write-back.  It is valid while every *other* tuple is at the
-        value it had when the move was made — the solvers' last-in-first-out
-        move discipline: undo the most recent not-yet-undone move first.
+        """:meth:`commit`, recording the token for :meth:`undo`: the
+        affected results' old confidences, so undoing is a write-back.  It
+        is valid while every *other* tuple is at the value it had when the
+        move was made — the solvers' last-in-first-out move discipline:
+        undo the most recent not-yet-undone move first.  (The loop is
+        :meth:`commit`'s, token added, rather than a call to it: the
+        branch-and-bound solver makes this move at every node.)
         """
         problem = self.problem
         values = self.values
         old_value = values[slot]
         if abs(value - old_value) < _EPS:
             return []
-        cost_at = problem.cost_at
-        self.cost += cost_at(slot, value) - cost_at(slot, old_value)
+        prices = problem.prices[slot]
+        self.cost += prices[value] - prices[old_value]
         values[slot] = value
         keys = problem._keys
         at = problem._at
@@ -610,66 +686,123 @@ class SearchState:
         floor = problem.threshold - _EPS  # IncrementProblem.satisfied
         undo: UndoToken = []
         for index in problem.results_by_slot[slot]:
-            confidence = at[index](keys[index](values))
             undo.append((index, confidences[index]))
-            confidences[index] = confidence
+            confidence = confidences[index] = at[index](keys[index](values))
             if (confidence >= floor) != flags[index]:
                 self._flip(index)
         return undo
-
-    #: :meth:`set_value` for moves that are never rolled back (the token
-    #: is dropped), such as greedy phase-1 picks.
-    commit = set_value
 
     def undo(self, slot: int, old_value: float, undo: UndoToken) -> None:
         """Reverse a :meth:`set_value` move (see its token discipline)."""
         problem = self.problem
         current = self.values[slot]
         if abs(current - old_value) >= _EPS:
-            cost_at = problem.cost_at
-            self.cost += cost_at(slot, old_value) - cost_at(slot, current)
+            prices = problem.prices[slot]
+            self.cost += prices[old_value] - prices[current]
             self.values[slot] = old_value
         for index, confidence in undo:
             self.confidences[index] = confidence
             if problem.satisfied(confidence) != self.satisfied_flags[index]:
                 self._flip(index)
 
-    def probe(
-        self, slot: int, value: float, indexes: Sequence[int]
-    ) -> list[float]:
-        """Confidences of result *indexes* if ``values[slot] := value`` —
-        no commit: the assignment is patched, evaluated and patched back.
-        Re-probing a move whose relevant confidences did not change is a hit
-        in each compiled result's bounded cache, warm across solves of one
-        problem; a product is multiplied again."""
-        keys = self.problem._keys
-        at = self.problem._at
+    def walk_back(self, slot: int, value: float) -> bool:
+        """Lower ``values[slot]`` to *value* if every requirement group is
+        still met afterwards, and say whether it was.  The move is judged
+        before anything is written; a rejected one leaves the assignment,
+        confidences and flags as they were, and adds the move's cost and
+        its reverse to :attr:`cost` — the two additions :meth:`set_value`
+        then :meth:`undo` make, so the float total is the same."""
+        problem = self.problem
         values = self.values
         current = values[slot]
+        if abs(value - current) < _EPS:
+            return self.unmet_groups == 0
+        prices = problem.prices[slot]
+        self.cost += prices[value] - prices[current]
+        keys = problem._keys
+        at = problem._at
+        indexes = problem.results_by_slot[slot]
         values[slot] = value
-        confidences: list[float] = []
+        fresh = [at[index](keys[index](values)) for index in indexes]
+        flags = self.satisfied_flags
+        floor = problem.threshold - _EPS  # IncrementProblem.satisfied
+        flipped = [
+            index
+            for index, confidence in zip(indexes, fresh)
+            if (confidence >= floor) != flags[index]
+        ]
+        if not self._met_after(flipped):
+            values[slot] = current
+            self.cost += prices[current] - prices[value]
+            return False
+        confidences = self.confidences
+        for index, confidence in zip(indexes, fresh):
+            confidences[index] = confidence
+        for index in flipped:
+            self._flip(index)
+        return True
+
+    def _met_after(self, flipped: Sequence[int]) -> bool:
+        """Whether every requirement group would be met with the
+        satisfied flags of *flipped* toggled."""
+        if not flipped:
+            return self.unmet_groups == 0
+        problem = self.problem
+        flags = self.satisfied_flags
+        counts = list(self.group_counts)
+        for index in flipped:
+            step = -1 if flags[index] else 1
+            for group_id in problem.groups_by_result[index]:
+                counts[group_id] += step
+        return all(
+            count >= needed
+            for count, (_members, needed) in zip(
+                counts, problem.requirement_groups
+            )
+        )
+
+    def gain(self, slot: int, every: bool, stats: SolverStats) -> float:
+        """gain* of one δ-step up on *slot* (greedy, paper §4.2): ΔF over
+        its step cost, where ΔF is the confidence the step adds, summed
+        over the :attr:`needed` results of ``results_by_slot[slot]`` — over
+        all of them when *every* — in that order.
+
+        ``-inf`` when the tuple is at its maximum; otherwise the evaluation
+        is counted in *stats*, zero ΔF scores 0 regardless of cost and a
+        zero-cost step with positive ΔF scores ``+inf``.  No commit: the
+        assignment is patched, evaluated and patched back.  Re-evaluating
+        a move whose inputs did not change is a hit in each compiled
+        result's bounded cache, warm across solves of one problem; a
+        product is multiplied again."""
+        problem = self.problem
+        values = self.values
+        current = values[slot]
+        step = problem.steps[slot][current]
+        if step is None:
+            return -math.inf
+        target, step_cost = step
+        stats.gain_evaluations += 1
+        keys = problem._keys
+        at = problem._at
+        confidences = self.confidences
+        needed = self.needed
+        values[slot] = target
+        delta = 0.0
         try:
-            for index in indexes:
-                confidences.append(at[index](keys[index](values)))
+            for index in problem.results_by_slot[slot]:
+                if every or needed[index]:
+                    delta += at[index](keys[index](values)) - confidences[index]
         finally:
             values[slot] = current
-        return confidences
+        if delta <= _EPS:
+            return 0.0
+        if step_cost <= _EPS:
+            return math.inf
+        return delta / step_cost
 
     def is_satisfied(self) -> bool:
         """Whether every requirement group is met."""
         return self.unmet_groups == 0
-
-    def result_needed(self, index: int) -> bool:
-        """Whether lifting result *index* can still help: it is below the
-        threshold and belongs to at least one unmet group."""
-        if self.satisfied_flags[index]:
-            return False
-        problem = self.problem
-        for group_id in problem.groups_by_result[index]:
-            needed = problem.requirement_groups[group_id][1]
-            if self.group_counts[group_id] < needed:
-                return True
-        return False
 
     def satisfied_indexes(self) -> tuple[int, ...]:
         return tuple(

@@ -10,6 +10,7 @@ provides an engine-independent statistical cross-check.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.increment.problem import (
     BaseTupleState,
     IncrementProblem,
     SearchState,
+    SolverStats,
 )
 from repro.lineage import (
     BOTTOM,
@@ -204,13 +206,30 @@ def test_probe_equals_patched_evaluation_without_commit(
         required_count=1,
     )
     state = SearchState(problem)
-    before = list(state.confidences)
     if tid not in problem.tuples:  # the formula never reads it
         return
-    [probed] = state.probe(problem.slot_of[tid], value, [0])
-    assert probed == probability(formula, {**probs, tid: value})
-    assert state.confidences == before
-    assert state.values == problem.initial
+    # A gain probe of the δ-step from *value*: ΔF over the step's cost.
+    slot = problem.slot_of[tid]
+    state.commit(slot, value)
+    before = (list(state.confidences), list(state.values), state.cost)
+    step = problem.steps[slot][state.values[slot]]
+    stats = SolverStats()
+    gain = state.gain(slot, True, stats)
+    assert (state.confidences, state.values, state.cost) == before
+    if step is None:
+        assert gain == -math.inf and stats.gain_evaluations == 0
+        return
+    target, step_cost = step
+    patched = probability(formula, {**probs, tid: target})
+    delta = patched - before[0][0]
+    if delta <= 1e-9:
+        expected = 0.0
+    elif step_cost <= 1e-9:
+        expected = math.inf
+    else:
+        expected = delta / step_cost
+    assert gain == expected
+    assert stats.gain_evaluations == 1
 
 
 @settings(max_examples=20, deadline=None)

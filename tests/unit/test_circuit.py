@@ -10,6 +10,7 @@ from repro.increment.problem import (
     BaseTupleState,
     IncrementProblem,
     SearchState,
+    SolverStats,
 )
 from repro.lineage import (
     CircuitPool,
@@ -196,11 +197,20 @@ class TestEvaluator:
             assert state.confidences == self._fresh(formulas, assignment)
 
     def test_probe_does_not_commit(self):
+        # A gain probe patches the slot, sums ΔF and patches it back.
         _pool, formulas, problem, assignment, state = self._setup()
-        before = list(state.confidences)
-        probed = state.probe(problem.slot_of[T[1]], 0.99, [0, 1, 2])
-        assert probed == self._fresh(formulas, {**assignment, T[1]: 0.99})
-        assert state.confidences == before
+        before = (list(state.confidences), state.cost)
+        slot = problem.slot_of[T[1]]
+        assert problem.results_by_slot[slot] == [0, 1, 2]
+        target, step_cost = problem.steps[slot][assignment[T[1]]]
+        fresh = self._fresh(formulas, {**assignment, T[1]: target})
+        delta = 0.0
+        for index in (0, 1, 2):
+            delta += fresh[index] - before[0][index]
+        stats = SolverStats()
+        assert state.gain(slot, True, stats) == delta / step_cost
+        assert stats.gain_evaluations == 1
+        assert (state.confidences, state.cost) == before
         assert state.values == self._values(problem, assignment)
 
     def test_out_of_scope_variable_is_noop(self):
@@ -242,13 +252,22 @@ class TestEvaluator:
         assert state.set_value(slot, old) == []
 
     def test_gradient_uses_committed_values(self):
-        # Slopes taken by probing are slopes at the *committed* assignment.
+        # Slopes taken by what-if moves are slopes at the *committed*
+        # assignment.
         _pool, formulas, problem, assignment, state = self._setup()
         state.commit(problem.slot_of[T[2]], 0.77)
         assignment[T[2]] = 0.77
+
+        def what_if(slot, value):
+            old = state.values[slot]
+            undo = state.set_value(slot, value)
+            confidence = state.confidences[0]
+            state.undo(slot, old, undo)
+            return confidence
+
         for tid in formulas[0].variables:
-            [high] = state.probe(problem.slot_of[tid], 1.0, [0])
-            [low] = state.probe(problem.slot_of[tid], 0.0, [0])
+            high = what_if(problem.slot_of[tid], 1.0)
+            low = what_if(problem.slot_of[tid], 0.0)
             assert high - low == pytest.approx(
                 sensitivity(formulas[0], assignment, tid), abs=1e-12
             )

@@ -118,6 +118,24 @@ class TestTabulatedCost:
         model = TabulatedCost([(0.0, 0.0), (0.8, 10.0)])
         assert model.max_confidence == 0.8
 
+    @pytest.mark.parametrize(
+        "points, cap",
+        [
+            ([(0.2, 0.0), (1.5, 10.0)], 0.9),  # a cap hid the bad last point
+            ([(0.2, 0.0), (1.5, 10.0)], None),
+            ([(-0.1, 0.0), (0.5, 10.0)], None),
+            ([(-0.1, 0.0), (1.5, 10.0)], None),
+            ([(-0.1, 0.0), (1.5, 10.0)], 0.9),
+        ],
+    )
+    def test_confidences_outside_the_unit_interval_rejected(self, points, cap):
+        with pytest.raises(CostModelError, match=r"must lie in \[0, 1\]"):
+            TabulatedCost(points, max_confidence=cap)
+
+    def test_confidences_at_the_unit_interval_bounds_accepted(self):
+        model = TabulatedCost([(0.0, 0.0), (1.0, 10.0)], max_confidence=0.9)
+        assert model.max_confidence == 0.9
+
 
 class TestMarginalCost:
     def test_step_clamped_at_cap(self):

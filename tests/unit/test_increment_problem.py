@@ -207,11 +207,11 @@ class TestProblemQueries:
             [ConfidenceFunction(var(A))], {A: state}, 0.9, 1
         )
         value, climbed = 0.1, []
-        while (step := problem.step_up(0, value)) is not None:
+        while (step := problem.steps[0][value]) is not None:
             target, cost = step
             assert target == min(value + 0.1, 0.95)
             assert cost == state.cost_to(target) - state.cost_to(value)
-            assert problem.step_up(0, value) is step  # tabulated
+            assert problem.steps[0][value] is step  # tabulated
             value = target
             climbed.append(value)
         assert value == 0.95 and 0.30000000000000004 in climbed
@@ -220,7 +220,24 @@ class TestProblemQueries:
         assert problem.previous_level(0, 0.95) == 0.9
         assert problem.previous_level(0, 0.30000000000000004) == 0.2
         assert problem.previous_level(0, 0.1) == 0.1  # floor: the initial
-        assert problem.cost_at(0, 0.95) == state.cost_to(0.95)
+        assert problem.prices[0][0.95] == state.cost_to(0.95)
+
+    def test_slots_with_the_same_range_share_one_grid(self):
+        states = {
+            A: BaseTupleState(A, 0.1, LinearCost(10.0, max_confidence=0.95)),
+            B: BaseTupleState(B, 0.1, LinearCost(99.0, max_confidence=0.95)),
+            C: BaseTupleState(C, 0.2, LinearCost(10.0, max_confidence=0.95)),
+        }
+        problem = IncrementProblem(
+            [ConfidenceFunction(lineage_and(var(A), var(B), var(C)))],
+            states,
+            0.9,
+            1,
+        )
+        a, b, c = (problem.slot_of[tid] for tid in (A, B, C))
+        assert problem.levels_of(a) is problem.levels_of(b)
+        assert problem.levels_of(c) == states[C].levels(0.1)
+        assert problem.levels_of(c)[0] == 0.2
 
     def test_ceil_required(self):
         assert ceil_required(100, 0.5, 0.0) == 50

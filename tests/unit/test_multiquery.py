@@ -140,11 +140,17 @@ class TestSearchStateGroups:
     def test_result_needed(self):
         problem = multi_problem()
         state = SearchState(problem)
-        assert state.result_needed(0)
+        assert state.needed[0]
         state.set_value(problem.slot_of[A], 0.6)  # group 0 met
-        assert not state.result_needed(0)  # satisfied itself
-        assert state.result_needed(2)  # group 1 still unmet
-        assert state.result_needed(1)  # below β and in unmet group 1
+        assert not state.needed[0]  # satisfied itself
+        assert state.needed[2]  # group 1 still unmet
+        assert state.needed[1]  # below β and in unmet group 1
+        # Meeting group 1 too leaves nothing needed; undoing restores it.
+        slot = problem.slot_of[B]
+        undo = state.set_value(slot, 0.6)
+        assert state.needed == [False] * len(problem.results)
+        state.undo(slot, 0.1, undo)
+        assert state.needed[2] and state.needed[1]
 
 
 class TestSolversOnMultiProblems:

@@ -22,7 +22,7 @@ from repro.increment import (
     solve_heuristic,
     solve_local_search,
 )
-from repro.increment.problem import SearchState
+from repro.increment.problem import SearchState, SolverStats
 from repro.lineage import ConfidenceFunction, probability
 from repro.workload import WorkloadSpec, generate_problem
 
@@ -144,11 +144,13 @@ def test_search_state_probe_identical_across_backends():
     reference = SearchState(on_reference)
     assert ReferenceFunction.calls - calls == len(problem.results)
     assert state.confidences == reference.confidences
-    target = min(1.0, state.values[slot] + problem.delta)
+    target = problem.steps[slot][state.values[slot]][0]
     calls = ReferenceFunction.calls
-    assert state.probe(slot, target, indexes) == reference.probe(
-        slot, target, indexes
+    stats, reference_stats = SolverStats(), SolverStats()
+    assert state.gain(slot, True, stats) == reference.gain(
+        slot, True, reference_stats
     )
+    assert stats.gain_evaluations == reference_stats.gain_evaluations == 1
     assert ReferenceFunction.calls - calls == len(indexes)
     # Probes never commit on either.
     assert state.confidences == reference.confidences
