@@ -8,7 +8,7 @@ Data Confidence Policies* (SDM @ VLDB 2009), and every substrate it needs:
   confidence and cost-model annotations;
 * :mod:`repro.sql` / :mod:`repro.algebra` — a SQL engine whose results
   carry boolean lineage over base tuples;
-* :mod:`repro.lineage` — exact (and Monte-Carlo) probability of lineage
+* :mod:`repro.lineage` — exact probability of lineage
   under tuple independence;
 * :mod:`repro.trust` — provenance-based confidence assignment;
 * :mod:`repro.policy` — RBAC roles, purposes and ⟨role, purpose, β⟩

@@ -26,10 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["AnnotatedTuple", "ResultSet"]
 
 
-def _cell(value: Any) -> str:
-    return "NULL" if value is None else str(value)
-
-
 @dataclass(frozen=True)
 class AnnotatedTuple:
     """One derived row: values plus lineage over base tuples."""
@@ -217,58 +213,6 @@ class ResultSet:
     ) -> list[tuple[AnnotatedTuple, float]]:
         """Rows paired with their confidence (batch-evaluated)."""
         return list(zip(self.rows, self.confidences(source)))
-
-    def top_k_by_confidence(
-        self, source: "Database | Mapping[TupleId, float]", k: int
-    ) -> list[tuple[AnnotatedTuple, float]]:
-        """The *k* most confident rows, best first (ties keep result order).
-
-        A common decision-support pattern on top of the paper's model:
-        instead of a fixed policy threshold, take the most trustworthy
-        answers.
-        """
-        ranked = self.with_confidences(source)
-        ranked.sort(key=lambda pair: -pair[1])
-        return ranked[: max(k, 0)]
-
-    def to_table(
-        self,
-        source: "Database | Mapping[TupleId, float] | None" = None,
-        max_rows: int = 50,
-    ) -> str:
-        """An aligned text rendering (optionally with a confidence column).
-
-        Intended for REPLs and examples; truncates to *max_rows* with an
-        ellipsis marker.
-        """
-        headers = list(self.schema.names)
-        if source is not None:
-            headers.append("confidence")
-            body_rows = [
-                [_cell(value) for value in row.values] + [f"{confidence:.3f}"]
-                for row, confidence in self.with_confidences(source)
-            ]
-        else:
-            body_rows = [
-                [_cell(value) for value in row.values] for row in self.rows
-            ]
-        truncated = len(body_rows) > max_rows
-        body_rows = body_rows[:max_rows]
-        widths = [
-            max(len(header), *(len(row[i]) for row in body_rows))
-            if body_rows
-            else len(header)
-            for i, header in enumerate(headers)
-        ]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "-" * (sum(widths) + 2 * (len(widths) - 1)),
-        ]
-        for row in body_rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-        if truncated:
-            lines.append(f"... ({len(self)} rows total)")
-        return "\n".join(lines)
 
     def _probabilities(
         self, source: "Database | Mapping[TupleId, float]"

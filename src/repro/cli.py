@@ -55,6 +55,10 @@ Observability flags (before any command arguments):
     <tuple-id>`` replays the deterministic explanation and ``audit
     list`` summarizes recorded queries (see ``docs/OBSERVABILITY.md``).
 
+A flag with a bad value (an unknown engine or log level, a trace file
+that cannot be opened, a non-positive deadline) prints one
+``error: --flag…`` line and exits 2 before any command runs.
+
 Telemetry command: ``metrics dump [path]`` writes the OpenMetrics
 exposition of the process's registry (a served database answers the
 same text to the ``metrics`` wire op).
@@ -687,6 +691,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
     trace_sink = None
+    trace_out: str | None = None
     deadline_ms: float | None = None
     data_dir: str | None = None
     audit_log: str | None = None
@@ -705,10 +710,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
         value = argv.pop(0)
         if flag == "--trace-out":
-            from .obs import JsonLinesSink, get_tracer
-
-            trace_sink = JsonLinesSink(value)
-            get_tracer().add_sink(trace_sink)
+            trace_out = value
         elif flag == "--data-dir":
             data_dir = value
         elif flag == "--audit-log":
@@ -736,7 +738,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             from .obs import configure_logging
 
-            configure_logging(level=value)
+            try:
+                configure_logging(level=value)
+            except ValueError as error:
+                print(f"error: --log-level: {error}", file=sys.stderr)
+                return 2
+    if trace_out is not None:
+        from .obs import JsonLinesSink, get_tracer
+
+        try:
+            trace_sink = JsonLinesSink(trace_out)
+        except OSError as error:
+            print(f"error: --trace-out: {error}", file=sys.stderr)
+            return 2
+        get_tracer().add_sink(trace_sink)
 
     try:
         shell = CommandShell(

@@ -5,13 +5,11 @@ probability of the lineage under tuple independence.  Exact evaluation uses
 independence decomposition plus Shannon expansion, compiled once per query
 into shared arithmetic circuits (:mod:`repro.lineage.circuit`) and answered
 by one forward sweep; :func:`probability` is the interpreter every test
-compares that against, and a Monte-Carlo estimator covers adversarial
-formulas.
+compares that against.
 """
 
 from .circuit import CircuitPool, CompiledCircuit
 from .confidence import ConfidenceFunction
-from .explain import explain, minimal_witnesses, rank_influence
 from .formula import (
     BOTTOM,
     TOP,
@@ -29,8 +27,7 @@ from .formula import (
     restrict,
     var,
 )
-from .montecarlo import MonteCarloEstimate, estimate_probability
-from .probability import probability, sensitivity
+from .probability import probability
 
 __all__ = [
     "Lineage",
@@ -49,13 +46,7 @@ __all__ = [
     "restrict",
     "node_count",
     "probability",
-    "sensitivity",
     "ConfidenceFunction",
     "CircuitPool",
     "CompiledCircuit",
-    "minimal_witnesses",
-    "rank_influence",
-    "explain",
-    "estimate_probability",
-    "MonteCarloEstimate",
 ]

@@ -19,8 +19,7 @@ order:
    formula avoids recomputing shared cofactors.
 
 Worst case is exponential (#P-hard problem), but lineages from SPJU queries
-over the paper's workloads stay small; for adversarial formulas use
-:mod:`repro.lineage.montecarlo`.
+over the paper's workloads stay small.
 
 :func:`probability` interprets the formula directly and range-checks its
 inputs; the product computes the same value from a compiled circuit
@@ -37,7 +36,7 @@ from ..errors import LineageError
 from ..storage.tuples import TupleId
 from .formula import And, Bottom, Lineage, Not, Or, Top, Var, restrict
 
-__all__ = ["probability", "sensitivity"]
+__all__ = ["probability"]
 
 ProbabilityMap = Mapping[TupleId, float]
 
@@ -164,22 +163,3 @@ def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
     # Clamp tiny float drift so callers can rely on [0, 1].
     return min(1.0, max(0.0, value))
 
-
-def sensitivity(
-    formula: Lineage,
-    probabilities: ProbabilityMap,
-    tid: TupleId,
-) -> float:
-    """``∂P(formula)/∂p(tid)`` — how much confidence grows per unit of the
-    base tuple's probability.
-
-    By multilinearity of the probability polynomial this equals
-    ``P(f|tid=1) − P(f|tid=0)``; it is what the greedy algorithm's *gain*
-    approximates with finite differences, exposed here exactly for analysis
-    and ablation benchmarks.
-    """
-    if tid not in formula.variables:
-        return 0.0
-    high = probability(restrict(formula, tid, True), probabilities)
-    low = probability(restrict(formula, tid, False), probabilities)
-    return high - low

@@ -31,9 +31,10 @@ def configure_logging(
     Returns the configured logger.
     """
     if isinstance(level, str):
-        level = logging.getLevelName(level.upper())
-        if not isinstance(level, int):
+        number = logging.getLevelName(level.upper())
+        if not isinstance(number, int):
             raise ValueError(f"unknown log level {level!r}")
+        level = number
     logger = logging.getLogger(logger_name)
     logger.setLevel(level)
     handler = next(

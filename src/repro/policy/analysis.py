@@ -47,18 +47,6 @@ class ConfidenceProfile:
     quantiles: tuple[float, float, float]  # p25, p50, p75
     histogram: tuple[int, ...]  # 10 equal-width bins over [0, 1]
 
-    def fraction_above(self, threshold: float) -> float:
-        """Approximate fraction above *threshold*, from the histogram."""
-        if self.count == 0:
-            return 1.0
-        first_bin = min(int(threshold * 10), 9)
-        # Count full bins above; the partial bin is prorated linearly.
-        above = sum(self.histogram[first_bin + 1 :])
-        bin_low = first_bin / 10
-        inside = self.histogram[first_bin]
-        fraction_of_bin = 1.0 - min(max((threshold - bin_low) * 10, 0.0), 1.0)
-        return (above + inside * fraction_of_bin) / self.count
-
 
 def _profile(values: Sequence[float]) -> ConfidenceProfile:
     if not values:

@@ -19,7 +19,7 @@ The moving parts (see docs/SERVING.md for the topology):
 
 from .epoch import EPOCH_FILE, load_epoch, store_epoch
 from .feed import PrimaryReplication, ReplicationFeed
-from .reconcile import common_prefix_seq, divergence_point, frame_digests
+from .reconcile import divergence_point
 
 
 def __getattr__(name: str):
@@ -43,9 +43,7 @@ __all__ = [
     "store_epoch",
     "PrimaryReplication",
     "ReplicationFeed",
-    "common_prefix_seq",
     "divergence_point",
-    "frame_digests",
     "Replica",
     "Scrubber",
 ]

@@ -2,48 +2,18 @@
 
 A replica that crashed mid-apply (or accepted frames from a deposed
 primary) may hold a WAL whose tail disagrees with the new primary's.
-Reconciliation compares per-frame digests over the suspect range and
-answers one question: *what is the highest seq both logs agree on?*
-Everything after that point on the replica is truncated (logically, by
-rebuilding from a snapshot ≥ that point) and re-pulled.
+Reconciliation compares per-frame ``(seq, CRC32C(payload))`` digests over
+the suspect range and answers one question: *where do the two logs first
+disagree?*  A replica whose log diverges rebuilds from a snapshot and
+re-pulls.
 
-Pure functions, no IO — the property tests drive them with arbitrary
+A pure function, no IO — the property tests drive it with arbitrary
 divergent histories.
 """
 
 from __future__ import annotations
 
-from ...storage.durability.checksum import crc32c
-
-__all__ = ["frame_digests", "common_prefix_seq", "divergence_point"]
-
-
-def frame_digests(frames: "list[tuple[int, bytes]]") -> "list[tuple[int, int]]":
-    """``(seq, CRC32C(payload))`` per frame, in the given order."""
-    return [(seq, crc32c(payload)) for seq, payload in frames]
-
-
-def common_prefix_seq(
-    local: "list[tuple[int, int]]", remote: "list[tuple[int, int]]"
-) -> int:
-    """The highest seq where *local* and *remote* digests still agree.
-
-    Both lists are ``(seq, digest)`` sorted by seq.  Returns 0 when they
-    disagree from the very first frame (or share no range at all).  A
-    seq present in only one list ends the common prefix — a gap is not
-    agreement.
-    """
-    remote_by_seq = dict(remote)
-    agreed = 0
-    expected = None
-    for seq, digest in sorted(local):
-        if expected is not None and seq != expected:
-            break
-        if remote_by_seq.get(seq) != digest:
-            break
-        agreed = seq
-        expected = seq + 1
-    return agreed
+__all__ = ["divergence_point"]
 
 
 def divergence_point(

@@ -315,6 +315,9 @@ class PCQEServer:
         # Admission state: in-flight request count + service-time EWMA
         # (which seeds itself from the first completion).
         self._admission_lock = threading.Lock()
+        # Over the same lock: drain() sleeps on it until the last open
+        # request settles.
+        self._quiesced = threading.Condition(self._admission_lock)
         self._inflight = 0
         self._service_ewma = 0.0
         self._draining = False
@@ -502,14 +505,8 @@ class PCQEServer:
         if server is not None:
             self._loop.call_soon_threadsafe(server.close)
         started = time.monotonic()
-        deadline = started + timeout
-        while time.monotonic() < deadline:
-            with self._admission_lock:
-                busy = self._inflight or self._requests_open
-            if not busy:
-                break
-            time.sleep(0.005)
         with self._admission_lock:
+            self._quiesced.wait_for(self._quiescent, timeout)
             leftover = self._inflight + self._requests_open
         checkpoint_bytes = 0
         if leftover == 0 and self._db.is_durable:
@@ -522,6 +519,10 @@ class PCQEServer:
             "inflight": leftover,
             "checkpoint_bytes": checkpoint_bytes,
         }
+
+    def _quiescent(self) -> bool:
+        """Nothing admitted and no reply unwritten (admission lock held)."""
+        return not (self._inflight or self._requests_open)
 
     def __enter__(self) -> "PCQEServer":
         return self.start()
@@ -567,6 +568,8 @@ class PCQEServer:
                     if counted:
                         with self._admission_lock:
                             self._requests_open -= 1
+                            if self._draining and self._quiescent():
+                                self._quiesced.notify_all()
                 if req.close or not wrote:
                     return
         except (ConnectionResetError, BrokenPipeError):
@@ -976,6 +979,8 @@ class PCQEServer:
         metrics = get_metrics()
         with self._admission_lock:
             self._inflight -= 1
+            if self._draining and self._quiescent():
+                self._quiesced.notify_all()
             metrics.gauge("server.queue_depth").set(self._inflight)
             if self._service_ewma <= 0.0:
                 self._service_ewma = elapsed_seconds

@@ -57,17 +57,6 @@ class TableStatistics:
     def column(self, name: str) -> ColumnStatistics:
         return self.columns[name.lower()]
 
-    def join_cardinality(self, other: "TableStatistics", left_column: str, right_column: str) -> float:
-        """Estimated size of an equi-join between the two tables.
-
-        ``|A ⋈ B| ≈ |A|·|B| / max(ndv_A, ndv_B)`` — the textbook estimate
-        under containment of value sets.
-        """
-        left = self.column(left_column)
-        right = other.column(right_column)
-        ndv = max(left.distinct_count, right.distinct_count, 1)
-        return (self.row_count * other.row_count) / ndv
-
 
 def collect_statistics(table: Table) -> TableStatistics:
     """One full scan computing exact statistics for *table*."""

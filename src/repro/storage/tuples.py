@@ -100,10 +100,6 @@ class StoredTuple:
             )
         return value
 
-    def set_confidence(self, value: float) -> None:
-        """Update the stored confidence, validating range and cap."""
-        self.confidence = self.checked_confidence(value)
-
     def improvement_cost(self, target: float) -> float:
         """Cost of raising this tuple's confidence to *target*."""
         return self.cost_model.increment_cost(self.confidence, target)

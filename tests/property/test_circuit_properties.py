@@ -4,14 +4,12 @@ The circuit compiler mirrors the reference interpreter operation for
 operation, so its values must be *bit-identical* to
 :func:`repro.lineage.probability.probability` on arbitrary SPJU lineage —
 including formulas that share subcircuits through one pool and formulas
-whose entangled clusters force Shannon expansion.  Monte-Carlo estimation
-provides an engine-independent statistical cross-check.
+whose entangled clusters force Shannon expansion.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,10 +33,8 @@ from repro.lineage import (
     lineage_not,
     lineage_or,
     probability,
-    sensitivity,
     var,
 )
-from repro.lineage.montecarlo import estimate_probability
 from repro.storage import TupleId
 
 POOL = [TupleId("t", i) for i in range(5)]
@@ -77,8 +73,13 @@ def probability_maps():
 @settings(max_examples=150, deadline=None)
 @given(formulas(), probability_maps())
 def test_circuit_matches_probability_bitwise(formula, probs):
+    """Also with any one input at 0.0 or 1.0: two such sweeps are the
+    exact partial ``∂F/∂p(t)``, since ``P(F)`` is multilinear."""
     circuit = CircuitPool().compile(formula)
-    assert circuit.evaluate(probs) == probability(formula, probs)
+    for inputs in [probs] + [
+        {**probs, tid: pinned} for tid in POOL for pinned in (0.0, 1.0)
+    ]:
+        assert circuit.evaluate(inputs) == probability(formula, inputs)
 
 
 def sweep_formulas():
@@ -158,13 +159,16 @@ def test_sharing_one_pool_does_not_change_values(left, right, probs):
 @given(formulas(allow_not=False), probability_maps())
 def test_gradient_matches_sensitivity(formula, probs):
     """``P(F)`` is multilinear, so two forward sweeps give each partial
-    exactly; :func:`sensitivity` gets it from the restricted formulas."""
+    exactly; the reference interpreter gets it from the same two pins."""
     circuit = CircuitPool().compile(formula)
     for tid in formula.variables:
         slope = circuit.evaluate({**probs, tid: 1.0}) - circuit.evaluate(
             {**probs, tid: 0.0}
         )
-        assert abs(slope - sensitivity(formula, probs, tid)) < 1e-9
+        expected = probability(formula, {**probs, tid: 1.0}) - probability(
+            formula, {**probs, tid: 0.0}
+        )
+        assert abs(slope - expected) < 1e-9
 
 
 @settings(max_examples=75, deadline=None)
@@ -230,23 +234,3 @@ def test_probe_equals_patched_evaluation_without_commit(
         expected = delta / step_cost
     assert gain == expected
     assert stats.gain_evaluations == 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(formulas(), st.integers(min_value=0, max_value=2**16))
-def test_circuit_within_montecarlo_interval(formula, seed):
-    """Statistical cross-check against an engine that shares no code."""
-    rng = random.Random(seed)
-    probs = {tid: rng.uniform(0.0, 1.0) for tid in POOL}
-    exact = CircuitPool().compile(formula).evaluate(probs)
-    samples = 4000
-    estimate = estimate_probability(
-        formula, probs, samples=samples, rng=random.Random(seed + 1)
-    )
-    low, high = estimate.confidence_interval(z=4.0)
-    # The normal-approximation interval degenerates when the true
-    # probability is within ~1/samples of 0 or 1 (every sample agrees,
-    # stderr 0) — widen by the resolution of the estimator so those
-    # cases don't fail spuriously.
-    slack = 10.0 / samples
-    assert low - slack <= exact <= high + slack

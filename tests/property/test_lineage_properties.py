@@ -16,7 +16,6 @@ from repro.lineage import (
     lineage_or,
     probability,
     restrict,
-    sensitivity,
     var,
 )
 from repro.storage import TupleId
@@ -88,12 +87,6 @@ def test_shannon_identity(formula, probs, tid):
     high = probability(restrict(formula, tid, True), probs)
     low = probability(restrict(formula, tid, False), probs)
     assert abs(probability(formula, probs) - (p * high + (1 - p) * low)) < 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(formulas(allow_not=False), probability_maps(), st.sampled_from(POOL))
-def test_monotone_formulas_have_nonnegative_sensitivity(formula, probs, tid):
-    assert sensitivity(formula, probs, tid) >= -1e-12
 
 
 @settings(max_examples=100, deadline=None)

@@ -35,15 +35,12 @@ from repro.errors import ReplicaLagError, ReproError
 from repro.policy import PolicyStore
 from repro.server import Replica
 from repro.server.mvcc import MVCCDatabase, SnapshotTable
-from repro.server.replication.reconcile import (
-    common_prefix_seq,
-    divergence_point,
-    frame_digests,
-)
+from repro.server.replication.reconcile import divergence_point
 from repro.server.session import Session
 from repro.sql import execute_dml, parse_command
 from repro.storage import Database
 from repro.storage.durability import database_fingerprints, recover
+from repro.storage.durability.checksum import crc32c
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, REAL, TEXT
 
@@ -69,15 +66,18 @@ def _log(payloads: "list[bytes]") -> "list[tuple[int, bytes]]":
     return [(seq, payload) for seq, payload in enumerate(payloads, start=1)]
 
 
+def _digests(log: "list[tuple[int, bytes]]") -> "list[tuple[int, int]]":
+    return [(seq, crc32c(payload)) for seq, payload in log]
+
+
 class TestLogDivergence:
     @given(prefix=_prefix_frames, primary=_primary_suffix, fork=_fork_suffix)
     @settings(max_examples=100, deadline=None)
     def test_reconciliation_finds_exactly_the_fork(self, prefix, primary, fork):
         primary_log = _log(prefix + primary)
         replica_log = _log(prefix + fork)
-        local = frame_digests(replica_log)
-        remote = frame_digests(primary_log)
-        assert common_prefix_seq(local, remote) == len(prefix)
+        local = _digests(replica_log)
+        remote = _digests(primary_log)
         if fork and primary:
             # Both histories continue past the prefix, differently: the
             # first post-prefix frame is the divergence point.
@@ -91,8 +91,12 @@ class TestLogDivergence:
     def test_truncate_and_resync_always_converges(self, prefix, primary, fork):
         primary_log = _log(prefix + primary)
         replica_log = _log(prefix + fork)
-        common = common_prefix_seq(
-            frame_digests(replica_log), frame_digests(primary_log)
+        remote = _digests(primary_log)
+        point = divergence_point(_digests(replica_log), remote)
+        # The logs agree up to the divergence point, or over their shared
+        # range when there is none.
+        common = (
+            min(len(replica_log), len(primary_log)) if point is None else point - 1
         )
         # The resync contract: drop everything past the common prefix,
         # then replay the primary's frames from there.
@@ -100,17 +104,13 @@ class TestLogDivergence:
             frame for frame in replica_log if frame[0] <= common
         ] + [frame for frame in primary_log if frame[0] > common]
         assert converged == primary_log
-        local = frame_digests(converged)
-        remote = frame_digests(primary_log)
-        assert divergence_point(local, remote) is None
-        assert common_prefix_seq(local, remote) == len(primary_log)
+        assert divergence_point(_digests(converged), remote) is None
 
     @given(payloads=_prefix_frames)
     @settings(max_examples=50, deadline=None)
     def test_a_log_never_diverges_from_itself(self, payloads):
-        digests = frame_digests(_log(payloads))
+        digests = _digests(_log(payloads))
         assert divergence_point(digests, digests) is None
-        assert common_prefix_seq(digests, digests) == len(payloads)
 
 
 # -- read-your-writes -------------------------------------------------------

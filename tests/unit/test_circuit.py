@@ -19,7 +19,6 @@ from repro.lineage import (
     lineage_not,
     lineage_or,
     probability,
-    sensitivity,
     var,
 )
 from repro.lineage.confidence import CACHE_SIZE
@@ -42,21 +41,28 @@ def _shannon_formula():
 
 class TestCompilation:
     def test_evaluate_matches_probability_bitwise(self):
+        """Also with any one input at 0.0 or 1.0: two such sweeps are the
+        exact partial ``∂F/∂p(t)``, since ``P(F)`` is multilinear."""
         formulas = [
             var(T[0]),
             lineage_and(var(T[0]), var(T[1])),
             lineage_or(var(T[0]), var(T[1]), var(T[2])),
             lineage_not(lineage_and(var(T[0]), var(T[1]))),
+            lineage_not(lineage_or(var(T[0]), var(T[1]))),
             _shannon_formula(),
             lineage_and(_shannon_formula(), var(T[3])),
+            lineage_and(_shannon_formula(), lineage_or(var(T[3]), var(T[4]))),
         ]
         pool = CircuitPool()
         assignment = _assignment()
         for formula in formulas:
             circuit = pool.compile(formula)
-            assert circuit.evaluate(assignment) == probability(
-                formula, assignment
-            )
+            for inputs in [assignment] + [
+                {**assignment, tid: pinned}
+                for tid in formula.variables
+                for pinned in (0.0, 1.0)
+            ]:
+                assert circuit.evaluate(inputs) == probability(formula, inputs)
 
     def test_evaluate_matches_compiled_closure_bitwise(self):
         # Compiled once, swept under many assignments.
@@ -113,17 +119,15 @@ class TestCompilation:
         assert stats["variables"] == 3
 
 
-def _slope(circuit, assignment, tid):
+def _slope(evaluate, assignment, tid):
     """``∂F/∂p(tid)`` from two forward sweeps: ``P(F)`` is multilinear, so
     the partial is exactly ``F(tid := 1) − F(tid := 0)``."""
-    return circuit.evaluate({**assignment, tid: 1.0}) - circuit.evaluate(
-        {**assignment, tid: 0.0}
-    )
+    return evaluate({**assignment, tid: 1.0}) - evaluate({**assignment, tid: 0.0})
 
 
 class TestGradient:
-    """The circuit's slopes against :func:`sensitivity`, which restricts the
-    formula and runs the reference interpreter on each cofactor."""
+    """The circuit's slopes against the reference interpreter's, each taken
+    as two sweeps with one input pinned at 1.0 and 0.0."""
 
     @pytest.mark.parametrize(
         "formula",
@@ -140,8 +144,10 @@ class TestGradient:
         circuit = CircuitPool().compile(formula)
         assignment = _assignment(3)
         for tid in formula.variables:
-            expected = sensitivity(formula, assignment, tid)
-            assert _slope(circuit, assignment, tid) == pytest.approx(
+            expected = _slope(
+                lambda inputs: probability(formula, inputs), assignment, tid
+            )
+            assert _slope(circuit.evaluate, assignment, tid) == pytest.approx(
                 expected, abs=1e-12
             )
 
@@ -149,7 +155,7 @@ class TestGradient:
         # t1's partial is 0 when t0 = 1 in t0 ∨ t1.
         formula = lineage_or(var(T[0]), var(T[1]))
         circuit = CircuitPool().compile(formula)
-        assert _slope(circuit, {T[0]: 1.0, T[1]: 0.3}, T[1]) == 0.0
+        assert _slope(circuit.evaluate, {T[0]: 1.0, T[1]: 0.3}, T[1]) == 0.0
 
 
 class TestEvaluator:
@@ -269,7 +275,9 @@ class TestEvaluator:
             high = what_if(problem.slot_of[tid], 1.0)
             low = what_if(problem.slot_of[tid], 0.0)
             assert high - low == pytest.approx(
-                sensitivity(formulas[0], assignment, tid), abs=1e-12
+                probability(formulas[0], {**assignment, tid: 1.0})
+                - probability(formulas[0], {**assignment, tid: 0.0}),
+                abs=1e-12,
             )
 
     def test_foreign_pool_rejected(self):

@@ -363,6 +363,24 @@ class TestMainEntry:
         assert main(["--deadline-ms", "-3", "-c", "tables"]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--engine", "auto", "unknown engine 'auto'"),
+            ("--log-level", "bogus", "unknown log level 'bogus'"),
+            ("--trace-out", "{tmp}/no-such-dir/trace.jsonl", "No such file"),
+        ],
+    )
+    def test_bad_flag_value_is_a_usage_error(
+        self, flag, value, message, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        value = value.format(tmp=tmp_path)
+        assert main([flag, value, "-c", "tables"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and message in err
+
     def test_help(self):
         shell = CommandShell()
         assert "ask" in shell.execute_line("help")

@@ -1,4 +1,4 @@
-"""Unit tests for exact probability, circuit compilation and Monte-Carlo."""
+"""Unit tests for exact probability and circuit compilation."""
 
 import random
 
@@ -10,12 +10,10 @@ from repro.lineage import (
     TOP,
     CircuitPool,
     ConfidenceFunction,
-    estimate_probability,
     lineage_and,
     lineage_not,
     lineage_or,
     probability,
-    sensitivity,
     var,
 )
 from repro.storage import TupleId
@@ -118,29 +116,6 @@ class TestCompiledProbability:
                 evaluate({A: 0.5})
 
 
-class TestSensitivity:
-    def test_linear_in_each_variable(self):
-        formula = lineage_and(lineage_or(var(A), var(B)), var(C))
-        probs = {A: 0.3, B: 0.4, C: 0.1}
-        # dF/dC = P(A or B) = 0.58
-        assert sensitivity(formula, probs, C) == pytest.approx(0.58)
-        # dF/dA = (1 - p_B) * p_C = 0.6 * 0.1
-        assert sensitivity(formula, probs, A) == pytest.approx(0.06)
-
-    def test_absent_variable_zero(self):
-        assert sensitivity(var(A), {A: 0.5}, B) == 0.0
-
-    def test_finite_difference_agreement(self):
-        formula = lineage_or(lineage_and(var(A), var(B)), var(C))
-        probs = {A: 0.2, B: 0.6, C: 0.3}
-        slope = sensitivity(formula, probs, A)
-        eps = 1e-6
-        bumped = dict(probs)
-        bumped[A] += eps
-        numeric = (probability(formula, bumped) - probability(formula, probs)) / eps
-        assert slope == pytest.approx(numeric, rel=1e-4)
-
-
 class TestConfidenceFunction:
     def test_evaluate_and_cache(self):
         formula = lineage_and(var(A), var(B))
@@ -182,36 +157,3 @@ class TestConfidenceFunction:
             {A: 0.0, B: 0.7}
         )
         assert slope == pytest.approx(0.7)
-
-
-class TestMonteCarlo:
-    def test_estimate_close_to_exact(self):
-        formula = lineage_and(lineage_or(var(A), var(B)), var(C))
-        probs = {A: 0.3, B: 0.4, C: 0.5}
-        exact = probability(formula, probs)
-        estimate = estimate_probability(
-            formula, probs, samples=20_000, rng=random.Random(1)
-        )
-        low, high = estimate.confidence_interval()
-        assert low <= exact <= high
-
-    def test_deterministic_default_rng(self):
-        formula = lineage_or(var(A), var(B))
-        probs = {A: 0.3, B: 0.4}
-        first = estimate_probability(formula, probs, samples=100)
-        second = estimate_probability(formula, probs, samples=100)
-        assert first.probability == second.probability
-
-    def test_invalid_samples(self):
-        with pytest.raises(LineageError):
-            estimate_probability(var(A), {A: 0.5}, samples=0)
-
-    def test_missing_probability(self):
-        with pytest.raises(LineageError):
-            estimate_probability(var(A), {}, samples=10)
-
-    def test_standard_error_shrinks(self):
-        formula = var(A)
-        small = estimate_probability(formula, {A: 0.5}, samples=100)
-        large = estimate_probability(formula, {A: 0.5}, samples=10_000)
-        assert large.standard_error < small.standard_error

@@ -46,14 +46,7 @@ class TestConfidenceProfile:
         table = db.create_table("e", Schema.of(("x", TEXT)))
         profile = table_confidence_profile(table)
         assert profile.count == 0
-        assert profile.fraction_above(0.5) == 1.0
-
-    def test_fraction_above(self, setup):
-        db, _policies = setup
-        profile = table_confidence_profile(db.table("t"))
-        # 0.7 and 0.9 are clearly above 0.6; histogram is approximate.
-        assert profile.fraction_above(0.6) == pytest.approx(0.4, abs=0.15)
-        assert profile.fraction_above(0.0) == pytest.approx(1.0, abs=0.1)
+        assert profile.histogram == (0,) * 10
 
 
 class TestThresholdSweep:

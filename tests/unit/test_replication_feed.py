@@ -8,11 +8,7 @@ import pytest
 
 from repro.server.replication.epoch import EPOCH_FILE, load_epoch, store_epoch
 from repro.server.replication.feed import MAX_RETAINED_BYTES, ReplicationFeed
-from repro.server.replication.reconcile import (
-    common_prefix_seq,
-    divergence_point,
-    frame_digests,
-)
+from repro.server.replication.reconcile import divergence_point
 from repro.storage.durability import iter_idempotency_markers
 from repro.storage.durability.checksum import crc32c
 
@@ -174,39 +170,29 @@ class TestIdempotencyMarkers:
         assert list(iter_idempotency_markers({"op": "insert"})) == []
 
 
+def _digests(frames):
+    return [(seq, crc32c(payload)) for seq, payload in frames]
+
+
 class TestReconcile:
     def test_identical_logs_agree_to_the_end(self):
-        frames = [(s, f"f{s}".encode()) for s in range(1, 6)]
-        digests = frame_digests(frames)
-        assert common_prefix_seq(digests, digests) == 5
+        digests = _digests([(s, f"f{s}".encode()) for s in range(1, 6)])
         assert divergence_point(digests, digests) is None
 
     def test_shorter_log_is_behind_not_divergent(self):
         frames = [(s, f"f{s}".encode()) for s in range(1, 6)]
-        local = frame_digests(frames[:3])
-        remote = frame_digests(frames)
-        assert common_prefix_seq(local, remote) == 3
-        assert divergence_point(local, remote) is None
+        assert divergence_point(_digests(frames[:3]), _digests(frames)) is None
 
     def test_forked_tail_is_found(self):
         shared = [(s, f"f{s}".encode()) for s in range(1, 4)]
-        local = frame_digests(shared + [(4, b"local-4"), (5, b"local-5")])
-        remote = frame_digests(shared + [(4, b"remote-4")])
-        assert common_prefix_seq(local, remote) == 3
+        local = _digests(shared + [(4, b"local-4"), (5, b"local-5")])
+        remote = _digests(shared + [(4, b"remote-4")])
         assert divergence_point(local, remote) == 4
 
     def test_disagreement_from_the_first_frame(self):
-        local = frame_digests([(1, b"a")])
-        remote = frame_digests([(1, b"b")])
-        assert common_prefix_seq(local, remote) == 0
+        local = _digests([(1, b"a")])
+        remote = _digests([(1, b"b")])
         assert divergence_point(local, remote) == 1
-
-    def test_gap_ends_the_common_prefix(self):
-        remote = frame_digests([(s, f"f{s}".encode()) for s in (1, 2, 3, 4)])
-        local = frame_digests(
-            [(1, b"f1"), (2, b"f2"), (4, b"f4")]  # 3 missing locally
-        )
-        assert common_prefix_seq(local, remote) == 2
 
 
 class TestEpochPersistence:

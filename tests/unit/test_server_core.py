@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -21,6 +22,13 @@ def served():
     server = PCQEServer(scenario.db, scenario.policies, port=0).start()
     yield server, scenario
     server.stop()
+
+
+def _wait_until(predicate, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 def _client(server, **kwargs) -> ServerClient:
@@ -208,6 +216,44 @@ class TestLifecycle:
         server = PCQEServer(scenario.db, scenario.policies, port=0).start()
         server.stop()
         server.stop()
+
+    def test_drain_wakes_when_the_last_request_settles(self):
+        """Drain sleeps on a condition, not a poll: it moves
+        on as soon as the one in-flight request's reply is written."""
+        scenario = venture_capital_database()
+        server = PCQEServer(scenario.db, scenario.policies, port=0).start()
+        release = threading.Event()
+
+        def held_sql(session, request):
+            release.wait(timeout=5.0)
+            return {"ok": True}
+
+        server._ops["sql"] = server._ops["sql"]._replace(handler=held_sql)
+        client = _client(server)
+        replies: list = []
+        asker = threading.Thread(
+            target=lambda: replies.append(client.request({"op": "sql"}))
+        )
+        asker.start()
+        _wait_until(lambda: server._inflight == 1)
+        woke: list = []
+        stop = server.stop
+        server.stop = lambda: (woke.append(time.monotonic()), stop())
+        report: dict = {}
+        drainer = threading.Thread(
+            target=lambda: report.update(server.drain(timeout=5.0))
+        )
+        drainer.start()
+        _wait_until(lambda: server._draining)
+        release.set()
+        asker.join(timeout=5.0)
+        answered = time.monotonic()
+        drainer.join(timeout=5.0)
+        assert not asker.is_alive() and not drainer.is_alive()
+        assert replies and replies[0]["ok"] is True
+        assert report["drained"] is True and report["inflight"] == 0
+        assert woke[0] - answered < 0.05
+        client._closed = True  # the server is gone; skip the bye
 
     def test_a_rejected_or_never_started_server_leaves_no_commit_listener(
         self, tmp_path

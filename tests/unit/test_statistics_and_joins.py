@@ -70,13 +70,6 @@ class TestStatistics:
         assert statistics.row_count == 0
         assert statistics.column("v").selectivity_equals() == 0.0
 
-    def test_join_cardinality_estimate(self, db):
-        big = collect_statistics(db.table("big"))
-        mid = collect_statistics(db.table("mid"))
-        estimate = big.join_cardinality(mid, "k", "k")
-        # True size: every big row matches exactly one mid row -> 120.
-        assert estimate == pytest.approx(120.0)
-
 
 def _scan_order(plan):
     """Table names of Scan leaves in left-to-right order."""

@@ -44,12 +44,13 @@ class TestStoredTuple:
             StoredTuple(TupleId("t", 0), ("x",), confidence=0.9, cost_model=model)
 
     def test_set_confidence_respects_cap(self):
+        # A confidence write is checked against the cap through
+        # ``checked_confidence``, the check Table's writes use.
         model = LinearCost(10.0, max_confidence=0.8)
-        row = StoredTuple(TupleId("t", 0), ("x",), confidence=0.5, cost_model=model)
-        row.set_confidence(0.8)
-        assert row.confidence == 0.8
+        row = StoredTuple(TupleId("t", 0), ("x",), confidence=0.8, cost_model=model)
+        assert row.confidence == row.checked_confidence(0.8) == 0.8
         with pytest.raises(InvalidConfidenceError):
-            row.set_confidence(0.9)
+            row.checked_confidence(0.9)
 
     def test_improvement_cost_delegates_to_model(self):
         row = StoredTuple(
