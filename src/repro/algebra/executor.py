@@ -28,6 +28,10 @@ the deterministic behaviour falls out as the certain special case.
 
 The executor is eager (materialises each operator's output); the paper's
 workloads are small and strategy finding, not scan throughput, dominates.
+Each operator over inputs is a row operator (``filter_rows`` …
+``join_rows``, ``semi_join_rows``, ``set_operation_rows``) that the
+``_execute_*`` handler feeds its children's rows; the columnar engine
+runs the same functions wherever it has no columnar form of its own.
 """
 
 from __future__ import annotations
@@ -37,7 +41,15 @@ import time
 from typing import Any, Callable
 
 from ..errors import ExecutionError, PlanError, SchemaError
-from ..lineage.formula import TOP, Lineage, lineage_and, lineage_not, lineage_or, var
+from ..lineage.formula import (
+    BOTTOM,
+    TOP,
+    Lineage,
+    lineage_and,
+    lineage_not,
+    lineage_or,
+    var,
+)
 from ..obs import TIMING_BUCKETS, get_metrics, get_tracer
 from ..storage.types import REAL, DataType
 from .expressions import ColumnRef, Comparison
@@ -197,46 +209,53 @@ def _equi_join_columns(node: Join) -> tuple[int, int] | None:
     return None
 
 
-def _execute_join(node: Join) -> ResultSet:
-    left = execute(node.left)
-    right = execute(node.right)
+def join_rows(
+    node: Join,
+    left_rows: list[AnnotatedTuple],
+    right_rows: list[AnnotatedTuple],
+) -> list[AnnotatedTuple]:
     if node.kind == "cross":
-        rows = [
+        return [
             AnnotatedTuple(
                 left_row.values + right_row.values,
                 lineage_and(left_row.lineage, right_row.lineage),
             )
-            for left_row in left.rows
-            for right_row in right.rows
+            for left_row in left_rows
+            for right_row in right_rows
         ]
-        return ResultSet(node.schema, rows)
 
     condition = node.bound_condition
     assert condition is not None
     equi = _equi_join_columns(node)
     rows: list[AnnotatedTuple] = []
-    null_padding = (None,) * len(right.schema)
+    null_padding = (None,) * len(node.right.schema)
 
     if equi is not None:
         left_index, right_index = equi
         buckets: dict[Any, list[AnnotatedTuple]] = {}
-        for right_row in right.rows:
+        for right_row in right_rows:
             key = right_row.values[right_index]
             if key is not None:
                 buckets.setdefault(key, []).append(right_row)
-        for left_row in left.rows:
+        for left_row in left_rows:
             key = left_row.values[left_index]
             matches = buckets.get(key, ()) if key is not None else ()
             _emit_matches(node, left_row, matches, condition, rows, null_padding)
     else:
-        for left_row in left.rows:
+        for left_row in left_rows:
             matches = [
                 right_row
-                for right_row in right.rows
+                for right_row in right_rows
                 if condition.evaluate(left_row.values + right_row.values) is True
             ]
             _emit_matches(node, left_row, matches, condition, rows, null_padding, prefiltered=True)
-    return ResultSet(node.schema, rows)
+    return rows
+
+
+def _execute_join(node: Join) -> ResultSet:
+    return ResultSet(
+        node.schema, join_rows(node, execute(node.left).rows, execute(node.right).rows)
+    )
 
 
 def _emit_matches(
@@ -273,23 +292,23 @@ def _emit_matches(
                 left_row.lineage,
                 lineage_not(lineage_or(*matched_lineages)),
             )
-            from ..lineage.formula import BOTTOM
-
             if absent != BOTTOM:
                 rows.append(
                     AnnotatedTuple(left_row.values + null_padding, absent)
                 )
 
 
-def _execute_semi_join(node: SemiJoin) -> ResultSet:
-    left = execute(node.left)
-    right = execute(node.right)
+def semi_join_rows(
+    node: SemiJoin,
+    left_rows: list[AnnotatedTuple],
+    right_rows: list[AnnotatedTuple],
+) -> list[AnnotatedTuple]:
     probe = node.bound_probe
 
     # Merge equal subquery values, OR-ing their lineages; remember NULLs.
     matches: dict[Any, Lineage] = {}
     subquery_has_null = False
-    for row in right.rows:
+    for row in right_rows:
         value = row.values[0]
         if value is None:
             subquery_has_null = True
@@ -299,10 +318,8 @@ def _execute_semi_join(node: SemiJoin) -> ResultSet:
             row.lineage if existing is None else lineage_or(existing, row.lineage)
         )
 
-    from ..lineage.formula import BOTTOM
-
     rows: list[AnnotatedTuple] = []
-    for row in left.rows:
+    for row in left_rows:
         value = probe.evaluate(row.values)
         if value is None:
             continue  # NULL probe: IN and NOT IN are both unknown
@@ -322,7 +339,14 @@ def _execute_semi_join(node: SemiJoin) -> ResultSet:
             lineage = lineage_and(row.lineage, lineage_not(match))
             if lineage != BOTTOM:
                 rows.append(AnnotatedTuple(row.values, lineage))
-    return ResultSet(node.schema, rows)
+    return rows
+
+
+def _execute_semi_join(node: SemiJoin) -> ResultSet:
+    return ResultSet(
+        node.schema,
+        semi_join_rows(node, execute(node.left).rows, execute(node.right).rows),
+    )
 
 
 def _widen(values: tuple[Any, ...], types: tuple[DataType, ...]) -> tuple[Any, ...]:
@@ -334,20 +358,22 @@ def _widen(values: tuple[Any, ...], types: tuple[DataType, ...]) -> tuple[Any, .
     )
 
 
-def _execute_set_operation(node: SetOperation) -> ResultSet:
-    left = execute(node.left)
-    right = execute(node.right)
+def set_operation_rows(
+    node: SetOperation,
+    left_rows: list[AnnotatedTuple],
+    right_rows: list[AnnotatedTuple],
+) -> list[AnnotatedTuple]:
     types = node.schema.types
     left_rows = [
-        AnnotatedTuple(_widen(row.values, types), row.lineage) for row in left.rows
+        AnnotatedTuple(_widen(row.values, types), row.lineage) for row in left_rows
     ]
     right_rows = [
-        AnnotatedTuple(_widen(row.values, types), row.lineage) for row in right.rows
+        AnnotatedTuple(_widen(row.values, types), row.lineage) for row in right_rows
     ]
     if node.kind == "union_all":
-        return ResultSet(node.schema, left_rows + right_rows)
+        return left_rows + right_rows
     if node.kind == "union":
-        return ResultSet(node.schema, _merge_duplicates(left_rows + right_rows))
+        return _merge_duplicates(left_rows + right_rows)
 
     left_groups: dict[tuple[Any, ...], list[Lineage]] = {}
     for row in left_rows:
@@ -369,7 +395,7 @@ def _execute_set_operation(node: SetOperation) -> ResultSet:
                         ),
                     )
                 )
-        return ResultSet(node.schema, rows)
+        return rows
     # except
     for values, lineages in left_groups.items():
         present = lineage_or(*lineages)
@@ -379,11 +405,16 @@ def _execute_set_operation(node: SetOperation) -> ResultSet:
             )
         else:
             lineage = present
-        from ..lineage.formula import BOTTOM
-
         if lineage != BOTTOM:
             rows.append(AnnotatedTuple(values, lineage))
-    return ResultSet(node.schema, rows)
+    return rows
+
+
+def _execute_set_operation(node: SetOperation) -> ResultSet:
+    return ResultSet(
+        node.schema,
+        set_operation_rows(node, execute(node.left).rows, execute(node.right).rows),
+    )
 
 
 def fold_aggregate(spec: AggregateSpec, dtype: DataType, values: list) -> Any:

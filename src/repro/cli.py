@@ -55,9 +55,11 @@ Observability flags (before any command arguments):
     <tuple-id>`` replays the deterministic explanation and ``audit
     list`` summarizes recorded queries (see ``docs/OBSERVABILITY.md``).
 
-A flag with a bad value (an unknown engine or log level, a trace file
-that cannot be opened, a non-positive deadline) prints one
-``error: --flag…`` line and exits 2 before any command runs.
+A flag with a bad value (an unknown engine or log level, a trace file,
+audit log or data directory that cannot be opened, a deadline that is
+not a finite positive number) prints one ``error: --flag…`` line and
+exits 2 before any command runs; so does a command file that cannot be
+opened (``error: <path>: …``).
 
 Telemetry command: ``metrics dump [path]`` writes the OpenMetrics
 exposition of the process's registry (a served database answers the
@@ -73,6 +75,7 @@ from typing import Callable, Sequence
 from .core import SOLVERS, PCQEngine, QueryRequest, greedy_fallback
 from .engines import DEFAULT_ENGINE, check_engine
 from .errors import PlanError, ReproError
+from .increment.runtime import is_deadline
 from .policy import PolicyStore, table_confidence_profile
 from .sql import DmlResult, execute_sql, pick_engine, prepare_query
 from .storage import (
@@ -103,6 +106,10 @@ class CommandError(ReproError):
     """A CLI command was malformed."""
 
 
+class PathFlagError(CommandError):
+    """A path flag names a file or directory that cannot be opened."""
+
+
 class CommandShell:
     """State + command dispatch for the PCQE shell."""
 
@@ -116,7 +123,10 @@ class CommandShell:
         self.engine = check_engine(engine)
         self.data_dir = data_dir
         if data_dir is not None:
-            self.db = Database.open(data_dir, "cli")
+            try:
+                self.db = Database.open(data_dir, "cli")
+            except OSError as error:
+                raise PathFlagError(f"--data-dir: {error}") from error
         else:
             self.db = Database("cli")
         self.policies = PolicyStore(default_threshold=0.0)
@@ -127,7 +137,11 @@ class CommandShell:
         if audit_log is not None:
             from .obs.audit import AuditLog
 
-            self.audit = AuditLog(audit_log)
+            try:
+                self.audit = AuditLog(audit_log)
+            except OSError as error:
+                self.db.close()
+                raise PathFlagError(f"--audit-log: {error}") from error
         self._commands: dict[str, Callable[[str], str]] = {
             "create": self._cmd_create,
             "load": self._cmd_load,
@@ -381,9 +395,14 @@ class CommandShell:
             raise CommandError(usage)
         if len(parts) == 3 and parts[1] == "--deadline-ms":
             try:
-                self.deadline_ms = float(parts[2])
+                deadline_ms = float(parts[2])
             except ValueError:
                 raise CommandError(usage) from None
+            if not is_deadline(deadline_ms):
+                raise CommandError(
+                    f"--deadline-ms must be positive and finite, got {parts[2]!r}"
+                )
+            self.deadline_ms = deadline_ms
         elif len(parts) != 1:
             raise CommandError(usage)
         self.solver = parts[0]
@@ -730,9 +749,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            if deadline_ms <= 0:
+            if not is_deadline(deadline_ms):
                 print(
-                    "error: --deadline-ms must be positive", file=sys.stderr
+                    f"error: --deadline-ms must be positive and finite, "
+                    f"got {value!r}",
+                    file=sys.stderr,
                 )
                 return 2
         else:
@@ -760,6 +781,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             audit_log=audit_log,
             engine=engine,
         )
+    except PathFlagError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except ReproError as error:  # e.g. corrupt WAL/snapshot in --data-dir
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -783,7 +807,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if argv:
             status = 0
             for path in argv:
-                with open(path, encoding="utf-8") as handle:
+                try:
+                    handle = open(path, encoding="utf-8")
+                except OSError as error:
+                    print(f"error: {path}: {error}", file=sys.stderr)
+                    return 2
+                with handle:
                     for line in handle:
                         status |= run(line)
             return status

@@ -64,6 +64,7 @@ from ..increment import (
     solve_local_search,
 )
 from ..increment.improvement import ImprovementReceipt, ImprovementService
+from ..increment.runtime import is_deadline
 from ..policy import FilterOutcome, PolicyEvaluator, PolicyStore
 from ..policy.enforcement import OutcomeSide
 from ..sql import run_sql
@@ -156,7 +157,7 @@ class QueryRequest:
                 f"required_fraction must be in [0, 1], "
                 f"got {self.required_fraction}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not is_deadline(self.deadline_ms):
             raise ReproError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
             )

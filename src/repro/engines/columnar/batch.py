@@ -17,13 +17,13 @@ dependencies:
   and filter / project / sort / limit carry them along, so none of these
   builds a ``Var``, an ``And`` or an ``Or``.  *Materialised*: a list of
   formulas.  :meth:`lineage_at` builds one deferred row's formula and
-  :meth:`lineage_column` materialises the batch, which kernels do where
-  a formula is combined row by row (LEFT and theta joins, a cross
-  product, set operations).  The smart constructors flatten and dedupe,
-  ``Var`` equality is structural, and a group ORs its members in the
-  order the native engine does, so deferred construction yields formulas
-  structurally identical to the native engine's — a self-join's
-  ``And(x, x)`` is ``x`` here too.
+  :meth:`lineage_column` materialises the batch, which happens where a
+  formula is combined row by row (a LEFT equi-join, and every operator
+  the engine runs through the native row operator).  The smart
+  constructors flatten and dedupe, ``Var`` equality is structural, and a
+  group ORs its members in the order the native engine does, so deferred
+  construction yields formulas structurally identical to the native
+  engine's — a self-join's ``And(x, x)`` is ``x`` here too.
 """
 
 from __future__ import annotations

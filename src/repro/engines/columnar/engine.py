@@ -2,10 +2,13 @@
 
 Walks the logical relation tree bottom-up like the native executor, but
 every operator consumes and produces a :class:`ColumnBatch` instead of a
-row list, dispatching to the vectorized kernels in
-:mod:`~repro.engines.columnar.kernels` — one per plan node type, so the
-engine executes every plan the planner can emit.  Observability mirrors
-the native engine one level down: each operator records a
+row list, dispatching to :mod:`~repro.engines.columnar.kernels` — one
+entry per plan node type, so the engine executes every plan the planner
+can emit.  An entry is a vectorized kernel where the operator has a
+columnar or deferred form; a cross product, a theta join, a set
+operation and an ``IN`` over a materialised input run the native row
+operator over the materialised input batches instead.  Observability
+mirrors the native engine one level down: each operator records a
 ``columnar.<operator>`` span and
 ``executor.columnar.<operator>.{calls,rows_emitted,seconds}`` metrics, so
 per-engine operator costs are separable in the metrics snapshot and

@@ -1,48 +1,52 @@
 """Vectorized operator kernels over :class:`ColumnBatch` inputs.
 
-Every kernel is a drop-in replacement for the corresponding native
-handler in :mod:`repro.algebra.executor` and must preserve its observable
-behaviour *exactly*: same output rows in the same order, lineage formulas
-built with the same connective structure in the same operand order (the
-smart constructors in :mod:`repro.lineage.formula` flatten and dedupe in
-first-seen order, so identical construction order ⇒ structurally equal
-formulas ⇒ identical circuits, confidences, and solver decisions), and
-the same errors for failing predicates.  The differential suite
-(`tests/property/test_engine_equivalence.py`) holds both engines to this
-contract.
+The columnar engine keeps a kernel only where an operator has a columnar
+or deferred form; everything else *is* the reference's own row operator
+from :mod:`repro.algebra.executor`, run over materialised inputs by
+:func:`_by_row`: a cross product, a theta join (any ``ON`` that is not
+one ``a = b``), UNION / UNION ALL / INTERSECT / EXCEPT, and an ``IN`` /
+``NOT IN`` with a materialised input.  A kernel whose batch evaluation
+raised redoes the operator the same way, so the error is the native one.
 
-What the kernels buy over the native handlers:
+A kernel must preserve the native operator's observable behaviour
+*exactly*: same output rows in the same order, lineage formulas built
+with the same connective structure in the same operand order (the smart
+constructors in :mod:`repro.lineage.formula` flatten and dedupe in
+first-seen order, so identical construction order ⇒ structurally equal
+formulas ⇒ identical circuits, confidences, and solver decisions).  The
+differential suite (`tests/property/test_engine_equivalence.py`) holds
+both engines to this contract.
+
+What the kernels buy over the native operators:
 
 * predicates/projections run through the batch expression path — one
   kernel call per column instead of one closure chain per row;
-* scans share the table's cached column view instead of materializing an
-  ``AnnotatedTuple`` per stored row;
 * value tuples and ``Var`` objects are built late, in proportion to what a
   kernel returns: scan/filter/project/sort/limit build none (the factor
-  columns ride along); an inner equi-join hashes the shorter input's key
-  column, whichever side that is, and gathers value *columns* and — when
-  both inputs are deferred — factor columns over its (left, right) index
-  pairs, building none either.  DISTINCT, GROUP BY and ``IN`` build no
-  OR: they emit one :class:`~.batch.Group` per key or probed value, over
-  the rows of their input (``lineage_or`` of those rows' formulas when
-  someone reads it).  Intersect / except and a cross product materialize
-  every input row; LEFT and non-equi joins build a value tuple and a
-  formula per left row with a candidate and, once each, per right row
-  that is one.
+  columns ride along, a scan's over the table's cached column view); an
+  inner equi-join gathers value and — when both inputs are deferred —
+  factor *columns* over its (left, right) index pairs, building none
+  either.  DISTINCT, GROUP BY and ``IN`` over deferred inputs build no
+  OR: they emit one :class:`~.batch.Group` per key or probed value.  A
+  LEFT equi-join builds a value tuple and a formula per left row and,
+  once each, per right row that is a candidate.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 from ...algebra.executor import (
     _equi_join_columns,
     aggregate_rows,
     filter_rows,
     fold_aggregate,
+    join_rows,
     null_ordered,
     project_rows,
+    semi_join_rows,
+    set_operation_rows,
     sort_rows,
 )
 from ...algebra.plan import (
@@ -51,6 +55,7 @@ from ...algebra.plan import (
     Filter,
     Join,
     Limit,
+    PlanNode,
     Project,
     Scan,
     SemiJoin,
@@ -66,7 +71,6 @@ from ...lineage.formula import (
     lineage_not,
     lineage_or,
 )
-from ...storage.types import REAL, DataType
 from .batch import ColumnBatch, Group
 
 __all__ = [
@@ -85,15 +89,14 @@ __all__ = [
 _BATCH_ERRORS = (ExecutionError, TypeError, ValueError, ArithmeticError)
 
 
-def _rerun_by_row(
-    node: "Filter | Project | Aggregate | Sort",
-    child: ColumnBatch,
-    row_operator: Callable[..., list],
+def _by_row(
+    node: PlanNode, row_operator: Callable[..., list], *children: ColumnBatch
 ) -> ColumnBatch:
-    """Redo a failed batch evaluation through the native row operator, so
-    the error raised is the native one (same diagnostic, first failing
-    row in native evaluation order)."""
-    rows = row_operator(node, child.to_result_set().rows)
+    """Run *node* through the native row operator over its materialised
+    inputs: for an operator with no columnar form, and to redo a batch
+    evaluation that raised, so the error is the native one (same
+    diagnostic, first failing row in native evaluation order)."""
+    rows = row_operator(node, *(child.to_result_set().rows for child in children))
     return ColumnBatch.from_rows(
         node.schema,
         [row.values for row in rows],
@@ -119,7 +122,7 @@ def filter_batch(node: Filter, child: ColumnBatch) -> ColumnBatch:
     try:
         flags = predicate.evaluate_batch(child.columns, child.length)
     except _BATCH_ERRORS:
-        return _rerun_by_row(node, child, filter_rows)
+        return _by_row(node, filter_rows, child)
     keep = [i for i, flag in enumerate(flags) if flag is True]
     if len(keep) == child.length:
         return child
@@ -133,7 +136,7 @@ def project_batch(node: Project, child: ColumnBatch) -> ColumnBatch:
             for item in node.bound_items
         ]
     except _BATCH_ERRORS:
-        return _rerun_by_row(node, child, project_rows)
+        return _by_row(node, project_rows, child)
     projected = child.with_columns(node.schema, columns)
     if not node.distinct:
         return projected
@@ -164,76 +167,30 @@ def limit_batch(node: Limit, child: ColumnBatch) -> ColumnBatch:
 def join_batch(
     node: Join, left: ColumnBatch, right: ColumnBatch
 ) -> ColumnBatch:
-    values: list[tuple[Any, ...]] = []
-    lineage: list[Lineage] = []
-    if node.kind == "cross":
-        left_rows = left.rows()
-        right_rows = right.rows()
-        left_lin = left.lineage_column()
-        right_lin = right.lineage_column()
-        for i, left_values in enumerate(left_rows):
-            for j, right_values in enumerate(right_rows):
-                values.append(left_values + right_values)
-                lineage.append(lineage_and(left_lin[i], right_lin[j]))
-        return ColumnBatch.from_rows(node.schema, values, lineage)
-
-    condition = node.bound_condition
-    assert condition is not None
-    equi = _equi_join_columns(node)
-    if equi is not None:
-        # Only the key columns are read whole: hash the shorter input's,
-        # stream the other's past it.  Either way ``buckets`` ends up as the
-        # native right-side buckets (NULL keys in none of them), less the
-        # keys no left row has.
-        left_keys = left.columns[equi[0]]
-        buckets: dict[Any, list[int]] = {}
-        if left.length < right.length:
-            buckets = {key: [] for key in left_keys if key is not None}
-            for j, key in enumerate(right.columns[equi[1]]):
-                if key in buckets:
-                    buckets[key].append(j)
-        else:
-            for j, key in enumerate(right.columns[equi[1]]):
-                if key is not None:
-                    buckets.setdefault(key, []).append(j)
-        if node.kind != "left":
-            joined = _join_index_pairs(node, left, right, left_keys, buckets)
-            if joined is not None:
-                return joined
-            # The re-check raised: the row path below raises natively.  A
-            # left row without candidates emits nothing.
-            left = left.gather(
-                [i for i, key in enumerate(left_keys) if buckets.get(key)]
-            )
-
-    # Left rows that can emit are built in bulk; a right row's value tuple
-    # and lineage are built the first time a candidate needs them.
-    left_rows = left.rows()
-    candidates: Iterable[Sequence[int]] = (
-        map(_make_condition_prober(condition, right), left_rows)
-        if equi is None
-        else [buckets.get(key, ()) for key in left.columns[equi[0]]]
-    )
-    right_row = cache(right.row)
-    right_lineage = cache(right.lineage_at)
-    null_padding = (None,) * len(right.schema)
-    for left_values, left_lineage, row_candidates in zip(
-        left_rows, left.lineage_column(), candidates
-    ):
-        _emit_matches(
-            node,
-            left_values,
-            left_lineage,
-            row_candidates,
-            right_row,
-            right_lineage,
-            condition,
-            values,
-            lineage,
-            null_padding,
-            prefiltered=equi is None,
-        )
-    return ColumnBatch.from_rows(node.schema, values, lineage)
+    equi = None if node.kind == "cross" else _equi_join_columns(node)
+    if equi is None:
+        return _by_row(node, join_rows, left, right)
+    # Only the key columns are read whole: hash the shorter input's, stream
+    # the other's past it.  Either way ``buckets`` ends up as the native
+    # right-side buckets (NULL keys in none of them), less the keys no left
+    # row has.
+    left_keys = left.columns[equi[0]]
+    buckets: dict[Any, list[int]] = {}
+    if left.length < right.length:
+        buckets = {key: [] for key in left_keys if key is not None}
+        for j, key in enumerate(right.columns[equi[1]]):
+            if key in buckets:
+                buckets[key].append(j)
+    else:
+        for j, key in enumerate(right.columns[equi[1]]):
+            if key is not None:
+                buckets.setdefault(key, []).append(j)
+    if node.kind == "left":
+        return _left_join(node, left, right, left_keys, buckets)
+    joined = _join_index_pairs(node, left, right, left_keys, buckets)
+    if joined is None:  # the re-check raised: raise it natively
+        return _by_row(node, join_rows, left, right)
+    return joined
 
 
 def _join_index_pairs(
@@ -288,63 +245,35 @@ def _join_index_pairs(
     )
 
 
-def _make_condition_prober(
-    condition, right: ColumnBatch
-) -> Callable[[tuple[Any, ...]], list[int]]:
-    """Matching right-row indexes for one left row, via one batch eval.
-
-    The left row is broadcast as constant columns next to the right
-    batch's columns; falls back to scalar evaluation when the batch path
-    raises, so error behaviour matches the native nested loop exactly.
-    """
-    right_columns = right.columns
-    right_rows_cache: list[tuple[Any, ...]] | None = None
-    count = right.length
-
-    def probe(left_values: tuple[Any, ...]) -> list[int]:
-        nonlocal right_rows_cache
-        combined = [[value] * count for value in left_values]
-        combined.extend(right_columns)
-        try:
-            flags = condition.evaluate_batch(combined, count)
-        except _BATCH_ERRORS:
-            if right_rows_cache is None:
-                right_rows_cache = right.rows()
-            return [
-                j
-                for j, right_values in enumerate(right_rows_cache)
-                if condition.evaluate(left_values + right_values) is True
-            ]
-        return [j for j, flag in enumerate(flags) if flag is True]
-
-    return probe
-
-
-def _emit_matches(
+def _left_join(
     node: Join,
-    left_values: tuple[Any, ...],
-    left_lineage: Lineage,
-    candidates: Sequence[int],
-    right_row: Callable[[int], tuple[Any, ...]],
-    right_lineage: Callable[[int], Lineage],
-    condition,
-    values: list[tuple[Any, ...]],
-    lineage: list[Lineage],
-    null_padding: tuple[None, ...],
-    prefiltered: bool,
-) -> None:
-    """Native ``_emit_matches`` over right-row indexes: a candidate's value
-    tuple is built for the re-check, its lineage only once it passes."""
-    matched: list[Lineage] = []
-    for j in candidates:
-        combined = left_values + right_row(j)
-        if not prefiltered and condition.evaluate(combined) is not True:
-            continue
-        partner = right_lineage(j)
-        matched.append(partner)
-        values.append(combined)
-        lineage.append(lineage_and(left_lineage, partner))
-    if node.kind == "left":
+    left: ColumnBatch,
+    right: ColumnBatch,
+    left_keys: list,
+    buckets: dict[Any, list[int]],
+) -> ColumnBatch:
+    """Native ``_emit_matches`` for a LEFT equi-join, over right-row
+    indexes: a right row's value tuple is built the first time a candidate
+    needs it for the re-check, its lineage the first time it passes — the
+    native operator would materialise the whole right input."""
+    condition = node.bound_condition
+    right_row = cache(right.row)
+    right_lineage = cache(right.lineage_at)
+    null_padding = (None,) * len(right.schema)
+    values: list[tuple[Any, ...]] = []
+    lineage: list[Lineage] = []
+    for left_values, left_lineage, key in zip(
+        left.rows(), left.lineage_column(), left_keys
+    ):
+        matched: list[Lineage] = []
+        for j in buckets.get(key, ()):
+            combined = left_values + right_row(j)
+            if condition.evaluate(combined) is not True:
+                continue
+            partner = right_lineage(j)
+            matched.append(partner)
+            values.append(combined)
+            lineage.append(lineage_and(left_lineage, partner))
         if not matched:
             values.append(left_values + null_padding)
             lineage.append(left_lineage)
@@ -355,6 +284,7 @@ def _emit_matches(
             if absent != BOTTOM:
                 values.append(left_values + null_padding)
                 lineage.append(absent)
+    return ColumnBatch.from_rows(node.schema, values, lineage)
 
 
 # -- semi-join --------------------------------------------------------------
@@ -363,12 +293,12 @@ def _emit_matches(
 def semi_join_batch(
     node: SemiJoin, left: ColumnBatch, right: ColumnBatch
 ) -> ColumnBatch:
-    probe = node.bound_probe
+    if left.factors is None or right.factors is None:
+        return _by_row(node, semi_join_rows, left, right)
     try:
-        probe_values = probe.evaluate_batch(left.columns, left.length)
+        probe_values = node.bound_probe.evaluate_batch(left.columns, left.length)
     except _BATCH_ERRORS:
-        # Scalar fallback surfaces the native error for the first row.
-        probe_values = [probe.evaluate(values) for values in left.rows()]
+        return _by_row(node, semi_join_rows, left, right)
 
     # Subquery row indexes per probed value, in subquery order: the
     # value's group, shared by every left row that probes it.
@@ -394,107 +324,17 @@ def semi_join_batch(
             if group is not None:
                 keep.append(i)
                 probed.append(group)
-    if left.factors is not None and right.factors is not None:
-        kept = left.gather(keep)
-        return ColumnBatch(
-            node.schema, kept.columns, factors=(*kept.factors, probed)
-        )
-    # A materialised input: the formulas now, less ``x ∧ ¬⊤`` (a NOT IN
-    # whose match is certain).
-    lineage = list(map(lineage_and, left.lineages(keep), map(Group.lineage, probed)))
-    keep = [i for i, formula in zip(keep, lineage) if formula != BOTTOM]
-    columns = [[column[i] for i in keep] for column in left.columns]
-    return ColumnBatch(
-        node.schema,
-        columns,
-        lineage=[formula for formula in lineage if formula != BOTTOM],
-    )
+    kept = left.gather(keep)
+    return ColumnBatch(node.schema, kept.columns, factors=(*kept.factors, probed))
 
 
 # -- set operations ---------------------------------------------------------
 
 
-def _widen_columns(
-    batch: ColumnBatch, types: tuple[DataType, ...]
-) -> Sequence[list]:
-    """Column-wise version of the native ``_widen`` (ints → float in REAL
-    columns; bools are untouched)."""
-    columns = []
-    for column, dtype in zip(batch.columns, types):
-        if dtype is REAL:
-            columns.append(
-                [
-                    float(value)
-                    if isinstance(value, int) and not isinstance(value, bool)
-                    else value
-                    for value in column
-                ]
-            )
-        else:
-            columns.append(column)
-    return columns
-
-
 def set_operation_batch(
     node: SetOperation, left: ColumnBatch, right: ColumnBatch
 ) -> ColumnBatch:
-    types = node.schema.types
-    left_wide = left.with_columns(node.schema, _widen_columns(left, types))
-    right_wide = right.with_columns(node.schema, _widen_columns(right, types))
-
-    if node.kind in ("union_all", "union"):
-        columns = [
-            left_column + right_column
-            for left_column, right_column in zip(
-                left_wide.columns, right_wide.columns
-            )
-        ]
-        lineage = left_wide.lineage_column() + right_wide.lineage_column()
-        combined = ColumnBatch(node.schema, columns, lineage=lineage)
-        if node.kind == "union_all":
-            return combined
-        return _merge_duplicates_batch(node.schema, combined)
-
-    left_values = left_wide.rows()
-    right_values = right_wide.rows()
-
-    left_groups: dict[tuple[Any, ...], list[Lineage]] = {}
-    for row_values, row_lineage in zip(
-        left_values, left_wide.lineage_column()
-    ):
-        left_groups.setdefault(row_values, []).append(row_lineage)
-    right_groups: dict[tuple[Any, ...], list[Lineage]] = {}
-    for row_values, row_lineage in zip(
-        right_values, right_wide.lineage_column()
-    ):
-        right_groups.setdefault(row_values, []).append(row_lineage)
-
-    values: list[tuple[Any, ...]] = []
-    lineage: list[Lineage] = []
-    if node.kind == "intersect":
-        for group_values, lineages in left_groups.items():
-            if group_values in right_groups:
-                values.append(group_values)
-                lineage.append(
-                    lineage_and(
-                        lineage_or(*lineages),
-                        lineage_or(*right_groups[group_values]),
-                    )
-                )
-        return ColumnBatch.from_rows(node.schema, values, lineage)
-    # except
-    for group_values, lineages in left_groups.items():
-        present = lineage_or(*lineages)
-        if group_values in right_groups:
-            formula = lineage_and(
-                present, lineage_not(lineage_or(*right_groups[group_values]))
-            )
-        else:
-            formula = present
-        if formula != BOTTOM:
-            values.append(group_values)
-            lineage.append(formula)
-    return ColumnBatch.from_rows(node.schema, values, lineage)
+    return _by_row(node, set_operation_rows, left, right)
 
 
 # -- aggregate / sort -------------------------------------------------------
@@ -512,7 +352,7 @@ def aggregate_batch(node: Aggregate, child: ColumnBatch) -> ColumnBatch:
             for bound in node.bound_arguments
         ]
     except _BATCH_ERRORS:
-        return _rerun_by_row(node, child, aggregate_rows)
+        return _by_row(node, aggregate_rows, child)
 
     # Member row indexes per group, groups in first-seen order.
     groups: dict[tuple[Any, ...], list[int]] = {}
@@ -551,7 +391,7 @@ def sort_batch(node: Sort, child: ColumnBatch) -> ColumnBatch:
             for bound in node.bound_keys
         ]
     except _BATCH_ERRORS:
-        return _rerun_by_row(node, child, sort_rows)
+        return _by_row(node, sort_rows, child)
     order = list(range(child.length))
     # Stable multi-key sort of row indexes: apply keys last-to-first.
     for key, column in zip(reversed(node.keys), reversed(key_columns)):

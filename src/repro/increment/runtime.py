@@ -30,6 +30,7 @@ are bit-identical to the unbudgeted code.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,6 +59,17 @@ __all__ = [
 #: branch-and-bound cadence, keeping budgeted-but-unexpired searches on the
 #: exact node sequence of the unbudgeted solver).
 CHECK_INTERVAL = 256
+
+
+def is_deadline(value: Any) -> bool:
+    """Whether *value* can be a deadline: a finite, positive number.  NaN
+    (which JSON decodes) compares false both ways and would never expire;
+    a bool is an ``int`` to Python but no duration."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value < math.inf
+    )
 
 
 class Budget:
@@ -91,9 +103,10 @@ class Budget:
         parent: "Budget | None" = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if deadline_seconds is not None and deadline_seconds < 0:
+        if deadline_seconds is not None and not is_deadline(deadline_seconds):
             raise IncrementError(
-                f"deadline must be non-negative, got {deadline_seconds}"
+                f"deadline must be a finite positive number of seconds, "
+                f"got {deadline_seconds!r}"
             )
         self._clock = clock
         self.deadline_ms = (
@@ -333,7 +346,7 @@ class DegradationChain:
     ) -> None:
         if not attempts:
             raise IncrementError("a degradation chain needs at least one solver")
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not is_deadline(deadline_ms):
             raise IncrementError(
                 f"deadline_ms must be positive, got {deadline_ms}"
             )

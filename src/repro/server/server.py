@@ -78,6 +78,7 @@ from ..errors import (
     ServerDrainingError,
     ServerError,
 )
+from ..increment.runtime import is_deadline
 from ..obs import TIMING_BUCKETS, get_metrics, get_tracer
 from ..policy import PolicyStore
 from ..storage.database import IDEMPOTENCY_CAPACITY, Database
@@ -929,9 +930,7 @@ class PCQEServer:
         runs.  Reject when that projection alone blows the deadline.
         """
         metrics = get_metrics()
-        if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
-        ):
+        if deadline_ms is not None and not is_deadline(deadline_ms):
             raise ProtocolError(
                 f"deadline_ms must be a positive number, got {deadline_ms!r}"
             )

@@ -132,6 +132,10 @@ class TestPolicyCommands:
             shell.execute_line("solver heuristic --deadline-ms soon")
         with pytest.raises(CommandError):
             shell.execute_line("solver heuristic --deadline-ms")
+        for bad in ("nan", "inf", "-1"):
+            with pytest.raises(CommandError, match="positive and finite"):
+                shell.execute_line(f"solver heuristic --deadline-ms {bad}")
+        assert shell.deadline_ms == 50.0
 
 
 class TestAskCommand:
@@ -362,6 +366,8 @@ class TestMainEntry:
         assert "needs a number" in capsys.readouterr().err
         assert main(["--deadline-ms", "-3", "-c", "tables"]) == 2
         assert "must be positive" in capsys.readouterr().err
+        assert main(["--deadline-ms", "nan", "-c", "tables"]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -369,6 +375,8 @@ class TestMainEntry:
             ("--engine", "auto", "unknown engine 'auto'"),
             ("--log-level", "bogus", "unknown log level 'bogus'"),
             ("--trace-out", "{tmp}/no-such-dir/trace.jsonl", "No such file"),
+            ("--audit-log", "{tmp}/no-such-dir/audit.log", "No such file"),
+            ("--data-dir", "{tmp}/a-file/state", "Not a directory"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(
@@ -376,10 +384,19 @@ class TestMainEntry:
     ):
         from repro.cli import main
 
+        (tmp_path / "a-file").write_text("")
         value = value.format(tmp=tmp_path)
         assert main([flag, value, "-c", "tables"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ") and message in err
+
+    def test_missing_command_file_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "no-such-script.sql")
+        assert main([path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "No such file" in err
 
     def test_help(self):
         shell = CommandShell()

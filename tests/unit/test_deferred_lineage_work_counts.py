@@ -269,6 +269,26 @@ def test_which_plans_are_products_and_which_still_compile(
     ]
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT l.k, r.x FROM l JOIN r ON l.k = r.k WHERE l.k >= 50",
+        "SELECT l.k, r.x FROM l JOIN r ON l.k = r.k WHERE r.x < 0",
+    ],
+    ids=["no-partner", "empty-input"],
+)
+def test_an_empty_inner_join_stays_deferred(count_calls, sql):
+    """No matching pair is an empty batch of index pairs, not a fall back
+    to the row operator: the lineage stays deferred and no ``Var`` is
+    built for either input."""
+    db = _database(20, 20)
+    variables = count_calls(Var, "__init__")
+    joined = run_batch(prepare(db, sql).plan)
+    assert len(joined) == 0
+    assert joined.factors is not None
+    assert variables[0] == 0
+
+
 def test_tids_says_when_rows_are_not_rows_of_one_table():
     """DML's row selector: defined for a batch that is still one table's
     rows; a join's batch used to die on ``And.tid``, and a DISTINCT's

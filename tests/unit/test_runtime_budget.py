@@ -139,8 +139,9 @@ class TestBudget:
         assert budget.remaining_seconds() == 0.0
 
     def test_negative_deadline_rejected(self):
-        with pytest.raises(IncrementError):
-            Budget(deadline_seconds=-1.0)
+        for deadline in (-1.0, 0.0, float("nan"), True):
+            with pytest.raises(IncrementError):
+                Budget(deadline_seconds=deadline)
 
 
 class TestBudgetExceededHelper:
@@ -224,8 +225,9 @@ class TestDegradationChain:
             DegradationChain([])
 
     def test_rejects_non_positive_deadline(self):
-        with pytest.raises(IncrementError):
-            DegradationChain([self._timeout_solver()], deadline_ms=0)
+        for deadline_ms in (0, float("nan"), float("inf")):
+            with pytest.raises(IncrementError):
+                DegradationChain([self._timeout_solver()], deadline_ms=deadline_ms)
 
     def test_single_attempt_returns_its_plan(self, problem, fresh_metrics):
         chain = DegradationChain([_greedy_attempt()])

@@ -172,10 +172,11 @@ class TestAdmissionControl:
 
     def test_bad_deadline_is_a_protocol_error(self, served):
         server, _ = served
-        with pytest.raises(ProtocolError):
-            server._admit("ask", -5)
-        with pytest.raises(ProtocolError):
-            server._admit("ask", "soon")
+        # NaN (JSON decodes the token) would disable both the shed test
+        # and the request-timeout cap; ``true`` is no duration.
+        for deadline_ms in (-5, "soon", float("nan"), True):
+            with pytest.raises(ProtocolError):
+                server._admit("ask", deadline_ms)
 
     def test_rejection_travels_the_wire_with_details(self, served):
         server, _ = served
