@@ -9,7 +9,9 @@ Semantics follow SQL:
 
 * ``NULL`` propagates through arithmetic and comparisons (both yield NULL);
 * ``AND``/``OR``/``NOT`` use Kleene three-valued logic;
-* ``WHERE`` keeps a row only when the predicate is *true* (not NULL);
+* ``WHERE`` keeps a row only when the predicate is *true* (not NULL), as
+  :meth:`BoundExpression.select` finds it; an ``AND``'s right side runs
+  on the rows its left left not False, as the scalar ``AND`` does;
 * ``LIKE`` supports ``%`` and ``_`` wildcards;
 * division by zero raises :class:`~repro.errors.ExecutionError` (strict mode,
   catching workload bugs early) rather than yielding NULL.
@@ -18,6 +20,7 @@ Semantics follow SQL:
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..errors import BindError, ExecutionError, TypeMismatchError
@@ -57,7 +60,7 @@ class BoundExpression:
     :meth:`evaluate_batch`, so unsupported expressions still run batched.
     """
 
-    __slots__ = ("dtype", "_evaluate", "display", "_batch")
+    __slots__ = ("dtype", "_evaluate", "display", "_batch", "_select")
 
     def __init__(
         self,
@@ -65,11 +68,13 @@ class BoundExpression:
         evaluate: Callable[[tuple[Any, ...]], Any],
         display: str,
         batch: Callable[[Sequence[list], int], list] | None = None,
+        select: Callable[[Sequence[list], Sequence[int]], Any] | None = None,
     ) -> None:
         self.dtype = dtype
         self._evaluate = evaluate
         self.display = display
         self._batch = batch
+        self._select = select
 
     def evaluate(self, values: tuple[Any, ...]) -> Any:
         """The expression's value on one row's *values*."""
@@ -95,6 +100,28 @@ class BoundExpression:
         if not columns:  # zero-column batches cannot occur via Schema
             return [evaluate(()) for _ in range(count)]
         return [evaluate(values) for values in zip(*columns)]
+
+    def select(
+        self, columns: Sequence[list], rows: Sequence[int]
+    ) -> tuple[list[int], list[int]]:
+        """The rows among *rows* (ascending indexes into whole *columns*)
+        where the expression is True, and those where it is NULL.  An own
+        selection reads its own columns at *rows* only, or declines with
+        ``None``; the default gathers the rows for :meth:`evaluate_batch`.
+        Errors are those :meth:`evaluate` raises on the same rows."""
+        if not rows:
+            return [], []
+        if self._select is not None:
+            picked = self._select(columns, rows)
+            if picked is not None:
+                return picked
+        if len(rows) != len(columns[0]):
+            columns = [[column[i] for i in rows] for column in columns]
+        flags = self.evaluate_batch(columns, len(rows))
+        return (
+            [i for i, flag in zip(rows, flags) if flag is True],
+            [i for i, flag in zip(rows, flags) if flag is None],
+        )
 
     @property
     def has_batch_kernel(self) -> bool:
@@ -426,6 +453,24 @@ _COMPARE_OPS: dict[str, Callable[[Any, Any], bool]] = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+#: ``column op value`` over *rows* as a selection: a comprehension that
+#: calls nothing per row.
+_PICK: dict[str, Callable[[list, Sequence[int], Any], list[int]]] = {
+    "=": lambda column, rows, v: [i for i in rows if column[i] == v],
+    "<>": lambda column, rows, v: [i for i in rows if column[i] != v],
+    "<": lambda column, rows, v: [i for i in rows if column[i] < v],
+    "<=": lambda column, rows, v: [i for i in rows if column[i] <= v],
+    ">": lambda column, rows, v: [i for i in rows if column[i] > v],
+    ">=": lambda column, rows, v: [i for i in rows if column[i] >= v],
+}
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _select_literal(pick, index: int, value: Any, columns, rows) -> Any:
+    """Column *index* compared with the non-NULL *value*, as a selection;
+    declines over a column that holds a NULL."""
+    column = columns[index]
+    return None if None in column else (pick(column, rows, value), [])
 
 
 class Comparison(Expression):
@@ -441,8 +486,7 @@ class Comparison(Expression):
     def bind(self, schema: Schema) -> BoundExpression:
         left = self.left.bind(schema)
         right = self.right.bind(schema)
-        null_literal = isinstance(self.left, Literal) and self.left.value is None
-        null_literal |= isinstance(self.right, Literal) and self.right.value is None
+        null_literal = _is_null_literal(self.left) or _is_null_literal(self.right)
         if not null_literal and not is_comparable(left.dtype, right.dtype):
             raise BindError(
                 f"cannot compare {left.dtype} with {right.dtype} "
@@ -466,8 +510,18 @@ class Comparison(Expression):
                 )
             ]
 
+        column, op, other = self.left, self.op, self.right
+        if isinstance(column, Literal):  # ``lit < col`` is ``col > lit``
+            column, op, other = other, _FLIPPED[op], column
+        select = None
+        if isinstance(column, ColumnRef) and isinstance(other, Literal):
+            if other.value is not None:
+                index = schema.index_of(column.name, column.table)
+                select = partial(_select_literal, _PICK[op], index, other.value)
         display = f"({left.display} {self.op} {right.display})"
-        return BoundExpression(BOOLEAN, evaluate, display, batch=batch)
+        return BoundExpression(
+            BOOLEAN, evaluate, display, batch=batch, select=select
+        )
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.left.references() | self.right.references()
@@ -505,31 +559,34 @@ class LogicalAnd(Expression):
                 return None
             return True
 
+        def select(columns: Sequence[list], rows: Sequence[int]) -> Any:
+            # The right side runs where the scalar path runs it, on every
+            # row the left left not False: a guard (``x <> 0 AND 10 / x >
+            # 1``) still guards, and a NULL left still lets the right raise.
+            true_left, null_left = left.select(columns, rows)
+            if not null_left:
+                return right.select(columns, true_left)
+            pending = sorted(true_left + null_left)
+            true_right, null_right = right.select(columns, pending)
+            unknown = set(null_left)
+            return (
+                [i for i in true_right if i not in unknown],
+                sorted(null_right + [i for i in true_right if i in unknown]),
+            )
+
         def batch(columns: Sequence[list], count: int) -> list:
-            # Mask-and-gather preserves the scalar short-circuit: the right
-            # side is only evaluated on rows the left did not already decide,
-            # so guarded predicates (``x <> 0 AND 10 / x > 1``) never raise
-            # on rows the scalar path would have skipped.
-            a_col = left.evaluate_batch(columns, count)
-            pending = [i for i in range(count) if a_col[i] is not False]
+            true_rows, null_rows = select(columns, range(count))
             out: list[Any] = [False] * count
-            if not pending:
-                return out
-            if len(pending) == count:
-                b_col = right.evaluate_batch(columns, count)
-                pairs = zip(range(count), b_col)
-            else:
-                sub = [[column[i] for i in pending] for column in columns]
-                b_col = right.evaluate_batch(sub, len(pending))
-                pairs = zip(pending, b_col)
-            for i, b in pairs:
-                if b is False:
-                    continue
-                out[i] = None if (a_col[i] is None or b is None) else True
+            for i in true_rows:
+                out[i] = True
+            for i in null_rows:
+                out[i] = None
             return out
 
         display = f"({left.display} AND {right.display})"
-        return BoundExpression(BOOLEAN, evaluate, display, batch=batch)
+        return BoundExpression(
+            BOOLEAN, evaluate, display, batch=batch, select=select
+        )
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.left.references() | self.right.references()

@@ -400,11 +400,11 @@ class PCQEngine:
             with tracer.span(
                 "pcqe.strategy_finding", shortfall=shortfall
             ) as span:
+                problem = self._increment_problem(short)
                 plan = self.chain.solve(
-                    self._increment_problem(short),
-                    deadline_ms=min(deadlines, default=None),
-                    span=span,
+                    problem, deadline_ms=min(deadlines, default=None), span=span
                 )
+                plan.read = problem.initial_assignment()
                 span.set_attribute("cost", plan.total_cost)
         except InfeasibleIncrementError as error:
             logger.warning(

@@ -19,8 +19,11 @@ both engines to this contract.
 
 What the kernels buy over the native operators:
 
-* predicates/projections run through the batch expression path — one
-  kernel call per column instead of one closure chain per row;
+* a filter is one selection vector: each conjunct reads its own columns
+  at the rows the earlier ones left not False (a column compared with a
+  literal calls nothing per row), and the rows are gathered once;
+  projections run through the batch expression path — one kernel call
+  per column instead of one closure chain per row;
 * value tuples and ``Var`` objects are built late, in proportion to what a
   kernel returns: scan/filter/project/sort/limit build none (the factor
   columns ride along, a scan's over the table's cached column view); an
@@ -118,15 +121,11 @@ def alias_batch(node: Alias, child: ColumnBatch) -> ColumnBatch:
 
 
 def filter_batch(node: Filter, child: ColumnBatch) -> ColumnBatch:
-    predicate = node.bound_predicate
     try:
-        flags = predicate.evaluate_batch(child.columns, child.length)
+        keep, _ = node.bound_predicate.select(child.columns, range(child.length))
     except _BATCH_ERRORS:
         return _by_row(node, filter_rows, child)
-    keep = [i for i, flag in enumerate(flags) if flag is True]
-    if len(keep) == child.length:
-        return child
-    return child.gather(keep)
+    return child if len(keep) == child.length else child.gather(keep)
 
 
 def project_batch(node: Project, child: ColumnBatch) -> ColumnBatch:

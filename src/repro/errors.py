@@ -49,6 +49,7 @@ __all__ = [
     "RequestTimeoutError",
     "CircuitOpenError",
     "ServerDrainingError",
+    "WriteBackConflictError",
     "ReplicationError",
     "NotPrimaryError",
     "ReplicaLagError",
@@ -365,6 +366,18 @@ class ServerDrainingError(ServerError):
     """
 
     retryable = True
+
+
+class WriteBackConflictError(ServerError):
+    """A confidence write-back was refused and wrote nothing: a base tuple
+    its strategy read has another confidence at the head, because a
+    commit landed after the asking session pinned.  The strategy was
+    solved and quoted against values that no longer hold.  Retryable —
+    the refusing session re-pins, so a retried ask re-solves on the head.
+    """
+
+    retryable = True
+    fields = ("changed",)
 
 
 # --------------------------------------------------------------------------

@@ -63,10 +63,13 @@ class SimulatedImprovementService:
     """Improvement backend that simulates perfect verification actions.
 
     Each target is applied exactly, the cost charged is the cost model's
-    increment cost from the *current stored* confidence (which may differ
-    from the confidence the plan was computed against if the database moved
-    underneath — the cheaper real increment is charged in that case, and a
-    target below the stored value is a no-op).
+    increment cost from the confidence *db* resolves, and a target at or
+    below it is a no-op.  A plan that carries its read set
+    (:attr:`~repro.increment.problem.IncrementPlan.read`, stamped by the
+    pipeline) is written only while the database still holds every
+    confidence in it — else :class:`~repro.errors.WriteBackConflictError`
+    — so it costs what was quoted; a plan without one is charged from
+    what is stored.
 
     ``budget`` (optional) caps cumulative spending across calls; exceeding
     it raises :class:`~repro.errors.ImprovementRejectedError` before any
@@ -114,9 +117,11 @@ class SimulatedImprovementService:
                 ImprovementAction(tid, stored.confidence, target, action_cost)
             )
         # Validate-then-write so a bad target cannot leave a partial apply.
-        db.apply_confidences(
-            {action.tid: action.new_confidence for action in actions}
-        )
+        updates = {action.tid: action.new_confidence for action in actions}
+        if plan.read:  # refused if what the plan read has moved since
+            db.apply_confidences(updates, read=plan.read)
+        else:
+            db.apply_confidences(updates)
         receipt = ImprovementReceipt(actions, cost)
         self.spent += cost
         self.receipts.append(receipt)

@@ -534,6 +534,10 @@ class IncrementPlan:
     #: primary solver running to completion.  First-class (not a span
     #: attribute) so the serving layer sees it with tracing disabled.
     degraded: bool = False
+    #: The confidence of every base tuple of the problem as the solver
+    #: read it — what the targets and the cost were computed from.  A
+    #: write-back is refused where the database no longer holds them.
+    read: dict[TupleId, float] = field(default_factory=dict)
 
     def describe(self, problem: IncrementProblem | None = None) -> str:
         """Human-readable summary (the "cost quote" shown to the user)."""

@@ -30,6 +30,7 @@ from ..errors import (
     QuarantinedTableError,
     ReplicaLagError,
     SessionClosedError,
+    WriteBackConflictError,
 )
 from ..policy import PolicyStore
 from ..storage.tuples import StoredTuple, TupleId
@@ -134,7 +135,11 @@ class SessionDatabase:
 
     # -- the one sanctioned write ------------------------------------------
 
-    def apply_confidences(self, updates: Mapping[TupleId, float]) -> None:
+    def apply_confidences(
+        self,
+        updates: Mapping[TupleId, float],
+        read: Mapping[TupleId, float] | None = None,
+    ) -> None:
         """Commit a confidence write-back and advance this session's pin.
 
         This is the improvement step of an approved increment plan: it
@@ -143,8 +148,18 @@ class SessionDatabase:
         through MVCC and the session re-pins the resulting generation.
         Other sessions' pinned snapshots are unaffected until they
         refresh.
+
+        The strategy was solved on the pin, so its *read* confidences are
+        checked against the head inside the commit.  When another commit
+        changed one, nothing is written, the session re-pins and the
+        retryable :class:`~repro.errors.WriteBackConflictError` propagates:
+        a retried ask re-solves on the head.
         """
-        self._session.commit(lambda db: db.apply_confidences(updates))
+        try:
+            self._session.commit(lambda db: db.apply_confidences(updates, read))
+        except WriteBackConflictError:
+            self._session.refresh()
+            raise
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"SessionDatabase({self._session!r})"

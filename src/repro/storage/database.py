@@ -10,7 +10,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping
 
-from ..errors import DuplicateTableError, UnknownTableError
+from ..errors import DuplicateTableError, UnknownTableError, WriteBackConflictError
 from .lru import BoundedLRU
 from .schema import Schema
 from .table import Table
@@ -264,7 +264,11 @@ class Database:
         """Overwrite the stored confidence of base tuple *tid*."""
         self.table(tid.table).set_confidence(tid, confidence)
 
-    def apply_confidences(self, updates: Mapping[TupleId, float]) -> None:
+    def apply_confidences(
+        self,
+        updates: Mapping[TupleId, float],
+        read: Mapping[TupleId, float] | None = None,
+    ) -> None:
         """Apply a batch of confidence updates atomically-in-effect.
 
         All updates are validated (``StoredTuple.checked_confidence``)
@@ -274,7 +278,23 @@ class Database:
         database the whole batch — e.g. an accepted increment strategy's
         write-back — is journaled as ONE atomic WAL record: recovery sees
         either none of the strategy or all of it.
+
+        *read* is what the updates were computed from: the confidence of
+        every base tuple the strategy read.  If one is no longer stored,
+        the batch is refused with the retryable
+        :class:`~repro.errors.WriteBackConflictError` and nothing changes.
         """
+        if read:
+            stored = self.confidences(read)
+            changed = [tid for tid, value in read.items() if stored[tid] != value]
+            if changed:
+                first = changed[0]
+                raise WriteBackConflictError(
+                    f"write-back refused: {len(changed)} tuple(s) it read "
+                    f"changed since, e.g. {first} {read[first]!r} -> "
+                    f"{stored[first]!r}",
+                    changed=len(changed),
+                )
         by_table: dict[str, tuple[list[int], list[float]]] = {}
         for tid, value in updates.items():
             row = self.resolve(tid)

@@ -201,6 +201,7 @@ _atoms = st.sampled_from(
     [
         "v > 0", "v <= 2", "v IS NULL", "v IS NOT NULL", "r < 1.0", "r IS NULL",
         "k = 'a'", "k <> 'b'", "k LIKE 'a%'", "v BETWEEN -1 AND 2", "TRUE",
+        "'a' = k", "1 <= v", "0.5 > r",
         "k IN ('a', 'c')", "k NOT IN ('b', 'd')", "v IN (1, 2, NULL)",
         "v NOT IN (0, NULL)", "r IN (0.5, 2.0)",
         # Raise on v = 0 — unless a guard to their left decided the row.
@@ -266,6 +267,45 @@ def test_dml_where_selects_what_select_where_selects(data_t, where):
                 (tid, ("z", *values[1:]) if tid in selected else values, c)
                 for tid, values, c in before
             ]
+
+
+# The selection path: each conjunct runs on the rows the earlier ones left
+# not False, a literal may sit on either side of a comparison, and a
+# compared column may hold NULLs (then the comparison takes the default
+# path).  ``t``: a NULL ``r`` beside ``v = 0``, and NULLs in ``v``.
+SELECTION_ROWS = [
+    ("a", 0, 0.5, None),
+    ("b", 2, 0.6, 1.0),
+    ("a", None, 0.7, 2.0),
+    ("c", 3, 0.8, -1.25),
+    ("d", -1, 0.9, 0.5),
+]
+
+
+def test_a_null_left_conjunct_still_runs_the_right_one():
+    """``r > 0`` is NULL on the first row, not False, so ``10 / v > 1``
+    runs there as it does natively — and divides by zero on both
+    engines.  Running it on the rows the left kept True would skip it."""
+    db = make_db(SELECTION_ROWS, [])
+    sql = "SELECT k, v FROM t WHERE r > 0 AND 10 / v > 1"
+    with pytest.raises(ExecutionError, match="division by zero"):
+        run_sql(db, sql, engine="native")
+    assert_engines_agree(db, sql)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT k, v FROM t WHERE 'a' = k",
+        "SELECT k, v FROM t WHERE 1 < v AND 'b' >= k",
+        "SELECT k, v FROM t WHERE v > 0 AND k <> 'c'",
+        "SELECT k, v FROM t WHERE NOT (v > 0 AND r < 1.5)",
+        "SELECT k, v FROM t WHERE (v > -1 AND 'a' = k) OR r IS NULL",
+        "SELECT k, v FROM t WHERE r < 1.5 AND v IS NULL",
+    ],
+)
+def test_selection_inputs_are_engine_equivalent(sql):
+    assert_engines_agree(make_db(SELECTION_ROWS, []), sql)
 
 
 # A tiny filtered input against a large one, on either side of the join:

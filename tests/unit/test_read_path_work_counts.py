@@ -1,6 +1,10 @@
 """A deterministic guard on what the columnar read path materialises.
 
-Timings drift; counts repeat exactly.  An inner equi-join of scans
+Timings drift; counts repeat exactly.  A two-conjunct filter reads the
+second conjunct's column only at the rows the first kept and every other
+column once, in the one final gather; at the commit before this guard
+the ``AND`` re-gathered all four columns and called a comparison closure
+per row.  An inner equi-join of scans
 gathers columns and builds no value tuple and no ``Var`` at all (its
 lineage stays deferred); a LEFT join builds them for the rows that have a
 partner — not for its inputs — an ``IN`` builds no lineage until its rows
@@ -15,6 +19,7 @@ subquery row, and until a probed value became a group 120 (``NOT IN``
 
 import pytest
 
+from repro.algebra import expressions
 from repro.algebra.rows import AnnotatedTuple, ResultSet
 from repro.engines.columnar.batch import ColumnBatch
 from repro.lineage import circuit as circuit_module
@@ -23,6 +28,7 @@ from repro.lineage.formula import And, Var, lineage_and, lineage_or, var
 from repro.lineage.probability import probability
 from repro.sql import run_sql
 from repro.storage import Database, INTEGER, Schema, TupleId
+from repro.storage.table import Table
 from tests.oracle import possible_worlds
 
 FILTERED = 50  # rows of ``small`` that pass ``flag = 1``
@@ -119,6 +125,61 @@ def test_in_subquery_materialises_probed_values_only(
         counts[big_rows] = (unread, variables[0])
         monkeypatch.undo()
     assert counts[5_000] == counts[20_000] == (0, kept + MATCHES)
+
+
+class _LoggedColumn(list):
+    """A table column that logs every index read from it; reading it whole
+    (iterating it) fails the test."""
+
+    def __init__(self, values, log: list) -> None:
+        super().__init__(values)
+        self.log = log
+
+    def __getitem__(self, index):
+        self.log.append(index)
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        raise AssertionError("a column was read whole")
+
+
+def test_two_conjunct_filter_is_one_selection_vector(monkeypatch, count_calls):
+    size = 10_000
+    db = Database("selection")
+    names = ("a", "b", "c", "d")
+    db.create_table("wide", Schema.of(*((name, INTEGER) for name in names)))
+    db.table("wide").insert_rows(
+        [[i % 10, i % 7, i, -i] for i in range(size)], confidence=0.5
+    )
+    reads = {name: [] for name in names}
+    column_data = Table.column_data
+
+    def logged(table):
+        columns, tids = column_data(table)
+        logs = (reads[name] for name in names)
+        return [_LoggedColumn(column, log) for column, log in zip(columns, logs)], tids
+
+    monkeypatch.setattr(Table, "column_data", logged)
+    compared = [0]
+    for op, operate in list(expressions._COMPARE_OPS.items()):
+
+        def counted(a, b, operate=operate):
+            compared[0] += 1
+            return operate(a, b)
+
+        monkeypatch.setitem(expressions._COMPARE_OPS, op, counted)
+    variables = count_calls(Var, "__init__")
+
+    result = run_sql(db, "SELECT * FROM wide WHERE a = 3 AND 2 > b", engine="columnar")
+
+    first = [i for i in range(size) if i % 10 == 3]
+    kept = [i for i in first if i % 7 < 2]
+    assert len(result) == len(kept) == 285
+    assert compared[0] == 0  # no comparison closure per row
+    assert reads["a"] == list(range(size)) + kept  # conjunct 1, the gather
+    assert reads["b"] == first + kept  # conjunct 2 at conjunct 1's rows
+    assert reads["c"] == reads["d"] == kept  # the one final gather only
+    assert variables[0] == 0
 
 
 def _join_rows(count: int) -> ResultSet:

@@ -60,6 +60,20 @@ class TestClassification:
             assert client.reconnects == 0
             assert client.sql("SELECT * FROM Proposal")["count"] == 6
 
+    def test_a_refused_write_back_is_retried_on_the_head(self, served):
+        """A commit lands between the session's pin and its ask's
+        write-back: the write-back is refused (retryable), the session
+        re-pins, and the client's one retry re-solves and applies."""
+        server, scenario = served
+        read = scenario.proposal_ids["02"]  # read by the strategy's row
+        retries = get_metrics().counter("server.retries")
+        with _client(server) as client:  # the hello pins the session
+            server.mvcc.commit(lambda db: db.apply_confidences({read: 0.2}))
+            before = retries.value
+            reply = client.ask(scenario.QUERY, 1.0)
+        assert reply["status"] == "improved" and reply["improved"] == 1
+        assert retries.value == before + 1
+
     def test_wire_payload_carries_structured_overload_details(self, served):
         server, _ = served
         with _client(server, attempts=1) as client:

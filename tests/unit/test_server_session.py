@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SessionClosedError, UnknownUserError
+from repro.errors import (
+    SessionClosedError,
+    UnknownUserError,
+    WriteBackConflictError,
+)
 from repro.server import MVCCDatabase, Session
 from repro.sql import DmlResult
 from repro.workload import venture_capital_database
@@ -141,6 +145,60 @@ class TestSessionWrites:
         observer.refresh()
         assert observer.seq == mvcc.current_seq
         observer.close()
+
+
+class TestConcurrentWriteBack:
+    """A strategy is solved and quoted on the asking session's pin; its
+    write-back commits into the head.  A commit in between that changed a
+    tuple the strategy read refuses the write-back: nothing is written,
+    the session re-pins, and the retried ask re-solves on the head."""
+
+    def _concurrently(self, serving, tid, confidence):
+        """Pin bob, then commit *tid* → *confidence* from a second session
+        of his; returns the head's seq after that commit."""
+        bob = _session(serving)
+        with _session(serving) as other:
+            other.commit(lambda db: db.apply_confidences({tid: confidence}))
+        return bob, serving[0].current_seq
+
+    def test_a_concurrent_raise_is_not_overwritten(self, serving):
+        mvcc, scenario = serving
+        target = scenario.company_ids["13"]  # the strategy's one target
+        bob, seq = self._concurrently(serving, target, 0.999)
+        with bob:
+            with pytest.raises(WriteBackConflictError) as refused:
+                bob.ask(scenario.QUERY, required_fraction=1.0)
+            assert bob.seq == seq  # re-pinned for the retry
+        assert refused.value.retryable and refused.value.changed == 1
+        assert mvcc.current_seq == seq  # nothing committed
+        assert mvcc.snapshot().db.confidence_of(target) == 0.999
+
+    def test_a_concurrent_lowering_of_a_read_tuple_is_refused(self, serving):
+        mvcc, scenario = serving
+        read = scenario.proposal_ids["02"]  # a row's tuple, not a target
+        bob, seq = self._concurrently(serving, read, 0.2)
+        with bob, pytest.raises(WriteBackConflictError):
+            bob.ask(scenario.QUERY, required_fraction=1.0)
+        head = mvcc.snapshot().db
+        assert mvcc.current_seq == seq
+        assert head.confidence_of(read) == 0.2
+        assert head.confidence_of(scenario.company_ids["13"]) == 0.1
+
+    def test_the_retried_ask_applies_its_strategy_once(self, serving):
+        mvcc, scenario = serving
+        read, target = scenario.proposal_ids["02"], scenario.company_ids["13"]
+        bob, seq = self._concurrently(serving, read, 0.2)
+        with bob:
+            with pytest.raises(WriteBackConflictError):
+                bob.ask(scenario.QUERY, required_fraction=1.0)
+            result = bob.ask(scenario.QUERY, required_fraction=1.0)
+        assert result.status.value == "improved"
+        assert result.quote.plan.read[read] == 0.2  # solved on the head
+        [action] = result.receipt.actions
+        assert (action.tid, action.old_confidence) == (target, 0.1)
+        assert result.receipt.total_cost == result.quote.cost
+        assert mvcc.current_seq == seq + 1  # one write-back commit
+        assert mvcc.snapshot().db.confidence_of(target) == action.new_confidence
 
 
 class TestSessionSolves:
