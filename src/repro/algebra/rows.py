@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 from operator import mul
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from ..lineage.circuit import CircuitPool, CompiledCircuit
 from ..lineage.formula import Lineage
@@ -170,17 +170,23 @@ class ResultSet:
         A product-form result (see :func:`_row_confidences`; its lineage is
         still deferred — compiling the circuits reads it, so a caller who
         asked for circuits keeps them) runs each row's circuit arithmetic
-        without the circuit.  Otherwise evaluated in batch: one forward
-        sweep over the union of all rows' circuit cones (the pool as it
-        stood when the rows were compiled), bit-identical to evaluating
-        each circuit separately — shared subcircuits are just computed once
-        per batch instead of once per row.
+        without the circuit, over each factor column's stored confidences
+        read by ordinal off its table now (a map is read per tuple).
+        Otherwise evaluated in batch: one forward sweep over the union of
+        all rows' circuit cones (the pool as it stood when the rows were
+        compiled), bit-identical to evaluating each circuit separately —
+        shared subcircuits are just computed once per batch instead of
+        once per row.
         """
-        probabilities = self._probabilities(source)
         if self._batch is not None and self._batch.factors and len(self):
-            confidences = _row_confidences(self._batch.factors, probabilities)
+            if isinstance(source, Mapping):
+                read = lambda column: list(map(source.__getitem__, column))
+            else:
+                read = source.column_confidences
+            confidences = _row_confidences(self._batch.factors, read)
             if confidences is not None:
                 return confidences
+        probabilities = self._probabilities(source)
         circuits = self.compiled_circuits()
         if not circuits:
             return []
@@ -228,12 +234,13 @@ class ResultSet:
 
 def _row_confidences(
     factors: "tuple[Sequence[TupleId | Group], ...]",
-    probabilities: Mapping[TupleId, float],
+    read: "Callable[[Sequence[TupleId]], list[float]]",
 ) -> list[float] | None:
     """Each row's confidence, operation for operation what
     ``CircuitPool._forward`` computes for the circuit its lineage compiles
-    to — or ``None`` when that is not a product over the factors, or
-    *probabilities* lacks a tuple (then compiling raises the one error).
+    to — or ``None`` when that is not a product over the factors, or a
+    probability map lacks a tuple (then compiling raises the one error).
+    *read* gives the probabilities of one table's tuples, in order.
 
     A row is ``lineage_and`` of its factors.  When their leaf tables — a
     tid column's table, each of a group's inner columns' — are pairwise
@@ -247,18 +254,14 @@ def _row_confidences(
     """
     if not _product_form(factors):
         return None
-    lookup = probabilities.__getitem__
     products = [1.0] * len(factors[0])
     try:
         for column in factors:
             if type(column[0]) is TupleId:
-                products = list(map(mul, products, map(lookup, column)))
+                products = list(map(mul, products, read(column)))
                 continue
-            terms = {
-                group: _group_terms(group, lookup)
-                for group in dict.fromkeys(column)
-            }
-            if None in terms.values():
+            terms = _group_terms(column, read)
+            if terms is None:
                 return None
             products = [
                 prod(terms[group], start=product)
@@ -288,22 +291,41 @@ def _product_form(factors: "tuple[Sequence[TupleId | Group], ...]") -> bool:
     return len(set(tables)) == len(tables)
 
 
-def _group_terms(group: "Group", lookup) -> tuple[float, ...] | None:
-    """What *group* multiplies its row's product by."""
-    columns, members = group.inner.factors, group.members
-    if len(members) == 1 and not group.negated:
-        return tuple([lookup(column[members[0]]) for column in columns])
-    value = _or_probability(columns, members, lookup)
-    if value is None:
-        return None
-    return (1.0 - value,) if group.negated else (value,)
+def _group_terms(
+    column: "Sequence[Group]", read
+) -> "dict[Group, tuple[float, ...]] | None":
+    """What each group of *column* — all over one inner batch — multiplies
+    its rows' products by.  The inner columns are read at the groups'
+    members only, laid end to end, so each group is one slice."""
+    groups = list(dict.fromkeys(column))
+    members = [j for group in groups for j in group.members]
+    leaves = [[tids[j] for j in members] for tids in groups[0].inner.factors]
+    values = [read(tids) if tids else [] for tids in leaves]
+    keys = [[tid.ordinal for tid in tids] for tids in leaves]
+    terms = {}
+    stop = 0
+    for group in groups:
+        start, stop = stop, stop + len(group.members)
+        if stop - start == 1 and not group.negated:
+            terms[group] = tuple([inner[start] for inner in values])
+            continue
+        value = _or_probability(
+            [inner[start:stop] for inner in values],
+            [inner[start:stop] for inner in keys],
+        )
+        if value is None:
+            return None
+        terms[group] = (1.0 - value,) if group.negated else (value,)
+    return terms
 
 
 def _or_probability(
-    columns: "tuple[Sequence[TupleId], ...]", members: Sequence[int], lookup
+    values: "list[list[float]]", keys: "list[list[int]]"
 ) -> float | None:
-    """``P`` of the OR of rows *members* of tid *columns*, by the
-    compiler's own steps — ``None`` unless the OR is star-shaped.
+    """``P`` of the OR of a group's members, by the compiler's own steps —
+    ``None`` unless the OR is star-shaped.  ``values[c][m]`` is the
+    probability of member *m*'s tuple in inner column *c*, ``keys[c][m]``
+    its ordinal: a column is one table's tuples, so ordinals identify.
 
     Members sharing no tuple are independent children: ``1 − ∏(1 −
     P(member))``, left to right.  When exactly one column repeats a tuple
@@ -316,27 +338,24 @@ def _or_probability(
     is its member, and an empty one ⊥ (``1.0 − 1``).
     """
     repeating = [
-        i
-        for i, column in enumerate(columns)
-        if len({column[j] for j in members}) < len(members)
+        c for c, column in enumerate(keys) if len(set(column)) < len(column)
     ]
     if len(repeating) > 1:
         return None
-    clusters: dict[Any, list[int]] = {}
-    for j in members:
-        key = columns[repeating[0]][j] if repeating else j
-        clusters.setdefault(key, []).append(j)
-    rest = [column for i, column in enumerate(columns) if i not in repeating]
-    values = []
-    for hub, cluster in clusters.items():
-        if len(cluster) == 1:
-            values.append(prod([lookup(column[cluster[0]]) for column in columns]))
-        else:
-            p = lookup(hub)
-            high = 1.0 - prod(
-                [1.0 - prod([lookup(column[j]) for column in rest]) for j in cluster]
-            )
-            values.append(p * high + (1.0 - p) * 0.0)
-    if len(values) == 1:
-        return values[0]
-    return 1.0 - prod([1.0 - value for value in values])
+    results = list(map(prod, zip(*values)))  # each member's product
+    if repeating:
+        hub = repeating[0]
+        rest = [column for c, column in enumerate(values) if c != hub]
+        others = list(map(prod, zip(*rest))) if rest else [1.0] * len(results)
+        clusters: dict[int, list[int]] = {}
+        for m, key in enumerate(keys[hub]):
+            clusters.setdefault(key, []).append(m)
+        results = [results[cluster[0]] for cluster in clusters.values()]
+        for i, cluster in enumerate(clusters.values()):
+            if len(cluster) > 1:
+                p = values[hub][cluster[0]]
+                high = 1.0 - prod([1.0 - others[m] for m in cluster])
+                results[i] = p * high + (1.0 - p) * 0.0
+    if len(results) == 1:
+        return results[0]
+    return 1.0 - prod([1.0 - value for value in results])

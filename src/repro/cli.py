@@ -647,6 +647,7 @@ class CommandShell:
             solver=self.solver,
             engine=self.engine,
             request_timeout=request_timeout,
+            audit=self.audit,
         ).start()
         return (
             f"serving PCQE sessions at {self.pcqe_server.address} "

@@ -489,6 +489,7 @@ class PCQEngine:
                 threshold=threshold,
                 required_fraction=request.required_fraction,
                 sql=request.sql,
+                seq=getattr(self.db, "seq", None),
             )
             self.audit.record_decisions(
                 evaluation.query_id, self._decisions(evaluation, "initial")

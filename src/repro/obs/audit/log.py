@@ -11,7 +11,8 @@ carries ``schema``, declaring the record layout for its whole trail):
 
 ``query``
     One per PCQE ``ask``: user, purpose, the matched policy's role, the
-    effective threshold β, the requested fraction θ, and the SQL text.
+    effective threshold β, the requested fraction θ, the SQL text, and —
+    for an ask served on a pinned snapshot — that snapshot's ``seq``.
 ``decision``
     One per result tuple per enforcement pass: the tuple's values, its
     computed confidence, the verdict (``released``/``blocked``), the
@@ -208,8 +209,14 @@ class AuditLog:
         threshold: float,
         required_fraction: float,
         sql: str,
+        seq: int | None = None,
     ) -> str:
-        """Open a query trail; returns its id (``q1``, ``q2``, …)."""
+        """Open a query trail; returns its id (``q1``, ``q2``, …).
+
+        *seq* is the pinned snapshot the query read (a served ask's); the
+        key is only written when given, so a trail over a live database
+        stays byte-identical to earlier journal versions.
+        """
         with self._lock:
             query_id = f"q{self._next_query}"
             self._next_query += 1
@@ -222,6 +229,7 @@ class AuditLog:
                 "required_fraction": required_fraction,
                 "role": role,
                 "schema": AUDIT_SCHEMA_VERSION,
+                **({} if seq is None else {"seq": seq}),
                 "sql": sql,
                 "threshold": threshold,
                 "user": user,

@@ -197,6 +197,8 @@ class SnapshotTable:
     def confidence_of(self, tid: TupleId) -> float:
         return self.get(tid).confidence
 
+    column_confidences = Table.column_confidences
+
     def column_data(self) -> tuple[tuple[list[Any], ...], list[TupleId]]:
         cache = self._column_cache
         if cache is None:
@@ -315,8 +317,9 @@ class SnapshotDatabase:
     def confidence_of(self, tid: TupleId) -> float:
         return self.resolve(tid).confidence
 
-    #: The same per-table batch read (it needs only :meth:`table`).
+    #: The same batch and column reads (they need only :meth:`table`).
     confidences = Database.confidences
+    column_confidences = Database.column_confidences
 
     # -- mutation is forbidden --------------------------------------------
 

@@ -64,7 +64,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Awaitable, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, NamedTuple
 
 from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import (
@@ -89,6 +89,9 @@ from .protocol import encode_frame, read_frame
 from .replication.feed import PrimaryReplication
 from .replication.ops import LINK_OP_PREFIX, register_link_ops
 from .session import Session
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.audit import AuditLog
 
 __all__ = ["PCQEServer", "PRIORITY_CLASSES"]
 
@@ -270,6 +273,8 @@ class PCQEServer:
     *faults* arms a :class:`~repro.server.faults.NetworkFaultInjector`
     for chaos testing.  :attr:`shed_multipliers` maps priority class →
     queue-depth multiple of *workers* above which that class is shed.
+    *audit* is the :class:`~repro.obs.audit.AuditLog` every session's
+    asks journal their trails to, each stamped with the session's pin.
     """
 
     def __init__(
@@ -289,6 +294,7 @@ class PCQEServer:
         epoch: int = 1,
         min_sync_replicas: int = 0,
         sync_timeout: float = 2.0,
+        audit: "AuditLog | None" = None,
     ) -> None:
         # Validate before acquiring anything: a rejected constructor must
         # not leave a commit listener attached to the caller's database.
@@ -298,6 +304,8 @@ class PCQEServer:
         self.request_timeout = request_timeout
         self.policies = policies
         self.solver = solver
+        #: The journal every session's asks are audited to (None: off).
+        self.audit = audit
         self.fallback = fallback
         self.workers = workers
         self.faults = faults
@@ -744,6 +752,7 @@ class PCQEServer:
             client_id=client_id,
             read_only=self.read_only,
             quarantine=self.quarantine,
+            audit=self.audit,
         )
         with self._sessions_lock:
             self._sessions.add(session)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core import PCQEngine, PCQEResult, QueryRequest, greedy_fallback
 from ..engines import DEFAULT_ENGINE, check_engine
@@ -37,6 +37,7 @@ from ..storage.tuples import StoredTuple, TupleId
 from .mvcc import MVCCDatabase, Snapshot, SnapshotTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.audit import AuditLog
     from ..sql import DmlResult
 
 __all__ = ["Session", "SessionContext", "SessionDatabase"]
@@ -133,6 +134,9 @@ class SessionDatabase:
     def confidences(self, tids: Iterable[TupleId]) -> dict[TupleId, float]:
         return self._db.confidences(tids)
 
+    def column_confidences(self, tids: Sequence[TupleId]) -> list[float]:
+        return self._db.column_confidences(tids)
+
     # -- the one sanctioned write ------------------------------------------
 
     def apply_confidences(
@@ -186,6 +190,7 @@ class Session:
         client_id: str | None = None,
         read_only: bool = False,
         quarantine: "set[str] | None" = None,
+        audit: "AuditLog | None" = None,
     ) -> None:
         roles = tuple(sorted(policies.user(user).roles))
         self.id = next(_session_ids)
@@ -209,6 +214,8 @@ class Session:
         self.quarantine: "set[str]" = (
             quarantine if quarantine is not None else set()
         )
+        #: Journal every ask of this session writes its trail to.
+        self.audit = audit
         self._mvcc = mvcc
         self._lock = threading.Lock()
         self._handle: Snapshot | None = mvcc.snapshot()
@@ -298,6 +305,7 @@ class Session:
             solver=self.solver,
             fallback=self.fallback,
             engine=self.engine,
+            audit=self.audit,
         )
         request = QueryRequest(
             sql,

@@ -8,7 +8,7 @@ improvement service (to write increased confidences back).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import DuplicateTableError, UnknownTableError, WriteBackConflictError
 from .lru import BoundedLRU
@@ -259,6 +259,12 @@ class Database:
                 get = getters[tid.table] = self.table(tid.table).get
             confidences[tid] = get(tid).confidence
         return confidences
+
+    def column_confidences(self, tids: Sequence[TupleId]) -> list[float]:
+        """Current confidences of *tids* — one table's tuples, e.g. a
+        factor column — in order, read by ordinal off that table; raises
+        what :meth:`confidences` raises for a missing one."""
+        return self.table(tids[0].table).column_confidences(tids)
 
     def set_confidence(self, tid: TupleId, confidence: float) -> None:
         """Overwrite the stored confidence of base tuple *tid*."""

@@ -393,6 +393,15 @@ class Table:
         """Current confidence of tuple *tid*."""
         return self.get(tid).confidence
 
+    def column_confidences(self, tids: Sequence[TupleId]) -> list[float]:
+        """Current confidences of *tids* — this table's tuples — in order,
+        read by ordinal (raises what :meth:`get` raises for a missing one)."""
+        rows = self._rows
+        try:
+            return [rows[tid.ordinal].confidence for tid in tids]
+        except KeyError:
+            return [self.get(tid).confidence for tid in tids]
+
     def scan(self) -> Iterator[StoredTuple]:
         """Iterate all tuples in insertion order.
 

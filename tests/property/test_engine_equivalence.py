@@ -28,8 +28,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError, LineageError, ReproError
+from repro.errors import (
+    ExecutionError,
+    LineageError,
+    ReproError,
+    UnknownTupleError,
+)
 from repro.lineage.probability import probability
+from repro.policy import PolicyStore
+from repro.server.mvcc import MVCCDatabase
+from repro.server.session import Session
 from repro.sql import execute_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
 from tests.oracle import possible_worlds
@@ -457,6 +465,10 @@ def _assert_confidences_are_the_lineage_probabilities(db, sql) -> None:
     assert _hex(confidences) == _hex(
         probability(row.lineage, probabilities) for row in columnar.rows
     )
+    # Read by ordinal off the tables, or per tuple off a map: one number.
+    assert _hex(confidences) == _hex(
+        columnar.confidences(db.confidences(columnar.base_tuples()))
+    )
     native = run_sql(db, sql, engine="native")
     assert _hex(confidences) == _hex(native.confidences(db))
     for row, confidence in zip(columnar.rows, confidences):
@@ -661,6 +673,103 @@ def test_product_order_is_the_flattened_column_order():
         assert result.confidences(db) == [(a * b) * c]
         assert not result.has_compiled_circuits
         assert run_sql(db, sql, engine="native").confidences(db) == [(a * b) * c]
+
+
+def _star_db() -> Database:
+    """Every key has one ``t`` row and three ``u`` rows."""
+    rng = random.Random(33)
+    keys = [f"k{i}" for i in range(12)]
+    data_t = [
+        (key, i % 3, rng.uniform(0.05, 0.95), 1.0) for i, key in enumerate(keys)
+    ]
+    data_u = [
+        (key, w, rng.uniform(0.05, 0.95)) for key in keys for w in (3, 5, 7)
+    ]
+    return make_db(data_t, data_u)
+
+
+def test_not_in_over_an_empty_subquery_reads_no_inner_tuple():
+    """Every probe's group is empty — ``¬⊥`` — so the inner column is read
+    at no row: the confidences are the outer rows' own."""
+    db = _star_db()
+    sql = "SELECT k, v FROM t WHERE v NOT IN (SELECT w FROM u WHERE w > 99)"
+    _assert_deferred_path(db, sql)
+    result = run_sql(db, sql, engine="columnar")
+    assert not result.has_compiled_circuits
+    assert result.confidences(db) == [row.confidence for row in db.table("t")]
+
+
+@pytest.mark.parametrize(
+    "sql, table",
+    [
+        ("SELECT t.k, u.w FROM t JOIN u ON t.k = u.k", "u"),
+        ("SELECT DISTINCT t.k FROM t JOIN u ON t.k = u.k", "u"),
+        ("SELECT k FROM t WHERE k IN (SELECT k FROM u)", "u"),
+        ("SELECT k FROM t UNION SELECT k FROM u", "u"),
+    ],
+    ids=["join", "star-distinct", "in", "compiled"],
+)
+def test_a_tuple_deleted_after_the_query_is_the_same_refusal(sql, table):
+    """The stored value is read when confidences are asked for: a tuple
+    deleted since the query raises the batch read's error, word for word,
+    whichever path reads it."""
+    db = _star_db()
+    result = run_sql(db, sql, engine="columnar")
+    native = run_sql(db, sql, engine="native")
+    victim = sorted(t for t in result.base_tuples() if t.table == table)[1]
+    db.table(table).delete(victim)
+    with pytest.raises(UnknownTupleError) as expected:
+        db.confidences(native.base_tuples())
+    for each in (result, native):
+        with pytest.raises(UnknownTupleError) as raised:
+            each.confidences(db)
+        assert str(raised.value) == str(expected.value)
+    assert f"no tuple {victim} in table" in str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k",
+        "SELECT DISTINCT t.k FROM t JOIN u ON t.k = u.k",
+        "SELECT k FROM t WHERE k IN (SELECT k FROM u WHERE w > 3)",
+        "SELECT k FROM t UNION SELECT k FROM u",
+    ],
+    ids=["join", "star-distinct", "in", "compiled"],
+)
+def test_a_pinned_session_reads_its_snapshot(sql):
+    """A session's database reads the generation it pinned: a commit
+    after the pin moves the live numbers, not the session's, until it
+    refreshes."""
+    db = _star_db()
+    policies = PolicyStore()
+    policies.add_role("Analyst")
+    policies.add_purpose("review")
+    policies.add_user("ann", roles=["Analyst"])
+    mvcc = MVCCDatabase(db)
+    session = Session(mvcc, policies, "ann", "review")
+    try:
+        pinned = run_sql(db, sql, engine="native").confidences(db)
+        result = run_sql(session.db, sql, engine="columnar")
+        mvcc.commit(
+            lambda live: live.apply_confidences(
+                {tid: 0.5 for tid in result.base_tuples()}
+            )
+        )
+        assert _hex(result.confidences(session.db)) == _hex(pinned)
+        assert _hex(result.confidences(session.db)) != _hex(
+            result.confidences(db)
+        )
+        session.refresh()
+        assert _hex(result.confidences(session.db)) == _hex(
+            result.confidences(db)
+        )
+        assert _hex(result.confidences(db)) == _hex(
+            run_sql(db, sql, engine="native").confidences(db)
+        )
+        assert result.has_compiled_circuits is ("UNION" in sql)
+    finally:
+        session.close()
 
 
 @pytest.mark.parametrize("size", [0, 1, 40, 1_000])

@@ -19,6 +19,7 @@ from repro.obs.audit import (
 from repro.obs.audit.log import _crc32, _encode, _encode_batch
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.policy import PolicyEvaluator
+from repro.server import PCQEServer, ServerClient
 from repro.storage.durability.wal import scan_wal
 from repro.workload import healthcare_database
 
@@ -399,3 +400,41 @@ class TestEngineIntegration:
         assert trail.increments and not trail.increments[0]["approved"]
         # No post-increment pass ran, so every decision is initial.
         assert {r["phase"] for r in trail.decisions} == {"initial"}
+
+
+class TestServedAsks:
+    def test_a_wire_ask_leaves_a_trail_stamped_with_the_sessions_pin(
+        self, tmp_path, running_example, isolated_metrics
+    ):
+        """A server started with an audit log hands it to every session:
+        each ask's trail names the snapshot it read.  An in-process ask on
+        the live database writes no ``seq``."""
+        path = tmp_path / "audit.log"
+        with AuditLog(str(path)) as log:
+            server = PCQEServer(
+                running_example.db, running_example.policies, audit=log
+            ).start()
+            try:
+                with ServerClient(
+                    server.host, server.port, user="bob", purpose="investment"
+                ) as client:
+                    # Move the pin past the hello's first.
+                    client.sql("UPDATE Proposal SET Funding = Funding")
+                    pin = client.seq
+                    reply = client.ask(running_example.QUERY, fraction=0.0)
+                    assert reply["status"] == "satisfied"
+                    assert client.seq == pin
+            finally:
+                server.stop()
+            PCQEngine(
+                running_example.db, running_example.policies, audit=log
+            ).execute(
+                QueryRequest(running_example.QUERY, "investment", 0.0),
+                user="bob",
+            )
+        served, in_process = build_trails(read_audit_log(path)).values()
+        assert pin > 1 and served.query["seq"] == pin
+        assert served.query["user"] == "bob" and served.outcome is not None
+        assert served.decisions
+        assert "seq" not in in_process.query
+        assert list(served.query) == sorted(served.query)

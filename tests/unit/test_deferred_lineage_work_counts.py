@@ -19,6 +19,7 @@ import pytest
 
 from repro import QueryStatus
 from repro.algebra.rows import AnnotatedTuple, ResultSet
+from repro.engines.columnar.batch import ColumnBatch
 from repro.engines.columnar.engine import run_batch
 from repro.errors import ExecutionError
 from repro.lineage.circuit import CircuitPool
@@ -26,10 +27,11 @@ from repro.lineage.formula import And, Or, Var
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.policy import PolicyEvaluator, PolicyStore
-from repro.server.mvcc import MVCCDatabase
+from repro.server.mvcc import MVCCDatabase, SnapshotDatabase
 from repro.server.session import Session
 from repro.sql import prepare, run_sql
 from repro.storage import Database, INTEGER, Schema
+from repro.storage.tuples import TupleId
 
 JOIN = "SELECT l.k, r.x FROM l JOIN r ON l.k = r.k WHERE l.flag = 1"
 BETA = 0.5
@@ -337,3 +339,63 @@ def test_enforcement_describes_a_pool_only_when_one_was_built(
     counters = registry.snapshot()
     assert counters.get("circuit.pool_compiles", 0) == int(compiles)
     assert counters["policy.rows_evaluated"] == outcome.total
+
+
+@pytest.mark.parametrize(
+    "sql, database",
+    [
+        (JOIN, lambda: _database(60, 400)),
+        (
+            "SELECT DISTINCT l.k FROM l JOIN r ON l.k = r.k",
+            lambda: _star_database(20),
+        ),
+        (
+            "SELECT k FROM l WHERE k IN (SELECT k FROM r)",
+            lambda: _star_database(20),
+        ),
+    ],
+    ids=["join", "star-distinct", "in"],
+)
+def test_a_product_form_ask_reads_stored_confidences_by_ordinal(
+    monkeypatch, count_calls, sql, database
+):
+    """The ``policy.confidence`` step of a product-form ask reads each
+    factor column's stored confidences by ordinal off its table: no
+    base-tuple set (``ColumnBatch.variables``), no ``TupleId``-keyed
+    batch read (``Database.confidences``, which a snapshot shares) and no
+    ``TupleId`` hashed.  At the parent commit the join ask (460 rows over
+    510 base tuples) made one snapshot batch read, one ``variables`` call
+    and 2 350 hashes — the set, the dict, a lookup per factor; the star
+    DISTINCT ask (20 groups over 60 tuples) one read, 21 calls and 320
+    hashes; the ``IN`` ask one read, 21 calls and 220 hashes."""
+    session = _session(database())
+    batch_reads = [
+        count_calls(Database, "confidences"),
+        count_calls(SnapshotDatabase, "confidences"),
+    ]
+    variables = count_calls(ColumnBatch, "variables")
+    hashes, inside = [0], [False]
+    hash_tuple = TupleId.__hash__
+
+    def counted_hash(self):
+        hashes[0] += inside[0]
+        return hash_tuple(self)
+
+    confidences = ResultSet.confidences
+
+    def policy_confidence(self, source):
+        inside[0] = True
+        try:
+            return confidences(self, source)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(TupleId, "__hash__", counted_hash)
+    monkeypatch.setattr(ResultSet, "confidences", policy_confidence)
+    reply = session.ask(sql, 0.0)
+    counts = [calls[0] for calls in batch_reads] + [variables[0], hashes[0]]
+    monkeypatch.undo()
+    session.close()
+    assert len(reply.rows) + reply.withheld_count > 0
+    assert not reply.raw_result.has_compiled_circuits
+    assert counts == [0, 0, 0, 0]
