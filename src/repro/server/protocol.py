@@ -37,6 +37,7 @@ from ..errors import ProtocolError
 __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
+    "is_number",
     "read_frame",
     "recv_frame",
     "send_frame",
@@ -59,6 +60,15 @@ def encode_frame(message: dict[str, Any]) -> bytes:
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _LENGTH.pack(len(body)) + body
+
+
+def is_number(
+    value: Any, kind: "type | tuple[type, ...]" = (int, float)
+) -> bool:
+    """Whether a decoded JSON value is a number of *kind*: ``true`` and
+    ``false`` decode to ``bool``, an ``int`` to Python, but no count,
+    seq, epoch or fraction."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _decode_body(body: bytes) -> dict[str, Any]:

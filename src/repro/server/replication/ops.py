@@ -19,6 +19,7 @@ from ...errors import ProtocolError, ServerError, StaleEpochError
 from ...obs import get_metrics
 from ...storage.durability.fingerprint import database_fingerprints
 from ...storage.durability.snapshot import snapshot_payload
+from ..protocol import is_number
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server import PCQEServer
@@ -78,7 +79,7 @@ class _LinkOps:
         peer_epoch = request.get("epoch")
         if peer_epoch is None:
             return
-        if not isinstance(peer_epoch, int) or peer_epoch < 0:
+        if not is_number(peer_epoch, int) or peer_epoch < 0:
             raise ProtocolError(
                 f"epoch must be a non-negative integer, got {peer_epoch!r}"
             )
@@ -102,7 +103,7 @@ class _LinkOps:
             )
         peer["id"] = replica
         last_seq = request.get("last_seq")
-        if isinstance(last_seq, int) and last_seq >= 0:
+        if is_number(last_seq, int) and last_seq >= 0:
             server.replication.record_ack(replica, last_seq)
         return {
             "ok": True,
@@ -116,24 +117,24 @@ class _LinkOps:
     ) -> dict[str, Any]:
         server, replication = self.server, self.server.replication
         from_seq = request.get("from_seq")
-        if not isinstance(from_seq, int) or from_seq < 0:
+        if not is_number(from_seq, int) or from_seq < 0:
             raise ProtocolError(
                 f"{request['op']} needs a non-negative integer 'from_seq', "
                 f"got {from_seq!r}"
             )
         max_frames = request.get("max_frames", 256)
-        if not isinstance(max_frames, int) or not 1 <= max_frames <= 1024:
+        if not is_number(max_frames, int) or not 1 <= max_frames <= 1024:
             raise ProtocolError(
                 f"max_frames must be an integer in [1, 1024], "
                 f"got {max_frames!r}"
             )
         wait_ms = request.get("wait_ms", 0)
-        if not isinstance(wait_ms, (int, float)) or not 0 <= wait_ms <= 2000:
+        if not is_number(wait_ms) or not 0 <= wait_ms <= 2000:
             raise ProtocolError(
                 f"wait_ms must be a number in [0, 2000], got {wait_ms!r}"
             )
         applied = request.get("applied")
-        if isinstance(applied, int) and applied >= 0:
+        if is_number(applied, int) and applied >= 0:
             replication.record_ack(peer["id"], applied)
         frames = replication.feed.frames_since(
             from_seq, max_frames, wait_ms / 1000.0
@@ -172,7 +173,7 @@ class _LinkOps:
         server, replication = self.server, self.server.replication
         from_seq = request.get("from_seq")
         to_seq = request.get("to_seq")
-        if not isinstance(from_seq, int) or not isinstance(to_seq, int):
+        if not is_number(from_seq, int) or not is_number(to_seq, int):
             raise ProtocolError(
                 f"{request['op']} needs integer 'from_seq' and 'to_seq'"
             )

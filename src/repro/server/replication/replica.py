@@ -32,7 +32,7 @@ from collections import deque
 from contextlib import nullcontext
 from typing import Any, Iterable
 
-from ...errors import ProtocolError, ReproError, ServerError, StaleEpochError
+from ...errors import ReproError, ServerError, StaleEpochError
 from ...obs import TIMING_BUCKETS, get_metrics
 from ...policy import PolicyStore
 from ...storage.database import Database
@@ -116,7 +116,8 @@ class Replica:
         self._recent_digests: "deque[tuple[int, int]]" = deque(
             maxlen=_DIGEST_WINDOW
         )
-        self._last_contact = time.monotonic()
+        #: ``now`` of the last step that reached a primary (None: no step yet).
+        self._last_contact: float | None = None
         self._force_resync = False
         self._stop = threading.Event()
         self._promote_lock = threading.Lock()
@@ -138,6 +139,7 @@ class Replica:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        self._link.close()
         self.server.stop()
         self._db.close()
 
@@ -205,30 +207,63 @@ class Replica:
 
     def _run(self) -> None:
         while not self._stop.is_set() and not self.promoted:
+            if not self.step(time.monotonic()):
+                self._stop.wait(self.pull_interval)
+        self._link.close()
+
+    def step(self, now: float) -> bool:
+        """One turn of the pull loop, at *now* (seconds, any origin).
+
+        Connects and handshakes when there is no link, honours
+        :meth:`request_resync`, pulls once and applies what came.  Returns
+        True while the link stays up: step again at once.  False when the
+        step closed it — an error rotated the endpoint, or a resync ran —
+        after the silence check against *now*: wait ``pull_interval``.
+        """
+        link = self._link
+        if self._last_contact is None or link.sock is not None:
+            # The first step starts the silence clock; an open link means
+            # the step before ended in contact.
+            self._last_contact = now
+        try:
             try:
-                self._sync_once()
-            except StaleEpochError:
-                # This endpoint is behind a newer reign; try the next.
-                self._rotate_endpoint()
-            except (OSError, ProtocolError, ServerError, ReproError):
-                self._rotate_endpoint()
-            except Exception:  # pragma: no cover - defensive backstop
+                fresh = link.sock is None
+                if fresh:
+                    # Never pull from ourselves post-promotion.
+                    link.connect(avoid=self._own_address())
+                    handshake = self._request({
+                        "op": "repl.handshake",
+                        "replica": self.replica_id,
+                        "epoch": self.epoch,
+                        "last_seq": self._position,
+                    })
+                    self._last_contact = now
+                if self._force_resync:
+                    self._resync()
+                    self._force_resync = False
+                elif fresh:
+                    self._check_divergence(handshake)
+                self._pull()
+                return True
+            except _ResyncNeeded:
+                self._resync()
+        except Exception as error:
+            # Unreachable, behind a newer reign (StaleEpochError), or —
+            # counted — a defect: try the next endpoint.
+            if not isinstance(error, (OSError, ReproError)):
                 get_metrics().counter("repl.pull_errors").inc()
-                self._rotate_endpoint()
-            if self._stop.is_set() or self.promoted:
-                break
-            self._maybe_auto_promote()
-            self._stop.wait(self.pull_interval)
+            link.rotate()
+            get_metrics().counter("repl.endpoint_rotations").inc()
+        link.close()
+        self._maybe_auto_promote(now)
+        return False
 
-    def _rotate_endpoint(self) -> None:
-        self._link.rotate()
-        get_metrics().counter("repl.endpoint_rotations").inc()
-
-    def _maybe_auto_promote(self) -> None:
+    def _maybe_auto_promote(self, now: float) -> None:
         if self.auto_promote_after is None or self.promoted:
             return
-        silent = time.monotonic() - self._last_contact
-        if silent >= self.auto_promote_after:
+        if self._stop.is_set():  # retiring, not silent
+            return
+        if now - self._last_contact >= self.auto_promote_after:
             get_metrics().counter("repl.auto_promotions").inc()
             self.promote()
 
@@ -247,9 +282,8 @@ class Replica:
         link.connect(avoid=self._own_address())
         return link
 
-    def _request(
-        self, link: WireLink, message: dict[str, Any]
-    ) -> dict[str, Any]:
+    def _request(self, message: dict[str, Any]) -> dict[str, Any]:
+        link = self._link
         if self.faults is not None and message.get("op") == "repl.pull":
             action = self.faults.decide(
                 "repl.pull", len(encode_frame(message))
@@ -290,34 +324,7 @@ class Replica:
                 store_epoch(self.data_dir, peer_epoch)
             self.server.set_epoch(peer_epoch)
 
-    def _sync_once(self) -> None:
-        link = self._link
-        # Never pull from ourselves post-promotion.
-        link.connect(avoid=self._own_address())
-        try:
-            handshake = self._request(
-                link,
-                {
-                    "op": "repl.handshake",
-                    "replica": self.replica_id,
-                    "epoch": self.epoch,
-                    "last_seq": self._position,
-                },
-            )
-            self._last_contact = time.monotonic()
-            try:
-                if self._force_resync:
-                    self._resync(link)
-                    self._force_resync = False
-                else:
-                    self._check_divergence(link, handshake)
-                self._pull_loop(link)
-            except _ResyncNeeded:
-                self._resync(link)
-        finally:
-            link.close()
-
-    def _check_divergence(self, link: WireLink, handshake: dict) -> None:
+    def _check_divergence(self, handshake: dict) -> None:
         """Compare recent frame digests with the primary's; a forked tail
         (we applied frames the new reign never committed) is truncated to
         the common prefix via a snapshot resync."""
@@ -330,15 +337,12 @@ class Replica:
             raise _ResyncNeeded()
         if not local:
             return
-        reply = self._request(
-            link,
-            {
-                "op": "repl.digest",
-                "from_seq": local[0][0] - 1,
-                "to_seq": local[-1][0],
-                "epoch": self.epoch,
-            },
-        )
+        reply = self._request({
+            "op": "repl.digest",
+            "from_seq": local[0][0] - 1,
+            "to_seq": local[-1][0],
+            "epoch": self.epoch,
+        })
         if reply.get("resync"):
             raise _ResyncNeeded()
         remote = [
@@ -349,40 +353,32 @@ class Replica:
             get_metrics().counter("repl.divergences").inc()
             raise _ResyncNeeded()
 
-    def _pull_loop(self, link: WireLink) -> None:
+    def _pull(self) -> None:
         metrics = get_metrics()
-        while not self._stop.is_set() and not self.promoted:
-            if self._force_resync:
-                self._resync(link)
-                self._force_resync = False
-            reply = self._request(
-                link,
-                {
-                    "op": "repl.pull",
-                    "from_seq": self._position,
-                    "max_frames": self.max_frames,
-                    "wait_ms": self.wait_ms,
-                    "applied": self._position,
-                    "epoch": self.epoch,
-                },
+        reply = self._request({
+            "op": "repl.pull",
+            "from_seq": self._position,
+            "max_frames": self.max_frames,
+            "wait_ms": self.wait_ms,
+            "applied": self._position,
+            "epoch": self.epoch,
+        })
+        if reply.get("resync"):
+            raise _ResyncNeeded()
+        for entry in reply.get("frames", []):
+            seq, text = int(entry[0]), entry[1]
+            payload = text.encode("utf-8")
+            if self.faults is not None:
+                action = self.faults.decide("repl.frame", len(payload))
+                if action is not None and action.mode == "dup":
+                    metrics.counter("repl.faults.injected").inc()
+                    self._apply_frame(seq, payload)
+            self._apply_frame(seq, payload)
+        last_seq = reply.get("last_seq")
+        if isinstance(last_seq, int):
+            metrics.gauge("repl.lag_frames").set(
+                max(0, last_seq - self._position)
             )
-            self._last_contact = time.monotonic()
-            if reply.get("resync"):
-                raise _ResyncNeeded()
-            for entry in reply.get("frames", []):
-                seq, text = int(entry[0]), entry[1]
-                payload = text.encode("utf-8")
-                if self.faults is not None:
-                    action = self.faults.decide("repl.frame", len(payload))
-                    if action is not None and action.mode == "dup":
-                        metrics.counter("repl.faults.injected").inc()
-                        self._apply_frame(seq, payload)
-                self._apply_frame(seq, payload)
-            last_seq = reply.get("last_seq")
-            if isinstance(last_seq, int):
-                metrics.gauge("repl.lag_frames").set(
-                    max(0, last_seq - self._position)
-                )
 
     def _replaying(self):
         """Journaling off: what is replayed is already in the local log."""
@@ -442,7 +438,7 @@ class Replica:
         if self._manager is not None:
             self._manager.maybe_checkpoint()
 
-    def _resync(self, link: WireLink) -> None:
+    def _resync(self) -> None:
         """Bootstrap (or truncate-and-rebuild) from a primary snapshot.
 
         Replaces the whole logical state under one MVCC publish, realigns
@@ -454,7 +450,7 @@ class Replica:
             # Never rebuild a retiring or promoted node from a peer.
             return
         metrics = get_metrics()
-        reply = self._request(link, {"op": "repl.snapshot", "epoch": self.epoch})
+        reply = self._request({"op": "repl.snapshot", "epoch": self.epoch})
         snap_seq = reply["seq"]
         payload = reply["snapshot"]
 

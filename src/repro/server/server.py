@@ -1,10 +1,12 @@
 """The PCQE socket server: many sessions, one MVCC database.
 
-:class:`PCQEServer` accepts connections on an asyncio event loop (run on
-a daemon thread, so tests and the CLI can start/stop it synchronously),
-speaks the length-prefixed JSON protocol of
-:mod:`~repro.server.protocol`, and runs the actual query work on a
-thread pool — the event loop only ever parses frames and schedules.
+:meth:`PCQEServer.handle` answers one decoded frame on the caller's
+thread.  The socket side is an adapter around it: an asyncio event loop
+(run on a daemon thread, so tests and the CLI can start/stop it
+synchronously) reads the length-prefixed JSON frames of
+:mod:`~repro.server.protocol`, runs the stages, and makes one hop to a
+thread pool for the part that blocks — the event loop only ever parses
+frames and schedules.
 
 Each connection starts with a ``hello`` naming ⟨user, purpose⟩ and gets
 a :class:`~repro.server.session.Session` with a pinned snapshot.
@@ -14,10 +16,11 @@ parallel up to the pool size, with everything beyond that queueing.
 One request path: every decoded frame becomes one request record and
 walks one pipeline — route by connection kind, then the stages that kind
 owes (client session: idempotent replay → breaker → drain/shed/admit →
-run under the request timeout; replication link: fence → run) — until a
-stage sets the reply, which is stamped with the request's ``rid`` and
-written at the single write boundary (``docs/SERVING.md`` has the stage
-table).  The ops are rows of one table built at construction.
+run; replication link: fence → run) — until a stage sets the reply or
+leaves one pending call; the reply is stamped with the request's
+``rid`` and, over a socket, written at the single write boundary
+(``docs/SERVING.md`` has the stage table).  The ops are rows of one
+table built at construction.
 
 Admission control: before queueing a request carrying ``deadline_ms``,
 the server projects the queue wait from the current in-flight count and
@@ -63,8 +66,8 @@ import functools
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Awaitable, Callable, NamedTuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ..engines import DEFAULT_ENGINE, check_engine
 from ..errors import (
@@ -85,7 +88,7 @@ from ..storage.database import IDEMPOTENCY_CAPACITY, Database
 from ..storage.lru import BoundedLRU as _KeyedLRU  # ⟨client id, key⟩ → entry
 from .faults import NetworkFaultInjector
 from .mvcc import MVCCDatabase
-from .protocol import encode_frame, read_frame
+from .protocol import encode_frame, is_number, read_frame
 from .replication.feed import PrimaryReplication
 from .replication.ops import LINK_OP_PREFIX, register_link_ops
 from .session import Session
@@ -238,14 +241,14 @@ class _Request:
     """The one record a decoded frame carries down the pipeline.
 
     A stage reads what earlier stages added and adds its own; setting
-    ``reply`` ends the walk.  What a skipped stage would have added keeps
-    its default, which is its stated consequence downstream: never
-    ``admitted`` means no slot to give back, no span, no breaker verdict;
-    no ``timeout`` means the run is not bounded.
+    ``reply`` or ``pending`` ends the walk.  What a skipped stage would
+    have added keeps its default, which is its stated consequence
+    downstream: never ``admitted`` means no slot to give back, no span,
+    no breaker verdict; no ``timeout`` means the run is not bounded.
     """
 
     __slots__ = ("conn", "frame", "op", "rid", "entry", "key", "admitted",
-                 "timeout", "reply", "close")
+                 "timeout", "reply", "close", "pending")
 
     def __init__(self, conn: _Connection, frame: dict[str, Any]) -> None:
         self.conn, self.frame = conn, frame
@@ -255,6 +258,10 @@ class _Request:
         self.timeout: float | None = None
         self.reply: Any = None
         self.admitted = self.close = False  # close: hang up after the reply
+        #: The blocking call left for last — the run, the in-flight run
+        #: a replay shares, or a durable re-acknowledgement — whose
+        #: return value is the reply.
+        self.pending: "Callable[[], dict[str, Any]] | None" = None
 
     def refuse(self, error: BaseException) -> None:
         self.reply = _error_reply(error)
@@ -560,7 +567,6 @@ class PCQEServer:
                     return
                 if frame is None:
                     return  # clean disconnect
-                req = _Request(conn, frame)
                 # Replication links stay out of drain's books: a draining
                 # primary keeps feeding its replicas so acknowledged
                 # commits reach safety before shutdown.
@@ -569,17 +575,15 @@ class PCQEServer:
                     with self._admission_lock:
                         self._requests_open += 1
                 try:
-                    await self._serve(req)
-                    wrote = await self._write_frame(
-                        writer, _stamp(req.reply, req.rid)
-                    )
+                    reply, close = await self._serve(conn, frame)
+                    wrote = await self._write_frame(writer, reply)
                 finally:
                     if counted:
                         with self._admission_lock:
                             self._requests_open -= 1
                             if self._draining and self._quiescent():
                                 self._quiesced.notify_all()
-                if req.close or not wrote:
+                if close or not wrote:
                     return
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; the finally block cleans up
@@ -594,12 +598,7 @@ class PCQEServer:
             metrics.counter("server.connection_errors").inc()
             logger.exception("connection handler failed")
         finally:
-            if conn.kind == "session":
-                conn.party.close()
-                with self._sessions_lock:
-                    self._sessions.discard(conn.party)
-                metrics.gauge("server.active_sessions").dec()
-            conn.breaker.discard()
+            self.hang_up(conn)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -607,6 +606,43 @@ class PCQEServer:
                 pass  # pragma: no cover
             except asyncio.CancelledError:  # pragma: no cover - shutdown
                 pass
+
+    async def _serve(
+        self, conn: _Connection, frame: dict[str, Any]
+    ) -> "tuple[dict[str, Any], bool]":
+        """:meth:`handle` behind a socket: the stages run on the event
+        loop, the pending part makes the one hop to the pool, under the
+        request timeout."""
+        req = self._walk(conn, frame)
+        if req.pending is not None:
+            assert self._loop is not None
+            hop = self._loop.run_in_executor(self._executor, req.pending)
+            try:
+                reply = await asyncio.wait_for(
+                    asyncio.shield(hop), req.timeout
+                )
+            except asyncio.TimeoutError:
+                get_metrics().counter("server.timeouts").inc()
+                reply = _error_reply(
+                    RequestTimeoutError(
+                        f"{req.op} exceeded the server-side request timeout "
+                        f"of {req.timeout * 1000.0:g} ms",
+                        op=str(req.op),
+                        timeout_ms=req.timeout * 1000.0,
+                    )
+                )
+                # Cancellation handshake: budgets are cooperative, so the
+                # worker (whose deadline was capped at admission) should
+                # yield shortly.  If it does not within the grace window,
+                # the connection is poisoned — closed after this reply —
+                # so the session is never shared with a still-running
+                # worker.  The late result gets no breaker verdict.
+                done, _pending = await asyncio.wait(
+                    {hop}, timeout=max(1.0, 2.0 * req.timeout)
+                )
+                req.close = not done
+            self._settle(req, reply)
+        return _stamp(req.reply, req.rid), req.close
 
     async def _write_frame(
         self, writer: asyncio.StreamWriter, message: dict[str, Any]
@@ -661,16 +697,46 @@ class PCQEServer:
 
     # -- the request pipeline ------------------------------------------------
 
-    async def _serve(self, req: _Request) -> None:
-        """Walk one decoded frame down the pipeline until a stage sets
-        its reply.  A stage is a plain call on the event loop; one that
-        has to wait returns the awaitable."""
+    def handle(
+        self, conn: _Connection, frame: dict[str, Any]
+    ) -> "tuple[dict[str, Any], bool]":
+        """Answer one decoded frame on *conn*, all on the caller's thread:
+        walk the stages, wait on what they left pending inline, settle.
+        Returns the ``rid``-stamped reply and whether to hang up after it.
+        No wall-clock timeout applies here — that is the socket's."""
+        req = self._walk(conn, frame)
+        if req.pending is not None:
+            self._settle(req, req.pending())
+        return _stamp(req.reply, req.rid), req.close
+
+    def hang_up(self, conn: _Connection) -> None:
+        """Release what a finished conversation held: its session's pin,
+        its place in the session set and gauge, an open breaker's gauge."""
+        if conn.kind == "session":
+            conn.party.close()
+            with self._sessions_lock:
+                self._sessions.discard(conn.party)
+            get_metrics().gauge("server.active_sessions").dec()
+        conn.breaker.discard()
+
+    def _walk(self, conn: _Connection, frame: dict[str, Any]) -> _Request:
+        """Walk one decoded frame down the pipeline until a stage sets its
+        reply or leaves it pending; every stage is a plain call."""
+        req = _Request(conn, frame)
         for stage in self._route(req):
-            waiting = stage(req)
-            if waiting is not None:
-                await waiting
-            if req.reply is not None:
-                return
+            stage(req)
+            if req.reply is not None or req.pending is not None:
+                break
+        return req
+
+    def _settle(self, req: _Request, reply: dict[str, Any]) -> None:
+        """The pending call's reply becomes the request's, and an admitted
+        request gets its one breaker verdict on it."""
+        req.reply = reply
+        if req.admitted and reply.get("ok", False):
+            req.conn.breaker.record_success()
+        elif req.admitted:
+            req.conn.breaker.record_failure()
 
     def _reply_of(self, label: Any, call: Callable[..., Any], *args: Any) -> Any:
         """The one place an exception becomes a reply: what *call*
@@ -776,38 +842,33 @@ class PCQEServer:
             req.op, req.entry.fence, req.conn.party, req.frame
         )
 
-    def _replay(self, req: _Request) -> "Awaitable[None] | None":
+    def _replay(self, req: _Request) -> None:
         """Exactly-once: a key seen before is answered, not re-executed."""
         key = req.frame.get("idempotency_key")
         if key is None:
-            return None
+            return
         if not isinstance(key, str):
             return req.refuse(ProtocolError("idempotency_key must be a string"))
         req.key = (req.conn.party.client_id, key)
-        seen, flag = self._idempotency.get(req.key), {"idempotent_replay": True}
+        seen = self._idempotency.get(req.key)
         if seen is None:
             seq = self._db.idempotency_keys.get(req.key)
             if seq is None:
-                return None
+                return
             # Durable dedup: the key was journaled inside the commit it
             # guards and restored by whatever restored that commit — log
             # replay, a snapshot, a replica's apply.  The full reply is
             # gone (it lived in the executing process's volatile cache);
             # re-acknowledge the commit without re-executing it (a failed
             # re-wait is a plain error).
-            assert self._loop is not None
-            seen, flag = self._loop.run_in_executor(
-                self._executor, self._reply_of, req.op, self._reacknowledge, seq
-            ), {}
+            req.pending = functools.partial(
+                self._reply_of, req.op, self._reacknowledge, seq
+            )
+        elif isinstance(seen, Future):  # still running: share it
+            req.pending = lambda: {**seen.result(), "idempotent_replay": True}
+        else:
+            req.reply = {**seen, "idempotent_replay": True}
         get_metrics().counter("server.idempotent_replays").inc()
-
-        async def replay() -> None:
-            reply = seen
-            if isinstance(seen, asyncio.Future):  # still running: share it
-                reply = await asyncio.shield(seen)
-            req.reply = {**reply, **flag}
-
-        return replay()
 
     def _reacknowledge(self, seq: int) -> dict[str, Any]:
         self._confirm_replicated(seq)
@@ -851,47 +912,17 @@ class PCQEServer:
             if not isinstance(deadline_ms, (int, float)) or deadline_ms > cap_ms:
                 req.frame = {**req.frame, "deadline_ms": cap_ms}
 
-    async def _run_op(self, req: _Request) -> None:
-        """Run the handler on the pool, under the request timeout; then
-        record the outcome with the connection's breaker."""
-        assert self._loop is not None
-        future = self._loop.run_in_executor(self._executor, self._work, req)
+    def _run_op(self, req: _Request) -> None:
+        """Leave the handler's run pending; a keyed run is first entered
+        in the volatile map as the in-flight future its replays share."""
+        req.pending = functools.partial(self._work, req)
         if req.key is not None:
-            key = req.key
-            self._idempotency.put(key, future)
-            future.add_done_callback(
-                lambda fut: self._settle_idempotent(key, fut)
-            )
-        try:
-            req.reply = await asyncio.wait_for(
-                asyncio.shield(future), req.timeout
-            )
-        except asyncio.TimeoutError:
-            get_metrics().counter("server.timeouts").inc()
-            req.refuse(
-                RequestTimeoutError(
-                    f"{req.op} exceeded the server-side request timeout of "
-                    f"{req.timeout * 1000.0:g} ms",
-                    op=str(req.op),
-                    timeout_ms=req.timeout * 1000.0,
-                )
-            )
-            # Cancellation handshake: budgets are cooperative, so the
-            # worker (whose deadline was capped at admission) should
-            # yield shortly.  If it does not within the grace window, the
-            # connection is poisoned — closed after this reply — so the
-            # session is never shared with a still-running worker.
-            done, _pending = await asyncio.wait(
-                {future}, timeout=max(1.0, 2.0 * req.timeout)
-            )
-            req.close = not done
-        if req.admitted and req.reply.get("ok", False):
-            req.conn.breaker.record_success()
-        elif req.admitted:
-            req.conn.breaker.record_failure()
+            future: Future = Future()
+            self._idempotency.put(req.key, future)
+            req.pending = functools.partial(self._keyed_run, req, future)
 
     def _work(self, req: _Request) -> dict[str, Any]:
-        """The worker-thread half of the run stage."""
+        """The run itself, on whichever thread waits on the request."""
         party = req.conn.party
         if not req.admitted:
             return self._reply_of(req.op, req.entry.handler, party, req.frame)
@@ -911,20 +942,22 @@ class PCQEServer:
         finally:
             self._finish(time.perf_counter() - started)
 
-    def _settle_idempotent(
-        self, key: tuple[str, str], future: "asyncio.Future"
-    ) -> None:
-        """Swap the in-flight future for the completed reply (ok replies
-        only — a failed attempt must not pin its error as the permanent
-        answer for the key)."""
-        if future.cancelled() or future.exception() is not None:
-            self._idempotency.drop(key)
-            return
-        reply = future.result()
-        if isinstance(reply, dict) and reply.get("ok", False):
-            self._idempotency.put(key, reply)
+    def _keyed_run(self, req: _Request, future: Future) -> dict[str, Any]:
+        """Run, then swap the in-flight future for the completed reply (ok
+        replies only — a failed attempt must not pin its error as the
+        permanent answer for the key) and hand it to the replays waiting."""
+        try:
+            reply = self._work(req)
+        except BaseException as error:
+            self._idempotency.drop(req.key)
+            future.set_exception(error)
+            raise
+        if reply.get("ok", False):
+            self._idempotency.put(req.key, reply)
         else:
-            self._idempotency.drop(key)
+            self._idempotency.drop(req.key)
+        future.set_result(reply)
+        return reply
 
     def _admit(self, op: str, deadline_ms: Any) -> None:
         """Gate one request; raises its refusal, else takes a pool slot.
@@ -1010,7 +1043,7 @@ class PCQEServer:
         if not isinstance(sql, str) or not sql.strip():
             raise ProtocolError("ask needs a non-empty 'sql' string")
         fraction = request.get("fraction", 1.0)
-        if not isinstance(fraction, (int, float)):
+        if not is_number(fraction):
             raise ProtocolError(f"fraction must be a number, got {fraction!r}")
         deadline_ms = request.get("deadline_ms")
         result = session.ask(
@@ -1096,7 +1129,7 @@ class PCQEServer:
         min_seq = request.get("min_seq")
         if min_seq is None:
             return
-        if not isinstance(min_seq, int) or min_seq < 0:
+        if not is_number(min_seq, int) or min_seq < 0:
             raise ProtocolError(
                 f"min_seq must be a non-negative integer, got {min_seq!r}"
             )

@@ -13,6 +13,10 @@ session ids (a process-global counter) are masked.  Nothing but raw
 sockets, the public constructors and ``server._draining`` is used, which
 is what lets the same file run on both sides of the rewrite.
 
+The socket comes from a factory: :func:`tcp` dials a started server,
+:class:`tests.loopback.LoopbackSocket` hands each frame to
+``server.handle`` on this thread, so one conversation runs over both.
+
 Re-record (only when a wire reply is *meant* to change)::
 
     PYTHONPATH=src python -m tests.golden_wire
@@ -20,12 +24,13 @@ Re-record (only when a wire reply is *meant* to change)::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from repro.errors import ProtocolError
 from repro.policy import PolicyStore
@@ -48,15 +53,25 @@ def policies() -> PolicyStore:
     return policies
 
 
-class _Wire:
-    """One raw connection; every reply lands in the shared transcript."""
+def tcp(server: PCQEServer) -> socket.socket:
+    """A real connection to a started *server*."""
+    return socket.create_connection((server.host, server.port), timeout=10)
 
-    def __init__(self, server: PCQEServer, name: str, transcript: list) -> None:
+
+#: ``connect(server) -> socket``: :func:`tcp` or a loopback factory.
+Connect = Callable[[PCQEServer], Any]
+
+
+class _Wire:
+    """One raw connection, made by *connect*; every reply lands in the
+    shared transcript."""
+
+    def __init__(
+        self, connect: Connect, server: PCQEServer, name: str, transcript: list
+    ) -> None:
         self.name = name
         self.transcript = transcript
-        self.sock = socket.create_connection(
-            (server.host, server.port), timeout=10
-        )
+        self.sock = connect(server)
 
     def read(self, step: str) -> "dict[str, Any] | None":
         try:
@@ -85,8 +100,12 @@ class _Wire:
         self.sock.close()
 
 
-def _client_session(server: PCQEServer, transcript: list) -> None:
-    wire = _Wire(server, "session", transcript)
+#: ``dial(name)``: a new named wire to the server under test.
+Dial = Callable[[str], _Wire]
+
+
+def _client_session(server: PCQEServer, dial: Dial) -> None:
+    wire = dial("session")
     wire.send("hello", {"op": "hello", "user": "bob", "purpose": "ops",
                         "client_id": "golden", "rid": 1})
     wire.send("create", {"op": "sql", "rid": 2,
@@ -138,8 +157,8 @@ def _client_session(server: PCQEServer, transcript: list) -> None:
     wire.expect_closed()
 
 
-def _replication_link(server: PCQEServer, transcript: list) -> None:
-    wire = _Wire(server, "link", transcript)
+def _replication_link(server: PCQEServer, dial: Dial) -> None:
+    wire = dial("link")
     wire.send("pull before handshake", {"op": "repl.pull", "from_seq": 0,
                                         "rid": 1})
     wire.send("unknown repl op", {"op": "repl.bogus", "rid": 2})
@@ -174,14 +193,14 @@ def _replication_link(server: PCQEServer, transcript: list) -> None:
     wire.send("client op on a link", {"op": "ask", "sql": "SELECT name FROM t",
                                       "rid": 19})
     wire.expect_closed()
-    wire = _Wire(server, "link2", transcript)
+    wire = dial("link2")
     wire.send("unknown repl op first", {"op": "repl.bogus", "rid": 1})
     wire.send("hello on a link", {"op": "hello", "user": "bob",
                                   "purpose": "ops", "rid": 2})
     wire.expect_closed()
 
 
-def _first_frames(server: PCQEServer, transcript: list) -> None:
+def _first_frames(server: PCQEServer, dial: Dial) -> None:
     for step, message in [
         ("ask first", {"op": "ask", "sql": "SELECT name FROM t", "rid": 1}),
         ("bye first", {"op": "bye", "rid": 1}),
@@ -194,7 +213,7 @@ def _first_frames(server: PCQEServer, transcript: list) -> None:
                                  "purpose": "ops", "client_id": 7, "rid": 1}),
         ("hello no rid", {"op": "hello", "user": "mallory", "purpose": "ops"}),
     ]:
-        wire = _Wire(server, "fresh", transcript)
+        wire = dial("fresh")
         wire.send(step, message)
         wire.expect_closed()
     for step, data in [
@@ -202,16 +221,16 @@ def _first_frames(server: PCQEServer, transcript: list) -> None:
         ("not an object", struct.pack(">I", 5) + b"[1,2]"),
         ("oversize length", struct.pack(">I", 1 << 31)),
     ]:
-        wire = _Wire(server, "fresh", transcript)
+        wire = dial("fresh")
         wire.send_bytes(step, data)
         wire.expect_closed()
     server._draining = True
     try:
-        wire = _Wire(server, "fresh", transcript)
+        wire = dial("fresh")
         wire.send("hello while draining", {"op": "hello", "user": "bob",
                                            "purpose": "ops", "rid": 1})
         wire.expect_closed()
-        wire = _Wire(server, "link3", transcript)
+        wire = dial("link3")
         wire.send("handshake while draining", {
             "op": "repl.handshake", "replica": "r2", "rid": 1})
         wire.sock.close()
@@ -219,8 +238,8 @@ def _first_frames(server: PCQEServer, transcript: list) -> None:
         server._draining = False
 
 
-def _draining_session(server: PCQEServer, transcript: list) -> None:
-    wire = _Wire(server, "draining", transcript)
+def _draining_session(server: PCQEServer, dial: Dial) -> None:
+    wire = dial("draining")
     wire.send("hello", {"op": "hello", "user": "bob", "purpose": "ops",
                         "client_id": "golden", "rid": 1})
     server._draining = True
@@ -243,11 +262,11 @@ REPEATED_ASK = {"op": "ask", "sql": "SELECT name, qty FROM t WHERE qty > 0",
                 "fraction": 0, "rid": 2}
 
 
-def repeated_ask(server: PCQEServer, transcript: list) -> None:
+def repeated_ask(server: PCQEServer, dial: Dial) -> None:
     """The same ask twice on one session and once on a second session."""
     for name, steps in (("repeat-a", ("ask", "ask again")),
                         ("repeat-b", ("ask on another session",))):
-        wire = _Wire(server, name, transcript)
+        wire = dial(name)
         wire.send("hello", {"op": "hello", "user": "bob", "purpose": "ops",
                             "rid": 1})
         for step in steps:
@@ -256,8 +275,8 @@ def repeated_ask(server: PCQEServer, transcript: list) -> None:
         wire.expect_closed()
 
 
-def _after_restart(server: PCQEServer, transcript: list) -> None:
-    wire = _Wire(server, "restarted", transcript)
+def _after_restart(server: PCQEServer, dial: Dial) -> None:
+    wire = dial("restarted")
     wire.send("hello", {"op": "hello", "user": "bob", "purpose": "ops",
                         "client_id": "golden", "rid": 1})
     wire.send("key replayed from the replicated map", {
@@ -269,36 +288,54 @@ def _after_restart(server: PCQEServer, transcript: list) -> None:
     wire.expect_closed()
 
 
-def _in_memory(transcript: list) -> None:
-    with PCQEServer(Database("mem"), policies(), port=0) as server:
-        wire = _Wire(server, "in-memory", transcript)
-        wire.send("handshake", {"op": "repl.handshake", "replica": "r1",
-                                "rid": 1})
-        wire.send("unknown repl op", {"op": "repl.bogus", "rid": 2})
-        wire.sock.close()
+@contextlib.contextmanager
+def serving(
+    db: Database, connect: Connect, transcript: list
+) -> "Iterator[tuple[PCQEServer, Dial]]":
+    """A server over *db* (listening only for :func:`tcp`) and the factory
+    of named wires to it, all recording into *transcript*."""
+    server = PCQEServer(db, policies(), port=0)
+    try:
+        if connect is tcp:
+            server.start()
+        yield server, lambda name: _Wire(connect, server, name, transcript)
+    finally:
+        server.stop()
 
 
-def run_conversation() -> "list[list[str]]":
-    """Play the whole script; ``[step, reply JSON text]`` per frame read."""
+def run_conversation(
+    connect: Connect = tcp,
+    after: "Callable[[PCQEServer], None]" = lambda server: None,
+) -> "list[list[str]]":
+    """Play the whole script; ``[step, reply JSON text]`` per frame read.
+    *after* sees each server once its part of the script is over."""
     transcript: "list[list[str]]" = []
     with tempfile.TemporaryDirectory() as root:
         db = Database.open(root)
         try:
-            with PCQEServer(db, policies(), port=0) as server:
-                _client_session(server, transcript)
-                _replication_link(server, transcript)
-                _first_frames(server, transcript)
-                _draining_session(server, transcript)
-                repeated_ask(server, transcript)
+            with serving(db, connect, transcript) as (server, dial):
+                _client_session(server, dial)
+                _replication_link(server, dial)
+                _first_frames(server, dial)
+                _draining_session(server, dial)
+                repeated_ask(server, dial)
+                after(server)
         finally:
             db.close()
         db = Database.open(root)
         try:
-            with PCQEServer(db, policies(), port=0) as server:
-                _after_restart(server, transcript)
+            with serving(db, connect, transcript) as (server, dial):
+                _after_restart(server, dial)
+                after(server)
         finally:
             db.close()
-    _in_memory(transcript)
+    with serving(Database("mem"), connect, transcript) as (server, dial):
+        wire = dial("in-memory")
+        wire.send("handshake", {"op": "repl.handshake", "replica": "r1",
+                                "rid": 1})
+        wire.send("unknown repl op", {"op": "repl.bogus", "rid": 2})
+        wire.sock.close()
+        after(server)
     return transcript
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import socket
-import time
 
 import pytest
 
@@ -65,15 +64,6 @@ def _raw_session(port: int, client_id: str) -> socket.socket:
 def _rpc(sock: socket.socket, **message) -> dict:
     send_frame(sock, message)
     return recv_frame(sock)
-
-
-def _eventually(predicate, timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
 
 
 @pytest.fixture
@@ -201,25 +191,29 @@ class TestPromotion:
             assert replica.promote() == 7  # second call is a no-op
             assert replica.epoch == 7
 
-    def test_auto_promotion_after_primary_silence(self, primary):
-        server, policies, _db = primary
-        client = _client(server.port)
-        client.sql("CREATE TABLE t (name TEXT)")
-        with Replica(
-            [f"127.0.0.1:{server.port}"],
-            policies,
-            pull_interval=0.02,
-            wait_ms=20,
-            auto_promote_after=0.2,
-        ) as replica:
-            assert replica.wait_for_position(client.last_write_seq, 5.0)
-            server.stop()
-            assert _eventually(lambda: replica.promoted, timeout=10.0)
-            assert replica.epoch == 2
-            assert (
-                get_metrics().counter("repl.auto_promotions").snapshot() >= 1
+    def test_auto_promotion_after_primary_silence(self, no_new_threads):
+        """Driven by ``step(now)``: the first step starts the silence
+        clock, and a step ``auto_promote_after`` later with no primary
+        reachable promotes."""
+        with socket.socket() as unreachable:  # bound, never listening
+            unreachable.bind(("127.0.0.1", 0))
+            replica = Replica(
+                ["%s:%d" % unreachable.getsockname()],
+                _policies(),
+                auto_promote_after=0.2,
             )
-        client.close()
+            try:
+                assert replica.step(0.0) is False
+                assert not replica.promoted
+                assert replica.step(0.2) is False
+                assert replica.promoted
+                assert replica.epoch == 2
+                assert replica.server.role == "primary"
+                metrics = get_metrics()
+                assert metrics.counter("repl.auto_promotions").snapshot() == 1
+                assert metrics.counter("repl.endpoint_rotations").snapshot() == 2
+            finally:
+                replica.stop()
 
 
 class TestEpochFencing:
@@ -248,35 +242,28 @@ class TestEpochFencing:
 
     def test_replica_rejects_a_lower_epoch_peer(self, primary):
         server, policies, _db = primary
-        replica = Replica(
-            [f"127.0.0.1:{server.port}"],
-            policies,
-            pull_interval=0.01,
-            wait_ms=50,
-        )
-        replica.server.start()
+        replica = Replica([f"127.0.0.1:{server.port}"], policies)
         try:
             # As if this node already served under a newer reign: the
             # handshake announces epoch 5, so the epoch-1 primary fences
-            # itself rather than feeding a stale stream.
+            # itself rather than feeding a stale stream, and the step
+            # moves on to the next endpoint.
             replica.epoch = 5
-            with pytest.raises(ServerReplyError) as excinfo:
-                replica._sync_once()
-            assert excinfo.value.error["type"] == "StaleEpochError"
+            assert replica.step(0.0) is False
             assert replica.epoch == 5  # never regressed to the peer's
+            metrics = get_metrics()
+            assert metrics.counter("server.fenced").snapshot() == 1
+            assert metrics.counter("repl.endpoint_rotations").snapshot() == 1
+            assert replica.position == 0
             # Second layer, for a peer that answers ok with an older
             # epoch anyway: the replica refuses to adopt it.
             with pytest.raises(StaleEpochError):
                 replica._adopt_epoch(1)
             assert (
-                get_metrics()
-                .counter("repl.stale_frames_rejected")
-                .snapshot()
-                >= 1
+                metrics.counter("repl.stale_frames_rejected").snapshot() == 1
             )
         finally:
-            replica.server.stop()
-            replica._db.close()
+            replica.stop()
 
 
 class TestDurableReplay:

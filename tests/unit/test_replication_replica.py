@@ -195,6 +195,34 @@ class TestStreamingApply:
         client.close()
 
 
+class TestStep:
+    def test_a_resync_requested_between_steps_runs_on_the_next(
+        self, primary
+    ):
+        server, policies, _db = primary
+        client = _client(server)
+        _seed_rows(client, count=3)
+        replica = Replica(
+            [f"127.0.0.1:{server.port}"], policies, wait_ms=0
+        )
+        try:
+            assert replica.step(0.0) is True  # handshake, one pull
+            assert replica.position == server.replication.last_seq
+            resyncs = get_metrics().counter("repl.resyncs")
+            before = resyncs.snapshot()
+            client.sql("INSERT INTO t VALUES ('late', 9) WITH CONFIDENCE 0.9")
+            replica.request_resync()
+            assert replica.step(0.0) is True  # same link: resync, then pull
+            assert resyncs.snapshot() == before + 1
+            assert replica.position == server.replication.last_seq
+            assert database_fingerprints(replica._db) == (
+                database_fingerprints(server._db)
+            )
+        finally:
+            client.close()
+            replica.stop()
+
+
 class TestReplicaReads:
     def test_writes_answer_not_primary_with_rotate(self, primary):
         server, policies, _db = primary

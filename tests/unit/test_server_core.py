@@ -11,6 +11,7 @@ from repro.errors import AdmissionError, ProtocolError
 from repro.obs import get_metrics
 from repro.server import PCQEServer, ServerClient, ServerReplyError
 from repro.server.protocol import recv_frame, send_frame
+from repro.server.server import _Connection
 from repro.workload import venture_capital_database
 
 import socket
@@ -128,6 +129,57 @@ class TestDispatch:
             assert reader.seq == pinned
             assert reader.refresh() > pinned
             assert reader.sql("SELECT * FROM Proposal")["count"] == 7
+
+
+    def test_a_replay_of_an_in_flight_key_shares_its_run(self):
+        """The second request under a key arrives while the first still
+        runs: it waits on the first's in-flight future — one execution,
+        two equal replies, the second flagged — through ``handle``."""
+        scenario = venture_capital_database()
+        server = PCQEServer(scenario.db, scenario.policies)
+        started, looked_up = threading.Event(), threading.Event()
+        calls, replies = [], {}
+        lookup, row = server._idempotency.get, server._ops["sql"]
+
+        def spied_lookup(key):
+            entry = lookup(key)
+            if calls:  # the first run is in its handler
+                looked_up.set()
+            return entry
+
+        def slow(session, frame):
+            calls.append(frame)
+            started.set()
+            assert looked_up.wait(5.0)  # the replay found the run in flight
+            return row.handler(session, frame)
+
+        server._idempotency.get = spied_lookup
+        server._ops["sql"] = row._replace(handler=slow)
+        frame = {"op": "sql", "idempotency_key": "k",
+                 "sql": "INSERT INTO Proposal VALUES ('Once', 'P1', 1.0)"}
+
+        def converse(name):
+            conn = _Connection()
+            hello = {"op": "hello", "user": "bob", "purpose": "investment",
+                     "client_id": "c"}
+            assert server.handle(conn, hello)[0]["ok"]
+            replies[name] = server.handle(conn, frame)[0]
+            server.hang_up(conn)
+
+        first = threading.Thread(target=converse, args=("first",))
+        first.start()
+        assert started.wait(5.0)
+        second = threading.Thread(target=converse, args=("second",))
+        second.start()
+        first.join(10.0)
+        second.join(10.0)
+        server.stop()
+        assert len(calls) == 1
+        assert replies["first"]["ok"] and "idempotent_replay" not in (
+            replies["first"]
+        )
+        assert replies["second"] == {**replies["first"],
+                                     "idempotent_replay": True}
 
 
 class TestAdmissionControl:

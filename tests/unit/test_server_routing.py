@@ -17,8 +17,10 @@ import pytest
 from repro.errors import ProtocolError
 from repro.server import PCQEServer
 from repro.server.protocol import recv_frame, send_frame
+from repro.sql import execute_sql
 from repro.storage.database import Database
 from tests.golden_wire import policies
+from tests.loopback import LoopbackSocket
 
 RID = 77
 
@@ -177,3 +179,55 @@ def test_every_pipeline_refusal_carries_the_rid(
     assert reply["ok"] is False
     assert reply["error"]["type"] == error_type
     assert reply["rid"] == RID
+
+
+#: Every wire field that must be a number: the frame that carries it.  A
+#: JSON ``true`` / ``false`` decodes to a Python ``bool`` — an ``int`` to
+#: ``isinstance`` — and must be refused (or, for an ack, ignored) exactly
+#: as a string is.
+NUMBER_FIELDS = {
+    "fraction": {"op": "ask", "sql": "SELECT name FROM t"},
+    "min_seq": {"op": "sql", "sql": "SELECT name FROM t"},
+    "max_frames": {"op": "repl.pull", "from_seq": 0},
+    "last_seq": {"op": "repl.handshake", "replica": "r1"},
+    "applied": {"op": "repl.pull", "from_seq": 0},
+    "epoch": {"op": "repl.pull", "from_seq": 0},
+    "from_seq": {"op": "repl.pull"},
+    "wait_ms": {"op": "repl.pull", "from_seq": 0},
+    "to_seq": {"op": "repl.digest", "from_seq": 0},
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_a_json_bool_is_no_number(tmp_path, field, value):
+    db = Database.open(str(tmp_path))
+    execute_sql(db, "CREATE TABLE t (name TEXT)")
+    execute_sql(db, "INSERT INTO t VALUES ('a') WITH CONFIDENCE 0.9")
+    server = PCQEServer(db, policies())
+
+    def answer(sent: object) -> dict:
+        frame = {**NUMBER_FIELDS[field], field: sent, "rid": RID}
+        sock = LoopbackSocket(server)
+        opener = "hello" if frame["op"] in SESSION_OPS else "repl.handshake"
+        if frame["op"] != opener:
+            send_frame(sock, {"op": opener, **BODIES[opener]})
+            assert recv_frame(sock)["ok"] is True
+        send_frame(sock, frame)
+        reply = recv_frame(sock)
+        sock.close()
+        return reply
+
+    try:
+        as_string, as_bool = answer("x"), answer(value)
+        assert as_bool["ok"] is as_string["ok"]
+        if not as_bool["ok"]:
+            assert as_bool["error"]["type"] == "ProtocolError"
+            assert as_bool["error"]["message"] == (
+                as_string["error"]["message"].replace("'x'", repr(value))
+            )
+        # No semi-sync acknowledgement from a peer that sent no integer.
+        assert server.replication.wait_for_acks(0, 1, 0.0) == 0
+    finally:
+        server.stop()
+        db.close()
