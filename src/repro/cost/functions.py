@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..errors import CostModelError
+from ..errors import ReproError
 
 __all__ = [
     "CostModel",
@@ -57,8 +57,9 @@ class CostModel:
 
     def __init__(self, max_confidence: float = 1.0) -> None:
         if not 0.0 < max_confidence <= 1.0:
-            raise CostModelError(
-                f"max_confidence must be in (0, 1], got {max_confidence}"
+            raise ReproError(
+                f"max_confidence must be in (0, 1], got {max_confidence}",
+                code="CostModelError",
             )
         self._max_confidence = float(max_confidence)
 
@@ -83,12 +84,14 @@ class CostModel:
         self._check_range(current, "current")
         self._check_range(target, "target")
         if target > self._max_confidence + _EPS:
-            raise CostModelError(
-                f"target {target} exceeds max confidence {self._max_confidence}"
+            raise ReproError(
+                f"target {target} exceeds max confidence {self._max_confidence}",
+                code="CostModelError",
             )
         if target < current - _EPS:
-            raise CostModelError(
-                f"target {target} is below current confidence {current}"
+            raise ReproError(
+                f"target {target} is below current confidence {current}",
+                code="CostModelError",
             )
         return max(0.0, self.cumulative(target) - self.cumulative(current))
 
@@ -108,7 +111,9 @@ class CostModel:
     @staticmethod
     def _check_range(value: float, label: str) -> None:
         if not 0.0 <= value <= 1.0 + _EPS:
-            raise CostModelError(f"{label} confidence {value} outside [0, 1]")
+            raise ReproError(
+                f"{label} confidence {value} outside [0, 1]", code="CostModelError"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"{type(self).__name__}(max_confidence={self._max_confidence})"
@@ -127,7 +132,9 @@ class LinearCost(CostModel):
     def __init__(self, rate: float, max_confidence: float = 1.0) -> None:
         super().__init__(max_confidence)
         if rate < 0:
-            raise CostModelError(f"rate must be non-negative, got {rate}")
+            raise ReproError(
+                f"rate must be non-negative, got {rate}", code="CostModelError"
+            )
         self.rate = float(rate)
 
     def cumulative(self, confidence: float) -> float:
@@ -148,11 +155,14 @@ class BinomialCost(CostModel):
     ) -> None:
         super().__init__(max_confidence)
         if linear < 0 or quadratic < 0:
-            raise CostModelError(
-                f"coefficients must be non-negative, got {linear}, {quadratic}"
+            raise ReproError(
+                f"coefficients must be non-negative, got {linear}, {quadratic}",
+                code="CostModelError",
             )
         if linear == 0 and quadratic == 0:
-            raise CostModelError("binomial cost must have a positive coefficient")
+            raise ReproError(
+                "binomial cost must have a positive coefficient", code="CostModelError"
+            )
         self.linear = float(linear)
         self.quadratic = float(quadratic)
 
@@ -177,8 +187,9 @@ class ExponentialCost(CostModel):
     ) -> None:
         super().__init__(max_confidence)
         if scale <= 0 or shape <= 0:
-            raise CostModelError(
-                f"scale and shape must be positive, got {scale}, {shape}"
+            raise ReproError(
+                f"scale and shape must be positive, got {scale}, {shape}",
+                code="CostModelError",
             )
         self.scale = float(scale)
         self.shape = float(shape)
@@ -209,10 +220,13 @@ class LogarithmicCost(CostModel):
     ) -> None:
         super().__init__(max_confidence)
         if scale <= 0:
-            raise CostModelError(f"scale must be positive, got {scale}")
+            raise ReproError(
+                f"scale must be positive, got {scale}", code="CostModelError"
+            )
         if not 0.0 < saturation < 1.0:
-            raise CostModelError(
-                f"saturation must be in (0, 1), got {saturation}"
+            raise ReproError(
+                f"saturation must be in (0, 1), got {saturation}",
+                code="CostModelError",
             )
         self.scale = float(scale)
         self.saturation = float(saturation)
@@ -242,15 +256,23 @@ class TabulatedCost(CostModel):
         max_confidence: float | None = None,
     ) -> None:
         if len(points) < 2:
-            raise CostModelError("tabulated cost needs at least two points")
+            raise ReproError(
+                "tabulated cost needs at least two points", code="CostModelError"
+            )
         confidences = [p for p, _ in points]
         costs = [c for _, c in points]
         if any(b <= a for a, b in zip(confidences, confidences[1:])):
-            raise CostModelError("tabulated confidences must strictly increase")
+            raise ReproError(
+                "tabulated confidences must strictly increase", code="CostModelError"
+            )
         if any(b < a for a, b in zip(costs, costs[1:])):
-            raise CostModelError("tabulated costs must be non-decreasing")
+            raise ReproError(
+                "tabulated costs must be non-decreasing", code="CostModelError"
+            )
         if not (0.0 <= confidences[0] and confidences[-1] <= 1.0):
-            raise CostModelError("tabulated confidences must lie in [0, 1]")
+            raise ReproError(
+                "tabulated confidences must lie in [0, 1]", code="CostModelError"
+            )
         cap = confidences[-1] if max_confidence is None else max_confidence
         super().__init__(min(cap, confidences[-1]))
         self._points = [(float(p), float(c)) for p, c in points]

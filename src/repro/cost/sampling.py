@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
-from ..errors import CostModelError
+from ..errors import ReproError
 from .functions import (
     BinomialCost,
     CostModel,
@@ -60,16 +60,23 @@ class CostModelSampler:
         chosen = dict(_DEFAULT_WEIGHTS if weights is None else weights)
         unknown = set(chosen) - set(_KNOWN_FAMILIES)
         if unknown:
-            raise CostModelError(f"unknown cost families: {sorted(unknown)}")
+            raise ReproError(
+                f"unknown cost families: {sorted(unknown)}", code="CostModelError"
+            )
         if not chosen or all(weight <= 0 for weight in chosen.values()):
-            raise CostModelError("at least one family must have positive weight")
+            raise ReproError(
+                "at least one family must have positive weight", code="CostModelError"
+            )
         if base_scale <= 0:
-            raise CostModelError(f"base_scale must be positive, got {base_scale}")
+            raise ReproError(
+                f"base_scale must be positive, got {base_scale}", code="CostModelError"
+            )
         low, high = max_confidence_range
         if not 0.0 < low <= high <= 1.0:
-            raise CostModelError(
+            raise ReproError(
                 f"max_confidence_range must satisfy 0 < low <= high <= 1, "
-                f"got {max_confidence_range}"
+                f"got {max_confidence_range}",
+                code="CostModelError",
             )
         self._families = [family for family, weight in chosen.items() if weight > 0]
         self._weights = [chosen[family] for family in self._families]
@@ -101,4 +108,6 @@ class CostModelSampler:
                 saturation=rng.uniform(0.85, 0.98),
                 max_confidence=cap,
             )
-        raise CostModelError(f"unhandled family {family!r}")  # pragma: no cover
+        raise ReproError(  # pragma: no cover
+            f"unhandled family {family!r}", code="CostModelError"
+        )

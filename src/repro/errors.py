@@ -1,9 +1,12 @@
-"""Exception hierarchy for the PCQE reproduction library.
+"""Exception types for the PCQE reproduction library.
 
 Every error raised by the library derives from :class:`ReproError`, so
-applications can catch a single base class.  Subsystems raise the most
-specific subclass that applies; error messages always name the offending
-object (table, column, role, tuple id, ...) to make failures actionable.
+applications can catch a single base class.  Only the types some handler
+catches are classes; every finer condition is one of them raised with a
+``code`` (``SchemaError(..., code="UnknownTableError")``).  The code is
+what the wire reply's ``type`` carries, and docs/SERVING.md lists every
+code with the class it is raised as.  Error messages always name the
+offending object (table, column, role, tuple id, ...).
 """
 
 from __future__ import annotations
@@ -12,55 +15,44 @@ __all__ = [
     "ReproError",
     "SchemaError",
     "TypeMismatchError",
-    "UnknownTableError",
     "UnknownColumnError",
     "AmbiguousColumnError",
-    "DuplicateTableError",
-    "DuplicateColumnError",
-    "StorageError",
-    "UnknownTupleError",
     "InvalidConfidenceError",
     "DurabilityError",
     "CorruptLogError",
-    "CorruptSnapshotError",
-    "SqlError",
-    "SqlSyntaxError",
     "BindError",
     "PlanError",
     "ExecutionError",
-    "LineageError",
-    "PolicyError",
-    "UnknownRoleError",
-    "UnknownUserError",
-    "UnknownPurposeError",
-    "NoApplicablePolicyError",
-    "CostModelError",
     "IncrementError",
     "InfeasibleIncrementError",
     "TimeBudgetExceeded",
-    "ImprovementRejectedError",
-    "WorkloadError",
     "ServerError",
     "ProtocolError",
-    "SessionClosedError",
-    "AdmissionError",
-    "SnapshotWriteError",
-    "OverloadError",
-    "RequestTimeoutError",
-    "CircuitOpenError",
-    "ServerDrainingError",
     "WriteBackConflictError",
-    "ReplicationError",
-    "NotPrimaryError",
-    "ReplicaLagError",
-    "StaleEpochError",
-    "QuarantinedTableError",
     "ReplicationTimeoutError",
 ]
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by the library."""
+    """Base class for all errors raised by the library.
+
+    ``code`` names the condition: the class name unless the raise site
+    passes ``code=``.  Every other keyword argument is a structured
+    field: an attribute of the instance and, in the order given, an
+    entry of :meth:`details`.
+    """
+
+    def __init__(
+        self, *args: object, code: str | None = None, **fields: object
+    ) -> None:
+        super().__init__(*args)
+        self.code = code or type(self).__name__
+        self.__dict__.update(fields)
+        self._fields = tuple(fields)
+
+    def details(self) -> dict:
+        """The structured fields, in the order the raise site gave them."""
+        return {name: getattr(self, name) for name in self._fields}
 
 
 # --------------------------------------------------------------------------
@@ -76,10 +68,6 @@ class TypeMismatchError(SchemaError):
     """A value does not match the declared column type."""
 
 
-class UnknownTableError(SchemaError):
-    """A referenced table does not exist in the catalog."""
-
-
 class UnknownColumnError(SchemaError):
     """A referenced column does not exist in the schema in scope."""
 
@@ -88,32 +76,18 @@ class AmbiguousColumnError(SchemaError):
     """An unqualified column name matches more than one column in scope."""
 
 
-class DuplicateTableError(SchemaError):
-    """A table with the same name is already registered."""
-
-
-class DuplicateColumnError(SchemaError):
-    """A schema declares the same column name twice."""
-
-
 # --------------------------------------------------------------------------
 # Storage
 # --------------------------------------------------------------------------
 
 
-class StorageError(ReproError):
-    """Low-level storage failure."""
+class InvalidConfidenceError(ReproError, ValueError):
+    """A confidence is not a number, lies outside [0, 1], or lies above
+    the tuple's cap.  Also a :class:`ValueError`, so a caller's plain
+    ``except ValueError`` still catches it."""
 
 
-class UnknownTupleError(StorageError):
-    """A tuple id does not identify a stored tuple."""
-
-
-class InvalidConfidenceError(StorageError, ValueError):
-    """A confidence value lies outside [0, 1] or above the tuple's cap."""
-
-
-class DurabilityError(StorageError):
+class DurabilityError(ReproError):
     """Base class for crash-safe persistence failures (WAL / snapshots)."""
 
 
@@ -127,34 +101,16 @@ class CorruptLogError(DurabilityError):
     """
 
 
-class CorruptSnapshotError(DurabilityError):
-    """A snapshot file failed its magic, framing, or checksum checks."""
-
-
 # --------------------------------------------------------------------------
 # SQL front end and execution
 # --------------------------------------------------------------------------
 
 
-class SqlError(ReproError):
-    """Base class for SQL front-end errors."""
-
-
-class SqlSyntaxError(SqlError):
-    """The SQL text could not be tokenized or parsed."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        location = f" at line {line}, column {column}" if line else ""
-        super().__init__(f"{message}{location}")
-        self.line = line
-        self.column = column
-
-
-class BindError(SqlError):
+class BindError(ReproError):
     """Name resolution or type checking of a parsed query failed."""
 
 
-class PlanError(SqlError):
+class PlanError(ReproError):
     """A bound query could not be converted into an executable plan."""
 
 
@@ -163,47 +119,8 @@ class ExecutionError(ReproError):
 
 
 # --------------------------------------------------------------------------
-# Lineage
+# Confidence increment
 # --------------------------------------------------------------------------
-
-
-class LineageError(ReproError):
-    """A lineage formula is malformed or cannot be evaluated."""
-
-
-# --------------------------------------------------------------------------
-# Policy
-# --------------------------------------------------------------------------
-
-
-class PolicyError(ReproError):
-    """Base class for policy-engine errors."""
-
-
-class UnknownRoleError(PolicyError):
-    """A referenced role is not registered."""
-
-
-class UnknownUserError(PolicyError):
-    """A referenced user is not registered."""
-
-
-class UnknownPurposeError(PolicyError):
-    """A referenced purpose is not registered."""
-
-
-class NoApplicablePolicyError(PolicyError):
-    """No confidence policy covers the (role, purpose) pair and the store
-    is configured to deny by default."""
-
-
-# --------------------------------------------------------------------------
-# Cost models and confidence increment
-# --------------------------------------------------------------------------
-
-
-class CostModelError(ReproError):
-    """A cost model is misconfigured or asked for an invalid increment."""
 
 
 class IncrementError(ReproError):
@@ -227,33 +144,9 @@ class TimeBudgetExceeded(IncrementError):
     contract); this error means even that was impossible in the budget.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        algorithm: str = "",
-        partial: object | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.algorithm = algorithm
-        self.partial = partial
-
-
-class ImprovementRejectedError(IncrementError):
-    """The user (or approval hook) declined the proposed increment cost."""
-
 
 # --------------------------------------------------------------------------
-# Workload generation
-# --------------------------------------------------------------------------
-
-
-class WorkloadError(ReproError):
-    """A synthetic-workload specification is invalid."""
-
-
-# --------------------------------------------------------------------------
-# Serving
+# Serving and replication
 # --------------------------------------------------------------------------
 
 
@@ -264,108 +157,23 @@ class ServerError(ReproError):
     request itself was fine and a later retry may succeed (admission,
     overload, drain, breaker); ``False`` means retrying the identical
     request will fail the identical way (bad frame, bad SQL, unknown
-    user).  The flag travels over the wire in every error reply so
-    clients never have to keep a hard-coded type list.
-
-    ``fields`` names, once per class, the structured values behind the
-    decision: each is a keyword-only constructor argument (required
-    unless the class gives it a default as a class attribute), an
-    attribute of the instance, and — in declaration order — an entry of
-    ``details()``, which contributes them to the wire payload.
+    user).  It is a class default that a raise site may override by
+    keyword.  The flag and :meth:`details` travel over the wire in every
+    error reply, so clients never keep a hard-coded type list.
     """
 
     retryable: bool = False
-    fields: "tuple[str, ...]" = ()
 
-    def __init__(self, *args: object, **fields: object) -> None:
-        super().__init__(*args)
-        cls = type(self)
-        unknown = [name for name in fields if name not in cls.fields]
-        missing = [
-            name
-            for name in cls.fields
-            if name not in fields and not hasattr(cls, name)
-        ]
-        if unknown or missing:
-            raise TypeError(
-                f"{cls.__name__}() keyword arguments must be "
-                f"{cls.fields}: unknown {unknown}, missing {missing}"
-            )
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-    def details(self) -> dict:
-        """Structured fields merged into the wire error payload."""
-        return {name: getattr(self, name) for name in self.fields}
+    def __init__(
+        self, *args: object, retryable: bool | None = None, **fields: object
+    ) -> None:
+        super().__init__(*args, **fields)
+        if retryable is not None:
+            self.retryable = retryable
 
 
 class ProtocolError(ServerError):
     """A wire frame was malformed (bad length, bad JSON, unknown op)."""
-
-
-class SessionClosedError(ServerError):
-    """An operation was attempted on a closed session."""
-
-
-class SnapshotWriteError(ServerError):
-    """A mutation was attempted directly on an immutable snapshot view.
-
-    Writes go through :meth:`repro.server.MVCCDatabase.commit`; snapshot
-    views only ever change by re-pinning a newer generation.
-    """
-
-
-class AdmissionError(ServerError):
-    """A request was rejected at admission: the queue's projected wait
-    already exceeds the request's deadline, so running it could only
-    produce a late answer.  Carries the numbers behind the decision so
-    clients can back off intelligently.
-    """
-
-    retryable = True
-    fields = ("deadline_ms", "projected_wait_ms", "queue_depth")
-
-
-class OverloadError(ServerError):
-    """A request was shed by the load shedder: the server is over its
-    capacity for the request's priority class even before any deadline
-    math.  Lower-priority classes (``ask``) shed first; higher ones
-    (``metrics``) keep working so operators can still see what is
-    happening.
-    """
-
-    retryable = True
-    fields = ("op", "priority", "queue_depth", "limit")
-
-
-class RequestTimeoutError(ServerError):
-    """The server-side per-request timeout expired before the handler
-    finished.  For mutating requests the outcome is ambiguous — the
-    handler may still complete after this reply — which is exactly what
-    client idempotency keys exist to absorb.
-    """
-
-    retryable = True
-    fields = ("op", "timeout_ms")
-
-
-class CircuitOpenError(ServerError):
-    """The connection's circuit breaker is open after repeated handler
-    failures; requests are rejected fast (no queueing, no worker) until
-    the cooldown elapses and a half-open probe succeeds.
-    """
-
-    retryable = True
-    fields = ("failures", "retry_after_ms")
-
-
-class ServerDrainingError(ServerError):
-    """The server is draining for shutdown: in-flight requests finish,
-    new ones are rejected.  Retryable in the sense that another replica
-    (or the restarted server) can serve the request.
-    """
-
-    retryable = True
 
 
 class WriteBackConflictError(ServerError):
@@ -377,70 +185,14 @@ class WriteBackConflictError(ServerError):
     """
 
     retryable = True
-    fields = ("changed",)
 
 
-# --------------------------------------------------------------------------
-# Replication
-# --------------------------------------------------------------------------
-
-
-class ReplicationError(ServerError):
-    """Base class for WAL-shipping replication failures."""
-
-
-class NotPrimaryError(ReplicationError):
-    """A write (or other primary-only operation) reached a read-only
-    replica.  Terminal for *this* endpoint but not for the request:
-    the reply carries ``rotate: true`` so a multi-endpoint client moves
-    to the next endpoint instead of burning its backoff budget here.
-    """
-
-    fields = ("role", "epoch")
-    role = "replica"
-    epoch = 0
-
-    def details(self) -> dict:
-        return {"rotate": True, **super().details()}
-
-
-class ReplicaLagError(ReplicationError):
-    """A read-your-writes request asked for a replication position this
-    replica has not reached within the configured wait.  Retryable: the
-    replica keeps applying, or another endpoint may already be there.
-    """
-
-    retryable = True
-    fields = ("min_seq", "position", "waited_ms")
-
-
-class StaleEpochError(ReplicationError):
-    """A replication message carried an epoch older than the receiver's.
-
-    Epoch fencing: after a failover, the promoted primary's epoch is
-    higher than the deposed one's, so frames (or pulls) from the old
-    regime are rejected instead of silently diverging the log.
-    """
-
-    fields = ("stale_epoch", "current_epoch")
-
-
-class QuarantinedTableError(ReplicationError):
-    """The scrubber found this table's fingerprint diverging from the
-    primary's; it is quarantined until resync completes.  Retryable —
-    resync is already in flight, and other endpoints can serve it now.
-    """
-
-    retryable = True
-    fields = ("table",)
-
-
-class ReplicationTimeoutError(ReplicationError):
+class ReplicationTimeoutError(ServerError):
     """A commit could not be acknowledged by the configured number of
-    sync replicas in time.  The write is durable on the primary and
-    will replicate; retrying with the same idempotency key is safe and
-    simply re-waits for acknowledgement.
+    sync replicas in time (fields ``seq``, ``required``, ``acked``).  The
+    write is durable on the primary and will replicate; retrying with
+    the same idempotency key is safe and simply re-waits for
+    acknowledgement.
     """
 
     retryable = True
-    fields = ("seq", "required", "acked")

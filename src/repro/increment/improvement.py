@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from ..errors import ImprovementRejectedError, IncrementError
+from ..errors import IncrementError
 from ..storage.database import Database
 from ..storage.tuples import TupleId
 from .problem import IncrementPlan
@@ -72,7 +72,7 @@ class SimulatedImprovementService:
     what is stored.
 
     ``budget`` (optional) caps cumulative spending across calls; exceeding
-    it raises :class:`~repro.errors.ImprovementRejectedError` before any
+    it raises ``ImprovementRejectedError`` before any
     tuple is touched.
     """
 
@@ -100,9 +100,10 @@ class SimulatedImprovementService:
                 )
         cost = self.quote(db, plan)
         if self.budget is not None and self.spent + cost > self.budget + _EPS:
-            raise ImprovementRejectedError(
+            raise IncrementError(
                 f"plan costs {cost:.2f} but only "
-                f"{self.budget - self.spent:.2f} of the budget remains"
+                f"{self.budget - self.spent:.2f} of the budget remains",
+                code="ImprovementRejectedError",
             )
         actions: list[ImprovementAction] = []
         for tid in sorted(plan.targets):

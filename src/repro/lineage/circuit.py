@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..errors import LineageError
+from ..errors import ReproError
 from .formula import And, Bottom, Lineage, Not, Or, Top, Var, restrict
 from .probability import (
     ProbabilityMap,
@@ -167,7 +167,9 @@ class CircuitPool:
                 return self._product(parts)
             complements = [self._node(NOT, part) for part in parts]
             return self._node(NOT, self._product(complements))
-        raise LineageError(f"cannot compile {node!r}")  # pragma: no cover
+        raise ReproError(  # pragma: no cover
+            f"cannot compile {node!r}", code="LineageError"
+        )
 
     def _product(self, parts: list[int]) -> int:
         if len(parts) == 1:
@@ -216,8 +218,9 @@ class CircuitPool:
         union: set[int] = set()
         for circuit in circuits:
             if circuit.pool is not self:
-                raise LineageError(
-                    "all circuits of one batch must share the pool"
+                raise ReproError(
+                    "all circuits of one batch must share the pool",
+                    code="LineageError",
                 )
             union.update(circuit.order)
         return tuple(sorted(union))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import prod
 from typing import Callable, Mapping, Sequence
 
-from ..errors import LineageError
+from ..errors import ReproError
 from ..obs import get_metrics
 from ..storage.tuples import TupleId
 from .circuit import CircuitPool, CompiledCircuit
@@ -113,9 +113,10 @@ class ConfidenceFunction:
             self._formula = None
             factors = tuple(source)
             if not factors or len(set(factors)) != len(factors):
-                raise LineageError(
+                raise ReproError(
                     f"a product needs pairwise-different base tuples, "
-                    f"got {list(map(str, factors))}"
+                    f"got {list(map(str, factors))}",
+                    code="LineageError",
                 )
         #: The base tuples a product multiplies, in factor order (``None``
         #: for a compiled function).

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from ..errors import LineageError
+from ..errors import ReproError
 from ..storage.tuples import TupleId
 
 __all__ = [
@@ -58,7 +58,7 @@ class Lineage:
     def evaluate(self, assignment: Mapping[TupleId, bool]) -> bool:
         """Truth value under a complete boolean *assignment*.
 
-        Raises :class:`~repro.errors.LineageError` if a needed variable is
+        Raises ``LineageError`` if a needed variable is
         missing from the assignment.
         """
         raise NotImplementedError
@@ -136,7 +136,9 @@ class Var(Lineage):
         try:
             return bool(assignment[self.tid])
         except KeyError:
-            raise LineageError(f"assignment is missing variable {self.tid}") from None
+            raise ReproError(
+                f"assignment is missing variable {self.tid}", code="LineageError"
+            ) from None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and other.tid == self.tid
@@ -317,7 +319,9 @@ def restrict(formula: Lineage, tid: TupleId, value: bool) -> Lineage:
         return lineage_or(
             *(restrict(child, tid, value) for child in formula.children)
         )
-    raise LineageError(f"cannot restrict {formula!r}")  # pragma: no cover
+    raise ReproError(  # pragma: no cover
+        f"cannot restrict {formula!r}", code="LineageError"
+    )
 
 
 def node_count(formula: Lineage) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from ..errors import LineageError
+from ..errors import ReproError
 from ..storage.tuples import TupleId
 from .formula import And, Bottom, Lineage, Not, Or, Top, Var, restrict
 
@@ -41,8 +41,10 @@ __all__ = ["probability"]
 ProbabilityMap = Mapping[TupleId, float]
 
 
-def _missing(tid: TupleId) -> LineageError:
-    return LineageError(f"no probability supplied for base tuple {tid}")
+def _missing(tid: TupleId) -> ReproError:
+    return ReproError(
+        f"no probability supplied for base tuple {tid}", code="LineageError"
+    )
 
 
 def pick(probabilities: ProbabilityMap, tids: tuple[TupleId, ...]) -> tuple:
@@ -55,7 +57,9 @@ def pick(probabilities: ProbabilityMap, tids: tuple[TupleId, ...]) -> tuple:
 
 def _check_probability(tid: TupleId, value: float) -> float:
     if not 0.0 <= value <= 1.0:
-        raise LineageError(f"probability {value} of {tid} outside [0, 1]")
+        raise ReproError(
+            f"probability {value} of {tid} outside [0, 1]", code="LineageError"
+        )
     return value
 
 
@@ -109,7 +113,7 @@ def _rebuild_connective(node: Lineage, cluster: list[Lineage]) -> Lineage:
 def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
     """Exact ``P(formula)`` given independent base-tuple *probabilities*.
 
-    Raises :class:`~repro.errors.LineageError` if a variable is missing from
+    Raises ``LineageError`` if a variable is missing from
     *probabilities* or a probability is out of range.
     """
     memo: dict[Lineage, float] = {}
@@ -157,7 +161,9 @@ def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
             high = prob(restrict(node, branch, True))
             low = prob(restrict(node, branch, False))
             return p * high + (1.0 - p) * low
-        raise LineageError(f"cannot evaluate {node!r}")  # pragma: no cover
+        raise ReproError(  # pragma: no cover
+            f"cannot evaluate {node!r}", code="LineageError"
+        )
 
     value = prob(formula)
     # Clamp tiny float drift so callers can rely on [0, 1].

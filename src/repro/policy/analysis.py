@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..algebra.rows import ResultSet
-from ..errors import InfeasibleIncrementError, PolicyError
+from ..errors import InfeasibleIncrementError, ReproError
 from ..storage.table import Table
 from .enforcement import PolicyEvaluator
 from .store import PolicyStore
@@ -86,7 +86,9 @@ def threshold_sweep(
         thresholds = [i / 20 for i in range(20)]
     for threshold in thresholds:
         if not 0.0 <= threshold <= 1.0:
-            raise PolicyError(f"threshold {threshold} outside [0, 1]")
+            raise ReproError(
+                f"threshold {threshold} outside [0, 1]", code="PolicyError"
+            )
     confidences = result.confidences(source)
     total = len(confidences)
     points = []

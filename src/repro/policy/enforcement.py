@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..algebra.rows import AnnotatedTuple, ResultSet
-from ..errors import PolicyError
+from ..errors import ReproError
 from ..obs import get_metrics, get_tracer
 from ..storage.tuples import TupleId
 from .store import PolicyStore
@@ -167,7 +167,9 @@ class PolicyEvaluator:
         counters so enforcement effectiveness is observable per run.
         """
         if not 0.0 <= threshold <= 1.0:
-            raise PolicyError(f"threshold {threshold} outside [0, 1]")
+            raise ReproError(
+                f"threshold {threshold} outside [0, 1]", code="PolicyError"
+            )
         tracer = get_tracer()
         with tracer.span("policy.confidence", rows=len(result)) as span:
             reused_circuits = result.has_compiled_circuits

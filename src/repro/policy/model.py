@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import PolicyError
+from ..errors import ReproError
 
 __all__ = ["Role", "User", "Purpose", "ConfidencePolicy"]
 
@@ -30,7 +30,7 @@ class Role:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise PolicyError("role name must be non-empty")
+            raise ReproError("role name must be non-empty", code="PolicyError")
 
     def __str__(self) -> str:
         return self.name
@@ -50,7 +50,7 @@ class Purpose:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise PolicyError("purpose name must be non-empty")
+            raise ReproError("purpose name must be non-empty", code="PolicyError")
 
     def __str__(self) -> str:
         return self.name
@@ -65,7 +65,7 @@ class User:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise PolicyError("user name must be non-empty")
+            raise ReproError("user name must be non-empty", code="PolicyError")
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,13 @@ class ConfidencePolicy:
 
     def __post_init__(self) -> None:
         if not self.role:
-            raise PolicyError("policy role must be non-empty")
+            raise ReproError("policy role must be non-empty", code="PolicyError")
         if not self.purpose:
-            raise PolicyError("policy purpose must be non-empty")
+            raise ReproError("policy purpose must be non-empty", code="PolicyError")
         if not 0.0 <= self.threshold <= 1.0:
-            raise PolicyError(
-                f"policy threshold must be in [0, 1], got {self.threshold}"
+            raise ReproError(
+                f"policy threshold must be in [0, 1], got {self.threshold}",
+                code="PolicyError",
             )
 
     def admits(self, confidence: float) -> bool:

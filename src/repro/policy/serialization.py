@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, TextIO
 
-from ..errors import PolicyError
+from ..errors import ReproError
 from .store import PolicyStore
 
 __all__ = ["store_to_dict", "store_from_dict", "save_store", "load_store"]
@@ -61,7 +61,9 @@ def store_from_dict(data: dict[str, Any]) -> PolicyStore:
     """
     version = data.get("version")
     if version != _FORMAT_VERSION:
-        raise PolicyError(f"unsupported policy snapshot version {version!r}")
+        raise ReproError(
+            f"unsupported policy snapshot version {version!r}", code="PolicyError"
+        )
     store = PolicyStore(
         default_threshold=data.get("default_threshold"),
         combination=data.get("combination", "strictest"),
@@ -78,8 +80,9 @@ def store_from_dict(data: dict[str, Any]) -> PolicyStore:
             if all(junior not in pending for junior in inherits)
         ]
         if not ready:
-            raise PolicyError(
-                f"role inheritance cycle among {sorted(pending)}"
+            raise ReproError(
+                f"role inheritance cycle among {sorted(pending)}",
+                code="PolicyError",
             )
         for name in sorted(ready):
             store.add_role(name, inherits=pending.pop(name))
@@ -94,8 +97,9 @@ def store_from_dict(data: dict[str, Any]) -> PolicyStore:
             if purpose.get("parent") not in pending_purposes
         ]
         if not ready:
-            raise PolicyError(
-                f"purpose parent cycle among {sorted(pending_purposes)}"
+            raise ReproError(
+                f"purpose parent cycle among {sorted(pending_purposes)}",
+                code="PolicyError",
             )
         for name in sorted(ready):
             purpose = pending_purposes.pop(name)

@@ -16,7 +16,7 @@ resolves which threshold applies to a (subject, purpose) pair:
   purpose is nearest the query's purpose, breaking ties by strictness.
 
 With no applicable policy the store either denies (``default_threshold
-= None`` → :class:`~repro.errors.NoApplicablePolicyError`) or applies a
+= None`` → ``NoApplicablePolicyError``) or applies a
 configured default threshold.
 """
 
@@ -24,13 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..errors import (
-    NoApplicablePolicyError,
-    PolicyError,
-    UnknownPurposeError,
-    UnknownRoleError,
-    UnknownUserError,
-)
+from ..errors import ReproError
 from .model import ConfidencePolicy, Purpose, Role, User
 
 __all__ = ["PolicyStore"]
@@ -45,10 +39,13 @@ class PolicyStore:
         combination: str = "strictest",
     ) -> None:
         if combination not in ("strictest", "most_specific"):
-            raise PolicyError(f"unknown combination mode {combination!r}")
+            raise ReproError(
+                f"unknown combination mode {combination!r}", code="PolicyError"
+            )
         if default_threshold is not None and not 0.0 <= default_threshold <= 1.0:
-            raise PolicyError(
-                f"default threshold must be in [0, 1], got {default_threshold}"
+            raise ReproError(
+                f"default threshold must be in [0, 1], got {default_threshold}",
+                code="PolicyError",
             )
         self.default_threshold = default_threshold
         self.combination = combination
@@ -63,7 +60,7 @@ class PolicyStore:
     def add_role(self, name: str, inherits: Iterable[str] = ()) -> Role:
         """Register a role; *inherits* names junior roles it subsumes."""
         if name in self._roles:
-            raise PolicyError(f"role {name!r} already exists")
+            raise ReproError(f"role {name!r} already exists", code="PolicyError")
         juniors = set(inherits)
         for junior in juniors:
             self._require_role(junior)
@@ -92,7 +89,7 @@ class PolicyStore:
         try:
             return self._roles[name]
         except KeyError:
-            raise UnknownRoleError(f"no role {name!r}") from None
+            raise ReproError(f"no role {name!r}", code="UnknownRoleError") from None
 
     # -- purposes ------------------------------------------------------------
 
@@ -101,9 +98,11 @@ class PolicyStore:
     ) -> Purpose:
         """Register a purpose under an optional *parent* purpose."""
         if name in self._purposes:
-            raise PolicyError(f"purpose {name!r} already exists")
+            raise ReproError(f"purpose {name!r} already exists", code="PolicyError")
         if parent is not None and parent not in self._purposes:
-            raise UnknownPurposeError(f"no parent purpose {parent!r}")
+            raise ReproError(
+                f"no parent purpose {parent!r}", code="UnknownPurposeError"
+            )
         purpose = Purpose(name, parent, description)
         self._purposes[name] = purpose
         return purpose
@@ -112,7 +111,9 @@ class PolicyStore:
         try:
             return self._purposes[name]
         except KeyError:
-            raise UnknownPurposeError(f"no purpose {name!r}") from None
+            raise ReproError(
+                f"no purpose {name!r}", code="UnknownPurposeError"
+            ) from None
 
     def purpose_ancestry(self, name: str) -> list[str]:
         """The purpose followed by its ancestors, nearest first."""
@@ -123,14 +124,14 @@ class PolicyStore:
             ancestry.append(purpose.name)
             current = purpose.parent
             if current in ancestry:
-                raise PolicyError(f"purpose cycle at {current!r}")
+                raise ReproError(f"purpose cycle at {current!r}", code="PolicyError")
         return ancestry
 
     # -- users ---------------------------------------------------------------
 
     def add_user(self, name: str, roles: Iterable[str] = ()) -> User:
         if name in self._users:
-            raise PolicyError(f"user {name!r} already exists")
+            raise ReproError(f"user {name!r} already exists", code="PolicyError")
         user = User(name)
         self._users[name] = user
         for role in roles:
@@ -141,7 +142,7 @@ class PolicyStore:
         try:
             return self._users[name]
         except KeyError:
-            raise UnknownUserError(f"no user {name!r}") from None
+            raise ReproError(f"no user {name!r}", code="UnknownUserError") from None
 
     def grant_role(self, user_name: str, role_name: str) -> None:
         self._require_role(role_name)
@@ -193,15 +194,16 @@ class PolicyStore:
         """The effective confidence threshold for (subject, purpose).
 
         Applies the store's combination mode across applicable policies.
-        Raises :class:`~repro.errors.NoApplicablePolicyError` when nothing
+        Raises ``NoApplicablePolicyError`` when nothing
         applies and no default threshold is configured.
         """
         applicable = self.applicable_policies(subject, purpose, subject_is_user)
         if not applicable:
             if self.default_threshold is None:
-                raise NoApplicablePolicyError(
+                raise ReproError(
                     f"no confidence policy covers ({subject!r}, {purpose!r}) "
-                    f"and the store denies by default"
+                    f"and the store denies by default",
+                    code="NoApplicablePolicyError",
                 )
             return self.default_threshold
         if self.combination == "strictest":

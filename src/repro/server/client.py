@@ -286,7 +286,8 @@ class RetriesExhaustedError(ServerError):
     def __init__(self, attempts: int, last_error: BaseException) -> None:
         super().__init__(
             f"request failed after {attempts} attempt(s): "
-            f"{type(last_error).__name__}: {last_error}"
+            f"{getattr(last_error, 'code', type(last_error).__name__)}: "
+            f"{last_error}"
         )
         self.attempts = attempts
         self.last_error = last_error

@@ -37,12 +37,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Mapping, TypeVar
 
-from ..errors import (
-    SessionClosedError,
-    SnapshotWriteError,
-    UnknownTableError,
-    UnknownTupleError,
-)
+from ..errors import ReproError, SchemaError, ServerError
 from ..obs import get_metrics
 from ..storage.database import Database
 from ..storage.schema import Schema
@@ -71,7 +66,7 @@ class SnapshotTable:
     the SQL planner and both engines run against it unchanged.  Rows are
     *copies* of the live :class:`StoredTuple` objects — confidence
     write-backs on the live table cannot leak into a pinned snapshot.
-    Mutating methods raise :class:`~repro.errors.SnapshotWriteError`.
+    Mutating methods raise ``SnapshotWriteError``.
 
     Given the *previous* snapshot of the same live table, only the rows
     changed since then are copied: the previous row list, ordinal map and
@@ -189,8 +184,9 @@ class SnapshotTable:
 
     def get(self, tid: TupleId) -> StoredTuple:
         if tid.table != self._name or tid.ordinal not in self._rows:
-            raise UnknownTupleError(
-                f"no tuple {tid} in snapshot of table {self._name!r}"
+            raise ReproError(
+                f"no tuple {tid} in snapshot of table {self._name!r}",
+                code="UnknownTupleError",
             )
         return self._rows[tid.ordinal]
 
@@ -220,9 +216,10 @@ class SnapshotTable:
     # -- mutation is forbidden --------------------------------------------
 
     def _readonly(self, operation: str):
-        raise SnapshotWriteError(
+        raise ServerError(
             f"cannot {operation} on snapshot of table {self._name!r}: "
-            f"snapshots are immutable; commit through MVCCDatabase.commit"
+            f"snapshots are immutable; commit through MVCCDatabase.commit",
+            code="SnapshotWriteError",
         )
 
     insert = _refused("insert")
@@ -263,7 +260,7 @@ class SnapshotDatabase:
     Duck-types the read surface the SQL layer, the lineage engine, and
     policy enforcement use (``table``/``resolve``/``confidences``/
     ``view_definition``...).  DDL/DML raise
-    :class:`~repro.errors.SnapshotWriteError`.
+    ``SnapshotWriteError``.
     """
 
     def __init__(
@@ -290,8 +287,9 @@ class SnapshotDatabase:
         try:
             return self._generation.tables[name.lower()]
         except KeyError:
-            raise UnknownTableError(
-                f"no table {name!r} in snapshot @seq={self.seq}"
+            raise SchemaError(
+                f"no table {name!r} in snapshot @seq={self.seq}",
+                code="UnknownTableError",
             ) from None
 
     def has_table(self, name: str) -> bool:
@@ -324,9 +322,10 @@ class SnapshotDatabase:
     # -- mutation is forbidden --------------------------------------------
 
     def _readonly(self, operation: str):
-        raise SnapshotWriteError(
+        raise ServerError(
             f"cannot {operation} on snapshot @seq={self.seq}: snapshots "
-            f"are immutable; commit through MVCCDatabase.commit"
+            f"are immutable; commit through MVCCDatabase.commit",
+            code="SnapshotWriteError",
         )
 
     create_table = _refused("create_table")
@@ -558,8 +557,9 @@ class MVCCDatabase:
         with self._state_lock:
             count = self._pins.get(seq)
             if count is None:  # pragma: no cover - double release guard
-                raise SessionClosedError(
-                    f"generation {seq} is not pinned"
+                raise ServerError(
+                    f"generation {seq} is not pinned",
+                    code="SessionClosedError",
                 )
             if count <= 1:
                 del self._pins[seq]

@@ -15,9 +15,9 @@ used in both directions; requests carry an ``op`` field and responses an
     ← {"ok": true, "closed": true}
 
 Errors come back as ``{"ok": false, "error": {"type": ..., "message":
-..., ...}}`` — ``type`` is the server-side exception class name, and
-admission rejections additionally carry the structured numbers from
-:class:`~repro.errors.AdmissionError`.
+..., ...}}`` — ``type`` is the server-side error's ``code``, and a
+``ServerError`` adds ``retryable`` and its fields (an ``AdmissionError``
+carries the numbers behind the decision; docs/SERVING.md, Error codes).
 
 Zero dependencies: :mod:`struct` + :mod:`json` over raw sockets or
 asyncio streams.  Both async (server-side) and blocking (client-side)

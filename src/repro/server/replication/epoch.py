@@ -3,7 +3,7 @@
 An epoch is a monotonically increasing integer naming one primary's
 reign.  Promotion bumps it; every replication message carries it; a
 message from a lower epoch is fenced off with
-:class:`~repro.errors.StaleEpochError`.  The value is persisted next to
+``StaleEpochError``.  The value is persisted next to
 the WAL (atomic write) so a restarting node cannot be fooled back into
 an old reign.
 """

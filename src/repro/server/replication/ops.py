@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ...errors import ProtocolError, ServerError, StaleEpochError
+from ...errors import ProtocolError, ServerError
 from ...obs import get_metrics
 from ...storage.durability.fingerprint import database_fingerprints
 from ...storage.durability.snapshot import snapshot_payload
@@ -85,9 +85,10 @@ class _LinkOps:
             )
         if peer_epoch > server.epoch:
             get_metrics().counter("server.fenced").inc()
-            raise StaleEpochError(
+            raise ServerError(
                 f"this server's epoch {server.epoch} is stale: a peer is at "
                 f"epoch {peer_epoch} (a newer primary has been promoted)",
+                code="StaleEpochError",
                 stale_epoch=server.epoch,
                 current_epoch=peer_epoch,
             )

@@ -32,7 +32,7 @@ from collections import deque
 from contextlib import nullcontext
 from typing import Any, Iterable
 
-from ...errors import ReproError, ServerError, StaleEpochError
+from ...errors import ReproError, ServerError
 from ...obs import TIMING_BUCKETS, get_metrics
 from ...policy import PolicyStore
 from ...storage.database import Database
@@ -312,9 +312,10 @@ class Replica:
         if peer_epoch < self.epoch:
             # A deposed primary is still talking: refuse its stream.
             get_metrics().counter("repl.stale_frames_rejected").inc()
-            raise StaleEpochError(
+            raise ServerError(
                 f"peer epoch {peer_epoch} is behind ours ({self.epoch}); "
                 f"rejecting its frames",
+                code="StaleEpochError",
                 stale_epoch=peer_epoch,
                 current_epoch=self.epoch,
             )

@@ -26,7 +26,7 @@ Admission control: before queueing a request carrying ``deadline_ms``,
 the server projects the queue wait from the current in-flight count and
 an EWMA of recent service times; if the projection already exceeds the
 deadline, the request is rejected immediately with a structured
-:class:`~repro.errors.AdmissionError` — a fast "no" instead of a
+``AdmissionError`` — a fast "no" instead of a
 guaranteed-late answer.
 
 Failure hardening (see ``docs/ROBUSTNESS.md``, "Serving under failure"):
@@ -35,7 +35,7 @@ Failure hardening (see ``docs/ROBUSTNESS.md``, "Serving under failure"):
   half-closed sockets (``server.write_errors``) and applies injected
   chaos (:mod:`~repro.server.faults`, ``server.faults.injected``);
 * a per-request server-side timeout (``request_timeout``) answers with a
-  retryable :class:`~repro.errors.RequestTimeoutError` and then performs
+  retryable ``RequestTimeoutError`` and then performs
   a cancellation handshake — budgets are cooperative, so the worker is
   given a bounded grace to acknowledge before the connection is poisoned
   (closed) rather than sharing a session with a zombie thread;
@@ -43,13 +43,13 @@ Failure hardening (see ``docs/ROBUSTNESS.md``, "Serving under failure"):
   (``ask`` sheds first, ``metrics`` last) when the queue exceeds a
   per-class multiple of the pool (``server.shed``);
 * a per-connection circuit breaker converts repeated handler failures
-  into fast :class:`~repro.errors.CircuitOpenError` rejections;
+  into fast ``CircuitOpenError`` rejections;
 * requests carrying an ``idempotency_key`` are deduplicated in a bounded
   LRU keyed by ⟨client id, key⟩, so a client retrying after an ambiguous
   failure (timeout, torn reply) gets the completed reply instead of a
   second execution (``server.idempotent_replays``);
 * :meth:`PCQEServer.drain` stops accepting, lets in-flight requests
-  finish (new ones get :class:`~repro.errors.ServerDrainingError`),
+  finish (new ones get ``ServerDrainingError``),
   checkpoints a durable database, and stops.
 
 Observability: every request runs inside a ``server.request`` span;
@@ -70,17 +70,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ..engines import DEFAULT_ENGINE, check_engine
-from ..errors import (
-    AdmissionError,
-    CircuitOpenError,
-    OverloadError,
-    ProtocolError,
-    ReplicationTimeoutError,
-    ReproError,
-    RequestTimeoutError,
-    ServerDrainingError,
-    ServerError,
-)
+from ..errors import ProtocolError, ReplicationTimeoutError, ReproError, ServerError
 from ..increment.runtime import is_deadline
 from ..obs import TIMING_BUCKETS, get_metrics, get_tracer
 from ..policy import PolicyStore
@@ -263,7 +253,7 @@ class _Request:
         #: return value is the reply.
         self.pending: "Callable[[], dict[str, Any]] | None" = None
 
-    def refuse(self, error: BaseException) -> None:
+    def refuse(self, error: ReproError) -> None:
         self.reply = _error_reply(error)
 
 
@@ -274,7 +264,7 @@ class PCQEServer:
     reports the bound one.  *workers* sizes the query thread pool.
 
     *request_timeout* (seconds) bounds every request server-side: the
-    client gets a retryable :class:`~repro.errors.RequestTimeoutError`
+    client gets a retryable ``RequestTimeoutError``
     and the worker — whose ask budget is capped to the same horizon — is
     given a grace window to stop before the connection is closed.
     *faults* arms a :class:`~repro.server.faults.NetworkFaultInjector`
@@ -506,7 +496,7 @@ class PCQEServer:
         admitted get up to *timeout* seconds to finish **and** have their
         replies written, while new requests (on existing connections) are
         rejected with a retryable
-        :class:`~repro.errors.ServerDrainingError`.  Once quiescent — or
+        ``ServerDrainingError``.  Once quiescent — or
         at the deadline — a durable database is checkpointed and the
         server stops.  Returns a report: ``drained`` is True iff nothing
         in flight was abandoned.
@@ -624,9 +614,11 @@ class PCQEServer:
             except asyncio.TimeoutError:
                 get_metrics().counter("server.timeouts").inc()
                 reply = _error_reply(
-                    RequestTimeoutError(
+                    ServerError(
                         f"{req.op} exceeded the server-side request timeout "
                         f"of {req.timeout * 1000.0:g} ms",
+                        code="RequestTimeoutError",
+                        retryable=True,
                         op=str(req.op),
                         timeout_ms=req.timeout * 1000.0,
                     )
@@ -772,7 +764,11 @@ class PCQEServer:
             # A refused hello hangs up.
             if self._draining:
                 req.refuse(
-                    ServerDrainingError("hello rejected: server is draining")
+                    ServerError(
+                        "hello rejected: server is draining",
+                        code="ServerDrainingError",
+                        retryable=True,
+                    )
                 )
             else:
                 req.reply = self._reply_of(
@@ -885,10 +881,12 @@ class PCQEServer:
         if not allowed:
             get_metrics().counter("server.breaker.rejections").inc()
             req.refuse(
-                CircuitOpenError(
+                ServerError(
                     f"{req.op} rejected: circuit breaker open after "
                     f"{breaker.failures} consecutive failure(s); retry in "
                     f"{retry_after * 1000.0:.0f} ms",
+                    code="CircuitOpenError",
+                    retryable=True,
                     failures=breaker.failures,
                     retry_after_ms=retry_after * 1000.0,
                 )
@@ -977,9 +975,11 @@ class PCQEServer:
                 f"deadline_ms must be a positive number, got {deadline_ms!r}"
             )
         if self._draining:
-            raise ServerDrainingError(
+            raise ServerError(
                 f"{op} rejected: server is draining (in-flight work is "
-                f"finishing; no new work is accepted)"
+                f"finishing; no new work is accepted)",
+                code="ServerDrainingError",
+                retryable=True,
             )
         with self._admission_lock:
             queue_depth = self._inflight
@@ -989,10 +989,12 @@ class PCQEServer:
                 limit = max(1, int(self.workers * multiplier))
                 if queue_depth >= limit:
                     metrics.counter("server.shed").inc()
-                    raise OverloadError(
+                    raise ServerError(
                         f"{op} shed: {queue_depth} request(s) in flight >= "
                         f"the class-{priority} limit of {limit} "
                         f"({self.workers} worker(s) x {multiplier:g})",
+                        code="OverloadError",
+                        retryable=True,
                         op=str(op),
                         priority=priority,
                         queue_depth=queue_depth,
@@ -1003,11 +1005,13 @@ class PCQEServer:
                     queue_depth * self._service_ewma / max(1, self.workers)
                 )
                 if projected > float(deadline_ms) / 1000.0:
-                    raise AdmissionError(
+                    raise ServerError(
                         f"{op} rejected at admission: projected queue wait "
                         f"{projected * 1000.0:.1f} ms exceeds the "
                         f"{float(deadline_ms):g} ms deadline "
                         f"({queue_depth} request(s) in flight)",
+                        code="AdmissionError",
+                        retryable=True,
                         deadline_ms=float(deadline_ms),
                         projected_wait_ms=projected * 1000.0,
                         queue_depth=queue_depth,
@@ -1168,9 +1172,9 @@ def _stamp(reply: dict[str, Any], rid: Any) -> dict[str, Any]:
     return {**reply, "rid": rid}
 
 
-def _error_reply(error: BaseException) -> dict[str, Any]:
+def _error_reply(error: ReproError) -> dict[str, Any]:
     payload: dict[str, Any] = {
-        "type": type(error).__name__,
+        "type": error.code,
         "message": str(error),
     }
     if isinstance(error, ServerError):

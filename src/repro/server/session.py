@@ -25,13 +25,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core import PCQEngine, PCQEResult, QueryRequest, greedy_fallback
 from ..engines import DEFAULT_ENGINE, check_engine
-from ..errors import (
-    NotPrimaryError,
-    QuarantinedTableError,
-    ReplicaLagError,
-    SessionClosedError,
-    WriteBackConflictError,
-)
+from ..errors import ServerError, WriteBackConflictError
 from ..policy import PolicyStore
 from ..storage.tuples import StoredTuple, TupleId
 from .mvcc import MVCCDatabase, Snapshot, SnapshotTable
@@ -103,9 +97,11 @@ class SessionDatabase:
     def table(self, name: str) -> SnapshotTable:
         quarantine = self._session.quarantine
         if quarantine and name.lower() in quarantine:
-            raise QuarantinedTableError(
+            raise ServerError(
                 f"table {name!r} is quarantined on this replica pending "
                 f"resync (scrub found a fingerprint divergence)",
+                code="QuarantinedTableError",
+                retryable=True,
                 table=name.lower(),
             )
         return self._db.table(name)
@@ -226,7 +222,7 @@ class Session:
     def _snapshot(self) -> Snapshot:
         handle = self._handle
         if handle is None:
-            raise SessionClosedError(f"session {self.id} is closed")
+            raise ServerError(f"session {self.id} is closed", code="SessionClosedError")
         return handle
 
     @property
@@ -247,7 +243,7 @@ class Session:
         reconnected to a replica must not see pre-N state.  Refreshes the
         pin if the node is already there; otherwise waits up to *wait_s*
         for replication to catch up, then raises the retryable
-        :class:`ReplicaLagError` so the client can try elsewhere.
+        ``ReplicaLagError`` so the client can try elsewhere.
         """
         if self.seq >= min_seq:
             return self.seq
@@ -255,9 +251,11 @@ class Session:
             wait_s > 0 and self._mvcc.wait_for_seq(min_seq, wait_s)
         ):
             return self.refresh()
-        raise ReplicaLagError(
+        raise ServerError(
             f"replica is at seq {self._mvcc.current_seq}, request requires "
             f"{min_seq} (waited {wait_s * 1000:.0f} ms)",
+            code="ReplicaLagError",
+            retryable=True,
             min_seq=min_seq,
             position=self._mvcc.current_seq,
             waited_ms=wait_s * 1000.0,
@@ -267,9 +265,13 @@ class Session:
         """Run a mutation through MVCC, then advance this session's pin."""
         self._snapshot()  # closed-session check before touching storage
         if self.read_only:
-            raise NotPrimaryError(
+            raise ServerError(
                 f"session {self.id} is bound to a read-only replica; "
-                f"writes must go to the primary"
+                f"writes must go to the primary",
+                code="NotPrimaryError",
+                rotate=True,
+                role="replica",
+                epoch=0,
             )
         result = self._mvcc.commit(mutate)
         self.refresh()

@@ -28,7 +28,7 @@ from ..algebra.expressions import Expression
 from ..algebra.plan import Filter, Project, ProjectItem, Scan
 from ..engines.columnar.batch import ColumnBatch
 from ..engines.columnar.engine import run_batch
-from ..errors import BindError, PlanError, SchemaError, SqlError
+from ..errors import BindError, PlanError, ReproError, SchemaError
 from ..obs import TIMING_BUCKETS, get_metrics
 from ..storage.database import Database
 from ..storage.schema import Column, Schema
@@ -126,9 +126,10 @@ def _create_table(db: Database, command: CreateTableStatement) -> DmlResult:
     for definition in command.columns:
         dtype = _TYPE_NAMES.get(definition.type_name.upper())
         if dtype is None:
-            raise SqlError(
+            raise ReproError(
                 f"unknown column type {definition.type_name!r}; supported: "
-                f"{', '.join(sorted(set(_TYPE_NAMES)))}"
+                f"{', '.join(sorted(set(_TYPE_NAMES)))}",
+                code="SqlError",
             )
         columns.append(Column(definition.name, dtype, nullable=definition.nullable))
     db.create_table(command.name, Schema(columns))
@@ -151,9 +152,11 @@ def _confidence_value(expression: Expression | None) -> float | None:
         return None
     value = _constant(expression, "WITH CONFIDENCE")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SqlError(f"WITH CONFIDENCE expects a number, got {value!r}")
+        raise ReproError(
+            f"WITH CONFIDENCE expects a number, got {value!r}", code="SqlError"
+        )
     if not 0.0 <= float(value) <= 1.0:
-        raise SqlError(f"confidence {value} outside [0, 1]")
+        raise ReproError(f"confidence {value} outside [0, 1]", code="SqlError")
     return float(value)
 
 
@@ -165,14 +168,15 @@ def _insert(db: Database, command: InsertStatement) -> DmlResult:
     else:
         positions = [schema.index_of(name) for name in command.columns]
         if len(set(positions)) != len(positions):
-            raise SqlError("duplicate column in INSERT column list")
+            raise ReproError("duplicate column in INSERT column list", code="SqlError")
     confidence = _confidence_value(command.confidence)
     rows = []
     for row in command.rows:
         if len(row) != len(positions):
-            raise SqlError(
+            raise ReproError(
                 f"INSERT row has {len(row)} values for "
-                f"{len(positions)} columns"
+                f"{len(positions)} columns",
+                code="SqlError",
             )
         values: list = [None] * len(schema)
         for position, expression in zip(positions, row):
@@ -214,7 +218,7 @@ def _update(db: Database, command: UpdateStatement) -> DmlResult:
     for name, _ in command.assignments:
         position = table.schema.index_of(name)
         if position in positions:
-            raise SqlError(f"column {name!r} assigned twice")
+            raise ReproError(f"column {name!r} assigned twice", code="SqlError")
         positions.append(position)
     confidence = _confidence_value(command.confidence)
     # The SET expressions ride the WHERE's batch as its projection: one

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..errors import SqlSyntaxError
+from ..errors import ReproError
 
 __all__ = ["TokenType", "Token", "tokenize", "KEYWORDS"]
 
@@ -59,9 +59,20 @@ class Token:
         return f"Token({self.type.value}, {self.value!r}@{self.line}:{self.column})"
 
 
+def syntax_error(message: str, line: int, column: int) -> ReproError:
+    """The ``SqlSyntaxError`` refusal of SQL text, located at *line*, *column*."""
+    return ReproError(
+        f"{message} at line {line}, column {column}",
+        code="SqlSyntaxError",
+        line=line,
+        column=column,
+    )
+
+
 def tokenize(text: str) -> list[Token]:
-    """Tokenize *text*; raises :class:`~repro.errors.SqlSyntaxError` on any
-    character that cannot start a token."""
+    """Tokenize *text*; raises a ``SqlSyntaxError``
+    :class:`~repro.errors.ReproError` on any character that cannot start a
+    token."""
     tokens: list[Token] = []
     line = 1
     line_start = 0
@@ -153,7 +164,7 @@ def tokenize(text: str) -> list[Token]:
             )
             position += 1
             continue
-        raise SqlSyntaxError(
+        raise syntax_error(
             f"unexpected character {char!r}", token_line, token_column
         )
 
@@ -181,7 +192,7 @@ def _read_string(
             return "".join(parts), cursor + 1
         parts.append(char)
         cursor += 1
-    raise SqlSyntaxError("unterminated string literal", line, column)
+    raise syntax_error("unterminated string literal", line, column)
 
 
 def _read_quoted_identifier(
@@ -190,10 +201,10 @@ def _read_quoted_identifier(
     assert text[position] == '"'
     end = text.find('"', position + 1)
     if end == -1:
-        raise SqlSyntaxError("unterminated quoted identifier", line, column)
+        raise syntax_error("unterminated quoted identifier", line, column)
     value = text[position + 1 : end]
     if not value:
-        raise SqlSyntaxError("empty quoted identifier", line, column)
+        raise syntax_error("empty quoted identifier", line, column)
     return value, end + 1
 
 

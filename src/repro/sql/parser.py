@@ -41,7 +41,7 @@ from ..algebra.expressions import (
     LogicalOr,
     Negate,
 )
-from ..errors import SqlSyntaxError
+from ..errors import ReproError
 from .ast import (
     AggregateCall,
     ColumnDefinition,
@@ -64,7 +64,7 @@ from .ast import (
     TableRef,
     UpdateStatement,
 )
-from .lexer import Token, TokenType, tokenize
+from .lexer import Token, TokenType, syntax_error, tokenize
 
 __all__ = ["parse", "parse_command"]
 
@@ -76,8 +76,8 @@ def parse(sql: str) -> Statement:
     """Parse a query (*SELECT*/set operation) into a
     :class:`~repro.sql.ast.Statement`.
 
-    Raises :class:`~repro.errors.SqlSyntaxError` with position info on any
-    malformed input, including trailing garbage.
+    Raises a ``SqlSyntaxError`` :class:`~repro.errors.ReproError` with
+    position info on any malformed input, including trailing garbage.
     """
     parser = _Parser(tokenize(sql))
     statement = parser.parse_statement()
@@ -112,9 +112,9 @@ class _Parser:
             self._position += 1
         return token
 
-    def _error(self, message: str) -> SqlSyntaxError:
+    def _error(self, message: str) -> ReproError:
         token = self._current
-        return SqlSyntaxError(message, token.line, token.column)
+        return syntax_error(message, token.line, token.column)
 
     def _match_keyword(self, *names: str) -> bool:
         if self._current.is_keyword(*names):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
 
-from ..errors import DuplicateTableError, UnknownTableError, WriteBackConflictError
+from ..errors import SchemaError, WriteBackConflictError
 from .lru import BoundedLRU
 from .schema import Schema
 from .table import Table
@@ -72,7 +72,7 @@ class Database:
         Recovers the newest valid snapshot plus the committed WAL suffix,
         then journals every subsequent mutation.  Raises
         :class:`~repro.errors.CorruptLogError` /
-        :class:`~repro.errors.CorruptSnapshotError` on damaged state
+        ``CorruptSnapshotError`` on damaged state
         rather than silently dropping data.
         """
         from .durability import DurabilityManager, recover
@@ -128,12 +128,14 @@ class Database:
     def create_table(self, name: str, schema: Schema) -> Table:
         """Create and register a new table.
 
-        Raises :class:`~repro.errors.DuplicateTableError` if the (case-
+        Raises ``DuplicateTableError`` if the (case-
         insensitive) name is taken.
         """
         key = name.lower()
         if key in self._tables:
-            raise DuplicateTableError(f"table {name!r} already exists")
+            raise SchemaError(
+                f"table {name!r} already exists", code="DuplicateTableError"
+            )
         table = Table(name, schema)
         self._tables[key] = table
         if self._durability is not None:
@@ -153,7 +155,7 @@ class Database:
         """Remove a table from the catalog (raises if unknown)."""
         key = name.lower()
         if key not in self._tables:
-            raise UnknownTableError(f"no table {name!r}")
+            raise SchemaError(f"no table {name!r}", code="UnknownTableError")
         self._tables[key]._journal = None
         del self._tables[key]
         self._journal({"op": "drop_table", "table": name})
@@ -163,7 +165,7 @@ class Database:
         try:
             return self._tables[name.lower()]
         except KeyError:
-            raise UnknownTableError(f"no table {name!r}") from None
+            raise SchemaError(f"no table {name!r}", code="UnknownTableError") from None
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -214,7 +216,9 @@ class Database:
         """
         key = name.lower()
         if key in self._tables or key in self._views:
-            raise DuplicateTableError(f"table or view {name!r} already exists")
+            raise SchemaError(
+                f"table or view {name!r} already exists", code="DuplicateTableError"
+            )
         self._views[key] = sql
         if validate is not None:
             try:
@@ -227,7 +231,7 @@ class Database:
     def drop_view(self, name: str) -> None:
         key = name.lower()
         if key not in self._views:
-            raise UnknownTableError(f"no view {name!r}")
+            raise SchemaError(f"no view {name!r}", code="UnknownTableError")
         del self._views[key]
         self._journal({"op": "drop_view", "name": name})
 

@@ -6,7 +6,7 @@ behind:
 1. stale temp files from interrupted atomic writes are removed (they
    were never renamed into place, so they carry no committed state);
 2. the snapshot, if present, is loaded and verified (checksum failures
-   raise :class:`~repro.errors.CorruptSnapshotError` — after WAL
+   raise ``CorruptSnapshotError`` — after WAL
    compaction there is no older state to fall back to, so silence would
    be data loss);
 3. the WAL is scanned; a torn tail is physically truncated (and

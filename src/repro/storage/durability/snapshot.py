@@ -23,7 +23,7 @@ makes "write snapshot, then compact the WAL" crash-safe in either order.
 Writing follows the temp-file + ``fsync`` + ``os.replace`` protocol, so
 a reader observes either the previous snapshot or the complete new one.
 A snapshot that fails its magic/framing/checksum check raises
-:class:`~repro.errors.CorruptSnapshotError` — loudly, because after WAL
+``CorruptSnapshotError`` — loudly, because after WAL
 compaction an unreadable snapshot cannot be silently substituted.
 """
 
@@ -34,7 +34,7 @@ import os
 import struct
 from typing import TYPE_CHECKING, Any
 
-from ...errors import CorruptSnapshotError, DurabilityError
+from ...errors import DurabilityError
 from .checksum import crc32c
 from .codec import (
     decode_cost_model,
@@ -111,8 +111,9 @@ def populate_database(db: "Database", payload: dict[str, Any]) -> int:
     from ..tuples import StoredTuple, TupleId
 
     if payload.get("format") != FORMAT_VERSION:
-        raise CorruptSnapshotError(
-            f"unsupported snapshot format {payload.get('format')!r}"
+        raise DurabilityError(
+            f"unsupported snapshot format {payload.get('format')!r}",
+            code="CorruptSnapshotError",
         )
     try:
         for spec in payload["tables"]:
@@ -134,8 +135,9 @@ def populate_database(db: "Database", payload: dict[str, Any]) -> int:
         for client, key, seq in payload.get("idempotency", ()):
             db.idempotency_keys.put((client, key), seq)
     except (KeyError, TypeError, ValueError, DurabilityError) as error:
-        raise CorruptSnapshotError(
-            f"malformed snapshot payload: {error}"
+        raise DurabilityError(
+            f"malformed snapshot payload: {error}",
+            code="CorruptSnapshotError",
         ) from error
     return int(payload.get("wal_seq", 0))
 
@@ -241,10 +243,10 @@ def load_snapshot(
 ) -> "tuple[Database, int]":
     """Load and verify the snapshot at *path*.
 
-    Raises :class:`CorruptSnapshotError` on any framing or checksum
+    Raises ``CorruptSnapshotError`` on any framing or checksum
     failure — including a zero-length file left by an un-fsync'd rename.
     """
     _size, found = read_snapshot(path)
     if isinstance(found, Damage):
-        raise CorruptSnapshotError(f"{path}: {found.reason}")
+        raise DurabilityError(f"{path}: {found.reason}", code="CorruptSnapshotError")
     return database_from_payload(found, name)

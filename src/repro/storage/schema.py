@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ..errors import (
-    AmbiguousColumnError,
-    DuplicateColumnError,
-    SchemaError,
-    UnknownColumnError,
-)
+from ..errors import AmbiguousColumnError, SchemaError, UnknownColumnError
 from .types import DataType
 
 __all__ = ["Column", "Schema"]
@@ -84,8 +79,9 @@ class Schema:
         for index, column in enumerate(self._columns):
             key = column.qualified_name.lower()
             if key in by_qualified:
-                raise DuplicateColumnError(
-                    f"duplicate column {column.qualified_name!r} in schema"
+                raise SchemaError(
+                    f"duplicate column {column.qualified_name!r} in schema",
+                    code="DuplicateColumnError",
                 )
             by_qualified[key] = index
         self._by_qualified = by_qualified

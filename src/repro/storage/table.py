@@ -14,7 +14,7 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..cost import CostModel, FreeCost
-from ..errors import SchemaError, StorageError, UnknownTupleError
+from ..errors import ReproError, SchemaError
 from .schema import Column, Schema
 from .tuples import StoredTuple, TupleId, column_view
 from .types import coerce_value
@@ -175,8 +175,9 @@ class Table:
         return coerced
 
     def _per_row(self, confidence: Any, count: int) -> Iterable[float]:
-        """One confidence for every row, or one per row (*count* of them)."""
-        if isinstance(confidence, (int, float)):
+        """One confidence for every row, or a list or tuple of one per row
+        (*count* of them).  Each is checked where it is stored."""
+        if not isinstance(confidence, (list, tuple)):
             return repeat(confidence, count)
         if len(confidence) != count:
             raise SchemaError(
@@ -245,7 +246,7 @@ class Table:
     def delete_rows(self, ordinals: Iterable[int]) -> None:
         """Remove many tuples as ONE mutation.
 
-        Raises :class:`~repro.errors.UnknownTupleError`, having removed
+        Raises ``UnknownTupleError``, having removed
         nothing, if any is absent.  One lock hold, one version bump, one
         journal hand-off: a ``batch`` of one ``delete`` op per row.
         """
@@ -343,9 +344,10 @@ class Table:
         try:
             return [self._rows[ordinal] for ordinal in ordinals]
         except KeyError as error:
-            raise UnknownTupleError(
+            raise ReproError(
                 f"no tuple {self._name}:{error.args[0]} in table "
-                f"{self._name!r}"
+                f"{self._name!r}",
+                code="UnknownTupleError",
             ) from None
 
     # The one-row spellings of the three.
@@ -365,7 +367,11 @@ class Table:
 
     def set_confidence(self, tid: TupleId, confidence: float) -> None:
         """Overwrite the stored confidence of tuple *tid*."""
-        self.update_rows([self.get(tid).tid.ordinal], confidence=confidence)
+        row = self.get(tid)
+        # Checked here: update_rows reads confidence=None as "keep".
+        self.update_rows(
+            [row.tid.ordinal], confidence=row.checked_confidence(confidence)
+        )
 
     def update(self, tid: TupleId, values: Sequence[Any]) -> None:
         """Replace tuple *tid*'s values (validated against the schema).
@@ -386,7 +392,9 @@ class Table:
     def get(self, tid: TupleId) -> StoredTuple:
         """The stored tuple with id *tid* (raises if unknown)."""
         if tid.table != self._name or tid.ordinal not in self._rows:
-            raise UnknownTupleError(f"no tuple {tid} in table {self._name!r}")
+            raise ReproError(
+                f"no tuple {tid} in table {self._name!r}", code="UnknownTupleError"
+            )
         return self._rows[tid.ordinal]
 
     def confidence_of(self, tid: TupleId) -> float:
@@ -474,11 +482,12 @@ class Table:
         therefore existing lineage formulas — stay valid in the copy.
         """
         if row.tid.table != self._name:
-            raise StorageError(
-                f"tuple {row.tid} does not belong to table {self._name!r}"
+            raise ReproError(
+                f"tuple {row.tid} does not belong to table {self._name!r}",
+                code="StorageError",
             )
         if row.tid.ordinal in self._rows:
-            raise StorageError(f"tuple {row.tid} already exists")
+            raise ReproError(f"tuple {row.tid} already exists", code="StorageError")
         copy = _copy_row(row)
         ordinal = copy.tid.ordinal
         with self._lock:

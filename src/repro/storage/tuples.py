@@ -89,7 +89,12 @@ class StoredTuple:
         return self.cost_model.max_confidence
 
     def checked_confidence(self, value: float) -> float:
-        """*value* as this tuple would store it (raises on range or cap)."""
+        """*value* as this tuple would store it (raises unless a number —
+        a bool is none — in [0, 1] and under the cap)."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidConfidenceError(
+                f"confidence expects a number, got {value!r}"
+            )
         if not 0.0 <= value <= 1.0 + _EPS:
             raise InvalidConfidenceError(f"confidence {value} outside [0, 1]")
         value = min(float(value), 1.0)

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..cost import CostModelSampler
-from ..errors import WorkloadError
+from ..errors import ReproError
 from ..lineage.circuit import CircuitPool
 from ..lineage.confidence import ConfidenceFunction
 from ..lineage.formula import Lineage, lineage_and, lineage_or, var
@@ -55,26 +55,38 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.data_size < 1:
-            raise WorkloadError(f"data_size must be positive, got {self.data_size}")
+            raise ReproError(
+                f"data_size must be positive, got {self.data_size}",
+                code="WorkloadError",
+            )
         if self.tuples_per_result < 1:
-            raise WorkloadError(
-                f"tuples_per_result must be positive, got {self.tuples_per_result}"
+            raise ReproError(
+                f"tuples_per_result must be positive, got {self.tuples_per_result}",
+                code="WorkloadError",
             )
         if self.tuples_per_result > self.data_size:
-            raise WorkloadError(
+            raise ReproError(
                 "tuples_per_result cannot exceed data_size "
-                f"({self.tuples_per_result} > {self.data_size})"
+                f"({self.tuples_per_result} > {self.data_size})",
+                code="WorkloadError",
             )
         if not 0.0 < self.theta <= 1.0:
-            raise WorkloadError(f"theta must be in (0, 1], got {self.theta}")
+            raise ReproError(
+                f"theta must be in (0, 1], got {self.theta}", code="WorkloadError"
+            )
         if not 0.0 <= self.threshold <= 1.0:
-            raise WorkloadError(
-                f"threshold must be in [0, 1], got {self.threshold}"
+            raise ReproError(
+                f"threshold must be in [0, 1], got {self.threshold}",
+                code="WorkloadError",
             )
         if not 0.0 <= self.or_bias <= 1.0:
-            raise WorkloadError(f"or_bias must be in [0, 1], got {self.or_bias}")
+            raise ReproError(
+                f"or_bias must be in [0, 1], got {self.or_bias}", code="WorkloadError"
+            )
         if self.locality < 0:
-            raise WorkloadError(f"locality must be >= 0, got {self.locality}")
+            raise ReproError(
+                f"locality must be >= 0, got {self.locality}", code="WorkloadError"
+            )
 
     @property
     def result_count(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionError
+from repro.errors import ServerError
 from repro.policy import PolicyStore
 from repro.server import PCQEServer
 from repro.storage import Database
@@ -50,7 +50,9 @@ def _complete(server: PCQEServer, elapsed: float) -> None:
 def _try_admit(server: PCQEServer, deadline_ms: float) -> bool:
     try:
         server._admit("ask", deadline_ms)
-    except AdmissionError:
+    except ServerError as error:
+        if error.code != "AdmissionError":
+            raise
         return False
     server._inflight -= 1  # undo the admit's slot for the next probe
     return True
@@ -103,7 +105,9 @@ class TestBurstyArrivals:
                 server._admit("ask", deadline_ms)  # admits hold their slot
                 if rejected:
                     admitted_after_rejection = True
-            except AdmissionError:
+            except ServerError as error:
+                if error.code != "AdmissionError":
+                    raise
                 rejected = True
         assert not admitted_after_rejection
 

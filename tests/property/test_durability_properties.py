@@ -29,7 +29,7 @@ from repro.cost import (
     LogarithmicCost,
     TabulatedCost,
 )
-from repro.errors import CorruptLogError, CorruptSnapshotError
+from repro.errors import CorruptLogError, DurabilityError
 from repro.storage import Database
 from repro.storage.durability import (
     SNAPSHOT_FILE,
@@ -235,13 +235,15 @@ def _verdicts(data_dir) -> None:
     }, "fsck modified a file"
     try:
         _db, recovery = recover(str(data_dir))
-    except (CorruptLogError, CorruptSnapshotError) as error:
+    except DurabilityError as error:
+        if error.code not in ("CorruptLogError", "CorruptSnapshotError"):
+            raise
         # corrupt ⇔ the first fsck issue names the file recovery gave up
         # on, and its sentence — offset included — is recovery's reason.
         issue = report.issues[0]
         assert not issue.kind.startswith("wal-torn")
         assert issue.file == (
-            SNAPSHOT_FILE if isinstance(error, CorruptSnapshotError) else WAL_FILE
+            SNAPSHOT_FILE if error.code == "CorruptSnapshotError" else WAL_FILE
         )
         assert issue.detail in str(error)
         return

@@ -28,12 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import (
-    ExecutionError,
-    LineageError,
-    ReproError,
-    UnknownTupleError,
-)
+from repro.errors import ExecutionError, ReproError
 from repro.lineage.probability import probability
 from repro.policy import PolicyStore
 from repro.server.mvcc import MVCCDatabase
@@ -41,6 +36,7 @@ from repro.server.session import Session
 from repro.sql import execute_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
 from tests.oracle import possible_worlds
+from tests.error_codes import raises_code
 
 KEYS = "abcd"
 
@@ -526,9 +522,9 @@ def _assert_deferred_path(db, sql) -> None:
                 run_sql(db, sql, engine="columnar").confidences(partial)
             )
             continue
-        with pytest.raises(LineageError) as compiled_error:
+        with raises_code(ReproError, "LineageError") as compiled_error:
             compiled.confidences(partial)
-        with pytest.raises(LineageError) as deferred_error:
+        with raises_code(ReproError, "LineageError") as deferred_error:
             run_sql(db, sql, engine="columnar").confidences(partial)
         assert str(deferred_error.value) == str(compiled_error.value)
 
@@ -653,6 +649,54 @@ def test_star_groups_are_products_bit_identical_to_lineage_probability():
         assert not result.has_compiled_circuits, sql
 
 
+@st.composite
+def star_data(draw):
+    """``(data_t, data_u)`` whose DISTINCT / GROUP BY groups over ``t.v``
+    are star-shaped: one ``t`` row — the hub — per key, 3 to 5 keys per
+    ``v`` — so at least 3 clusters per group — and 2 to 4 ``u`` members
+    per key, stored in a shuffled order so a group's clusters interleave
+    when ``u`` drives the join."""
+    groups = draw(st.integers(min_value=1, max_value=2))
+    confidence = st.floats(min_value=0.05, max_value=0.95)
+    data_t, data_u = [], []
+    for v in range(groups):
+        for c in range(draw(st.integers(min_value=3, max_value=5))):
+            key = f"k{v}.{c}"
+            data_t.append((key, v, draw(confidence), float(c)))
+            members = draw(st.integers(min_value=2, max_value=3))
+            data_u += [(key, w, draw(confidence)) for w in range(members)]
+    return data_t, draw(st.permutations(data_u))
+
+
+STAR_GROUP_QUERIES = [
+    "SELECT DISTINCT t.v FROM u JOIN t ON u.k = t.k",
+    "SELECT DISTINCT t.v FROM t JOIN u ON t.k = u.k",
+    "SELECT t.v, COUNT(*) FROM u JOIN t ON u.k = t.k GROUP BY t.v",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(star_data())
+def test_star_group_clusters_are_combined_in_first_seen_order(data):
+    """Generated star-shaped groups take the product path — no circuit —
+    and equal the circuits bit for bit: combining a group's hub clusters
+    in any order but the compiler's first-seen one moves a last bit."""
+    db = make_db(*data)
+    probabilities = {
+        row.tid: row.confidence for table in db.tables() for row in table.scan()
+    }
+    for sql in STAR_GROUP_QUERIES:
+        columnar = run_sql(db, sql, engine="columnar")
+        confidences = columnar.confidences(db)
+        assert not columnar.has_compiled_circuits
+        assert _hex(confidences) == _hex(
+            probability(row.lineage, probabilities) for row in columnar.rows
+        )
+        assert _hex(confidences) == _hex(
+            run_sql(db, sql, engine="native").confidences(db)
+        )
+
+
 def test_product_order_is_the_flattened_column_order():
     """``MUL`` computes ((1.0·a)·b)·c; float multiplication is not
     associative, so a right-deep join must not multiply b·c first."""
@@ -718,10 +762,10 @@ def test_a_tuple_deleted_after_the_query_is_the_same_refusal(sql, table):
     native = run_sql(db, sql, engine="native")
     victim = sorted(t for t in result.base_tuples() if t.table == table)[1]
     db.table(table).delete(victim)
-    with pytest.raises(UnknownTupleError) as expected:
+    with raises_code(ReproError, "UnknownTupleError") as expected:
         db.confidences(native.base_tuples())
     for each in (result, native):
-        with pytest.raises(UnknownTupleError) as raised:
+        with raises_code(ReproError, "UnknownTupleError") as raised:
             each.confidences(db)
         assert str(raised.value) == str(expected.value)
     assert f"no tuple {victim} in table" in str(expected.value)

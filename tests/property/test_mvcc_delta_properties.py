@@ -25,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import UnknownTupleError
+from repro.errors import ReproError
 from repro.server.mvcc import MVCCDatabase, SnapshotTable
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
 from repro.storage.tuples import TupleId
+from tests.error_codes import raises_code
 
 _SCHEMA = Schema.of(("k", INTEGER), ("name", TEXT), ("v", REAL))
 _KEYS = st.integers(-3, 3)
@@ -147,7 +148,7 @@ def _assert_equals_full_copy(snapshot: SnapshotTable, db: Database) -> None:
         assert snapshot.get(row.tid) is row
         assert snapshot.confidence_of(row.tid) == live.confidence_of(row.tid)
         assert row is not live.get(row.tid)
-    with pytest.raises(UnknownTupleError):
+    with raises_code(ReproError, "UnknownTupleError"):
         snapshot.get(TupleId("t", 1_000_000))
     for key in range(-3, 4):
         in_scan_order = [

@@ -26,12 +26,11 @@ Two families of laws:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cost import LinearCost
-from repro.errors import ReplicaLagError, ReproError
+from repro.errors import ReproError, ServerError
 from repro.policy import PolicyStore
 from repro.server import Replica
 from repro.server.mvcc import MVCCDatabase, SnapshotTable
@@ -43,6 +42,7 @@ from repro.storage.durability import database_fingerprints, recover
 from repro.storage.durability.checksum import crc32c
 from repro.storage.schema import Column, Schema
 from repro.storage.types import INTEGER, REAL, TEXT
+from tests.error_codes import raises_code
 
 # -- log divergence ---------------------------------------------------------
 
@@ -185,7 +185,7 @@ class TestReadYourWrites:
                     )
                 )
             pinned = session.seq
-            with pytest.raises(ReplicaLagError) as excinfo:
+            with raises_code(ServerError, "ReplicaLagError") as excinfo:
                 session.ensure_seq(mvcc.current_seq + beyond)
             assert excinfo.value.position == mvcc.current_seq
             # The failed demand left the pin exactly where it was.

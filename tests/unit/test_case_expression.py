@@ -3,9 +3,10 @@
 import pytest
 
 from repro.algebra import CaseExpression, col, lit
-from repro.errors import BindError, SqlSyntaxError
+from repro.errors import BindError, ReproError
 from repro.sql import parse, run_sql
 from repro.storage import Database, REAL, Schema, TEXT
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -151,9 +152,9 @@ class TestCaseInSql:
         ]
 
     def test_case_without_when_rejected(self, db):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT CASE ELSE 1 END FROM t")
 
     def test_case_missing_end_rejected(self, db):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT CASE WHEN a = 1 THEN 2 FROM t")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import LineageError
+from repro.errors import ReproError
 from repro.cost import LinearCost
 from repro.increment.problem import (
     BaseTupleState,
@@ -23,6 +23,7 @@ from repro.lineage import (
 )
 from repro.lineage.confidence import CACHE_SIZE
 from repro.storage import TupleId
+from tests.error_codes import raises_code
 
 T = [TupleId("t", i) for i in range(8)]
 
@@ -102,7 +103,7 @@ class TestCompilation:
 
     def test_missing_variable_raises(self):
         circuit = CircuitPool().compile(lineage_and(var(T[0]), var(T[1])))
-        with pytest.raises(LineageError, match="no probability supplied"):
+        with raises_code(ReproError, "LineageError", match="no probability supplied"):
             circuit.evaluate({T[0]: 0.5})
 
     def test_stats_keys(self):
@@ -284,7 +285,7 @@ class TestEvaluator:
         pool, _formulas, problem, assignment, _state = self._setup()
         foreign = CircuitPool().compile(var(T[0]))
         circuits = [result.circuit for result in problem.results]
-        with pytest.raises(LineageError, match="share the pool"):
+        with raises_code(ReproError, "LineageError", match="share the pool"):
             pool.evaluate_many(circuits + [foreign], assignment)
 
 

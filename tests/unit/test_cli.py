@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cli import CommandError, CommandShell
-from repro.errors import ReproError, UnknownTableError
+from repro.errors import ReproError, SchemaError
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ class TestSchemaCommands:
     def test_load_unknown_table(self, shell, tmp_path):
         csv_path = tmp_path / "x.csv"
         csv_path.write_text("a\n1\n")
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             shell.execute_line(f"load missing {csv_path}")
 
     def test_empty_and_comment_lines(self, shell):

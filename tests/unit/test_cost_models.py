@@ -15,7 +15,8 @@ from repro.cost import (
     LogarithmicCost,
     TabulatedCost,
 )
-from repro.errors import CostModelError
+from repro.errors import ReproError
+from tests.error_codes import raises_code
 
 
 class TestLinearCost:
@@ -27,22 +28,22 @@ class TestLinearCost:
         assert LinearCost(100.0).increment_cost(0.4, 0.4) == 0.0
 
     def test_decreasing_target_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             LinearCost(100.0).increment_cost(0.5, 0.3)
 
     def test_target_above_cap_rejected(self):
         model = LinearCost(100.0, max_confidence=0.8)
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             model.increment_cost(0.5, 0.9)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             LinearCost(100.0).increment_cost(-0.1, 0.5)
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             LinearCost(100.0).increment_cost(0.1, 1.5)
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             LinearCost(-1.0)
 
 
@@ -58,7 +59,7 @@ class TestBinomialCost:
         assert late > early
 
     def test_all_zero_coefficients_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             BinomialCost(0.0, 0.0)
 
 
@@ -71,9 +72,9 @@ class TestExponentialCost:
         assert model.increment_cost(0.9, 1.0) > model.increment_cost(0.0, 0.1)
 
     def test_invalid_params(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             ExponentialCost(scale=0.0)
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             ExponentialCost(scale=1.0, shape=-1.0)
 
 
@@ -86,9 +87,9 @@ class TestLogarithmicCost:
         assert math.isfinite(model.cumulative(1.0))
 
     def test_saturation_bounds(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             LogarithmicCost(scale=1.0, saturation=1.0)
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             LogarithmicCost(scale=1.0, saturation=0.0)
 
 
@@ -103,15 +104,15 @@ class TestTabulatedCost:
         assert model.cumulative(0.1) == 5.0
 
     def test_needs_two_points(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             TabulatedCost([(0.5, 1.0)])
 
     def test_non_increasing_confidences_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             TabulatedCost([(0.5, 1.0), (0.5, 2.0)])
 
     def test_decreasing_costs_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             TabulatedCost([(0.1, 5.0), (0.9, 1.0)])
 
     def test_max_confidence_from_last_point(self):
@@ -129,7 +130,7 @@ class TestTabulatedCost:
         ],
     )
     def test_confidences_outside_the_unit_interval_rejected(self, points, cap):
-        with pytest.raises(CostModelError, match=r"must lie in \[0, 1\]"):
+        with raises_code(ReproError, "CostModelError", match=r"must lie in \[0, 1\]"):
             TabulatedCost(points, max_confidence=cap)
 
     def test_confidences_at_the_unit_interval_bounds_accepted(self):
@@ -165,15 +166,15 @@ class TestCostModelSampler:
             assert isinstance(sampler.sample(random.Random(seed)), LinearCost)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             CostModelSampler(weights={"quantum": 1.0})
 
     def test_all_zero_weights_rejected(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             CostModelSampler(weights={"linear": 0.0})
 
     def test_invalid_cap_range(self):
-        with pytest.raises(CostModelError):
+        with raises_code(ReproError, "CostModelError"):
             CostModelSampler(max_confidence_range=(0.9, 0.5))
 
     def test_base_scale_scales_costs(self):

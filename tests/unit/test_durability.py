@@ -9,12 +9,7 @@ import os
 import pytest
 
 from repro.cost import FreeCost, LinearCost, TabulatedCost
-from repro.errors import (
-    CorruptLogError,
-    CorruptSnapshotError,
-    DurabilityError,
-    StorageError,
-)
+from repro.errors import CorruptLogError, DurabilityError
 from repro.storage import Database
 from repro.storage.durability import (
     RetryPolicy,
@@ -40,6 +35,7 @@ from repro.storage.durability import (
 from repro.storage.durability.wal import truncate_torn_tail
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
+from tests.error_codes import raises_code
 
 
 def _schema(*names: str) -> Schema:
@@ -360,7 +356,7 @@ def test_snapshot_detects_bitflip(tmp_path):
     data[len(data) // 2] ^= 0x10
     with open(path, "wb") as handle:
         handle.write(bytes(data))
-    with pytest.raises(CorruptSnapshotError):
+    with raises_code(DurabilityError, "CorruptSnapshotError"):
         load_snapshot(path)
 
 
@@ -371,7 +367,7 @@ def test_snapshot_detects_truncation(tmp_path):
     size = os.path.getsize(path)
     with open(path, "r+b") as handle:
         handle.truncate(size - 10)
-    with pytest.raises(CorruptSnapshotError):
+    with raises_code(DurabilityError, "CorruptSnapshotError"):
         load_snapshot(path)
 
 
@@ -379,7 +375,7 @@ def test_snapshot_rejects_empty_file(tmp_path):
     # The state a lost-fsync + rename leaves behind.
     path = tmp_path / "snapshot.snap"
     path.write_bytes(b"")
-    with pytest.raises(CorruptSnapshotError):
+    with raises_code(DurabilityError, "CorruptSnapshotError"):
         load_snapshot(str(path))
 
 

@@ -14,11 +14,12 @@ from repro.engines import (
     check_engine,
     pick_engine,
 )
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError, PlanError, ReproError
 from repro.lineage.circuit import CircuitPool
 from repro.lineage.formula import TOP, lineage_and, lineage_or, lineage_not, var
 from repro.sql import plan_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
+from tests.error_codes import raises_code
 
 
 def assert_equivalent(db, sql):
@@ -498,12 +499,10 @@ def test_evaluate_many_empty():
 
 
 def test_merged_order_rejects_foreign_circuits():
-    from repro.errors import LineageError
-
     pool_a, pool_b = CircuitPool(), CircuitPool()
     circuit_a = pool_a.compile(var(("t", 1)))
     circuit_b = pool_b.compile(var(("t", 1)))
-    with pytest.raises(LineageError):
+    with raises_code(ReproError, "LineageError"):
         pool_a.merged_order([circuit_a, circuit_b])
 
 

@@ -1,7 +1,8 @@
-"""Unit tests for the exception hierarchy contract.
+"""Unit tests for the exception contract.
 
 Applications catch :class:`~repro.errors.ReproError` to handle anything the
-library raises; these tests pin that contract and the subsystem groupings.
+library raises; these tests pin that contract, the classes handlers catch,
+and the ``code`` that names a finer condition.
 """
 
 import inspect
@@ -9,6 +10,7 @@ import inspect
 import pytest
 
 from repro import errors
+from tests.error_codes import raises_code
 
 
 def all_error_classes():
@@ -36,31 +38,43 @@ class TestHierarchy:
     def test_subsystem_groupings(self):
         assert issubclass(errors.UnknownColumnError, errors.SchemaError)
         assert issubclass(errors.AmbiguousColumnError, errors.SchemaError)
-        assert issubclass(errors.UnknownTupleError, errors.StorageError)
-        assert issubclass(errors.SqlSyntaxError, errors.SqlError)
-        assert issubclass(errors.BindError, errors.SqlError)
-        assert issubclass(errors.PlanError, errors.SqlError)
-        assert issubclass(errors.UnknownRoleError, errors.PolicyError)
-        assert issubclass(errors.NoApplicablePolicyError, errors.PolicyError)
+        assert issubclass(errors.TypeMismatchError, errors.SchemaError)
+        assert issubclass(errors.CorruptLogError, errors.DurabilityError)
         assert issubclass(
             errors.InfeasibleIncrementError, errors.IncrementError
         )
-        assert issubclass(
-            errors.ImprovementRejectedError, errors.IncrementError
-        )
+        assert issubclass(errors.TimeBudgetExceeded, errors.IncrementError)
+        for cls in (
+            errors.ProtocolError,
+            errors.WriteBackConflictError,
+            errors.ReplicationTimeoutError,
+        ):
+            assert issubclass(cls, errors.ServerError), cls.__name__
+
+    def test_code_defaults_to_the_class_name(self):
+        assert errors.SchemaError("x").code == "SchemaError"
+        assert errors.CorruptLogError("x").code == "CorruptLogError"
+        error = errors.SchemaError("no table 't'", code="UnknownTableError")
+        assert error.code == "UnknownTableError"
+        assert str(error) == "no table 't'" and error.details() == {}
 
     def test_invalid_confidence_is_also_value_error(self):
         # Callers using plain `except ValueError` still catch range bugs.
         assert issubclass(errors.InvalidConfidenceError, ValueError)
 
     def test_syntax_error_formats_position(self):
-        error = errors.SqlSyntaxError("boom", line=3, column=7)
-        assert "line 3" in str(error)
-        assert "column 7" in str(error)
-        assert error.line == 3 and error.column == 7
+        from repro.sql import parse
+
+        with raises_code(errors.ReproError, "SqlSyntaxError") as raised:
+            parse("SELECT a\nFROM t\n  WHERE ?")
+        error = raised.value
+        assert str(error).endswith(" at line 3, column 9")
+        assert error.line == 3 and error.column == 9
+        assert error.details() == {"line": 3, "column": 9}
 
     def test_syntax_error_without_position(self):
-        error = errors.SqlSyntaxError("boom")
+        # The message is the raise site's text: a code adds nothing to it.
+        error = errors.ReproError("boom", code="SqlSyntaxError")
         assert str(error) == "boom"
 
 

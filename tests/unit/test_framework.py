@@ -3,8 +3,9 @@
 import pytest
 
 from repro import PCQEngine, QueryRequest, QueryStatus, make_solver
-from repro.errors import NoApplicablePolicyError, ReproError
+from repro.errors import ReproError
 from repro.increment import SimulatedImprovementService
+from tests.error_codes import raises_code
 
 
 class TestQueryRequest:
@@ -135,9 +136,7 @@ class TestPipelineStatuses:
     def test_unknown_purpose_denied(self, running_example):
         store = running_example.policies
         engine = PCQEngine(running_example.db, store)
-        from repro.errors import UnknownPurposeError
-
-        with pytest.raises(UnknownPurposeError):
+        with raises_code(ReproError, "UnknownPurposeError"):
             engine.execute(
                 QueryRequest(running_example.QUERY, "espionage"), user="bob"
             )

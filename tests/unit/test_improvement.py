@@ -3,13 +3,14 @@
 import pytest
 
 from repro.cost import LinearCost
-from repro.errors import ImprovementRejectedError, IncrementError
+from repro.errors import IncrementError
 from repro.increment import (
     IncrementPlan,
     SimulatedImprovementService,
     SolverStats,
 )
 from repro.storage import Database, Schema, TEXT
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ class TestBudget:
     def test_budget_enforced_before_apply(self, db_and_tids):
         db, a, _b = db_and_tids
         service = SimulatedImprovementService(budget=10.0)
-        with pytest.raises(ImprovementRejectedError):
+        with raises_code(IncrementError, "ImprovementRejectedError"):
             service.apply(db, plan_for({a: 0.5}))  # costs 20
         # Nothing was written.
         assert db.confidence_of(a) == 0.3
@@ -77,7 +78,7 @@ class TestBudget:
         db, a, b = db_and_tids
         service = SimulatedImprovementService(budget=24.0)
         service.apply(db, plan_for({a: 0.5}))  # costs 20, 4 remains
-        with pytest.raises(ImprovementRejectedError):
+        with raises_code(IncrementError, "ImprovementRejectedError"):
             service.apply(db, plan_for({b: 1.0}))  # costs 5 > 4 remaining
         assert service.spent == pytest.approx(20.0)
 

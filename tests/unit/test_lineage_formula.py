@@ -1,8 +1,6 @@
 """Unit tests for repro.lineage.formula."""
 
-import pytest
-
-from repro.errors import LineageError
+from repro.errors import ReproError
 from repro.lineage import (
     BOTTOM,
     TOP,
@@ -17,6 +15,7 @@ from repro.lineage import (
     var,
 )
 from repro.storage import TupleId
+from tests.error_codes import raises_code
 
 A = TupleId("t", 0)
 B = TupleId("t", 1)
@@ -98,7 +97,7 @@ class TestBooleanEvaluation:
         assert Not(var(A)).evaluate({A: False})
 
     def test_missing_variable_raises(self):
-        with pytest.raises(LineageError):
+        with raises_code(ReproError, "LineageError"):
             var(A).evaluate({})
 
     def test_constants(self):

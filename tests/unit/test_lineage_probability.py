@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import LineageError
+from repro.errors import ReproError
 from repro.lineage import (
     BOTTOM,
     TOP,
@@ -19,6 +19,7 @@ from repro.lineage import (
 from repro.storage import TupleId
 
 from tests.oracle import possible_worlds
+from tests.error_codes import raises_code
 
 A, B, C, D = (TupleId("t", i) for i in range(4))
 
@@ -70,11 +71,11 @@ class TestExactProbability:
         )
 
     def test_missing_probability_raises(self):
-        with pytest.raises(LineageError):
+        with raises_code(ReproError, "LineageError"):
             probability(var(A), {})
 
     def test_out_of_range_probability_raises(self):
-        with pytest.raises(LineageError):
+        with raises_code(ReproError, "LineageError"):
             probability(var(A), {A: 1.5})
 
     def test_result_clamped(self):
@@ -105,14 +106,16 @@ class TestCompiledProbability:
 
     def test_missing_variable_raises(self):
         # Every way of asking for a confidence names the missing tuple in
-        # a LineageError (errors.py: every library error is a ReproError).
+        # a ReproError with code LineageError.
         formula = lineage_and(var(A), var(B))
         for evaluate in (
             lambda probs: probability(formula, probs),
             CircuitPool().compile(formula).evaluate,
             ConfidenceFunction(formula).evaluate,
         ):
-            with pytest.raises(LineageError, match="no probability supplied"):
+            with raises_code(
+                ReproError, "LineageError", match="no probability supplied"
+            ):
                 evaluate({A: 0.5})
 
 

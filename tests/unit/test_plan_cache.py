@@ -18,14 +18,7 @@ import pytest
 from repro.algebra import optimize
 from repro.algebra.plan import Scan
 from repro.engines import pick_engine
-from repro.errors import (
-    QuarantinedTableError,
-    ReproError,
-    SessionClosedError,
-    SqlSyntaxError,
-    UnknownColumnError,
-    UnknownTableError,
-)
+from repro.errors import ReproError, SchemaError, ServerError, UnknownColumnError
 from repro.obs import get_metrics
 from repro.policy import PolicyStore
 from repro.server import Session
@@ -47,6 +40,7 @@ from tests.integration.test_engine_differential import (
     HEALTHCARE_QUERIES,
 )
 from tests.property.test_engine_equivalence import SIZED_QUERIES, sized_db
+from tests.error_codes import raises_code
 
 #: The one ask of the golden-plan suite that goes through SQL
 #: (``tests.golden_plans.improve_ask_slice``).
@@ -260,20 +254,20 @@ class TestInvalidation:
         run_sql(catalog, sql)
         execute_sql(catalog, "DROP TABLE t")
         for _ in range(2):
-            with pytest.raises(UnknownTableError, match="no table 't'"):
+            with raises_code(SchemaError, "UnknownTableError", match="no table 't'"):
                 run_sql(catalog, sql)
         assert catalog.plan_cache.get(sql) is None
 
     def test_create_and_drop_view(self, catalog):
         sql = "SELECT k FROM big"
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             run_sql(catalog, sql)
         execute_sql(catalog, "CREATE VIEW big AS SELECT k FROM t WHERE v > 1")
         assert run_sql(catalog, sql).values() == [("b",)]
         assert prepare(catalog, sql).cached
         execute_sql(catalog, "DROP VIEW big")
         before = counters()
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             run_sql(catalog, sql)
         assert moved(before) == {"invalidations": 1}
 
@@ -335,15 +329,15 @@ class TestInvalidation:
         _same_as_reference(catalog, sql)
 
     def test_failing_text_raises_twice_and_leaves_no_entry(self, catalog):
-        for sql, error in (
-            ("SELEKT 1", SqlSyntaxError),
-            ("SELECT nope FROM t", UnknownColumnError),
-            ("SELECT k FROM nowhere", UnknownTableError),
+        for sql, error, code in (
+            ("SELEKT 1", ReproError, "SqlSyntaxError"),
+            ("SELECT nope FROM t", UnknownColumnError, "UnknownColumnError"),
+            ("SELECT k FROM nowhere", SchemaError, "UnknownTableError"),
         ):
             size = len(catalog.plan_cache)
             messages = []
             for _ in range(2):
-                with pytest.raises(error) as raised:
+                with raises_code(error, code) as raised:
                     run_sql(catalog, sql)
                 messages.append(str(raised.value))
             assert messages[0] == messages[1]
@@ -354,7 +348,7 @@ class TestInvalidation:
         insert = "INSERT INTO t VALUES ('c', 3)"
         execute_sql(catalog, insert)
         for function in (run_sql, plan_sql):
-            with pytest.raises(SqlSyntaxError, match="expected SELECT"):
+            with raises_code(ReproError, "SqlSyntaxError", match="expected SELECT"):
                 function(catalog, insert)
         assert len(catalog.table("t")) == 3
 
@@ -383,14 +377,14 @@ class TestSessions:
             errors = []
             for run in (lambda: session.ask(sql), lambda: session.run_sql(sql)):
                 before = counters()
-                with pytest.raises(QuarantinedTableError) as raised:
+                with raises_code(ServerError, "QuarantinedTableError") as raised:
                     run()
                 assert moved(before) == {}  # refused before any accounting
                 errors.append(raised.value)
-            with pytest.raises(QuarantinedTableError) as planned:
+            with raises_code(ServerError, "QuarantinedTableError") as planned:
                 plan_statement(session.db, parse(sql))
             assert {str(error) for error in errors} == {str(planned.value)}
-            assert errors[0].fields == planned.value.fields
+            assert errors[0].details() == planned.value.details()
             quarantine.clear()
             assert session.ask(sql).rows == [("a",)]
             assert prepare(session.db, sql).cached
@@ -402,7 +396,7 @@ class TestSessions:
         session.ask(sql)
         session.close()
         for run in (lambda: session.ask(sql), lambda: session.run_sql(sql)):
-            with pytest.raises(SessionClosedError):
+            with raises_code(ServerError, "SessionClosedError"):
                 run()
 
     def test_a_session_reads_its_own_pinned_generation(self, catalog, policies):

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.algebra.rows import AnnotatedTuple, ResultSet
-from repro.errors import (
-    NoApplicablePolicyError,
-    PolicyError,
-    UnknownPurposeError,
-    UnknownRoleError,
-    UnknownUserError,
-)
+from repro.errors import ReproError
 from repro.lineage import var
 from repro.policy import (
     ConfidencePolicy,
@@ -18,6 +12,7 @@ from repro.policy import (
     PolicyStore,
 )
 from repro.storage import Schema, TEXT, TupleId
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -42,13 +37,13 @@ class TestConfidencePolicy:
         assert not policy.admits(0.5)
 
     def test_threshold_validated(self):
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             ConfidencePolicy("r", "p", 1.5)
 
     def test_empty_fields_rejected(self):
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             ConfidencePolicy("", "p", 0.5)
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             ConfidencePolicy("r", "", 0.5)
 
     def test_display(self):
@@ -63,15 +58,15 @@ class TestRoleRegistry:
         assert store.role_closure("Secretary") == {"Secretary"}
 
     def test_duplicate_role_rejected(self, store):
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             store.add_role("Manager")
 
     def test_inherit_unknown_role_rejected(self, store):
-        with pytest.raises(UnknownRoleError):
+        with raises_code(ReproError, "UnknownRoleError"):
             store.add_role("CEO", inherits=["Missing"])
 
     def test_unknown_role_lookup(self, store):
-        with pytest.raises(UnknownRoleError):
+        with raises_code(ReproError, "UnknownRoleError"):
             store.role("Missing")
 
     def test_deep_inheritance(self, store):
@@ -87,11 +82,11 @@ class TestPurposeTree:
         ]
 
     def test_unknown_parent_rejected(self, store):
-        with pytest.raises(UnknownPurposeError):
+        with raises_code(ReproError, "UnknownPurposeError"):
             store.add_purpose("x", parent="missing")
 
     def test_duplicate_purpose_rejected(self, store):
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             store.add_purpose("analysis")
 
 
@@ -104,12 +99,12 @@ class TestUsers:
         assert "Secretary" not in store.user("carol").roles
 
     def test_unknown_user(self, store):
-        with pytest.raises(UnknownUserError):
+        with raises_code(ReproError, "UnknownUserError"):
             store.user("nobody")
 
     def test_grant_unknown_role(self, store):
         store.add_user("carol")
-        with pytest.raises(UnknownRoleError):
+        with raises_code(ReproError, "UnknownRoleError"):
             store.grant_role("carol", "Missing")
 
 
@@ -142,7 +137,7 @@ class TestPolicySelection:
         assert s.threshold_for("u", "surgery") == 0.4
 
     def test_deny_by_default(self, store):
-        with pytest.raises(NoApplicablePolicyError):
+        with raises_code(ReproError, "NoApplicablePolicyError"):
             store.threshold_for("alice", "investment")
 
     def test_default_threshold(self):
@@ -171,7 +166,7 @@ class TestPolicySelection:
         assert s.select_policy("u", "p").role == "*"
 
     def test_invalid_combination_mode(self):
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             PolicyStore(combination="nonsense")
 
 
@@ -218,5 +213,5 @@ class TestEnforcement:
 
     def test_invalid_threshold(self, store):
         result, probabilities = _result_set([0.5])
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             PolicyEvaluator.apply_threshold(result, probabilities, 1.5)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cost import LinearCost
-from repro.errors import PolicyError
+from repro.errors import ReproError
 from repro.policy import (
     PolicyStore,
     policy_impact,
@@ -12,6 +12,7 @@ from repro.policy import (
 )
 from repro.sql import run_sql
 from repro.storage import Database, REAL, Schema, TEXT
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ class TestThresholdSweep:
     def test_invalid_threshold(self, setup):
         db, _policies = setup
         result = run_sql(db, "SELECT k FROM t")
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             threshold_sweep(result, db, thresholds=[1.5])
 
     def test_empty_result(self, setup):

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.errors import PolicyError
+from repro.errors import ReproError
 from repro.policy import (
     PolicyStore,
     load_store,
@@ -12,6 +12,7 @@ from repro.policy import (
     store_from_dict,
     store_to_dict,
 )
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -76,7 +77,7 @@ class TestValidation:
     def test_unknown_version_rejected(self, store):
         data = store_to_dict(store)
         data["version"] = 99
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             store_from_dict(data)
 
     def test_role_cycle_rejected(self, store):
@@ -84,7 +85,7 @@ class TestValidation:
         for role in data["roles"]:
             if role["name"] == "junior":
                 role["inherits"] = ["chief"]
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             store_from_dict(data)
 
     def test_purpose_cycle_rejected(self, store):
@@ -92,7 +93,7 @@ class TestValidation:
         for purpose in data["purposes"]:
             if purpose["name"] == "ops":
                 purpose["parent"] = "reporting"
-        with pytest.raises(PolicyError):
+        with raises_code(ReproError, "PolicyError"):
             store_from_dict(data)
 
 

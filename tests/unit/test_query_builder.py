@@ -3,8 +3,9 @@
 import pytest
 
 from repro.algebra import AggregateSpec, Query, col, lit
-from repro.errors import PlanError
+from repro.errors import PlanError, SchemaError
 from repro.storage import Database, REAL, Schema, TEXT
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -64,9 +65,7 @@ class TestBuilderOperators:
         assert len(result) == 16
 
     def test_self_cross_join_without_alias_rejected(self, db):
-        from repro.errors import DuplicateColumnError
-
-        with pytest.raises(DuplicateColumnError):
+        with raises_code(SchemaError, "DuplicateColumnError"):
             Query.scan(db.table("sales")).cross_join(db.table("sales"))
 
     def test_join_accepts_table_directly(self, db):

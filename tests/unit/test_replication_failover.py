@@ -6,7 +6,7 @@ import socket
 
 import pytest
 
-from repro.errors import ServerError, StaleEpochError
+from repro.errors import ServerError
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.policy import PolicyStore
 from repro.server import (
@@ -19,6 +19,7 @@ from repro.server import (
     send_frame,
 )
 from repro.storage.database import Database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture(autouse=True)
@@ -257,7 +258,7 @@ class TestEpochFencing:
             assert replica.position == 0
             # Second layer, for a peer that answers ok with an older
             # epoch anyway: the replica refuses to adopt it.
-            with pytest.raises(StaleEpochError):
+            with raises_code(ServerError, "StaleEpochError"):
                 replica._adopt_epoch(1)
             assert (
                 metrics.counter("repl.stale_frames_rejected").snapshot() == 1

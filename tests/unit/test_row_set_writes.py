@@ -27,10 +27,9 @@ from repro.cost import LinearCost
 from repro.errors import (
     InvalidConfidenceError,
     PlanError,
+    ReproError,
     SchemaError,
-    SqlError,
     TypeMismatchError,
-    UnknownTupleError,
 )
 from repro.policy import PolicyStore
 from repro.server import Replica
@@ -44,6 +43,7 @@ from repro.storage.durability import (
     scan_wal,
 )
 from repro.storage.durability.recovery import WAL_FILE
+from tests.error_codes import raises_code
 
 _SCHEMA = Schema(
     [
@@ -94,7 +94,8 @@ class TestUpdateRows:
     @pytest.mark.parametrize(
         "arguments, error",
         [
-            (([0, 99], [0], [[1, 2]]), UnknownTupleError),
+            # A string is the code of a ReproError.
+            (([0, 99], [0], [[1, 2]]), "UnknownTupleError"),
             (([0, 1], [0], [[1, None]]), SchemaError),  # NOT NULL on row 2
             (([0, 1], [0], [[1, "x"]]), SchemaError),  # type on row 2
             (([0, 1], [0], [[1]]), SchemaError),  # ragged column
@@ -107,7 +108,8 @@ class TestUpdateRows:
     def test_a_rejected_row_changes_nothing(self, arguments, error):
         table = _table(Database())
         before, version = _state(table), table.data_version
-        with pytest.raises(error):
+        code = error if isinstance(error, str) else None
+        with raises_code(ReproError if code else error, code):
             table.update_rows(*arguments)
         assert _state(table) == before and table.data_version == version
 
@@ -179,7 +181,7 @@ class TestInsertAndDeleteRows:
     def test_rows_leave_together_or_not_at_all(self):
         table = _table(Database())
         before, version = _state(table), table.data_version
-        with pytest.raises(UnknownTupleError):
+        with raises_code(ReproError, "UnknownTupleError"):
             table.delete_rows([1, 99])
         assert _state(table) == before and table.data_version == version
         table.delete_rows([4, 1, 4])
@@ -228,13 +230,21 @@ class TestInsertAndDeleteRows:
             },
             {"op": "batch", "ops": [{"op": "delete", "table": "t", "ordinal": 0}]},
         ]
-        for call, error in [
-            (lambda: table.update(TupleId("t", 1), [11, "x"]), SchemaError),
-            (lambda: table.update(TupleId("u", 1), [11, "x", 5.0]), UnknownTupleError),
-            (lambda: table.set_confidence(TupleId("t", 1), 0.95), InvalidConfidenceError),
-            (lambda: table.delete(TupleId("t", 0)), UnknownTupleError),
+        for call, error, code in [
+            (lambda: table.update(TupleId("t", 1), [11, "x"]), SchemaError, None),
+            (
+                lambda: table.update(TupleId("u", 1), [11, "x", 5.0]),
+                ReproError,
+                "UnknownTupleError",
+            ),
+            (
+                lambda: table.set_confidence(TupleId("t", 1), 0.95),
+                InvalidConfidenceError,
+                None,
+            ),
+            (lambda: table.delete(TupleId("t", 0)), ReproError, "UnknownTupleError"),
         ]:
-            with pytest.raises(error):
+            with raises_code(error, code):
                 call()
         assert len(journal) == 3
 
@@ -324,23 +334,31 @@ def test_a_failing_multi_row_update_changes_nothing_anywhere(pair):
 
 
 @pytest.mark.parametrize(
-    "sql, error",
+    "sql, error, code",
     [
-        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (NULL, 'c', 3.0, '')", SchemaError),
-        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (12, 'c', 'zzz', '')", TypeMismatchError),
-        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (12)", SqlError),
-        (f"INSERT INTO t VALUES {_GOOD_ROWS} WITH CONFIDENCE 1.5", SqlError),
+        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (NULL, 'c', 3.0, '')", SchemaError, None),
+        (
+            f"INSERT INTO t VALUES {_GOOD_ROWS}, (12, 'c', 'zzz', '')",
+            TypeMismatchError,
+            None,
+        ),
+        (f"INSERT INTO t VALUES {_GOOD_ROWS}, (12)", ReproError, "SqlError"),
+        (
+            f"INSERT INTO t VALUES {_GOOD_ROWS} WITH CONFIDENCE 1.5",
+            ReproError,
+            "SqlError",
+        ),
     ],
     ids=["not-null", "type", "arity", "confidence"],
 )
 def test_a_multi_row_insert_refused_on_its_last_row_changes_nothing_anywhere(
-    pair, sql, error
+    pair, sql, error, code
 ):
     """Two good rows, then what the statement is refused for.  At the
     parent commit the first three cases kept the two good rows: journaled
     (``last_seq`` moved), invisible until the next commit published them,
     then recovered and replicated."""
-    _refused_statement_changes_nothing_anywhere(pair, sql, error)
+    _refused_statement_changes_nothing_anywhere(pair, sql, error, code)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +381,7 @@ def test_a_subquery_in_dml_is_refused_as_what_it_is(pair, sql):
     )
 
 
-def _refused_statement_changes_nothing_anywhere(pair, sql, error):
+def _refused_statement_changes_nothing_anywhere(pair, sql, error, code=None):
     """Returns the refusal, for callers that pin its text."""
     _seed(pair, 6)
     live_before = _state(pair.db.table("t"))
@@ -372,7 +390,7 @@ def _refused_statement_changes_nothing_anywhere(pair, sql, error):
     last_seq_before = pair.db._durability.last_seq
     version_before = pair.db.table("t").data_version
 
-    with pytest.raises(error) as refusal:
+    with raises_code(error, code) as refusal:
         pair.run(sql)
 
     assert _state(pair.db.table("t")) == live_before

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import AdmissionError, ProtocolError
+from repro.errors import ProtocolError, ServerError
 from repro.obs import get_metrics
 from repro.server import PCQEServer, ServerClient, ServerReplyError
 from repro.server.protocol import recv_frame, send_frame
@@ -15,6 +15,7 @@ from repro.server.server import _Connection
 from repro.workload import venture_capital_database
 
 import socket
+from tests.error_codes import raises_code
 
 
 @pytest.fixture()
@@ -188,7 +189,7 @@ class TestAdmissionControl:
         server._service_ewma = 10.0  # seconds per request
         server._inflight = server.workers  # a full pool ahead of us
         try:
-            with pytest.raises(AdmissionError) as info:
+            with raises_code(ServerError, "AdmissionError") as info:
                 server._admit("ask", 50.0)
         finally:
             server._inflight = 0

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SnapshotWriteError, UnknownTableError
+from repro.errors import SchemaError, ServerError
 from repro.server import MVCCDatabase
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
 from repro.storage.tuples import TupleId
+from tests.error_codes import raises_code
 
 
 def _db() -> Database:
@@ -49,7 +50,7 @@ class TestSnapshotIsolation:
         """``confidences(tids)`` looks each table up once; values, key order
         and the error for an unresolvable tid are the single-tid ones, on
         the live database and on a snapshot alike."""
-        from repro.errors import UnknownTupleError
+        from repro.errors import ReproError
 
         db = _db()
         snap = MVCCDatabase(db).snapshot()
@@ -58,13 +59,13 @@ class TestSnapshotIsolation:
             batch = source.confidences(iter(tids))
             assert list(batch) == tids[:3]
             assert batch == {tid: source.confidence_of(tid) for tid in tids}
-            for bad, error in (
-                (TupleId("t", 77), UnknownTupleError),
-                (TupleId("nope", 0), UnknownTableError),
+            for bad, error, code in (
+                (TupleId("t", 77), ReproError, "UnknownTupleError"),
+                (TupleId("nope", 0), SchemaError, "UnknownTableError"),
             ):
-                with pytest.raises(error) as single:
+                with raises_code(error, code) as single:
                     source.confidence_of(bad)
-                with pytest.raises(error) as batched:
+                with raises_code(error, code) as batched:
                     source.confidences([tids[0], bad])
                 assert str(batched.value) == str(single.value)
         snap.release()
@@ -89,7 +90,7 @@ class TestSnapshotIsolation:
         assert snap.db.has_table("u")
         fresh = mvcc.snapshot()
         assert not fresh.db.has_table("u")
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             fresh.db.table("u")
         snap.release()
         fresh.release()
@@ -168,7 +169,7 @@ class TestReadOnlyViews:
             lambda: table.update_rows([0], confidence=0.9),
             lambda: table.assign_confidences(lambda row: 0.9),
         ):
-            with pytest.raises(SnapshotWriteError):
+            with raises_code(ServerError, "SnapshotWriteError"):
                 attempt()
         snap.release()
 
@@ -181,7 +182,7 @@ class TestReadOnlyViews:
             lambda: snap.db.apply_confidences({TupleId("t", 0): 0.9}),
             lambda: snap.db.set_confidence(TupleId("t", 0), 0.9),
         ):
-            with pytest.raises(SnapshotWriteError):
+            with raises_code(ServerError, "SnapshotWriteError"):
                 attempt()
         snap.release()
 

@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    CircuitOpenError,
-    OverloadError,
-    RequestTimeoutError,
-    ServerDrainingError,
-)
+from repro.errors import ServerError
 from repro.obs import get_metrics
 from repro.policy import PolicyStore
 from repro.server import PCQEServer, PRIORITY_CLASSES
 from repro.server.server import _ConnectionBreaker, _KeyedLRU
 from repro.storage import Database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture()
@@ -40,7 +36,7 @@ class TestLoadShedding:
     def test_asks_shed_first_at_two_times_workers(self, server):
         server._inflight = server.workers * 2
         try:
-            with pytest.raises(OverloadError) as info:
+            with raises_code(ServerError, "OverloadError") as info:
                 server._admit("ask", None)
         finally:
             server._inflight = 0
@@ -58,7 +54,7 @@ class TestLoadShedding:
         try:
             assert server._admit("sql", None) is None
             server._inflight = server.workers * 4
-            with pytest.raises(OverloadError):
+            with raises_code(ServerError, "OverloadError"):
                 server._admit("sql", None)
         finally:
             server._inflight = 0
@@ -81,7 +77,7 @@ class TestLoadShedding:
         before = counter.value
         server._inflight = server.workers * 2
         try:
-            with pytest.raises(OverloadError):
+            with raises_code(ServerError, "OverloadError"):
                 server._admit("ask", None)
         finally:
             server._inflight = 0
@@ -92,7 +88,7 @@ class TestLoadShedding:
         strict.shed_multipliers = {0: 1.0}
         strict._inflight = strict.workers
         try:
-            with pytest.raises(OverloadError):
+            with raises_code(ServerError, "OverloadError"):
                 strict._admit("ask", None)
             # sql has no entry in this map: never shed.
             assert strict._admit("sql", None) is None
@@ -102,7 +98,7 @@ class TestLoadShedding:
     def test_draining_rejects_before_any_other_gate(self, server):
         server._draining = True
         try:
-            with pytest.raises(ServerDrainingError) as info:
+            with raises_code(ServerError, "ServerDrainingError") as info:
                 server._admit("metrics", None)
         finally:
             server._draining = False
@@ -176,31 +172,36 @@ class TestConnectionBreaker:
         assert gauge.value == base
 
     def test_error_classification_over_the_gates(self):
-        assert CircuitOpenError("x", failures=3, retry_after_ms=10.0).retryable
-        assert RequestTimeoutError("x", op="ask", timeout_ms=50.0).retryable
+        """``retryable`` is ``ServerError``'s class default (``False``)
+        unless the raise site passes it; the gates pass ``True``."""
+        assert not ServerError("x").retryable
+        error = ServerError(
+            "x", code="CircuitOpenError", retryable=True, failures=3,
+            retry_after_ms=10.0,
+        )
+        assert error.retryable and error.code == "CircuitOpenError"
+        assert "retryable" not in error.details()
 
     def test_structured_fields_are_declared_once_per_class(self):
-        """``fields`` drives the constructor, the attributes and the wire
-        ``details()`` alike: a missing or unknown keyword is a TypeError,
-        and a class-level default makes a field optional."""
-        from repro.errors import NotPrimaryError, ServerError
-
-        error = RequestTimeoutError("x", op="ask", timeout_ms=50.0)
+        """The raise site's keywords are the fields: each one an attribute
+        and, in the order given, an entry of the wire ``details()``;
+        ``code`` names the condition and is no field."""
+        error = ServerError(
+            "x", code="RequestTimeoutError", op="ask", timeout_ms=50.0
+        )
         assert (error.op, error.timeout_ms) == ("ask", 50.0)
         assert list(error.details().items()) == [
             ("op", "ask"), ("timeout_ms", 50.0)
         ]
-        with pytest.raises(TypeError, match="missing"):
-            RequestTimeoutError("x", op="ask")
-        with pytest.raises(TypeError, match="unknown"):
-            RequestTimeoutError("x", op="ask", timeout_ms=1.0, extra=2)
-        with pytest.raises(TypeError):
-            ServerError("x", anything=1)
+        assert error.code == "RequestTimeoutError"
         assert ServerError("x").details() == {}
-        assert list(NotPrimaryError("x").details().items()) == [
-            ("rotate", True), ("role", "replica"), ("epoch", 0)
+        assert ServerError("x").code == "ServerError"
+        rotating = ServerError(
+            "x", code="NotPrimaryError", rotate=True, role="replica", epoch=3
+        )
+        assert list(rotating.details().items()) == [
+            ("rotate", True), ("role", "replica"), ("epoch", 3)
         ]
-        assert NotPrimaryError("x", epoch=3).details()["epoch"] == 3
 
 
 class TestIdempotencyCache:

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    SessionClosedError,
-    UnknownUserError,
-    WriteBackConflictError,
-)
+from repro.errors import ReproError, ServerError, WriteBackConflictError
 from repro.server import MVCCDatabase, Session
 from repro.sql import DmlResult
 from repro.workload import venture_capital_database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture()
@@ -33,13 +30,13 @@ class TestSessionLifecycle:
             assert session.context.role == "Manager"
 
     def test_unknown_user_is_rejected_at_session_start(self, serving):
-        with pytest.raises(UnknownUserError):
+        with raises_code(ReproError, "UnknownUserError"):
             _session(serving, user="mallory")
 
     def test_closed_session_raises_on_use(self, serving):
         session = _session(serving)
         session.close()
-        with pytest.raises(SessionClosedError):
+        with raises_code(ServerError, "SessionClosedError"):
             session.run_sql("SELECT * FROM Proposal")
         session.close()  # idempotent
 

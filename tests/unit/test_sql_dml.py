@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.errors import (
-    SchemaError,
-    SqlError,
-    SqlSyntaxError,
-    UnknownTableError,
-)
+from repro.errors import PlanError, ReproError, SchemaError
 from repro.sql import DmlResult, execute_sql, parse_command
 from repro.sql.ast import (
     CreateTableStatement,
@@ -16,6 +11,7 @@ from repro.sql.ast import (
     UpdateStatement,
 )
 from repro.storage import Database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -63,11 +59,11 @@ class TestParseCommand:
         assert isinstance(parse_command("SELECT a FROM t"), SelectStatement)
 
     def test_trailing_garbage_rejected(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse_command("DELETE FROM t WHERE a = 1 nonsense")
 
     def test_missing_values_keyword(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse_command("INSERT INTO t (1, 2)")
 
 
@@ -80,7 +76,7 @@ class TestCreateDrop:
             execute_sql(db, "INSERT INTO items VALUES (NULL, 1, 1.0)")
 
     def test_unknown_type_rejected(self, db):
-        with pytest.raises(SqlError):
+        with raises_code(ReproError, "SqlError"):
             execute_sql(db, "CREATE TABLE bad (x QUATERNION)")
 
     def test_type_synonyms(self, db):
@@ -97,7 +93,7 @@ class TestCreateDrop:
 
     def test_drop(self, db):
         execute_sql(db, "DROP TABLE items")
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             db.table("items")
 
 
@@ -130,15 +126,15 @@ class TestInsert:
             execute_sql(db, "INSERT INTO items VALUES (name, 1, 1.0)")
 
     def test_arity_mismatch_rejected(self, db):
-        with pytest.raises(SqlError):
+        with raises_code(ReproError, "SqlError"):
             execute_sql(db, "INSERT INTO items (name, qty) VALUES ('x')")
 
     def test_duplicate_column_rejected(self, db):
-        with pytest.raises(SqlError):
+        with raises_code(ReproError, "SqlError"):
             execute_sql(db, "INSERT INTO items (name, name) VALUES ('x', 'y')")
 
     def test_confidence_out_of_range(self, db):
-        with pytest.raises(SqlError):
+        with raises_code(ReproError, "SqlError"):
             execute_sql(
                 db, "INSERT INTO items VALUES ('x', 1, 1.0) WITH CONFIDENCE 1.5"
             )
@@ -182,11 +178,12 @@ class TestUpdate:
         assert db.table("items").lookup("name", "apple") == []
 
     def test_double_assignment_rejected(self, db):
-        with pytest.raises(SqlError):
+        with raises_code(ReproError, "SqlError"):
             execute_sql(db, "UPDATE items SET qty = 1, qty = 2")
 
     def test_where_must_be_boolean(self, db):
-        with pytest.raises(SqlError):
+        # A planner refusal: PlanError, once a subclass of the SQL errors.
+        with pytest.raises(PlanError):
             execute_sql(db, "UPDATE items SET qty = 1 WHERE qty + 1")
 
 

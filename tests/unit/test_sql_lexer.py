@@ -1,9 +1,8 @@
 """Unit tests for the SQL lexer."""
 
-import pytest
-
-from repro.errors import SqlSyntaxError
+from repro.errors import ReproError
 from repro.sql import Token, TokenType, tokenize
+from tests.error_codes import raises_code
 
 
 def kinds(sql):
@@ -53,18 +52,18 @@ class TestStrings:
         assert kinds("'it''s'") == [(TokenType.STRING, "it's")]
 
     def test_unterminated_string(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             tokenize("'oops")
 
     def test_quoted_identifier(self):
         assert kinds('"weird name"') == [(TokenType.IDENTIFIER, "weird name")]
 
     def test_unterminated_quoted_identifier(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             tokenize('"oops')
 
     def test_empty_quoted_identifier(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             tokenize('""')
 
 
@@ -84,7 +83,7 @@ class TestCommentsAndWhitespace:
         assert (tokens[1].line, tokens[1].column) == (2, 3)
 
     def test_unexpected_character(self):
-        with pytest.raises(SqlSyntaxError) as excinfo:
+        with raises_code(ReproError, "SqlSyntaxError") as excinfo:
             tokenize("select @")
         assert "line 1" in str(excinfo.value)
 

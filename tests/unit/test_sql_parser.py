@@ -1,7 +1,5 @@
 """Unit tests for the SQL parser (AST shape, not execution)."""
 
-import pytest
-
 from repro.algebra.expressions import (
     Between,
     ColumnRef,
@@ -14,7 +12,7 @@ from repro.algebra.expressions import (
     LogicalNot,
     LogicalOr,
 )
-from repro.errors import SqlSyntaxError
+from repro.errors import ReproError
 from repro.sql import parse
 from repro.sql.ast import (
     AggregateCall,
@@ -24,6 +22,7 @@ from repro.sql.ast import (
     SetStatement,
     Star,
 )
+from tests.error_codes import raises_code
 
 
 class TestSelectCore:
@@ -61,15 +60,15 @@ class TestSelectCore:
         assert derived.alias == "sub"
 
     def test_derived_table_requires_alias(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT a FROM (SELECT b FROM t)")
 
     def test_missing_from_rejected(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT 1")
 
     def test_trailing_garbage_rejected(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT a FROM t extra garbage ,")
 
 
@@ -91,7 +90,7 @@ class TestJoins:
         assert join.kind == "cross" and join.condition is None
 
     def test_join_requires_on(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT a FROM t JOIN u")
 
     def test_multiple_joins(self):
@@ -151,7 +150,7 @@ class TestExpressions:
         assert isinstance(expression, Between)
 
     def test_not_without_predicate_rejected(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT a FROM t WHERE a NOT 5")
 
     def test_literals(self):
@@ -243,5 +242,5 @@ class TestSetOperationsAndTrailers:
         assert len(statement.order_by) == 1
 
     def test_limit_requires_integer(self):
-        with pytest.raises(SqlSyntaxError):
+        with raises_code(ReproError, "SqlSyntaxError"):
             parse("SELECT a FROM t LIMIT 'x'")

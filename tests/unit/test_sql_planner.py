@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import BindError, PlanError, UnknownTableError
+from repro.errors import BindError, PlanError, SchemaError
 from repro.sql import plan_sql, run_sql
+from tests.error_codes import raises_code
 
 
 class TestProjectionPlanning:
@@ -30,7 +31,7 @@ class TestProjectionPlanning:
         assert result.schema.names == ("double",)
 
     def test_unknown_table(self, proposal_db):
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             plan_sql(proposal_db, "SELECT * FROM missing")
 
     def test_unknown_column(self, proposal_db):

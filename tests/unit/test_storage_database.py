@@ -5,12 +5,7 @@ import io
 import pytest
 
 from repro.cost import LinearCost
-from repro.errors import (
-    DuplicateTableError,
-    InvalidConfidenceError,
-    SchemaError,
-    UnknownTableError,
-)
+from repro.errors import InvalidConfidenceError, SchemaError
 from repro.storage import (
     CONFIDENCE_COLUMN,
     Database,
@@ -20,6 +15,7 @@ from repro.storage import (
     dump_csv,
     load_csv,
 )
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -39,17 +35,17 @@ class TestCatalog:
         assert db.has_table("ITEMS")  # case-insensitive
 
     def test_duplicate_rejected(self, db):
-        with pytest.raises(DuplicateTableError):
+        with raises_code(SchemaError, "DuplicateTableError"):
             db.create_table("Items", Schema.of(("x", TEXT)))
 
     def test_unknown_table(self, db):
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             db.table("missing")
 
     def test_drop_table(self, db):
         db.drop_table("items")
         assert not db.has_table("items")
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             db.drop_table("items")
 
     def test_table_names(self, db):

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.errors import (
-    AmbiguousColumnError,
-    DuplicateColumnError,
-    SchemaError,
-    UnknownColumnError,
-)
+from repro.errors import AmbiguousColumnError, SchemaError, UnknownColumnError
 from repro.storage import Column, Schema
 from repro.storage.types import INTEGER, REAL, TEXT
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -46,7 +42,7 @@ class TestSchemaConstruction:
         assert proposal_schema.types == (TEXT, TEXT, REAL)
 
     def test_duplicate_qualified_names_rejected(self):
-        with pytest.raises(DuplicateColumnError):
+        with raises_code(SchemaError, "DuplicateColumnError"):
             Schema.of(("a", TEXT), ("a", INTEGER))
 
     def test_same_name_different_qualifier_allowed(self):

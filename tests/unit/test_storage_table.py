@@ -1,15 +1,14 @@
 """Unit tests for repro.storage tables, tuples and indexes."""
 
+import re
+
 import pytest
 
 from repro.cost import LinearCost, LogarithmicCost
-from repro.errors import (
-    InvalidConfidenceError,
-    SchemaError,
-    UnknownTupleError,
-)
+from repro.errors import InvalidConfidenceError, ReproError, SchemaError
 from repro.storage import REAL, Schema, Table, TEXT, TupleId
 from repro.storage.tuples import StoredTuple
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -109,12 +108,12 @@ class TestTableInsert:
 
 class TestTableAccess:
     def test_get_unknown_raises(self, table):
-        with pytest.raises(UnknownTupleError):
+        with raises_code(ReproError, "UnknownTupleError"):
             table.get(TupleId("t", 99))
 
     def test_get_wrong_table_raises(self, table):
         table.insert(["a", 1.0])
-        with pytest.raises(UnknownTupleError):
+        with raises_code(ReproError, "UnknownTupleError"):
             table.get(TupleId("other", 0))
 
     def test_scan_in_insertion_order(self, table):
@@ -132,6 +131,39 @@ class TestTableAccess:
         table.insert(["b", 2.0])
         table.assign_confidences(lambda row: 0.25)
         assert all(row.confidence == 0.25 for row in table.scan())
+
+
+_NOT_A_NUMBER = ["0.5", "5", b"x", None, True]
+
+_WRITES = {
+    "insert": lambda db, bad: db.table("t").insert(["b", 1.0], confidence=bad),
+    "insert_rows": lambda db, bad: db.table("t").insert_rows(
+        [["b", 1.0]], confidence=bad
+    ),
+    "set_confidence": lambda db, bad: db.set_confidence(TupleId("t", 0), bad),
+    "apply_confidences": lambda db, bad: db.apply_confidences(
+        {TupleId("t", 0): bad}
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", _NOT_A_NUMBER, ids=repr)
+@pytest.mark.parametrize("write", sorted(_WRITES))
+def test_a_confidence_that_is_not_a_number_is_refused(write, bad):
+    """The Python API refuses what SQL's WITH CONFIDENCE refuses, in SQL's
+    words: a string is no per-row sequence, a bool is no number, ``None``
+    is no "keep" for a confidence write — and nothing changes."""
+    from repro.storage import Database
+
+    db = Database()
+    db.create_table("t", Schema.of(("name", TEXT), ("value", REAL)))
+    db.table("t").insert(["a", 0.0], confidence=0.25)
+    before = [(row.tid, row.confidence) for row in db.table("t").scan()]
+    with pytest.raises(
+        InvalidConfidenceError, match=rf"expects a number, got {re.escape(repr(bad))}"
+    ):
+        _WRITES[write](db, bad)
+    assert [(row.tid, row.confidence) for row in db.table("t").scan()] == before
 
 
 class TestTableIndex:

@@ -5,14 +5,10 @@ import threading
 
 import pytest
 
-from repro.errors import (
-    DuplicateTableError,
-    PlanError,
-    UnknownColumnError,
-    UnknownTableError,
-)
+from repro.errors import PlanError, SchemaError, UnknownColumnError
 from repro.sql import execute_sql, parse, plan_statement, run_sql
 from repro.storage import Database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -74,9 +70,9 @@ class TestViewBasics:
 
 class TestViewCatalog:
     def test_duplicate_name_rejected(self, db):
-        with pytest.raises(DuplicateTableError):
+        with raises_code(SchemaError, "DuplicateTableError"):
             execute_sql(db, "CREATE VIEW sales AS SELECT 1 FROM sales")
-        with pytest.raises(DuplicateTableError):
+        with raises_code(SchemaError, "DuplicateTableError"):
             execute_sql(
                 db, "CREATE VIEW east_sales AS SELECT region FROM sales"
             )
@@ -120,15 +116,15 @@ class TestViewCatalog:
 
     def test_drop_view(self, db):
         execute_sql(db, "DROP VIEW east_sales")
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             run_sql(db, "SELECT * FROM east_sales")
 
     def test_drop_unknown_view(self, db):
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             execute_sql(db, "DROP VIEW missing")
 
     def test_drop_table_does_not_drop_view(self, db):
-        with pytest.raises(UnknownTableError):
+        with raises_code(SchemaError, "UnknownTableError"):
             execute_sql(db, "DROP TABLE east_sales")
 
     def test_view_names_listed(self, db):

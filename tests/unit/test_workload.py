@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import ReproError
 from repro.workload import (
     WorkloadSpec,
     generate_problem,
     healthcare_database,
     venture_capital_database,
 )
+from tests.error_codes import raises_code
 
 
 class TestWorkloadSpec:
@@ -24,19 +25,19 @@ class TestWorkloadSpec:
         assert WorkloadSpec(data_size=100, tuples_per_result=5).result_count == 20
 
     def test_validation(self):
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(data_size=0)
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(tuples_per_result=0)
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(data_size=3, tuples_per_result=5)
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(theta=0.0)
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(threshold=1.5)
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(or_bias=2.0)
-        with pytest.raises(WorkloadError):
+        with raises_code(ReproError, "WorkloadError"):
             WorkloadSpec(locality=-1.0)
 
 
