@@ -74,6 +74,16 @@ WORKLOADS = {
         "SELECT e.k, d.note FROM events AS e "
         "JOIN details AS d ON e.v = d.id WHERE e.v < 50"
     ),
+    # Filtered join: both inputs filtered, one column projected — the
+    # shape of the e2e ``ask.join-filtered`` class.  The right filter keeps
+    # 12 of 13 rows and the join ~10 % of those; the columnar engine reads
+    # each key column at its filter's rows and the projected column at the
+    # matched rows only.
+    "filtered_join": (
+        "SELECT d.note FROM events AS e "
+        "JOIN details AS d ON e.v = d.id "
+        "WHERE e.x < 0.1 AND d.note <> 'note-0'"
+    ),
     # Distinct + semijoin: duplicate merging and probe-side OR lineage.
     "distinct_semijoin": (
         "SELECT DISTINCT k FROM events WHERE k IN "
@@ -96,7 +106,8 @@ WORKLOADS = {
 #: tier: the operators that only run columnar because of the
 #: Aggregate/Sort kernels, and the joins.
 PARITY_WORKLOADS = (
-    "aggregate", "sort", "aggregate_over_join", "join", "selective_join"
+    "aggregate", "sort", "aggregate_over_join", "join", "selective_join",
+    "filtered_join",
 )
 
 

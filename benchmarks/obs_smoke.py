@@ -149,7 +149,7 @@ def check_explain_determinism(audit_path: Path) -> None:
 
 def check_openmetrics() -> int:
     text = render_openmetrics(get_metrics())
-    families = parse_openmetrics(text)  # raises OpenMetricsParseError
+    families = parse_openmetrics(text)  # raises code OpenMetricsParseError
     expected = (
         "pcqe_ask_latency_seconds",
         "audit_records",

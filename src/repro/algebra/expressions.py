@@ -25,6 +25,7 @@ from typing import Any, Callable, Sequence
 
 from ..errors import BindError, ExecutionError, TypeMismatchError
 from ..storage.schema import Schema
+from ..storage.tuples import ColumnView
 from ..storage.types import BOOLEAN, INTEGER, REAL, TEXT, DataType, common_type, is_comparable
 
 __all__ = [
@@ -468,9 +469,14 @@ _FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 def _select_literal(pick, index: int, value: Any, columns, rows) -> Any:
     """Column *index* compared with the non-NULL *value*, as a selection;
-    declines over a column that holds a NULL."""
+    declines over a column that holds a NULL.  A table's view knows whether
+    one does (:meth:`ColumnView.holds_null`); any other column is scanned."""
     column = columns[index]
-    return None if None in column else (pick(column, rows, value), [])
+    if type(columns) is ColumnView:
+        holds_null = columns.holds_null(index)
+    else:
+        holds_null = None in column
+    return None if holds_null else (pick(column, rows, value), [])
 
 
 class Comparison(Expression):

@@ -109,11 +109,17 @@ class ResultSet:
     def __getitem__(self, index: int) -> AnnotatedTuple:
         return self.rows[index]
 
-    def values(self) -> list[tuple[Any, ...]]:
-        """Bare value tuples, in result order."""
+    def values(
+        self, positions: Sequence[int] | None = None
+    ) -> list[tuple[Any, ...]]:
+        """Bare value tuples, in result order — or of the rows at
+        *positions*, in that order."""
         if self._batch is not None:
-            return self._batch.rows()
-        return [row.values for row in self._rows]
+            return self._batch.rows(positions)
+        rows = self._rows
+        if positions is not None:
+            rows = map(rows.__getitem__, positions)
+        return [row.values for row in rows]
 
     def take(self, positions: Sequence[int]) -> "ResultSet":
         """The rows at *positions*, in that order, as a result set of their
@@ -183,7 +189,7 @@ class ResultSet:
                 read = lambda column: list(map(source.__getitem__, column))
             else:
                 read = source.column_confidences
-            confidences = _row_confidences(self._batch.factors, read)
+            confidences = _row_confidences(tuple(self._batch.factors), read)
             if confidences is not None:
                 return confidences
         probabilities = self._probabilities(source)

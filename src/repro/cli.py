@@ -102,11 +102,7 @@ _TYPES = {
 }
 
 
-class CommandError(ReproError):
-    """A CLI command was malformed."""
-
-
-class PathFlagError(CommandError):
+class PathFlagError(ReproError):
     """A path flag names a file or directory that cannot be opened."""
 
 
@@ -193,8 +189,9 @@ class CommandShell:
         keyword, _, rest = line.partition(" ")
         handler = self._commands.get(keyword.lower())
         if handler is None:
-            raise CommandError(
-                f"unknown command {keyword!r}; try 'help'"
+            raise ReproError(
+                f"unknown command {keyword!r}; try 'help'",
+                code="CommandError",
             )
         return handler(rest.strip())
 
@@ -203,15 +200,18 @@ class CommandShell:
     def _cmd_create(self, rest: str) -> str:
         name, _, column_spec = rest.partition(" ")
         if not name or not column_spec:
-            raise CommandError("usage: create <table> name:type, name:type ...")
+            raise ReproError(
+                "usage: create <table> name:type, name:type ...", code="CommandError"
+            )
         columns = []
         for part in column_spec.split(","):
             column_name, _, type_name = part.strip().partition(":")
             dtype = _TYPES.get(type_name.strip().lower())
             if not column_name or dtype is None:
-                raise CommandError(
+                raise ReproError(
                     f"bad column {part.strip()!r}; types: "
-                    f"{', '.join(sorted(set(_TYPES)))}"
+                    f"{', '.join(sorted(set(_TYPES)))}",
+                    code="CommandError",
                 )
             columns.append((column_name, dtype))
         self.db.create_table(name, Schema.of(*columns))
@@ -220,7 +220,7 @@ class CommandShell:
     def _cmd_load(self, rest: str) -> str:
         parts = shlex.split(rest)
         if len(parts) != 2:
-            raise CommandError("usage: load <table> <csv-path>")
+            raise ReproError("usage: load <table> <csv-path>", code="CommandError")
         table_name, path = parts
         count = load_csv(self.db.table(table_name), path)
         return f"loaded {count} rows into {table_name}"
@@ -240,9 +240,10 @@ class CommandShell:
 
     def _cmd_sql(self, rest: str) -> str:
         if not rest:
-            raise CommandError(
+            raise ReproError(
                 "usage: sql <SELECT | INSERT | UPDATE | DELETE | "
-                "CREATE TABLE | DROP TABLE ...>"
+                "CREATE TABLE | DROP TABLE ...>",
+                code="CommandError",
             )
         result = execute_sql(self.db, rest, engine=self.engine)
         if isinstance(result, DmlResult):
@@ -256,7 +257,7 @@ class CommandShell:
 
     def _cmd_explain(self, rest: str) -> str:
         if not rest:
-            raise CommandError("usage: explain <SELECT ...>")
+            raise ReproError("usage: explain <SELECT ...>", code="CommandError")
         statement = prepare_query(self.db, rest)
         prepared = pick_engine(statement.plan, self.engine)
         return (
@@ -268,10 +269,10 @@ class CommandShell:
     def _cmd_circuit(self, rest: str) -> str:
         """Compile a query's lineage and report circuit sharing stats."""
         if not rest:
-            raise CommandError("usage: circuit <SELECT ...>")
+            raise ReproError("usage: circuit <SELECT ...>", code="CommandError")
         result = execute_sql(self.db, rest)
         if isinstance(result, DmlResult):
-            raise CommandError("circuit needs a SELECT query")
+            raise ReproError("circuit needs a SELECT query", code="CommandError")
         if not len(result):
             return "(no rows — nothing to compile)"
         circuits = result.compiled_circuits()
@@ -293,9 +294,10 @@ class CommandShell:
 
     def _cmd_profile(self, rest: str) -> str:
         if not rest:
-            raise CommandError(
+            raise ReproError(
                 "usage: profile <table> | "
-                "profile ask <user> <purpose> <required-fraction> <SELECT ...>"
+                "profile ask <user> <purpose> <required-fraction> <SELECT ...>",
+                code="CommandError",
             )
         if rest.split(maxsplit=1)[0].lower() == "ask":
             return self._profile_ask(rest.split(maxsplit=1)[1] if " " in rest else "")
@@ -343,7 +345,7 @@ class CommandShell:
                 inherits = parts[3].split(",")
             self.policies.add_role(parts[1], inherits=inherits)
             return f"role {parts[1]} added"
-        raise CommandError("usage: role add <name> [inherits a,b]")
+        raise ReproError("usage: role add <name> [inherits a,b]", code="CommandError")
 
     def _cmd_purpose(self, rest: str) -> str:
         parts = shlex.split(rest)
@@ -351,7 +353,9 @@ class CommandShell:
             parent = parts[3] if len(parts) >= 4 and parts[2] == "under" else None
             self.policies.add_purpose(parts[1], parent=parent)
             return f"purpose {parts[1]} added"
-        raise CommandError("usage: purpose add <name> [under <parent>]")
+        raise ReproError(
+            "usage: purpose add <name> [under <parent>]", code="CommandError"
+        )
 
     def _cmd_user(self, rest: str) -> str:
         parts = shlex.split(rest)
@@ -359,7 +363,7 @@ class CommandShell:
             roles = parts[2].split(",") if len(parts) >= 3 else []
             self.policies.add_user(parts[1], roles=roles)
             return f"user {parts[1]} added with roles {roles or '[]'}"
-        raise CommandError("usage: user add <name> [role,role]")
+        raise ReproError("usage: user add <name> [role,role]", code="CommandError")
 
     def _cmd_policy(self, rest: str) -> str:
         parts = shlex.split(rest)
@@ -383,28 +387,30 @@ class CommandShell:
 
             self.policies = load_store(parts[1])
             return f"policy store loaded from {parts[1]}"
-        raise CommandError(
+        raise ReproError(
             "usage: policy add <role> <purpose> <threshold> | policy list | "
-            "policy save <path> | policy load <path>"
+            "policy save <path> | policy load <path>",
+            code="CommandError",
         )
 
     def _cmd_solver(self, rest: str) -> str:
         parts = rest.split()
         usage = f"usage: solver {'|'.join(SOLVERS)} [--deadline-ms <ms>]"
         if not parts or parts[0] not in SOLVERS:
-            raise CommandError(usage)
+            raise ReproError(usage, code="CommandError")
         if len(parts) == 3 and parts[1] == "--deadline-ms":
             try:
                 deadline_ms = float(parts[2])
             except ValueError:
-                raise CommandError(usage) from None
+                raise ReproError(usage, code="CommandError") from None
             if not is_deadline(deadline_ms):
-                raise CommandError(
-                    f"--deadline-ms must be positive and finite, got {parts[2]!r}"
+                raise ReproError(
+                    f"--deadline-ms must be positive and finite, got {parts[2]!r}",
+                    code="CommandError",
                 )
             self.deadline_ms = deadline_ms
         elif len(parts) != 1:
-            raise CommandError(usage)
+            raise ReproError(usage, code="CommandError")
         self.solver = parts[0]
         suffix = (
             f" (deadline {self.deadline_ms:g} ms)"
@@ -424,8 +430,9 @@ class CommandShell:
     def _run_pipeline(self, rest: str, profile: bool = False):
         parts = rest.split(maxsplit=3)
         if len(parts) != 4:
-            raise CommandError(
-                "usage: ask <user> <purpose> <required-fraction> <SELECT ...>"
+            raise ReproError(
+                "usage: ask <user> <purpose> <required-fraction> <SELECT ...>",
+                code="CommandError",
             )
         user, purpose, fraction_text, sql = parts
         engine = PCQEngine(
@@ -491,8 +498,9 @@ class CommandShell:
         """
         target = rest.strip() or self.data_dir
         if not target:
-            raise CommandError(
-                "usage: recover <data-dir> (or start with --data-dir)"
+            raise ReproError(
+                "usage: recover <data-dir> (or start with --data-dir)",
+                code="CommandError",
             )
         from .storage import recover
 
@@ -509,8 +517,9 @@ class CommandShell:
         """
         target = rest.strip() or self.data_dir
         if not target:
-            raise CommandError(
-                "usage: fsck <data-dir> (or start with --data-dir)"
+            raise ReproError(
+                "usage: fsck <data-dir> (or start with --data-dir)",
+                code="CommandError",
             )
         from .storage.durability import fsck_data_dir
 
@@ -518,7 +527,7 @@ class CommandShell:
 
     def _cmd_checkpoint(self, rest: str) -> str:
         if not self.db.is_durable:
-            raise CommandError("checkpoint needs --data-dir")
+            raise ReproError("checkpoint needs --data-dir", code="CommandError")
         nbytes = self.db.checkpoint()
         return f"checkpoint written ({nbytes} bytes); wal compacted"
 
@@ -528,7 +537,7 @@ class CommandShell:
         """``audit explain <query-id> <tuple-id>`` / ``audit list``."""
         usage = "usage: audit explain <query-id> <tuple-id> | audit list"
         if self.audit_path is None:
-            raise CommandError("audit commands need --audit-log")
+            raise ReproError("audit commands need --audit-log", code="CommandError")
         parts = shlex.split(rest)
         from .obs.audit import build_trails, explain_decision, read_audit_log
 
@@ -551,14 +560,14 @@ class CommandShell:
                     f"decisions={len(trail.decisions)}"
                 )
             return "\n".join(lines)
-        raise CommandError(usage)
+        raise ReproError(usage, code="CommandError")
 
     def _cmd_metrics(self, rest: str) -> str:
         """``metrics dump [path]``."""
         usage = "usage: metrics dump [path]"
         parts = shlex.split(rest)
         if not parts or parts[0] != "dump" or len(parts) > 2:
-            raise CommandError(usage)
+            raise ReproError(usage, code="CommandError")
         from .obs import render_openmetrics
 
         text = render_openmetrics()
@@ -591,7 +600,7 @@ class CommandShell:
         parts = shlex.split(rest)
         if parts and parts[0] in ("stop", "drain"):
             if self.pcqe_server is None:
-                raise CommandError("no PCQE server running")
+                raise ReproError("no PCQE server running", code="CommandError")
             address = self.pcqe_server.address
             drain_timeout = self.serve_drain_timeout
             if parts[0] == "drain":
@@ -600,7 +609,7 @@ class CommandShell:
                         drain_timeout if drain_timeout is not None else 5.0
                     )
                 except ValueError:
-                    raise CommandError(usage) from None
+                    raise ReproError(usage, code="CommandError") from None
             if drain_timeout is not None:
                 report = self.pcqe_server.drain(drain_timeout)
                 self.pcqe_server = None
@@ -616,8 +625,9 @@ class CommandShell:
             self.pcqe_server = None
             return f"stopped PCQE server at {address}"
         if self.pcqe_server is not None:
-            raise CommandError(
-                f"PCQE server already running at {self.pcqe_server.address}"
+            raise ReproError(
+                f"PCQE server already running at {self.pcqe_server.address}",
+                code="CommandError",
             )
         port = 0
         drain_timeout: float | None = None
@@ -636,7 +646,7 @@ class CommandShell:
                     port = int(token)
                     index += 1
         except (ValueError, IndexError):
-            raise CommandError(usage) from None
+            raise ReproError(usage, code="CommandError") from None
         from .server import PCQEServer
 
         self.serve_drain_timeout = drain_timeout
@@ -667,15 +677,15 @@ class CommandShell:
         )
         parts = rest.split(maxsplit=4)
         if len(parts) != 5:
-            raise CommandError(usage)
+            raise ReproError(usage, code="CommandError")
         address, user, purpose, fraction_text, sql = parts
         host, _, port_text = address.rpartition(":")
         if not host or not port_text.isdigit():
-            raise CommandError(usage)
+            raise ReproError(usage, code="CommandError")
         try:
             fraction = float(fraction_text)
         except ValueError:
-            raise CommandError(usage) from None
+            raise ReproError(usage, code="CommandError") from None
         from .server import ServerClient
 
         with ServerClient(

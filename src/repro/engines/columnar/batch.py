@@ -4,9 +4,16 @@ A :class:`ColumnBatch` holds one value list per schema column plus a
 lineage column.  Two deliberate choices keep it fast without any native
 dependencies:
 
-* **Read-only sharing.**  Column lists are shared, never copied, between
-  operators (and with :meth:`repro.storage.table.Table.column_data`'s
-  per-table cache); kernels gather into fresh lists instead of mutating.
+* **Read through the selection.**  A scan's columns are the table's
+  cached view (:meth:`repro.storage.table.Table.column_data`), shared and
+  never copied.  A filter, sort, limit or semi-join passes row positions
+  and an inner equi-join (left, right) index pairs: the output's columns
+  are a :class:`Selection` — its inputs' source columns read through
+  index vectors, each gathered when something first reads it and kept.
+  Gathering a selection again composes its index vectors, so a column
+  nobody reads is never copied, and one that is read is copied once, at
+  the rows that reach the reader.  Kernels gather into fresh lists and
+  never mutate a column.
 
 * **Deferred lineage.**  A batch's lineage is in one of two states.
   *Deferred*: k ≥ 1 factor columns, row *i* standing for
@@ -14,8 +21,9 @@ dependencies:
   ``Var``) or a :class:`Group` — the OR over rows of an inner batch that
   DISTINCT, GROUP BY and ``IN`` emit instead of building it.  A scan is
   one tid column, an inner equi-join concatenates its inputs' columns,
-  and filter / project / sort / limit carry them along, so none of these
-  builds a ``Var``, an ``And`` or an ``Or``.  *Materialised*: a list of
+  and filter / project / sort / limit carry them along — read through
+  the selection like the value columns — so none of these builds a
+  ``Var``, an ``And`` or an ``Or``.  *Materialised*: a list of
   formulas.  :meth:`lineage_at` builds one deferred row's formula and
   :meth:`lineage_column` materialises the batch, which happens where a
   formula is combined row by row (a LEFT equi-join, and every operator
@@ -44,7 +52,7 @@ from ...lineage.formula import (
 from ...storage.schema import Schema
 from ...storage.tuples import TupleId
 
-__all__ = ["ColumnBatch", "Group"]
+__all__ = ["ColumnBatch", "Group", "Selection"]
 
 
 class Group:
@@ -116,6 +124,60 @@ def _tuple_sets(column: Sequence) -> list:
     return [entry.variables for entry in column]
 
 
+class Selection:
+    """A batch's value (or factor) columns read through index vectors:
+    *parts* of ``(source columns, index vector)`` laid end to end — a
+    filter's one part is its input's columns at the kept rows, a join's
+    two are its inputs' at the (left, right) index pairs.  Column *c* is
+    gathered on its first read and kept."""
+
+    __slots__ = ("parts", "width", "_read")
+
+    def __init__(
+        self, parts: tuple[tuple[Sequence[list], Sequence[int]], ...], width: int
+    ) -> None:
+        self.parts = parts
+        #: The number of columns (the sources' widths summed).
+        self.width = width
+        self._read: dict[int, list] = {}
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __getitem__(self, position: int) -> list:
+        column = self._read.get(position)
+        if column is not None:
+            return column
+        offset = position
+        for source, index in self.parts:
+            if offset < len(source):
+                column = list(map(source[offset].__getitem__, index))
+                self._read[position] = column
+                return column
+            offset -= len(source)
+        raise IndexError(position)
+
+    def __iter__(self) -> Iterator[list]:
+        return map(self.__getitem__, range(self.width))
+
+
+def _parts(
+    columns: Sequence[list], indices: Sequence[int], composed: dict
+) -> tuple:
+    """*columns* at *indices*, as :class:`Selection` parts over source
+    columns: a selection's index vectors are composed with *indices*, each
+    once per *composed* (a batch's value and factor parts share them)."""
+    if type(columns) is not Selection:
+        return ((columns, indices),)
+    parts = []
+    for source, index in columns.parts:
+        key = id(index)
+        if key not in composed:
+            composed[key] = list(map(index.__getitem__, indices))
+        parts.append((source, composed[key]))
+    return tuple(parts)
+
+
 class ColumnBatch:
     """A schema, per-column value lists, and a lineage column — deferred
     (:attr:`factors`) or materialised, never both."""
@@ -129,11 +191,17 @@ class ColumnBatch:
         lineage: list[Lineage] | None = None,
         factors: tuple[Sequence["TupleId | Group"], ...] | None = None,
     ) -> None:
-        self.schema = schema
-        self.columns = columns
-        self.length = len(columns[0]) if columns else 0
         if (lineage is None) == (factors is None):
             raise ValueError("a batch needs a lineage or factors, not both")
+        self.schema = schema
+        #: The value columns: plain lists, or a :class:`Selection`.
+        self.columns = columns
+        if lineage is not None:
+            self.length = len(lineage)
+        elif type(factors) is Selection:
+            self.length = len(factors.parts[0][1])
+        else:
+            self.length = len(factors[0])
         self._lineage = lineage
         #: The deferred lineage (``None`` once materialised).
         self.factors = factors
@@ -156,7 +224,7 @@ class ColumnBatch:
             return [self._lineage[i] for i in indices]
         columns = self.factors
         if indices is not None:
-            columns = [[column[i] for i in indices] for column in columns]
+            columns = Selection(_parts(columns, indices, {}), len(columns))
         parts = []
         for column in columns:
             if _holds_groups(column):
@@ -212,11 +280,16 @@ class ColumnBatch:
         """Row *index*'s values as a tuple."""
         return tuple([column[index] for column in self.columns])
 
-    def rows(self) -> list[tuple[Any, ...]]:
-        """All rows as value tuples (one zip, not per-row indexing)."""
+    def rows(self, indices: Sequence[int] | None = None) -> list[tuple[Any, ...]]:
+        """All rows as value tuples (one zip, not per-row indexing), or
+        those at *indices*, in that order."""
         if self.length == 0:
             return []
-        return list(zip(*self.columns))
+        if indices is None:
+            return list(zip(*self.columns))
+        return list(
+            zip(*[list(map(column.__getitem__, indices)) for column in self.columns])
+        )
 
     # -- derived batches -------------------------------------------------
 
@@ -227,10 +300,13 @@ class ColumnBatch:
         return ColumnBatch(schema, columns, self._lineage, self.factors)
 
     def gather(self, indices: Sequence[int]) -> "ColumnBatch":
-        """The sub-batch of *indices*, in the given order (filter output)."""
-        columns = [
-            [column[i] for i in indices] for column in self.columns
-        ]
+        """The sub-batch of *indices*, in the given order: its value and
+        factor columns are this batch's read through *indices*, none
+        copied until it is read."""
+        composed: dict = {}
+        columns = Selection(
+            _parts(self.columns, indices, composed), len(self.schema)
+        )
         if self._lineage is not None:
             return ColumnBatch(
                 self.schema,
@@ -240,23 +316,46 @@ class ColumnBatch:
         return ColumnBatch(
             self.schema,
             columns,
-            factors=tuple(
-                [column[i] for i in indices] for column in self.factors
+            factors=Selection(
+                _parts(self.factors, indices, composed), len(self.factors)
             ),
         )
 
+    @classmethod
+    def joined(
+        cls,
+        schema: Schema,
+        left: "ColumnBatch",
+        left_index: Sequence[int],
+        right: "ColumnBatch",
+        right_index: Sequence[int],
+    ) -> "ColumnBatch":
+        """The rows of *left* at *left_index* beside those of *right* at
+        *right_index* — an inner join's pairs — read through both index
+        vectors.  Two deferred inputs give a deferred output: the left's
+        factor columns, then the right's."""
+        on_left: dict = {}
+        on_right: dict = {}
+        columns = Selection(
+            _parts(left.columns, left_index, on_left)
+            + _parts(right.columns, right_index, on_right),
+            len(schema),
+        )
+        if left.factors is None or right.factors is None:
+            formulas = map(
+                lineage_and, left.lineages(left_index), right.lineages(right_index)
+            )
+            return cls(schema, columns, lineage=list(formulas))
+        factors = Selection(
+            _parts(left.factors, left_index, on_left)
+            + _parts(right.factors, right_index, on_right),
+            len(left.factors) + len(right.factors),
+        )
+        return cls(schema, columns, factors=factors)
+
     def slice(self, start: int, stop: int) -> "ColumnBatch":
         """A contiguous window of rows (LIMIT/OFFSET)."""
-        columns = [column[start:stop] for column in self.columns]
-        if self._lineage is not None:
-            return ColumnBatch(
-                self.schema, columns, lineage=self._lineage[start:stop]
-            )
-        return ColumnBatch(
-            self.schema,
-            columns,
-            factors=tuple(column[start:stop] for column in self.factors),
-        )
+        return self.gather(range(start, min(stop, self.length)))
 
     # -- boundaries ------------------------------------------------------
 

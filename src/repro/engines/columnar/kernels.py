@@ -19,20 +19,21 @@ both engines to this contract.
 
 What the kernels buy over the native operators:
 
-* a filter is one selection vector: each conjunct reads its own columns
-  at the rows the earlier ones left not False (a column compared with a
-  literal calls nothing per row), and the rows are gathered once;
-  projections run through the batch expression path — one kernel call
-  per column instead of one closure chain per row;
+* a batch is read through its selection (:class:`~.batch.Selection`): a
+  filter, sort, limit or semi-join passes its input's row positions and
+  an inner equi-join its (left, right) index pairs, so a column — value
+  or factor — is gathered only when something reads it, once, at the
+  rows that reach the reader.  A filter's conjuncts each read their own
+  columns at the rows the earlier ones left not False (a column compared
+  with a literal calls nothing per row, and asks the table's view once a
+  version whether it holds a NULL); a join's re-check reads the key
+  columns its hashing gathered; a projection reads the columns it names;
 * value tuples and ``Var`` objects are built late, in proportion to what a
-  kernel returns: scan/filter/project/sort/limit build none (the factor
-  columns ride along, a scan's over the table's cached column view); an
-  inner equi-join gathers value and — when both inputs are deferred —
-  factor *columns* over its (left, right) index pairs, building none
-  either.  DISTINCT, GROUP BY and ``IN`` over deferred inputs build no
-  OR: they emit one :class:`~.batch.Group` per key or probed value.  A
-  LEFT equi-join builds a value tuple and a formula per left row and,
-  once each, per right row that is a candidate.
+  kernel returns: scan/filter/project/sort/limit and an inner equi-join of
+  deferred inputs build none.  DISTINCT, GROUP BY and ``IN`` over
+  deferred inputs build no OR: they emit one :class:`~.batch.Group` per
+  key or probed value.  A LEFT equi-join builds a value tuple and a
+  formula per left row and, once each, per right row that is a candidate.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from ...lineage.formula import (
     lineage_not,
     lineage_or,
 )
-from .batch import ColumnBatch, Group
+from .batch import ColumnBatch, Group, Selection
 
 __all__ = [
     "scan_batch",
@@ -199,14 +200,14 @@ def _join_index_pairs(
     left_keys: list,
     buckets: dict[Any, list[int]],
 ) -> ColumnBatch | None:
-    """The inner equi-join as a gather over (left, right) index pairs, in
-    native order: left rows in order, each one's bucket in right order.
+    """The inner equi-join as (left, right) index pairs, in native order:
+    left rows in order, each one's bucket in right order; its columns are
+    its inputs' read through the pairs (:meth:`ColumnBatch.joined`), so
+    two deferred inputs build no ``Var``, ``And`` or value tuple.
 
-    The join condition is re-checked over the gathered columns, as the row
-    path re-checks every hash-equal candidate (``None`` when that raises).
-    Two deferred inputs give a deferred output — the left's factor
-    columns, then the right's — so no ``Var``, ``And`` or value tuple is
-    built.
+    The join condition is re-checked at every pair, as the row path
+    re-checks every hash-equal candidate (``None`` when that raises); it
+    reads the two key columns the hashing gathered, and nothing else.
     """
     left_index: list[int] = []
     right_index: list[int] = []
@@ -215,33 +216,19 @@ def _join_index_pairs(
         if matches:
             left_index.extend([i] * len(matches))
             right_index.extend(matches)
-    columns = [[column[i] for i in left_index] for column in left.columns]
-    columns += [[column[j] for j in right_index] for column in right.columns]
+    # The re-check reads the key columns the hashing already gathered.
+    pairs = Selection(
+        ((left.columns, left_index), (right.columns, right_index)), len(node.schema)
+    )
     try:
-        flags = node.bound_condition.evaluate_batch(columns, len(left_index))
+        flags = node.bound_condition.evaluate_batch(pairs, len(left_index))
     except _BATCH_ERRORS:
         return None
     keep = [p for p, flag in enumerate(flags) if flag is True]
     if len(keep) != len(flags):
-        columns = [[column[p] for p in keep] for column in columns]
         left_index = [left_index[p] for p in keep]
         right_index = [right_index[p] for p in keep]
-    if left.factors is not None and right.factors is not None:
-        return ColumnBatch(
-            node.schema,
-            columns,
-            factors=(
-                *([factor[i] for i in left_index] for factor in left.factors),
-                *([factor[j] for j in right_index] for factor in right.factors),
-            ),
-        )
-    return ColumnBatch(
-        node.schema,
-        columns,
-        lineage=list(
-            map(lineage_and, left.lineages(left_index), right.lineages(right_index))
-        ),
-    )
+    return ColumnBatch.joined(node.schema, left, left_index, right, right_index)
 
 
 def _left_join(

@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .profile import ProfileReport
 from .export import (
-    OpenMetricsParseError,
     parse_openmetrics,
     render_openmetrics,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "set_metrics",
     "metrics_diff",
     "ProfileReport",
-    "OpenMetricsParseError",
     "parse_openmetrics",
     "render_openmetrics",
     "solver_run",

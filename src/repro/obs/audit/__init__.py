@@ -23,7 +23,6 @@ Enable auditing by passing an :class:`AuditLog` to
 
 from .log import AUDIT_SCHEMA_VERSION, AuditLog, read_audit_log
 from .explain import (
-    AuditReplayError,
     AuditTrail,
     build_trails,
     explain_decision,
@@ -34,7 +33,6 @@ __all__ = [
     "AUDIT_SCHEMA_VERSION",
     "AuditLog",
     "read_audit_log",
-    "AuditReplayError",
     "AuditTrail",
     "build_trails",
     "explain_decision",

@@ -16,16 +16,11 @@ from typing import Any
 from ...errors import ReproError
 
 __all__ = [
-    "AuditReplayError",
     "AuditTrail",
     "build_trails",
     "explain_decision",
     "reconstruct_decisions",
 ]
-
-
-class AuditReplayError(ReproError):
-    """The audit journal does not contain the requested trail."""
 
 
 @dataclass
@@ -79,7 +74,9 @@ def reconstruct_decisions(
     """
     trails = build_trails(records)
     if query_id not in trails:
-        raise AuditReplayError(f"audit log has no query {query_id!r}")
+        raise ReproError(
+            f"audit log has no query {query_id!r}", code="AuditReplayError"
+        )
     return [
         json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
         for record in trails[query_id].decisions
@@ -91,17 +88,21 @@ def explain_decision(
 ) -> str:
     """Deterministic, human-readable explanation of one decision.
 
-    Raises :class:`AuditReplayError` when the journal has no such query or
-    tuple — an explanation must come from the log, never be synthesized.
+    Raises ``ReproError`` with code ``AuditReplayError`` when the journal
+    has no such query or tuple — an explanation must come from the log,
+    never be synthesized.
     """
     trails = build_trails(records)
     trail = trails.get(query_id)
     if trail is None:
-        raise AuditReplayError(f"audit log has no query {query_id!r}")
+        raise ReproError(
+            f"audit log has no query {query_id!r}", code="AuditReplayError"
+        )
     phases = trail.phases(tuple_id)
     if not phases:
-        raise AuditReplayError(
-            f"query {query_id} has no decision for tuple {tuple_id!r}"
+        raise ReproError(
+            f"query {query_id} has no decision for tuple {tuple_id!r}",
+            code="AuditReplayError",
         )
 
     lines: list[str] = []

@@ -9,14 +9,12 @@
 """
 
 from .openmetrics import (
-    OpenMetricsParseError,
     parse_openmetrics,
     render_openmetrics,
     sanitize_metric_name,
 )
 
 __all__ = [
-    "OpenMetricsParseError",
     "parse_openmetrics",
     "render_openmetrics",
     "sanitize_metric_name",

@@ -29,7 +29,6 @@ from ...errors import ReproError
 from ..metrics import Histogram, MetricsRegistry, get_metrics
 
 __all__ = [
-    "OpenMetricsParseError",
     "render_openmetrics",
     "parse_openmetrics",
     "sanitize_metric_name",
@@ -44,10 +43,6 @@ _SAMPLE_RE = re.compile(
     r" (?P<value>\S+)(?: (?P<timestamp>\S+))?$"
 )
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-class OpenMetricsParseError(ReproError):
-    """The exposition violates the OpenMetrics text format."""
 
 
 def sanitize_metric_name(name: str) -> str:
@@ -148,43 +143,53 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
     """Strictly parse an OpenMetrics exposition.
 
     Returns ``{family: {"type": ..., "help": ..., "samples": [(name,
-    labels, value), ...]}}``.  Raises :class:`OpenMetricsParseError` on
-    any format violation — this is the validator CI runs on every dump.
+    labels, value), ...]}}``.  Raises ``ReproError`` with code
+    ``OpenMetricsParseError`` on any format violation — this is the
+    validator CI runs on every dump.
     """
     if not text.endswith("# EOF\n"):
-        raise OpenMetricsParseError("exposition must end with '# EOF\\n'")
+        raise ReproError(
+            "exposition must end with '# EOF\\n'", code="OpenMetricsParseError"
+        )
     families: dict[str, dict[str, Any]] = {}
     current: str | None = None
     saw_eof = False
     for line_number, line in enumerate(text.splitlines(), start=1):
         if saw_eof:
-            raise OpenMetricsParseError(
-                f"line {line_number}: content after # EOF"
+            raise ReproError(
+                f"line {line_number}: content after # EOF",
+                code="OpenMetricsParseError",
             )
         if line == "# EOF":
             saw_eof = True
             continue
         if not line:
-            raise OpenMetricsParseError(f"line {line_number}: blank line")
+            raise ReproError(
+                f"line {line_number}: blank line", code="OpenMetricsParseError"
+            )
         if line.startswith("# TYPE "):
             parts = line.split(" ", 3)
             if len(parts) != 4:
-                raise OpenMetricsParseError(
-                    f"line {line_number}: malformed TYPE line"
+                raise ReproError(
+                    f"line {line_number}: malformed TYPE line",
+                    code="OpenMetricsParseError",
                 )
             _, _, family, metric_type = parts
             if not _NAME_RE.match(family):
-                raise OpenMetricsParseError(
-                    f"line {line_number}: invalid family name {family!r}"
+                raise ReproError(
+                    f"line {line_number}: invalid family name {family!r}",
+                    code="OpenMetricsParseError",
                 )
             if metric_type not in ("counter", "gauge", "histogram", "summary",
                                    "unknown", "info", "stateset"):
-                raise OpenMetricsParseError(
-                    f"line {line_number}: unknown type {metric_type!r}"
+                raise ReproError(
+                    f"line {line_number}: unknown type {metric_type!r}",
+                    code="OpenMetricsParseError",
                 )
             if family in families:
-                raise OpenMetricsParseError(
-                    f"line {line_number}: duplicate TYPE for {family}"
+                raise ReproError(
+                    f"line {line_number}: duplicate TYPE for {family}",
+                    code="OpenMetricsParseError",
                 )
             families[family] = {"type": metric_type, "help": None, "samples": []}
             current = family
@@ -192,52 +197,60 @@ def parse_openmetrics(text: str) -> dict[str, dict[str, Any]]:
         if line.startswith("# HELP "):
             parts = line.split(" ", 3)
             if len(parts) < 4:
-                raise OpenMetricsParseError(
-                    f"line {line_number}: malformed HELP line"
+                raise ReproError(
+                    f"line {line_number}: malformed HELP line",
+                    code="OpenMetricsParseError",
                 )
             _, _, family, help_text = parts
             if family not in families:
-                raise OpenMetricsParseError(
-                    f"line {line_number}: HELP before TYPE for {family}"
+                raise ReproError(
+                    f"line {line_number}: HELP before TYPE for {family}",
+                    code="OpenMetricsParseError",
                 )
             families[family]["help"] = help_text
             continue
         if line.startswith("#"):
-            raise OpenMetricsParseError(
-                f"line {line_number}: unexpected comment {line!r}"
+            raise ReproError(
+                f"line {line_number}: unexpected comment {line!r}",
+                code="OpenMetricsParseError",
             )
         match = _SAMPLE_RE.match(line)
         if match is None:
-            raise OpenMetricsParseError(
-                f"line {line_number}: malformed sample {line!r}"
+            raise ReproError(
+                f"line {line_number}: malformed sample {line!r}",
+                code="OpenMetricsParseError",
             )
         sample_name = match.group("name")
         family = _family_of(sample_name, families)
         if family is None:
-            raise OpenMetricsParseError(
-                f"line {line_number}: sample {sample_name!r} has no TYPE"
+            raise ReproError(
+                f"line {line_number}: sample {sample_name!r} has no TYPE",
+                code="OpenMetricsParseError",
             )
         if current is not None and family != current and family in families:
             # Samples may only appear inside their family's block.
             if families[family]["samples"] and current != family:
-                raise OpenMetricsParseError(
-                    f"line {line_number}: interleaved family {family}"
+                raise ReproError(
+                    f"line {line_number}: interleaved family {family}",
+                    code="OpenMetricsParseError",
                 )
         labels = _parse_labels(match.group("labels"), line_number)
         raw_value = match.group("value")
         try:
             value = float(raw_value)
         except ValueError:
-            raise OpenMetricsParseError(
-                f"line {line_number}: bad value {raw_value!r}"
+            raise ReproError(
+                f"line {line_number}: bad value {raw_value!r}",
+                code="OpenMetricsParseError",
             ) from None
         metric_type = families[family]["type"]
         if metric_type == "counter" and not sample_name.endswith(
             ("_total", "_created")
         ):
-            raise OpenMetricsParseError(
+            raise ReproError(
                 f"line {line_number}: counter sample {sample_name!r} "
-                f"must end in _total"
+                f"must end in _total",
+                code="OpenMetricsParseError",
             )
         families[family]["samples"].append((sample_name, labels, value))
         current = family
@@ -268,20 +281,23 @@ def _parse_labels(
     for match in _LABEL_RE.finditer(raw):
         name, value = match.group(1), match.group(2)
         if not _LABEL_NAME_RE.match(name):
-            raise OpenMetricsParseError(
-                f"line {line_number}: bad label name {name!r}"
+            raise ReproError(
+                f"line {line_number}: bad label name {name!r}",
+                code="OpenMetricsParseError",
             )
         if name in labels:
-            raise OpenMetricsParseError(
-                f"line {line_number}: duplicate label {name!r}"
+            raise ReproError(
+                f"line {line_number}: duplicate label {name!r}",
+                code="OpenMetricsParseError",
             )
         labels[name] = value
         consumed = match.end()
         if consumed < len(raw) and raw[consumed] == ",":
             consumed += 1
     if consumed < len(raw.rstrip(",")):
-        raise OpenMetricsParseError(
-            f"line {line_number}: malformed labels {raw!r}"
+        raise ReproError(
+            f"line {line_number}: malformed labels {raw!r}",
+            code="OpenMetricsParseError",
         )
     return labels
 
@@ -297,8 +313,9 @@ def _validate_histograms(families: Mapping[str, dict[str, Any]]) -> None:
             if sample_name == f"{family}_bucket":
                 le = labels.get("le")
                 if le is None:
-                    raise OpenMetricsParseError(
-                        f"{family}: bucket sample without le label"
+                    raise ReproError(
+                        f"{family}: bucket sample without le label",
+                        code="OpenMetricsParseError",
                     )
                 bound = math.inf if le == "+Inf" else float(le)
                 buckets.append((bound, value))
@@ -307,24 +324,35 @@ def _validate_histograms(families: Mapping[str, dict[str, Any]]) -> None:
             elif sample_name == f"{family}_sum":
                 has_sum = True
         if not buckets:
-            raise OpenMetricsParseError(f"{family}: histogram has no buckets")
+            raise ReproError(
+                f"{family}: histogram has no buckets", code="OpenMetricsParseError"
+            )
         bounds = [bound for bound, _count in buckets]
         if bounds != sorted(bounds):
-            raise OpenMetricsParseError(
-                f"{family}: bucket bounds out of order"
+            raise ReproError(
+                f"{family}: bucket bounds out of order",
+                code="OpenMetricsParseError",
             )
         if bounds[-1] != math.inf:
-            raise OpenMetricsParseError(f"{family}: missing +Inf bucket")
+            raise ReproError(
+                f"{family}: missing +Inf bucket", code="OpenMetricsParseError"
+            )
         counts = [count for _bound, count in buckets]
         if any(b < a for a, b in zip(counts, counts[1:])):
-            raise OpenMetricsParseError(
-                f"{family}: bucket counts are not cumulative"
+            raise ReproError(
+                f"{family}: bucket counts are not cumulative",
+                code="OpenMetricsParseError",
             )
         if total_count is None:
-            raise OpenMetricsParseError(f"{family}: missing _count sample")
+            raise ReproError(
+                f"{family}: missing _count sample", code="OpenMetricsParseError"
+            )
         if not has_sum:
-            raise OpenMetricsParseError(f"{family}: missing _sum sample")
+            raise ReproError(
+                f"{family}: missing _sum sample", code="OpenMetricsParseError"
+            )
         if counts[-1] != total_count:
-            raise OpenMetricsParseError(
-                f"{family}: +Inf bucket {counts[-1]} != _count {total_count}"
+            raise ReproError(
+                f"{family}: +Inf bucket {counts[-1]} != _count {total_count}",
+                code="OpenMetricsParseError",
             )

@@ -51,7 +51,7 @@ class OutcomeSide(Sequence):
 
     def values(self) -> list[tuple[Any, ...]]:
         """This side's bare value tuples, in result order."""
-        return self._result.take(self.positions).values()
+        return self._result.values(self.positions)
 
     def _built(self) -> list[tuple[AnnotatedTuple, float]]:
         if self._pairs is None:

@@ -24,7 +24,6 @@ See ``docs/SERVING.md`` for the protocol and semantics, and
 """
 
 from .client import (
-    RetriesExhaustedError,
     RetryingClient,
     ServerClient,
     ServerReplyError,
@@ -60,7 +59,6 @@ __all__ = [
     "ServerClient",
     "ServerReplyError",
     "RetryingClient",
-    "RetriesExhaustedError",
     "NetworkFaultInjector",
     "NetworkFaultSpec",
     "FaultAction",

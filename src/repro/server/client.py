@@ -42,7 +42,6 @@ __all__ = [
     "ServerClient",
     "ServerReplyError",
     "RetryingClient",
-    "RetriesExhaustedError",
 ]
 
 
@@ -280,19 +279,6 @@ class ServerClient:
 # ---------------------------------------------------------------------------
 
 
-class RetriesExhaustedError(ServerError):
-    """Every retry attempt failed; ``last_error`` is the final failure."""
-
-    def __init__(self, attempts: int, last_error: BaseException) -> None:
-        super().__init__(
-            f"request failed after {attempts} attempt(s): "
-            f"{getattr(last_error, 'code', type(last_error).__name__)}: "
-            f"{last_error}"
-        )
-        self.attempts = attempts
-        self.last_error = last_error
-
-
 class _RetryableFailure(ServerError):
     """Internal: wraps a failure the retry loop is allowed to absorb."""
 
@@ -418,8 +404,8 @@ class RetryingClient(ServerClient):
         """Send one logical request, retrying as classified; the reply.
 
         Raises :class:`ServerReplyError` on a terminal error reply and
-        :class:`RetriesExhaustedError` when every attempt failed
-        retryably.
+        ``ServerError`` with code ``RetriesExhaustedError`` (fields
+        ``attempts``, ``last_error``) when every attempt failed retryably.
         """
         if self._closed:
             raise ServerError("client is closed")
@@ -473,6 +459,12 @@ class RetryingClient(ServerClient):
             try:
                 return self._retry.call(attempt, on_retry=on_retry)
             except _RetryableFailure as failure:
-                raise RetriesExhaustedError(
-                    self._retry.attempts, failure.cause
-                ) from failure.cause
+                # Every attempt failed; ``last_error`` is the final failure.
+                attempts, cause = self._retry.attempts, failure.cause
+                raise ServerError(
+                    f"request failed after {attempts} attempt(s): "
+                    f"{getattr(cause, 'code', type(cause).__name__)}: {cause}",
+                    code="RetriesExhaustedError",
+                    attempts=attempts,
+                    last_error=cause,
+                ) from cause

@@ -42,7 +42,7 @@ from ..obs import get_metrics
 from ..storage.database import Database
 from ..storage.schema import Schema
 from ..storage.table import Table
-from ..storage.tuples import StoredTuple, TupleId, column_view
+from ..storage.tuples import ColumnView, StoredTuple, TupleId, column_view
 
 __all__ = ["MVCCDatabase", "Snapshot", "SnapshotDatabase", "SnapshotTable"]
 
@@ -83,7 +83,7 @@ class SnapshotTable:
         self._schema = source.schema
         self._source = source
         self._column_cache: (
-            tuple[tuple[list[Any], ...], list[TupleId]] | None
+            tuple[ColumnView, list[TupleId]] | None
         ) = None
         self._column_lock = threading.Lock()
         since = (
@@ -102,7 +102,8 @@ class SnapshotTable:
         self._rows_sorted = list(previous._rows_sorted)
         cache = previous._column_cache
         if cache is not None:
-            cache = (tuple(list(column) for column in cache[0]), list(cache[1]))
+            columns, tids = cache
+            cache = (ColumnView(list(column) for column in columns), list(tids))
             self._column_cache = cache
         for ordinal in sorted(changed):
             self._patch(ordinal, changed[ordinal], cache)
@@ -111,7 +112,7 @@ class SnapshotTable:
         self,
         ordinal: int,
         row: StoredTuple | None,
-        cache: tuple[tuple[list[Any], ...], list[TupleId]] | None,
+        cache: tuple[ColumnView, list[TupleId]] | None,
     ) -> None:
         """Replace, remove (*row* None) or add the row at *ordinal*."""
         rows = self._rows_sorted
@@ -195,7 +196,7 @@ class SnapshotTable:
 
     column_confidences = Table.column_confidences
 
-    def column_data(self) -> tuple[tuple[list[Any], ...], list[TupleId]]:
+    def column_data(self) -> tuple[ColumnView, list[TupleId]]:
         cache = self._column_cache
         if cache is None:
             with self._column_lock:

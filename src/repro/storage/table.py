@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from ..cost import CostModel, FreeCost
 from ..errors import ReproError, SchemaError
 from .schema import Column, Schema
-from .tuples import StoredTuple, TupleId, column_view
+from .tuples import ColumnView, StoredTuple, TupleId, column_view
 from .types import coerce_value
 
 __all__ = ["Table"]
@@ -70,7 +70,7 @@ class Table:
         # columnar engine) stop re-sorting and re-copying storage.
         self._scan_cache: list[StoredTuple] | None = None
         self._column_cache: (
-            tuple[tuple[list[Any], ...], list[TupleId]] | None
+            tuple[ColumnView, list[TupleId]] | None
         ) = None
         #: Monotonic mutation counter; bumps whenever cached views would
         #: go stale, so engines can key derived caches off ``(table,
@@ -445,7 +445,7 @@ class Table:
                     self._scan_cache = cache
         return cache
 
-    def column_data(self) -> tuple[tuple[list[Any], ...], list[TupleId]]:
+    def column_data(self) -> tuple[ColumnView, list[TupleId]]:
         """Columnar view: one list per schema column, plus the tid column.
 
         Built once per table version and shared with callers — the

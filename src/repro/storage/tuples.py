@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from ..cost import CostModel, FreeCost
 from ..errors import InvalidConfidenceError
 
-__all__ = ["TupleId", "StoredTuple", "column_view"]
+__all__ = ["TupleId", "StoredTuple", "ColumnView", "column_view"]
 
 _EPS = 1e-12
 
@@ -119,14 +119,33 @@ class StoredTuple:
         return self.values[index]
 
 
+class ColumnView(tuple):
+    """One table version's value columns, one list per schema column —
+    read-only by contract.  Whether a column holds a NULL is found on its
+    first ask and kept: the fact belongs to this version, and a write
+    builds a new view, which starts fresh."""
+
+    def __init__(self, columns: Any = ()) -> None:
+        self._nulls: dict[int, bool] = {}
+
+    def holds_null(self, position: int) -> bool:
+        """Whether column *position* holds a NULL (scanned once)."""
+        nulls = self._nulls
+        if position not in nulls:
+            nulls[position] = None in self[position]
+        return nulls[position]
+
+
 def column_view(
     rows: "Sequence[StoredTuple]", width: int
-) -> tuple[tuple[list[Any], ...], list[TupleId]]:
+) -> tuple[ColumnView, list[TupleId]]:
     """``(one value list per column, the tid column)`` of *rows*.
 
     One pass per column: a ``zip(*rows)`` transposition would hold one
     iterator per row, collector-tracked garbage on every DML's cold scan.
     """
     values = [row.values for row in rows]
-    columns = tuple([row[position] for row in values] for position in range(width))
+    columns = ColumnView(
+        [row[position] for row in values] for position in range(width)
+    )
     return columns, [row.tid for row in rows]

@@ -4,7 +4,6 @@ from .provenance import (
     CollectionMethod,
     ConfidenceAssigner,
     DataSource,
-    ProvenanceError,
     ProvenanceRecord,
 )
 
@@ -13,5 +12,4 @@ __all__ = [
     "CollectionMethod",
     "ProvenanceRecord",
     "ConfidenceAssigner",
-    "ProvenanceError",
 ]

@@ -37,17 +37,14 @@ __all__ = [
     "CollectionMethod",
     "ProvenanceRecord",
     "ConfidenceAssigner",
-    "ProvenanceError",
 ]
-
-
-class ProvenanceError(ReproError):
-    """A provenance record or score is malformed."""
 
 
 def _check_unit(value: float, label: str) -> float:
     if not 0.0 <= value <= 1.0:
-        raise ProvenanceError(f"{label} must be in [0, 1], got {value}")
+        raise ReproError(
+            f"{label} must be in [0, 1], got {value}", code="ProvenanceError"
+        )
     return float(value)
 
 
@@ -60,7 +57,7 @@ class DataSource:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ProvenanceError("source name must be non-empty")
+            raise ReproError("source name must be non-empty", code="ProvenanceError")
         _check_unit(self.trust, f"trust of source {self.name!r}")
 
 
@@ -73,7 +70,9 @@ class CollectionMethod:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ProvenanceError("collection method name must be non-empty")
+            raise ReproError(
+                "collection method name must be non-empty", code="ProvenanceError"
+            )
         _check_unit(
             self.reliability, f"reliability of method {self.name!r}"
         )
@@ -90,7 +89,9 @@ class ProvenanceRecord:
 
     def __post_init__(self) -> None:
         if self.age_days < 0:
-            raise ProvenanceError(f"age_days must be >= 0, got {self.age_days}")
+            raise ReproError(
+                f"age_days must be >= 0, got {self.age_days}", code="ProvenanceError"
+            )
         object.__setattr__(self, "corroborations", tuple(self.corroborations))
 
 
@@ -116,11 +117,14 @@ class ConfidenceAssigner:
 
     def __post_init__(self) -> None:
         if self.half_life_days is not None and self.half_life_days <= 0:
-            raise ProvenanceError(
-                f"half_life_days must be positive, got {self.half_life_days}"
+            raise ReproError(
+                f"half_life_days must be positive, got {self.half_life_days}",
+                code="ProvenanceError",
             )
         if not 0.0 < self.decay <= 1.0:
-            raise ProvenanceError(f"decay must be in (0, 1], got {self.decay}")
+            raise ReproError(
+                f"decay must be in (0, 1], got {self.decay}", code="ProvenanceError"
+            )
         _check_unit(self.floor, "floor")
 
     def score(self, record: ProvenanceRecord) -> float:

@@ -6,11 +6,10 @@ import threading
 import pytest
 
 from repro import PCQEngine, QueryRequest, QueryStatus
-from repro.errors import CorruptLogError
+from repro.errors import CorruptLogError, ReproError
 from repro.obs.audit import (
     AUDIT_SCHEMA_VERSION,
     AuditLog,
-    AuditReplayError,
     build_trails,
     explain_decision,
     read_audit_log,
@@ -22,6 +21,7 @@ from repro.policy import PolicyEvaluator
 from repro.server import PCQEServer, ServerClient
 from repro.storage.durability.wal import scan_wal
 from repro.workload import healthcare_database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -251,7 +251,7 @@ class TestReplayAndExplain:
             assert encoded in on_disk
 
     def test_reconstruct_unknown_query_raises(self, tmp_path, isolated_metrics):
-        with pytest.raises(AuditReplayError):
+        with raises_code(ReproError, "AuditReplayError"):
             reconstruct_decisions([], "q404")
 
     def test_explain_tells_the_whole_story(self, tmp_path, isolated_metrics):
@@ -271,9 +271,9 @@ class TestReplayAndExplain:
         with AuditLog(str(path)) as log:
             query_id = write_one_query(log)
         records = read_audit_log(path)
-        with pytest.raises(AuditReplayError):
+        with raises_code(ReproError, "AuditReplayError"):
             explain_decision(records, query_id, "t99")
-        with pytest.raises(AuditReplayError):
+        with raises_code(ReproError, "AuditReplayError"):
             explain_decision(records, "q404", "t0")
 
 

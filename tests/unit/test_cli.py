@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import CommandError, CommandShell
+from repro.cli import CommandShell
 from repro.errors import ReproError, SchemaError
 from tests.error_codes import raises_code
 
@@ -29,11 +29,11 @@ class TestSchemaCommands:
         assert "b:INTEGER" in listing
 
     def test_create_bad_type(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("create t a:quaternion")
 
     def test_create_missing_args(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("create t")
 
     def test_load_csv(self, shell, tmp_path):
@@ -56,7 +56,7 @@ class TestSchemaCommands:
         assert shell.execute_line("# a comment") == ""
 
     def test_unknown_command(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("teleport now")
 
 
@@ -117,24 +117,24 @@ class TestPolicyCommands:
         assert shell.policies.purpose_ancestry("surgery") == ["surgery", "care"]
 
     def test_bad_policy_usage(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("policy add too few")
 
     def test_solver_selection(self, shell):
         assert "dnc" in shell.execute_line("solver dnc")
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("solver quantum")
 
     def test_solver_deadline_flag(self, shell):
         output = shell.execute_line("solver heuristic --deadline-ms 50")
         assert "deadline 50 ms" in output
         assert shell.deadline_ms == 50.0
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("solver heuristic --deadline-ms soon")
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("solver heuristic --deadline-ms")
         for bad in ("nan", "inf", "-1"):
-            with pytest.raises(CommandError, match="positive and finite"):
+            with raises_code(ReproError, "CommandError", match="positive and finite"):
                 shell.execute_line(f"solver heuristic --deadline-ms {bad}")
         assert shell.deadline_ms == 50.0
 
@@ -163,7 +163,7 @@ class TestAskCommand:
         assert "quote:" in output
 
     def test_ask_usage_error(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("ask onlyuser")
 
 
@@ -201,7 +201,7 @@ class TestProfileAsk:
         assert "histogram[0..1):" in output
 
     def test_profile_usage_error(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("profile")
 
 
@@ -215,7 +215,7 @@ DEMO_ASK = (
 
 class TestAuditCommands:
     def test_audit_needs_the_flag(self, shell):
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("audit list")
 
     def test_audit_list_and_explain(self, tmp_path):
@@ -243,7 +243,7 @@ class TestAuditCommands:
     def test_audit_usage_error(self, tmp_path):
         shell = CommandShell(audit_log=str(tmp_path / "audit.log"))
         try:
-            with pytest.raises(CommandError):
+            with raises_code(ReproError, "CommandError"):
                 shell.execute_line("audit")
         finally:
             shell.close()
@@ -282,7 +282,7 @@ class TestMetricsCommands:
 
     def test_metrics_usage_error(self, shell):
         for line in ("metrics", "metrics serve 0", "metrics stop", "metrics dump a b"):
-            with pytest.raises(CommandError, match="usage: metrics dump"):
+            with raises_code(ReproError, "CommandError", match="usage: metrics dump"):
                 shell.execute_line(line)
 
 

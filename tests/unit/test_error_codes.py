@@ -84,8 +84,61 @@ CODES = {
     "TimeBudgetExceeded": ("TimeBudgetExceeded", None, ("algorithm", "partial")),
     "ImprovementRejectedError": ("IncrementError", None, ()),
     "WorkloadError": ("ReproError", None, ()),
+    "CommandError": ("ReproError", None, ()),
+    "PathFlagError": ("PathFlagError", None, ()),
+    "OpenMetricsParseError": ("ReproError", None, ()),
+    "AuditReplayError": ("ReproError", None, ()),
+    "ProvenanceError": ("ReproError", None, ()),
+    "RetriesExhaustedError": ("ServerError", False, ("attempts", "last_error")),
+    "ServerReplyError": ("ServerReplyError", False, ()),
     **_SERVER_CODES,
 }
+
+
+def _handled_names() -> set[str]:
+    """Every class name an ``except`` or an ``isinstance`` in ``src/``
+    names."""
+    caught = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+            ):
+                types = node.args[1]
+            else:
+                continue
+            for name in types.elts if isinstance(types, ast.Tuple) else [types]:
+                if isinstance(name, ast.Name):
+                    caught.add(name.id)
+    return caught
+
+
+def outside_classes() -> "dict[str, type]":
+    """The ``ReproError`` subclasses ``src/`` defines outside
+    ``repro.errors``, by name (read statically, resolved by import)."""
+    import importlib
+
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "errors.py" and path.parent == SRC:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+        if not names:
+            continue
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = importlib.import_module(
+            ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        )
+        for name in names:
+            cls = getattr(module, name)
+            if issubclass(cls, errors.ReproError):
+                found[name] = cls
+    return found
 
 
 def payload_keys(code: str) -> list[str]:
@@ -98,7 +151,14 @@ def payload_keys(code: str) -> list[str]:
 
 def raise_sites() -> "list[tuple[str, str, str, object, tuple[str, ...]]]":
     """``(where, code, class, retryable, fields)`` for every call in
-    ``src/`` of a class ``repro.errors`` exports."""
+    ``src/`` of a class ``repro.errors`` exports, or of a public
+    ``ReproError`` subclass defined elsewhere in ``src/``."""
+    classes = {name: getattr(errors, name) for name in errors.__all__}
+    classes.update(
+        (name, cls)
+        for name, cls in outside_classes().items()
+        if not name.startswith("_")
+    )
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "errors.py" and path.parent == SRC:
@@ -107,7 +167,7 @@ def raise_sites() -> "list[tuple[str, str, str, object, tuple[str, ...]]]":
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id in errors.__all__
+                and node.func.id in classes
             ):
                 continue
             cls = node.func.id
@@ -116,7 +176,7 @@ def raise_sites() -> "list[tuple[str, str, str, object, tuple[str, ...]]]":
             if "retryable" in keywords:
                 retryable = keywords["retryable"].value
             else:
-                retryable = getattr(getattr(errors, cls), "retryable", None)
+                retryable = getattr(classes[cls], "retryable", None)
             fields = tuple(
                 k.arg for k in node.keywords if k.arg not in ("code", "retryable")
             )
@@ -142,28 +202,22 @@ def test_the_kept_classes_are_the_ones_something_catches():
     ``isinstance`` in ``src/``, or ``InvalidConfidenceError`` (caught as
     a ``ValueError``) and ``ReplicationTimeoutError`` (imported by
     ``benchmarks/e2e/layers.py``)."""
-    caught = set()
-    for path in SRC.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                types = node.type
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance"
-            ):
-                types = node.args[1]
-            else:
-                continue
-            for name in types.elts if isinstance(types, ast.Tuple) else [types]:
-                if isinstance(name, ast.Name):
-                    caught.add(name.id)
+    caught = _handled_names()
     kept = set(errors.__all__)
     not_named = {"InvalidConfidenceError", "ReplicationTimeoutError"}
     assert (caught & kept) | not_named == kept
-    assert {cls for cls, _r, _f in CODES.values()} <= kept
+    assert {cls for cls, _r, _f in CODES.values()} <= kept | set(outside_classes())
     for name in kept:
         assert issubclass(getattr(errors, name), errors.ReproError), name
+
+
+def test_a_class_outside_errors_is_one_something_catches():
+    """The same rule for the ``ReproError`` subclasses other modules
+    define: each is named by an ``except`` or an ``isinstance`` — a
+    raise-only one is a code of its nearest caught parent instead."""
+    outside = set(outside_classes())
+    assert {"PathFlagError", "ServerReplyError"} <= outside
+    assert outside <= _handled_names()
 
 
 @pytest.mark.parametrize("code", sorted(_SERVER_CODES))

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.obs.export import (
-    OpenMetricsParseError,
     parse_openmetrics,
     render_openmetrics,
 )
@@ -12,6 +12,7 @@ from repro.obs.export.openmetrics import (
     sanitize_label_value,
     sanitize_metric_name,
 )
+from tests.error_codes import raises_code
 
 
 def populated_registry() -> MetricsRegistry:
@@ -158,37 +159,37 @@ class TestReplicationMetricsExposition:
 
 class TestStrictParserRejections:
     def test_missing_eof(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics("# TYPE a counter\na_total 1\n")
 
     def test_content_after_eof(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics("# EOF\n# TYPE a counter\na_total 1\n# EOF\n")
 
     def test_blank_line(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics("# TYPE a counter\n\na_total 1\n# EOF\n")
 
     def test_sample_without_type(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics("orphan 1\n# EOF\n")
 
     def test_duplicate_type(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics(
                 "# TYPE a counter\n# TYPE a counter\na_total 1\n# EOF\n"
             )
 
     def test_counter_sample_must_end_in_total(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics("# TYPE a counter\na 1\n# EOF\n")
 
     def test_bad_sample_value(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics("# TYPE a gauge\na banana\n# EOF\n")
 
     def test_histogram_without_inf_bucket(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics(
                 "# TYPE h histogram\n"
                 'h_bucket{le="1"} 1\n'
@@ -196,7 +197,7 @@ class TestStrictParserRejections:
             )
 
     def test_histogram_non_cumulative_buckets(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics(
                 "# TYPE h histogram\n"
                 'h_bucket{le="1"} 3\n'
@@ -205,7 +206,7 @@ class TestStrictParserRejections:
             )
 
     def test_histogram_inf_bucket_must_equal_count(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics(
                 "# TYPE h histogram\n"
                 'h_bucket{le="+Inf"} 2\n'
@@ -213,7 +214,7 @@ class TestStrictParserRejections:
             )
 
     def test_duplicate_label(self):
-        with pytest.raises(OpenMetricsParseError):
+        with raises_code(ReproError, "OpenMetricsParseError"):
             parse_openmetrics(
                 '# TYPE h histogram\nh_bucket{le="1",le="2"} 1\n# EOF\n'
             )

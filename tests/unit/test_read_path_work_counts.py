@@ -29,6 +29,7 @@ from repro.lineage.probability import probability
 from repro.sql import run_sql
 from repro.storage import Database, INTEGER, Schema, TupleId
 from repro.storage.table import Table
+from repro.storage.tuples import ColumnView
 from tests.oracle import possible_worlds
 
 FILTERED = 50  # rows of ``small`` that pass ``flag = 1``
@@ -180,6 +181,57 @@ def test_two_conjunct_filter_is_one_selection_vector(monkeypatch, count_calls):
     assert reads["b"] == first + kept  # conjunct 2 at conjunct 1's rows
     assert reads["c"] == reads["d"] == kept  # the one final gather only
     assert variables[0] == 0
+
+
+def test_a_filtered_join_reads_each_column_through_its_selection(monkeypatch):
+    """Both join inputs filtered, one column of each projected (the shape
+    of the e2e ``ask.join-filtered``): a filter column is read whole, by
+    its filter; a key column at its filter's kept rows, once, by the
+    hashing (the condition re-check reads what it gathered); a projected
+    column at the matched rows only; any other column at no row.  At the
+    commit before this guard each filter gathered every column of its
+    input and the join every column of both at every pair."""
+    db = Database("filtered-join")
+    db.create_table(
+        "l", Schema.of(("k", INTEGER), ("f", INTEGER), ("a", INTEGER), ("u", INTEGER))
+    ).insert_rows([[i % 400, i % 3, i, -i] for i in range(1_200)], confidence=0.5)
+    db.create_table(
+        "r", Schema.of(("k", INTEGER), ("g", INTEGER), ("b", INTEGER), ("v", INTEGER))
+    ).insert_rows([[j % 500, j % 5, j, -j] for j in range(2_000)], confidence=0.5)
+    names = ("k", "f", "g", "a", "b", "u", "v")
+    reads = {(table, name): [] for table in "lr" for name in names}
+    column_data = Table.column_data
+
+    def logged(table):
+        columns, tids = column_data(table)
+        return ColumnView(
+            _LoggedColumn(column, reads[table.name, name])
+            for column, name in zip(columns, table.schema.names)
+        ), tids
+
+    monkeypatch.setattr(Table, "column_data", logged)
+    sql = (
+        "SELECT l.a, r.b FROM l JOIN r ON l.k = r.k "
+        "WHERE l.f = 1 AND r.g > 2"
+    )
+    result = run_sql(db, sql, engine="columnar")
+    monkeypatch.undo()
+    assert result.values() == run_sql(db, sql, engine="native").values()
+
+    kept_l = [i for i in range(1_200) if i % 3 == 1]
+    kept_r = [j for j in range(2_000) if j % 5 > 2]
+    by_key = {}
+    for j in kept_r:
+        by_key.setdefault(j % 500, []).append(j)
+    pairs = [(i, j) for i in kept_l for j in by_key.get(i % 400, ())]
+    assert len(result) == len(pairs) == 640
+    assert reads["l", "f"] == list(range(1_200))  # the filters
+    assert reads["r", "g"] == list(range(2_000))
+    assert reads["l", "k"] == kept_l  # the hashing, once
+    assert reads["r", "k"] == kept_r
+    assert reads["l", "a"] == [i for i, _ in pairs]  # the projection
+    assert reads["r", "b"] == [j for _, j in pairs]
+    assert reads["l", "u"] == reads["r", "v"] == []
 
 
 def _join_rows(count: int) -> ResultSet:

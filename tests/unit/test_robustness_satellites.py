@@ -9,13 +9,14 @@ import json
 
 import pytest
 
-from repro.cli import CommandError, CommandShell
-from repro.errors import SchemaError
+from repro.cli import CommandShell
+from repro.errors import ReproError, SchemaError
 from repro.obs import JsonLinesSink, Tracer, get_metrics
 from repro.policy import PolicyStore, load_store, save_store
 from repro.storage import Database, RetryPolicy, dump_csv, load_csv
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
+from tests.error_codes import raises_code
 
 
 def _table(db: Database | None = None):
@@ -278,12 +279,12 @@ class TestCliDurability:
 
     def test_checkpoint_requires_data_dir(self):
         shell = CommandShell()
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("checkpoint")
 
     def test_recover_requires_target(self):
         shell = CommandShell()
-        with pytest.raises(CommandError):
+        with raises_code(ReproError, "CommandError"):
             shell.execute_line("recover")
 
     def test_main_accepts_data_dir_flag(self, tmp_path, capsys):

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ServerError
 from repro.obs import get_metrics
 from repro.server import (
     PCQEServer,
-    RetriesExhaustedError,
     RetryingClient,
     ServerReplyError,
 )
 from repro.workload import venture_capital_database
+from tests.error_codes import raises_code
 
 
 @pytest.fixture()
@@ -49,7 +50,7 @@ class TestClassification:
         with _client(server, attempts=2) as client:
             server._inflight = server.workers * 4  # sheds sql (class 1)
             try:
-                with pytest.raises(RetriesExhaustedError) as info:
+                with raises_code(ServerError, "RetriesExhaustedError") as info:
                     client.sql("SELECT * FROM Proposal")
             finally:
                 server._inflight = 0
@@ -79,7 +80,7 @@ class TestClassification:
         with _client(server, attempts=1) as client:
             server._inflight = server.workers * 4
             try:
-                with pytest.raises(RetriesExhaustedError) as info:
+                with raises_code(ServerError, "RetriesExhaustedError") as info:
                     client.sql("SELECT * FROM Proposal")
             finally:
                 server._inflight = 0
@@ -95,7 +96,7 @@ class TestClassification:
         host, port = server.host, server.port
         server.stop()
         del host, port
-        with pytest.raises(RetriesExhaustedError) as info:
+        with raises_code(ServerError, "RetriesExhaustedError") as info:
             client.sql("SELECT * FROM Proposal")
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, (OSError, Exception))

@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.storage import Database, Schema, TEXT
 from repro.trust import (
     CollectionMethod,
     ConfidenceAssigner,
     DataSource,
-    ProvenanceError,
     ProvenanceRecord,
 )
+from tests.error_codes import raises_code
 
 
 @pytest.fixture
@@ -31,21 +32,21 @@ def methods():
 
 class TestModels:
     def test_trust_validated(self):
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             DataSource("x", trust=1.2)
 
     def test_reliability_validated(self):
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             CollectionMethod("x", reliability=-0.1)
 
     def test_empty_names_rejected(self):
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             DataSource("", 0.5)
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             CollectionMethod("", 0.5)
 
     def test_negative_age_rejected(self, sources, methods):
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             ProvenanceRecord(sources["gov"], methods["api"], age_days=-1)
 
 
@@ -92,11 +93,11 @@ class TestScoring:
         assert assigner.score(record) == 1.0
 
     def test_invalid_parameters(self):
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             ConfidenceAssigner(half_life_days=0.0)
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             ConfidenceAssigner(decay=0.0)
-        with pytest.raises(ProvenanceError):
+        with raises_code(ReproError, "ProvenanceError"):
             ConfidenceAssigner(floor=2.0)
 
 
