@@ -15,7 +15,7 @@ Usage:
     python benchmarks/exec_bench.py --min-speedup 2.0    # CI gate: columnar
         must beat native by >= 2x on the scan/filter workload at the
         largest size, and must not lose (>= 1.0x) on the 250-row tier
-        or on any aggregate/sort/join series row, else exit 1
+        or on any aggregate/sort/join/predicate series row, else exit 1
 """
 
 from __future__ import annotations
@@ -84,6 +84,13 @@ WORKLOADS = {
         "JOIN details AS d ON e.v = d.id "
         "WHERE e.x < 0.1 AND d.note <> 'note-0'"
     ),
+    # A compound predicate: a column-vs-literal conjunct, then an OR of a
+    # LIKE and a BETWEEN (OR's selection; neither side has its own), then
+    # a NOT IN — each conjunct at the rows the one before it kept.
+    "predicate": (
+        "SELECT k, v FROM events WHERE v > 100 AND "
+        "(k LIKE 'k1%' OR x BETWEEN 0.2 AND 0.4) AND v NOT IN (150, 250)"
+    ),
     # Distinct + semijoin: duplicate merging and probe-side OR lineage.
     "distinct_semijoin": (
         "SELECT DISTINCT k FROM events WHERE k IN "
@@ -104,10 +111,10 @@ WORKLOADS = {
 }
 #: Series held to the parity floor at every size, not just the small
 #: tier: the operators that only run columnar because of the
-#: Aggregate/Sort kernels, and the joins.
+#: Aggregate/Sort kernels, the joins, and the compound predicate.
 PARITY_WORKLOADS = (
     "aggregate", "sort", "aggregate_over_join", "join", "selective_join",
-    "filtered_join",
+    "filtered_join", "predicate",
 )
 
 
@@ -276,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="X",
         help="fail unless columnar beats native by >= X on the "
         "scan_filter workload at the largest size (and does not lose on "
-        "the 250-row tier or the aggregate/sort/join series)",
+        "the 250-row tier or the aggregate/sort/join/predicate series)",
     )
     args = parser.parse_args(argv)
 

@@ -5,13 +5,23 @@ against a concrete :class:`~repro.storage.schema.Schema` to produce a
 :class:`BoundExpression` — a typed evaluator that reads values positionally.
 The SQL planner and the direct algebra API both go through :meth:`bind`.
 
+Each operator's semantics is written once.  A pointwise operator —
+arithmetic, negation, comparison, ``NOT``, ``IS NULL``, ``LIKE``, ``IN``,
+``BETWEEN``, a scalar function — is a function of its operands' values,
+and :func:`_pointwise` derives both its row evaluator and its batch
+kernel from it.  ``AND`` and ``OR`` are defined by their selection
+(:meth:`BoundExpression.select`), their batch form read back from it.
+``CASE`` is the one expression evaluated row by row inside a batch.
+
 Semantics follow SQL:
 
-* ``NULL`` propagates through arithmetic and comparisons (both yield NULL);
+* ``NULL`` propagates through arithmetic and comparisons (both yield NULL),
+  the strict rule :func:`_pointwise` applies;
 * ``AND``/``OR``/``NOT`` use Kleene three-valued logic;
 * ``WHERE`` keeps a row only when the predicate is *true* (not NULL), as
   :meth:`BoundExpression.select` finds it; an ``AND``'s right side runs
-  on the rows its left left not False, as the scalar ``AND`` does;
+  on the rows its left left not False, an ``OR``'s on those its left
+  left not True, as the scalar forms do;
 * ``LIKE`` supports ``%`` and ``_`` wildcards;
 * division by zero raises :class:`~repro.errors.ExecutionError` (strict mode,
   catching workload bugs early) rather than yielding NULL.
@@ -19,13 +29,14 @@ Semantics follow SQL:
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..errors import BindError, ExecutionError, TypeMismatchError
 from ..storage.schema import Schema
-from ..storage.tuples import ColumnView
+from ..storage.tuples import ColumnView, Selection, selection_parts
 from ..storage.types import BOOLEAN, INTEGER, REAL, TEXT, DataType, common_type, is_comparable
 
 __all__ = [
@@ -55,10 +66,11 @@ class BoundExpression:
 
     Binding resolves every column reference to a positional index once per
     plan, so neither the scalar nor the batch path chases names per row.
-    Expressions that support vectorized evaluation also carry a *batch*
-    kernel ``(columns, count) -> list``; the rest fall back to per-row
-    scalar evaluation over materialized rows inside
-    :meth:`evaluate_batch`, so unsupported expressions still run batched.
+    Every expression but ``CASE`` carries a *batch* kernel ``(columns,
+    count) -> list`` derived from the same definition as its evaluator
+    (a leaf's, a pointwise operator's value function, or a connective's
+    selection); ``CASE`` falls back to per-row scalar evaluation inside
+    :meth:`evaluate_batch`, so it still runs batched.
     """
 
     __slots__ = ("dtype", "_evaluate", "display", "_batch", "_select")
@@ -107,9 +119,12 @@ class BoundExpression:
     ) -> tuple[list[int], list[int]]:
         """The rows among *rows* (ascending indexes into whole *columns*)
         where the expression is True, and those where it is NULL.  An own
-        selection reads its own columns at *rows* only, or declines with
-        ``None``; the default gathers the rows for :meth:`evaluate_batch`.
-        Errors are those :meth:`evaluate` raises on the same rows."""
+        selection (``AND``, ``OR``, a column compared with a literal)
+        reads its own columns at *rows* only, or declines with ``None``;
+        the default runs :meth:`evaluate_batch` over *columns* read
+        through *rows*, each column gathered only if the expression
+        reads it.  Errors are those :meth:`evaluate` raises on the same
+        rows."""
         if not rows:
             return [], []
         if self._select is not None:
@@ -117,7 +132,7 @@ class BoundExpression:
             if picked is not None:
                 return picked
         if len(rows) != len(columns[0]):
-            columns = [[column[i] for i in rows] for column in columns]
+            columns = Selection(selection_parts(columns, rows, {}), len(columns))
         flags = self.evaluate_batch(columns, len(rows))
         return (
             [i for i, flag in zip(rows, flags) if flag is True],
@@ -126,7 +141,7 @@ class BoundExpression:
 
     @property
     def has_batch_kernel(self) -> bool:
-        """True when a dedicated vectorized kernel exists (no fallback)."""
+        """True when a vectorized kernel exists (``CASE`` has none)."""
         return self._batch is not None
 
     def __repr__(self) -> str:  # pragma: no cover - display only
@@ -226,6 +241,107 @@ def lit(value: object) -> "Literal":
     return Literal(value)
 
 
+def _constant(dtype: DataType, value: Any, display: str) -> BoundExpression:
+    return BoundExpression(
+        dtype,
+        lambda _values: value,
+        display,
+        batch=lambda _columns, count: [value] * count,
+    )
+
+
+def _pointwise(
+    dtype: DataType,
+    display: str,
+    function: Callable[..., Any],
+    operands: Sequence[BoundExpression],
+    strict: bool = True,
+    select: Callable[[Sequence[list], Sequence[int]], Any] | None = None,
+    by_zero: str | None = None,
+) -> BoundExpression:
+    """An operator defined once, by *function* of its operands' values:
+    the evaluator applies it to one row's values, the batch kernel to
+    each row of the operands' batches.  A *strict* operator is NULL
+    wherever an operand is, and *function* never sees a NULL; a
+    non-strict one (``IS NULL``, ``IN``) sees every value.  Where
+    *function* divides, Python's ``ZeroDivisionError`` is raised as the
+    SQL error *by_zero*."""
+    if not strict:
+        reads = [operand.evaluate for operand in operands]
+
+        def evaluate(values: tuple[Any, ...]) -> Any:
+            return function(*[read(values) for read in reads])
+
+        def batch(columns: Sequence[list], count: int) -> list:
+            return list(
+                map(function, *[o.evaluate_batch(columns, count) for o in operands])
+            )
+
+    elif len(operands) == 1:
+        (operand,) = operands
+        read = operand.evaluate
+
+        def evaluate(values: tuple[Any, ...]) -> Any:
+            a = read(values)
+            return None if a is None else function(a)
+
+        def batch(columns: Sequence[list], count: int) -> list:
+            column = operand.evaluate_batch(columns, count)
+            return [None if a is None else function(a) for a in column]
+
+    elif len(operands) == 2:
+        left, right = operands
+        read_left, read_right = left.evaluate, right.evaluate
+
+        def evaluate(values: tuple[Any, ...]) -> Any:
+            a = read_left(values)
+            b = read_right(values)
+            return None if a is None or b is None else function(a, b)
+
+        def batch(columns: Sequence[list], count: int) -> list:
+            return [
+                None if a is None or b is None else function(a, b)
+                for a, b in zip(
+                    left.evaluate_batch(columns, count),
+                    right.evaluate_batch(columns, count),
+                )
+            ]
+
+    else:  # BETWEEN
+        read_value, read_low, read_high = [operand.evaluate for operand in operands]
+
+        def evaluate(values: tuple[Any, ...]) -> Any:
+            a = read_value(values)
+            b = read_low(values)
+            c = read_high(values)
+            return None if a is None or b is None or c is None else function(a, b, c)
+
+        def batch(columns: Sequence[list], count: int) -> list:
+            triples = zip(*[o.evaluate_batch(columns, count) for o in operands])
+            return [
+                None if a is None or b is None or c is None else function(a, b, c)
+                for a, b, c in triples
+            ]
+
+    if by_zero is not None:
+        evaluate = partial(_reword_zero_division, by_zero, evaluate)
+        batch = partial(_reword_zero_division, by_zero, batch)
+    return BoundExpression(dtype, evaluate, display, batch=batch, select=select)
+
+
+def _real(function: Callable[..., Any], *args: Any) -> float:
+    return float(function(*args))
+
+
+def _reword_zero_division(
+    message: str, function: Callable[..., Any], *args: Any
+) -> Any:
+    try:
+        return function(*args)
+    except ZeroDivisionError:
+        raise ExecutionError(message) from None
+
+
 class Literal(Expression):
     """A constant. NULL literals get TEXT type (only comparable to NULL)."""
 
@@ -246,12 +362,7 @@ class Literal(Expression):
             dtype = TEXT
         else:
             raise BindError(f"unsupported literal {value!r}")
-        return BoundExpression(
-            dtype,
-            lambda _values: value,
-            repr(value),
-            batch=lambda _columns, count: [value] * count,
-        )
+        return _constant(dtype, value, repr(value))
 
     def __hash__(self) -> int:
         return hash(("lit", self.value))
@@ -283,18 +394,20 @@ class ColumnRef(Expression):
 
 
 _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
 }
+_BY_ZERO = {"/": "division", "%": "modulo"}
 
 
 class Arithmetic(Expression):
     """Binary arithmetic (``+ - * / %``) over numeric operands."""
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
-        if op not in ("+", "-", "*", "/", "%"):
+        if op not in _ARITH_OPS:
             raise BindError(f"unknown arithmetic operator {op!r}")
         self.op = op
         self.left = left
@@ -308,104 +421,23 @@ class Arithmetic(Expression):
             # NULL arithmetic is NULL regardless of the other operand.
             other = right if _is_null_literal(self.left) else left
             dtype = other.dtype if other.dtype.is_numeric else REAL
-            return BoundExpression(
-                dtype,
-                lambda _values: None,
-                display,
-                batch=lambda _columns, count: [None] * count,
-            )
+            return _constant(dtype, None, display)
         if self.op == "+" and left.dtype is TEXT and right.dtype is TEXT:
             # String concatenation convenience.
-            def concat(values: tuple[Any, ...]) -> Any:
-                a = left.evaluate(values)
-                b = right.evaluate(values)
-                if a is None or b is None:
-                    return None
-                return a + b
-
-            def concat_batch(columns: Sequence[list], count: int) -> list:
-                return [
-                    None if (a is None or b is None) else a + b
-                    for a, b in zip(
-                        left.evaluate_batch(columns, count),
-                        right.evaluate_batch(columns, count),
-                    )
-                ]
-
-            return BoundExpression(TEXT, concat, display, batch=concat_batch)
+            return _pointwise(TEXT, display, operator.add, (left, right))
         try:
             dtype = common_type(left.dtype, right.dtype)
         except TypeMismatchError as error:
             raise BindError(f"cannot apply {self.op!r}: {error}") from error
-        if self.op == "/":
-            dtype = REAL
-
-            def divide(values: tuple[Any, ...]) -> Any:
-                a = left.evaluate(values)
-                b = right.evaluate(values)
-                if a is None or b is None:
-                    return None
-                if b == 0:
-                    raise ExecutionError(f"division by zero in {display}")
-                return a / b
-
-            def divide_batch(columns: Sequence[list], count: int) -> list:
-                out: list[Any] = []
-                append = out.append
-                for a, b in zip(
-                    left.evaluate_batch(columns, count),
-                    right.evaluate_batch(columns, count),
-                ):
-                    if a is None or b is None:
-                        append(None)
-                    elif b == 0:
-                        raise ExecutionError(f"division by zero in {display}")
-                    else:
-                        append(a / b)
-                return out
-
-            return BoundExpression(dtype, divide, display, batch=divide_batch)
         operate = _ARITH_OPS[self.op]
-        op = self.op
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            a = left.evaluate(values)
-            b = right.evaluate(values)
-            if a is None or b is None:
-                return None
-            if op == "%" and b == 0:
-                raise ExecutionError(f"modulo by zero in {display}")
-            result = operate(a, b)
-            return float(result) if dtype is REAL else result
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            pairs = zip(
-                left.evaluate_batch(columns, count),
-                right.evaluate_batch(columns, count),
-            )
-            if op == "%":
-                out: list[Any] = []
-                append = out.append
-                for a, b in pairs:
-                    if a is None or b is None:
-                        append(None)
-                    elif b == 0:
-                        raise ExecutionError(f"modulo by zero in {display}")
-                    else:
-                        result = operate(a, b)
-                        append(float(result) if dtype is REAL else result)
-                return out
-            if dtype is REAL:
-                return [
-                    None if (a is None or b is None) else float(operate(a, b))
-                    for a, b in pairs
-                ]
-            return [
-                None if (a is None or b is None) else operate(a, b)
-                for a, b in pairs
-            ]
-
-        return BoundExpression(dtype, evaluate, display, batch=batch)
+        if self.op == "/":
+            dtype = REAL  # true division yields a float already
+        elif dtype is REAL:
+            operate = partial(_real, operate)
+        by_zero = None
+        if self.op in _BY_ZERO:
+            by_zero = f"{_BY_ZERO[self.op]} by zero in {display}"
+        return _pointwise(dtype, display, operate, (left, right), by_zero=by_zero)
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.left.references() | self.right.references()
@@ -424,19 +456,8 @@ class Negate(Expression):
         operand = self.operand.bind(schema)
         if not operand.dtype.is_numeric:
             raise BindError(f"cannot negate {operand.dtype}")
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            value = operand.evaluate(values)
-            return None if value is None else -value
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            return [
-                None if value is None else -value
-                for value in operand.evaluate_batch(columns, count)
-            ]
-
-        return BoundExpression(
-            operand.dtype, evaluate, f"-{operand.display}", batch=batch
+        return _pointwise(
+            operand.dtype, f"-{operand.display}", operator.neg, (operand,)
         )
 
     def references(self) -> set[tuple[str | None, str]]:
@@ -447,12 +468,12 @@ class Negate(Expression):
 
 
 _COMPARE_OPS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 #: ``column op value`` over *rows* as a selection: a comprehension that
 #: calls nothing per row.
@@ -498,24 +519,6 @@ class Comparison(Expression):
                 f"cannot compare {left.dtype} with {right.dtype} "
                 f"({left.display} {self.op} {right.display})"
             )
-        operate = _COMPARE_OPS[self.op]
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            a = left.evaluate(values)
-            b = right.evaluate(values)
-            if a is None or b is None:
-                return None
-            return operate(a, b)
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            return [
-                None if (a is None or b is None) else operate(a, b)
-                for a, b in zip(
-                    left.evaluate_batch(columns, count),
-                    right.evaluate_batch(columns, count),
-                )
-            ]
-
         column, op, other = self.left, self.op, self.right
         if isinstance(column, Literal):  # ``lit < col`` is ``col > lit``
             column, op, other = other, _FLIPPED[op], column
@@ -525,9 +528,8 @@ class Comparison(Expression):
                 index = schema.index_of(column.name, column.table)
                 select = partial(_select_literal, _PICK[op], index, other.value)
         display = f"({left.display} {self.op} {right.display})"
-        return BoundExpression(
-            BOOLEAN, evaluate, display, batch=batch, select=select
-        )
+        operate = _COMPARE_OPS[self.op]
+        return _pointwise(BOOLEAN, display, operate, (left, right), select=select)
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.left.references() | self.right.references()
@@ -539,6 +541,26 @@ class Comparison(Expression):
 def _require_boolean(bound: BoundExpression, context: str) -> None:
     if bound.dtype is not BOOLEAN:
         raise BindError(f"{context} requires a boolean, got {bound.dtype}")
+
+
+def _by_selection(
+    evaluate: Callable[[tuple[Any, ...]], Any],
+    display: str,
+    select: Callable[[Sequence[list], Sequence[int]], Any],
+) -> BoundExpression:
+    """A connective defined by its selection: its batch form is the
+    selection over every row, read back into a Kleene column."""
+
+    def batch(columns: Sequence[list], count: int) -> list:
+        true_rows, null_rows = select(columns, range(count))
+        out: list[Any] = [False] * count
+        for i in true_rows:
+            out[i] = True
+        for i in null_rows:
+            out[i] = None
+        return out
+
+    return BoundExpression(BOOLEAN, evaluate, display, batch=batch, select=select)
 
 
 class LogicalAnd(Expression):
@@ -580,19 +602,7 @@ class LogicalAnd(Expression):
                 sorted(null_right + [i for i in true_right if i in unknown]),
             )
 
-        def batch(columns: Sequence[list], count: int) -> list:
-            true_rows, null_rows = select(columns, range(count))
-            out: list[Any] = [False] * count
-            for i in true_rows:
-                out[i] = True
-            for i in null_rows:
-                out[i] = None
-            return out
-
-        display = f"({left.display} AND {right.display})"
-        return BoundExpression(
-            BOOLEAN, evaluate, display, batch=batch, select=select
-        )
+        return _by_selection(evaluate, f"({left.display} AND {right.display})", select)
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.left.references() | self.right.references()
@@ -625,29 +635,21 @@ class LogicalOr(Expression):
                 return None
             return False
 
-        def batch(columns: Sequence[list], count: int) -> list:
-            # Mirror of the AND mask: right side evaluated only where the
-            # left is not already True.
-            a_col = left.evaluate_batch(columns, count)
-            pending = [i for i in range(count) if a_col[i] is not True]
-            out: list[Any] = [True] * count
-            if not pending:
-                return out
-            if len(pending) == count:
-                b_col = right.evaluate_batch(columns, count)
-                pairs = zip(range(count), b_col)
-            else:
-                sub = [[column[i] for i in pending] for column in columns]
-                b_col = right.evaluate_batch(sub, len(pending))
-                pairs = zip(pending, b_col)
-            for i, b in pairs:
-                if b is True:
-                    continue
-                out[i] = None if (a_col[i] is None or b is None) else False
-            return out
+        def select(columns: Sequence[list], rows: Sequence[int]) -> Any:
+            # AND's mirror: the right side runs on every row the left
+            # left not True, where the scalar path runs it.
+            true_left, null_left = left.select(columns, rows)
+            if true_left:
+                decided = set(true_left)
+                rows = [i for i in rows if i not in decided]
+            true_right, null_right = right.select(columns, rows)
+            settled = set(true_right).union(null_right)
+            return (
+                sorted(true_left + true_right),
+                sorted(null_right + [i for i in null_left if i not in settled]),
+            )
 
-        display = f"({left.display} OR {right.display})"
-        return BoundExpression(BOOLEAN, evaluate, display, batch=batch)
+        return _by_selection(evaluate, f"({left.display} OR {right.display})", select)
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.left.references() | self.right.references()
@@ -665,19 +667,8 @@ class LogicalNot(Expression):
     def bind(self, schema: Schema) -> BoundExpression:
         operand = self.operand.bind(schema)
         _require_boolean(operand, "NOT")
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            value = operand.evaluate(values)
-            return None if value is None else not value
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            return [
-                None if value is None else not value
-                for value in operand.evaluate_batch(columns, count)
-            ]
-
-        return BoundExpression(
-            BOOLEAN, evaluate, f"(NOT {operand.display})", batch=batch
+        return _pointwise(
+            BOOLEAN, f"(NOT {operand.display})", operator.not_, (operand,)
         )
 
     def references(self) -> set[tuple[str | None, str]]:
@@ -696,22 +687,10 @@ class IsNull(Expression):
 
     def bind(self, schema: Schema) -> BoundExpression:
         operand = self.operand.bind(schema)
-        negated = self.negated
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            is_null = operand.evaluate(values) is None
-            return not is_null if negated else is_null
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            values = operand.evaluate_batch(columns, count)
-            if negated:
-                return [value is not None for value in values]
-            return [value is None for value in values]
-
-        keyword = "IS NOT NULL" if negated else "IS NULL"
-        return BoundExpression(
-            BOOLEAN, evaluate, f"({operand.display} {keyword})", batch=batch
-        )
+        keyword = "IS NOT NULL" if self.negated else "IS NULL"
+        test = partial(operator.is_not if self.negated else operator.is_, None)
+        display = f"({operand.display} {keyword})"
+        return _pointwise(BOOLEAN, display, test, (operand,), strict=False)
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.operand.references()
@@ -741,31 +720,13 @@ class Like(Expression):
             + "$",
             re.DOTALL,
         )
-        negated = self.negated
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            value = operand.evaluate(values)
-            if value is None:
-                return None
-            matched = regex.match(value) is not None
-            return not matched if negated else matched
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            match = regex.match
-            values = operand.evaluate_batch(columns, count)
-            if negated:
-                return [
-                    None if value is None else match(value) is None
-                    for value in values
-                ]
-            return [
-                None if value is None else match(value) is not None
-                for value in values
-            ]
-
-        keyword = "NOT LIKE" if negated else "LIKE"
+        match = regex.match
+        if self.negated:
+            keyword, like = "NOT LIKE", lambda value: match(value) is None
+        else:
+            keyword, like = "LIKE", lambda value: match(value) is not None
         display = f"({operand.display} {keyword} {self.pattern!r})"
-        return BoundExpression(BOOLEAN, evaluate, display, batch=batch)
+        return _pointwise(BOOLEAN, display, like, (operand,))
 
     def references(self) -> set[tuple[str | None, str]]:
         return self.operand.references()
@@ -801,50 +762,22 @@ class InList(Expression):
                 )
         negated = self.negated
 
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            value = operand.evaluate(values)
+        def member(value: Any, *candidates: Any) -> Any:
+            # NULL unless the value is found, when a candidate is NULL.
             if value is None:
                 return None
-            saw_null = False
-            for option in options:
-                candidate = option.evaluate(values)
-                if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    return False if negated else True
-            if saw_null:
-                return None
-            return True if negated else False
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            value_col = operand.evaluate_batch(columns, count)
-            option_cols = [
-                option.evaluate_batch(columns, count) for option in options
-            ]
-            out: list[Any] = []
-            append = out.append
-            for i, value in enumerate(value_col):
-                if value is None:
-                    append(None)
-                    continue
-                saw_null = False
-                for option_col in option_cols:
-                    candidate = option_col[i]
-                    if candidate is None:
-                        saw_null = True
-                    elif candidate == value:
-                        append(False if negated else True)
-                        break
-                else:
-                    append(None if saw_null else (True if negated else False))
-            return out
+            for candidate in candidates:
+                if candidate == value:
+                    return not negated
+            return None if None in candidates else negated
 
         keyword = "NOT IN" if negated else "IN"
         display = (
             f"({operand.display} {keyword} "
             f"({', '.join(option.display for option in options)}))"
         )
-        return BoundExpression(BOOLEAN, evaluate, display, batch=batch)
+        operands = (operand, *options)
+        return _pointwise(BOOLEAN, display, member, operands, strict=False)
 
     def references(self) -> set[tuple[str | None, str]]:
         refs = self.operand.references()
@@ -882,40 +815,12 @@ class Between(Expression):
                 raise BindError(
                     f"BETWEEN bound {bound.dtype} incomparable with {operand.dtype}"
                 )
-        negated = self.negated
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            value = operand.evaluate(values)
-            lo = low.evaluate(values)
-            hi = high.evaluate(values)
-            if value is None or lo is None or hi is None:
-                return None
-            inside = lo <= value <= hi
-            return not inside if negated else inside
-
-        def batch(columns: Sequence[list], count: int) -> list:
-            triples = zip(
-                operand.evaluate_batch(columns, count),
-                low.evaluate_batch(columns, count),
-                high.evaluate_batch(columns, count),
-            )
-            if negated:
-                return [
-                    None
-                    if (value is None or lo is None or hi is None)
-                    else not (lo <= value <= hi)
-                    for value, lo, hi in triples
-                ]
-            return [
-                None
-                if (value is None or lo is None or hi is None)
-                else (lo <= value <= hi)
-                for value, lo, hi in triples
-            ]
-
-        keyword = "NOT BETWEEN" if negated else "BETWEEN"
+        if self.negated:
+            keyword, between = "NOT BETWEEN", lambda v, lo, hi: not lo <= v <= hi
+        else:
+            keyword, between = "BETWEEN", lambda v, lo, hi: lo <= v <= hi
         display = f"({operand.display} {keyword} {low.display} AND {high.display})"
-        return BoundExpression(BOOLEAN, evaluate, display, batch=batch)
+        return _pointwise(BOOLEAN, display, between, (operand, low, high))
 
     def references(self) -> set[tuple[str | None, str]]:
         return (
@@ -1066,18 +971,12 @@ class FunctionCall(Expression):
             if first.dtype is not TEXT:
                 raise BindError(f"{self.name} requires TEXT, got {first.dtype}")
             dtype = TEXT
-
-        def evaluate(values: tuple[Any, ...]) -> Any:
-            evaluated = [argument.evaluate(values) for argument in arguments]
-            if any(value is None for value in evaluated):
-                return None
-            result = function(*evaluated)
-            return float(result) if dtype is REAL else result
-
+        if dtype is REAL:
+            function = partial(_real, function)
         display = (
             f"{self.name}({', '.join(argument.display for argument in arguments)})"
         )
-        return BoundExpression(dtype, evaluate, display)
+        return _pointwise(dtype, display, function, arguments)
 
     def references(self) -> set[tuple[str | None, str]]:
         refs: set[tuple[str | None, str]] = set()

@@ -8,8 +8,9 @@ dependencies:
   cached view (:meth:`repro.storage.table.Table.column_data`), shared and
   never copied.  A filter, sort, limit or semi-join passes row positions
   and an inner equi-join (left, right) index pairs: the output's columns
-  are a :class:`Selection` — its inputs' source columns read through
-  index vectors, each gathered when something first reads it and kept.
+  are a :class:`~repro.storage.tuples.Selection` — its inputs' source
+  columns read through index vectors, each gathered when something
+  first reads it and kept.
   Gathering a selection again composes its index vectors, so a column
   nobody reads is never copied, and one that is read is copied once, at
   the rows that reach the reader.  Kernels gather into fresh lists and
@@ -50,9 +51,9 @@ from ...lineage.formula import (
     var,
 )
 from ...storage.schema import Schema
-from ...storage.tuples import TupleId
+from ...storage.tuples import Selection, TupleId, selection_parts
 
-__all__ = ["ColumnBatch", "Group", "Selection"]
+__all__ = ["ColumnBatch", "Group"]
 
 
 class Group:
@@ -124,60 +125,6 @@ def _tuple_sets(column: Sequence) -> list:
     return [entry.variables for entry in column]
 
 
-class Selection:
-    """A batch's value (or factor) columns read through index vectors:
-    *parts* of ``(source columns, index vector)`` laid end to end — a
-    filter's one part is its input's columns at the kept rows, a join's
-    two are its inputs' at the (left, right) index pairs.  Column *c* is
-    gathered on its first read and kept."""
-
-    __slots__ = ("parts", "width", "_read")
-
-    def __init__(
-        self, parts: tuple[tuple[Sequence[list], Sequence[int]], ...], width: int
-    ) -> None:
-        self.parts = parts
-        #: The number of columns (the sources' widths summed).
-        self.width = width
-        self._read: dict[int, list] = {}
-
-    def __len__(self) -> int:
-        return self.width
-
-    def __getitem__(self, position: int) -> list:
-        column = self._read.get(position)
-        if column is not None:
-            return column
-        offset = position
-        for source, index in self.parts:
-            if offset < len(source):
-                column = list(map(source[offset].__getitem__, index))
-                self._read[position] = column
-                return column
-            offset -= len(source)
-        raise IndexError(position)
-
-    def __iter__(self) -> Iterator[list]:
-        return map(self.__getitem__, range(self.width))
-
-
-def _parts(
-    columns: Sequence[list], indices: Sequence[int], composed: dict
-) -> tuple:
-    """*columns* at *indices*, as :class:`Selection` parts over source
-    columns: a selection's index vectors are composed with *indices*, each
-    once per *composed* (a batch's value and factor parts share them)."""
-    if type(columns) is not Selection:
-        return ((columns, indices),)
-    parts = []
-    for source, index in columns.parts:
-        key = id(index)
-        if key not in composed:
-            composed[key] = list(map(index.__getitem__, indices))
-        parts.append((source, composed[key]))
-    return tuple(parts)
-
-
 class ColumnBatch:
     """A schema, per-column value lists, and a lineage column — deferred
     (:attr:`factors`) or materialised, never both."""
@@ -224,7 +171,7 @@ class ColumnBatch:
             return [self._lineage[i] for i in indices]
         columns = self.factors
         if indices is not None:
-            columns = Selection(_parts(columns, indices, {}), len(columns))
+            columns = Selection(selection_parts(columns, indices, {}), len(columns))
         parts = []
         for column in columns:
             if _holds_groups(column):
@@ -305,7 +252,7 @@ class ColumnBatch:
         copied until it is read."""
         composed: dict = {}
         columns = Selection(
-            _parts(self.columns, indices, composed), len(self.schema)
+            selection_parts(self.columns, indices, composed), len(self.schema)
         )
         if self._lineage is not None:
             return ColumnBatch(
@@ -317,7 +264,8 @@ class ColumnBatch:
             self.schema,
             columns,
             factors=Selection(
-                _parts(self.factors, indices, composed), len(self.factors)
+                selection_parts(self.factors, indices, composed),
+                len(self.factors),
             ),
         )
 
@@ -337,8 +285,8 @@ class ColumnBatch:
         on_left: dict = {}
         on_right: dict = {}
         columns = Selection(
-            _parts(left.columns, left_index, on_left)
-            + _parts(right.columns, right_index, on_right),
+            selection_parts(left.columns, left_index, on_left)
+            + selection_parts(right.columns, right_index, on_right),
             len(schema),
         )
         if left.factors is None or right.factors is None:
@@ -347,8 +295,8 @@ class ColumnBatch:
             )
             return cls(schema, columns, lineage=list(formulas))
         factors = Selection(
-            _parts(left.factors, left_index, on_left)
-            + _parts(right.factors, right_index, on_right),
+            selection_parts(left.factors, left_index, on_left)
+            + selection_parts(right.factors, right_index, on_right),
             len(left.factors) + len(right.factors),
         )
         return cls(schema, columns, factors=factors)

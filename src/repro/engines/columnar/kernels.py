@@ -19,7 +19,7 @@ both engines to this contract.
 
 What the kernels buy over the native operators:
 
-* a batch is read through its selection (:class:`~.batch.Selection`): a
+* a batch is read through its selection (:class:`Selection`): a
   filter, sort, limit or semi-join passes its input's row positions and
   an inner equi-join its (left, right) index pairs, so a column — value
   or factor — is gathered only when something reads it, once, at the
@@ -75,7 +75,8 @@ from ...lineage.formula import (
     lineage_not,
     lineage_or,
 )
-from .batch import ColumnBatch, Group, Selection
+from ...storage.tuples import Selection
+from .batch import ColumnBatch, Group
 
 __all__ = [
     "scan_batch",

@@ -13,12 +13,19 @@ and the resulting maximum reachable confidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..cost import CostModel, FreeCost
 from ..errors import InvalidConfidenceError
 
-__all__ = ["TupleId", "StoredTuple", "ColumnView", "column_view"]
+__all__ = [
+    "TupleId",
+    "StoredTuple",
+    "ColumnView",
+    "Selection",
+    "column_view",
+    "selection_parts",
+]
 
 _EPS = 1e-12
 
@@ -134,6 +141,60 @@ class ColumnView(tuple):
         if position not in nulls:
             nulls[position] = None in self[position]
         return nulls[position]
+
+
+class Selection:
+    """Columns read through index vectors: *parts* of ``(source columns,
+    index vector)`` laid end to end — a filter's one part is its input's
+    columns at the kept rows, a join's two are its inputs' at the (left,
+    right) index pairs.  Column *c* is gathered on its first read and
+    kept, so a column nobody reads is never copied."""
+
+    __slots__ = ("parts", "width", "_read")
+
+    def __init__(
+        self, parts: tuple[tuple[Sequence[list], Sequence[int]], ...], width: int
+    ) -> None:
+        self.parts = parts
+        #: The number of columns (the sources' widths summed).
+        self.width = width
+        self._read: dict[int, list] = {}
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __getitem__(self, position: int) -> list:
+        column = self._read.get(position)
+        if column is not None:
+            return column
+        offset = position
+        for source, index in self.parts:
+            if offset < len(source):
+                column = list(map(source[offset].__getitem__, index))
+                self._read[position] = column
+                return column
+            offset -= len(source)
+        raise IndexError(position)
+
+    def __iter__(self) -> Iterator[list]:
+        return map(self.__getitem__, range(self.width))
+
+
+def selection_parts(
+    columns: Sequence[list], indices: Sequence[int], composed: dict
+) -> tuple:
+    """*columns* at *indices*, as :class:`Selection` parts over source
+    columns: a selection's index vectors are composed with *indices*, each
+    once per *composed* (a batch's value and factor parts share them)."""
+    if type(columns) is not Selection:
+        return ((columns, indices),)
+    parts = []
+    for source, index in columns.parts:
+        key = id(index)
+        if key not in composed:
+            composed[key] = list(map(index.__getitem__, indices))
+        parts.append((source, composed[key]))
+    return tuple(parts)
 
 
 def column_view(

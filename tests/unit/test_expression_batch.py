@@ -1,6 +1,6 @@
 """Batch expression kernels: `evaluate_batch` matches row-at-a-time
 `evaluate` element-wise, including NULL handling, error behaviour, and the
-generic fallback for expressions without a dedicated kernel."""
+generic fallback for the one expression without a kernel (``CASE``)."""
 
 from __future__ import annotations
 
@@ -95,15 +95,22 @@ def test_empty_batch():
 
 
 def test_fallback_expressions_have_no_kernel_but_still_batch():
+    """CASE is the one row fallback: every other expression — the scalar
+    functions included — has a kernel derived from its definition."""
     case = CaseExpression(
         [(Comparison(">", col("qty"), lit(0)), lit("pos"))], lit("neg")
     )
-    function = FunctionCall("ABS", [col("qty")])
-    for expression in (case, function):
-        bound = expression.bind(SCHEMA)
-        assert not bound.has_batch_kernel
-        batch = bound.evaluate_batch(COLUMNS, COUNT)
-        assert batch == [bound.evaluate(row) for row in ROWS]
+    bound = case.bind(SCHEMA)
+    assert not bound.has_batch_kernel
+    assert bound.evaluate_batch(COLUMNS, COUNT) == [
+        bound.evaluate(row) for row in ROWS
+    ]
+    for function in (
+        FunctionCall("ABS", [col("qty")]),
+        FunctionCall("ROUND", [col("price"), lit(1)]),
+        FunctionCall("UPPER", [col("name")]),
+    ):
+        assert batch_equals_scalar(function).has_batch_kernel
 
 
 def test_kernel_flag_set_for_vectorized_expressions():
@@ -147,3 +154,16 @@ def test_columnref_batch_aliases_input_column():
     """ColumnRef returns the input list itself — callers must not mutate."""
     bound = col("qty").bind(SCHEMA)
     assert bound.evaluate_batch(COLUMNS, COUNT) is COLUMNS[1]
+
+
+def test_in_list_evaluates_every_option_on_both_paths():
+    """``IN`` is a function of all its operands' values: an option that
+    raises raises on every row, found or not, row by row and in batch."""
+    bound = InList(col("qty"), [lit(3), Arithmetic("/", lit(1), lit(0))]).bind(
+        SCHEMA
+    )
+    with pytest.raises(ExecutionError, match="division by zero in") as scalar:
+        bound.evaluate(ROWS[0])  # qty = 3 matches the first option
+    with pytest.raises(ExecutionError) as batch:
+        bound.evaluate_batch(COLUMNS, COUNT)
+    assert str(batch.value) == str(scalar.value)

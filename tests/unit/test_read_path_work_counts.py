@@ -27,7 +27,7 @@ from repro.lineage.circuit import CompiledCircuit
 from repro.lineage.formula import And, Var, lineage_and, lineage_or, var
 from repro.lineage.probability import probability
 from repro.sql import run_sql
-from repro.storage import Database, INTEGER, Schema, TupleId
+from repro.storage import Database, INTEGER, Schema, TEXT, TupleId
 from repro.storage.table import Table
 from repro.storage.tuples import ColumnView
 from tests.oracle import possible_worlds
@@ -232,6 +232,56 @@ def test_a_filtered_join_reads_each_column_through_its_selection(monkeypatch):
     assert reads["l", "a"] == [i for i, _ in pairs]  # the projection
     assert reads["r", "b"] == [j for _, j in pairs]
     assert reads["l", "u"] == reads["r", "v"] == []
+
+
+@pytest.mark.parametrize(
+    "condition, second",
+    [
+        ("b LIKE 'x1%'", lambda first, b: first),
+        # OR's right side reads ``b`` again, at the rows its left left
+        # not True.
+        (
+            "(b LIKE 'x1%' OR b LIKE 'x2%')",
+            lambda first, b: first + [i for i in first if not b[i].startswith("x1")],
+        ),
+    ],
+)
+def test_a_conjunct_without_own_selection_reads_only_its_columns(
+    monkeypatch, condition, second
+):
+    """A conjunct with no own selection (``LIKE``, an ``OR`` of them)
+    reads its own column at the rows the conjunct before it kept, and an
+    unreferenced column at no row.  At the commit before this guard the
+    default selection copied every column at those rows, and ``OR``
+    gathered every column at the rows its left left open."""
+    size = 1_000
+    db = Database("default-selection")
+    db.create_table("t", Schema.of(("a", INTEGER), ("b", TEXT), ("c", INTEGER)))
+    db.table("t").insert_rows(
+        [[i % 10, f"x{i % 13}", i] for i in range(size)], confidence=0.5
+    )
+    reads = {name: [] for name in "abc"}
+    column_data = Table.column_data
+
+    def logged(table):
+        columns, tids = column_data(table)
+        return ColumnView(
+            _LoggedColumn(column, reads[name])
+            for column, name in zip(columns, "abc")
+        ), tids
+
+    monkeypatch.setattr(Table, "column_data", logged)
+    sql = f"SELECT a FROM t WHERE a = 1 AND {condition}"
+    result = run_sql(db, sql, engine="columnar")
+    monkeypatch.undo()
+    assert result.values() == run_sql(db, sql, engine="native").values()
+
+    b = [f"x{i % 13}" for i in range(size)]
+    first = [i for i in range(size) if i % 10 == 1]
+    assert 0 < len(result) < len(first)
+    assert reads["a"][:size] == list(range(size))  # conjunct 1
+    assert reads["b"] == second(first, b)
+    assert reads["c"] == []
 
 
 def _join_rows(count: int) -> ResultSet:
