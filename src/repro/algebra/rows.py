@@ -3,7 +3,9 @@
 Every row flowing through the executor is an :class:`AnnotatedTuple` — plain
 values plus the lineage formula recording its derivation.  A completed query
 yields a :class:`ResultSet`, which can compute per-row confidences against
-the database's current base-tuple confidences (element 2 of the paper).
+the database's current base-tuple confidences (element 2 of the paper):
+each is its lineage's compiled circuit (:mod:`repro.lineage.circuit`), or
+while the lineage is deferred the same arithmetic over its factors.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
-from ..lineage.circuit import CircuitPool, CompiledCircuit
+from ..lineage.circuit import CircuitPool, CompiledCircuit, probability
 from ..lineage.formula import Lineage
-from ..lineage.probability import probability
 from ..storage.schema import Schema
 from ..storage.tuples import TupleId
 

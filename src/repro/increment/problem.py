@@ -35,10 +35,9 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..cost import CostModel
 from ..errors import IncrementError, InfeasibleIncrementError
-from ..lineage.circuit import CircuitPool
+from ..lineage.circuit import CircuitPool, pick
 from ..lineage.confidence import ConfidenceFunction
 from ..lineage.formula import Lineage
-from ..lineage.probability import pick
 from ..storage.tuples import TupleId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

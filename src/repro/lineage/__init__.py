@@ -4,11 +4,11 @@ Query results carry boolean lineage over base tuples; confidence is the
 probability of the lineage under tuple independence.  Exact evaluation uses
 independence decomposition plus Shannon expansion, compiled once per query
 into shared arithmetic circuits (:mod:`repro.lineage.circuit`) and answered
-by one forward sweep; :func:`probability` is the interpreter every test
-compares that against.
+by one forward sweep; :func:`probability` is one formula compiled into a
+pool of its own, with its inputs range-checked.
 """
 
-from .circuit import CircuitPool, CompiledCircuit
+from .circuit import CircuitPool, CompiledCircuit, probability
 from .confidence import ConfidenceFunction
 from .formula import (
     BOTTOM,
@@ -27,7 +27,6 @@ from .formula import (
     restrict,
     var,
 )
-from .probability import probability
 
 __all__ = [
     "Lineage",

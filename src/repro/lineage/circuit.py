@@ -1,27 +1,39 @@
-"""Arithmetic circuits compiled from lineage formulas.
+"""Exact confidence of a lineage formula, by compiling it into an
+arithmetic circuit.
 
-The one way a confidence is computed.  A :class:`CircuitPool` compiles
-lineage formulas — by the same independence-decomposition and
-Shannon-expansion steps as :func:`~repro.lineage.probability.probability`
-— into flat arithmetic-circuit nodes that are *interned*: structurally
-equal subcircuits are stored once and shared across every formula compiled
-into the pool (one pool per query, so a result set with overlapping
-derivations pays for each common subformula once).
+Base tuples are independent (as in Trio / Dalvi-Suciu probabilistic
+databases, which the paper builds on), so the confidence of a formula is
+``P(F)``.  A :class:`CircuitPool` compiles formulas into flat arithmetic
+circuits by two steps, the one place either is written:
+
+1. **Independence decomposition** — the children of an AND/OR grouped into
+   variable-disjoint clusters are independent events: ``P(∧) = Π
+   P(cluster)`` (``MUL``) and ``P(∨) = 1 − Π (1 − P(cluster))``.
+   Read-once formulas, which dominate in practice, need this rule alone.
+2. **Shannon expansion** — one entangled cluster is conditioned on the
+   variable shared by the most children:
+   ``P(F) = p·P(F|v=1) + (1−p)·P(F|v=0)`` (``LERP``).  Cofactors simplify
+   (``restrict`` folds constants) and are memoized per pool.
+
+Worst case is exponential (#P-hard), but lineages from SPJU queries over
+the paper's workloads stay small.  Nodes are *interned*: structurally
+equal subcircuits are stored once and shared across every formula
+compiled into the pool (one pool per query, so a result set with
+overlapping derivations pays for each common subformula once).
 
 Compile once, then evaluate by one **forward sweep** in topological
-(= creation) order.  :meth:`CompiledCircuit.sweep` takes its inputs
-*positionally*, one per entry of the circuit's sorted ``support`` — what
-the increment solvers re-run behind ``ConfidenceFunction``'s cache;
-:meth:`CompiledCircuit.evaluate` feeds it from a mapping and
-:meth:`CircuitPool.evaluate_many` sweeps the union of many cones once per
-result batch.  All three run one loop, :meth:`CircuitPool._forward`.
-
-Node semantics mirror the reference interpreter operation for operation
-(products left to right, OR as ``1 − Π(1 − x)``, Shannon as
-``p·high + (1−p)·low``), so circuit values are bit-identical to
-:func:`~repro.lineage.probability.probability`, which every differential
-test compares against.  Unlike the reference, a sweep does not range-check
-its inputs (the storage layer guarantees [0, 1]).
+(= creation) order: products left to right, OR as ``1 − Π(1 − x)``,
+Shannon as ``p·high + (1−p)·low``.  :meth:`CompiledCircuit.sweep` takes
+its inputs *positionally*, one per entry of the circuit's sorted
+``support`` — what the increment solvers re-run behind
+``ConfidenceFunction``'s cache; :meth:`CompiledCircuit.evaluate` feeds it
+from a mapping and :meth:`CircuitPool.evaluate_many` sweeps the union of
+many cones once per result batch.  All three run one loop,
+:meth:`CircuitPool._forward`, which does not range-check its inputs (the
+storage layer guarantees [0, 1]); :func:`probability` — one formula in a
+pool of its own — does.  Tests hold the sweep to possible-worlds
+enumeration, and the deferred confidences of ``algebra.rows`` to it bit
+for bit.
 
 The pool is single-threaded by design (one value buffer, a slot per node,
 is reused across calls), matching the rest of the engine.
@@ -29,20 +41,96 @@ is reused across calls), matching the rest of the engine.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import Counter
+from typing import Mapping, Sequence
 
 from ..errors import ReproError
+from ..storage.tuples import TupleId
 from .formula import And, Bottom, Lineage, Not, Or, Top, Var, restrict
-from .probability import (
-    ProbabilityMap,
-    _independent_clusters,
-    _missing,
-    _pick_branch_variable,
-    _rebuild_connective,
-    pick,
-)
 
-__all__ = ["CircuitPool", "CompiledCircuit"]
+__all__ = ["CircuitPool", "CompiledCircuit", "probability"]
+
+ProbabilityMap = Mapping[TupleId, float]
+
+
+def _missing(tid: TupleId) -> ReproError:
+    return ReproError(
+        f"no probability supplied for base tuple {tid}", code="LineageError"
+    )
+
+
+def pick(probabilities: ProbabilityMap, tids: tuple[TupleId, ...]) -> tuple:
+    """The probabilities of *tids*, positionally; a missing one is an error."""
+    try:
+        return tuple(map(probabilities.__getitem__, tids))
+    except KeyError as error:
+        raise _missing(error.args[0]) from None
+
+
+def _independent_clusters(children: tuple[Lineage, ...]) -> list[list[Lineage]]:
+    """Group children into variable-disjoint clusters (union-find)."""
+    parent = list(range(len(children)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+
+    owner: dict[TupleId, int] = {}
+    for index, child in enumerate(children):
+        for tid in child.variables:
+            if tid in owner:
+                union(owner[tid], index)
+            else:
+                owner[tid] = index
+
+    clusters: dict[int, list[Lineage]] = {}
+    for index, child in enumerate(children):
+        clusters.setdefault(find(index), []).append(child)
+    return list(clusters.values())
+
+
+def _pick_branch_variable(children: tuple[Lineage, ...]) -> TupleId:
+    """The variable occurring in the most children (ties by ordering)."""
+    counts: Counter[TupleId] = Counter()
+    for child in children:
+        counts.update(child.variables)
+    # max by (count, tid) — deterministic for reproducible run times
+    return max(counts, key=lambda tid: (counts[tid], tid))
+
+
+def _rebuild_connective(node: Lineage, cluster: list[Lineage]) -> Lineage:
+    """The AND/OR of one independent *cluster* of *node*'s children."""
+    if len(cluster) == 1:
+        return cluster[0]
+    if isinstance(node, And):
+        return And(tuple(cluster))
+    return Or(tuple(cluster))
+
+
+def probability(formula: Lineage, probabilities: ProbabilityMap) -> float:
+    """Exact ``P(formula)`` given independent base-tuple *probabilities*:
+    *formula* compiled into a pool of its own and swept once.
+
+    Raises ``LineageError`` if a variable the circuit reads is missing from
+    *probabilities* or its probability is out of range.
+    """
+    circuit = CircuitPool().compile(formula)
+    inputs = pick(probabilities, circuit.support)
+    for tid, value in zip(circuit.support, inputs):
+        if not 0.0 <= value <= 1.0:
+            raise ReproError(
+                f"probability {value} of {tid} outside [0, 1]",
+                code="LineageError",
+            )
+    return circuit.sweep(inputs)
+
 
 # Node kinds.  Children are node indexes; a node's index is always larger
 # than its children's (creation order == topological order).

@@ -24,8 +24,8 @@ compiled function of one query intern common subformulas once.  The
 increment solvers route every probe, commit and undo through what
 :meth:`~ConfidenceFunction.keyed` hands them — :meth:`at`, or for a product
 the product itself (see
-:class:`~repro.increment.problem.SearchState`); the reference that tests
-compare both against is :func:`~repro.lineage.probability.probability`.
+:class:`~repro.increment.problem.SearchState`); tests hold both to
+possible-worlds enumeration, and to a fresh pool's circuit bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from typing import Callable, Mapping, Sequence
 from ..errors import ReproError
 from ..obs import get_metrics
 from ..storage.tuples import TupleId
-from .circuit import CircuitPool, CompiledCircuit
+from .circuit import CircuitPool, CompiledCircuit, pick
 from .formula import And, Lineage, Var, lineage_and, node_count
-from .probability import pick
 
 __all__ = ["ConfidenceFunction", "CACHE_SIZE"]
 

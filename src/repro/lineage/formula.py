@@ -12,7 +12,7 @@ Formulas are immutable and hashable.  The smart constructors
 :func:`lineage_and`, :func:`lineage_or` and :func:`lineage_not` flatten
 nested connectives, fold constants, deduplicate identical children and apply
 involution, so structurally equal derivations produce identical objects —
-which the probability evaluator's memo cache relies on.
+which the circuit compiler's formula memo relies on.
 """
 
 from __future__ import annotations
@@ -301,8 +301,8 @@ def lineage_not(part: Lineage) -> Lineage:
 def restrict(formula: Lineage, tid: TupleId, value: bool) -> Lineage:
     """The formula with variable *tid* fixed to *value*, simplified.
 
-    This is the cofactor used by Shannon expansion in the probability
-    evaluator.  Subformulas not mentioning *tid* are returned unchanged
+    This is the cofactor used by Shannon expansion in the circuit
+    compiler.  Subformulas not mentioning *tid* are returned unchanged
     (preserving object identity, which keeps memo caches effective).
     """
     if tid not in formula.variables:

@@ -17,3 +17,13 @@ def possible_worlds(formula, probs) -> float:
         if weight and formula.evaluate(dict(zip(variables, bits))):
             total += weight
     return total
+
+
+#: How far an exact confidence may sit from :func:`possible_worlds`, which
+#: sums the same probability in a different order.
+TOLERANCE = 1e-12
+
+
+def close_to_worlds(value: float, formula, probs) -> bool:
+    """Whether *value* is ``P(formula)`` up to float rounding."""
+    return abs(value - possible_worlds(formula, probs)) <= TOLERANCE

@@ -1,10 +1,14 @@
 """Differential properties of the arithmetic-circuit engine.
 
-The circuit compiler mirrors the reference interpreter operation for
-operation, so its values must be *bit-identical* to
-:func:`repro.lineage.probability.probability` on arbitrary SPJU lineage —
-including formulas that share subcircuits through one pool and formulas
-whose entangled clusters force Shannon expansion.
+Two references.  The value reference is possible-worlds enumeration
+(:func:`tests.oracle.possible_worlds`, which shares no code with the
+engine): every confidence below is within 1e-12 of it.  The arithmetic
+reference is :func:`repro.lineage.probability` — the formula compiled
+into a pool of its own and swept once — and every other way of asking
+(a shared pool, a positional sweep, the cached facade, a search state)
+must be *bit-identical* to it on arbitrary SPJU lineage, including
+formulas that share subcircuits through one pool and formulas whose
+entangled clusters force Shannon expansion.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.lineage import (
     var,
 )
 from repro.storage import TupleId
+from tests.oracle import close_to_worlds, possible_worlds
 
 POOL = [TupleId("t", i) for i in range(5)]
 
@@ -75,11 +80,15 @@ def probability_maps():
 def test_circuit_matches_probability_bitwise(formula, probs):
     """Also with any one input at 0.0 or 1.0: two such sweeps are the
     exact partial ``∂F/∂p(t)``, since ``P(F)`` is multilinear."""
-    circuit = CircuitPool().compile(formula)
+    pool = CircuitPool()
+    pool.compile(lineage_not(formula))  # every subcircuit is shared
+    circuit = pool.compile(formula)
     for inputs in [probs] + [
         {**probs, tid: pinned} for tid in POOL for pinned in (0.0, 1.0)
     ]:
-        assert circuit.evaluate(inputs) == probability(formula, inputs)
+        value = circuit.evaluate(inputs)
+        assert value == probability(formula, inputs)
+        assert close_to_worlds(value, formula, inputs)
 
 
 def sweep_formulas():
@@ -107,14 +116,16 @@ def test_positional_sweep_matches_probability_bitwise(group, probs, shared):
     """``sweep`` takes one probability per entry of the circuit's sorted
     support — no mapping — and equals the reference bit for bit, whether
     the formulas share a pool (and each other's value slots) or each has
-    its own.  The facade's positional ``at`` — keyed on the *formula's*
-    variables — agrees on the miss and on the hit."""
+    its own, and the reference is the possible-worlds value.  The facade's
+    positional ``at`` — keyed on the *formula's* variables — agrees on the
+    miss and on the hit."""
     pool = CircuitPool() if shared else None
     circuits = [(pool or CircuitPool()).compile(formula) for formula in group]
     functions = [ConfidenceFunction(formula, pool=pool) for formula in group]
     for _ in range(2):  # second round: interleaved sweeps left no residue
         for formula, circuit, function in zip(group, circuits, functions):
             expected = probability(formula, probs)
+            assert close_to_worlds(expected, formula, probs)
             assert circuit.support == tuple(sorted(circuit.support))
             assert set(circuit.support) <= formula.variables
             inputs = [probs[tid] for tid in circuit.support]
@@ -135,6 +146,7 @@ def test_circuit_matches_compiled_closure_bitwise(formula, probs):
     a miss and on the hit that follows."""
     function = ConfidenceFunction(formula)
     expected = probability(formula, probs)
+    assert close_to_worlds(expected, formula, probs)
     assert function.evaluate(probs) == expected
     assert function.evaluate(probs) == expected
 
@@ -148,6 +160,8 @@ def test_sharing_one_pool_does_not_change_values(left, right, probs):
     second = pool.compile(right)
     assert first.evaluate(probs) == probability(left, probs)
     assert second.evaluate(probs) == probability(right, probs)
+    assert close_to_worlds(first.evaluate(probs), left, probs)
+    assert close_to_worlds(second.evaluate(probs), right, probs)
     # Compiling in one pool combining both (forcing shared subcircuits
     # through the conjunction) leaves the standalone values intact too.
     combined = pool.compile(lineage_and(left, right))
@@ -159,15 +173,15 @@ def test_sharing_one_pool_does_not_change_values(left, right, probs):
 @given(formulas(allow_not=False), probability_maps())
 def test_gradient_matches_sensitivity(formula, probs):
     """``P(F)`` is multilinear, so two forward sweeps give each partial
-    exactly; the reference interpreter gets it from the same two pins."""
+    exactly; possible-worlds enumeration gets it from the same two pins."""
     circuit = CircuitPool().compile(formula)
     for tid in formula.variables:
         slope = circuit.evaluate({**probs, tid: 1.0}) - circuit.evaluate(
             {**probs, tid: 0.0}
         )
-        expected = probability(formula, {**probs, tid: 1.0}) - probability(
-            formula, {**probs, tid: 0.0}
-        )
+        expected = possible_worlds(
+            formula, {**probs, tid: 1.0}
+        ) - possible_worlds(formula, {**probs, tid: 0.0})
         assert abs(slope - expected) < 1e-9
 
 
@@ -191,6 +205,7 @@ def test_incremental_updates_match_fresh_evaluation(formula, probs, updates):
     for tid, value in updates:
         current[tid] = value
         assert function.evaluate(current) == probability(formula, current)
+    assert close_to_worlds(function.evaluate(current), formula, current)
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,6 +240,7 @@ def test_probe_equals_patched_evaluation_without_commit(
         return
     target, step_cost = step
     patched = probability(formula, {**probs, tid: target})
+    assert close_to_worlds(patched, formula, {**probs, tid: target})
     delta = patched - before[0][0]
     if delta <= 1e-9:
         expected = 0.0

@@ -10,10 +10,11 @@ tables of 0 to 10⁴ rows.
 A result whose lineage stayed deferred to the root answers
 ``confidences`` with a product over its factors — base tuples, and the
 groups DISTINCT, GROUP BY and ``IN`` emit, each computed as its circuit
-would compute it: for generated plans that number is bit-identical to
-``probability`` of the lineage it stands for, to the native engine's
-compiled circuits, and within 1e-12 of possible-worlds enumeration —
-before and after a confidence write-back, whatever was read first.
+would compute it.  Two references hold it: for generated plans that number
+is bit-identical to the circuit of the lineage it stands for, compiled in a
+pool of its own (``probability``) and in the native engine's shared pool,
+and within 1e-12 of possible-worlds enumeration — before and after a
+confidence write-back, whatever was read first.
 
 DML shares the predicate path: the rows ``UPDATE``/``DELETE … WHERE p``
 touch are the rows ``SELECT * FROM t WHERE p`` returns on either engine,
@@ -29,13 +30,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, ReproError
-from repro.lineage.probability import probability
+from repro.lineage import probability
 from repro.policy import PolicyStore
 from repro.server.mvcc import MVCCDatabase
 from repro.server.session import Session
 from repro.sql import execute_sql, run_sql
 from repro.storage import Database, INTEGER, REAL, Schema, TEXT
-from tests.oracle import possible_worlds
+from tests.oracle import close_to_worlds, possible_worlds
 from tests.error_codes import raises_code
 
 KEYS = "abcd"
@@ -505,6 +506,9 @@ def _assert_deferred_path(db, sql) -> None:
     assert _hex(after) == _hex(
         probability(row.lineage, probabilities) for row in deferred.rows
     )
+    for row, confidence in zip(deferred.rows, after):
+        if len(row.lineage.variables) <= 12:
+            assert close_to_worlds(confidence, row.lineage, probabilities)
 
     # A probability map that lacks one tuple a circuit reads: the same
     # refusal, whichever path would have read it.  A tuple every circuit
@@ -680,7 +684,8 @@ STAR_GROUP_QUERIES = [
 def test_star_group_clusters_are_combined_in_first_seen_order(data):
     """Generated star-shaped groups take the product path — no circuit —
     and equal the circuits bit for bit: combining a group's hub clusters
-    in any order but the compiler's first-seen one moves a last bit."""
+    in any order but the compiler's first-seen one moves a last bit.  A
+    group over at most twelve tuples is checked by possible worlds too."""
     db = make_db(*data)
     probabilities = {
         row.tid: row.confidence for table in db.tables() for row in table.scan()
@@ -695,6 +700,9 @@ def test_star_group_clusters_are_combined_in_first_seen_order(data):
         assert _hex(confidences) == _hex(
             run_sql(db, sql, engine="native").confidences(db)
         )
+        for row, confidence in zip(columnar.rows, confidences):
+            if len(row.lineage.variables) <= 12:
+                assert close_to_worlds(confidence, row.lineage, probabilities)
 
 
 def test_product_order_is_the_flattened_column_order():

@@ -20,7 +20,7 @@ from repro.lineage import (
 )
 from repro.storage import TupleId
 
-from tests.oracle import possible_worlds
+from tests.oracle import close_to_worlds, possible_worlds
 
 POOL = [TupleId("t", i) for i in range(5)]
 
@@ -60,8 +60,13 @@ def test_probability_matches_brute_force(formula, probs):
 @settings(max_examples=100, deadline=None)
 @given(formulas(), probability_maps())
 def test_compiled_matches_interpreter(formula, probs):
-    compiled = CircuitPool().compile(formula)
+    """A pool that compiled the negation first shares every subcircuit:
+    the same bits as a pool of its own, and the possible-worlds value."""
+    pool = CircuitPool()
+    pool.compile(lineage_not(formula))
+    compiled = pool.compile(formula)
     assert compiled.evaluate(probs) == probability(formula, probs)
+    assert close_to_worlds(compiled.evaluate(probs), formula, probs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,14 +1,15 @@
 """Exact confidence against brute-force possible-worlds enumeration.
 
 The oracle (:func:`tests.oracle.possible_worlds`) shares no code with the
-engine: it enumerates all 2ⁿ worlds of a lineage's n ≤ 12 base tuples.
-Checked against it, in order of trust:
+engine: it enumerates all 2ⁿ worlds of a lineage's n ≤ 12 base tuples.  It
+is the value reference:
 
-* :func:`probability` — the reference interpreter — is within 1e-12;
-* ``CircuitPool.compile(f).evaluate`` — the product path — equals the
-  reference *exactly*;
-* ``ResultSet.confidences`` equals the oracle on the columnar engine and on
-  the native one (ROADMAP item 4(d)).
+* :func:`probability` — the formula compiled into a pool of its own — is
+  within 1e-12 of it, and a circuit in a pool that compiled other
+  formulas first equals that *exactly*;
+* ``ResultSet.confidences`` is within 1e-12 of it on the columnar engine
+  (the deferred path's arithmetic over factors) and on the native one
+  (circuits).
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ probability_maps = st.fixed_dictionaries(
 def test_reference_and_circuit_match_possible_worlds(formula, probs):
     reference = probability(formula, probs)
     assert abs(reference - possible_worlds(formula, probs)) <= TOLERANCE
-    assert CircuitPool().compile(formula).evaluate(probs) == reference
+    pool = CircuitPool()
+    pool.compile(lineage_not(formula))  # every subcircuit is shared
+    assert pool.compile(formula).evaluate(probs) == reference
 
 
 # -- through both engines ---------------------------------------------------

@@ -1,5 +1,5 @@
 """A product row solves the same whether it is given as factors, as a
-formula, or answered by the interpreter.
+formula, or answered by ``probability()``.
 
 A join row's confidence is the product of its base tuples'.  Strategy
 finding takes such a row as its tuples in factor order and multiplies them,
@@ -16,8 +16,9 @@ mixed cost models and 1–3 requirement groups — plus rows built as an
 
 * the product rows as factor tuples;
 * the same rows as ``lineage_and`` formulas;
-* every row answered by :func:`~repro.lineage.probability` through
-  ``ReferenceFunction``, which overrides ``at``.
+* every row answered by :func:`~repro.lineage.probability` — a pool of its
+  own per call — through ``ReferenceFunction``, which overrides ``at``;
+  its initial confidences are within 1e-12 of possible-worlds enumeration.
 
 The two mutation tests at the bottom show the check catching an engine that
 multiplies in sorted-variable order, and one that treats an ``And`` with a
@@ -45,6 +46,7 @@ from tests.golden_plans import (
     GREEDY_FULL,
     GREEDY_INCREMENTAL,
 )
+from tests.oracle import close_to_worlds
 from tests.unit.test_solver_backend_equivalence import ReferenceFunction
 
 SOLVERS = {**GREEDY_INCREMENTAL, **GREEDY_FULL, **APPROXIMATE, **EXACT}
@@ -155,6 +157,10 @@ def check(seed: int) -> None:
     """The three forms of instance *seed* solve identically."""
     spec = instance(seed)
     reference = solve_all("reference", *spec)
+    tuples, rows = spec[:2]
+    initial = {tid: state.initial for tid, state in tuples.items()}
+    for row, confidence in zip(rows, reference["initial"]):
+        assert close_to_worlds(float.fromhex(confidence), _formula(row), initial)
     for form in ("factors", "formulas"):
         assert solve_all(form, *spec) == reference, (seed, form)
 

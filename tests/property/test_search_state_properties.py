@@ -9,9 +9,10 @@ from anywhere in a tuple's range and from the two tabulated lattice moves
 the solvers make (``steps``, one δ up; ``previous_level``, one grid level
 down).  After *every* step of a random walk that follows the discipline,
 everything the state maintains incrementally must equal what
-:func:`probability` — the reference interpreter, no circuit, no cache —
-and the tuples' own ``cost_to`` give for the current assignment, keyed by
-``TupleId`` the way the boundary sees it.  A second state on the same
+:func:`probability` — each formula compiled into a pool of its own, no
+shared pool, no cache — and the tuples' own ``cost_to`` give for the
+current assignment, keyed by ``TupleId`` the way the boundary sees it;
+those confidences are within 1e-12 of possible-worlds enumeration.  A second state on the same
 problem walks along: the tables the problem tabulates are shared, the
 assignments are not.  A third, the twin, makes every move the first one
 makes, except that it walks back the way the solvers used to — apply,
@@ -30,6 +31,7 @@ from repro.increment import IncrementProblem
 from repro.increment.problem import SearchState, SolverStats
 from repro.lineage import probability
 from repro.workload import WorkloadSpec, generate_problem
+from tests.oracle import close_to_worlds
 
 
 @st.composite
@@ -95,6 +97,8 @@ def assert_matches_recomputation(state: SearchState) -> None:
     confidences = [
         probability(result.formula, assignment) for result in problem.results
     ]
+    for result, confidence in zip(problem.results, confidences):
+        assert close_to_worlds(confidence, result.formula, assignment)
     flags = [problem.satisfied(confidence) for confidence in confidences]
     group_counts = [
         sum(flags[index] for index in members)
@@ -134,7 +138,7 @@ def assert_same_state(state: SearchState, twin: SearchState) -> None:
 
 
 def expected_gain(state: SearchState, slot: int, every: bool) -> float:
-    """gain* of *slot*'s δ-step, from the reference interpreter."""
+    """gain* of *slot*'s δ-step, from a pool per formula."""
     problem = state.problem
     step = problem.steps[slot][state.values[slot]]
     if step is None:

@@ -24,6 +24,7 @@ from repro.lineage import (
 from repro.lineage.confidence import CACHE_SIZE
 from repro.storage import TupleId
 from tests.error_codes import raises_code
+from tests.oracle import close_to_worlds, possible_worlds
 
 T = [TupleId("t", i) for i in range(8)]
 
@@ -42,8 +43,10 @@ def _shannon_formula():
 
 class TestCompilation:
     def test_evaluate_matches_probability_bitwise(self):
-        """Also with any one input at 0.0 or 1.0: two such sweeps are the
-        exact partial ``∂F/∂p(t)``, since ``P(F)`` is multilinear."""
+        """A shared pool sweeps what a pool of its own does, bit for bit,
+        and possible-worlds enumeration agrees — also with any one input
+        at 0.0 or 1.0: two such sweeps are the exact partial
+        ``∂F/∂p(t)``, since ``P(F)`` is multilinear."""
         formulas = [
             var(T[0]),
             lineage_and(var(T[0]), var(T[1])),
@@ -63,7 +66,9 @@ class TestCompilation:
                 for tid in formula.variables
                 for pinned in (0.0, 1.0)
             ]:
-                assert circuit.evaluate(inputs) == probability(formula, inputs)
+                value = circuit.evaluate(inputs)
+                assert value == probability(formula, inputs)
+                assert close_to_worlds(value, formula, inputs)
 
     def test_evaluate_matches_compiled_closure_bitwise(self):
         # Compiled once, swept under many assignments.
@@ -75,9 +80,9 @@ class TestCompilation:
         circuit = CircuitPool().compile(formula)
         for seed in range(20):
             assignment = _assignment(seed)
-            assert circuit.evaluate(assignment) == probability(
-                formula, assignment
-            )
+            value = circuit.evaluate(assignment)
+            assert value == probability(formula, assignment)
+            assert close_to_worlds(value, formula, assignment)
 
     def test_shared_subformula_interned_once(self):
         shared = lineage_and(var(T[0]), var(T[1]))
@@ -127,8 +132,8 @@ def _slope(evaluate, assignment, tid):
 
 
 class TestGradient:
-    """The circuit's slopes against the reference interpreter's, each taken
-    as two sweeps with one input pinned at 1.0 and 0.0."""
+    """The circuit's slopes against possible-worlds enumeration's, each
+    taken as two evaluations with one input pinned at 1.0 and 0.0."""
 
     @pytest.mark.parametrize(
         "formula",
@@ -146,7 +151,7 @@ class TestGradient:
         assignment = _assignment(3)
         for tid in formula.variables:
             expected = _slope(
-                lambda inputs: probability(formula, inputs), assignment, tid
+                lambda inputs: possible_worlds(formula, inputs), assignment, tid
             )
             assert _slope(circuit.evaluate, assignment, tid) == pytest.approx(
                 expected, abs=1e-12
@@ -161,7 +166,8 @@ class TestGradient:
 
 class TestEvaluator:
     """:class:`SearchState` — the one mutable evaluator left — over a shared
-    pool, against ``probability()`` from scratch."""
+    pool, against ``probability()`` from scratch: a pool per formula, bit
+    for bit, itself checked against possible-worlds enumeration."""
 
     def _setup(self, seed=1):
         pool = CircuitPool()
@@ -183,7 +189,10 @@ class TestEvaluator:
         return pool, formulas, problem, assignment, SearchState(problem)
 
     def _fresh(self, formulas, assignment):
-        return [probability(formula, assignment) for formula in formulas]
+        fresh = [probability(formula, assignment) for formula in formulas]
+        for formula, value in zip(formulas, fresh):
+            assert close_to_worlds(value, formula, assignment)
+        return fresh
 
     def test_initial_values_match_probability(self):
         _pool, formulas, _problem, assignment, state = self._setup()
@@ -276,8 +285,8 @@ class TestEvaluator:
             high = what_if(problem.slot_of[tid], 1.0)
             low = what_if(problem.slot_of[tid], 0.0)
             assert high - low == pytest.approx(
-                probability(formulas[0], {**assignment, tid: 1.0})
-                - probability(formulas[0], {**assignment, tid: 0.0}),
+                possible_worlds(formulas[0], {**assignment, tid: 1.0})
+                - possible_worlds(formulas[0], {**assignment, tid: 0.0}),
                 abs=1e-12,
             )
 
@@ -291,12 +300,14 @@ class TestEvaluator:
 
 class TestConfidenceFunctionFacade:
     def test_backends_agree_bitwise(self):
-        # The product path (cached facade over a circuit) and the reference.
+        # The cached facade over a circuit and a pool of its own, bit for
+        # bit; possible-worlds enumeration agrees.
         formula = lineage_and(_shannon_formula(), var(T[3]))
         function = ConfidenceFunction(formula)
         for seed in range(10):
             assignment = _assignment(seed)
             expected = probability(formula, assignment)
+            assert close_to_worlds(expected, formula, assignment)
             assert function.evaluate(assignment) == expected  # miss
             assert function.evaluate(assignment) == expected  # hit
 

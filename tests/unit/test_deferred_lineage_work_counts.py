@@ -18,6 +18,7 @@ join ask built all four again for every row it lifted.
 import pytest
 
 from repro import QueryStatus
+from repro.algebra import rows as rows_module
 from repro.algebra.rows import AnnotatedTuple, ResultSet
 from repro.engines.columnar.batch import ColumnBatch
 from repro.engines.columnar.engine import run_batch
@@ -399,3 +400,41 @@ def test_a_product_form_ask_reads_stored_confidences_by_ordinal(
     assert len(reply.rows) + reply.withheld_count > 0
     assert not reply.raw_result.has_compiled_circuits
     assert counts == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "sql, database, compiles",
+    [
+        (JOIN, lambda: _database(60, 400), False),
+        (
+            "SELECT DISTINCT l.k FROM l JOIN r ON l.k = r.k",
+            lambda: _star_database(20),
+            False,
+        ),
+        (
+            "SELECT k FROM l WHERE flag = 1 UNION SELECT k FROM r",
+            lambda: _database(20, 20),
+            True,
+        ),
+    ],
+    ids=["product-join", "star-distinct", "compiled-union"],
+)
+@pytest.mark.parametrize("fraction", [0.0, 1.0], ids=["filter", "improve"])
+def test_a_served_ask_never_calls_probability(
+    count_calls, sql, database, compiles, fraction
+):
+    """``probability()`` compiles one formula into a pool of its own, for
+    callers outside the engine: no ask calls it — nor
+    ``AnnotatedTuple.confidence``, its one caller in the library — whether
+    its rows are products, star groups or compiled circuits, and whether
+    or not strategy finding runs."""
+    session = _session(database())
+    calls = [
+        count_calls(rows_module, "probability"),
+        count_calls(AnnotatedTuple, "confidence"),
+    ]
+    reply = session.ask(sql, fraction)
+    session.close()
+    assert len(reply.rows) + reply.withheld_count > 0
+    assert reply.raw_result.has_compiled_circuits is compiles
+    assert [count[0] for count in calls] == [0, 0]

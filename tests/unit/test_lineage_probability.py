@@ -1,6 +1,7 @@
 """Unit tests for exact probability and circuit compilation."""
 
 import random
+import re
 
 import pytest
 
@@ -8,8 +9,10 @@ from repro.errors import ReproError
 from repro.lineage import (
     BOTTOM,
     TOP,
+    And,
     CircuitPool,
     ConfidenceFunction,
+    Or,
     lineage_and,
     lineage_not,
     lineage_or,
@@ -18,7 +21,7 @@ from repro.lineage import (
 )
 from repro.storage import TupleId
 
-from tests.oracle import possible_worlds
+from tests.oracle import close_to_worlds, possible_worlds
 from tests.error_codes import raises_code
 
 A, B, C, D = (TupleId("t", i) for i in range(4))
@@ -78,6 +81,24 @@ class TestExactProbability:
         with raises_code(ReproError, "LineageError"):
             probability(var(A), {A: 1.5})
 
+    def test_reads_exactly_the_variables_its_circuit_reads(self):
+        # x ∨ (x ∧ y) is x: Shannon on x leaves ⊤ and ⊥, so y is never read.
+        formula = Or((var(A), And((var(A), var(B)))))
+        assert probability(formula, {A: 0.3}) == 0.3
+        assert probability(formula, {A: 0.3, B: 1.5}) == 0.3
+        with raises_code(ReproError, "LineageError", match=r"outside \[0, 1\]"):
+            probability(formula, {A: 1.5, B: 0.5})
+        for missing in (A, B):
+            present = {tid: 0.5 for tid in (A, B) if tid != missing}
+            with raises_code(
+                ReproError,
+                "LineageError",
+                match=re.escape(
+                    f"no probability supplied for base tuple {missing}"
+                ),
+            ):
+                probability(lineage_and(var(A), var(B)), present)
+
     def test_result_clamped(self):
         # Many ORs of high probabilities must not exceed 1.0.
         formula = lineage_or(var(A), var(B), var(C), var(D))
@@ -86,7 +107,8 @@ class TestExactProbability:
 
 
 class TestCompiledProbability:
-    """The compiled circuit against the interpreter."""
+    """A circuit in a shared pool against ``probability()`` — one in a pool
+    of its own — bit for bit, and against possible-worlds enumeration."""
 
     def test_matches_interpreter(self):
         formula = lineage_or(
@@ -94,11 +116,14 @@ class TestCompiledProbability:
             lineage_and(var(A), var(C)),
             var(D),
         )
-        compiled = CircuitPool().compile(formula)
+        pool = CircuitPool()
+        pool.compile(lineage_and(var(A), var(B)))
+        compiled = pool.compile(formula)
         rng = random.Random(5)
         for _ in range(25):
             probs = {tid: rng.random() for tid in (A, B, C, D)}
             assert compiled.evaluate(probs) == probability(formula, probs)
+            assert close_to_worlds(compiled.evaluate(probs), formula, probs)
 
     def test_constants_compiled(self):
         assert CircuitPool().compile(TOP).evaluate({}) == 1.0

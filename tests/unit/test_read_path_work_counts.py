@@ -25,7 +25,7 @@ from repro.engines.columnar.batch import ColumnBatch
 from repro.lineage import circuit as circuit_module
 from repro.lineage.circuit import CompiledCircuit
 from repro.lineage.formula import And, Var, lineage_and, lineage_or, var
-from repro.lineage.probability import probability
+from repro.lineage import probability
 from repro.sql import run_sql
 from repro.storage import Database, INTEGER, Schema, TEXT, TupleId
 from repro.storage.table import Table
@@ -305,6 +305,8 @@ def test_join_rows_compile_without_clustering_or_cones(count_calls):
         for row in result.rows
         for tid in row.lineage.variables
     }
+    # Each row in a pool of its own, before anything is counted.
+    expected = [probability(row.lineage, probabilities) for row in result.rows]
     clustered = count_calls(circuit_module, "_independent_clusters")
     cones = count_calls(CompiledCircuit, "_find_cone")
 
@@ -314,9 +316,7 @@ def test_join_rows_compile_without_clustering_or_cones(count_calls):
     # 200 + 400 VAR nodes and one MUL per row — what clustering built.
     assert len(result.circuit_pool) == 200 + 400 + 400
     assert result.circuit_stats()["shared_hit_rate"] == 0.1667  # 200 / 1 200
-    assert confidences == [
-        probability(row.lineage, probabilities) for row in result.rows
-    ]
+    assert confidences == expected
     # The solvers' path still gets a cone, on demand.
     circuit = result.compiled_circuits()[3]
     assert circuit.order == (5, 8, 9) and cones[0] == 1

@@ -1,12 +1,14 @@
 """Solver decisions must not depend on how a confidence is computed.
 
-The product path answers every confidence from a compiled circuit (one
-forward sweep behind :class:`~repro.lineage.ConfidenceFunction`'s cache);
-the reference is the :func:`~repro.lineage.probability` interpreter.  The
-two are bit-identical, so a solver whose every probe, commit and undo is
-answered by the reference must make exactly the same decisions — same
-targets, cost and satisfied set, not approximately — and every returned
-plan must hold up when re-verified with the reference alone.
+The product path answers every confidence from a product or a circuit in
+the problem's shared pool (one forward sweep behind
+:class:`~repro.lineage.ConfidenceFunction`'s cache); the arithmetic
+reference is :func:`~repro.lineage.probability`, which compiles the formula
+into a pool of its own on every call.  The two are bit-identical, so a
+solver whose every probe, commit and undo is answered by the reference must
+make exactly the same decisions — same targets, cost and satisfied set, not
+approximately — and every returned plan must hold up when re-verified by
+possible-worlds enumeration, the value reference.
 """
 
 import pytest
@@ -25,16 +27,18 @@ from repro.increment import (
 from repro.increment.problem import SearchState, SolverStats
 from repro.lineage import ConfidenceFunction, probability
 from repro.workload import WorkloadSpec, generate_problem
+from tests.oracle import possible_worlds
 
 
 class ReferenceFunction(ConfidenceFunction):
-    """A confidence function answered by the interpreter — no circuit sweep,
-    no cache, no product — on both of its entry points: the mapping form and
-    the positional form the solvers call.  A product row keeps its factors,
-    but overriding ``at`` must still route every probe here."""
+    """A confidence function answered by ``probability()`` — a fresh pool
+    per call, no shared pool, no cache, no product — on both of its entry
+    points: the mapping form and the positional form the solvers call.  A
+    product row keeps its factors, but overriding ``at`` must still route
+    every probe here."""
 
     __slots__ = ()
-    #: Interpreter calls made through :meth:`at`, over every instance.
+    #: ``probability()`` calls made through :meth:`at`, over every instance.
     calls = 0
 
     def evaluate(self, assignment):
@@ -76,13 +80,13 @@ def _assert_identical_and_verified(problem, solve):
     assert plan.targets == reference_plan.targets
     assert plan.total_cost == reference_plan.total_cost
     assert plan.satisfied_results == reference_plan.satisfied_results
-    # Re-verify with the reference only: the plan reaches the threshold on
+    # Re-verify by possible worlds: the plan reaches the threshold on
     # enough results and costs what it says.
     final = {**problem.initial_assignment(), **plan.targets}
     reached = [
         index
         for index, result in enumerate(problem.results)
-        if problem.satisfied(probability(result.formula, final))
+        if problem.satisfied(possible_worlds(result.formula, final))
     ]
     assert set(plan.satisfied_results) <= set(reached)
     assert len(reached) >= problem.required_count
