@@ -27,7 +27,18 @@ What the kernels buy over the native operators:
   columns at the rows the earlier ones left not False (a column compared
   with a literal calls nothing per row, and asks the table's view once a
   version whether it holds a NULL); a join's re-check reads the key
-  columns its hashing gathered; a projection reads the columns it names;
+  columns at its pairs; a projection reads the columns it names;
+* a shorter left input probes a scanned right (a base scan, or filters
+  over one, through aliases) in the table view's key map
+  (:meth:`ColumnView.key_map`: a column's non-NULL value → its ascending
+  row positions, built by its first reader once per table version and
+  dropped with the version, ≈ 100 bytes a row on each pinned version
+  that is joined) — a filtered right keeps its bucket's positions found
+  by ``bisect`` in its keep vector — instead of streaming the right's
+  whole key column past the left's keys on every ask.  No write
+  maintains it.  A right whose rows may not be the table's in ascending
+  order (a sort or limit, a join, anything materialised) is hashed as
+  before;
 * value tuples and ``Var`` objects are built late, in proportion to what a
   kernel returns: scan/filter/project/sort/limit and an inner equi-join of
   deferred inputs build none.  DISTINCT, GROUP BY and ``IN`` over
@@ -38,8 +49,9 @@ What the kernels buy over the native operators:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ...algebra.executor import (
     _equi_join_columns,
@@ -75,7 +87,7 @@ from ...lineage.formula import (
     lineage_not,
     lineage_or,
 )
-from ...storage.tuples import Selection
+from ...storage.tuples import ColumnView, Selection, selection_parts
 from .batch import ColumnBatch, Group
 
 __all__ = [
@@ -171,13 +183,22 @@ def join_batch(
     equi = None if node.kind == "cross" else _equi_join_columns(node)
     if equi is None:
         return _by_row(node, join_rows, left, right)
-    # Only the key columns are read whole: hash the shorter input's, stream
-    # the other's past it.  Either way ``buckets`` ends up as the native
-    # right-side buckets (NULL keys in none of them), less the keys no left
-    # row has.
+    # Only the key columns are read whole.  A shorter left probes a
+    # scanned right's key map, or is hashed and the right's keys streamed
+    # past it; otherwise the right's keys are hashed.  Each way
+    # ``buckets`` ends up as the native right-side buckets (NULL keys in
+    # none of them), less at most the keys no left row has.
     left_keys = left.columns[equi[0]]
     buckets: dict[Any, list[int]] = {}
-    if left.length < right.length:
+    scanned = left.length < right.length and _scanned(node.right, right)
+    if scanned:
+        view, keep = scanned
+        buckets = view.key_map(equi[1])
+        if keep is not None:
+            buckets = {
+                key: _kept(buckets.get(key, ()), keep) for key in set(left_keys)
+            }
+    elif left.length < right.length:
         buckets = {key: [] for key in left_keys if key is not None}
         for j, key in enumerate(right.columns[equi[1]]):
             if key in buckets:
@@ -194,6 +215,40 @@ def join_batch(
     return joined
 
 
+def _scanned(
+    node: PlanNode, batch: ColumnBatch
+) -> tuple[ColumnView, Sequence[int] | None] | None:
+    """``(the table's view, the kept positions)`` when *batch* is a base
+    table's rows in ascending order — *node* a scan, or filters over one,
+    through aliases; positions ``None`` for every row — else ``None``
+    (a sort's or limit's gather, a join, anything materialised)."""
+    while type(node) in (Alias, Filter):
+        node = node.child
+    if type(node) is not Scan:
+        return None
+    columns = batch.columns
+    if type(columns) is ColumnView:
+        return columns, None
+    if (
+        type(columns) is Selection
+        and len(columns.parts) == 1
+        and type(columns.parts[0][0]) is ColumnView
+    ):
+        return columns.parts[0]
+    return None  # a filter that ran by row
+
+
+def _kept(positions: Sequence[int], keep: Sequence[int]) -> list[int]:
+    """The indexes into the ascending *keep* of those *positions* it
+    holds, in order."""
+    found = []
+    for position in positions:
+        j = bisect_left(keep, position)
+        if j < len(keep) and keep[j] == position:
+            found.append(j)
+    return found
+
+
 def _join_index_pairs(
     node: Join,
     left: ColumnBatch,
@@ -208,7 +263,8 @@ def _join_index_pairs(
 
     The join condition is re-checked at every pair, as the row path
     re-checks every hash-equal candidate (``None`` when that raises); it
-    reads the two key columns the hashing gathered, and nothing else.
+    reads the left key column the hashing gathered and the right key
+    column at the pairs, and nothing else.
     """
     left_index: list[int] = []
     right_index: list[int] = []
@@ -217,9 +273,10 @@ def _join_index_pairs(
         if matches:
             left_index.extend([i] * len(matches))
             right_index.extend(matches)
-    # The re-check reads the key columns the hashing already gathered.
     pairs = Selection(
-        ((left.columns, left_index), (right.columns, right_index)), len(node.schema)
+        ((left.columns, left_index),)
+        + selection_parts(right.columns, right_index, {}),
+        len(node.schema),
     )
     try:
         flags = node.bound_condition.evaluate_batch(pairs, len(left_index))

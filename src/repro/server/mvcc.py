@@ -206,13 +206,7 @@ class SnapshotTable:
                     self._column_cache = cache
         return cache
 
-    def lookup(self, column: str, value: Any) -> list[StoredTuple]:
-        column_index = self._schema.index_of(column)
-        return [
-            row
-            for row in self._rows_sorted
-            if row.values[column_index] == value
-        ]
+    lookup = Table.lookup
 
     # -- mutation is forbidden --------------------------------------------
 

@@ -467,13 +467,16 @@ class Table:
         return cache
 
     def lookup(self, column: str, value: Any) -> list[StoredTuple]:
-        """All tuples whose *column* equals *value*, in scan order."""
-        column_index = self._schema.index_of(column)
-        return [
-            row
-            for row in self.scan()
-            if row.values[column_index] == value
-        ]
+        """All tuples whose *column* equals *value* (the NULL ones for
+        ``None``), in scan order: a read of the column view's key map."""
+        columns, tids = self.column_data()
+        index = self._schema.index_of(column)
+        if value is None:
+            positions = [p for p, key in enumerate(columns[index]) if key is None]
+        else:
+            positions = columns.key_map(index).get(value, ())
+        rows = self._rows
+        return [rows[tids[p].ordinal] for p in positions]
 
     def _force_insert(self, row: StoredTuple) -> None:
         """Insert a copy of *row* preserving its ordinal (clone support).

@@ -128,12 +128,13 @@ class StoredTuple:
 
 class ColumnView(tuple):
     """One table version's value columns, one list per schema column —
-    read-only by contract.  Whether a column holds a NULL is found on its
-    first ask and kept: the fact belongs to this version, and a write
-    builds a new view, which starts fresh."""
+    read-only by contract.  Whether a column holds a NULL, and its key
+    map, are built on their first ask and kept: they are facts of this
+    version, and a write builds a new view, which starts fresh."""
 
     def __init__(self, columns: Any = ()) -> None:
         self._nulls: dict[int, bool] = {}
+        self._keys: dict[int, dict[Any, list[int]]] = {}
 
     def holds_null(self, position: int) -> bool:
         """Whether column *position* holds a NULL (scanned once)."""
@@ -141,6 +142,20 @@ class ColumnView(tuple):
         if position not in nulls:
             nulls[position] = None in self[position]
         return nulls[position]
+
+    def key_map(self, position: int) -> dict[Any, list[int]]:
+        """Column *position*'s non-NULL values, each to its ascending row
+        positions (built on the first ask, by one read of the column)."""
+        keys = self._keys.get(position)
+        if keys is None:
+            keys = {}
+            column = self[position]
+            for row in range(len(column)):
+                key = column[row]
+                if key is not None:
+                    keys.setdefault(key, []).append(row)
+            self._keys[position] = keys
+        return keys
 
 
 class Selection:

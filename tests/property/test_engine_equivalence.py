@@ -707,19 +707,21 @@ def test_star_group_clusters_are_combined_in_first_seen_order(data):
 
 def test_product_order_is_the_flattened_column_order():
     """``MUL`` computes ((1.0·a)·b)·c; float multiplication is not
-    associative, so a right-deep join must not multiply b·c first."""
+    associative, so a right-deep join must not multiply b·c first, and
+    no join may multiply in table-name order: the tables, created and
+    joined as ``z``, ``x``, ``y``, sort to b·c·a."""
     a, b, c = 0.1, 0.7, 0.3
-    assert (a * b) * c != a * (b * c)
+    assert (a * b) * c != a * (b * c) == (b * c) * a
     db = Database("assoc")
-    for name, confidence in (("x", a), ("y", b), ("z", c)):
+    for name, confidence in (("z", a), ("x", b), ("y", c)):
         db.create_table(name, Schema.of(("k", INTEGER))).insert(
             [1], confidence=confidence
         )
     right_deep = (
-        "SELECT x.k FROM x JOIN (SELECT y.k AS k FROM y JOIN z ON y.k = z.k) "
-        "AS yz ON x.k = yz.k"
+        "SELECT z.k FROM z JOIN (SELECT x.k AS k FROM x JOIN y ON x.k = y.k) "
+        "AS xy ON z.k = xy.k"
     )
-    left_deep = "SELECT x.k FROM x JOIN y ON x.k = y.k JOIN z ON y.k = z.k"
+    left_deep = "SELECT z.k FROM z JOIN x ON z.k = x.k JOIN y ON x.k = y.k"
     for sql in (right_deep, left_deep):
         result = run_sql(db, sql, engine="columnar")
         assert result.confidences(db) == [(a * b) * c]

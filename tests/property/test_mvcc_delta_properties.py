@@ -9,7 +9,9 @@ history, that must be indistinguishable from copying the whole table:
   ``len``, confidences, ``column_data`` — with the previous column cache
   built and unbuilt); and ``lookup`` on the live table, on the snapshot
   and the scan-order filter are one list, order included, whatever
-  ``insert`` / ``update_rows`` / ``delete`` came before;
+  ``insert`` / ``update_rows`` / ``delete`` came before — ``lookup``
+  reads each version's key map (``ColumnView.key_map``), so this holds
+  the map of every published delta snapshot against its scan order;
 * **Immutability** — every snapshot still pinned, and the previous
   generation, is bit-unchanged and holds the very same row objects;
 * **Sharing** — rows the commit did not touch are the previous

@@ -11,12 +11,13 @@ Two families of laws:
   commits, stale pins, and lag checks; a demand beyond the node's
   position raises instead of lying, leaving the pin untouched.
 * **Row-set records** — any interleaving of multi-row UPDATEs (with and
-  without a confidence, over indexed and unindexed columns, matching no
-  row, or rejected by the schema), multi-row INSERTs, range DELETEs,
+  without a confidence, over any column, matching no row, or rejected by
+  the schema), multi-row INSERTs, range DELETEs,
   write-backs, bulk re-scoring, single-row operations and crash-reopens
   leaves the live primary, its published snapshot, its recovered log and
-  a replica fed the same frames with equal fingerprints, and every
-  delta-published snapshot table equal to a from-scratch copy.
+  a replica fed the same frames with equal fingerprints, every
+  delta-published snapshot table equal to a from-scratch copy, and its
+  and the live table's ``lookup`` (a key map read) equal to the scan.
 * **A refused statement writes nothing** — after every rejected step (an
   UPDATE or an INSERT with a bad row at a drawn position, a CREATE VIEW
   that does not plan) fingerprints, ``last_seq``, every table's
@@ -229,7 +230,7 @@ _ROW_SCHEMA = Schema(
         Column("v", REAL),
     ]
 )
-_TABLES = ("t", "u")  # t is indexed on name, u is not indexed at all
+_TABLES = ("t", "u")
 _ASSIGNMENTS = {
     "k": "k = k + 1",
     "name": "name = 'renamed'",
@@ -482,17 +483,19 @@ class TestRowSetRecords:
                                 published.column_data()
                                 == reference.column_data()
                             )
-                    # The live hash index (t only) followed every
-                    # assigned value, on the primary and on the replica.
-                    indexed = db.table("t")
-                    for value in ("renamed", "fresh", "row3", None):
-                        assert sorted(
-                            row.tid for row in indexed.lookup("name", value)
-                        ) == [
-                            row.tid
-                            for row in indexed.scan()
-                            if row.values[1] == value
-                        ]
+                            # The published and the live key map followed
+                            # every assigned value, in scan order, on the
+                            # primary and on the replica.
+                            for table in (published, db.table(name)):
+                                for value in ("renamed", "fresh", "row3", None):
+                                    assert [
+                                        row.tid
+                                        for row in table.lookup("name", value)
+                                    ] == [
+                                        row.tid
+                                        for row in table.scan()
+                                        if row.values[1] == value
+                                    ]
                 assert replica.position == primary.db._durability.last_seq
         finally:
             replica.stop()

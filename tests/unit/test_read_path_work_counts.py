@@ -28,6 +28,7 @@ from repro.lineage.formula import And, Var, lineage_and, lineage_or, var
 from repro.lineage import probability
 from repro.sql import run_sql
 from repro.storage import Database, INTEGER, Schema, TEXT, TupleId
+from repro.storage import table as table_module
 from repro.storage.table import Table
 from repro.storage.tuples import ColumnView
 from tests.oracle import possible_worlds
@@ -186,11 +187,15 @@ def test_two_conjunct_filter_is_one_selection_vector(monkeypatch, count_calls):
 def test_a_filtered_join_reads_each_column_through_its_selection(monkeypatch):
     """Both join inputs filtered, one column of each projected (the shape
     of the e2e ``ask.join-filtered``): a filter column is read whole, by
-    its filter; a key column at its filter's kept rows, once, by the
-    hashing (the condition re-check reads what it gathered); a projected
-    column at the matched rows only; any other column at no row.  At the
-    commit before this guard each filter gathered every column of its
-    input and the join every column of both at every pair."""
+    its filter; the shorter left's key column at its filter's kept rows,
+    once, by the hashing (the condition re-check reads what it gathered);
+    the scanned right's key column whole, once per table version, to
+    build the view's key map, then at the matched rows by the re-check;
+    a projected column at the matched rows only; any other column at no
+    row.  At the commit before this guard each filter gathered every
+    column of its input and the join every column of both at every pair,
+    and until the right probed its key map it read its key column at its
+    filter's kept rows on every ask."""
     db = Database("filtered-join")
     db.create_table(
         "l", Schema.of(("k", INTEGER), ("f", INTEGER), ("a", INTEGER), ("u", INTEGER))
@@ -228,10 +233,48 @@ def test_a_filtered_join_reads_each_column_through_its_selection(monkeypatch):
     assert reads["l", "f"] == list(range(1_200))  # the filters
     assert reads["r", "g"] == list(range(2_000))
     assert reads["l", "k"] == kept_l  # the hashing, once
-    assert reads["r", "k"] == kept_r
+    # The key map, then the re-check at the pairs.
+    assert reads["r", "k"] == list(range(2_000)) + [j for _, j in pairs]
     assert reads["l", "a"] == [i for i, _ in pairs]  # the projection
     assert reads["r", "b"] == [j for _, j in pairs]
     assert reads["l", "u"] == reads["r", "v"] == []
+
+
+def test_a_join_probes_the_scanned_side_key_map_once_built(monkeypatch):
+    """A one-row left joined to an N-row scanned right, asked twice on one
+    table version: the first ask reads the right key column whole, once,
+    to build the view's key map; the second reads it only at the three
+    matched rows, by the condition re-check — not at N.  At the commit
+    before this guard every ask streamed all N right keys past the left
+    one."""
+    for size in (1_000, 10_000):
+        db = Database("probe")
+        db.create_table("l", Schema.of(("k", INTEGER), ("a", INTEGER))).insert_rows(
+            [[i, i] for i in range(10)], confidence=0.5
+        )
+        db.create_table("r", Schema.of(("k", INTEGER), ("b", INTEGER))).insert_rows(
+            [[j % 7 if j < 21 else 1_000 + j, j] for j in range(size)],
+            confidence=0.5,
+        )
+        reads = []
+        build = table_module.column_view
+
+        def logged(rows, width):
+            columns, tids = build(rows, width)
+            if rows[0].tid.table != "r":
+                return columns, tids
+            return ColumnView([_LoggedColumn(columns[0], reads), columns[1]]), tids
+
+        monkeypatch.setattr(table_module, "column_view", logged)
+        sql = "SELECT l.a, r.b FROM l JOIN r ON l.k = r.k WHERE l.a = 3"
+        first = run_sql(db, sql, engine="columnar")
+        assert reads == list(range(size)) + [3, 10, 17]
+        del reads[:]
+        second = run_sql(db, sql, engine="columnar")
+        assert reads == [3, 10, 17]
+        monkeypatch.undo()
+        assert first.values() == second.values() == [(3, 3), (3, 10), (3, 17)]
+        assert first.values() == run_sql(db, sql, engine="native").values()
 
 
 @pytest.mark.parametrize(
