@@ -6,9 +6,7 @@ dependencies:
 
 * **Read through the selection.**  A scan's columns are the table's
   cached view (:meth:`repro.storage.table.Table.column_data`), shared and
-  never copied; an equi-join probes the view's per-version key map
-  (:meth:`~repro.storage.tuples.ColumnView.key_map`) when that side is
-  a scan or a filter over one.  A filter, sort, limit or semi-join passes row positions
+  never copied.  A filter, sort, limit or semi-join passes row positions
   and an inner equi-join (left, right) index pairs: the output's columns
   are a :class:`~repro.storage.tuples.Selection` — its inputs' source
   columns read through index vectors, each gathered when something

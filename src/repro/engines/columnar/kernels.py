@@ -28,17 +28,7 @@ What the kernels buy over the native operators:
   with a literal calls nothing per row, and asks the table's view once a
   version whether it holds a NULL); a join's re-check reads the key
   columns at its pairs; a projection reads the columns it names;
-* a shorter left input probes a scanned right (a base scan, or filters
-  over one, through aliases) in the table view's key map
-  (:meth:`ColumnView.key_map`: a column's non-NULL value → its ascending
-  row positions, built by its first reader once per table version and
-  dropped with the version, ≈ 100 bytes a row on each pinned version
-  that is joined) — a filtered right keeps its bucket's positions found
-  by ``bisect`` in its keep vector — instead of streaming the right's
-  whole key column past the left's keys on every ask.  No write
-  maintains it.  A right whose rows may not be the table's in ascending
-  order (a sort or limit, a join, anything materialised) is hashed as
-  before;
+* a shorter left probes a scanned right's :meth:`ColumnView.key_map`;
 * value tuples and ``Var`` objects are built late, in proportion to what a
   kernel returns: scan/filter/project/sort/limit and an inner equi-join of
   deferred inputs build none.  DISTINCT, GROUP BY and ``IN`` over
@@ -189,20 +179,14 @@ def join_batch(
     # ``buckets`` ends up as the native right-side buckets (NULL keys in
     # none of them), less at most the keys no left row has.
     left_keys = left.columns[equi[0]]
-    buckets: dict[Any, list[int]] = {}
-    scanned = left.length < right.length and _scanned(node.right, right)
-    if scanned:
-        view, keep = scanned
-        buckets = view.key_map(equi[1])
-        if keep is not None:
-            buckets = {
-                key: _kept(buckets.get(key, ()), keep) for key in set(left_keys)
-            }
-    elif left.length < right.length:
-        buckets = {key: [] for key in left_keys if key is not None}
-        for j, key in enumerate(right.columns[equi[1]]):
-            if key in buckets:
-                buckets[key].append(j)
+    buckets: dict[Any, list[int]] | None = {}
+    if left.length < right.length:
+        buckets = _probed(node.right, right, equi[1], left_keys)
+        if buckets is None:
+            buckets = {key: [] for key in left_keys if key is not None}
+            for j, key in enumerate(right.columns[equi[1]]):
+                if key in buckets:
+                    buckets[key].append(j)
     else:
         for j, key in enumerate(right.columns[equi[1]]):
             if key is not None:
@@ -215,27 +199,34 @@ def join_batch(
     return joined
 
 
-def _scanned(
-    node: PlanNode, batch: ColumnBatch
-) -> tuple[ColumnView, Sequence[int] | None] | None:
-    """``(the table's view, the kept positions)`` when *batch* is a base
-    table's rows in ascending order — *node* a scan, or filters over one,
-    through aliases; positions ``None`` for every row — else ``None``
-    (a sort's or limit's gather, a join, anything materialised)."""
+def _probed(
+    node: PlanNode, batch: ColumnBatch, column: int, left_keys: list
+) -> dict[Any, list[int]] | None:
+    """*left_keys*' buckets in *batch* from its table view's key map, when
+    *batch* is a base table's rows in ascending order — *node* a scan, or
+    filters over one, through aliases — else ``None`` (a sort's or limit's
+    gather, a join, anything materialised).  A filter's kept indexes are
+    found by ``bisect``, unless the keys' whole-table buckets outnumber
+    its kept rows: then streaming those is cheaper, and ``None``."""
     while type(node) in (Alias, Filter):
         node = node.child
     if type(node) is not Scan:
         return None
     columns = batch.columns
     if type(columns) is ColumnView:
-        return columns, None
-    if (
+        return columns.key_map(column)
+    if not (
         type(columns) is Selection
         and len(columns.parts) == 1
         and type(columns.parts[0][0]) is ColumnView
     ):
-        return columns.parts[0]
-    return None  # a filter that ran by row
+        return None  # a filter that ran by row
+    view, keep = columns.parts[0]
+    buckets = view.key_map(column)
+    found = {key: buckets.get(key, ()) for key in set(left_keys)}
+    if sum(map(len, found.values())) > len(keep):
+        return None
+    return {key: _kept(positions, keep) for key, positions in found.items()}
 
 
 def _kept(positions: Sequence[int], keep: Sequence[int]) -> list[int]:

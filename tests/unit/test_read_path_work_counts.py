@@ -21,6 +21,7 @@ import pytest
 
 from repro.algebra import expressions
 from repro.algebra.rows import AnnotatedTuple, ResultSet
+from repro.engines.columnar import kernels
 from repro.engines.columnar.batch import ColumnBatch
 from repro.lineage import circuit as circuit_module
 from repro.lineage.circuit import CompiledCircuit
@@ -186,16 +187,18 @@ def test_two_conjunct_filter_is_one_selection_vector(monkeypatch, count_calls):
 
 def test_a_filtered_join_reads_each_column_through_its_selection(monkeypatch):
     """Both join inputs filtered, one column of each projected (the shape
-    of the e2e ``ask.join-filtered``): a filter column is read whole, by
+    of the e2e ``ask.join-filtered``, with four right rows a key): a filter column is read whole, by
     its filter; the shorter left's key column at its filter's kept rows,
     once, by the hashing (the condition re-check reads what it gathered);
     the scanned right's key column whole, once per table version, to
-    build the view's key map, then at the matched rows by the re-check;
+    build the view's key map, then — its left keys' buckets holding more
+    rows than the right's filter kept — at the kept rows, streamed past
+    the left's keys, and at the matched rows by the re-check;
     a projected column at the matched rows only; any other column at no
     row.  At the commit before this guard each filter gathered every
     column of its input and the join every column of both at every pair,
-    and until the right probed its key map it read its key column at its
-    filter's kept rows on every ask."""
+    and until a scanned right could be probed the re-check read the key
+    columns the hashing gathered, the right's at the kept rows only."""
     db = Database("filtered-join")
     db.create_table(
         "l", Schema.of(("k", INTEGER), ("f", INTEGER), ("a", INTEGER), ("u", INTEGER))
@@ -233,8 +236,9 @@ def test_a_filtered_join_reads_each_column_through_its_selection(monkeypatch):
     assert reads["l", "f"] == list(range(1_200))  # the filters
     assert reads["r", "g"] == list(range(2_000))
     assert reads["l", "k"] == kept_l  # the hashing, once
-    # The key map, then the re-check at the pairs.
-    assert reads["r", "k"] == list(range(2_000)) + [j for _, j in pairs]
+    # The key map; its 400 keys' 1 600 rows outnumber the 800 kept, so
+    # the kept keys are streamed; then the re-check at the pairs.
+    assert reads["r", "k"] == list(range(2_000)) + kept_r + [j for _, j in pairs]
     assert reads["l", "a"] == [i for i, _ in pairs]  # the projection
     assert reads["r", "b"] == [j for _, j in pairs]
     assert reads["l", "u"] == reads["r", "v"] == []
@@ -275,6 +279,63 @@ def test_a_join_probes_the_scanned_side_key_map_once_built(monkeypatch):
         monkeypatch.undo()
         assert first.values() == second.values() == [(3, 3), (3, 10), (3, 17)]
         assert first.values() == run_sql(db, sql, engine="native").values()
+
+
+@pytest.mark.parametrize("values, probed", [(3, False), (None, True)])
+def test_a_filtered_right_is_probed_only_if_its_buckets_are_the_fewer_rows(
+    monkeypatch, values, probed
+):
+    """Three left keys joined to a 20 000-row right that a filter cuts to
+    1 000 rows, asked twice on one table version.  The first ask builds
+    the view's key map by one read of the whole key column.  With unique
+    keys the left keys' whole-table buckets hold 3 rows, fewer than the
+    filter kept: the join bisects those 3 into the kept rows and reads
+    the key column only at the pairs.  With 3 key values the buckets hold
+    all 20 000 rows: it streams the 1 000 kept keys and bisects nothing.
+    Until the choice was made, the second case bisected 20 000 positions
+    on every ask."""
+    size = 20_000
+    keyed = (lambda j: j) if values is None else (lambda j: j % values)
+    db = Database("probe-filtered")
+    db.create_table("l", Schema.of(("k", INTEGER), ("a", INTEGER))).insert_rows(
+        [[keyed(20 * i), i] for i in range(3)], confidence=0.5
+    )
+    db.create_table("r", Schema.of(("k", INTEGER), ("g", INTEGER))).insert_rows(
+        [[keyed(j), j % 20] for j in range(size)], confidence=0.5
+    )
+    reads = []
+    build = table_module.column_view
+
+    def logged(rows, width):
+        columns, tids = build(rows, width)
+        if rows[0].tid.table != "r":
+            return columns, tids
+        return ColumnView([_LoggedColumn(columns[0], reads), columns[1]]), tids
+
+    bisected = [0]
+    bisect_left = kernels.bisect_left
+
+    def counted(*args):
+        bisected[0] += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr(table_module, "column_view", logged)
+    monkeypatch.setattr(kernels, "bisect_left", counted)
+    sql = "SELECT l.a, r.g FROM l JOIN r ON l.k = r.k WHERE r.g = 0"
+    first = run_sql(db, sql, engine="columnar")
+    kept = list(range(0, size, 20))
+    pairs = [j for i in range(3) for j in kept if keyed(j) == keyed(20 * i)]
+    streamed = [] if probed else kept
+    assert reads == list(range(size)) + streamed + pairs
+    assert bisected[0] == (3 if probed else 0)
+    del reads[:]
+    second = run_sql(db, sql, engine="columnar")
+    assert reads == streamed + pairs
+    assert bisected[0] == (6 if probed else 0)
+    monkeypatch.undo()
+    assert len(first) == len(pairs) == (3 if probed else 1_000)
+    assert first.values() == second.values()
+    assert first.values() == run_sql(db, sql, engine="native").values()
 
 
 @pytest.mark.parametrize(
