@@ -32,6 +32,9 @@ ASKS = (
     "SELECT t.k, t.s, u.w FROM t LEFT JOIN u ON t.k = u.k",
     # A filtered scanned right.
     "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k WHERE u.w > 30",
+    # One whose left keys' whole-table buckets outnumber its kept rows:
+    # its kept keys are streamed, not probed.
+    "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k WHERE t.s < 'c' AND u.w > 60",
     # A right reordered, or cut, in a derived table.
     "SELECT t.k, o.w FROM t JOIN (SELECT k, w FROM u ORDER BY w DESC LIMIT 9) AS o "
     "ON t.k = o.k",
